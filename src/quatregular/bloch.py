@@ -13,7 +13,7 @@ import numpy as np
 
 from ._arrays import coeff_rows, eval_rows
 from .errors import DomainError, NumericalSearchError, PreconditionError
-from .norms import split_norm, sup_norm_ball, _sphere_range_at
+from .norms import _golden_max, _sphere_range_at, split_norm, sup_norm_ball
 from .quaternions import ALGEBRA_TOL, I as CANONICAL_I
 from .quaternions import Quaternion, UnitImaginary, _coerce
 from .series import Series, slice_derivative, symmetrization
@@ -446,8 +446,8 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
         step = thetas[1] - thetas[0]
         lo = max(0.0, thetas[best_idx] - step)
         hi = min(math.pi, thetas[best_idx] + step)
-        angle = _argmax_golden(
-            lambda t: _sphere_range_at(deriv_coeff_list, sphere_radius, t)[1], lo, hi)
+        angle = _golden_max(lambda t: _sphere_range_at(deriv_coeff_list, sphere_radius, t)[1],
+                            lo, hi, xatol=1e-10)[2]
         if highs[best_idx] >= _sphere_range_at(deriv_coeff_list, sphere_radius, angle)[1]:
             angle = float(thetas[best_idx])
         locator_angle = angle
@@ -503,21 +503,3 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
     return SearchReport(r=r, R_r=ball_radius, w=w, rotation=rotation,
                         rho_r=rho_r, f_w=f_at_w, diagnostics=diagnostics)
 
-
-def _argmax_golden(fn, lo: float, hi: float, xatol: float = 1e-10) -> float:
-    """Location of the golden-section maximum of fn on [lo, hi]."""
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > xatol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)

@@ -21,6 +21,7 @@ from .errors import (
 from .serialization import load_series
 
 _SCHEMA = bloch.SCHEMA
+_DEGREE_CAP = 60
 
 
 def _emit_text(text: str, output: str | None) -> None:
@@ -32,7 +33,11 @@ def _emit_text(text: str, output: str | None) -> None:
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
-    _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalSearchError(f"report holds a non-finite number: {exc}") from exc
+    _emit_text(text + "\n", output)
 
 
 def _load_input(args) -> "Series":
@@ -49,7 +54,7 @@ def _norm_options(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    extra = load_series(args.input) if args.input else None
+    extra = _load_input(args) if args.input else None
     suites = args.suite or None
     results = verification.run_checks(suites=suites, seed=args.seed,
                                       scale=args.samples / 100.0,
@@ -143,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("input", help="series JSON file "
                            '({"radius": R, "coeffs": [[x0,x1,x2,x3], ...], "exact": bool})')
-        p.add_argument("--degree", type=int, default=60,
-                       help="reject inputs above this degree (default 60)")
+        p.add_argument("--degree", type=int, default=_DEGREE_CAP,
+                       help=f"reject inputs above this degree (default {_DEGREE_CAP})")
         p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
         p.add_argument("--theta-grid", type=int, default=norms.DEFAULT_THETA_GRID,
                        help="circle grid resolution")
@@ -157,6 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=sorted(verification.SUITES),
                           help="restrict to one suite (repeatable)")
     p_verify.add_argument("--input", help="optional extra series file to include")
+    p_verify.add_argument("--degree", type=int, default=_DEGREE_CAP,
+                          help=f"reject an --input series above this degree "
+                               f"(default {_DEGREE_CAP})")
     p_verify.add_argument("--samples", type=int, default=100,
                           help="per-check sample counts, percent of defaults")
     p_verify.add_argument("--tol", type=float, default=1.0,

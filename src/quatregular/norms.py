@@ -18,10 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import coeff_rows, power_table, sphere_constants, sphere_extrema_rows
+from ._arrays import (
+    circle_max_rows,
+    circle_table,
+    coeff_rows,
+    sphere_constants,
+    sphere_extrema_rows,
+)
 from .errors import DomainError, PreconditionError
-from .quaternions import I as CANONICAL_I
-from .quaternions import Quaternion, UnitImaginary, _coerce, sphere_sample
+from .quaternions import Quaternion, UnitImaginary, _coerce, _sphere_rows
 from .series import Series, slice_derivative
 from .slices import split
 
@@ -29,6 +34,9 @@ DEFAULT_THETA_GRID = 512
 DEFAULT_SPHERE_GRID = 2048
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# cyclic component orders for the cross product I x J
+_NEXT = [1, 2, 0]
+_LAST = [2, 0, 1]
 
 
 @dataclass(frozen=True)
@@ -102,8 +110,9 @@ def _sphere_range_at(coeff_list, s: float, theta: float) -> tuple[float, float]:
 
 # -- one dimensional refinement ----------------------------------------------
 
-def _golden_max(fn, lo: float, hi: float, xatol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section maximisation; returns (value, convergence gap)."""
+def _golden_max(fn, lo: float, hi: float,
+                xatol: float = 1e-9) -> tuple[float, float, float]:
+    """Golden-section maximisation; returns (value, convergence gap, final midpoint)."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -122,36 +131,25 @@ def _golden_max(fn, lo: float, hi: float, xatol: float = 1e-9) -> tuple[float, f
         best = max(best, fc, fd)
         history.append(best)
     gap = best - history[max(0, len(history) - 6)]
-    return best, gap
+    return best, gap, 0.5 * (a + b)
 
 
 def _refine_grid_maxima(values: np.ndarray, xs: np.ndarray, fn,
-                        periodic: bool, max_brackets: int = 6) -> tuple[float, float]:
-    """Refine the local maxima of a sampled profile; returns (value, gap)."""
+                        max_brackets: int = 6) -> tuple[float, float]:
+    """Refine the local maxima of a sampled profile on an interval; returns (value, gap)."""
     n = len(values)
     if n < 3:
         return float(np.max(values)), 0.0
-    if periodic:
-        mask = (values >= np.roll(values, 1)) & (values >= np.roll(values, -1))
-    else:
-        mask = np.zeros(n, dtype=bool)
-        mask[1:-1] = (values[1:-1] >= values[:-2]) & (values[1:-1] >= values[2:])
-        mask[0] = values[0] >= values[1]
-        mask[-1] = values[-1] >= values[-2]
-    idxs = np.flatnonzero(mask)
-    if idxs.size == 0:
-        idxs = np.array([int(np.argmax(values))])
+    padded = np.concatenate([[-np.inf], values, [-np.inf]])
+    idxs = np.flatnonzero((values >= padded[:-2]) & (values >= padded[2:]))
     order = idxs[np.argsort(-values[idxs], kind="stable")][:max_brackets]
     step = xs[1] - xs[0]
     best = float(np.max(values))
     worst_gap = 0.0
     for i in order:
-        lo = xs[i] - step
-        hi = xs[i] + step
-        if not periodic:
-            lo = max(lo, xs[0])
-            hi = min(hi, xs[-1])
-        val, gap = _golden_max(fn, lo, hi)
+        lo = max(xs[i] - step, xs[0])
+        hi = min(xs[i] + step, xs[-1])
+        val, gap, _ = _golden_max(fn, lo, hi)
         best = max(best, val)
         worst_gap = max(worst_gap, gap)
     return best, worst_gap
@@ -180,7 +178,7 @@ def sup_norm_ball(f: Series, s: float,
     def at(t: float) -> float:
         return _sphere_range_at(coeff_list, s, t)[1]
 
-    value, gap = _refine_grid_maxima(high, theta, at, periodic=False)
+    value, gap = _refine_grid_maxima(high, theta, at)
     return NormReport(value, "grid+refine", {"theta": theta_grid},
                       _tol_floor(value, gap))
 
@@ -233,38 +231,33 @@ def inf_norm_ball(f: Series, s: float, theta_grid: int = 256,
 
 # -- slice norm and its supremum over units ------------------------------------
 
-def _circle_max(coeffs: np.ndarray, radius: float, theta_grid: int,
-                refine: bool = True) -> tuple[float, float]:
-    """Maximum of |P(radius * e^{i theta})| for a complex polynomial P."""
-    if len(coeffs) == 1:
-        return abs(coeffs[0]), 0.0
-    theta = np.linspace(0.0, 2.0 * math.pi, theta_grid, endpoint=False)
-    z = radius * np.exp(1j * theta)
-    acc = np.full_like(z, coeffs[-1])
-    for a in coeffs[-2::-1]:
-        acc = acc * z + a
-    grid_vals = np.abs(acc)
-    if not refine:
-        return float(grid_vals.max()), math.inf
-    poly = list(coeffs)
+def _completion_rows(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (J, K = I J) of the deterministic orthonormal completion of unit rows (m, 3).
 
-    def at(t: float) -> float:
-        zz = radius * complex(math.cos(t), math.sin(t))
-        acc_s = poly[-1]
-        for a in poly[-2::-1]:
-            acc_s = acc_s * zz + a
-        return abs(acc_s)
-
-    return _refine_grid_maxima(grid_vals, theta, at, periodic=True, max_brackets=4)
+    Same rule as ``quaternions.orthonormal_completion``: Gram-Schmidt the
+    coordinate axis least aligned with I (first on ties) against I.
+    """
+    axis_rows = np.eye(3)[np.argmin(np.abs(units), axis=1)]
+    j_rows = axis_rows - np.sum(axis_rows * units, axis=1, keepdims=True) * units
+    j_rows /= np.linalg.norm(j_rows, axis=1, keepdims=True)
+    k_rows = units[:, _NEXT] * j_rows[:, _LAST] - units[:, _LAST] * j_rows[:, _NEXT]
+    return j_rows, k_rows
 
 
-def _slice_norm_report(f: Series, unit: UnitImaginary,
-                       j_unit: UnitImaginary | None = None,
-                       theta_grid: int = DEFAULT_THETA_GRID) -> tuple[float, float]:
-    pair = split(f, unit, j_unit=j_unit)
-    v_f, g_f = _circle_max(np.asarray(pair.F.coeffs, dtype=complex), f.radius, theta_grid)
-    v_g, g_g = _circle_max(np.asarray(pair.G.coeffs, dtype=complex), f.radius, theta_grid)
-    return math.hypot(v_f, v_g), g_f + g_g
+def _slice_rows(coeff_array: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split coefficients a_n = alpha_n + beta_n J for unit rows (m, 3); each (m, N+1)."""
+    j_rows, k_rows = _completion_rows(units)
+    imag = coeff_array[:, 1:].T
+    alpha = coeff_array[:, 0] + 1j * (units @ imag)
+    beta = j_rows @ imag + 1j * (k_rows @ imag)
+    return alpha, beta
+
+
+def _slice_norms(alpha: np.ndarray, beta: np.ndarray, radius: float,
+                 table: np.ndarray) -> np.ndarray:
+    """hypot of the refined boundary maxima of F and G, one circle-max batch for both."""
+    maxima = circle_max_rows(np.concatenate([alpha, beta]), radius, table)
+    return np.hypot(maxima[:len(alpha)], maxima[len(alpha):])
 
 
 def slice_norm(f: Series, unit: UnitImaginary,
@@ -275,21 +268,23 @@ def slice_norm(f: Series, unit: UnitImaginary,
     The value does not depend on which orthogonal completion ``j_unit`` is
     used; passing one explicitly exists for exactly that check.
     """
-    return _slice_norm_report(f, unit, j_unit, theta_grid)[0]
+    pair = split(f, unit, j_unit=j_unit)
+    table = circle_table(f.radius, f.degree + 1, theta_grid)
+    return float(_slice_norms(np.array([pair.F.coeffs]), np.array([pair.G.coeffs]),
+                              f.radius, table)[0])
 
-
-def _tangent_basis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axis = int(np.argmin(np.abs(u)))
-    e = np.zeros(3)
-    e[axis] = 1.0
-    t1 = e - u[axis] * u
-    t1 /= np.linalg.norm(t1)
-    return t1, np.cross(u, t1)
 
 _PATTERN = np.array([
     (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
     (0.707, 0.707), (0.707, -0.707), (-0.707, 0.707), (-0.707, -0.707),
 ])
+
+
+def _compass(u: np.ndarray, step: float) -> np.ndarray:
+    """The eight pattern neighbours of a unit row at the given step, back on the sphere."""
+    t1, t2 = _completion_rows(u[None, :])
+    cands = u + step * (_PATTERN[:, :1] * t1 + _PATTERN[:, 1:] * t2)
+    return cands / np.linalg.norm(cands, axis=1, keepdims=True)
 
 
 def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
@@ -304,38 +299,28 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
     the sphere, and the winners are re-evaluated at full precision.
     """
     coeff_array = coeff_rows(f)
-    resolution = {"sphere": samples, "theta": theta_grid}
     if f.degree == 0:
         return NormReport(f.coeffs[0].modulus(), "closed-form")
+    table = circle_table(f.radius, f.degree + 1, theta_grid)
+
+    def refined(units: np.ndarray) -> np.ndarray:
+        return _slice_norms(*_slice_rows(coeff_array, units), f.radius, table)
+
     if np.all(coeff_array[:, 1:] == 0.0):
-        value, gap = _slice_norm_report(f, CANONICAL_I, theta_grid=theta_grid)
+        value = float(refined(np.array([[1.0, 0.0, 0.0]]))[0])
         return NormReport(value, "grid+refine", {"sphere": 1, "theta": theta_grid},
-                          _tol_floor(value, gap))
+                          _tol_floor(value, 0.0))
 
-    imag_rows = coeff_array[:, 1:]
-    alpha_re = coeff_array[:, 0]
-    scan_grid = max(theta_grid // 2, 64)
-    z = f.radius * np.exp(2j * math.pi * np.arange(scan_grid) / scan_grid)
-    powers = power_table(z, coeff_array.shape[0])
-    w_t = powers.T
+    scan_table = circle_table(f.radius, f.degree + 1, max(theta_grid // 2, 64))
 
-    def batch_values(units: np.ndarray) -> np.ndarray:
+    def surrogate(units: np.ndarray) -> np.ndarray:
         """Grid-only slice norms for unit rows (m, 3)."""
-        axis = np.argmin(np.abs(units), axis=1)
-        e = np.eye(3)[axis]
-        proj = np.sum(e * units, axis=1, keepdims=True)
-        jv = e - proj * units
-        jv /= np.linalg.norm(jv, axis=1, keepdims=True)
-        kv = np.cross(units, jv)
-        alpha = alpha_re[:, None] + 1j * (imag_rows @ units.T)
-        beta = (imag_rows @ jv.T) + 1j * (imag_rows @ kv.T)
-        m_f = np.abs(w_t @ alpha).max(axis=0)
-        m_g = np.abs(w_t @ beta).max(axis=0)
-        return np.hypot(m_f, m_g)
+        alpha, beta = _slice_rows(coeff_array, units)
+        return np.hypot(np.abs(alpha @ scan_table).max(axis=1),
+                        np.abs(beta @ scan_table).max(axis=1))
 
-    units = sphere_sample(samples, seed)
-    lattice = np.array([(u.x1, u.x2, u.x3) for u in units])
-    scan = batch_values(lattice)
+    lattice = _sphere_rows(samples, seed)
+    scan = surrogate(lattice)
 
     order = np.argsort(-scan, kind="stable")
     candidates = []
@@ -347,49 +332,42 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
         if len(candidates) >= refine_candidates:
             break
 
-    def polish(u0: np.ndarray) -> tuple[float, float]:
-        u = u0.copy()
-        val = float(batch_values(u[None, :])[0])
+    def polish(u: np.ndarray) -> tuple[float, float]:
+        val = float(surrogate(u[None, :])[0])
         step, budget = 0.1, 600
         while step > 1e-4 and budget > 0:
             budget -= 1
-            t1, t2 = _tangent_basis(u)
-            cands = u[None, :] + step * (_PATTERN[:, :1] * t1 + _PATTERN[:, 1:] * t2)
-            cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-            vals = batch_values(cands)
+            cands = _compass(u, step)
+            vals = surrogate(cands)
             best = int(np.argmax(vals))
             if vals[best] > val:
                 u, val = cands[best], float(vals[best])
             else:
                 step *= 0.5
-        # finish at full precision: refined circle maxima, smaller steps
-        unit = UnitImaginary.from_vector(*u)
-        val, circle_gap = _slice_norm_report(f, unit, theta_grid=theta_grid)
+        # finish at full precision: refined circle maxima, smaller steps, first
+        # improvement in pattern order
+        val = float(refined(u[None, :])[0])
         step, last_improvement, budget = 1e-4, 0.0, 200
         while step > 3e-6 and budget > 0:
             budget -= 1
-            t1, t2 = _tangent_basis(u)
-            moved = False
-            for da, db in _PATTERN:
-                cand = u + step * (da * t1 + db * t2)
-                cand /= np.linalg.norm(cand)
-                v2, g2 = _slice_norm_report(f, UnitImaginary.from_vector(*cand),
-                                            theta_grid=theta_grid)
-                if v2 > val:
-                    last_improvement = v2 - val
-                    u, val, circle_gap, moved = cand, v2, g2, True
-                    break
-            if not moved:
+            cands = _compass(u, step)
+            vals = refined(cands)
+            better = np.flatnonzero(vals > val)
+            if better.size:
+                best = int(better[0])
+                last_improvement = float(vals[best]) - val
+                u, val = cands[best], float(vals[best])
+            else:
                 step *= 0.45
         # residual compass truncation scales with the square of the last step
-        return val, circle_gap + last_improvement + val * step * step
+        return val, last_improvement + val * step * step
 
     best_value, best_gap = -math.inf, 0.0
     for u0 in candidates:
         val, gap = polish(u0)
         if val > best_value:
             best_value, best_gap = val, gap
-    return NormReport(best_value, "grid+refine", resolution,
+    return NormReport(best_value, "grid+refine", {"sphere": samples, "theta": theta_grid},
                       _tol_floor(best_value, best_gap))
 
 

@@ -249,13 +249,8 @@ def rotate_unit(c: Quaternion, unit: UnitImaginary) -> UnitImaginary:
     return UnitImaginary(*rotated.components)
 
 
-def sphere_sample(n: int, seed: int = 0) -> list[UnitImaginary]:
-    """Deterministic quasi-uniform sample of n imaginary units.
-
-    A Fibonacci lattice on the unit 2-sphere of imaginary directions, with a
-    small seeded tangential jitter to break grid alignment. The first point is
-    always exactly i, and the whole list is reproducible from (n, seed).
-    """
+def _sphere_rows(n: int, seed: int = 0) -> np.ndarray:
+    """The points of ``sphere_sample(n, seed)`` as an (n, 3) array."""
     if n < 1:
         raise DomainError("need at least one sample point")
     ks = np.arange(n)
@@ -272,5 +267,15 @@ def sphere_sample(n: int, seed: int = 0) -> list[UnitImaginary]:
         jitter[0] = 0.0  # keep the canonical anchor point exact
         pts = pts + jitter - (np.sum(pts * jitter, axis=1, keepdims=True)) * pts
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts
 
-    return [UnitImaginary(0.0, float(p[0]), float(p[1]), float(p[2])) for p in pts]
+
+def sphere_sample(n: int, seed: int = 0) -> list[UnitImaginary]:
+    """Deterministic quasi-uniform sample of n imaginary units.
+
+    A Fibonacci lattice on the unit 2-sphere of imaginary directions, with a
+    small seeded tangential jitter to break grid alignment. The first point is
+    always exactly i, and the whole list is reproducible from (n, seed).
+    """
+    return [UnitImaginary(0.0, float(p[0]), float(p[1]), float(p[2]))
+            for p in _sphere_rows(n, seed)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .errors import SeriesFormatError
@@ -18,15 +19,25 @@ def series_to_dict(f: Series) -> dict:
     }
 
 
+def _finite(value) -> float | None:
+    """The value as a finite float, or None for non-numbers, NaN and infinities."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    return None
+
+
 def series_from_dict(payload: dict, source: str = "<payload>") -> Series:
     if not isinstance(payload, dict):
         raise SeriesFormatError(f"{source}: expected a JSON object")
     for key in ("radius", "coeffs"):
         if key not in payload:
             raise SeriesFormatError(f"{source}: missing field '{key}'")
-    radius = payload["radius"]
-    if not isinstance(radius, (int, float)) or isinstance(radius, bool) or radius <= 0:
-        raise SeriesFormatError(f"{source}: field 'radius' must be a positive number")
+    radius = _finite(payload["radius"])
+    if radius is None or radius <= 0:
+        raise SeriesFormatError(f"{source}: field 'radius' must be a positive finite number")
     exact = payload.get("exact", True)
     if not isinstance(exact, bool):
         raise SeriesFormatError(f"{source}: field 'exact' must be a boolean")
@@ -35,12 +46,12 @@ def series_from_dict(payload: dict, source: str = "<payload>") -> Series:
         raise SeriesFormatError(f"{source}: field 'coeffs' must be a nonempty list")
     coeffs = []
     for idx, row in enumerate(rows):
-        if (not isinstance(row, list) or len(row) != 4
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row)):
+        values = [_finite(v) for v in row] if isinstance(row, list) else []
+        if len(values) != 4 or None in values:
             raise SeriesFormatError(
-                f"{source}: coeffs[{idx}] must be a list of four numbers")
-        coeffs.append(Quaternion(*(float(v) for v in row)))
-    return Series(tuple(coeffs), float(radius), exact)
+                f"{source}: coeffs[{idx}] must be a list of four finite numbers")
+        coeffs.append(Quaternion(*values))
+    return Series(tuple(coeffs), radius, exact)
 
 
 def load_series(path) -> Series:
@@ -59,4 +70,5 @@ def load_series(path) -> Series:
 
 
 def dump_series(f: Series, path) -> None:
-    Path(path).write_text(json.dumps(series_to_dict(f), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(
+        json.dumps(series_to_dict(f), indent=2, sort_keys=True, allow_nan=False) + "\n")

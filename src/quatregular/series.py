@@ -7,6 +7,7 @@ polynomials hold to rounding error only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ZeroFactorSignal
@@ -27,11 +28,13 @@ class Series:
             q = _coerce(a)
             if q is None:
                 raise TypeError(f"coefficient {idx} is not a quaternion or real number")
+            if not all(map(math.isfinite, q.components)):
+                raise DomainError(f"coefficient {idx} is not finite")
             coerced.append(q)
         if not coerced:
             raise DomainError("a series needs at least one coefficient")
-        if not self.radius > 0:
-            raise DomainError("radius must be positive")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise DomainError("radius must be positive and finite")
         object.__setattr__(self, "coeffs", tuple(coerced))
 
     @property

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, norms, slices
+from ._arrays import qmul_rows
 from .quaternions import I as UNIT_I
-from .quaternions import Quaternion, UnitImaginary, sphere_sample
+from .quaternions import Quaternion, UnitImaginary, _sphere_rows, sphere_sample
 from .series import (
     Series,
     evaluate,
@@ -313,20 +314,14 @@ def check_translation_continuity(rng, count) -> CheckResult:
 # -- norms suite -----------------------------------------------------------------
 
 def check_sphere_extrema_oracle(rng, count) -> CheckResult:
-    units = np.stack([(u.x1, u.x2, u.x3) for u in sphere_sample(100000, seed=7)])
+    iq = np.zeros((100000, 4))
+    iq[:, 1:] = _sphere_rows(100000, seed=7)
     worst = 0.0
     for _ in range(count):
         b, c = random_quaternion(rng), random_quaternion(rng)
         low, high = norms.sphere_extrema(b, c)
-        bc = np.array(b.components)
-        values = np.empty(len(units))
-        cc = np.array(c.components)
-        iq = np.zeros((len(units), 4))
-        iq[:, 1:] = units
-        from ._arrays import qmul_rows
-
-        prod = qmul_rows(iq, np.broadcast_to(cc, iq.shape))
-        values = np.linalg.norm(bc + prod, axis=1)
+        prod = qmul_rows(iq, np.broadcast_to(np.array(c.components), iq.shape))
+        values = np.linalg.norm(np.array(b.components) + prod, axis=1)
         worst = max(worst, abs(high - values.max()), abs(values.min() - low))
     return _deviation("sphere-extrema-oracle", "norms", worst, 1e-3,
                       "closed form against a 1e5-point sampled sphere")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quatregular import Quaternion, Series, SeriesFormatError
+from quatregular import DomainError, Quaternion, Series, SeriesFormatError
 from quatregular.cli import main
 from quatregular.serialization import dump_series, load_series, series_from_dict
 
@@ -128,6 +128,13 @@ class TestExitCodes:
         dump_series(Series(tuple([0.0] * 70 + [1.0]), radius=2.0), path)
         assert main(["rho", str(path), "--degree", "60"]) == 2
 
+    def test_verify_input_degree_cap(self, tmp_path, capsys):
+        path = tmp_path / "quadratic.json"
+        dump_series(Series((0, 1, 0.5)), path)
+        assert main(["verify", "--suite", "series", "--input", str(path),
+                     "--degree", "1"]) == 2
+        assert "exceeds the configured cap 1" in capsys.readouterr().err
+
     def test_bad_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["search", "--bogus"])
@@ -148,3 +155,49 @@ class TestDeterminism:
             assert main(["coverage", identity_file, "--rho", "0.2",
                          "--samples", "25", "--seed", "7", "-o", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+NAN_SERIES = '{"radius": 1, "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0], [NaN, 0, 0.5, 0]]}'
+INFINITE_RADIUS_SERIES = '{"radius": Infinity, "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]}'
+
+
+class TestNonFiniteInput:
+    @pytest.fixture
+    def nan_file(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(NAN_SERIES)
+        return str(path)
+
+    @pytest.fixture
+    def infinite_radius_file(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text(INFINITE_RADIUS_SERIES)
+        return str(path)
+
+    def test_norm(self, nan_file, capsys):
+        assert main(["norm", nan_file]) == 2
+        captured = capsys.readouterr()
+        assert "coeffs[2]" in captured.err and captured.out == ""
+
+    def test_rho(self, nan_file, capsys):
+        assert main(["rho", nan_file]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_search(self, nan_file, infinite_radius_file, capsys):
+        assert main(["search", nan_file]) == 2
+        assert main(["search", infinite_radius_file]) == 2
+        assert "radius" in capsys.readouterr().err
+
+    def test_verify_input(self, nan_file, capsys):
+        assert main(["verify", "--suite", "series", "--input", nan_file]) == 2
+        assert "coeffs[2]" in capsys.readouterr().err
+
+    def test_oversized_integer(self):
+        with pytest.raises(SeriesFormatError, match=r"coeffs\[0\]"):
+            series_from_dict({"radius": 1.0, "coeffs": [[10 ** 400, 0, 0, 0]]})
+
+    def test_series_constructor(self):
+        with pytest.raises(DomainError, match="coefficient 1"):
+            Series((0.0, Quaternion(0.0, float("nan"), 0.0, 0.0)))
+        with pytest.raises(DomainError, match="finite"):
+            Series((0.0, 1.0), radius=float("inf"))

@@ -18,7 +18,7 @@ from quatregular import (
     split_norm,
     sup_norm_ball,
 )
-from quatregular._arrays import coeff_rows, eval_rows, qmul_rows
+from quatregular._arrays import circle_max_rows, circle_table, coeff_rows, eval_rows, qmul_rows
 from quatregular.quaternions import I, J, orthonormal_completion, sphere_sample
 
 
@@ -58,6 +58,68 @@ class TestSphereExtrema:
             # the sampled values can never beat the closed form
             assert bhigh <= high + 1e-12
             assert blow >= low - 1e-12
+
+
+def circle_max_at_critical_points(row, radius):
+    """Oracle: max of |P| over the exact critical angles of |P(radius e^{i theta})|^2.
+
+    On |z| = radius, |P(z)|^2 = z^-N S(z) with S(z) = z^N P(z) conj(P)(radius^2 / z),
+    whose theta-derivative vanishes exactly at the roots of z S'(z) - N S(z).
+    The roots come from the eigenvalues of its companion matrix and are
+    projected onto the circle. Roots at zero are dropped, and angle 0 covers
+    rows of constant modulus, where that polynomial vanishes identically.
+    """
+    n = len(row) - 1
+    s = np.zeros(2 * n + 1, dtype=complex)
+    for k, a in enumerate(row):
+        for m, b in enumerate(row):
+            s[n + k - m] += a * np.conj(b) * radius ** (2 * m)
+    t = (np.arange(2 * n + 1) - n) * s
+    nonzero = np.flatnonzero(t)
+    angles = [0.0]
+    if nonzero.size > 1:
+        c = t[nonzero[0]:nonzero[-1] + 1][::-1]
+        companion = np.diag(np.ones(len(c) - 2, dtype=complex), -1)
+        companion[0] = -c[1:] / c[0]
+        angles.extend(np.angle(np.linalg.eigvals(companion)))
+    z = radius * np.exp(1j * np.array(angles))
+    return float(np.abs(np.polyval(row[::-1], z)).max())
+
+
+def dense_circle_max(rows, radius, angles=200000, chunk=20000):
+    """Largest |P| over a dense uniform angle grid, per row."""
+    k = np.arange(rows.shape[1])[:, None]
+    best = np.zeros(len(rows))
+    for start in range(0, angles, chunk):
+        theta = 2.0 * math.pi * np.arange(start, start + chunk) / angles
+        powers = radius ** k * np.exp(1j * k * theta)
+        best = np.maximum(best, np.abs(rows @ powers).max(axis=1))
+    return best
+
+
+class TestCircleMaxRows:
+    def test_against_critical_points_and_dense_scan(self):
+        rng = np.random.default_rng(1307)
+        checked = 0
+        for degree in range(9):
+            for radius in (0.5, 0.9, 1.0, 1.7):
+                shape = (15, degree + 1)
+                rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                rows *= 10.0 ** rng.uniform(-3, 3, size=(15, 1))
+                rows[0] = 0.0  # all zero
+                rows[1, 1:] = 0.0  # constant
+                rows[2, -1] = 0.0  # leading coefficient zero
+                rows[3, 0] = 0.0  # trailing coefficient zero
+                rows[4, :(degree + 1) // 2] = 0.0  # several trailing zeros
+                rows[5, (degree + 1) // 2 + 1:] = 0.0  # several leading zeros
+                exact = np.array([circle_max_at_critical_points(r, radius) for r in rows])
+                dense = dense_circle_max(rows, radius)
+                for points in (256, 512):
+                    got = circle_max_rows(rows, radius, circle_table(radius, degree + 1, points))
+                    assert np.all(np.abs(got - exact) <= 1e-13 * exact)
+                    assert np.all(got >= dense - 1e-13 * dense)
+                checked += len(rows)
+        assert checked >= 500
 
 
 class TestSupNormBall:
