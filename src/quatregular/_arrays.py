@@ -61,6 +61,21 @@ _BRACKETS = 4
 _NEWTON_STEPS = 8
 
 
+def top_grid_maxima(grid: np.ndarray, padded: np.ndarray,
+                    count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the ``count`` largest local maxima in each row of ``grid`` (m, T),
+    grouped by row, best first, ties to the lower column.
+
+    ``padded`` is ``grid`` with a neighbour column on each side: the wrapped
+    ends for a periodic profile, -inf for an interval.
+    """
+    row, col = np.nonzero((grid >= padded[:, :-2]) & (grid >= padded[:, 2:]))
+    order = np.lexsort((-grid[row, col], row))
+    row, col = row[order], col[order]
+    keep = np.arange(row.size) - np.searchsorted(row, row) < count
+    return row[keep], col[keep]
+
+
 def circle_max_rows(rows: np.ndarray, radius: float, table: np.ndarray) -> np.ndarray:
     """Maximum of |P(radius e^{i theta})| for each complex coefficient row P (m, N+1).
 
@@ -79,11 +94,7 @@ def circle_max_rows(rows: np.ndarray, radius: float, table: np.ndarray) -> np.nd
     if n_plus_one == 1 or points < 3:
         return np.sqrt(best)
     ring = np.concatenate([grid[:, -1:], grid, grid[:, :1]], axis=1)
-    row, col = np.nonzero((grid >= ring[:, :-2]) & (grid >= ring[:, 2:]))
-    order = np.lexsort((-grid[row, col], row))
-    row, col = row[order], col[order]
-    keep = np.arange(row.size) - np.searchsorted(row, row) < _BRACKETS
-    row, col = row[keep], col[keep]
+    row, col = top_grid_maxima(grid, ring, _BRACKETS)
     left, mid, right = ring[row, col], ring[row, col + 1], ring[row, col + 2]
     step = 2.0 * np.pi / points
     lo = step * (col - 1)
@@ -119,32 +130,26 @@ def sphere_constants(coeffs: np.ndarray, x: np.ndarray,
 
     b collects Re(w^n) a_n and c the signed Im(w^n) a_n with w = x + iy.
     """
-    w = x + 1j * y
-    powers = power_table(w, coeffs.shape[0])
-    b = powers.real.T @ coeffs
-    c = powers.imag.T @ coeffs
-    return b, c
-
-
-def _imag_b_conj_c(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Imaginary part of b * conj(c) for rows, shape (T, 3)."""
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    c0, c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
-    return np.stack(
-        [
-            -b0 * c1 + b1 * c0 - b2 * c3 + b3 * c2,
-            -b0 * c2 + b1 * c3 + b2 * c0 - b3 * c1,
-            -b0 * c3 - b1 * c2 + b2 * c1 + b3 * c0,
-        ],
-        axis=-1,
-    )
+    powers = power_table(x + 1j * y, coeffs.shape[0])
+    # one product over the interleaved (Re, Im) columns of the power table
+    both = powers.view(float).T @ coeffs
+    return both[0::2], both[1::2]
 
 
 def sphere_extrema_rows(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (min, max) of |b + I c| over the unit sphere, per row."""
-    base = np.sum(b * b, axis=-1) + np.sum(c * c, axis=-1)
-    swing = 2.0 * np.linalg.norm(_imag_b_conj_c(b, c), axis=-1)
-    low = np.sqrt(np.clip(base - swing, 0.0, None))
+    """Closed-form (min, max) of |b + I c| over the unit sphere, per row.
+
+    |b + I c|^2 = |b|^2 + |c|^2 + 2 <Im(b conj(c)), I> is affine in I, so the
+    extrema sit at +-Im(b conj(c)); the minimum is clamped at zero.
+    """
+    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    c0, c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
+    base = (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) + (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
+    v1 = -b0 * c1 + b1 * c0 - b2 * c3 + b3 * c2
+    v2 = -b0 * c2 + b1 * c3 + b2 * c0 - b3 * c1
+    v3 = -b0 * c3 - b1 * c2 + b2 * c1 + b3 * c0
+    swing = 2.0 * np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    low = np.sqrt(np.maximum(base - swing, 0.0))
     high = np.sqrt(base + swing)
     return low, high
 

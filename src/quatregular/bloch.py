@@ -11,13 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import coeff_rows, eval_rows
+from ._arrays import coeff_rows, eval_rows, slice_values
 from .errors import DomainError, NumericalSearchError, PreconditionError
-from .norms import _golden_max, _sphere_range_at, split_norm, sup_norm_ball
+from .norms import _sphere_max, split_norm, sup_norm_ball
 from .quaternions import ALGEBRA_TOL, I as CANONICAL_I
 from .quaternions import Quaternion, UnitImaginary, _coerce
 from .series import Series, slice_derivative, symmetrization
-from .slices import regular_translation
+from .slices import regular_translation, sphere_pair
 
 SCHEMA = "quatregular/1"
 
@@ -240,8 +240,6 @@ def parseval_mean(psi: Series, r: float, unit: UnitImaginary = CANONICAL_I,
     unit_rows = np.array([(unit * a).components for a in psi.coeffs])
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
     z = r * np.exp(1j * thetas)
-    from ._arrays import slice_values
-
     vals = slice_values(coeff_array, unit_rows, z)
     integral = float(np.mean(np.sum(vals * vals, axis=1)))
     powers = r ** (2.0 * np.arange(coeff_array.shape[0]))
@@ -396,18 +394,12 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
         raise DomainError("working radius must sit inside the ball of validity")
 
     derivative = slice_derivative(f)
-    max_cache: dict[float, float] = {}
-
-    def deriv_max(t: float) -> float:
-        if t not in max_cache:
-            max_cache[t] = sup_norm_ball(derivative, t, theta_grid=theta_grid).value
-        return max_cache[t]
 
     def mu(s: float) -> float:
-        return s * deriv_max(r - s)
+        return s * sup_norm_ball(derivative, r - s, theta_grid=theta_grid).value
 
     grid = np.linspace(0.0, r, mu_grid)
-    mu_values = np.array([mu(float(s)) for s in grid])
+    mu_values = grid * _sphere_max(derivative, r - grid, theta_grid)[0]
     profile = [[float(s), float(m)] for s, m in zip(grid, mu_values)]
 
     crossing = np.flatnonzero(mu_values >= r - 1e-12)
@@ -427,34 +419,19 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
         else:
             lo = mid
     s_star = hi
-    mu_residual = abs(mu(s_star) - r)
-
     ball_radius = s_star / 2.0
     sphere_radius = r - s_star
-    deriv_coeff_list = [a.components for a in derivative.coeffs]
+    # M(r - s*) and the angle of the sphere where it is attained, which locates w
+    deriv_max, _, angle = _sphere_max(derivative, np.array([sphere_radius]), theta_grid)
+    mu_residual = abs(s_star * float(deriv_max[0]) - r)
 
     if sphere_radius < 1e-12:
         w = Quaternion()
         locator_angle = 0.0
     else:
-        thetas = np.linspace(0.0, math.pi, theta_grid)
-        highs = np.array([
-            _sphere_range_at(deriv_coeff_list, sphere_radius, float(t))[1]
-            for t in thetas
-        ])
-        best_idx = int(np.argmax(highs))  # first maximum, smallest angle
-        step = thetas[1] - thetas[0]
-        lo = max(0.0, thetas[best_idx] - step)
-        hi = min(math.pi, thetas[best_idx] + step)
-        angle = _golden_max(lambda t: _sphere_range_at(deriv_coeff_list, sphere_radius, t)[1],
-                            lo, hi, xatol=1e-10)[2]
-        if highs[best_idx] >= _sphere_range_at(deriv_coeff_list, sphere_radius, angle)[1]:
-            angle = float(thetas[best_idx])
-        locator_angle = angle
-        x = sphere_radius * math.cos(angle)
-        y = sphere_radius * math.sin(angle)
-        from .slices import sphere_pair
-
+        locator_angle = float(angle[0])
+        x = sphere_radius * math.cos(locator_angle)
+        y = sphere_radius * math.sin(locator_angle)
         constants = sphere_pair(derivative, x, y)
         direction = (constants.b * constants.c.conjugate()).imag
         if direction.modulus() > 1e-14:

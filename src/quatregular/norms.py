@@ -24,19 +24,24 @@ from ._arrays import (
     coeff_rows,
     sphere_constants,
     sphere_extrema_rows,
+    top_grid_maxima,
 )
 from .errors import DomainError, PreconditionError
-from .quaternions import Quaternion, UnitImaginary, _coerce, _sphere_rows
-from .series import Series, slice_derivative
+from .quaternions import Quaternion, UnitImaginary, _coerce, _completion_rows, _sphere_rows
+from .series import Series, evaluate, slice_derivative
 from .slices import split
 
 DEFAULT_THETA_GRID = 512
 DEFAULT_SPHERE_GRID = 2048
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# cyclic component orders for the cross product I x J
-_NEXT = [1, 2, 0]
-_LAST = [2, 0, 1]
+# the sphere-maximum search: local grid maxima zoomed per radius, zoom points
+# per level, angle resolution, and grid rows per batch
+_SPHERE_BRACKETS = 6
+_ZOOM_POINTS = 33
+_ANGLE_TOL = 1e-9
+_CHUNK_ROWS = 16384
+# polar-grid minima polished by inf_norm_ball
+_INF_STARTS = 4
 
 
 @dataclass(frozen=True)
@@ -68,91 +73,76 @@ def _tol_floor(value: float, gap: float) -> float:
 # -- closed form on spheres --------------------------------------------------
 
 def sphere_extrema(b: Quaternion, c: Quaternion) -> tuple[float, float]:
-    """Exact (min, max) of |b + I c| over all imaginary units I.
+    """Exact (min, max) of |b + I c| over all imaginary units I (``sphere_extrema_rows``)."""
+    low, high = sphere_extrema_rows(np.array([_coerce(b).components]),
+                                    np.array([_coerce(c).components]))
+    return float(low[0]), float(high[0])
 
-    |b + I c|^2 = |b|^2 + |c|^2 + 2 <Im(b conj(c)), I> is affine in I, so the
-    extrema are attained along +-Im(b conj(c)) and have a closed form. The
-    minimum is clamped at zero against rounding.
+
+def _sphere_low_high(coeff_array: np.ndarray, radii: np.ndarray,
+                     angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) of |f| over the spheres x + y S, x = radii cos(angles), y = radii sin(angles).
+
+    ``radii`` broadcasts against ``angles``; both results have the broadcast shape.
     """
-    b = _coerce(b)
-    c = _coerce(c)
-    base = b.modulus_sq() + c.modulus_sq()
-    swing = 2.0 * (b * c.conjugate()).imag.modulus()
-    low = math.sqrt(max(base - swing, 0.0))
-    high = math.sqrt(base + swing)
-    return low, high
+    x = radii * np.cos(angles)
+    y = radii * np.sin(angles)
+    low, high = sphere_extrema_rows(*sphere_constants(coeff_array, x.ravel(), y.ravel()))
+    return low.reshape(x.shape), high.reshape(x.shape)
 
 
-def _sphere_range_at(coeff_list, s: float, theta: float) -> tuple[float, float]:
-    """Scalar (min, max) of |f| on the sphere at angle theta of radius s."""
-    wr = s * math.cos(theta)
-    wi = s * math.sin(theta)
-    b0 = b1 = b2 = b3 = c0 = c1 = c2 = c3 = 0.0
-    pr, pi = 1.0, 0.0
-    for n, (a0, a1, a2, a3) in enumerate(coeff_list):
-        if n:
-            pr, pi = pr * wr - pi * wi, pr * wi + pi * wr
-        b0 += pr * a0
-        b1 += pr * a1
-        b2 += pr * a2
-        b3 += pr * a3
-        c0 += pi * a0
-        c1 += pi * a1
-        c2 += pi * a2
-        c3 += pi * a3
-    base = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3 + c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
-    v1 = -b0 * c1 + b1 * c0 - b2 * c3 + b3 * c2
-    v2 = -b0 * c2 + b1 * c3 + b2 * c0 - b3 * c1
-    v3 = -b0 * c3 - b1 * c2 + b2 * c1 + b3 * c0
-    swing = 2.0 * math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-    return math.sqrt(max(base - swing, 0.0)), math.sqrt(base + swing)
+def _sphere_max_chunk(coeff_array: np.ndarray, radii: np.ndarray,
+                      theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_sphere_max`` for positive radii (m,) on the angle grid ``theta``."""
+    grid = _sphere_low_high(coeff_array, radii[:, None], theta)[1]
+    edge = np.full((radii.size, 1), -np.inf)
+    row, col = top_grid_maxima(grid, np.concatenate([edge, grid, edge], axis=1),
+                               _SPHERE_BRACKETS)
+    best, angle = grid[row, col], theta[col]
+    centre, picks = angle, np.arange(row.size)
+    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+    half = math.pi / max(theta.size - 1, 1)
+    while 2.0 * half > _ANGLE_TOL:
+        angles = np.clip(centre[:, None] + half * offsets, 0.0, math.pi)
+        values = _sphere_low_high(coeff_array, radii[row, None], angles)[1]
+        k = np.argmax(values, axis=1)
+        top, centre = values[picks, k], angles[picks, k]
+        raised = np.maximum(top - best, 0.0)
+        angle = np.where(top > best, centre, angle)
+        best = np.maximum(best, top)
+        half *= 2.0 / (_ZOOM_POINTS - 1)
+    gap = np.zeros(radii.size)
+    np.maximum.at(gap, row, raised)
+    # the first bracket of each radius after sorting by value: ties keep the grid rank
+    order = np.lexsort((-best, row))
+    first = order[np.searchsorted(row[order], np.arange(radii.size))]
+    return best[first], gap, angle[first]
 
 
-# -- one dimensional refinement ----------------------------------------------
+def _sphere_max(f: Series, radii: np.ndarray,
+                theta_grid: int = DEFAULT_THETA_GRID) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum of |f| on the sphere of each radius, as arrays (value, gap, angle).
 
-def _golden_max(fn, lo: float, hi: float,
-                xatol: float = 1e-9) -> tuple[float, float, float]:
-    """Golden-section maximisation; returns (value, convergence gap, final midpoint)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    best = max(fc, fd)
-    history = [best]
-    while b - a > xatol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-        best = max(best, fc, fd)
-        history.append(best)
-    gap = best - history[max(0, len(history) - 6)]
-    return best, gap, 0.5 * (a + b)
-
-
-def _refine_grid_maxima(values: np.ndarray, xs: np.ndarray, fn,
-                        max_brackets: int = 6) -> tuple[float, float]:
-    """Refine the local maxima of a sampled profile on an interval; returns (value, gap)."""
-    n = len(values)
-    if n < 3:
-        return float(np.max(values)), 0.0
-    padded = np.concatenate([[-np.inf], values, [-np.inf]])
-    idxs = np.flatnonzero((values >= padded[:-2]) & (values >= padded[2:]))
-    order = idxs[np.argsort(-values[idxs], kind="stable")][:max_brackets]
-    step = xs[1] - xs[0]
-    best = float(np.max(values))
-    worst_gap = 0.0
-    for i in order:
-        lo = max(xs[i] - step, xs[0])
-        hi = min(xs[i] + step, xs[-1])
-        val, gap, _ = _golden_max(fn, lo, hi)
-        best = max(best, val)
-        worst_gap = max(worst_gap, gap)
-    return best, worst_gap
+    The maximum over each sphere x + y S has a closed form, so only the angle
+    along the half circle is searched: a grid of ``theta_grid`` angles, then
+    the six best local grid maxima of every radius (ties to the lower angle)
+    zoomed in together, 33 points across +-1 step of the current best per
+    level, until the bracket is below 1e-9. ``value`` is attained at ``angle``;
+    ``gap`` is how much the last level still raised it. The radii go through
+    ``_CHUNK_ROWS`` grid rows at a time.
+    """
+    value = np.full(radii.shape, f.coeffs[0].modulus())
+    gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
+    if f.degree == 0:
+        return value, gap, angle
+    coeff_array = coeff_rows(f)
+    theta = np.linspace(0.0, math.pi, theta_grid)
+    todo = np.flatnonzero(radii > 0.0)
+    chunk = max(1, _CHUNK_ROWS // theta_grid)
+    for start in range(0, todo.size, chunk):
+        idx = todo[start:start + chunk]
+        value[idx], gap[idx], angle[idx] = _sphere_max_chunk(coeff_array, radii[idx], theta)
+    return value, gap, angle
 
 
 # -- uniform norm on balls -----------------------------------------------------
@@ -163,24 +153,16 @@ def sup_norm_ball(f: Series, s: float,
 
     The maximum sits on the boundary, and the supremum over each boundary
     sphere x + y S has a closed form, so only the angle along a half circle is
-    gridded and golden-section refined.
+    searched, by ``_sphere_max``.
     """
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
     if s == 0.0 or f.degree == 0:
         return NormReport(f.coeffs[0].modulus(), "closed-form")
-    coeff_array = coeff_rows(f)
-    theta = np.linspace(0.0, math.pi, theta_grid)
-    b, c = sphere_constants(coeff_array, s * np.cos(theta), s * np.sin(theta))
-    _, high = sphere_extrema_rows(b, c)
-    coeff_list = [a.components for a in f.coeffs]
-
-    def at(t: float) -> float:
-        return _sphere_range_at(coeff_list, s, t)[1]
-
-    value, gap = _refine_grid_maxima(high, theta, at)
+    value, gap, _ = _sphere_max(f, np.array([s]), theta_grid)
+    value = float(value[0])
     return NormReport(value, "grid+refine", {"theta": theta_grid},
-                      _tol_floor(value, gap))
+                      _tol_floor(value, float(gap[0])))
 
 
 def inf_norm_ball(f: Series, s: float, theta_grid: int = 256,
@@ -188,8 +170,10 @@ def inf_norm_ball(f: Series, s: float, theta_grid: int = 256,
     """Minimum modulus on the closed ball of radius s.
 
     Unlike the maximum this can be attained anywhere inside, so a polar grid
-    over the half disc of sphere parameters is scanned and the best cell is
-    polished with a shrinking compass search.
+    over the half disc of sphere parameters is scanned. The best cells of its
+    four lowest local minima (the origin row counts as one cell) are polished
+    in lockstep by a shrinking compass search that moves each to its first
+    improving neighbour in pattern order, and the least value is reported.
     """
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
@@ -198,51 +182,41 @@ def inf_norm_ball(f: Series, s: float, theta_grid: int = 256,
     coeff_array = coeff_rows(f)
     radii = np.linspace(0.0, s, radial_grid)
     theta = np.linspace(0.0, math.pi, theta_grid)
-    rr, tt = np.meshgrid(radii, theta, indexing="ij")
-    b, c = sphere_constants(coeff_array, (rr * np.cos(tt)).ravel(),
-                            (rr * np.sin(tt)).ravel())
-    low, _ = sphere_extrema_rows(b, c)
-    low = low.reshape(radial_grid, theta_grid)
-    coeff_list = [a.components for a in f.coeffs]
-    i, j = np.unravel_index(int(np.argmin(low)), low.shape)
-    t_best, th_best = float(radii[i]), float(theta[j])
-    val = float(low[i, j])
-    step_t, step_th = s / radial_grid, math.pi / theta_grid
-    gap = 0.0
-    budget = 20000
-    while (step_t > 1e-10 * s or step_th > 1e-10) and budget > 0:
-        budget -= 1
-        moved = False
-        for dt, dth in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            t2 = min(max(t_best + dt * step_t, 0.0), s)
-            th2 = min(max(th_best + dth * step_th, 0.0), math.pi)
-            v2 = _sphere_range_at(coeff_list, t2, th2)[0]
-            if v2 < val:
-                gap = val - v2
-                t_best, th_best, val, moved = t2, th2, v2, True
-                break
-        if not moved:
-            step_t *= 0.5
-            step_th *= 0.5
-    return NormReport(val, "grid+refine",
+    low = _sphere_low_high(coeff_array, radii[:, None], theta)[0]
+    ring = np.pad(low, 1, constant_values=np.inf)
+    minima = ((low <= ring[:-2, 1:-1]) & (low <= ring[2:, 1:-1])
+              & (low <= ring[1:-1, :-2]) & (low <= ring[1:-1, 2:]))
+    minima[0, 1:] = False  # radius zero is the single point 0
+    cells = np.flatnonzero(minima)
+    cells = cells[np.argsort(low.ravel()[cells], kind="stable")[:_INF_STARTS]]
+    i, j = np.unravel_index(cells, low.shape)
+    # (radius, angle) of each start, its compass steps, and the box they stay in
+    pos = np.stack([radii[i], theta[j]], axis=1)
+    steps = np.tile([s / radial_grid, math.pi / theta_grid], (cells.size, 1))
+    upper, floor = np.array([s, math.pi]), np.array([1e-10 * s, 1e-10])
+    val, gap, starts = low[i, j], np.zeros(cells.size), np.arange(cells.size)
+    for _ in range(20000):
+        live = (steps > floor).any(axis=1)
+        if not live.any():
+            break
+        # the four axis moves that open the compass pattern, kept inside the box
+        cand = np.clip(pos[:, None, :] + _PATTERN[:4] * steps[:, None, :], 0.0, upper)
+        v2 = _sphere_low_high(coeff_array, cand[..., 0], cand[..., 1])[0]
+        k = np.argmax(v2 < val[:, None], axis=1)  # first improvement in pattern order
+        new = v2[starts, k]
+        go = live & (new < val)
+        gap = np.where(go, val - new, gap)
+        val = np.where(go, new, val)
+        pos = np.where(go[:, None], cand[starts, k], pos)
+        steps = np.where((live & ~go)[:, None], 0.5 * steps, steps)
+    best = int(np.argmin(val))
+    value = float(val[best])
+    return NormReport(value, "grid+refine",
                       {"theta": theta_grid, "radial": radial_grid},
-                      _tol_floor(val, gap))
+                      _tol_floor(value, float(gap[best])))
 
 
 # -- slice norm and its supremum over units ------------------------------------
-
-def _completion_rows(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (J, K = I J) of the deterministic orthonormal completion of unit rows (m, 3).
-
-    Same rule as ``quaternions.orthonormal_completion``: Gram-Schmidt the
-    coordinate axis least aligned with I (first on ties) against I.
-    """
-    axis_rows = np.eye(3)[np.argmin(np.abs(units), axis=1)]
-    j_rows = axis_rows - np.sum(axis_rows * units, axis=1, keepdims=True) * units
-    j_rows /= np.linalg.norm(j_rows, axis=1, keepdims=True)
-    k_rows = units[:, _NEXT] * j_rows[:, _LAST] - units[:, _LAST] * j_rows[:, _NEXT]
-    return j_rows, k_rows
-
 
 def _slice_rows(coeff_array: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split coefficients a_n = alpha_n + beta_n J for unit rows (m, 3); each (m, N+1)."""
@@ -384,6 +358,4 @@ def mean_value_margin(f: Series, q, **norm_options) -> float:
     if norm_q == 0.0 or norm_q >= f.radius:
         raise DomainError("point must satisfy 0 < |q| < radius")
     derivative_norm = split_norm(slice_derivative(f), **norm_options).value
-    from .series import evaluate
-
     return derivative_norm - evaluate(f, q).modulus() / norm_q

@@ -222,16 +222,8 @@ def orthonormal_completion(unit: UnitImaginary) -> tuple[UnitImaginary, UnitImag
     aligned with ``unit`` (first of i, j, k on ties), Gram-Schmidt it against
     ``unit``, and set K to the quaternion product.
     """
-    comps = (unit.x1, unit.x2, unit.x3)
-    axis = min(range(3), key=lambda a: abs(comps[a]))
-    e = [0.0, 0.0, 0.0]
-    e[axis] = 1.0
-    proj = comps[axis]
-    v = [e[a] - proj * comps[a] for a in range(3)]
-    j_unit = UnitImaginary.from_vector(*v)
-    k_quat = unit * j_unit
-    k_unit = UnitImaginary(*k_quat.components)
-    return j_unit, k_unit
+    j_rows, k_rows = _completion_rows(np.array([[unit.x1, unit.x2, unit.x3]]))
+    return UnitImaginary(0.0, *j_rows[0].tolist()), UnitImaginary(0.0, *k_rows[0].tolist())
 
 
 def rotate_unit(c: Quaternion, unit: UnitImaginary) -> UnitImaginary:
@@ -268,6 +260,23 @@ def _sphere_rows(n: int, seed: int = 0) -> np.ndarray:
         pts = pts + jitter - (np.sum(pts * jitter, axis=1, keepdims=True)) * pts
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return pts
+
+
+# cyclic component orders for the cross product I x J
+_NEXT = [1, 2, 0]
+_LAST = [2, 0, 1]
+
+
+def _completion_rows(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (J, K = I J) of ``orthonormal_completion`` for unit rows (m, 3).
+
+    K is the cross product I x J, which is the quaternion product of orthogonal units.
+    """
+    axis_rows = np.eye(3)[np.argmin(np.abs(units), axis=1)]
+    j_rows = axis_rows - np.sum(axis_rows * units, axis=1, keepdims=True) * units
+    j_rows /= np.linalg.norm(j_rows, axis=1, keepdims=True)
+    k_rows = units[:, _NEXT] * j_rows[:, _LAST] - units[:, _LAST] * j_rows[:, _NEXT]
+    return j_rows, k_rows
 
 
 def sphere_sample(n: int, seed: int = 0) -> list[UnitImaginary]:

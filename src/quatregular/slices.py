@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._arrays import coeff_rows, sphere_constants
 from .errors import DomainError
 from .quaternions import (
     Quaternion,
@@ -144,16 +147,8 @@ def sphere_pair(f: Series, x: float, y: float) -> SpherePair:
         raise DomainError("sphere parametrisation requires y >= 0")
     if math.hypot(x, y) >= f.radius:
         raise DomainError("outside ball of validity")
-    w = complex(x, y)
-    b = Quaternion()
-    c = Quaternion()
-    power = 1 + 0j
-    for n, a in enumerate(f.coeffs):
-        if n > 0:
-            power *= w
-        b = b + power.real * a
-        c = c + power.imag * a
-    return SpherePair(b, c, x, y)
+    b, c = sphere_constants(coeff_rows(f), np.array([x], dtype=float), np.array([y], dtype=float))
+    return SpherePair(Quaternion(*b[0].tolist()), Quaternion(*c[0].tolist()), x, y)
 
 
 def ext_from_slice(F: ComplexSeries, G: ComplexSeries,

@@ -1,4 +1,4 @@
-"""Shared helpers: independent oracles and seeded generators.
+"""Shared helpers: independent oracles, and the seeded generators of the package.
 
 The oracles here deliberately avoid the library code paths they check: the
 basis-table product expands by distributivity over a literal multiplication
@@ -9,7 +9,15 @@ elimination instead of conjugating.
 import numpy as np
 import pytest
 
-from quatregular import Quaternion, Series, UnitImaginary
+from quatregular import Quaternion, UnitImaginary
+# the seeded generators the test modules import from here
+from quatregular.verification import (
+    coeff_deviation,
+    random_ball_point,
+    random_quaternion,
+    random_series,
+    random_unit,
+)
 
 # literal multiplication table over the basis (1, i, j, k): entries are
 # (sign, index) of the product basis element
@@ -63,35 +71,6 @@ def rotation_by_linear_system(c: Quaternion, unit: UnitImaginary) -> Quaternion:
     l3 = (2.0 * a * b * i2 + (a * a - b * b) * i3) / det
     out = l1 * j_vec + l2 * k_vec + l3 * jk_vec
     return Quaternion(0.0, *out)
-
-
-def random_quaternion(rng, scale=1.0) -> Quaternion:
-    return Quaternion(*rng.uniform(-scale, scale, size=4))
-
-
-def random_unit(rng) -> UnitImaginary:
-    return UnitImaginary.from_vector(*rng.standard_normal(3))
-
-
-def random_series(rng, degree, scale=0.5, radius=1.0, monic_shift=False) -> Series:
-    coeffs = [random_quaternion(rng, scale) for _ in range(degree + 1)]
-    if monic_shift:
-        coeffs[0] = Quaternion()
-        if degree >= 1:
-            coeffs[1] = Quaternion(1.0)
-    return Series(tuple(coeffs), radius)
-
-
-def random_ball_point(rng, radius) -> Quaternion:
-    v = rng.standard_normal(4)
-    v *= radius * rng.random() ** 0.25 / np.linalg.norm(v)
-    return Quaternion(*v)
-
-
-def coeff_deviation(f: Series, g: Series) -> float:
-    n = max(len(f.coeffs), len(g.coeffs))
-    pad = lambda c: list(c) + [Quaternion()] * (n - len(c))
-    return max((a - b).modulus() for a, b in zip(pad(f.coeffs), pad(g.coeffs)))
 
 
 @pytest.fixture

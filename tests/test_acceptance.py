@@ -39,7 +39,7 @@ from quatregular import (
     symmetrization,
 )
 from quatregular.quaternions import UnitImaginary, orthonormal_completion
-from quatregular.verification import builtin_corpus
+from quatregular.verification import builtin_corpus, series_sum
 
 RHO_FLOOR = 1.0 / (32.0 * math.sqrt(2.0))
 
@@ -47,13 +47,6 @@ RHO_FLOOR = 1.0 / (32.0 * math.sqrt(2.0))
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"{'PASS' if passed else 'FAIL'} {criterion}: {detail}")
     assert passed, f"{criterion}: {detail}"
-
-
-def series_sum(f, g):
-    n = max(len(f.coeffs), len(g.coeffs))
-    pad = lambda c: list(c) + [Quaternion()] * (n - len(c))
-    return Series(tuple(a + b for a, b in zip(pad(f.coeffs), pad(g.coeffs))),
-                  min(f.radius, g.radius))
 
 
 def test_criterion_1_algebraic_suite():

@@ -9,6 +9,7 @@ from quatregular import (
     PreconditionError,
     Quaternion,
     Series,
+    bl_search,
     inf_norm_ball,
     mean_value_margin,
     regular_conjugate,
@@ -18,8 +19,17 @@ from quatregular import (
     split_norm,
     sup_norm_ball,
 )
-from quatregular._arrays import circle_max_rows, circle_table, coeff_rows, eval_rows, qmul_rows
+from quatregular._arrays import (
+    circle_max_rows,
+    circle_table,
+    coeff_rows,
+    eval_rows,
+    qmul_rows,
+    sphere_constants,
+    sphere_extrema_rows,
+)
 from quatregular.quaternions import I, J, orthonormal_completion, sphere_sample
+from quatregular.verification import builtin_corpus
 
 
 def brute_sphere_extrema(b, c, n=100000):
@@ -161,6 +171,23 @@ class TestSupNormBall:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
+    def test_never_below_dense_scan(self):
+        # every sphere maximum along a 200000-angle half circle is attained, so
+        # the search may not fall below the best of them beyond rounding
+        rng = np.random.default_rng(2718)
+        angles = np.linspace(0.0, math.pi, 200000)
+        for degree in range(9):
+            for _ in range(3):
+                f = random_series(rng, degree, scale=1.0)
+                coeffs = coeff_rows(f)
+                for s in (0.3, 0.6, 0.9):
+                    dense = max(
+                        float(sphere_extrema_rows(*sphere_constants(
+                            coeffs, s * np.cos(part), s * np.sin(part)))[1].max())
+                        for part in np.array_split(angles, 10))
+                    assert sup_norm_ball(f, s).value >= dense - 1e-13 * dense
+
+
 class TestSliceNorm:
     def test_identity(self):
         assert abs(slice_norm(Series((0, 1)), I) - 1.0) < 1e-12
@@ -256,6 +283,26 @@ class TestInfNormBall:
             assert abs(a.value - b.value) <= max(2 * (a.certified_tol + b.certified_tol), 1e-9)
 
 
+    def test_polishes_more_than_the_best_cell(self):
+        # a general cubic whose best polar-grid cell lies in a local minimum
+        # above the global one; a coarse polar grid already attains less
+        f = Series(tuple(Quaternion(*row) for row in (
+            (-0.6925529540558297, -0.6761469437338985, 0.4848076883122352, 0.19178461325555407),
+            (-0.2754022780826968, 0.018764303183955944, -0.11084310349947013,
+             -0.10677775533798495),
+            (0.4564605766693255, 0.29119345107510064, 0.9232030620503344, 0.30332196288170743),
+            (-0.8523222414864942, 0.851663372603269, -0.024920104603036064,
+             -0.8287758642383825),
+        )))
+        t = np.linspace(0.0, 0.9, 128)[:, None]
+        theta = np.linspace(0.0, math.pi, 512)
+        low, _ = sphere_extrema_rows(*sphere_constants(
+            coeff_rows(f), (t * np.cos(theta)).ravel(), (t * np.sin(theta)).ravel()))
+        attained = float(low.min())
+        report = inf_norm_ball(f, 0.9)
+        assert report.value <= attained + report.certified_tol
+
+
 class TestMeanValue:
     def test_identity_equality_case(self):
         margin = mean_value_margin(Series((0, 1)), Quaternion(0.3, 0.1, 0, 0))
@@ -286,3 +333,20 @@ class TestMeanValue:
             deriv_norm = split_norm(slice_derivative(f), samples=512).value
             for s in (0.25, 0.6, 0.9):
                 assert s * deriv_norm - sup_norm_ball(f, s).value >= -1e-9
+
+
+class TestSphereMaxSearch:
+    def test_batched_mu_profile_matches_single_radius_calls(self):
+        for f in (dict(builtin_corpus())["mixed-units"],
+                  random_series(np.random.default_rng(31), 5, monic_shift=True)):
+            r = 0.9
+            derivative = slice_derivative(f)
+            for s, mu in bl_search(f, r).diagnostics["mu_profile"]:
+                single = s * sup_norm_ball(derivative, r - s).value
+                assert abs(mu - single) <= 1e-15 * single
+
+    def test_identity_locator_angle(self):
+        for r in (0.99, 0.9):
+            report = bl_search(Series((0, 1)), r)
+            assert report.diagnostics["locator_angle"] == 0.0
+            assert report.w == Quaternion()
