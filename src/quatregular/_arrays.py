@@ -136,22 +136,42 @@ def sphere_constants(coeffs: np.ndarray, x: np.ndarray,
     return both[0::2], both[1::2]
 
 
+def _sphere_squares(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|b|^2, |c|^2 and the squared maximum of |b + I c| over the unit sphere, per row."""
+    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    c0, c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
+    bb = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3
+    cc = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
+    v1 = -b0 * c1 + b1 * c0 - b2 * c3 + b3 * c2
+    v2 = -b0 * c2 + b1 * c3 + b2 * c0 - b3 * c1
+    v3 = -b0 * c3 - b1 * c2 + b2 * c1 + b3 * c0
+    return bb, cc, (bb + cc) + 2.0 * np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+
+
+def sphere_max_rows(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The maximum of ``sphere_extrema_rows``, per row."""
+    return np.sqrt(_sphere_squares(b, c)[2])
+
+
+def sphere_min_rows(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The minimum of ``sphere_extrema_rows``, per row."""
+    bb, cc, top = _sphere_squares(b, c)
+    dot = np.einsum("...i,...i->...", b, c)
+    product = np.hypot(bb - cc, 2.0 * dot)
+    # the maximum is zero only where b = c = 0, and then so is the minimum
+    return np.sqrt(product * (product / np.where(top > 0.0, top, 1.0)))
+
+
 def sphere_extrema_rows(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (min, max) of |b + I c| over the unit sphere, per row.
 
     |b + I c|^2 = |b|^2 + |c|^2 + 2 <Im(b conj(c)), I> is affine in I, so the
-    extrema sit at +-Im(b conj(c)); the minimum is clamped at zero.
+    extrema sit at +-Im(b conj(c)). The product of the two squares is
+    (|b|^2 - |c|^2)^2 + 4 <b, c>^2, so the minimum comes from the maximum
+    instead of from the difference |b|^2 + |c|^2 - 2 |Im(b conj(c))|, which
+    cancels to rounding noise near a zero of b + I c.
     """
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    c0, c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
-    base = (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3) + (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
-    v1 = -b0 * c1 + b1 * c0 - b2 * c3 + b3 * c2
-    v2 = -b0 * c2 + b1 * c3 + b2 * c0 - b3 * c1
-    v3 = -b0 * c3 - b1 * c2 + b2 * c1 + b3 * c0
-    swing = 2.0 * np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-    low = np.sqrt(np.maximum(base - swing, 0.0))
-    high = np.sqrt(base + swing)
-    return low, high
+    return sphere_min_rows(b, c), sphere_max_rows(b, c)
 
 
 def slice_values(coeffs: np.ndarray, unit_times_coeffs: np.ndarray,

@@ -72,7 +72,7 @@ def cmd_verify(args) -> int:
         all_passed &= passed
         status = "PASS" if passed else "FAIL"
         print(f"{status} {res.suite}/{res.name}: margin={res.margin:.3e} "
-              f"tol={res.tolerance:.3e}", file=sys.stderr)
+              f"tol={res.tolerance:.3e} time={res.seconds:.3f}s", file=sys.stderr)
     payload = {
         "schema": _SCHEMA,
         "command": "verify",

@@ -24,6 +24,8 @@ from ._arrays import (
     coeff_rows,
     sphere_constants,
     sphere_extrema_rows,
+    sphere_max_rows,
+    sphere_min_rows,
     top_grid_maxima,
 )
 from .errors import DomainError, PreconditionError
@@ -79,22 +81,19 @@ def sphere_extrema(b: Quaternion, c: Quaternion) -> tuple[float, float]:
     return float(low[0]), float(high[0])
 
 
-def _sphere_low_high(coeff_array: np.ndarray, radii: np.ndarray,
-                     angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) of |f| over the spheres x + y S, x = radii cos(angles), y = radii sin(angles).
-
-    ``radii`` broadcasts against ``angles``; both results have the broadcast shape.
-    """
+def _on_spheres(kernel, coeff_array: np.ndarray, radii: np.ndarray,
+                angles: np.ndarray) -> np.ndarray:
+    """``kernel`` (``sphere_min_rows`` or ``sphere_max_rows``) on the spheres x + y S,
+    x = radii cos(angles), y = radii sin(angles), in the broadcast shape of both."""
     x = radii * np.cos(angles)
     y = radii * np.sin(angles)
-    low, high = sphere_extrema_rows(*sphere_constants(coeff_array, x.ravel(), y.ravel()))
-    return low.reshape(x.shape), high.reshape(x.shape)
+    return kernel(*sphere_constants(coeff_array, x.ravel(), y.ravel())).reshape(x.shape)
 
 
 def _sphere_max_chunk(coeff_array: np.ndarray, radii: np.ndarray,
                       theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_sphere_max`` for positive radii (m,) on the angle grid ``theta``."""
-    grid = _sphere_low_high(coeff_array, radii[:, None], theta)[1]
+    grid = _on_spheres(sphere_max_rows, coeff_array, radii[:, None], theta)
     edge = np.full((radii.size, 1), -np.inf)
     row, col = top_grid_maxima(grid, np.concatenate([edge, grid, edge], axis=1),
                                _SPHERE_BRACKETS)
@@ -104,7 +103,7 @@ def _sphere_max_chunk(coeff_array: np.ndarray, radii: np.ndarray,
     half = math.pi / max(theta.size - 1, 1)
     while 2.0 * half > _ANGLE_TOL:
         angles = np.clip(centre[:, None] + half * offsets, 0.0, math.pi)
-        values = _sphere_low_high(coeff_array, radii[row, None], angles)[1]
+        values = _on_spheres(sphere_max_rows, coeff_array, radii[row, None], angles)
         k = np.argmax(values, axis=1)
         top, centre = values[picks, k], angles[picks, k]
         raised = np.maximum(top - best, 0.0)
@@ -182,7 +181,7 @@ def inf_norm_ball(f: Series, s: float, theta_grid: int = 256,
     coeff_array = coeff_rows(f)
     radii = np.linspace(0.0, s, radial_grid)
     theta = np.linspace(0.0, math.pi, theta_grid)
-    low = _sphere_low_high(coeff_array, radii[:, None], theta)[0]
+    low = _on_spheres(sphere_min_rows, coeff_array, radii[:, None], theta)
     ring = np.pad(low, 1, constant_values=np.inf)
     minima = ((low <= ring[:-2, 1:-1]) & (low <= ring[2:, 1:-1])
               & (low <= ring[1:-1, :-2]) & (low <= ring[1:-1, 2:]))
@@ -201,7 +200,7 @@ def inf_norm_ball(f: Series, s: float, theta_grid: int = 256,
             break
         # the four axis moves that open the compass pattern, kept inside the box
         cand = np.clip(pos[:, None, :] + _PATTERN[:4] * steps[:, None, :], 0.0, upper)
-        v2 = _sphere_low_high(coeff_array, cand[..., 0], cand[..., 1])[0]
+        v2 = _on_spheres(sphere_min_rows, coeff_array, cand[..., 0], cand[..., 1])
         k = np.argmax(v2 < val[:, None], axis=1)  # first improvement in pattern order
         new = v2[starts, k]
         go = live & (new < val)
@@ -254,11 +253,49 @@ _PATTERN = np.array([
 ])
 
 
-def _compass(u: np.ndarray, step: float) -> np.ndarray:
-    """The eight pattern neighbours of a unit row at the given step, back on the sphere."""
-    t1, t2 = _completion_rows(u[None, :])
-    cands = u + step * (_PATTERN[:, :1] * t1 + _PATTERN[:, 1:] * t2)
-    return cands / np.linalg.norm(cands, axis=1, keepdims=True)
+def _lockstep_compass(units: np.ndarray, evaluate, step: float, floor: float,
+                      budget: int, shrink: float, first: bool,
+                      cap: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Push unit rows (m, 3) uphill on the sphere by a compass search, all in lockstep.
+
+    Each step evaluates the eight pattern neighbours of every live row in one
+    ``evaluate`` call. A row moves to its best neighbour, or with ``first`` to
+    its first improvement in pattern order, and otherwise shrinks its step by
+    ``shrink``; it stops once the step is at most ``floor`` or after ``budget``
+    steps. With a ``cap`` the step doubles, up to the cap, whenever a move
+    repeats the pattern direction of a move made the step before. The rows of
+    ``units`` move in place. Returns the final values, the last improvement of
+    each row, and the final steps.
+    """
+    vals = evaluate(units)
+    steps = np.full(len(units), step)
+    gains = np.zeros(len(units))
+    previous = np.full(len(units), -1)
+    for _ in range(budget):
+        live = np.flatnonzero(steps > floor)
+        if not live.size:
+            break
+        u = units[live]
+        t1, t2 = _completion_rows(u)
+        moves = _PATTERN[:, :1] * t1[:, None, :] + _PATTERN[:, 1:] * t2[:, None, :]
+        cands = u[:, None, :] + steps[live, None, None] * moves
+        cands /= np.linalg.norm(cands, axis=2, keepdims=True)
+        values = evaluate(cands.reshape(-1, 3)).reshape(live.size, len(_PATTERN))
+        old = vals[live]
+        k = np.argmax(values > old[:, None], axis=1) if first else np.argmax(values, axis=1)
+        new = values[np.arange(live.size), k]
+        go = new > old
+        moved, held = live[go], live[~go]
+        gains[moved] = new[go] - old[go]
+        vals[moved] = new[go]
+        units[moved] = cands[go, k[go]]
+        steps[held] *= shrink
+        if cap is not None:
+            repeat = moved[k[go] == previous[moved]]
+            steps[repeat] = np.minimum(2.0 * steps[repeat], cap)
+        previous[moved] = k[go]
+        previous[held] = -1
+    return vals, gains, steps
 
 
 def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
@@ -269,8 +306,10 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
     Real-coefficient series short-circuit: every slice then carries the same
     restriction. Otherwise a deterministic lattice of units is scanned with a
     vectorised surrogate (grid boundary maxima, no one dimensional polish),
-    the best separated candidates are pushed uphill by a compass search on
-    the sphere, and the winners are re-evaluated at full precision.
+    and the best separated candidates are pushed uphill together by a compass
+    search on the sphere: first on the surrogate, moving to the best
+    neighbour, then at full precision, moving to the first improvement in
+    pattern order with a step that doubles while a move repeats its direction.
     """
     coeff_array = coeff_rows(f)
     if f.degree == 0:
@@ -306,43 +345,16 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
         if len(candidates) >= refine_candidates:
             break
 
-    def polish(u: np.ndarray) -> tuple[float, float]:
-        val = float(surrogate(u[None, :])[0])
-        step, budget = 0.1, 600
-        while step > 1e-4 and budget > 0:
-            budget -= 1
-            cands = _compass(u, step)
-            vals = surrogate(cands)
-            best = int(np.argmax(vals))
-            if vals[best] > val:
-                u, val = cands[best], float(vals[best])
-            else:
-                step *= 0.5
-        # finish at full precision: refined circle maxima, smaller steps, first
-        # improvement in pattern order
-        val = float(refined(u[None, :])[0])
-        step, last_improvement, budget = 1e-4, 0.0, 200
-        while step > 3e-6 and budget > 0:
-            budget -= 1
-            cands = _compass(u, step)
-            vals = refined(cands)
-            better = np.flatnonzero(vals > val)
-            if better.size:
-                best = int(better[0])
-                last_improvement = float(vals[best]) - val
-                u, val = cands[best], float(vals[best])
-            else:
-                step *= 0.45
-        # residual compass truncation scales with the square of the last step
-        return val, last_improvement + val * step * step
-
-    best_value, best_gap = -math.inf, 0.0
-    for u0 in candidates:
-        val, gap = polish(u0)
-        if val > best_value:
-            best_value, best_gap = val, gap
-    return NormReport(best_value, "grid+refine", {"sphere": samples, "theta": theta_grid},
-                      _tol_floor(best_value, best_gap))
+    units = np.array(candidates)
+    _lockstep_compass(units, surrogate, step=0.1, floor=1e-4, budget=600, shrink=0.5,
+                      first=False, cap=None)
+    vals, gains, steps = _lockstep_compass(units, refined, step=1e-4, floor=3e-6, budget=200,
+                                           shrink=0.45, first=True, cap=1e-2)
+    best = int(np.argmax(vals))
+    value = float(vals[best])
+    # residual compass truncation scales with the square of the last step
+    return NormReport(value, "grid+refine", {"sphere": samples, "theta": theta_grid},
+                      _tol_floor(value, float(gains[best]) + value * float(steps[best]) ** 2))
 
 
 def mean_value_margin(f: Series, q, **norm_options) -> float:

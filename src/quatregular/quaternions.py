@@ -265,6 +265,8 @@ def _sphere_rows(n: int, seed: int = 0) -> np.ndarray:
 # cyclic component orders for the cross product I x J
 _NEXT = [1, 2, 0]
 _LAST = [2, 0, 1]
+# coordinate axes, one of which seeds each completion
+_AXES = np.eye(3)
 
 
 def _completion_rows(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +274,7 @@ def _completion_rows(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     K is the cross product I x J, which is the quaternion product of orthogonal units.
     """
-    axis_rows = np.eye(3)[np.argmin(np.abs(units), axis=1)]
+    axis_rows = _AXES[np.argmin(np.abs(units), axis=1)]
     j_rows = axis_rows - np.sum(axis_rows * units, axis=1, keepdims=True) * units
     j_rows /= np.linalg.norm(j_rows, axis=1, keepdims=True)
     k_rows = units[:, _NEXT] * j_rows[:, _LAST] - units[:, _LAST] * j_rows[:, _NEXT]

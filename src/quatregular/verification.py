@@ -11,8 +11,9 @@ pass when the reported effect exceeds the tolerance.
 from __future__ import annotations
 
 import math
+import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +43,8 @@ class CheckResult:
     tolerance: float
     kind: str  # "deviation", "slack", or "witness"
     detail: str = ""
+    # wall time of the check; kept out of to_dict so reports stay reproducible
+    seconds: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -639,7 +642,10 @@ _CHECKS = [
 
 def run_checks(suites=None, seed: int = 0, scale: float = 1.0,
                extra_series: Series | None = None) -> list[CheckResult]:
-    """Run the property suites; ``scale`` multiplies every sample count."""
+    """Run the property suites; ``scale`` multiplies every sample count.
+
+    Each result carries the wall time of its check in ``seconds``.
+    """
     wanted = set(suites) if suites else set(SUITES)
     unknown = wanted - set(SUITES)
     if unknown:
@@ -649,10 +655,16 @@ def run_checks(suites=None, seed: int = 0, scale: float = 1.0,
         if suite not in wanted:
             continue
         rng = np.random.default_rng([seed, zlib.crc32(fn.__name__.encode())])
-        results.append(fn(rng, max(1, int(count * scale))))
+        results.append(_timed(fn, rng, max(1, int(count * scale))))
     if extra_series is not None and "series" in wanted:
-        results.append(_user_series_checks(extra_series))
+        results.append(_timed(_user_series_checks, extra_series))
     return results
+
+
+def _timed(check, *args) -> CheckResult:
+    start = time.perf_counter()
+    result = check(*args)
+    return replace(result, seconds=time.perf_counter() - start)
 
 
 def _user_series_checks(f: Series) -> CheckResult:

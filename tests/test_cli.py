@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -89,6 +90,19 @@ class TestCommands:
         assert code == 0
         assert payload["passed"] is True
         assert all(c["suite"] == "series" for c in payload["checks"])
+
+    def test_verify_times_each_check_on_stderr_only(self, capsys):
+        argv = ["verify", "--suite", "series", "--samples", "25", "--seed", "1"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main(argv) == 0
+        second = capsys.readouterr()
+        assert first.out == second.out
+        assert "time" not in first.out
+        lines = first.err.strip().split("\n")
+        assert len(lines) == len(json.loads(first.out)["checks"])
+        for line in lines:
+            assert re.fullmatch(r"PASS series/\S+: margin=\S+ tol=\S+ time=\d+\.\d{3}s", line)
 
     def test_verify_with_user_file(self, identity_file, capsys):
         code = main(["verify", "--suite", "series", "--samples", "25",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,6 +69,31 @@ class TestSphereExtrema:
             # the sampled values can never beat the closed form
             assert bhigh <= high + 1e-12
             assert blow >= low - 1e-12
+
+    def test_minimum_near_zero_against_mpmath(self):
+        # b = -I c plus a small offset: b + I c nearly vanishes at I, where a
+        # minimum taken as a difference of squares cancels to noise; the
+        # 60-digit oracle takes that difference, which is exact at its precision
+        rng = np.random.default_rng(4141)
+        n = 400
+        c = rng.standard_normal((n, 4))
+        units = rng.standard_normal((n, 3))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        iq = np.zeros((n, 4))
+        iq[:, 1:] = units
+        b = -qmul_rows(iq, c) + 10.0 ** rng.uniform(-15, -5, (n, 1)) * rng.standard_normal((n, 4))
+        low, high = sphere_extrema_rows(b, c)
+        with mpmath.workdps(60):
+            for b_row, c_row, got in zip(b, c, low):
+                b0, b1, b2, b3 = (mpmath.mpf(float(x)) for x in b_row)
+                c0, c1, c2, c3 = (mpmath.mpf(float(x)) for x in c_row)
+                v1 = -b0 * c1 + b1 * c0 - b2 * c3 + b3 * c2
+                v2 = -b0 * c2 + b1 * c3 + b2 * c0 - b3 * c1
+                v3 = -b0 * c3 - b1 * c2 + b2 * c1 + b3 * c0
+                base = sum(x ** 2 for x in (b0, b1, b2, b3, c0, c1, c2, c3))
+                exact = mpmath.sqrt(max(base - 2 * mpmath.sqrt(v1 ** 2 + v2 ** 2 + v3 ** 2), 0))
+                assert abs(float(exact - mpmath.mpf(float(got)))) <= 1e-15
+        assert np.all(low <= high)
 
 
 def circle_max_at_critical_points(row, radius):
@@ -215,6 +241,40 @@ class TestSliceNorm:
                        - slice_norm(f, unit, j_unit=rotated)) < 1e-10
 
 
+def slice_norm_rows(coeffs, units, radius):
+    """Slice norms at unit rows: a_n = alpha_n + beta_n J with J, K = I J from cross
+    products, and the boundary maxima of alpha and beta from circle_max_rows."""
+    axis = np.where(np.abs(units[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+    j = np.cross(units, axis)
+    j /= np.linalg.norm(j, axis=1, keepdims=True)
+    k = np.cross(units, j)
+    imag = coeffs[:, 1:].T
+    alpha = coeffs[:, 0] + 1j * (units @ imag)
+    beta = j @ imag + 1j * (k @ imag)
+    table = circle_table(radius, len(coeffs), 512)
+    return np.hypot(circle_max_rows(alpha, radius, table), circle_max_rows(beta, radius, table))
+
+
+def attained_slice_norm(coeffs, radius):
+    """Largest slice norm over a 6000-unit lattice, then three 41 x 41 tangent
+    patches around the best unit, each a twentieth the width of the last."""
+    units = np.array([(u.x1, u.x2, u.x3) for u in sphere_sample(6000, seed=3)])
+    values = slice_norm_rows(coeffs, units, radius)
+    best = units[int(np.argmax(values))]
+    offsets = np.linspace(-1.0, 1.0, 41)
+    for width in (0.04, 2e-3, 1e-4):
+        axis = np.array([1.0, 0.0, 0.0]) if abs(best[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        t1 = np.cross(best, axis)
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(best, t1)
+        a, b = np.meshgrid(width * offsets, width * offsets)
+        patch = best + a.reshape(-1, 1) * t1 + b.reshape(-1, 1) * t2
+        patch /= np.linalg.norm(patch, axis=1, keepdims=True)
+        patch_values = slice_norm_rows(coeffs, patch, radius)
+        best = patch[int(np.argmax(patch_values))]
+    return float(slice_norm_rows(coeffs, best[None, :], radius)[0])
+
+
 class TestSplitNorm:
     def test_identity(self):
         report = split_norm(Series((0, 1)))
@@ -264,6 +324,35 @@ class TestSplitNorm:
     def test_zero_norm_iff_zero(self):
         assert split_norm(Series((0, 0))).value == 0.0
         assert split_norm(Series((0, 1e-9))).value > 0.0
+
+    def test_not_below_attained_slice_norms(self):
+        # two general series whose compass once stopped short of the maximum
+        # with its step budget spent (4.2468339 and 4.4317852 reported)
+        cases = [
+            ((0.810043414379392, 0.8593839004627697, 0.6715419595519312, -0.6790144554040467),
+             (-0.5324260470013846, -0.7002141855217829, -0.8372380127038326, 0.10441989397118356),
+             (-0.03407627445227912, 0.21736208416872316, -0.6448715649711887, 0.3082814607361428),
+             (-0.28516055438939936, 0.9824671142018702, -0.9948552808557325,
+              -0.028087826304400654),
+             (0.9167494795550453, -0.45043032240300507, 0.18879229588826663, 0.8122331120447392),
+             (0.6331779083164752, -0.6958303305432638, -0.08486221443745823, -0.2795719858306924)),
+            ((0.9315175998966729, 0.023377729724667118, 0.9143087369420668, 0.5993710779232353),
+             (-0.04193719462968293, 0.4971459501297699, -0.026638039071542163,
+              -0.40940732459602347),
+             (-0.7323950149795999, 0.5322053775145408, 0.036227015995676126,
+              -0.07940386687720857),
+             (0.4058289209034671, 0.5555621064029548, -0.13964014271776826, 0.09635310598830626),
+             (0.06596244075892765, 0.6355691436208029, 0.8003216244473859, 0.1090515187465575),
+             (-0.04678895261504201, -0.6843481800655462, 0.7015845682784827, 0.7712680215793264),
+             (-0.24769385732048543, 0.9926205465320708, 0.545728165412388, 0.1276727128183741),
+             (0.7063896284910753, -0.9144036639684647, -0.9481318801128078, 0.9572191768003611),
+             (0.3035767257692592, -0.9934363620345577, -0.7200589476202051, -0.29231437355261347)),
+        ]
+        for rows in cases:
+            f = Series(tuple(Quaternion(*row) for row in rows), 0.9)
+            attained = attained_slice_norm(coeff_rows(f), 0.9)
+            report = split_norm(f)
+            assert report.value >= attained - report.certified_tol
 
 
 class TestInfNormBall:
