@@ -69,7 +69,8 @@ def top_grid_maxima(grid: np.ndarray, padded: np.ndarray,
     ``padded`` is ``grid`` with a neighbour column on each side: the wrapped
     ends for a periodic profile, -inf for an interval.
     """
-    row, col = np.nonzero((grid >= padded[:, :-2]) & (grid >= padded[:, 2:]))
+    row, col = np.divmod(np.flatnonzero((grid >= padded[:, :-2]) & (grid >= padded[:, 2:])),
+                         grid.shape[1])
     order = np.lexsort((-grid[row, col], row))
     row, col = row[order], col[order]
     keep = np.arange(row.size) - np.searchsorted(row, row) < count
@@ -134,6 +135,87 @@ def sphere_constants(coeffs: np.ndarray, x: np.ndarray,
     # one product over the interleaved (Re, Im) columns of the power table
     both = powers.view(float).T @ coeffs
     return both[0::2], both[1::2]
+
+
+def sphere_planes(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of the squared sphere maximum along the half circle, (m, 4, N+1).
+
+    On the sphere x + y S with x + iy = t e^{i theta} the squared maximum of
+    |f| is g = A + |U|, A = sum_d alpha_d cos(d theta), U = sum_d u_d sin(d theta),
+    because Z Z* = |Z|^2 - 2i Im(b conj(c)) for Z = b + ic = sum_n t^n e^{in theta} a_n
+    is sum_d e^{id theta} q_d + conj, q_d = sum_j t^{2j+d} a_{j+d} conj(a_j). Plane 0
+    holds alpha (alpha_0 = q_0, alpha_d = 2 Re q_d) and planes 1-3 hold u = 2 Im q_d.
+    """
+    top = coeffs.shape[0] - 1
+    # a_n conj(a_j) for every pair n >= j, doubled where n > j
+    left = (coeffs @ _PRODUCTS).reshape(-1, 4, 4)
+    n, j = np.nonzero(np.tri(top + 1, dtype=bool))
+    pairs = np.einsum("nyl,ny->nl", left[n], coeffs[j] * _CONJUGATE)
+    pairs[n > j] *= 2.0
+    # row k of the table collects the pair terms carrying t^k
+    table = np.zeros((2 * top + 1, 4, top + 1))
+    table[n + j, :, n - j] = pairs
+    powers = radii[:, None] ** np.arange(2 * top + 1)
+    # einsum rather than a matrix product: each row then rounds the same in any batch
+    planes = np.einsum("rk,kx->rx", powers, table.reshape(2 * top + 1, -1))
+    return planes.reshape(-1, 4, top + 1)
+
+
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+# structure constants: row x, column 4 y + l holds component l of e_x e_y
+_PRODUCTS = qmul_rows(np.eye(4)[:, None], np.eye(4)[None]).reshape(4, 16)
+
+
+def sphere_max_polish(planes: np.ndarray, theta: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                      step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Safeguarded Newton ascent of g = A + |U| (``sphere_planes``), one angle per plane set.
+
+    Every step is at most ``step``, goes uphill where g is not concave and
+    stays in [lo, hi]; a negative angle is folded back onto its mirror image,
+    since g is even. At 0, where U = 0, the one-sided slope |U'| points into
+    the half circle. An angle stops once it moves by at most 1e-9, and all
+    stop after ``_NEWTON_STEPS`` steps. Returns g at the final angles, how much
+    the last step raised sqrt(g), and the final angles.
+    """
+    turns = np.arange(planes.shape[2])
+    alpha, u = planes[:, :1], planes[:, 1:]
+    # against cos(d theta) these rows give A, A'' and U', against sin(d theta) A', U and U'';
+    # every sum runs along the last axis, so it rounds the same in any batch
+    with_cos = np.concatenate([alpha, -turns ** 2 * alpha, turns * u], axis=1)
+    with_sin = np.concatenate([-turns * alpha, u, -turns ** 2 * u], axis=1)
+    live = np.ones(theta.shape, dtype=bool)
+    for count in range(_NEWTON_STEPS + 1):
+        phase = np.multiply.outer(theta, turns)[:, None, :]
+        at_cos = np.add.reduce(with_cos * np.cos(phase), axis=2)
+        at_sin = np.add.reduce(with_sin * np.sin(phase), axis=2)
+        # rows U, U', U'' and their dot products
+        rows = np.concatenate([at_sin[:, 1:4], at_cos[:, 2:], at_sin[:, 4:]], axis=1)
+        rows = rows.reshape(-1, 3, 3)
+        gram = np.add.reduce(rows[:, :, None] * rows[:, None], axis=3)
+        norm = np.sqrt(gram[:, 0, 0])
+        g = at_cos[:, 0] + norm
+        if count == 0:
+            before = g
+        if count == _NEWTON_STEPS or not live.any():
+            break
+        swing = np.sqrt(gram[:, 1, 1])
+        inside = norm > 0.0
+        safe = np.where(inside, norm, 1.0)
+        lean = gram[:, 0, 1] / safe
+        # the first two derivatives of g, one-sided where U = 0
+        slope = at_sin[:, 0] + np.where(inside, lean, swing)
+        curve = at_cos[:, 1] + np.where(
+            inside, (gram[:, 1, 1] + gram[:, 0, 2] - lean * lean) / safe,
+            gram[:, 1, 2] / np.where(swing > 0.0, swing, 1.0))
+        # a Newton step where g is concave, else a whole step uphill (away from a
+        # minimum at 0, where the slope is zero)
+        move = np.where(curve < 0.0, slope / np.maximum(-curve, np.abs(slope) / step + 1e-300),
+                        np.copysign(step, slope))
+        moved = np.abs(np.minimum(np.maximum(theta + move, lo), hi))
+        before = np.where(live, g, before)
+        theta, live = np.where(live, moved, theta), live & (np.abs(moved - theta) > 1e-9)
+    raised = np.sqrt(np.maximum(g, 0.0)) - np.sqrt(np.maximum(before, 0.0))
+    return g, np.maximum(raised, 0.0), theta
 
 
 def _sphere_squares(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,7 +13,8 @@ import numpy as np
 
 from ._arrays import coeff_rows, eval_rows, slice_values
 from .errors import DomainError, NumericalSearchError, PreconditionError
-from .norms import _sphere_max, split_norm, sup_norm_ball
+from .norms import _sphere_max, split_norm
+from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
 from .quaternions import ALGEBRA_TOL, I as CANONICAL_I
 from .quaternions import Quaternion, UnitImaginary, _coerce
 from .series import Series, slice_derivative, symmetrization
@@ -25,6 +26,8 @@ _MU_GRID = 1024
 _NEWTON_STEP = 1e-6
 _NEWTON_MAX_ITER = 200
 _RESIDUAL_TOL = 1e-8
+# bisection levels evaluated per batch of sphere maxima: 2^4 - 1 = 15 midpoints
+_BISECT_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -383,6 +386,14 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
     unit factor makes the recentred derivative real at the origin, and the
     coverage radius of the result is reported together with its universal
     lower bound r / (32 sqrt(2)).
+
+    The root is bisected from the first crossing of the profile of M on
+    ``mu_grid`` radii, with the 15 midpoints of the next four bisection levels
+    evaluated in one batch; the residual and the locator come from the
+    evaluation at the final upper end. Where |f'| has several maximisers on
+    that sphere, one of them is used: ``locator_angle``, ``w``, ``f_w``,
+    ``rotation`` and ``phi_coeffs`` come from it, and ``R_r`` does not depend on
+    which one it is.
     """
     if f.coeffs[0].modulus_sq() != 0.0:
         raise PreconditionError("requires f(0) = 0")
@@ -394,12 +405,9 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
         raise DomainError("working radius must sit inside the ball of validity")
 
     derivative = slice_derivative(f)
-
-    def mu(s: float) -> float:
-        return s * sup_norm_ball(derivative, r - s, theta_grid=theta_grid).value
-
     grid = np.linspace(0.0, r, mu_grid)
-    mu_values = grid * _sphere_max(derivative, r - grid, theta_grid)[0]
+    maxima, _, angles = _sphere_max(derivative, r - grid, theta_grid)
+    mu_values = grid * maxima
     profile = [[float(s), float(m)] for s, m in zip(grid, mu_values)]
 
     crossing = np.flatnonzero(mu_values >= r - 1e-12)
@@ -412,24 +420,40 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
             "degenerate working radius: the profile meets r at s = 0",
             {"mu_profile": profile})
     lo, hi = float(grid[first - 1]), float(grid[first])
+    # M(r - hi) and the angle of the sphere where it is attained, which locates w
+    hi_max, hi_angle = float(maxima[first]), float(angles[first])
     while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mu(mid) >= r - 1e-12:
-            hi = mid
-        else:
-            lo = mid
+        # the midpoints of the next bisection levels in heap order, one batch
+        mids, bounds = [], [(lo, hi)]
+        for _ in range(_BISECT_LEVELS):
+            halves = []
+            for a, b in bounds:
+                mid = 0.5 * (a + b)
+                mids.append(mid)
+                halves += [(a, mid), (mid, b)]
+            bounds = halves
+        maxima, _, angles = _sphere_max(derivative, r - np.array(mids), theta_grid)
+        node = 0
+        for _ in range(_BISECT_LEVELS):
+            if hi - lo <= 1e-12:
+                break
+            mid = mids[node]
+            if mid * float(maxima[node]) >= r - 1e-12:
+                hi, hi_max, hi_angle = mid, float(maxima[node]), float(angles[node])
+                node = 2 * node + 1
+            else:
+                lo = mid
+                node = 2 * node + 2
     s_star = hi
     ball_radius = s_star / 2.0
     sphere_radius = r - s_star
-    # M(r - s*) and the angle of the sphere where it is attained, which locates w
-    deriv_max, _, angle = _sphere_max(derivative, np.array([sphere_radius]), theta_grid)
-    mu_residual = abs(s_star * float(deriv_max[0]) - r)
+    mu_residual = abs(s_star * hi_max - r)
 
     if sphere_radius < 1e-12:
         w = Quaternion()
         locator_angle = 0.0
     else:
-        locator_angle = float(angle[0])
+        locator_angle = hi_angle
         x = sphere_radius * math.cos(locator_angle)
         y = sphere_radius * math.sin(locator_angle)
         constants = sphere_pair(derivative, x, y)

@@ -8,6 +8,7 @@ deterministic for a fixed command line (reports carry no timestamps).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -207,9 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than parsing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SeriesFormatError, PreconditionError, DomainError, OSError) as exc:

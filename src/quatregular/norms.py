@@ -22,10 +22,13 @@ from ._arrays import (
     circle_max_rows,
     circle_table,
     coeff_rows,
+    power_table,
     sphere_constants,
     sphere_extrema_rows,
     sphere_max_rows,
+    sphere_max_polish,
     sphere_min_rows,
+    sphere_planes,
     top_grid_maxima,
 )
 from .errors import DomainError, PreconditionError
@@ -36,11 +39,9 @@ from .slices import split
 DEFAULT_THETA_GRID = 512
 DEFAULT_SPHERE_GRID = 2048
 
-# the sphere-maximum search: local grid maxima zoomed per radius, zoom points
-# per level, angle resolution, and grid rows per batch
+# the sphere-maximum search: local grid maxima polished per radius, and grid
+# rows per batch
 _SPHERE_BRACKETS = 6
-_ZOOM_POINTS = 33
-_ANGLE_TOL = 1e-9
 _CHUNK_ROWS = 16384
 # polar-grid minima polished by inf_norm_ball
 _INF_STARTS = 4
@@ -90,57 +91,76 @@ def _on_spheres(kernel, coeff_array: np.ndarray, radii: np.ndarray,
     return kernel(*sphere_constants(coeff_array, x.ravel(), y.ravel())).reshape(x.shape)
 
 
-def _sphere_max_chunk(coeff_array: np.ndarray, radii: np.ndarray,
-                      theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_sphere_max`` for positive radii (m,) on the angle grid ``theta``."""
-    grid = _on_spheres(sphere_max_rows, coeff_array, radii[:, None], theta)
-    edge = np.full((radii.size, 1), -np.inf)
-    row, col = top_grid_maxima(grid, np.concatenate([edge, grid, edge], axis=1),
-                               _SPHERE_BRACKETS)
-    best, angle = grid[row, col], theta[col]
-    centre, picks = angle, np.arange(row.size)
-    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-    half = math.pi / max(theta.size - 1, 1)
-    while 2.0 * half > _ANGLE_TOL:
-        angles = np.clip(centre[:, None] + half * offsets, 0.0, math.pi)
-        values = _on_spheres(sphere_max_rows, coeff_array, radii[row, None], angles)
-        k = np.argmax(values, axis=1)
-        top, centre = values[picks, k], angles[picks, k]
-        raised = np.maximum(top - best, 0.0)
-        angle = np.where(top > best, centre, angle)
-        best = np.maximum(best, top)
-        half *= 2.0 / (_ZOOM_POINTS - 1)
-    gap = np.zeros(radii.size)
-    np.maximum.at(gap, row, raised)
-    # the first bracket of each radius after sorting by value: ties keep the grid rank
-    order = np.lexsort((-best, row))
-    first = order[np.searchsorted(row[order], np.arange(radii.size))]
-    return best[first], gap, angle[first]
+def _angle_count(f: Series, theta_grid: int) -> int:
+    """Grid angles of the sphere-maximum search: ``theta_grid``, raised to 4N + 1.
+
+    The squared sphere maximum is built from trigonometric polynomials of
+    degree N, and the polish is local, so every local maximum needs a grid
+    angle of its own near it; 4N + 1 angles put a grid step below pi / (4N).
+    """
+    return max(theta_grid, 4 * f.degree + 1)
 
 
 def _sphere_max(f: Series, radii: np.ndarray,
                 theta_grid: int = DEFAULT_THETA_GRID) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximum of |f| on the sphere of each radius, as arrays (value, gap, angle).
 
-    The maximum over each sphere x + y S has a closed form, so only the angle
-    along the half circle is searched: a grid of ``theta_grid`` angles, then
-    the six best local grid maxima of every radius (ties to the lower angle)
-    zoomed in together, 33 points across +-1 step of the current best per
-    level, until the bracket is below 1e-9. ``value`` is attained at ``angle``;
-    ``gap`` is how much the last level still raised it. The radii go through
-    ``_CHUNK_ROWS`` grid rows at a time.
+    The maximum over each sphere x + y S has a closed form, g = A + |U| in
+    its square (``sphere_planes``), so only the angle along the half circle
+    is searched. A grid of ``_angle_count`` angles is two products of the
+    coefficient planes of ``_CHUNK_ROWS`` grid rows at a time, against a cos
+    and a sin table. The six best local grid maxima of every radius (ties to
+    the lower angle; g is even about 0 and pi, so the ends take mirrored
+    neighbours) are then polished together by ``sphere_max_polish``, from the
+    vertex of the grid parabola. ``value`` is the closed form on the sphere
+    at ``angle``; ``gap`` is how much the last Newton step still raised it.
     """
     value = np.full(radii.shape, f.coeffs[0].modulus())
     gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
-    if f.degree == 0:
+    todo = np.flatnonzero(radii > 0.0)
+    if f.degree == 0 or not todo.size:
         return value, gap, angle
     coeff_array = coeff_rows(f)
-    theta = np.linspace(0.0, math.pi, theta_grid)
-    todo = np.flatnonzero(radii > 0.0)
-    chunk = max(1, _CHUNK_ROWS // theta_grid)
-    for start in range(0, todo.size, chunk):
-        idx = todo[start:start + chunk]
-        value[idx], gap[idx], angle[idx] = _sphere_max_chunk(coeff_array, radii[idx], theta)
+    planes = sphere_planes(coeff_array, radii[todo])
+    points = _angle_count(f, theta_grid)
+    theta = np.linspace(0.0, math.pi, points)
+    turns = power_table(np.exp(1j * theta), f.degree + 1)
+    cos, sin = turns.real.copy(), turns.imag.copy()
+    chunk = max(1, _CHUNK_ROWS // points)
+    picks = []
+    for first in range(0, todo.size, chunk):
+        part = planes[first:first + chunk]
+        # stacked products: each radius rounds the same in any batch
+        u = part[:, 1:] @ sin
+        grid = (part[:, :1] @ cos)[:, 0] + np.sqrt(np.einsum("rct,rct->rt", u, u))
+        mirrored = np.concatenate([grid[:, 1:2], grid, grid[:, -2:-1]], axis=1)
+        row, col = top_grid_maxima(grid, mirrored, _SPHERE_BRACKETS)
+        picks.append((row + first, col, mirrored[row, col], mirrored[row, col + 1],
+                      mirrored[row, col + 2]))
+    row, col, left, top, right = map(np.concatenate, zip(*picks))
+    # vertex of the parabola through the three grid values, as in circle_max_rows
+    bend = np.minimum(left + right - 2.0 * top, -1e-300)
+    offset = 0.5 * (left - right) / bend
+    # g(pi - theta) has the planes times (-1)^d, so an angle of the upper half is
+    # polished as its distance from pi: both ends then sit at 0, where sin(d theta) = 0
+    upper = 2 * col > points - 1
+    near = np.where(upper, points - 1 - col, col)
+    flips = np.where(upper[:, None], (-1.0) ** np.arange(f.degree + 1), 1.0)
+    step = math.pi / (points - 1)
+    polished, raised, found = sphere_max_polish(
+        planes[row] * flips[:, None, :], step * (near + np.where(upper, -offset, offset)),
+        step * (near - 1.0), step * (near + 1.0), step)
+    found = np.where(upper, math.pi - found, found)
+    better = polished > top
+    best = np.where(better, polished, top)
+    at = np.where(better, found, theta[col])
+    # the first bracket of each radius after sorting by value: ties keep the grid rank
+    order = np.lexsort((-best, row))
+    pick = order[np.searchsorted(row[order], np.arange(todo.size))]
+    angle[todo] = at[pick]
+    # the closed form at the winning angle: the value is attained on that sphere
+    value[todo] = _on_spheres(sphere_max_rows, coeff_array, radii[todo], angle[todo])
+    np.maximum.at(gap, todo[row], raised)
     return value, gap, angle
 
 
@@ -152,7 +172,10 @@ def sup_norm_ball(f: Series, s: float,
 
     The maximum sits on the boundary, and the supremum over each boundary
     sphere x + y S has a closed form, so only the angle along a half circle is
-    searched, by ``_sphere_max``.
+    searched, by ``_sphere_max`` (a grid, then Newton steps from its best
+    local maxima). ``certified_tol`` is how much the last Newton step still
+    raised the value, floored at rounding noise; ``resolution`` holds the
+    number of grid angles used.
     """
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
@@ -160,7 +183,7 @@ def sup_norm_ball(f: Series, s: float,
         return NormReport(f.coeffs[0].modulus(), "closed-form")
     value, gap, _ = _sphere_max(f, np.array([s]), theta_grid)
     value = float(value[0])
-    return NormReport(value, "grid+refine", {"theta": theta_grid},
+    return NormReport(value, "grid+refine", {"theta": _angle_count(f, theta_grid)},
                       _tol_floor(value, float(gap[0])))
 
 

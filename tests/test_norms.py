@@ -28,6 +28,7 @@ from quatregular._arrays import (
     qmul_rows,
     sphere_constants,
     sphere_extrema_rows,
+    sphere_max_rows,
 )
 from quatregular.quaternions import I, J, orthonormal_completion, sphere_sample
 from quatregular.verification import builtin_corpus
@@ -212,6 +213,31 @@ class TestSupNormBall:
                             coeffs, s * np.cos(part), s * np.sin(part)))[1].max())
                         for part in np.array_split(angles, 10))
                     assert sup_norm_ball(f, s).value >= dense - 1e-13 * dense
+
+    def test_newton_polish_at_its_hard_spots(self):
+        # maxima at the ends 0 and pi, where Im(b conj(c)) = 0 (real coefficients,
+        # cubic-half), real quadratics whose maximum sits within the first grid
+        # step off an end that is a minimum, a maximum that is flat along the
+        # sphere (quadratic-j), and grids of 1, 2 and 3 angles: never below a
+        # 200000-angle scan
+        rng = np.random.default_rng(1414)
+        corpus = dict(builtin_corpus())
+        cases = [corpus["cubic-half"], slice_derivative(corpus["cubic-half"]),
+                 Series((0.5725, 0.7709, -0.2725)), Series((0.7626, 0.2406, -0.1968)),
+                 corpus["quadratic-j"], slice_derivative(corpus["quadratic-j"])]
+        for degree in range(1, 9):
+            f = random_series(rng, degree, scale=1.0)
+            cases += [f, Series(tuple(Quaternion(a.x0) for a in f.coeffs))]
+        angles = np.linspace(0.0, math.pi, 200000)
+        for f in cases:
+            coeffs = coeff_rows(f)
+            for s in (0.3, 0.6, 0.9):
+                dense = max(float(sphere_max_rows(*sphere_constants(
+                    coeffs, s * np.cos(part), s * np.sin(part))).max())
+                    for part in np.array_split(angles, 10))
+                for theta_grid in (512, 1, 2, 3):
+                    value = sup_norm_ball(f, s, theta_grid=theta_grid).value
+                    assert value >= dense - 1e-13 * dense
 
 
 class TestSliceNorm:
@@ -433,6 +459,27 @@ class TestSphereMaxSearch:
             for s, mu in bl_search(f, r).diagnostics["mu_profile"]:
                 single = s * sup_norm_ball(derivative, r - s).value
                 assert abs(mu - single) <= 1e-15 * single
+
+    def test_batched_bisection_matches_scalar_bisection(self):
+        # the root search evaluates four bisection levels per batch; a plain
+        # bisection over single sup_norm_ball calls must land on the same s*
+        rng = np.random.default_rng(4242)
+        series = [f for _, f in builtin_corpus()]
+        series += [random_series(rng, degree, monic_shift=True) for degree in (2, 4, 5)]
+        for f in series:
+            derivative = slice_derivative(f)
+            for r in (0.99, 0.9, 0.6):
+                report = bl_search(f, r)
+                profile = report.diagnostics["mu_profile"]
+                first = next(i for i, (_, mu) in enumerate(profile) if mu >= r - 1e-12)
+                lo, hi = profile[first - 1][0], profile[first][0]
+                while hi - lo > 1e-12:
+                    mid = 0.5 * (lo + hi)
+                    if mid * sup_norm_ball(derivative, r - mid).value >= r - 1e-12:
+                        hi = mid
+                    else:
+                        lo = mid
+                assert report.R_r == hi / 2.0
 
     def test_identity_locator_angle(self):
         for r in (0.99, 0.9):
