@@ -174,8 +174,8 @@ def sphere_max_polish(planes: np.ndarray, theta: np.ndarray, lo: np.ndarray, hi:
     stays in [lo, hi]; a negative angle is folded back onto its mirror image,
     since g is even. At 0, where U = 0, the one-sided slope |U'| points into
     the half circle. An angle stops once it moves by at most 1e-9, and all
-    stop after ``_NEWTON_STEPS`` steps. Returns g at the final angles, how much
-    the last step raised sqrt(g), and the final angles.
+    stop after ``_NEWTON_STEPS`` steps. Returns g at the final angles, g before
+    the last step of each angle, and the final angles.
     """
     turns = np.arange(planes.shape[2])
     alpha, u = planes[:, :1], planes[:, 1:]
@@ -214,8 +214,7 @@ def sphere_max_polish(planes: np.ndarray, theta: np.ndarray, lo: np.ndarray, hi:
         moved = np.abs(np.minimum(np.maximum(theta + move, lo), hi))
         before = np.where(live, g, before)
         theta, live = np.where(live, moved, theta), live & (np.abs(moved - theta) > 1e-9)
-    raised = np.sqrt(np.maximum(g, 0.0)) - np.sqrt(np.maximum(before, 0.0))
-    return g, np.maximum(raised, 0.0), theta
+    return g, before, theta
 
 
 def _sphere_squares(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

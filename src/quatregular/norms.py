@@ -7,8 +7,10 @@ to the uniform norm within a factor sqrt(2), and unlike the uniform norm it
 is invariant under coefficient conjugation, which is what the mean value
 bound needs.
 
-All suprema are computed on deterministic grids with local refinement and a
-reported convergence gap; nothing here is Monte Carlo.
+The maxima, and the minimum on the boundary sphere of a ball, are computed
+on deterministic grids with local refinement and a reported convergence gap;
+the minimum inside a ball comes from the roots of the symmetrization instead
+of a search. Nothing here is Monte Carlo.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ._arrays import (
 )
 from .errors import DomainError, PreconditionError
 from .quaternions import Quaternion, UnitImaginary, _coerce, _completion_rows, _sphere_rows
-from .series import Series, evaluate, slice_derivative
+from .series import Series, evaluate, slice_derivative, symmetrization
 from .slices import split
 
 DEFAULT_THETA_GRID = 512
@@ -43,8 +45,8 @@ DEFAULT_SPHERE_GRID = 2048
 # rows per batch
 _SPHERE_BRACKETS = 6
 _CHUNK_ROWS = 16384
-# polar-grid minima polished by inf_norm_ball
-_INF_STARTS = 4
+# roots of f^s this close share a centroid candidate in inf_norm_ball
+_ROOT_CLUSTER = 1e-2
 
 
 @dataclass(frozen=True)
@@ -82,15 +84,6 @@ def sphere_extrema(b: Quaternion, c: Quaternion) -> tuple[float, float]:
     return float(low[0]), float(high[0])
 
 
-def _on_spheres(kernel, coeff_array: np.ndarray, radii: np.ndarray,
-                angles: np.ndarray) -> np.ndarray:
-    """``kernel`` (``sphere_min_rows`` or ``sphere_max_rows``) on the spheres x + y S,
-    x = radii cos(angles), y = radii sin(angles), in the broadcast shape of both."""
-    x = radii * np.cos(angles)
-    y = radii * np.sin(angles)
-    return kernel(*sphere_constants(coeff_array, x.ravel(), y.ravel())).reshape(x.shape)
-
-
 def _angle_count(f: Series, theta_grid: int) -> int:
     """Grid angles of the sphere-maximum search: ``theta_grid``, raised to 4N + 1.
 
@@ -101,8 +94,8 @@ def _angle_count(f: Series, theta_grid: int) -> int:
     return max(theta_grid, 4 * f.degree + 1)
 
 
-def _sphere_max(f: Series, radii: np.ndarray,
-                theta_grid: int = DEFAULT_THETA_GRID) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sphere_max(f: Series, radii: np.ndarray, theta_grid: int = DEFAULT_THETA_GRID,
+                lowest: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximum of |f| on the sphere of each radius, as arrays (value, gap, angle).
 
     The maximum over each sphere x + y S has a closed form, g = A + |U| in
@@ -113,7 +106,10 @@ def _sphere_max(f: Series, radii: np.ndarray,
     the lower angle; g is even about 0 and pi, so the ends take mirrored
     neighbours) are then polished together by ``sphere_max_polish``, from the
     vertex of the grid parabola. ``value`` is the closed form on the sphere
-    at ``angle``; ``gap`` is how much the last Newton step still raised it.
+    at ``angle``; ``gap`` is how much the last Newton step still moved it.
+    With ``lowest`` the cosine plane is negated, so the search climbs
+    -A + |U|, the negated square of the sphere minimum, and ``value`` is the
+    minimum of |f| on the sphere of each radius.
     """
     value = np.full(radii.shape, f.coeffs[0].modulus())
     gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
@@ -122,6 +118,8 @@ def _sphere_max(f: Series, radii: np.ndarray,
         return value, gap, angle
     coeff_array = coeff_rows(f)
     planes = sphere_planes(coeff_array, radii[todo])
+    if lowest:
+        planes[:, 0] *= -1.0
     points = _angle_count(f, theta_grid)
     theta = np.linspace(0.0, math.pi, points)
     turns = power_table(np.exp(1j * theta), f.degree + 1)
@@ -147,7 +145,7 @@ def _sphere_max(f: Series, radii: np.ndarray,
     near = np.where(upper, points - 1 - col, col)
     flips = np.where(upper[:, None], (-1.0) ** np.arange(f.degree + 1), 1.0)
     step = math.pi / (points - 1)
-    polished, raised, found = sphere_max_polish(
+    polished, before, found = sphere_max_polish(
         planes[row] * flips[:, None, :], step * (near + np.where(upper, -offset, offset)),
         step * (near - 1.0), step * (near + 1.0), step)
     found = np.where(upper, math.pi - found, found)
@@ -159,8 +157,13 @@ def _sphere_max(f: Series, radii: np.ndarray,
     pick = order[np.searchsorted(row[order], np.arange(todo.size))]
     angle[todo] = at[pick]
     # the closed form at the winning angle: the value is attained on that sphere
-    value[todo] = _on_spheres(sphere_max_rows, coeff_array, radii[todo], angle[todo])
-    np.maximum.at(gap, todo[row], raised)
+    kernel, sign = (sphere_min_rows, -1.0) if lowest else (sphere_max_rows, 1.0)
+    value[todo] = kernel(*sphere_constants(coeff_array, radii[todo] * np.cos(angle[todo]),
+                                           radii[todo] * np.sin(angle[todo])))
+    # how far the last Newton step moved the value: sqrt(g) up, or sqrt(-g) down
+    moved = sign * (np.sqrt(np.maximum(sign * polished, 0.0))
+                    - np.sqrt(np.maximum(sign * before, 0.0)))
+    np.maximum.at(gap, todo[row], moved)
     return value, gap, angle
 
 
@@ -187,55 +190,41 @@ def sup_norm_ball(f: Series, s: float,
                       _tol_floor(value, float(gap[0])))
 
 
-def inf_norm_ball(f: Series, s: float, theta_grid: int = 256,
-                  radial_grid: int = 64) -> NormReport:
+def inf_norm_ball(f: Series, s: float,
+                  theta_grid: int = DEFAULT_THETA_GRID) -> NormReport:
     """Minimum modulus on the closed ball of radius s.
 
-    Unlike the maximum this can be attained anywhere inside, so a polar grid
-    over the half disc of sphere parameters is scanned. The best cells of its
-    four lowest local minima (the origin row counts as one cell) are polished
-    in lockstep by a shrinking compass search that moves each to its first
-    improving neighbour in pattern order, and the least value is reported.
+    Two facts leave no interior search. By the minimum modulus principle
+    (Gentili-Stoppato, 2009) a non-constant |f| has no local minimum off the
+    zeros of f. And f vanishes on the sphere x + y S exactly when its
+    symmetrization f^s = f * f^c, which has real coefficients, vanishes at
+    x + iy (Gentili-Stoppato-Struppa, 2013). So the minimum is the smaller of
+    the closed-form sphere minima at the roots of f^s in the ball and the
+    minimum over the boundary sphere, which ``_sphere_max`` finds by climbing
+    -A + |U| = -min^2. A zero of f of multiplicity k is a 2k-fold root of f^s,
+    which ``np.roots`` splits by about eps^(1/2k), so the centroid of each root
+    with the roots near it is tried as well. ``certified_tol`` is the value
+    itself when a root sphere wins, since f vanishes on that sphere, and
+    otherwise how much the last Newton step still lowered the boundary value,
+    floored at rounding noise. ``resolution`` holds the number of boundary
+    grid angles and of root candidates in the ball.
     """
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
     if s == 0.0 or f.degree == 0:
         return NormReport(f.coeffs[0].modulus(), "closed-form")
-    coeff_array = coeff_rows(f)
-    radii = np.linspace(0.0, s, radial_grid)
-    theta = np.linspace(0.0, math.pi, theta_grid)
-    low = _on_spheres(sphere_min_rows, coeff_array, radii[:, None], theta)
-    ring = np.pad(low, 1, constant_values=np.inf)
-    minima = ((low <= ring[:-2, 1:-1]) & (low <= ring[2:, 1:-1])
-              & (low <= ring[1:-1, :-2]) & (low <= ring[1:-1, 2:]))
-    minima[0, 1:] = False  # radius zero is the single point 0
-    cells = np.flatnonzero(minima)
-    cells = cells[np.argsort(low.ravel()[cells], kind="stable")[:_INF_STARTS]]
-    i, j = np.unravel_index(cells, low.shape)
-    # (radius, angle) of each start, its compass steps, and the box they stay in
-    pos = np.stack([radii[i], theta[j]], axis=1)
-    steps = np.tile([s / radial_grid, math.pi / theta_grid], (cells.size, 1))
-    upper, floor = np.array([s, math.pi]), np.array([1e-10 * s, 1e-10])
-    val, gap, starts = low[i, j], np.zeros(cells.size), np.arange(cells.size)
-    for _ in range(20000):
-        live = (steps > floor).any(axis=1)
-        if not live.any():
-            break
-        # the four axis moves that open the compass pattern, kept inside the box
-        cand = np.clip(pos[:, None, :] + _PATTERN[:4] * steps[:, None, :], 0.0, upper)
-        v2 = _on_spheres(sphere_min_rows, coeff_array, cand[..., 0], cand[..., 1])
-        k = np.argmax(v2 < val[:, None], axis=1)  # first improvement in pattern order
-        new = v2[starts, k]
-        go = live & (new < val)
-        gap = np.where(go, val - new, gap)
-        val = np.where(go, new, val)
-        pos = np.where(go[:, None], cand[starts, k], pos)
-        steps = np.where((live & ~go)[:, None], 0.5 * steps, steps)
-    best = int(np.argmin(val))
-    value = float(val[best])
-    return NormReport(value, "grid+refine",
-                      {"theta": theta_grid, "radial": radial_grid},
-                      _tol_floor(value, float(gap[best])))
+    roots = np.roots(coeff_rows(symmetrization(f))[::-1, 0])
+    near = np.abs(roots[:, None] - roots) < _ROOT_CLUSTER
+    roots = np.concatenate([roots, near @ roots / near.sum(axis=1)])
+    roots = roots[np.abs(roots) <= s]
+    value, gap, _ = _sphere_max(f, np.array([s]), theta_grid, lowest=True)
+    value, gap = float(value[0]), float(gap[0])
+    resolution = {"theta": _angle_count(f, theta_grid), "roots": int(roots.size)}
+    low = float(sphere_min_rows(*sphere_constants(coeff_rows(f), roots.real, roots.imag))
+                .min(initial=np.inf))
+    if low < value:
+        return NormReport(low, "root-sphere", resolution, _tol_floor(low, low))
+    return NormReport(value, "grid+refine", resolution, _tol_floor(value, gap))
 
 
 # -- slice norm and its supremum over units ------------------------------------

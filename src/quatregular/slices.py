@@ -16,7 +16,7 @@ from .quaternions import (
     orthonormal_completion,
     sphere_sample,
 )
-from .series import Series, evaluate
+from .series import Series, evaluate, regular_conjugate
 
 _BINOMIAL_DEGREE_CAP = 60
 
@@ -105,8 +105,6 @@ def split_conjugate_check(f: Series, unit: UnitImaginary,
                           tol: float = 1e-12) -> tuple[SplitPair, SplitPair]:
     """Split f and its regular conjugate with one shared completion and verify
     that the conjugate splits as (conj alpha_n, -beta_n) coefficientwise."""
-    from .series import regular_conjugate
-
     pair = split(f, unit)
     pair_c = split(regular_conjugate(f), unit, j_unit=pair.J)
     scale = max(1.0, max(abs(a) for a in pair.F.coeffs + pair.G.coeffs))

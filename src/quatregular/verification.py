@@ -20,7 +20,13 @@ import numpy as np
 from . import bloch, norms, slices
 from ._arrays import qmul_rows
 from .quaternions import I as UNIT_I
-from .quaternions import Quaternion, UnitImaginary, _sphere_rows, sphere_sample
+from .quaternions import (
+    Quaternion,
+    UnitImaginary,
+    _sphere_rows,
+    orthonormal_completion,
+    sphere_sample,
+)
 from .series import (
     Series,
     evaluate,
@@ -462,8 +468,6 @@ def check_j_independence(rng, count) -> CheckResult:
     for _ in range(count):
         f = random_series(rng, int(rng.integers(0, 7)))
         unit = random_unit(rng)
-        from .quaternions import orthonormal_completion
-
         j_unit, k_unit = orthonormal_completion(unit)
         angle = rng.uniform(0.3, 2.8)
         rotated = UnitImaginary.from_vector(

@@ -18,6 +18,7 @@ from quatregular import (
     slice_norm,
     sphere_extrema,
     split_norm,
+    star,
     sup_norm_ball,
 )
 from quatregular._arrays import (
@@ -29,6 +30,7 @@ from quatregular._arrays import (
     sphere_constants,
     sphere_extrema_rows,
     sphere_max_rows,
+    sphere_min_rows,
 )
 from quatregular.quaternions import I, J, orthonormal_completion, sphere_sample
 from quatregular.verification import builtin_corpus
@@ -416,6 +418,47 @@ class TestInfNormBall:
         attained = float(low.min())
         report = inf_norm_ball(f, 0.9)
         assert report.value <= attained + report.certified_tol
+
+    def test_zero_in_the_ball_reads_the_root_sphere(self):
+        # a cubic with a zero in the ball: the minimum is 0, attained on a root sphere of f^s
+        f = Series(tuple(Quaternion(*row) for row in (
+            (-0.20841489907609745, -0.8896701478582401, 0.2922819356907995, 0.2425917660844188),
+            (0.3664195009426712, 0.8443336237024284, 0.12018255997983518, -0.530825813904725),
+            (-0.44637844171814955, 0.3128955990714113, 0.11204714478942024, 0.5559637603600553),
+            (-0.7333591408830409, -0.5694010268747287, 0.7545593345965538, 0.25376011093886186),
+        )), 1.0)
+        assert inf_norm_ball(f, 0.9).value <= 1e-13
+
+    def test_multiple_zeros_read_zero(self):
+        # a zero of multiplicity k is a 2k-fold root of the symmetrization,
+        # which the root solver splits by about eps^(1/2k)
+        def linear(root):
+            return Series((-Quaternion(*root), 1))
+
+        square = Series((0.25, 0, 1))
+        for f in (star(linear((0.5, 0, 0, 0)), linear((0.5, 0, 0, 0))),
+                  star(star(linear((0.6, 0, 0, 0)), linear((0.6, 0, 0, 0))),
+                       linear((0.6, 0, 0, 0))),
+                  square,
+                  star(square, linear((0.3, 0, 0, 0))),
+                  star(linear((0, 0, 0.3, 0)), linear((0, 0, 0.3, 0)))):
+            report = inf_norm_ball(f, 0.9)
+            assert report.value <= 1e-12
+            assert report.value <= report.certified_tol
+
+    def test_sharp_boundary_minimum_beside_an_outer_root(self):
+        # the symmetrization has a root at |z| = 0.90036, just outside the ball
+        f = Series(tuple(Quaternion(*row) for row in (
+            (0.7908799660595067, -0.8999490057336899, -0.9160255185853716, -0.7918442877852898),
+            (-0.1353612901699326, -0.4284040274708809, 0.48279278730928654, -0.91327963901696),
+            (0.8747529629903654, 0.8894380811177607, 0.619930497797115, 0.6123171912557732),
+        )), 1.0)
+        theta = np.linspace(0.0, math.pi, 200001)
+        scan = float(sphere_min_rows(*sphere_constants(
+            coeff_rows(f), 0.9 * np.cos(theta), 0.9 * np.sin(theta))).min())
+        report = inf_norm_ball(f, 0.9)
+        assert abs(report.value - 1.0938057e-3) < 1e-9
+        assert report.value <= scan
 
 
 class TestMeanValue:
