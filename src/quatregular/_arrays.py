@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .quaternions import _completion_rows
 from .series import Series
 
 
@@ -215,6 +216,120 @@ def sphere_max_polish(planes: np.ndarray, theta: np.ndarray, lo: np.ndarray, hi:
         before = np.where(live, g, before)
         theta, live = np.where(live, moved, theta), live & (np.abs(moved - theta) > 1e-9)
     return g, before, theta
+
+
+_ASCENT_STEPS = 30
+# the slice ascent's first trust radius and its cap, in radians of the chart; the
+# Hessian shift and the smallest predicted rise worth a step, relative to H
+_TRUST, _TRUST_CAP = 0.1, 1.0
+_SHIFT, _RISE = 1e-6, 1e-15
+
+
+def _slice_terms(coeffs: np.ndarray, radius: float, units: np.ndarray,
+                 angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H = |F_I(z_1)|^2 + |G_I(z_2)|^2 with its gradient and Hessian, per unit row (m, 3).
+
+    z_k = radius e^{i theta_k} for the angle rows (m, 2). The chart is
+    (a, b, theta_1, theta_2): the unit turns along a great circle by a toward J
+    and by b toward K of its completion (J, K), and the angles add. With
+    P = sum z^n Re a_n and Q = sum z^n Im a_n, F_I = P + i<I, Q> and
+    G_I = <J, Q> + i<K, Q>. Turning the frame (I, J, K) as a whole moves G_I by a
+    phase only, so |G_I|^2 is smooth in I whichever completion the frame starts
+    from. H is the sum of |Z|^2 over Z = F_I, G_I, so its derivatives are
+    2 Re(conj(Z) Z_x) and 2 Re(conj(Z_x) Z_y + conj(Z) Z_xy). Returns H (m,), the
+    gradient (m, 4) and the Hessian (m, 4, 4).
+    """
+    n = np.arange(coeffs.shape[0])
+    # rows of (i n)^k radius^n a_n: sums against e^{i n theta} give the k-th theta-derivative
+    weighted = (np.array([np.ones(n.size), 1j * n, -n * n]) * radius ** n)[:, :, None] * coeffs
+    sums = np.exp(1j * angles[:, :, None] * n) @ weighted.transpose(1, 0, 2).reshape(n.size, 12)
+    sums = sums.reshape(-1, 2, 3, 4)
+    j_rows, k_rows = _completion_rows(units)
+    frame = np.stack([j_rows, k_rows, units], axis=2)
+    # (J, K, I) coordinates of Q and its theta-derivatives, at theta_1 (q) and theta_2 (g)
+    q, g = np.moveaxis(sums[..., 1:] @ frame[:, None], 1, 0)
+    f_side = sums[:, 0, :, 0] + 1j * q[:, :, 2]
+    g_side = g[:, :, 0] + 1j * g[:, :, 1]
+    z = np.stack([f_side[:, 0], g_side[:, 0]], axis=1)
+    zx = np.zeros((len(units), 2, 4), dtype=complex)
+    zxy = np.zeros((len(units), 2, 4, 4), dtype=complex)
+    # F_I: the turns move <I, Q> by <J, Q> and <K, Q> to first order, by -<I, Q> to second
+    zx[:, 0, :2] = 1j * q[:, 0, :2]
+    zx[:, 0, 2] = f_side[:, 1]
+    zxy[:, 0, 0, 0] = zxy[:, 0, 1, 1] = -1j * q[:, 0, 2]
+    zxy[:, 0, :2, 2] = 1j * q[:, 1, :2]
+    zxy[:, 0, 2, 2] = f_side[:, 2]
+    # G_I: with w = a + ib the turns move J + iK to J + iK - w I - w (aJ + bK) / 2,
+    # to second order
+    turn = np.array([1.0, 1j])
+    zx[:, 1, :2] = -g[:, 0, 2:] * turn
+    zx[:, 1, 3] = g_side[:, 1]
+    zxy[:, 1, 0, 0] = -g[:, 0, 0]
+    zxy[:, 1, 1, 1] = -1j * g[:, 0, 1]
+    zxy[:, 1, 0, 1] = -0.5 * (g[:, 0, 1] + 1j * g[:, 0, 0])
+    zxy[:, 1, :2, 3] = -g[:, 1, 2:] * turn
+    zxy[:, 1, 3, 3] = g_side[:, 2]
+    zxy += np.swapaxes(np.triu(zxy, 1), 2, 3)
+    h = np.sum(z.real ** 2 + z.imag ** 2, axis=1)
+    grad = 2.0 * np.sum((z.conj()[:, :, None] * zx).real, axis=1)
+    hess = 2.0 * np.sum((zx.conj()[:, :, :, None] * zx[:, :, None, :]
+                         + z.conj()[:, :, None, None] * zxy).real, axis=1)
+    return h, grad, hess
+
+
+def slice_norm_ascent(coeffs: np.ndarray, radius: float, units: np.ndarray, angles: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Safeguarded Newton ascent of H (``_slice_terms``) from each start, all in lockstep.
+
+    The squared slice norm at a unit I is the maximum of H over the two angles,
+    so the squared supremum over units is the maximum of H on S^2 x T^2. A step
+    solves with the Hessian, shifted where needed until it is negative
+    definite by ``_SHIFT`` times H, and is cut to a trust radius. It is kept
+    only if H rises. The radius shrinks to a quarter of a step that rose by
+    less than a quarter of its predicted rise, and doubles after a full step
+    that rose by more than three quarters of it. A step predicted to rise by at
+    most ``_RISE`` times H is its start's last, and all stop after
+    ``_ASCENT_STEPS`` steps. Returns H at the final points, H before the last
+    step (equal to H when that step was not kept), the final units (m, 3) and
+    angles (m, 2), and the steps each start took.
+    """
+    units, angles = units.copy(), angles.copy()
+    h, grad, hess = _slice_terms(coeffs, radius, units, angles)
+    before = h.copy()
+    trust = np.full(h.shape, _TRUST)
+    steps = np.zeros(h.shape, dtype=int)
+    live = np.ones(h.shape, dtype=bool)
+    for _ in range(_ASCENT_STEPS):
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
+        lam, vec = np.linalg.eigh(hess[rows])
+        shift = np.maximum(lam[:, -1] + _SHIFT * h[rows], 0.0)
+        along = np.einsum("mij,mi->mj", vec, grad[rows]) / np.maximum(shift[:, None] - lam, 1e-300)
+        move = np.einsum("mij,mj->mi", vec, along)
+        length = np.sqrt(np.sum(move * move, axis=1))
+        cut = np.minimum(1.0, trust[rows] / np.maximum(length, 1e-300))
+        move *= cut[:, None]
+        length *= cut
+        rise = np.sum(move * grad[rows], axis=1) + 0.5 * np.einsum(
+            "mi,mij,mj->m", move, hess[rows], move)
+        live[rows[rise <= _RISE * h[rows]]] = False
+        j_rows, k_rows = _completion_rows(units[rows])
+        turned = units[rows] + move[:, :1] * j_rows + move[:, 1:2] * k_rows
+        turned /= np.sqrt(np.sum(turned * turned, axis=1, keepdims=True))
+        shifted = angles[rows] + move[:, 2:]
+        new_h, new_grad, new_hess = _slice_terms(coeffs, radius, turned, shifted)
+        steps[rows] += 1
+        ratio = (new_h - h[rows]) / np.maximum(rise, 1e-300)
+        up = new_h > h[rows]
+        keep = rows[up]
+        before[rows] = h[rows]
+        h[keep], grad[keep], hess[keep] = new_h[up], new_grad[up], new_hess[up]
+        units[keep], angles[keep] = turned[up], shifted[up]
+        trust[rows] = np.where(ratio < 0.25, 0.25 * length,
+                               np.where((ratio > 0.75) & (length > 0.99 * trust[rows]),
+                                        np.minimum(2.0 * trust[rows], _TRUST_CAP), trust[rows]))
+    return h, before, units, angles, steps
 
 
 def _sphere_squares(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,10 +7,13 @@ to the uniform norm within a factor sqrt(2), and unlike the uniform norm it
 is invariant under coefficient conjugation, which is what the mean value
 bound needs.
 
-The maxima, and the minimum on the boundary sphere of a ball, are computed
-on deterministic grids with local refinement and a reported convergence gap;
-the minimum inside a ball comes from the roots of the symmetrization instead
-of a search. Nothing here is Monte Carlo.
+The maximum and the boundary minimum on a ball search one angle along a half
+circle, since each sphere of the ball has a closed form. The supremum of the
+slice norm is the maximum of one smooth function of the unit and two circle
+angles, which a lattice scan starts and Newton steps finish. The minimum
+inside a ball comes from the roots of the symmetrization instead of a search.
+Every search is deterministic, local refinement from a grid, with a reported
+convergence gap; nothing here is Monte Carlo.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from ._arrays import (
     circle_table,
     coeff_rows,
     power_table,
+    slice_norm_ascent,
     sphere_constants,
     sphere_extrema_rows,
     sphere_max_rows,
@@ -47,14 +51,20 @@ _SPHERE_BRACKETS = 6
 _CHUNK_ROWS = 16384
 # roots of f^s this close share a centroid candidate in inf_norm_ball
 _ROOT_CLUSTER = 1e-2
+# separated lattice units that start the split_norm ascent
+_STARTS = 3
 
 
 @dataclass(frozen=True)
 class NormReport:
     """A computed supremum together with how it was obtained.
 
-    ``certified_tol`` is the refinement convergence gap: how much the value
-    was still moving when the local search stopped, floored at rounding noise.
+    ``certified_tol`` is the refinement convergence gap, floored at rounding
+    noise: for ``sup_norm_ball`` and the boundary of ``inf_norm_ball`` how
+    much the last Newton step on the sphere maximum (or minimum) still moved
+    the value, for a root sphere of ``inf_norm_ball`` the value itself, and for
+    ``split_norm`` how much the last Newton step of the winning start still
+    raised the square root of H. A closed form reports 0.
     """
 
     value: float
@@ -245,6 +255,16 @@ def _slice_norms(alpha: np.ndarray, beta: np.ndarray, radius: float,
     return np.hypot(maxima[:len(alpha)], maxima[len(alpha):])
 
 
+def _grid_max(rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest |P| on the grid of ``table`` for each complex coefficient row P, and its column.
+
+    Scanning one component per call frees each (m, T) grid before the next is built.
+    """
+    grid = np.abs(rows @ table)
+    col = np.argmax(grid, axis=1)
+    return grid[np.arange(len(grid)), col], col
+
+
 def slice_norm(f: Series, unit: UnitImaginary,
                j_unit: UnitImaginary | None = None,
                theta_grid: int = DEFAULT_THETA_GRID) -> float:
@@ -259,114 +279,57 @@ def slice_norm(f: Series, unit: UnitImaginary,
                               f.radius, table)[0])
 
 
-_PATTERN = np.array([
-    (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
-    (0.707, 0.707), (0.707, -0.707), (-0.707, 0.707), (-0.707, -0.707),
-])
-
-
-def _lockstep_compass(units: np.ndarray, evaluate, step: float, floor: float,
-                      budget: int, shrink: float, first: bool,
-                      cap: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Push unit rows (m, 3) uphill on the sphere by a compass search, all in lockstep.
-
-    Each step evaluates the eight pattern neighbours of every live row in one
-    ``evaluate`` call. A row moves to its best neighbour, or with ``first`` to
-    its first improvement in pattern order, and otherwise shrinks its step by
-    ``shrink``; it stops once the step is at most ``floor`` or after ``budget``
-    steps. With a ``cap`` the step doubles, up to the cap, whenever a move
-    repeats the pattern direction of a move made the step before. The rows of
-    ``units`` move in place. Returns the final values, the last improvement of
-    each row, and the final steps.
-    """
-    vals = evaluate(units)
-    steps = np.full(len(units), step)
-    gains = np.zeros(len(units))
-    previous = np.full(len(units), -1)
-    for _ in range(budget):
-        live = np.flatnonzero(steps > floor)
-        if not live.size:
-            break
-        u = units[live]
-        t1, t2 = _completion_rows(u)
-        moves = _PATTERN[:, :1] * t1[:, None, :] + _PATTERN[:, 1:] * t2[:, None, :]
-        cands = u[:, None, :] + steps[live, None, None] * moves
-        cands /= np.linalg.norm(cands, axis=2, keepdims=True)
-        values = evaluate(cands.reshape(-1, 3)).reshape(live.size, len(_PATTERN))
-        old = vals[live]
-        k = np.argmax(values > old[:, None], axis=1) if first else np.argmax(values, axis=1)
-        new = values[np.arange(live.size), k]
-        go = new > old
-        moved, held = live[go], live[~go]
-        gains[moved] = new[go] - old[go]
-        vals[moved] = new[go]
-        units[moved] = cands[go, k[go]]
-        steps[held] *= shrink
-        if cap is not None:
-            repeat = moved[k[go] == previous[moved]]
-            steps[repeat] = np.minimum(2.0 * steps[repeat], cap)
-        previous[moved] = k[go]
-        previous[held] = -1
-    return vals, gains, steps
-
-
 def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
-               theta_grid: int = DEFAULT_THETA_GRID,
-               refine_candidates: int = 2) -> NormReport:
+               theta_grid: int = DEFAULT_THETA_GRID) -> NormReport:
     """Supremum of the slice norm over the sphere of units.
 
     Real-coefficient series short-circuit: every slice then carries the same
-    restriction. Otherwise a deterministic lattice of units is scanned with a
-    vectorised surrogate (grid boundary maxima, no one dimensional polish),
-    and the best separated candidates are pushed uphill together by a compass
-    search on the sphere: first on the surrogate, moving to the best
-    neighbour, then at full precision, moving to the first improvement in
-    pattern order with a step that doubles while a move repeats its direction.
+    restriction. Otherwise a deterministic lattice of ``samples`` units is
+    scanned with grid maxima of |F_I| and |G_I| on each slice, no polish. The
+    ``_STARTS`` best lattice units at least 0.2 rad apart, with the scan's best
+    angle of each component, start a Newton ascent on S^2 x T^2
+    (``slice_norm_ascent``): the squared norm is the maximum of
+    H = |F_I(z_1)|^2 + |G_I(z_2)|^2 over the unit and two angles. The value is
+    the best slice norm, from refined circle maxima, at the final units, so it
+    is attained. ``certified_tol`` is how much the last Newton step of the
+    winning start still raised sqrt(H), floored at rounding noise;
+    ``resolution`` holds the lattice and circle grid sizes, the number of starts
+    and the Newton steps of the winning start.
     """
     coeff_array = coeff_rows(f)
     if f.degree == 0:
         return NormReport(f.coeffs[0].modulus(), "closed-form")
     table = circle_table(f.radius, f.degree + 1, theta_grid)
-
-    def refined(units: np.ndarray) -> np.ndarray:
-        return _slice_norms(*_slice_rows(coeff_array, units), f.radius, table)
-
     if np.all(coeff_array[:, 1:] == 0.0):
-        value = float(refined(np.array([[1.0, 0.0, 0.0]]))[0])
+        units = np.array([[1.0, 0.0, 0.0]])
+        value = float(_slice_norms(*_slice_rows(coeff_array, units), f.radius, table)[0])
         return NormReport(value, "grid+refine", {"sphere": 1, "theta": theta_grid},
                           _tol_floor(value, 0.0))
 
     scan_table = circle_table(f.radius, f.degree + 1, max(theta_grid // 2, 64))
-
-    def surrogate(units: np.ndarray) -> np.ndarray:
-        """Grid-only slice norms for unit rows (m, 3)."""
-        alpha, beta = _slice_rows(coeff_array, units)
-        return np.hypot(np.abs(alpha @ scan_table).max(axis=1),
-                        np.abs(beta @ scan_table).max(axis=1))
-
     lattice = _sphere_rows(samples, seed)
-    scan = surrogate(lattice)
+    (f_top, f_col), (g_top, g_col) = (_grid_max(rows, scan_table)
+                                      for rows in _slice_rows(coeff_array, lattice))
+    scan = np.hypot(f_top, g_top)
 
-    order = np.argsort(-scan, kind="stable")
-    candidates = []
-    for idx in order:
-        u = lattice[idx]
-        if any(np.dot(u, v) > math.cos(0.2) for v in candidates):
+    picks = []
+    for idx in np.argsort(-scan, kind="stable"):
+        if any(np.dot(lattice[idx], lattice[k]) > math.cos(0.2) for k in picks):
             continue
-        candidates.append(u)
-        if len(candidates) >= refine_candidates:
+        picks.append(idx)
+        if len(picks) >= _STARTS:
             break
 
-    units = np.array(candidates)
-    _lockstep_compass(units, surrogate, step=0.1, floor=1e-4, budget=600, shrink=0.5,
-                      first=False, cap=None)
-    vals, gains, steps = _lockstep_compass(units, refined, step=1e-4, floor=3e-6, budget=200,
-                                           shrink=0.45, first=True, cap=1e-2)
-    best = int(np.argmax(vals))
-    value = float(vals[best])
-    # residual compass truncation scales with the square of the last step
-    return NormReport(value, "grid+refine", {"sphere": samples, "theta": theta_grid},
-                      _tol_floor(value, float(gains[best]) + value * float(steps[best]) ** 2))
+    angles = (2.0 * math.pi / scan_table.shape[1]) * np.stack([f_col, g_col], axis=1)[picks]
+    h, before, units, _, steps = slice_norm_ascent(coeff_array, f.radius, lattice[picks],
+                                                   angles)
+    values = _slice_norms(*_slice_rows(coeff_array, units), f.radius, table)
+    best = int(np.argmax(values))
+    value = float(values[best])
+    resolution = {"sphere": samples, "theta": theta_grid, "starts": len(picks),
+                  "steps": int(steps[best])}
+    return NormReport(value, "lattice+newton", resolution,
+                      _tol_floor(value, math.sqrt(h[best]) - math.sqrt(before[best])))
 
 
 def mean_value_margin(f: Series, q, **norm_options) -> float:

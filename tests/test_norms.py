@@ -22,17 +22,20 @@ from quatregular import (
     sup_norm_ball,
 )
 from quatregular._arrays import (
+    _slice_terms,
     circle_max_rows,
     circle_table,
     coeff_rows,
     eval_rows,
     qmul_rows,
+    slice_norm_ascent,
     sphere_constants,
     sphere_extrema_rows,
     sphere_max_rows,
     sphere_min_rows,
 )
-from quatregular.quaternions import I, J, orthonormal_completion, sphere_sample
+from quatregular.norms import _slice_rows
+from quatregular.quaternions import I, J, _completion_rows, orthonormal_completion, sphere_sample
 from quatregular.verification import builtin_corpus
 
 
@@ -375,12 +378,113 @@ class TestSplitNorm:
              (-0.24769385732048543, 0.9926205465320708, 0.545728165412388, 0.1276727128183741),
              (0.7063896284910753, -0.9144036639684647, -0.9481318801128078, 0.9572191768003611),
              (0.3035767257692592, -0.9934363620345577, -0.7200589476202051, -0.29231437355261347)),
+            # slice-norms seed 313 task 42: the lattice oracle and two of the three
+            # starts stop at a lower local maximum, 4.9216118
+            ((-0.13648244756603778, -0.170558912671966, 0.5976619076077754, -0.8768801644261903),
+             (0.5285253082655244, 0.9555730139100922, 0.013011887457797133, -0.9289507714161089),
+             (-0.008583256216362356, 0.6808272074608253, -0.8126630687724041, 0.2882721460393711),
+             (0.14030045249581424, 0.9557945009763422, 0.8159853736040859, -0.7262440753962662),
+             (0.2076604142005598, 0.7489662464702398, 0.28735928572885094, -0.9194387347579955),
+             (0.5823441253782724, 0.2830000082109496, 0.41532675256795004, -0.8512033938483388),
+             (-0.4211898029296681, -0.08842643259355087, 0.14376885778147264,
+              -0.1762555320081911)),
         ]
-        for rows in cases:
+        # units where a case is known to reach more than the lattice oracle finds (4.9218445)
+        known_units = {2: (-0.7081189490668345, -0.20647926127227953, 0.6752287528215425)}
+        for index, rows in enumerate(cases):
             f = Series(tuple(Quaternion(*row) for row in rows), 0.9)
             attained = attained_slice_norm(coeff_rows(f), 0.9)
+            if index in known_units:
+                unit = np.array([known_units[index]])
+                unit /= np.linalg.norm(unit)
+                attained = max(attained, float(slice_norm_rows(coeff_rows(f), unit, 0.9)[0]))
             report = split_norm(f)
             assert report.value >= attained - report.certified_tol
+
+    def test_report_says_what_produced_it(self):
+        f = Series((0, 1, Quaternion(0.2, 0.5, -0.3, 0.1), Quaternion(0, 0.4, 0, -0.6)), 0.9)
+        report = split_norm(f)
+        assert report.method == "lattice+newton"
+        assert report.resolution["starts"] == 3
+        assert report.resolution["steps"] >= 1
+        assert report.to_dict() == split_norm(f).to_dict()
+
+
+def slice_h(coeffs, radius, units, angles):
+    """|F_I(z_1)|^2 + |G_I(z_2)|^2 from the split coefficients of ``_slice_rows``."""
+    alpha, beta = _slice_rows(coeffs, units)
+    powers = (radius * np.exp(1j * angles))[:, :, None] ** np.arange(len(coeffs))
+    return (np.abs(np.sum(alpha * powers[:, 0], axis=1)) ** 2
+            + np.abs(np.sum(beta * powers[:, 1], axis=1)) ** 2)
+
+
+def slice_h_differences(coeffs, radius, units, angles, step):
+    """Central differences of H along the chart of ``_slice_terms``: the unit moves to
+    I + a J + b K, normalised, with (J, K) its completion, and the angles add."""
+    j_rows, k_rows = _completion_rows(units)
+
+    def h_at(delta):
+        moved = units + delta[:, :1] * j_rows + delta[:, 1:2] * k_rows
+        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+        return _slice_terms(coeffs, radius, moved, angles + delta[:, 2:])[0]
+
+    basis = [np.broadcast_to(step * e, (len(units), 4)) for e in np.eye(4)]
+    grad = np.stack([(h_at(e) - h_at(-e)) / (2.0 * step) for e in basis], axis=1)
+    hess = np.stack([np.stack([(h_at(e + d) - h_at(e - d) - h_at(d - e) + h_at(-e - d))
+                               / (4.0 * step * step) for d in basis], axis=1)
+                     for e in basis], axis=1)
+    return grad, hess
+
+
+def slice_ascent_cases(rng):
+    """Quadratic j, whose |G_I| is constant on every circle, then seeded rows of
+    degree 1-8 at coefficient scales 1e-3, 1 and 1e3."""
+    cases = [np.array([[0.0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]])]
+    for degree in range(1, 9):
+        for scale in (1e-3, 1.0, 1e3):
+            cases.append(scale * rng.uniform(-1.0, 1.0, size=(degree + 1, 4)))
+    return cases
+
+
+class TestSliceNormAscent:
+    # units whose two smallest components are equal in size, where the
+    # completion switches its reference axis, then seeded units
+    SWITCHING = np.array([[1.0, 0.3, 0.3], [0.3, -1.0, -0.3], [-0.2, 0.2, 0.9], [0.5, 0.5, 0.5]])
+
+    def starts(self, rng, count=4):
+        units = np.concatenate([self.SWITCHING, rng.standard_normal((count, 3))])
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        return units, rng.uniform(0.0, 2.0 * math.pi, size=(len(units), 2))
+
+    def test_terms_against_split_and_differences(self):
+        rng = np.random.default_rng(2207)
+        for coeffs in slice_ascent_cases(rng):
+            units, angles = self.starts(rng)
+            h, grad, hess = _slice_terms(coeffs, 0.9, units, angles)
+            # |f| on the circle of radius 0.9 is at most this, and so are |F_I| and |G_I|
+            scale = np.sum(np.linalg.norm(coeffs, axis=1) * 0.9 ** np.arange(len(coeffs))) ** 2
+            assert np.all(np.abs(h - slice_h(coeffs, 0.9, units, angles)) <= 1e-14 * scale)
+            fd_grad, fd_hess = slice_h_differences(coeffs, 0.9, units, angles, 1e-4)
+            assert np.all(np.abs(grad - fd_grad) <= 1e-6 * scale)
+            assert np.all(np.abs(hess - fd_hess) <= 1e-5 * scale)
+            assert np.all(hess == np.swapaxes(hess, 1, 2))
+
+    def test_ascent_never_descends(self):
+        rng = np.random.default_rng(2208)
+        for index, coeffs in enumerate(slice_ascent_cases(rng)):
+            units, angles = self.starts(rng)
+            start = _slice_terms(coeffs, 0.9, units, angles)[0]
+            h, before, final_units, final_angles, steps = slice_norm_ascent(
+                coeffs, 0.9, units, angles)
+            assert np.all(h >= start)
+            assert np.all(before <= h)
+            assert np.all(steps >= 1)
+            assert np.allclose(np.linalg.norm(final_units, axis=1), 1.0, rtol=0, atol=1e-15)
+            assert np.array_equal(h, _slice_terms(coeffs, 0.9, final_units, final_angles)[0])
+            if index == 0:
+                # at radius 0.9 the squared slice norm of q + q^2 j is 1.4661 + 1.458 |<I, j>|,
+                # 1.71^2 at I = +-j, and |G_I| does not depend on theta_2
+                assert np.all(np.abs(np.sqrt(h) - 1.71) <= 1e-12)
 
 
 class TestInfNormBall:
