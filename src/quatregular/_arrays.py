@@ -9,27 +9,22 @@ from __future__ import annotations
 import numpy as np
 
 from .quaternions import _completion_rows
-from .series import Series
 
-
-def coeff_rows(f: Series) -> np.ndarray:
-    """Coefficients as an (N+1, 4) float array."""
-    return np.array([a.components for a in f.coeffs], dtype=float)
+# term t of component l of p q, in the order of Quaternion.__mul__, is
+# p_t q_(t xor l) with the sign _SIGNS[t, l]
+_LEFT, _RIGHT = np.arange(4)[:, None], np.bitwise_xor.outer(np.arange(4), np.arange(4))
+_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
+                   [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
 
 
 def qmul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Componentwise quaternion product of broadcastable (..., 4) arrays."""
-    p0, p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    q0, q1, q2, q3 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack(
-        [
-            p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
-        ],
-        axis=-1,
-    )
+    """Componentwise quaternion product of broadcastable (..., 4) arrays.
+
+    The terms of each component are summed in the order of the scalar formula,
+    from -0.0 (-0.0 + x = x for every x), so each row rounds exactly as
+    ``Quaternion.__mul__`` does.
+    """
+    return np.add.reduce(p[..., _LEFT] * (q[..., _RIGHT] * _SIGNS), axis=-2, initial=-0.0)
 
 
 def eval_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -40,7 +35,7 @@ def eval_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     power[..., 0] = 1.0
     for a in coeffs[1:]:
         power = qmul_rows(power, points)
-        acc = acc + qmul_rows(power, np.broadcast_to(a, points.shape))
+        acc = acc + qmul_rows(power, a)
     return acc
 
 
@@ -369,13 +364,3 @@ def sphere_extrema_rows(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     return sphere_min_rows(b, c), sphere_max_rows(b, c)
 
-
-def slice_values(coeffs: np.ndarray, unit_times_coeffs: np.ndarray,
-                 z: np.ndarray) -> np.ndarray:
-    """Values of the series on a slice at complex points z, shape (T, 4).
-
-    Uses q^n a_n = Re(z^n) a_n + Im(z^n) (I a_n) for q = x + y I, z = x + iy,
-    so a single pair of real matrix products evaluates the whole grid.
-    """
-    powers = power_table(z, coeffs.shape[0])
-    return powers.real.T @ coeffs + powers.imag.T @ unit_times_coeffs

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import coeff_rows, eval_rows, slice_values
+from ._arrays import eval_rows, qmul_rows, sphere_constants
 from .errors import DomainError, NumericalSearchError, PreconditionError
 from .norms import _sphere_max, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
@@ -190,18 +190,15 @@ def g_series(f: Series, c) -> Series:
         raise DomainError("excluded value must be nonzero")
     if f.coeffs[0].modulus_sq() != 0.0:
         raise PreconditionError("requires f(0) = 0")
-    c_inv = c.inverse()
-    base = [Quaternion(1.0)]
-    base.extend(-(a * c_inv) for a in f.coeffs[1:])
-    sym = symmetrization(Series(tuple(base), f.radius, f.exact))
-    scale = max(1.0, max(a.modulus() for a in sym.coeffs))
-    reals = []
-    for idx, a in enumerate(sym.coeffs):
-        if a.imag.modulus() > 1e-12 * scale:
-            raise NumericalSearchError(
-                f"symmetrization coefficient {idx} has a nonreal part beyond tolerance")
-        reals.append(Quaternion(a.x0))
-    return Series(tuple(reals), f.radius, f.exact)
+    base = np.concatenate([[(1.0, 0.0, 0.0, 0.0)],
+                           -qmul_rows(f.rows[1:], np.array(c.inverse().components))])
+    sym = symmetrization(Series._from_rows(base, f.radius, f.exact)).rows
+    scale = max(1.0, float(np.sqrt(np.sum(sym * sym, axis=1)).max()))
+    nonreal = np.flatnonzero(np.sqrt(np.sum(sym[:, 1:] ** 2, axis=1)) > 1e-12 * scale)
+    if nonreal.size:
+        raise NumericalSearchError(
+            f"symmetrization coefficient {nonreal[0]} has a nonreal part beyond tolerance")
+    return Series(tuple(sym[:, 0].tolist()), f.radius, f.exact)
 
 
 def fourth_root_series(g: Series) -> Series:
@@ -211,11 +208,11 @@ def fourth_root_series(g: Series) -> Series:
     by p = g^{1/4}; the truncation matches g through its own degree, so the
     star fourth power reproduces g coefficientwise there.
     """
-    scale = max(1.0, max(a.modulus() for a in g.coeffs))
-    for idx, a in enumerate(g.coeffs):
-        if not a.is_real(1e-12 * scale):
-            raise PreconditionError(f"requires real coefficients (coefficient {idx} is not)")
-    gs = [a.x0 for a in g.coeffs]
+    scale = max(1.0, float(np.sqrt(np.sum(g.rows * g.rows, axis=1)).max()))
+    nonreal = np.flatnonzero(np.abs(g.rows[:, 1:]).max(axis=1) > 1e-12 * scale)
+    if nonreal.size:
+        raise PreconditionError(f"requires real coefficients (coefficient {nonreal[0]} is not)")
+    gs = g.rows[:, 0].tolist()
     if abs(gs[0] - 1.0) > ALGEBRA_TOL:
         raise PreconditionError("requires constant term 1")
     gs[0] = 1.0
@@ -239,14 +236,14 @@ def parseval_mean(psi: Series, r: float, unit: UnitImaginary = CANONICAL_I,
     """
     if not 0.0 <= r < psi.radius:
         raise DomainError("outside ball of validity")
-    coeff_array = coeff_rows(psi)
-    unit_rows = np.array([(unit * a).components for a in psi.coeffs])
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
     z = r * np.exp(1j * thetas)
-    vals = slice_values(coeff_array, unit_rows, z)
+    # psi(x + y I) = b + I c with the sphere constants of x + iy
+    b, c = sphere_constants(psi.rows, z.real, z.imag)
+    vals = b + qmul_rows(np.array(unit.components), c)
     integral = float(np.mean(np.sum(vals * vals, axis=1)))
-    powers = r ** (2.0 * np.arange(coeff_array.shape[0]))
-    coeff_sum = float(np.sum(powers * np.sum(coeff_array * coeff_array, axis=1)))
+    powers = r ** (2.0 * np.arange(psi.degree + 1))
+    coeff_sum = float(np.sum(powers * np.sum(psi.rows * psi.rows, axis=1)))
     return integral, coeff_sum
 
 
@@ -283,11 +280,10 @@ def attain(f: Series, target, ball_radius: float, starts: int = 64,
     target = _coerce(target)
     if ball_radius > f.radius:
         raise DomainError("search ball cannot exceed the ball of validity")
-    coeff_array = coeff_rows(f)
     goal = np.array(target.components)
 
     def residual(points: np.ndarray) -> np.ndarray:
-        return eval_rows(coeff_array, points) - goal
+        return eval_rows(f.rows, points) - goal
 
     for q0 in _ball_lattice(ball_radius, starts, seed, hint=goal):
         q = q0.copy()
@@ -300,7 +296,7 @@ def attain(f: Series, target, ball_radius: float, starts: int = 64,
             for m in range(4):
                 probes[2 * m, m] += _NEWTON_STEP
                 probes[2 * m + 1, m] -= _NEWTON_STEP
-            vals = eval_rows(coeff_array, probes)
+            vals = eval_rows(f.rows, probes)
             jac = np.empty((4, 4))
             for m in range(4):
                 jac[:, m] = (vals[2 * m] - vals[2 * m + 1]) / (2.0 * _NEWTON_STEP)
@@ -335,6 +331,8 @@ def coverage_report(f: Series, rho: float, samples: int, seed: int = 0,
     then handed to :func:`attain`. Misses are reported as data, never
     dropped; a miss is a failed certificate, not a disproof.
     """
+    if samples < 0:
+        raise DomainError("the sample count cannot be negative")
     if ball_radius is None:
         ball_radius = f.radius
     shrunk = rho * (1.0 - margin)
@@ -356,7 +354,6 @@ def coverage_report(f: Series, rho: float, samples: int, seed: int = 0,
         targets.extend(batch[keep])
     targets = targets[:samples]
 
-    coeff_array = coeff_rows(f)
     hits = 0
     max_residual = 0.0
     misses: list[Quaternion] = []
@@ -366,7 +363,7 @@ def coverage_report(f: Series, rho: float, samples: int, seed: int = 0,
         if root is None:
             misses.append(point)
             continue
-        res = eval_rows(coeff_array, np.array([root.components]))[0] - t
+        res = eval_rows(f.rows, np.array([root.components]))[0] - t
         hits += 1
         max_residual = max(max_residual, float(np.linalg.norm(res)))
     return CoverageReport(rho, samples, hits, max_residual, misses,
@@ -471,9 +468,9 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
     normalizer = deriv_at_w.conjugate() / deriv_scale
     rotation = deriv_at_w / deriv_scale
 
-    phi_coeffs = [Quaternion(), Quaternion(deriv_scale)]
-    phi_coeffs.extend(b * normalizer for b in translated.coeffs[2:])
-    phi = Series(tuple(phi_coeffs), radius=s_star, exact=f.exact)
+    phi_rows = np.concatenate([[(0.0, 0.0, 0.0, 0.0), (deriv_scale, 0.0, 0.0, 0.0)],
+                               qmul_rows(translated.rows[2:], np.array(normalizer.components))])
+    phi = Series._from_rows(phi_rows, s_star, f.exact)
     phi_lemma = phi.with_radius(ball_radius)
 
     dphi_norm = split_norm(slice_derivative(phi_lemma), **norm_options)
@@ -497,7 +494,7 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
         "normalizer": list(normalizer.components),
         "rho_lower_bound": rho_floor,
         "rho_bound_ok": rho_r >= rho_floor - 1e-6,
-        "phi_coeffs": [list(a.components) for a in phi.coeffs],
+        "phi_coeffs": phi.rows.tolist(),
         "phi_radius": phi.radius,
         "phi_lemma_radius": ball_radius,
     }

@@ -26,7 +26,6 @@ import numpy as np
 from ._arrays import (
     circle_max_rows,
     circle_table,
-    coeff_rows,
     power_table,
     slice_norm_ascent,
     sphere_constants,
@@ -38,9 +37,9 @@ from ._arrays import (
     top_grid_maxima,
 )
 from .errors import DomainError, PreconditionError
-from .quaternions import Quaternion, UnitImaginary, _coerce, _completion_rows, _sphere_rows
+from .quaternions import I, Quaternion, UnitImaginary, _coerce, _sphere_rows
 from .series import Series, evaluate, slice_derivative, symmetrization
-from .slices import split
+from .slices import _frame, split_rows
 
 DEFAULT_THETA_GRID = 512
 DEFAULT_SPHERE_GRID = 2048
@@ -85,6 +84,18 @@ def _tol_floor(value: float, gap: float) -> float:
     return max(gap, 4e-15 * max(1.0, value))
 
 
+def _scaled(f: Series) -> tuple[Series, int]:
+    """f times 2^-e, with e the frexp exponent of its largest component, and e.
+
+    Scaling by a power of two is exact, so a norm of the result times 2^e is
+    the norm of f, while the squares the norms take neither overflow nor underflow.
+    """
+    e = math.frexp(float(np.abs(f.rows).max()))[1]
+    if e == 0:
+        return f, 0
+    return Series._from_rows(np.ldexp(f.rows, -e), f.radius, f.exact), e
+
+
 # -- closed form on spheres --------------------------------------------------
 
 def sphere_extrema(b: Quaternion, c: Quaternion) -> tuple[float, float]:
@@ -119,15 +130,16 @@ def _sphere_max(f: Series, radii: np.ndarray, theta_grid: int = DEFAULT_THETA_GR
     at ``angle``; ``gap`` is how much the last Newton step still moved it.
     With ``lowest`` the cosine plane is negated, so the search climbs
     -A + |U|, the negated square of the sphere minimum, and ``value`` is the
-    minimum of |f| on the sphere of each radius.
+    minimum of |f| on the sphere of each radius. The search runs on f scaled
+    by a power of two (``_scaled``).
     """
+    f, e = _scaled(f)
     value = np.full(radii.shape, f.coeffs[0].modulus())
     gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
     todo = np.flatnonzero(radii > 0.0)
     if f.degree == 0 or not todo.size:
-        return value, gap, angle
-    coeff_array = coeff_rows(f)
-    planes = sphere_planes(coeff_array, radii[todo])
+        return np.ldexp(value, e), gap, angle
+    planes = sphere_planes(f.rows, radii[todo])
     if lowest:
         planes[:, 0] *= -1.0
     points = _angle_count(f, theta_grid)
@@ -168,13 +180,13 @@ def _sphere_max(f: Series, radii: np.ndarray, theta_grid: int = DEFAULT_THETA_GR
     angle[todo] = at[pick]
     # the closed form at the winning angle: the value is attained on that sphere
     kernel, sign = (sphere_min_rows, -1.0) if lowest else (sphere_max_rows, 1.0)
-    value[todo] = kernel(*sphere_constants(coeff_array, radii[todo] * np.cos(angle[todo]),
+    value[todo] = kernel(*sphere_constants(f.rows, radii[todo] * np.cos(angle[todo]),
                                            radii[todo] * np.sin(angle[todo])))
     # how far the last Newton step moved the value: sqrt(g) up, or sqrt(-g) down
     moved = sign * (np.sqrt(np.maximum(sign * polished, 0.0))
                     - np.sqrt(np.maximum(sign * before, 0.0)))
     np.maximum.at(gap, todo[row], moved)
-    return value, gap, angle
+    return np.ldexp(value, e), np.ldexp(gap, e), angle
 
 
 # -- uniform norm on balls -----------------------------------------------------
@@ -192,10 +204,10 @@ def sup_norm_ball(f: Series, s: float,
     """
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
-    if s == 0.0 or f.degree == 0:
-        return NormReport(f.coeffs[0].modulus(), "closed-form")
     value, gap, _ = _sphere_max(f, np.array([s]), theta_grid)
     value = float(value[0])
+    if s == 0.0 or f.degree == 0:
+        return NormReport(value, "closed-form")
     return NormReport(value, "grid+refine", {"theta": _angle_count(f, theta_grid)},
                       _tol_floor(value, float(gap[0])))
 
@@ -217,36 +229,29 @@ def inf_norm_ball(f: Series, s: float,
     itself when a root sphere wins, since f vanishes on that sphere, and
     otherwise how much the last Newton step still lowered the boundary value,
     floored at rounding noise. ``resolution`` holds the number of boundary
-    grid angles and of root candidates in the ball.
+    grid angles and of root candidates in the ball. All of it runs on f scaled
+    by a power of two (``_scaled``), so that f^s neither overflows nor underflows.
     """
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
+    g, e = _scaled(f)
+    value, gap, _ = _sphere_max(g, np.array([s]), theta_grid, lowest=True)
+    value, gap = math.ldexp(float(value[0]), e), math.ldexp(float(gap[0]), e)
     if s == 0.0 or f.degree == 0:
-        return NormReport(f.coeffs[0].modulus(), "closed-form")
-    roots = np.roots(coeff_rows(symmetrization(f))[::-1, 0])
+        return NormReport(value, "closed-form")
+    roots = np.roots(symmetrization(g).rows[::-1, 0])
     near = np.abs(roots[:, None] - roots) < _ROOT_CLUSTER
     roots = np.concatenate([roots, near @ roots / near.sum(axis=1)])
     roots = roots[np.abs(roots) <= s]
-    value, gap, _ = _sphere_max(f, np.array([s]), theta_grid, lowest=True)
-    value, gap = float(value[0]), float(gap[0])
     resolution = {"theta": _angle_count(f, theta_grid), "roots": int(roots.size)}
-    low = float(sphere_min_rows(*sphere_constants(coeff_rows(f), roots.real, roots.imag))
-                .min(initial=np.inf))
+    low = math.ldexp(float(sphere_min_rows(*sphere_constants(g.rows, roots.real, roots.imag))
+                           .min(initial=np.inf)), e)
     if low < value:
         return NormReport(low, "root-sphere", resolution, _tol_floor(low, low))
     return NormReport(value, "grid+refine", resolution, _tol_floor(value, gap))
 
 
 # -- slice norm and its supremum over units ------------------------------------
-
-def _slice_rows(coeff_array: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split coefficients a_n = alpha_n + beta_n J for unit rows (m, 3); each (m, N+1)."""
-    j_rows, k_rows = _completion_rows(units)
-    imag = coeff_array[:, 1:].T
-    alpha = coeff_array[:, 0] + 1j * (units @ imag)
-    beta = j_rows @ imag + 1j * (k_rows @ imag)
-    return alpha, beta
-
 
 def _slice_norms(alpha: np.ndarray, beta: np.ndarray, radius: float,
                  table: np.ndarray) -> np.ndarray:
@@ -273,10 +278,13 @@ def slice_norm(f: Series, unit: UnitImaginary,
     The value does not depend on which orthogonal completion ``j_unit`` is
     used; passing one explicitly exists for exactly that check.
     """
-    pair = split(f, unit, j_unit=j_unit)
+    if theta_grid < 1:
+        raise DomainError("theta_grid must be at least 1")
+    g, e = _scaled(f)
+    units, completion, _ = _frame(unit, j_unit)
+    alpha, beta = split_rows(g.rows, units, completion)
     table = circle_table(f.radius, f.degree + 1, theta_grid)
-    return float(_slice_norms(np.array([pair.F.coeffs]), np.array([pair.G.coeffs]),
-                              f.radius, table)[0])
+    return math.ldexp(float(_slice_norms(alpha, beta, f.radius, table)[0]), e)
 
 
 def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
@@ -294,22 +302,24 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
     is attained. ``certified_tol`` is how much the last Newton step of the
     winning start still raised sqrt(H), floored at rounding noise;
     ``resolution`` holds the lattice and circle grid sizes, the number of starts
-    and the Newton steps of the winning start.
+    and the Newton steps of the winning start. The search runs on f scaled by a
+    power of two (``_scaled``).
     """
-    coeff_array = coeff_rows(f)
+    if theta_grid < 1:
+        raise DomainError("theta_grid must be at least 1")
+    g, e = _scaled(f)
     if f.degree == 0:
-        return NormReport(f.coeffs[0].modulus(), "closed-form")
-    table = circle_table(f.radius, f.degree + 1, theta_grid)
-    if np.all(coeff_array[:, 1:] == 0.0):
-        units = np.array([[1.0, 0.0, 0.0]])
-        value = float(_slice_norms(*_slice_rows(coeff_array, units), f.radius, table)[0])
+        return NormReport(math.ldexp(g.coeffs[0].modulus(), e), "closed-form")
+    if np.all(g.rows[:, 1:] == 0.0):
+        value = slice_norm(f, I, theta_grid=theta_grid)
         return NormReport(value, "grid+refine", {"sphere": 1, "theta": theta_grid},
                           _tol_floor(value, 0.0))
+    table = circle_table(f.radius, f.degree + 1, theta_grid)
 
     scan_table = circle_table(f.radius, f.degree + 1, max(theta_grid // 2, 64))
     lattice = _sphere_rows(samples, seed)
     (f_top, f_col), (g_top, g_col) = (_grid_max(rows, scan_table)
-                                      for rows in _slice_rows(coeff_array, lattice))
+                                      for rows in split_rows(g.rows, lattice))
     scan = np.hypot(f_top, g_top)
 
     picks = []
@@ -321,15 +331,14 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
             break
 
     angles = (2.0 * math.pi / scan_table.shape[1]) * np.stack([f_col, g_col], axis=1)[picks]
-    h, before, units, _, steps = slice_norm_ascent(coeff_array, f.radius, lattice[picks],
-                                                   angles)
-    values = _slice_norms(*_slice_rows(coeff_array, units), f.radius, table)
+    h, before, units, _, steps = slice_norm_ascent(g.rows, f.radius, lattice[picks], angles)
+    values = _slice_norms(*split_rows(g.rows, units), f.radius, table)
     best = int(np.argmax(values))
-    value = float(values[best])
+    value = math.ldexp(float(values[best]), e)
     resolution = {"sphere": samples, "theta": theta_grid, "starts": len(picks),
                   "steps": int(steps[best])}
-    return NormReport(value, "lattice+newton", resolution,
-                      _tol_floor(value, math.sqrt(h[best]) - math.sqrt(before[best])))
+    gap = math.ldexp(math.sqrt(h[best]) - math.sqrt(before[best]), e)
+    return NormReport(value, "lattice+newton", resolution, _tol_floor(value, gap))
 
 
 def mean_value_margin(f: Series, q, **norm_options) -> float:

@@ -14,7 +14,7 @@ from .series import Series
 def series_to_dict(f: Series) -> dict:
     return {
         "radius": f.radius,
-        "coeffs": [list(a.components) for a in f.coeffs],
+        "coeffs": f.rows.tolist(),
         "exact": f.exact,
     }
 

@@ -3,39 +3,66 @@
 Polynomials are the primary citizens: ``exact`` marks a finite series with no
 truncation error. Products never truncate, so algebraic identities between
 polynomials hold to rounding error only.
+
+Every Series-to-Series operation works on the coefficient array ``Series.rows``.
+Evaluation at one point stays a loop of ``Quaternion`` products: the reference
+the array operations are checked against, and faster at a single point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import starmap
 
+import numpy as np
+
+from ._arrays import _CONJUGATE, qmul_rows
 from .errors import DomainError, ZeroFactorSignal
 from .quaternions import Quaternion, _coerce
 
 
 @dataclass(frozen=True)
 class Series:
-    """Coefficients a_0..a_N of sum_n q^n a_n, valid on the open ball |q| < radius."""
+    """Coefficients a_0..a_N of sum_n q^n a_n, valid on the open ball |q| < radius.
+
+    ``rows`` holds the same coefficients as a read-only (N+1, 4) float array.
+    """
 
     coeffs: tuple[Quaternion, ...]
     radius: float = 1.0
     exact: bool = True
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coerced = []
-        for idx, a in enumerate(self.coeffs):
-            q = _coerce(a)
-            if q is None:
-                raise TypeError(f"coefficient {idx} is not a quaternion or real number")
-            if not all(map(math.isfinite, q.components)):
-                raise DomainError(f"coefficient {idx} is not finite")
-            coerced.append(q)
-        if not coerced:
+        coerced = tuple(map(_coerce, self.coeffs))
+        if None in coerced:
+            raise TypeError(f"coefficient {coerced.index(None)} is not a quaternion or real number")
+        object.__setattr__(self, "coeffs", coerced)
+        self._set_rows(np.array([q.components for q in coerced], dtype=float))
+
+    def _set_rows(self, rows: np.ndarray) -> None:
+        """Check the coefficient rows and the radius, and keep the rows read-only."""
+        if not len(rows):
             raise DomainError("a series needs at least one coefficient")
+        # a sum is finite only if every term is, so only a non-finite sum needs the rows
+        if not math.isfinite(rows.sum()):
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():
+                raise DomainError(f"coefficient {int(np.argmin(finite))} is not finite")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise DomainError("radius must be positive and finite")
-        object.__setattr__(self, "coeffs", tuple(coerced))
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray, radius: float, exact: bool) -> Series:
+        """The series with coefficient rows (N+1, 4), a new float array it takes over."""
+        f = object.__new__(cls)
+        f.__dict__.update(coeffs=tuple(starmap(Quaternion, rows.tolist())), radius=radius,
+                          exact=exact)
+        f._set_rows(rows)
+        return f
 
     @property
     def degree(self) -> int:
@@ -71,20 +98,20 @@ def slice_derivative(f: Series) -> Series:
     """Coefficient shift n * a_n -> position n-1; the constant series drops to zero."""
     if f.degree == 0:
         return Series((Quaternion(),), f.radius, f.exact)
-    shifted = tuple(float(n) * a for n, a in enumerate(f.coeffs) if n >= 1)
-    return Series(shifted, f.radius, f.exact)
+    return Series._from_rows(np.arange(1.0, f.degree + 1.0)[:, None] * f.rows[1:],
+                             f.radius, f.exact)
 
 
 def star(f: Series, g: Series) -> Series:
-    """Star product: Cauchy convolution of coefficient lists, degrees add."""
-    fa, ga = f.coeffs, g.coeffs
-    out = []
-    for n in range(len(fa) + len(ga) - 1):
-        acc = Quaternion()
-        for k in range(max(0, n - len(ga) + 1), min(n, len(fa) - 1) + 1):
-            acc = acc + fa[k] * ga[n - k]
-        out.append(acc)
-    return Series(tuple(out), min(f.radius, g.radius), f.exact and g.exact)
+    """Star product: Cauchy convolution of coefficient lists, degrees add.
+
+    Row k of the product table holds a_k b_m for every m; adding the rows in
+    order of k sums each coefficient as the convolution is written.
+    """
+    out = np.zeros((f.degree + g.degree + 1, 4))
+    for k, row in enumerate(qmul_rows(f.rows[:, None], g.rows[None])):
+        out[k:k + g.degree + 1] += row
+    return Series._from_rows(out, min(f.radius, g.radius), f.exact and g.exact)
 
 
 def star_transform_point(f: Series, q) -> Quaternion:
@@ -103,7 +130,7 @@ def star_transform_point(f: Series, q) -> Quaternion:
 
 def regular_conjugate(f: Series) -> Series:
     """Series with componentwise conjugated coefficients."""
-    return Series(tuple(a.conjugate() for a in f.coeffs), f.radius, f.exact)
+    return Series._from_rows(f.rows * _CONJUGATE, f.radius, f.exact)
 
 
 def symmetrization(f: Series) -> Series:

@@ -7,18 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import coeff_rows, sphere_constants
+from ._arrays import eval_rows, qmul_rows, sphere_constants
 from .errors import DomainError
-from .quaternions import (
-    Quaternion,
-    UnitImaginary,
-    _coerce,
-    orthonormal_completion,
-    sphere_sample,
-)
+from .quaternions import Quaternion, UnitImaginary, _coerce, _completion_rows, _sphere_rows
+from .quaternions import orthonormal_completion
 from .series import Series, evaluate, regular_conjugate
 
 _BINOMIAL_DEGREE_CAP = 60
+# C(n, m) at row m, column n, for every degree up to the cap
+_BINOMIALS = np.array([[math.comb(n, m) for n in range(_BINOMIAL_DEGREE_CAP + 1)]
+                       for m in range(_BINOMIAL_DEGREE_CAP + 1)], dtype=float)
 
 
 def embed_complex(z: complex, unit: UnitImaginary) -> Quaternion:
@@ -74,6 +72,34 @@ class SpherePair:
         return self.b + unit * self.c
 
 
+def split_rows(coeffs: np.ndarray, units: np.ndarray,
+               completion: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Split coefficient rows a_n = alpha_n + beta_n J for unit rows I (m, 3); each (m, N+1).
+
+    alpha_n = Re a_n + i <I, a_n> and beta_n = <J, a_n> + i <K, a_n>, with the
+    rows (J, K = I J) from ``completion`` or else ``_completion_rows``.
+    """
+    j_rows, k_rows = _completion_rows(units) if completion is None else completion
+    imag = coeffs[:, 1:].T
+    return coeffs[:, 0] + 1j * (units @ imag), j_rows @ imag + 1j * (k_rows @ imag)
+
+
+def _frame(unit: UnitImaginary, j_unit: UnitImaginary | None = None
+           ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], UnitImaginary]:
+    """Rows I and (J, K = I J) of one slice frame, each (1, 3), and J.
+
+    J defaults to the deterministic completion. A given J must be orthogonal
+    to I, since only then is I J a unit imaginary.
+    """
+    if j_unit is None:
+        j_unit, k_unit = orthonormal_completion(unit)
+    else:
+        k_unit = UnitImaginary(*(unit * j_unit).components)
+    rows = np.array([unit.components[1:], j_unit.components[1:], k_unit.components[1:]])
+    return rows[:1], (rows[1:2], rows[2:]), j_unit
+
+
 def split(f: Series, unit: UnitImaginary,
           j_unit: UnitImaginary | None = None) -> SplitPair:
     """Decompose each coefficient over the orthonormal basis {1, I, J, IJ}.
@@ -83,19 +109,11 @@ def split(f: Series, unit: UnitImaginary,
     ``j_unit`` to choose the completion explicitly; the default is the
     deterministic one.
     """
-    if j_unit is None:
-        j_unit, k_unit = orthonormal_completion(unit)
-    else:
-        k_quat = unit * j_unit
-        k_unit = UnitImaginary(*k_quat.components)
-    alphas = []
-    betas = []
-    for a in f.coeffs:
-        alphas.append(complex(a.x0, a.dot(unit)))
-        betas.append(complex(a.dot(j_unit), a.dot(k_unit)))
+    units, completion, j_unit = _frame(unit, j_unit)
+    alpha, beta = split_rows(f.rows, units, completion)
     return SplitPair(
-        ComplexSeries(tuple(alphas), unit, f.radius),
-        ComplexSeries(tuple(betas), unit, f.radius),
+        ComplexSeries(tuple(alpha[0].tolist()), unit, f.radius),
+        ComplexSeries(tuple(beta[0].tolist()), unit, f.radius),
         unit,
         j_unit,
     )
@@ -107,13 +125,13 @@ def split_conjugate_check(f: Series, unit: UnitImaginary,
     that the conjugate splits as (conj alpha_n, -beta_n) coefficientwise."""
     pair = split(f, unit)
     pair_c = split(regular_conjugate(f), unit, j_unit=pair.J)
-    scale = max(1.0, max(abs(a) for a in pair.F.coeffs + pair.G.coeffs))
-    for alpha, alpha_c in zip(pair.F.coeffs, pair_c.F.coeffs):
-        if abs(alpha_c - alpha.conjugate()) > tol * scale:
-            raise ArithmeticError("conjugate split relation failed on F coefficients")
-    for beta, beta_c in zip(pair.G.coeffs, pair_c.G.coeffs):
-        if abs(beta_c + beta) > tol * scale:
-            raise ArithmeticError("conjugate split relation failed on G coefficients")
+    alpha, beta, alpha_c, beta_c = (np.array(h.coeffs) for h in (pair.F, pair.G,
+                                                                   pair_c.F, pair_c.G))
+    scale = max(1.0, float(np.abs(np.concatenate([alpha, beta])).max()))
+    if np.abs(alpha_c - alpha.conj()).max() > tol * scale:
+        raise ArithmeticError("conjugate split relation failed on F coefficients")
+    if np.abs(beta_c + beta).max() > tol * scale:
+        raise ArithmeticError("conjugate split relation failed on G coefficients")
     return pair, pair_c
 
 
@@ -145,7 +163,7 @@ def sphere_pair(f: Series, x: float, y: float) -> SpherePair:
         raise DomainError("sphere parametrisation requires y >= 0")
     if math.hypot(x, y) >= f.radius:
         raise DomainError("outside ball of validity")
-    b, c = sphere_constants(coeff_rows(f), np.array([x], dtype=float), np.array([y], dtype=float))
+    b, c = sphere_constants(f.rows, np.array([x], dtype=float), np.array([y], dtype=float))
     return SpherePair(Quaternion(*b[0].tolist()), Quaternion(*c[0].tolist()), x, y)
 
 
@@ -159,10 +177,11 @@ def ext_from_slice(F: ComplexSeries, G: ComplexSeries,
     """
     if len(F.coeffs) != len(G.coeffs):
         raise DomainError("component series must have equal length")
-    coeffs = []
-    for alpha, beta in zip(F.coeffs, G.coeffs):
-        coeffs.append(embed_complex(alpha, i_unit) + embed_complex(beta, i_unit) * j_unit)
-    return Series(tuple(coeffs), F.radius, exact)
+    # rows (Re alpha_n, Im alpha_n, Re beta_n, Im beta_n) against the basis (1, I, J, I J)
+    parts = np.array(list(zip(F.coeffs, G.coeffs)), dtype=complex).reshape(-1, 2).view(float)
+    basis = np.array([(1.0, 0.0, 0.0, 0.0), i_unit.components, j_unit.components,
+                      (i_unit * j_unit).components])
+    return Series._from_rows(parts @ basis, F.radius, exact)
 
 
 def regular_translation(f: Series, w) -> Series:
@@ -183,29 +202,26 @@ def regular_translation(f: Series, w) -> Series:
     if n_deg > _BINOMIAL_DEGREE_CAP:
         raise DomainError(
             f"degree {n_deg} exceeds the exact-binomial cap {_BINOMIAL_DEGREE_CAP}")
-    powers = [Quaternion(1.0)]
-    for _ in range(n_deg):
-        powers.append(powers[-1] * w)
-    coeffs = []
-    for m in range(n_deg + 1):
-        acc = Quaternion()
-        for n in range(m, n_deg + 1):
-            acc = acc + math.comb(n, m) * (powers[n - m] * f.coeffs[n])
-        coeffs.append(acc)
-    return Series(tuple(coeffs), f.radius - norm_w, f.exact)
+    powers = [np.array([1.0, 0.0, 0.0, 0.0]), np.array(w.components)]
+    for _ in range(n_deg - 1):
+        powers.append(qmul_rows(powers[-1], powers[1]))
+    # row k, column n: w^k a_n
+    table = qmul_rows(np.array(powers[:n_deg + 1])[:, None], f.rows[None])
+    coeffs = np.zeros((n_deg + 1, 4))
+    # column n adds C(n, m) w^(n-m) a_n to every b_m with m <= n, in order of n
+    for n in range(n_deg + 1):
+        coeffs[:n + 1] += _BINOMIALS[:n + 1, n, None] * table[n::-1, n]
+    return Series._from_rows(coeffs, f.radius - norm_w, f.exact)
 
 
-def _probe_grid(ball_radius: float) -> list[Quaternion]:
-    """Fixed deterministic evaluation grid inside the closed ball of radius K."""
-    points = [Quaternion()]
-    units = sphere_sample(8, seed=0)[:4]
-    for t in (0.35, 0.7, 1.0):
-        for theta in (0.0, 0.9, 1.8, 2.7, math.pi):
-            for u in units:
-                x = ball_radius * t * math.cos(theta)
-                y = ball_radius * t * math.sin(theta)
-                points.append(Quaternion(x, y * u.x1, y * u.x2, y * u.x3))
-    return points
+def _probe_grid(ball_radius: float) -> np.ndarray:
+    """Fixed deterministic evaluation grid inside the closed ball of radius K, as rows (61, 4)."""
+    z = np.multiply.outer(ball_radius * np.array([0.35, 0.7, 1.0]),
+                          np.exp(1j * np.array([0.0, 0.9, 1.8, 2.7, math.pi]))).ravel()
+    points = np.zeros((z.size, 4, 4))
+    points[:, :, 0] = z.real[:, None]
+    points[:, :, 1:] = z.imag[:, None, None] * _sphere_rows(8, seed=0)[:4]
+    return np.concatenate([np.zeros((1, 4)), points.reshape(-1, 4)])
 
 
 def translation_continuity_probe(f: Series, w_seq: list[Quaternion],
@@ -218,21 +234,15 @@ def translation_continuity_probe(f: Series, w_seq: list[Quaternion],
     """
     if not w_seq:
         raise DomainError("need at least one translation point")
-    shifts = []
-    for w in w_seq:
-        q = _coerce(w)
-        if q is None:
-            raise TypeError("expected quaternion shifts")
-        shifts.append(q)
+    shifts = [_coerce(w) for w in w_seq]
+    if None in shifts:
+        raise TypeError("expected quaternion shifts")
     bound = max(q.modulus() for q in shifts)
     if ball_radius >= f.radius - bound:
         raise DomainError("probe ball must fit inside the translated domain")
     if len(shifts) == 1:
         return 0.0
-    limit = regular_translation(f, shifts[-1])
-    tail = regular_translation(f, shifts[-2])
-    worst = 0.0
-    for q in _probe_grid(ball_radius):
-        delta = evaluate(tail, q) - evaluate(limit, q)
-        worst = max(worst, delta.modulus())
-    return worst
+    grid = _probe_grid(ball_radius)
+    delta = (eval_rows(regular_translation(f, shifts[-2]).rows, grid)
+             - eval_rows(regular_translation(f, shifts[-1]).rows, grid))
+    return float(np.sqrt(np.sum(delta * delta, axis=1)).max())

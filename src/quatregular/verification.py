@@ -107,17 +107,20 @@ def random_ball_point(rng, radius: float) -> Quaternion:
     return Quaternion(*v)
 
 
+def _padded_rows(f: Series, g: Series) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient rows of f and g, zero-padded to the larger degree."""
+    n = max(f.degree, g.degree) + 1
+    return tuple(np.pad(h.rows, ((0, n - h.degree - 1), (0, 0))) for h in (f, g))
+
+
 def series_sum(f: Series, g: Series) -> Series:
-    n = max(len(f.coeffs), len(g.coeffs))
-    pad = lambda c: list(c) + [Quaternion()] * (n - len(c))
-    coeffs = [a + b for a, b in zip(pad(f.coeffs), pad(g.coeffs))]
-    return Series(tuple(coeffs), min(f.radius, g.radius), f.exact and g.exact)
+    a, b = _padded_rows(f, g)
+    return Series._from_rows(a + b, min(f.radius, g.radius), f.exact and g.exact)
 
 
 def coeff_deviation(f: Series, g: Series) -> float:
-    n = max(len(f.coeffs), len(g.coeffs))
-    pad = lambda c: list(c) + [Quaternion()] * (n - len(c))
-    return max((a - b).modulus() for a, b in zip(pad(f.coeffs), pad(g.coeffs)))
+    a, b = _padded_rows(f, g)
+    return float(np.sqrt(np.sum((a - b) ** 2, axis=1)).max())
 
 
 def builtin_corpus() -> list[tuple[str, Series]]:

@@ -149,6 +149,15 @@ class TestExitCodes:
                      "--degree", "1"]) == 2
         assert "exceeds the configured cap 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_theta_grid_below_one(self, identity_file, capsys, grid):
+        assert main(["norm", identity_file, "--theta-grid", grid]) == 2
+        assert "theta_grid" in capsys.readouterr().err
+
+    def test_negative_samples(self, identity_file, capsys):
+        assert main(["coverage", identity_file, "--rho", "0.25", "--samples", "-3"]) == 2
+        assert "sample" in capsys.readouterr().err
+
     def test_bad_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["search", "--bogus"])

@@ -25,7 +25,6 @@ from quatregular._arrays import (
     _slice_terms,
     circle_max_rows,
     circle_table,
-    coeff_rows,
     eval_rows,
     qmul_rows,
     slice_norm_ascent,
@@ -34,8 +33,8 @@ from quatregular._arrays import (
     sphere_max_rows,
     sphere_min_rows,
 )
-from quatregular.norms import _slice_rows
 from quatregular.quaternions import I, J, _completion_rows, orthonormal_completion, sphere_sample
+from quatregular.slices import split_rows as _slice_rows
 from quatregular.verification import builtin_corpus
 
 
@@ -187,7 +186,7 @@ class TestSupNormBall:
         rng = np.random.default_rng(424242)
         pts = rng.standard_normal((1000000, 4))
         pts *= 0.9 / np.linalg.norm(pts, axis=1, keepdims=True)
-        values = np.linalg.norm(eval_rows(coeff_rows(f), pts), axis=1)
+        values = np.linalg.norm(eval_rows(f.rows, pts), axis=1)
         mc = float(values.max())
         assert abs(report.value - 1.71) < 1e-9
         assert abs(report.value - mc) < 1e-4
@@ -211,7 +210,7 @@ class TestSupNormBall:
         for degree in range(9):
             for _ in range(3):
                 f = random_series(rng, degree, scale=1.0)
-                coeffs = coeff_rows(f)
+                coeffs = f.rows
                 for s in (0.3, 0.6, 0.9):
                     dense = max(
                         float(sphere_extrema_rows(*sphere_constants(
@@ -235,7 +234,7 @@ class TestSupNormBall:
             cases += [f, Series(tuple(Quaternion(a.x0) for a in f.coeffs))]
         angles = np.linspace(0.0, math.pi, 200000)
         for f in cases:
-            coeffs = coeff_rows(f)
+            coeffs = f.rows
             for s in (0.3, 0.6, 0.9):
                 dense = max(float(sphere_max_rows(*sphere_constants(
                     coeffs, s * np.cos(part), s * np.sin(part))).max())
@@ -393,11 +392,11 @@ class TestSplitNorm:
         known_units = {2: (-0.7081189490668345, -0.20647926127227953, 0.6752287528215425)}
         for index, rows in enumerate(cases):
             f = Series(tuple(Quaternion(*row) for row in rows), 0.9)
-            attained = attained_slice_norm(coeff_rows(f), 0.9)
+            attained = attained_slice_norm(f.rows, 0.9)
             if index in known_units:
                 unit = np.array([known_units[index]])
                 unit /= np.linalg.norm(unit)
-                attained = max(attained, float(slice_norm_rows(coeff_rows(f), unit, 0.9)[0]))
+                attained = max(attained, float(slice_norm_rows(f.rows, unit, 0.9)[0]))
             report = split_norm(f)
             assert report.value >= attained - report.certified_tol
 
@@ -408,6 +407,21 @@ class TestSplitNorm:
         assert report.resolution["starts"] == 3
         assert report.resolution["steps"] >= 1
         assert report.to_dict() == split_norm(f).to_dict()
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize("s", [1e-300, 1e-170, 1.0, 1e160, 1e300])
+    def test_norms_scale_with_the_series(self, s):
+        # f = s (1 + i q): every norm is s times the norm at s = 1, with no
+        # overflow or underflow in the squares the searches take
+        def norms_of(f):
+            return [sup_norm_ball(f, 0.5).value, inf_norm_ball(f, 0.5).value,
+                    split_norm(f).value, slice_norm(f, I)]
+
+        unscaled = norms_of(Series((1.0, I)))
+        scaled = norms_of(Series((Quaternion(s), Quaternion(0.0, s, 0.0, 0.0))))
+        for value, reference in zip(scaled, unscaled):
+            assert abs(value / s - reference) <= 1e-12 * reference
 
 
 def slice_h(coeffs, radius, units, angles):
@@ -518,7 +532,7 @@ class TestInfNormBall:
         t = np.linspace(0.0, 0.9, 128)[:, None]
         theta = np.linspace(0.0, math.pi, 512)
         low, _ = sphere_extrema_rows(*sphere_constants(
-            coeff_rows(f), (t * np.cos(theta)).ravel(), (t * np.sin(theta)).ravel()))
+            f.rows, (t * np.cos(theta)).ravel(), (t * np.sin(theta)).ravel()))
         attained = float(low.min())
         report = inf_norm_ball(f, 0.9)
         assert report.value <= attained + report.certified_tol
@@ -559,7 +573,7 @@ class TestInfNormBall:
         )), 1.0)
         theta = np.linspace(0.0, math.pi, 200001)
         scan = float(sphere_min_rows(*sphere_constants(
-            coeff_rows(f), 0.9 * np.cos(theta), 0.9 * np.sin(theta))).min())
+            f.rows, 0.9 * np.cos(theta), 0.9 * np.sin(theta))).min())
         report = inf_norm_ball(f, 0.9)
         assert abs(report.value - 1.0938057e-3) < 1e-9
         assert report.value <= scan

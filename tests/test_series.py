@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import (
@@ -21,6 +22,7 @@ from quatregular import (
     symmetrization,
 )
 from quatregular.quaternions import I, J, K
+from quatregular.serialization import dump_series, load_series
 
 
 def series_sum(f, g):
@@ -125,6 +127,46 @@ class TestStar:
             lhs = slice_derivative(star(f, g))
             rhs = series_sum(star(slice_derivative(f), g), star(f, slice_derivative(g)))
             assert coeff_deviation(lhs, rhs) < 1e-13
+
+    @pytest.mark.parametrize("degree", [12, 24])
+    def test_cauchy_product_at_high_degree(self, rng, degree):
+        # the convolution written out with the independent table product
+        f, g = random_series(rng, degree, scale=1.0), random_series(rng, degree, scale=1.0)
+        expected = []
+        for n in range(2 * degree + 1):
+            acc = Quaternion()
+            for k in range(max(0, n - degree), min(n, degree) + 1):
+                acc = acc + table_mul(f.coeffs[k], g.coeffs[n - k])
+            expected.append(acc)
+        scale = max(a.modulus() for a in expected)
+        assert coeff_deviation(star(f, g), Series(tuple(expected))) <= 1e-12 * scale
+
+
+class TestSeriesRows:
+    def test_rows_match_components(self, rng):
+        f = Series((0, I, random_quaternion(rng), 2.5))
+        assert f.rows.shape == (4, 4)
+        assert f.rows.tolist() == [list(a.components) for a in f.coeffs]
+
+    def test_rows_are_read_only(self):
+        f = Series((0, 1))
+        with pytest.raises(ValueError):
+            f.rows[1, 0] = 2.0
+        assert f.rows[1, 0] == 1.0
+
+    def test_rows_stay_out_of_equality_and_repr(self):
+        f = Series((0, J), radius=0.5)
+        assert f == Series((Quaternion(), J), radius=0.5)
+        assert hash(f) == hash(Series((Quaternion(), J), radius=0.5))
+        assert "rows" not in repr(f)
+
+    def test_dump_load_roundtrip(self, rng, tmp_path):
+        f = random_series(rng, 5)
+        path = tmp_path / "f.json"
+        dump_series(f, path)
+        back = load_series(path)
+        assert back == f
+        assert np.array_equal(back.rows, f.rows)
 
 
 class TestStarTransformPoint:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import coeff_deviation, random_quaternion, random_series, random_unit
+from conftest import coeff_deviation, random_quaternion, random_series, random_unit, table_mul
 from quatregular import (
     ComplexSeries,
     DomainError,
@@ -207,6 +207,24 @@ class TestRegularTranslation:
         assert delta > 1e-6
         # [q, w] = qw - wq is the discrepancy for the square
         assert abs(delta - (q * w - w * q).modulus()) < 1e-14
+
+    @pytest.mark.parametrize("degree", [12, 24])
+    def test_binomial_recentring_at_high_degree(self, rng, degree):
+        # b_m = sum_n C(n, m) w^(n-m) a_n with powers from the independent table product
+        f = random_series(rng, degree, scale=1.0)
+        w = random_quaternion(rng, 0.2)
+        powers = [Quaternion(1.0)]
+        for _ in range(degree):
+            powers.append(table_mul(powers[-1], w))
+        expected = []
+        for m in range(degree + 1):
+            acc = Quaternion()
+            for n in range(m, degree + 1):
+                acc = acc + math.comb(n, m) * table_mul(powers[n - m], f.coeffs[n])
+            expected.append(acc)
+        scale = max(a.modulus() for a in expected)
+        out = regular_translation(f, w)
+        assert coeff_deviation(out, Series(tuple(expected), out.radius)) <= 1e-12 * scale
 
     def test_shift_outside_ball(self):
         with pytest.raises(DomainError):
