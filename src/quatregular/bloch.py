@@ -17,7 +17,7 @@ from .norms import _sphere_max, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
 from .quaternions import ALGEBRA_TOL, I as CANONICAL_I
 from .quaternions import Quaternion, UnitImaginary, _coerce
-from .series import Series, slice_derivative, symmetrization
+from .series import Series, _from_rows, slice_derivative, symmetrization
 from .slices import regular_translation, sphere_pair
 
 SCHEMA = "quatregular/1"
@@ -192,7 +192,7 @@ def g_series(f: Series, c) -> Series:
         raise PreconditionError("requires f(0) = 0")
     base = np.concatenate([[(1.0, 0.0, 0.0, 0.0)],
                            -qmul_rows(f.rows[1:], np.array(c.inverse().components))])
-    sym = symmetrization(Series._from_rows(base, f.radius, f.exact)).rows
+    sym = symmetrization(_from_rows(base, f.radius, f.exact)).rows
     scale = max(1.0, float(np.sqrt(np.sum(sym * sym, axis=1)).max()))
     nonreal = np.flatnonzero(np.sqrt(np.sum(sym[:, 1:] ** 2, axis=1)) > 1e-12 * scale)
     if nonreal.size:
@@ -470,7 +470,7 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
 
     phi_rows = np.concatenate([[(0.0, 0.0, 0.0, 0.0), (deriv_scale, 0.0, 0.0, 0.0)],
                                qmul_rows(translated.rows[2:], np.array(normalizer.components))])
-    phi = Series._from_rows(phi_rows, s_star, f.exact)
+    phi = _from_rows(phi_rows, s_star, f.exact)
     phi_lemma = phi.with_radius(ball_radius)
 
     dphi_norm = split_norm(slice_derivative(phi_lemma), **norm_options)

@@ -13,7 +13,8 @@ slice norm is the maximum of one smooth function of the unit and two circle
 angles, which a lattice scan starts and Newton steps finish. The minimum
 inside a ball comes from the roots of the symmetrization instead of a search.
 Every search is deterministic, local refinement from a grid, with a reported
-convergence gap; nothing here is Monte Carlo.
+convergence gap; nothing here is Monte Carlo. Each runs on the coefficients
+scaled by a power of two (``_scaled``), so that no square overflows or underflows.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ._arrays import (
 )
 from .errors import DomainError, PreconditionError
 from .quaternions import I, Quaternion, UnitImaginary, _coerce, _sphere_rows
-from .series import Series, evaluate, slice_derivative, symmetrization
+from .series import Series, _from_rows, evaluate, slice_derivative, symmetrization
 from .slices import _frame, split_rows
 
 DEFAULT_THETA_GRID = 512
@@ -93,7 +94,14 @@ def _scaled(f: Series) -> tuple[Series, int]:
     e = math.frexp(float(np.abs(f.rows).max()))[1]
     if e == 0:
         return f, 0
-    return Series._from_rows(np.ldexp(f.rows, -e), f.radius, f.exact), e
+    return _from_rows(np.ldexp(f.rows, -e), f.radius, f.exact), e
+
+
+def _unscaled(x, e: int):
+    """x times 2^e, undoing ``_scaled``; a norm beyond the largest float is a DomainError."""
+    if e > 0 and np.max(x, initial=0.0) >= math.ldexp(1.0, 1024 - e):
+        raise DomainError("the norm is beyond the largest float")
+    return np.ldexp(x, e)
 
 
 # -- closed form on spheres --------------------------------------------------
@@ -130,15 +138,14 @@ def _sphere_max(f: Series, radii: np.ndarray, theta_grid: int = DEFAULT_THETA_GR
     at ``angle``; ``gap`` is how much the last Newton step still moved it.
     With ``lowest`` the cosine plane is negated, so the search climbs
     -A + |U|, the negated square of the sphere minimum, and ``value`` is the
-    minimum of |f| on the sphere of each radius. The search runs on f scaled
-    by a power of two (``_scaled``).
+    minimum of |f| on the sphere of each radius.
     """
     f, e = _scaled(f)
     value = np.full(radii.shape, f.coeffs[0].modulus())
     gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
     todo = np.flatnonzero(radii > 0.0)
     if f.degree == 0 or not todo.size:
-        return np.ldexp(value, e), gap, angle
+        return _unscaled(value, e), gap, angle
     planes = sphere_planes(f.rows, radii[todo])
     if lowest:
         planes[:, 0] *= -1.0
@@ -186,7 +193,7 @@ def _sphere_max(f: Series, radii: np.ndarray, theta_grid: int = DEFAULT_THETA_GR
     moved = sign * (np.sqrt(np.maximum(sign * polished, 0.0))
                     - np.sqrt(np.maximum(sign * before, 0.0)))
     np.maximum.at(gap, todo[row], moved)
-    return np.ldexp(value, e), np.ldexp(gap, e), angle
+    return _unscaled(value, e), _unscaled(gap, e), angle
 
 
 # -- uniform norm on balls -----------------------------------------------------
@@ -229,26 +236,25 @@ def inf_norm_ball(f: Series, s: float,
     itself when a root sphere wins, since f vanishes on that sphere, and
     otherwise how much the last Newton step still lowered the boundary value,
     floored at rounding noise. ``resolution`` holds the number of boundary
-    grid angles and of root candidates in the ball. All of it runs on f scaled
-    by a power of two (``_scaled``), so that f^s neither overflows nor underflows.
+    grid angles and of root candidates in the ball.
     """
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
     g, e = _scaled(f)
-    value, gap, _ = _sphere_max(g, np.array([s]), theta_grid, lowest=True)
-    value, gap = math.ldexp(float(value[0]), e), math.ldexp(float(gap[0]), e)
+    (value,), (gap,), _ = _sphere_max(g, np.array([s]), theta_grid, lowest=True)
     if s == 0.0 or f.degree == 0:
-        return NormReport(value, "closed-form")
+        return NormReport(float(_unscaled(value, e)), "closed-form")
     roots = np.roots(symmetrization(g).rows[::-1, 0])
     near = np.abs(roots[:, None] - roots) < _ROOT_CLUSTER
     roots = np.concatenate([roots, near @ roots / near.sum(axis=1)])
     roots = roots[np.abs(roots) <= s]
     resolution = {"theta": _angle_count(f, theta_grid), "roots": int(roots.size)}
-    low = math.ldexp(float(sphere_min_rows(*sphere_constants(g.rows, roots.real, roots.imag))
-                           .min(initial=np.inf)), e)
+    low = sphere_min_rows(*sphere_constants(g.rows, roots.real, roots.imag)).min(initial=np.inf)
     if low < value:
+        low = float(_unscaled(low, e))
         return NormReport(low, "root-sphere", resolution, _tol_floor(low, low))
-    return NormReport(value, "grid+refine", resolution, _tol_floor(value, gap))
+    value = float(_unscaled(value, e))
+    return NormReport(value, "grid+refine", resolution, _tol_floor(value, float(_unscaled(gap, e))))
 
 
 # -- slice norm and its supremum over units ------------------------------------
@@ -281,10 +287,10 @@ def slice_norm(f: Series, unit: UnitImaginary,
     if theta_grid < 1:
         raise DomainError("theta_grid must be at least 1")
     g, e = _scaled(f)
-    units, completion, _ = _frame(unit, j_unit)
+    units, completion = _frame(unit, j_unit)
     alpha, beta = split_rows(g.rows, units, completion)
     table = circle_table(f.radius, f.degree + 1, theta_grid)
-    return math.ldexp(float(_slice_norms(alpha, beta, f.radius, table)[0]), e)
+    return float(_unscaled(_slice_norms(alpha, beta, f.radius, table)[0], e))
 
 
 def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
@@ -302,14 +308,13 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
     is attained. ``certified_tol`` is how much the last Newton step of the
     winning start still raised sqrt(H), floored at rounding noise;
     ``resolution`` holds the lattice and circle grid sizes, the number of starts
-    and the Newton steps of the winning start. The search runs on f scaled by a
-    power of two (``_scaled``).
+    and the Newton steps of the winning start.
     """
     if theta_grid < 1:
         raise DomainError("theta_grid must be at least 1")
     g, e = _scaled(f)
     if f.degree == 0:
-        return NormReport(math.ldexp(g.coeffs[0].modulus(), e), "closed-form")
+        return NormReport(float(_unscaled(g.coeffs[0].modulus(), e)), "closed-form")
     if np.all(g.rows[:, 1:] == 0.0):
         value = slice_norm(f, I, theta_grid=theta_grid)
         return NormReport(value, "grid+refine", {"sphere": 1, "theta": theta_grid},
@@ -334,10 +339,10 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
     h, before, units, _, steps = slice_norm_ascent(g.rows, f.radius, lattice[picks], angles)
     values = _slice_norms(*split_rows(g.rows, units), f.radius, table)
     best = int(np.argmax(values))
-    value = math.ldexp(float(values[best]), e)
+    value = float(_unscaled(values[best], e))
     resolution = {"sphere": samples, "theta": theta_grid, "starts": len(picks),
                   "steps": int(steps[best])}
-    gap = math.ldexp(math.sqrt(h[best]) - math.sqrt(before[best]), e)
+    gap = float(_unscaled(math.sqrt(h[best]) - math.sqrt(before[best]), e))
     return NormReport(value, "lattice+newton", resolution, _tol_floor(value, gap))
 
 

@@ -36,33 +36,18 @@ class Series:
 
     def __post_init__(self):
         coerced = tuple(map(_coerce, self.coeffs))
-        if None in coerced:
+        if any(q is None for q in coerced):
             raise TypeError(f"coefficient {coerced.index(None)} is not a quaternion or real number")
-        object.__setattr__(self, "coeffs", coerced)
-        self._set_rows(np.array([q.components for q in coerced], dtype=float))
-
-    def _set_rows(self, rows: np.ndarray) -> None:
-        """Check the coefficient rows and the radius, and keep the rows read-only."""
-        if not len(rows):
+        if not coerced:
             raise DomainError("a series needs at least one coefficient")
-        # a sum is finite only if every term is, so only a non-finite sum needs the rows
-        if not math.isfinite(rows.sum()):
-            finite = np.isfinite(rows).all(axis=1)
-            if not finite.all():
-                raise DomainError(f"coefficient {int(np.argmin(finite))} is not finite")
+        rows = np.array([(q.x0, q.x1, q.x2, q.x3) for q in coerced], dtype=float)
+        if not np.isfinite(rows).all():
+            raise DomainError(f"coefficient {np.flatnonzero(~np.isfinite(rows))[0] // 4} is not finite")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise DomainError("radius must be positive and finite")
         rows.flags.writeable = False
+        object.__setattr__(self, "coeffs", coerced)
         object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def _from_rows(cls, rows: np.ndarray, radius: float, exact: bool) -> Series:
-        """The series with coefficient rows (N+1, 4), a new float array it takes over."""
-        f = object.__new__(cls)
-        f.__dict__.update(coeffs=tuple(starmap(Quaternion, rows.tolist())), radius=radius,
-                          exact=exact)
-        f._set_rows(rows)
-        return f
 
     @property
     def degree(self) -> int:
@@ -73,6 +58,11 @@ class Series:
 
     def __call__(self, q) -> Quaternion:
         return evaluate(self, q)
+
+
+def _from_rows(rows: np.ndarray, radius: float, exact: bool) -> Series:
+    """The series with coefficient rows (N+1, 4)."""
+    return Series(tuple(starmap(Quaternion, rows.tolist())), radius, exact)
 
 
 def evaluate(f: Series, q) -> Quaternion:
@@ -98,8 +88,7 @@ def slice_derivative(f: Series) -> Series:
     """Coefficient shift n * a_n -> position n-1; the constant series drops to zero."""
     if f.degree == 0:
         return Series((Quaternion(),), f.radius, f.exact)
-    return Series._from_rows(np.arange(1.0, f.degree + 1.0)[:, None] * f.rows[1:],
-                             f.radius, f.exact)
+    return _from_rows(np.arange(1.0, f.degree + 1.0)[:, None] * f.rows[1:], f.radius, f.exact)
 
 
 def star(f: Series, g: Series) -> Series:
@@ -111,7 +100,7 @@ def star(f: Series, g: Series) -> Series:
     out = np.zeros((f.degree + g.degree + 1, 4))
     for k, row in enumerate(qmul_rows(f.rows[:, None], g.rows[None])):
         out[k:k + g.degree + 1] += row
-    return Series._from_rows(out, min(f.radius, g.radius), f.exact and g.exact)
+    return _from_rows(out, min(f.radius, g.radius), f.exact and g.exact)
 
 
 def star_transform_point(f: Series, q) -> Quaternion:
@@ -130,7 +119,7 @@ def star_transform_point(f: Series, q) -> Quaternion:
 
 def regular_conjugate(f: Series) -> Series:
     """Series with componentwise conjugated coefficients."""
-    return Series._from_rows(f.rows * _CONJUGATE, f.radius, f.exact)
+    return _from_rows(f.rows * _CONJUGATE, f.radius, f.exact)
 
 
 def symmetrization(f: Series) -> Series:

@@ -10,8 +10,7 @@ import numpy as np
 from ._arrays import eval_rows, qmul_rows, sphere_constants
 from .errors import DomainError
 from .quaternions import Quaternion, UnitImaginary, _coerce, _completion_rows, _sphere_rows
-from .quaternions import orthonormal_completion
-from .series import Series, evaluate, regular_conjugate
+from .series import Series, _from_rows, evaluate, regular_conjugate
 
 _BINOMIAL_DEGREE_CAP = 60
 # C(n, m) at row m, column n, for every degree up to the cap
@@ -86,18 +85,17 @@ def split_rows(coeffs: np.ndarray, units: np.ndarray,
 
 
 def _frame(unit: UnitImaginary, j_unit: UnitImaginary | None = None
-           ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], UnitImaginary]:
-    """Rows I and (J, K = I J) of one slice frame, each (1, 3), and J.
+           ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Rows I and (J, K = I J) of one slice frame, each (1, 3).
 
     J defaults to the deterministic completion. A given J must be orthogonal
     to I, since only then is I J a unit imaginary.
     """
+    units = np.array([unit.components[1:]])
     if j_unit is None:
-        j_unit, k_unit = orthonormal_completion(unit)
-    else:
-        k_unit = UnitImaginary(*(unit * j_unit).components)
-    rows = np.array([unit.components[1:], j_unit.components[1:], k_unit.components[1:]])
-    return rows[:1], (rows[1:2], rows[2:]), j_unit
+        return units, _completion_rows(units)
+    k_unit = UnitImaginary(*(unit * j_unit).components)
+    return units, (np.array([j_unit.components[1:]]), np.array([k_unit.components[1:]]))
 
 
 def split(f: Series, unit: UnitImaginary,
@@ -109,13 +107,13 @@ def split(f: Series, unit: UnitImaginary,
     ``j_unit`` to choose the completion explicitly; the default is the
     deterministic one.
     """
-    units, completion, j_unit = _frame(unit, j_unit)
+    units, completion = _frame(unit, j_unit)
     alpha, beta = split_rows(f.rows, units, completion)
     return SplitPair(
         ComplexSeries(tuple(alpha[0].tolist()), unit, f.radius),
         ComplexSeries(tuple(beta[0].tolist()), unit, f.radius),
         unit,
-        j_unit,
+        j_unit if j_unit is not None else UnitImaginary(0.0, *completion[0][0].tolist()),
     )
 
 
@@ -125,13 +123,13 @@ def split_conjugate_check(f: Series, unit: UnitImaginary,
     that the conjugate splits as (conj alpha_n, -beta_n) coefficientwise."""
     pair = split(f, unit)
     pair_c = split(regular_conjugate(f), unit, j_unit=pair.J)
-    alpha, beta, alpha_c, beta_c = (np.array(h.coeffs) for h in (pair.F, pair.G,
-                                                                   pair_c.F, pair_c.G))
-    scale = max(1.0, float(np.abs(np.concatenate([alpha, beta])).max()))
-    if np.abs(alpha_c - alpha.conj()).max() > tol * scale:
-        raise ArithmeticError("conjugate split relation failed on F coefficients")
-    if np.abs(beta_c + beta).max() > tol * scale:
-        raise ArithmeticError("conjugate split relation failed on G coefficients")
+    scale = max(1.0, max(abs(a) for a in pair.F.coeffs + pair.G.coeffs))
+    for alpha, alpha_c in zip(pair.F.coeffs, pair_c.F.coeffs):
+        if abs(alpha_c - alpha.conjugate()) > tol * scale:
+            raise ArithmeticError("conjugate split relation failed on F coefficients")
+    for beta, beta_c in zip(pair.G.coeffs, pair_c.G.coeffs):
+        if abs(beta_c + beta) > tol * scale:
+            raise ArithmeticError("conjugate split relation failed on G coefficients")
     return pair, pair_c
 
 
@@ -181,7 +179,7 @@ def ext_from_slice(F: ComplexSeries, G: ComplexSeries,
     parts = np.array(list(zip(F.coeffs, G.coeffs)), dtype=complex).reshape(-1, 2).view(float)
     basis = np.array([(1.0, 0.0, 0.0, 0.0), i_unit.components, j_unit.components,
                       (i_unit * j_unit).components])
-    return Series._from_rows(parts @ basis, F.radius, exact)
+    return _from_rows(parts @ basis, F.radius, exact)
 
 
 def regular_translation(f: Series, w) -> Series:
@@ -211,7 +209,7 @@ def regular_translation(f: Series, w) -> Series:
     # column n adds C(n, m) w^(n-m) a_n to every b_m with m <= n, in order of n
     for n in range(n_deg + 1):
         coeffs[:n + 1] += _BINOMIALS[:n + 1, n, None] * table[n::-1, n]
-    return Series._from_rows(coeffs, f.radius - norm_w, f.exact)
+    return _from_rows(coeffs, f.radius - norm_w, f.exact)
 
 
 def _probe_grid(ball_radius: float) -> np.ndarray:

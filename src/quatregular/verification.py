@@ -29,6 +29,7 @@ from .quaternions import (
 )
 from .series import (
     Series,
+    _from_rows,
     evaluate,
     regular_conjugate,
     slice_derivative,
@@ -115,7 +116,7 @@ def _padded_rows(f: Series, g: Series) -> tuple[np.ndarray, np.ndarray]:
 
 def series_sum(f: Series, g: Series) -> Series:
     a, b = _padded_rows(f, g)
-    return Series._from_rows(a + b, min(f.radius, g.radius), f.exact and g.exact)
+    return _from_rows(a + b, min(f.radius, g.radius), f.exact and g.exact)
 
 
 def coeff_deviation(f: Series, g: Series) -> float:

@@ -158,6 +158,12 @@ class TestExitCodes:
         assert main(["coverage", identity_file, "--rho", "0.25", "--samples", "-3"]) == 2
         assert "sample" in capsys.readouterr().err
 
+    def test_norm_beyond_the_largest_float(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        dump_series(Series((1e308, Quaternion(0.0, 1e308, 0.0, 0.0))), path)
+        assert main(["norm", str(path)]) == 2
+        assert "largest float" in capsys.readouterr().err
+
     def test_bad_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["search", "--bogus"])

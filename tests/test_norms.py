@@ -424,6 +424,16 @@ class TestScaleFree:
             assert abs(value / s - reference) <= 1e-12 * reference
 
 
+    def test_norm_beyond_the_largest_float_is_a_domain_error(self):
+        # |F| reaches 2e308 on the unit circle for f = 1e308 (1 + i q)
+        f = Series((1e308, Quaternion(0.0, 1e308, 0.0, 0.0)))
+        for norm in (lambda: split_norm(f), lambda: slice_norm(f, I),
+                     lambda: sup_norm_ball(f, 0.99)):
+            with pytest.raises(DomainError, match="beyond the largest float"):
+                norm()
+        assert sup_norm_ball(f, 0.5).value == pytest.approx(1.5e308, rel=1e-12)
+
+
 def slice_h(coeffs, radius, units, angles):
     """|F_I(z_1)|^2 + |G_I(z_2)|^2 from the split coefficients of ``_slice_rows``."""
     alpha, beta = _slice_rows(coeffs, units)

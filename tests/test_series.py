@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,16 @@ class TestSeriesRows:
         assert f == Series((Quaternion(), J), radius=0.5)
         assert hash(f) == hash(Series((Quaternion(), J), radius=0.5))
         assert "rows" not in repr(f)
+
+    def test_large_finite_coefficients_build_quietly(self):
+        # pytest turns RuntimeWarning into an error: the finiteness check must
+        # not overflow on coefficients whose sum passes the largest float
+        f = Series((1e308, 1e308, Quaternion(0.0, 1e308, 1e308, 0.0)))
+        assert np.isfinite(f.rows).all()
+
+    def test_mixed_infinities_rejected_quietly(self):
+        with pytest.raises(DomainError, match="coefficient 1 is not finite"):
+            Series((1.0, Quaternion(0.0, math.inf, -math.inf, 0.0)))
 
     def test_dump_load_roundtrip(self, rng, tmp_path):
         f = random_series(rng, 5)
