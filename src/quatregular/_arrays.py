@@ -53,74 +53,6 @@ def circle_table(radius: float, n_plus_one: int, points: int) -> np.ndarray:
     return power_table(radius * np.exp(2j * np.pi * np.arange(points) / points), n_plus_one)
 
 
-_BRACKETS = 4
-_NEWTON_STEPS = 8
-
-
-def top_grid_maxima(grid: np.ndarray, padded: np.ndarray,
-                    count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the ``count`` largest local maxima in each row of ``grid`` (m, T),
-    grouped by row, best first, ties to the lower column.
-
-    ``padded`` is ``grid`` with a neighbour column on each side: the wrapped
-    ends for a periodic profile, -inf for an interval.
-    """
-    row, col = np.divmod(np.flatnonzero((grid >= padded[:, :-2]) & (grid >= padded[:, 2:])),
-                         grid.shape[1])
-    order = np.lexsort((-grid[row, col], row))
-    row, col = row[order], col[order]
-    keep = np.arange(row.size) - np.searchsorted(row, row) < count
-    return row[keep], col[keep]
-
-
-def circle_max_rows(rows: np.ndarray, radius: float, table: np.ndarray) -> np.ndarray:
-    """Maximum of |P(radius e^{i theta})| for each complex coefficient row P (m, N+1).
-
-    ``table`` is ``circle_table(radius, N+1, T)``. The best four local
-    maxima of each periodic grid profile (ties to the lower angle) are polished
-    together by Newton steps on d/dtheta |P|^2 from the vertex of the grid
-    parabola, until no angle moves by 1e-7. A step is at most one grid step,
-    goes uphill where the profile is not concave and stays within one grid
-    step of its grid point. Every value is taken at a point of the circle, so
-    none exceeds the true maximum beyond rounding.
-    """
-    grid = rows @ table
-    grid = grid.real ** 2 + grid.imag ** 2
-    best = grid.max(axis=1)
-    n_plus_one, points = table.shape
-    if n_plus_one == 1 or points < 3:
-        return np.sqrt(best)
-    ring = np.concatenate([grid[:, -1:], grid, grid[:, :1]], axis=1)
-    row, col = top_grid_maxima(grid, ring, _BRACKETS)
-    left, mid, right = ring[row, col], ring[row, col + 1], ring[row, col + 2]
-    step = 2.0 * np.pi / points
-    lo = step * (col - 1)
-    hi = lo + 2.0 * step
-    # vertex of the parabola through the three grid values; the bend is
-    # negative at a local maximum unless all three are equal
-    bend = np.minimum(left + right - 2.0 * mid, -1e-300)
-    theta = lo + step * (1.0 + 0.5 * (left - right) / bend)
-    k = np.arange(n_plus_one)
-    # rows of a_n, n a_n and n^2 a_n: sums against z^n give P, z P' and z P' + z^2 P''
-    weighted = rows[row, None, :] * ((k ** np.arange(3)[:, None]) * radius ** k)
-    ik = 1j * k
-    for _ in range(_NEWTON_STEPS):
-        phases = np.exp(np.multiply.outer(theta, ik))
-        p, zdp, zdp_zzddp = (weighted @ phases[:, :, None])[:, :, 0].T
-        cp = np.conj(p)
-        # half the first and second theta-derivatives of |P|^2
-        slope = -(cp * zdp).imag
-        curve = (np.conj(zdp) * zdp).real - (cp * zdp_zzddp).real
-        moved = np.clip(theta + slope / np.maximum(-curve, np.abs(slope) / step + 1e-300), lo, hi)
-        done = np.abs(moved - theta).max() < 1e-7
-        theta = moved
-        if done:
-            break
-    p = np.sum(weighted[:, 0] * np.exp(np.multiply.outer(theta, ik)), axis=1)
-    np.maximum.at(best, row, p.real ** 2 + p.imag ** 2)
-    return np.sqrt(best)
-
-
 def sphere_constants(coeffs: np.ndarray, x: np.ndarray,
                      y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sphere constants (b, c) for each sphere x_t + y_t S, shapes (T, 4).
@@ -160,6 +92,9 @@ def sphere_planes(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 # structure constants: row x, column 4 y + l holds component l of e_x e_y
 _PRODUCTS = qmul_rows(np.eye(4)[:, None], np.eye(4)[None]).reshape(4, 16)
+
+
+_NEWTON_STEPS = 8
 
 
 def sphere_max_polish(planes: np.ndarray, theta: np.ndarray, lo: np.ndarray, hi: np.ndarray,

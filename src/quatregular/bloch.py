@@ -387,7 +387,9 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
     The root is bisected from the first crossing of the profile of M on
     ``mu_grid`` radii, with the 15 midpoints of the next four bisection levels
     evaluated in one batch; the residual and the locator come from the
-    evaluation at the final upper end. Where |f'| has several maximisers on
+    evaluation at the final upper end. The profile, pairs (s, mu(s)), is
+    reported only as the ``mu_profile`` of a ``NumericalSearchError``, when it
+    never meets r or meets it at s = 0. Where |f'| has several maximisers on
     that sphere, one of them is used: ``locator_angle``, ``w``, ``f_w``,
     ``rotation`` and ``phi_coeffs`` come from it, and ``R_r`` does not depend on
     which one it is.
@@ -405,17 +407,13 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
     grid = np.linspace(0.0, r, mu_grid)
     maxima, _, angles = _sphere_max(derivative, r - grid, theta_grid)
     mu_values = grid * maxima
-    profile = [[float(s), float(m)] for s, m in zip(grid, mu_values)]
-
     crossing = np.flatnonzero(mu_values >= r - 1e-12)
-    if crossing.size == 0:
-        raise NumericalSearchError("no s with mu(s) = r on the grid",
-                                   {"mu_profile": profile})
+    if crossing.size == 0 or crossing[0] == 0:
+        message = ("no s with mu(s) = r on the grid" if crossing.size == 0
+                   else "degenerate working radius: the profile meets r at s = 0")
+        profile = np.stack([grid, mu_values], axis=1).tolist()
+        raise NumericalSearchError(message, {"mu_profile": profile})
     first = int(crossing[0])
-    if first == 0:
-        raise NumericalSearchError(
-            "degenerate working radius: the profile meets r at s = 0",
-            {"mu_profile": profile})
     lo, hi = float(grid[first - 1]), float(grid[first])
     # M(r - hi) and the angle of the sphere where it is attained, which locates w
     hi_max, hi_angle = float(maxima[first]), float(angles[first])
@@ -484,7 +482,6 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
     rho_floor = r / (32.0 * math.sqrt(2.0))
 
     diagnostics = {
-        "mu_profile": profile,
         "mu_root_residual": mu_residual,
         "locator_angle": locator_angle,
         "dphi0": deriv_scale,

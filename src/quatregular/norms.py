@@ -8,7 +8,9 @@ is invariant under coefficient conjugation, which is what the mean value
 bound needs.
 
 The maximum and the boundary minimum on a ball search one angle along a half
-circle, since each sphere of the ball has a closed form. The supremum of the
+circle, since each sphere of the ball has a closed form. The boundary maximum
+of a complex component of a slice comes from the same search, as the sphere
+maximum of a series whose coefficients lie in one plane. The supremum of the
 slice norm is the maximum of one smooth function of the unit and two circle
 angles, which a lattice scan starts and Newton steps finish. The minimum
 inside a ball comes from the roots of the symmetrization instead of a search.
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._arrays import (
-    circle_max_rows,
     circle_table,
     power_table,
     slice_norm_ascent,
@@ -35,7 +36,6 @@ from ._arrays import (
     sphere_max_polish,
     sphere_min_rows,
     sphere_planes,
-    top_grid_maxima,
 )
 from .errors import DomainError, PreconditionError
 from .quaternions import I, Quaternion, UnitImaginary, _coerce, _sphere_rows
@@ -45,9 +45,8 @@ from .slices import _frame, split_rows
 DEFAULT_THETA_GRID = 512
 DEFAULT_SPHERE_GRID = 2048
 
-# the sphere-maximum search: local grid maxima polished per radius, and grid
-# rows per batch
-_SPHERE_BRACKETS = 6
+# the angle search: local grid maxima polished per plane set, and grid rows per batch
+_PEAKS = 6
 _CHUNK_ROWS = 16384
 # roots of f^s this close share a centroid candidate in inf_norm_ball
 _ROOT_CLUSTER = 1e-2
@@ -85,16 +84,14 @@ def _tol_floor(value: float, gap: float) -> float:
     return max(gap, 4e-15 * max(1.0, value))
 
 
-def _scaled(f: Series) -> tuple[Series, int]:
-    """f times 2^-e, with e the frexp exponent of its largest component, and e.
+def _scaled(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows times 2^-e, with e the frexp exponent of their largest component, and e.
 
     Scaling by a power of two is exact, so a norm of the result times 2^e is
-    the norm of f, while the squares the norms take neither overflow nor underflow.
+    the norm of the rows, while the squares the norms take neither overflow nor underflow.
     """
-    e = math.frexp(float(np.abs(f.rows).max()))[1]
-    if e == 0:
-        return f, 0
-    return _from_rows(np.ldexp(f.rows, -e), f.radius, f.exact), e
+    e = math.frexp(float(np.abs(rows).max()))[1]
+    return (np.ldexp(rows, -e) if e else rows), e
 
 
 def _unscaled(x, e: int):
@@ -108,71 +105,67 @@ def _unscaled(x, e: int):
 
 def sphere_extrema(b: Quaternion, c: Quaternion) -> tuple[float, float]:
     """Exact (min, max) of |b + I c| over all imaginary units I (``sphere_extrema_rows``)."""
-    low, high = sphere_extrema_rows(np.array([_coerce(b).components]),
-                                    np.array([_coerce(c).components]))
-    return float(low[0]), float(high[0])
+    rows, e = _scaled(np.array([_coerce(b).components, _coerce(c).components]))
+    low, high = _unscaled(np.concatenate(sphere_extrema_rows(rows[:1], rows[1:])), e)
+    return float(low), float(high)
 
 
-def _angle_count(f: Series, theta_grid: int) -> int:
-    """Grid angles of the sphere-maximum search: ``theta_grid``, raised to 4N + 1.
+def _angle_count(degree: int, theta_grid: int) -> int:
+    """Grid angles of the angle search: ``theta_grid``, raised to 4N + 1.
 
-    The squared sphere maximum is built from trigonometric polynomials of
-    degree N, and the polish is local, so every local maximum needs a grid
-    angle of its own near it; 4N + 1 angles put a grid step below pi / (4N).
+    The squared maximum is built from trigonometric polynomials of degree N,
+    and the polish is local, so every local maximum needs a grid angle of its
+    own near it; 4N + 1 angles put a grid step below pi / (4N). Every norm
+    asks this first, so a ``theta_grid`` below one is rejected before any
+    shortcut.
     """
-    return max(theta_grid, 4 * f.degree + 1)
+    if theta_grid < 1:
+        raise DomainError("theta_grid must be at least 1")
+    return max(theta_grid, 4 * degree + 1)
 
 
-def _sphere_max(f: Series, radii: np.ndarray, theta_grid: int = DEFAULT_THETA_GRID,
-                lowest: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximum of |f| on the sphere of each radius, as arrays (value, gap, angle).
+def _angle_max(planes: np.ndarray, points: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The angle in [0, pi] where g = A + |U| is largest, for each plane set (m, 4, N+1).
 
-    The maximum over each sphere x + y S has a closed form, g = A + |U| in
-    its square (``sphere_planes``), so only the angle along the half circle
-    is searched. A grid of ``_angle_count`` angles is two products of the
-    coefficient planes of ``_CHUNK_ROWS`` grid rows at a time, against a cos
-    and a sin table. The six best local grid maxima of every radius (ties to
-    the lower angle; g is even about 0 and pi, so the ends take mirrored
+    The planes are those of ``sphere_planes``. A grid of ``points`` angles is
+    two products of ``_CHUNK_ROWS`` grid rows at a time, against a cos and a
+    sin table. The ``_PEAKS`` best local grid maxima of every set (ties to the
+    lower angle; g is even about 0 and pi, so the ends take mirrored
     neighbours) are then polished together by ``sphere_max_polish``, from the
-    vertex of the grid parabola. ``value`` is the closed form on the sphere
-    at ``angle``; ``gap`` is how much the last Newton step still moved it.
-    With ``lowest`` the cosine plane is negated, so the search climbs
-    -A + |U|, the negated square of the sphere minimum, and ``value`` is the
-    minimum of |f| on the sphere of each radius.
+    vertex of the grid parabola. Returns each set's winning angle, and for
+    each polished bracket its set, and g before and after its last step.
     """
-    f, e = _scaled(f)
-    value = np.full(radii.shape, f.coeffs[0].modulus())
-    gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
-    todo = np.flatnonzero(radii > 0.0)
-    if f.degree == 0 or not todo.size:
-        return _unscaled(value, e), gap, angle
-    planes = sphere_planes(f.rows, radii[todo])
-    if lowest:
-        planes[:, 0] *= -1.0
-    points = _angle_count(f, theta_grid)
     theta = np.linspace(0.0, math.pi, points)
-    turns = power_table(np.exp(1j * theta), f.degree + 1)
+    turns = power_table(np.exp(1j * theta), planes.shape[2])
     cos, sin = turns.real.copy(), turns.imag.copy()
     chunk = max(1, _CHUNK_ROWS // points)
     picks = []
-    for first in range(0, todo.size, chunk):
+    for first in range(0, len(planes), chunk):
         part = planes[first:first + chunk]
-        # stacked products: each radius rounds the same in any batch
+        # stacked products: each set rounds the same in any batch
         u = part[:, 1:] @ sin
         grid = (part[:, :1] @ cos)[:, 0] + np.sqrt(np.einsum("rct,rct->rt", u, u))
         mirrored = np.concatenate([grid[:, 1:2], grid, grid[:, -2:-1]], axis=1)
-        row, col = top_grid_maxima(grid, mirrored, _SPHERE_BRACKETS)
+        # the local maxima of each set, best first, ties to the lower angle
+        row, col = np.divmod(np.flatnonzero((grid >= mirrored[:, :-2])
+                                            & (grid >= mirrored[:, 2:])), points)
+        order = np.lexsort((-grid[row, col], row))
+        row, col = row[order], col[order]
+        keep = np.arange(row.size) - np.searchsorted(row, row) < _PEAKS
+        row, col = row[keep], col[keep]
         picks.append((row + first, col, mirrored[row, col], mirrored[row, col + 1],
                       mirrored[row, col + 2]))
     row, col, left, top, right = map(np.concatenate, zip(*picks))
-    # vertex of the parabola through the three grid values, as in circle_max_rows
+    # vertex of the parabola through the three grid values; the bend is
+    # negative at a local maximum unless all three are equal
     bend = np.minimum(left + right - 2.0 * top, -1e-300)
     offset = 0.5 * (left - right) / bend
     # g(pi - theta) has the planes times (-1)^d, so an angle of the upper half is
     # polished as its distance from pi: both ends then sit at 0, where sin(d theta) = 0
     upper = 2 * col > points - 1
     near = np.where(upper, points - 1 - col, col)
-    flips = np.where(upper[:, None], (-1.0) ** np.arange(f.degree + 1), 1.0)
+    flips = np.where(upper[:, None], (-1.0) ** np.arange(planes.shape[2]), 1.0)
     step = math.pi / (points - 1)
     polished, before, found = sphere_max_polish(
         planes[row] * flips[:, None, :], step * (near + np.where(upper, -offset, offset)),
@@ -181,19 +174,67 @@ def _sphere_max(f: Series, radii: np.ndarray, theta_grid: int = DEFAULT_THETA_GR
     better = polished > top
     best = np.where(better, polished, top)
     at = np.where(better, found, theta[col])
-    # the first bracket of each radius after sorting by value: ties keep the grid rank
+    # the first bracket of each set after sorting by value: ties keep the grid rank
     order = np.lexsort((-best, row))
-    pick = order[np.searchsorted(row[order], np.arange(todo.size))]
-    angle[todo] = at[pick]
+    pick = order[np.searchsorted(row[order], np.arange(len(planes)))]
+    return at[pick], row, before, polished
+
+
+def _sphere_max(f: Series, radii: np.ndarray, theta_grid: int = DEFAULT_THETA_GRID,
+                lowest: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum of |f| on the sphere of each radius, as arrays (value, gap, angle).
+
+    The maximum over each sphere x + y S has a closed form, g = A + |U| in
+    its square (``sphere_planes``), so only the angle along the half circle
+    is searched, by ``_angle_max`` on a grid of ``_angle_count`` angles.
+    ``value`` is the closed form on the sphere at ``angle``; ``gap`` is how
+    much the last Newton step still moved it. With ``lowest`` the cosine
+    plane is negated, so the search climbs -A + |U|, the negated square of
+    the sphere minimum, and ``value`` is the minimum of |f| on the sphere of
+    each radius.
+    """
+    points = _angle_count(f.degree, theta_grid)
+    rows, e = _scaled(f.rows)
+    value = np.full(radii.shape, Quaternion(*rows[0]).modulus())
+    gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
+    todo = np.flatnonzero(radii > 0.0)
+    if f.degree == 0 or not todo.size:
+        return _unscaled(value, e), gap, angle
+    planes = sphere_planes(rows, radii[todo])
+    if lowest:
+        planes[:, 0] *= -1.0
+    angle[todo], row, before, polished = _angle_max(planes, points)
     # the closed form at the winning angle: the value is attained on that sphere
     kernel, sign = (sphere_min_rows, -1.0) if lowest else (sphere_max_rows, 1.0)
-    value[todo] = kernel(*sphere_constants(f.rows, radii[todo] * np.cos(angle[todo]),
+    value[todo] = kernel(*sphere_constants(rows, radii[todo] * np.cos(angle[todo]),
                                            radii[todo] * np.sin(angle[todo])))
     # how far the last Newton step moved the value: sqrt(g) up, or sqrt(-g) down
     moved = sign * (np.sqrt(np.maximum(sign * polished, 0.0))
                     - np.sqrt(np.maximum(sign * before, 0.0)))
     np.maximum.at(gap, todo[row], moved)
     return _unscaled(value, e), _unscaled(gap, e), angle
+
+
+def _circle_max(rows: np.ndarray, radius: float, points: int) -> np.ndarray:
+    """Maximum of |P(radius e^{i theta})| for each complex coefficient row P (m, N+1).
+
+    A circle maximum is a sphere maximum: with c_n = radius^n p_n and
+    q_d = sum_j c_{j+d} conj(c_j), |P(z)|^2 and |P(conj z)|^2 at z = radius e^{i theta}
+    are A -+ U with A = q_0 + sum_d 2 Re q_d cos(d theta) and
+    U = sum_d 2 Im q_d sin(d theta). So g = A + |U| on one plane of U is the
+    larger of the two on the half circle, and ``_angle_max`` finds its angle.
+    The value is the larger |P| at that angle and its mirror, so it is attained.
+    """
+    n = np.arange(rows.shape[1])
+    c = rows * radius ** n
+    if n.size == 1:
+        return np.abs(c[:, 0])
+    q = np.stack([np.sum(c[:, d:] * c[:, :n.size - d].conj(), axis=1) for d in n], axis=1)
+    planes = np.zeros((len(rows), 4, n.size))
+    planes[:, 0] = np.where(n > 0, 2.0, 1.0) * q.real
+    planes[:, 1] = 2.0 * q.imag
+    turns = np.exp(1j * np.multiply.outer(_angle_max(planes, points)[0], n))
+    return np.maximum(np.abs(np.sum(c * turns, axis=1)), np.abs(np.sum(c * turns.conj(), axis=1)))
 
 
 # -- uniform norm on balls -----------------------------------------------------
@@ -215,7 +256,7 @@ def sup_norm_ball(f: Series, s: float,
     value = float(value[0])
     if s == 0.0 or f.degree == 0:
         return NormReport(value, "closed-form")
-    return NormReport(value, "grid+refine", {"theta": _angle_count(f, theta_grid)},
+    return NormReport(value, "grid+refine", {"theta": _angle_count(f.degree, theta_grid)},
                       _tol_floor(value, float(gap[0])))
 
 
@@ -240,7 +281,8 @@ def inf_norm_ball(f: Series, s: float,
     """
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
-    g, e = _scaled(f)
+    rows, e = _scaled(f.rows)
+    g = _from_rows(rows, f.radius, f.exact)
     (value,), (gap,), _ = _sphere_max(g, np.array([s]), theta_grid, lowest=True)
     if s == 0.0 or f.degree == 0:
         return NormReport(float(_unscaled(value, e)), "closed-form")
@@ -248,8 +290,8 @@ def inf_norm_ball(f: Series, s: float,
     near = np.abs(roots[:, None] - roots) < _ROOT_CLUSTER
     roots = np.concatenate([roots, near @ roots / near.sum(axis=1)])
     roots = roots[np.abs(roots) <= s]
-    resolution = {"theta": _angle_count(f, theta_grid), "roots": int(roots.size)}
-    low = sphere_min_rows(*sphere_constants(g.rows, roots.real, roots.imag)).min(initial=np.inf)
+    resolution = {"theta": _angle_count(f.degree, theta_grid), "roots": int(roots.size)}
+    low = sphere_min_rows(*sphere_constants(rows, roots.real, roots.imag)).min(initial=np.inf)
     if low < value:
         low = float(_unscaled(low, e))
         return NormReport(low, "root-sphere", resolution, _tol_floor(low, low))
@@ -260,9 +302,9 @@ def inf_norm_ball(f: Series, s: float,
 # -- slice norm and its supremum over units ------------------------------------
 
 def _slice_norms(alpha: np.ndarray, beta: np.ndarray, radius: float,
-                 table: np.ndarray) -> np.ndarray:
+                 points: int) -> np.ndarray:
     """hypot of the refined boundary maxima of F and G, one circle-max batch for both."""
-    maxima = circle_max_rows(np.concatenate([alpha, beta]), radius, table)
+    maxima = _circle_max(np.concatenate([alpha, beta]), radius, points)
     return np.hypot(maxima[:len(alpha)], maxima[len(alpha):])
 
 
@@ -284,13 +326,10 @@ def slice_norm(f: Series, unit: UnitImaginary,
     The value does not depend on which orthogonal completion ``j_unit`` is
     used; passing one explicitly exists for exactly that check.
     """
-    if theta_grid < 1:
-        raise DomainError("theta_grid must be at least 1")
-    g, e = _scaled(f)
-    units, completion = _frame(unit, j_unit)
-    alpha, beta = split_rows(g.rows, units, completion)
-    table = circle_table(f.radius, f.degree + 1, theta_grid)
-    return float(_unscaled(_slice_norms(alpha, beta, f.radius, table)[0], e))
+    points = _angle_count(f.degree, theta_grid)
+    rows, e = _scaled(f.rows)
+    alpha, beta = split_rows(rows, *_frame(unit, j_unit))
+    return float(_unscaled(_slice_norms(alpha, beta, f.radius, points)[0], e))
 
 
 def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
@@ -310,21 +349,18 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
     ``resolution`` holds the lattice and circle grid sizes, the number of starts
     and the Newton steps of the winning start.
     """
-    if theta_grid < 1:
-        raise DomainError("theta_grid must be at least 1")
-    g, e = _scaled(f)
+    points = _angle_count(f.degree, theta_grid)
+    rows, e = _scaled(f.rows)
     if f.degree == 0:
-        return NormReport(float(_unscaled(g.coeffs[0].modulus(), e)), "closed-form")
-    if np.all(g.rows[:, 1:] == 0.0):
+        return NormReport(float(_unscaled(Quaternion(*rows[0]).modulus(), e)), "closed-form")
+    if np.all(rows[:, 1:] == 0.0):
         value = slice_norm(f, I, theta_grid=theta_grid)
         return NormReport(value, "grid+refine", {"sphere": 1, "theta": theta_grid},
                           _tol_floor(value, 0.0))
-    table = circle_table(f.radius, f.degree + 1, theta_grid)
-
     scan_table = circle_table(f.radius, f.degree + 1, max(theta_grid // 2, 64))
     lattice = _sphere_rows(samples, seed)
-    (f_top, f_col), (g_top, g_col) = (_grid_max(rows, scan_table)
-                                      for rows in split_rows(g.rows, lattice))
+    (f_top, f_col), (g_top, g_col) = (_grid_max(part, scan_table)
+                                      for part in split_rows(rows, lattice))
     scan = np.hypot(f_top, g_top)
 
     picks = []
@@ -336,8 +372,8 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
             break
 
     angles = (2.0 * math.pi / scan_table.shape[1]) * np.stack([f_col, g_col], axis=1)[picks]
-    h, before, units, _, steps = slice_norm_ascent(g.rows, f.radius, lattice[picks], angles)
-    values = _slice_norms(*split_rows(g.rows, units), f.radius, table)
+    h, before, units, _, steps = slice_norm_ascent(rows, f.radius, lattice[picks], angles)
+    values = _slice_norms(*split_rows(rows, units), f.radius, points)
     best = int(np.argmax(values))
     value = float(_unscaled(values[best], e))
     resolution = {"sphere": samples, "theta": theta_grid, "starts": len(picks),

@@ -171,14 +171,15 @@ def ext_from_slice(F: ComplexSeries, G: ComplexSeries,
     """Reassemble the quaternionic series a_n = alpha_n + beta_n J from a splitting.
 
     Inverse of :func:`split`: the unique regular extension of F + G J off the
-    slice of I.
+    slice of I. J must be orthogonal to I, as in ``split``.
     """
     if len(F.coeffs) != len(G.coeffs):
         raise DomainError("component series must have equal length")
     # rows (Re alpha_n, Im alpha_n, Re beta_n, Im beta_n) against the basis (1, I, J, I J)
     parts = np.array(list(zip(F.coeffs, G.coeffs)), dtype=complex).reshape(-1, 2).view(float)
-    basis = np.array([(1.0, 0.0, 0.0, 0.0), i_unit.components, j_unit.components,
-                      (i_unit * j_unit).components])
+    units, (j_rows, k_rows) = _frame(i_unit, j_unit)
+    basis = np.eye(4)
+    basis[1:, 1:] = np.concatenate([units, j_rows, k_rows])
     return _from_rows(parts @ basis, F.radius, exact)
 
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_quaternion, random_series
 from quatregular import (
     DomainError,
+    NumericalSearchError,
     PreconditionError,
     Quaternion,
     Series,
@@ -278,6 +279,15 @@ class TestCoverage:
 
 
 class TestSearch:
+    def test_profile_only_on_failure(self):
+        # the 1024-radius profile stays out of a report and is carried by the error
+        assert "mu_profile" not in bl_search(Series((0, 1)), 0.9).diagnostics
+        with pytest.raises(NumericalSearchError, match="at s = 0") as err:
+            bl_search(Series((0, 1)), 1e-13)
+        profile = err.value.diagnostics["mu_profile"]
+        assert len(profile) == 1024
+        assert profile[0] == [0.0, 0.0] and profile[-1] == [1e-13, 1e-13]
+
     def test_identity_closed_form(self):
         report = bl_search(Series((0, 1)), 0.99)
         assert abs(report.R_r - 0.495) < 1e-9

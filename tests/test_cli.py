@@ -154,6 +154,11 @@ class TestExitCodes:
         assert main(["norm", identity_file, "--theta-grid", grid]) == 2
         assert "theta_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_theta_grid_below_one_on_a_ball(self, identity_file, capsys, grid):
+        assert main(["norm", identity_file, "--r", "0.5", "--theta-grid", grid]) == 2
+        assert "theta_grid" in capsys.readouterr().err
+
     def test_negative_samples(self, identity_file, capsys):
         assert main(["coverage", identity_file, "--rho", "0.25", "--samples", "-3"]) == 2
         assert "sample" in capsys.readouterr().err

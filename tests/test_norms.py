@@ -21,10 +21,9 @@ from quatregular import (
     star,
     sup_norm_ball,
 )
+from quatregular import bloch
 from quatregular._arrays import (
     _slice_terms,
-    circle_max_rows,
-    circle_table,
     eval_rows,
     qmul_rows,
     slice_norm_ascent,
@@ -33,6 +32,7 @@ from quatregular._arrays import (
     sphere_max_rows,
     sphere_min_rows,
 )
+from quatregular.norms import _circle_max, _sphere_max
 from quatregular.quaternions import I, J, _completion_rows, orthonormal_completion, sphere_sample
 from quatregular.slices import split_rows as _slice_rows
 from quatregular.verification import builtin_corpus
@@ -63,6 +63,15 @@ class TestSphereExtrema:
     def test_unit_example(self):
         low, high = sphere_extrema(Quaternion(1), I)
         assert low == 0.0 and high == 2.0
+
+    def test_beyond_the_squares_range(self):
+        # |b|^2 overflows for b = 1e200 and underflows for b = 3e-170; the
+        # closed form is scaled first, so both read as their scale-one versions
+        low, high = sphere_extrema(Quaternion(1e200), Quaternion(0.0, 1e200, 0.0, 0.0))
+        assert low == 0.0 and high == 2e200
+        low, high = sphere_extrema(Quaternion(3e-170), Quaternion(0.0, 0.0, 2e-170, 0.0))
+        assert abs(low - 1e-170) <= 1e-15 * 1e-170
+        assert abs(high - 5e-170) <= 1e-15 * 5e-170
 
     def test_against_brute_force(self, rng):
         for _ in range(10):
@@ -156,7 +165,7 @@ class TestCircleMaxRows:
                 exact = np.array([circle_max_at_critical_points(r, radius) for r in rows])
                 dense = dense_circle_max(rows, radius)
                 for points in (256, 512):
-                    got = circle_max_rows(rows, radius, circle_table(radius, degree + 1, points))
+                    got = _circle_max(rows, radius, points)
                     assert np.all(np.abs(got - exact) <= 1e-13 * exact)
                     assert np.all(got >= dense - 1e-13 * dense)
                 checked += len(rows)
@@ -195,6 +204,15 @@ class TestSupNormBall:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             sup_norm_ball(Series((0, 1)), 1.0)
+
+    @pytest.mark.parametrize("norm", [sup_norm_ball, inf_norm_ball])
+    @pytest.mark.parametrize("f", [Series((0, 1)), Series((J,))])
+    def test_theta_grid_below_one(self, norm, f):
+        # rejected before the shortcuts of a constant series and of s = 0
+        for theta_grid in (0, -3):
+            for s in (0.0, 0.5):
+                with pytest.raises(DomainError, match="theta_grid"):
+                    norm(f, s, theta_grid=theta_grid)
 
     def test_monotone(self, rng):
         f = random_series(rng, 6)
@@ -256,6 +274,17 @@ class TestSliceNorm:
         value = slice_norm(Series((1, J)), I)
         assert abs(value - math.sqrt(2.0)) < 1e-12
 
+    def test_plane_of_i_equals_sup_norm_ball(self, rng):
+        # with every coefficient in the plane of i, G_I = 0 at I = i and F_I is
+        # f on that plane, whose boundary maximum is the maximum on the ball
+        for degree in range(9):
+            for radius in (0.5, 0.9):
+                coeffs = tuple(Quaternion(*rng.standard_normal(2), 0.0, 0.0)
+                               for _ in range(degree + 1))
+                value = slice_norm(Series(coeffs, radius), I)
+                reference = sup_norm_ball(Series(coeffs, 1.0), radius).value
+                assert abs(value - reference) <= 1e-13 * reference
+
     def test_j_independence(self, rng):
         for _ in range(10):
             f = random_series(rng, int(rng.integers(0, 7)))
@@ -273,7 +302,7 @@ class TestSliceNorm:
 
 def slice_norm_rows(coeffs, units, radius):
     """Slice norms at unit rows: a_n = alpha_n + beta_n J with J, K = I J from cross
-    products, and the boundary maxima of alpha and beta from circle_max_rows."""
+    products, and the boundary maxima of alpha and beta from _circle_max."""
     axis = np.where(np.abs(units[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
     j = np.cross(units, axis)
     j /= np.linalg.norm(j, axis=1, keepdims=True)
@@ -281,8 +310,7 @@ def slice_norm_rows(coeffs, units, radius):
     imag = coeffs[:, 1:].T
     alpha = coeffs[:, 0] + 1j * (units @ imag)
     beta = j @ imag + 1j * (k @ imag)
-    table = circle_table(radius, len(coeffs), 512)
-    return np.hypot(circle_max_rows(alpha, radius, table), circle_max_rows(beta, radius, table))
+    return np.hypot(_circle_max(alpha, radius, 512), _circle_max(beta, radius, 512))
 
 
 def attained_slice_norm(coeffs, radius):
@@ -627,7 +655,8 @@ class TestSphereMaxSearch:
                   random_series(np.random.default_rng(31), 5, monic_shift=True)):
             r = 0.9
             derivative = slice_derivative(f)
-            for s, mu in bl_search(f, r).diagnostics["mu_profile"]:
+            grid = np.linspace(0.0, r, bloch._MU_GRID)
+            for s, mu in zip(grid, grid * _sphere_max(derivative, r - grid)[0]):
                 single = s * sup_norm_ball(derivative, r - s).value
                 assert abs(mu - single) <= 1e-15 * single
 
@@ -641,7 +670,8 @@ class TestSphereMaxSearch:
             derivative = slice_derivative(f)
             for r in (0.99, 0.9, 0.6):
                 report = bl_search(f, r)
-                profile = report.diagnostics["mu_profile"]
+                grid = np.linspace(0.0, r, bloch._MU_GRID)
+                profile = list(zip(grid, grid * _sphere_max(derivative, r - grid)[0]))
                 first = next(i for i, (_, mu) in enumerate(profile) if mu >= r - 1e-12)
                 lo, hi = profile[first - 1][0], profile[first][0]
                 while hi - lo > 1e-12:

@@ -76,6 +76,11 @@ class TestSplit:
             assert coeff_deviation(back, f) < 1e-13
             assert back.radius == f.radius
 
+    def test_ext_rejects_a_j_off_the_orthogonal_plane(self):
+        pair = split(Series((0, 1, J)), I)
+        with pytest.raises(DomainError):
+            ext_from_slice(pair.F, pair.G, I, I)
+
     def test_ext_reassembly_example(self):
         F = ComplexSeries((0j, 1j), I)
         G = ComplexSeries((1 + 0j, 0j), I)
