@@ -23,6 +23,8 @@ from .slices import regular_translation, sphere_pair
 SCHEMA = "quatregular/1"
 
 _MU_GRID = 1024
+# every _MU_STRIDE-th radius of the mu-profile grid, and its last, make the coarse pass
+_MU_STRIDE = 32
 _NEWTON_STEP = 1e-6
 _NEWTON_MAX_ITER = 200
 _RESIDUAL_TOL = 1e-8
@@ -372,6 +374,51 @@ def coverage_report(f: Series, rho: float, samples: int, seed: int = 0,
 
 # -- the constructive search -----------------------------------------------------
 
+def _first_crossing(derivative: Series, r: float, grid: np.ndarray,
+                    theta_grid: int) -> tuple[int, float, float]:
+    """The first grid point s with mu(s) = s M(r - s) >= r, with M(r - s) and its angle.
+
+    M, the maximum of |f'| on the ball of radius t, is the maximum on the
+    sphere of radius t by the maximum modulus principle (Gentili-Stoppato), so
+    it does not decrease with t, and on a cell (s_a, s_b] of the grid mu is at
+    most s_b M(r - s_a). A coarse pass evaluates every ``_MU_STRIDE``-th grid
+    point and the last. Only the cells up to its first crossing whose bound,
+    with the gap of M(r - s_a) and 1e-12 of it added, reaches r can hold the
+    first crossing, and a second pass evaluates their points: as long as each
+    M is found to within its gap, the first crossing is then that of the whole
+    profile, from the same evaluations. The whole profile is evaluated
+    only for the ``NumericalSearchError`` raised when it never meets r or meets
+    it at s = 0, whose ``mu_profile`` diagnostics hold the pairs (s, mu(s)).
+    """
+    maxima, angles = np.zeros(grid.size), np.zeros(grid.size)
+    # mu on the grid points evaluated so far, -inf elsewhere
+    mu = np.full(grid.size, -np.inf)
+
+    def profile(idx: np.ndarray) -> np.ndarray:
+        """Evaluate mu at the grid points ``idx`` in one batch; returns the gaps of M."""
+        maxima[idx], gap, angles[idx] = _sphere_max(derivative, r - grid[idx], theta_grid)
+        mu[idx] = grid[idx] * maxima[idx]
+        return gap
+
+    coarse = np.union1d(np.arange(0, grid.size, _MU_STRIDE), [grid.size - 1])
+    gap = profile(coarse)
+    lows, highs = coarse[:-1], coarse[1:]
+    bound = grid[highs] * (maxima[lows] + gap[:-1] + 1e-12 * maxima[lows])
+    crossed = np.flatnonzero(mu[highs] >= r - 1e-12)
+    last = crossed[0] + 1 if crossed.size else highs.size
+    cells = np.flatnonzero(bound[:last] >= r - 1e-12)
+    if cells.size:
+        profile(np.concatenate([np.arange(lows[k] + 1, highs[k]) for k in cells]))
+    crossing = np.flatnonzero(mu >= r - 1e-12)
+    if crossing.size == 0 or crossing[0] == 0:
+        message = ("no s with mu(s) = r on the grid" if crossing.size == 0
+                   else "degenerate working radius: the profile meets r at s = 0")
+        profile(np.arange(grid.size))
+        raise NumericalSearchError(message, {"mu_profile": np.stack([grid, mu], axis=1).tolist()})
+    first = int(crossing[0])
+    return first, float(maxima[first]), float(angles[first])
+
+
 def bl_search(f: Series, r: float, theta_grid: int = 512,
               mu_grid: int = _MU_GRID, **norm_options) -> SearchReport:
     """Constructive coverage search at working radius r in (0, 1).
@@ -384,15 +431,18 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
     coverage radius of the result is reported together with its universal
     lower bound r / (32 sqrt(2)).
 
-    The root is bisected from the first crossing of the profile of M on
-    ``mu_grid`` radii, with the 15 midpoints of the next four bisection levels
-    evaluated in one batch; the residual and the locator come from the
-    evaluation at the final upper end. The profile, pairs (s, mu(s)), is
-    reported only as the ``mu_profile`` of a ``NumericalSearchError``, when it
-    never meets r or meets it at s = 0. Where |f'| has several maximisers on
-    that sphere, one of them is used: ``locator_angle``, ``w``, ``f_w``,
-    ``rotation`` and ``phi_coeffs`` come from it, and ``R_r`` does not depend on
-    which one it is.
+    The root is bisected from the first crossing of mu(s) = s M(r - s) on a
+    grid of ``mu_grid`` points of [0, r] (at least two), with the 15 midpoints
+    of the next four bisection levels evaluated in one batch; the residual and
+    the locator come from the evaluation at the final upper end. Since M does
+    not decrease, the first crossing is found from a coarse pass over every
+    32nd grid point and the points of just the cells whose bound on mu reaches
+    r (``_first_crossing``), about a tenth of the grid. The whole profile, pairs
+    (s, mu(s)), is evaluated and reported only as the ``mu_profile`` of a
+    ``NumericalSearchError``, when it never meets r or meets it at s = 0.
+    Where |f'| has several maximisers on that sphere, one of them is used:
+    ``locator_angle``, ``w``, ``f_w``, ``rotation`` and ``phi_coeffs`` come from
+    it, and ``R_r`` does not depend on which one it is.
     """
     if f.coeffs[0].modulus_sq() != 0.0:
         raise PreconditionError("requires f(0) = 0")
@@ -402,21 +452,15 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
         raise PreconditionError("requires a working radius in (0, 1)")
     if r >= f.radius:
         raise DomainError("working radius must sit inside the ball of validity")
+    if mu_grid < 2:
+        raise DomainError("mu_grid must be at least 2")
 
     derivative = slice_derivative(f)
     grid = np.linspace(0.0, r, mu_grid)
-    maxima, _, angles = _sphere_max(derivative, r - grid, theta_grid)
-    mu_values = grid * maxima
-    crossing = np.flatnonzero(mu_values >= r - 1e-12)
-    if crossing.size == 0 or crossing[0] == 0:
-        message = ("no s with mu(s) = r on the grid" if crossing.size == 0
-                   else "degenerate working radius: the profile meets r at s = 0")
-        profile = np.stack([grid, mu_values], axis=1).tolist()
-        raise NumericalSearchError(message, {"mu_profile": profile})
-    first = int(crossing[0])
+    first, hi_max, hi_angle = _first_crossing(derivative, r, grid, theta_grid)
+    # hi_max is M(r - hi) and hi_angle the angle of the sphere where it is attained,
+    # which locates w
     lo, hi = float(grid[first - 1]), float(grid[first])
-    # M(r - hi) and the angle of the sphere where it is attained, which locates w
-    hi_max, hi_angle = float(maxima[first]), float(angles[first])
     while hi - lo > 1e-12:
         # the midpoints of the next bisection levels in heap order, one batch
         mids, bounds = [], [(lo, hi)]

@@ -344,8 +344,9 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
     (``slice_norm_ascent``): the squared norm is the maximum of
     H = |F_I(z_1)|^2 + |G_I(z_2)|^2 over the unit and two angles. The value is
     the best slice norm, from refined circle maxima, at the final units, so it
-    is attained. ``certified_tol`` is how much the last Newton step of the
-    winning start still raised sqrt(H), floored at rounding noise;
+    is attained. The winning start is the first, in pick order, whose value
+    is within rounding noise of the best. ``certified_tol`` is how much its
+    last Newton step still raised sqrt(H), floored at rounding noise;
     ``resolution`` holds the lattice and circle grid sizes, the number of starts
     and the Newton steps of the winning start.
     """
@@ -374,8 +375,11 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
     angles = (2.0 * math.pi / scan_table.shape[1]) * np.stack([f_col, g_col], axis=1)[picks]
     h, before, units, _, steps = slice_norm_ascent(rows, f.radius, lattice[picks], angles)
     values = _slice_norms(*split_rows(rows, units), f.radius, points)
-    best = int(np.argmax(values))
-    value = float(_unscaled(values[best], e))
+    top = float(values.max())
+    # starts often end on one slice (units I and -I) whose norms agree to rounding:
+    # the first of those in pick order gives the steps and the gap, not the last bit
+    best = int(np.flatnonzero(values >= top - _tol_floor(top, 0.0))[0])
+    value = float(_unscaled(top, e))
     resolution = {"sphere": samples, "theta": theta_grid, "starts": len(picks),
                   "steps": int(steps[best])}
     gap = float(_unscaled(math.sqrt(h[best]) - math.sqrt(before[best]), e))

@@ -362,6 +362,11 @@ class TestSearch:
         with pytest.raises(PreconditionError):
             bl_search(Series((0, 1)), 1.2)
 
+    @pytest.mark.parametrize("mu_grid", [-3, 0, 1])
+    def test_mu_grid_below_two(self, mu_grid):
+        with pytest.raises(DomainError, match="mu_grid"):
+            bl_search(Series((0, 1)), 0.9, mu_grid=mu_grid)
+
 
 class TestLemmaChain:
     def test_bound_dominates_partial_sums(self):

@@ -21,7 +21,7 @@ from quatregular import (
     star,
     sup_norm_ball,
 )
-from quatregular import bloch
+from quatregular import bloch, norms
 from quatregular._arrays import (
     _slice_terms,
     eval_rows,
@@ -436,6 +436,26 @@ class TestSplitNorm:
         assert report.resolution["steps"] >= 1
         assert report.to_dict() == split_norm(f).to_dict()
 
+    def test_tied_starts_report_the_first(self, monkeypatch):
+        # f = q + j/2 peaks on the slice of j, and its starts end on the units -j, j
+        # and j, whose slice norms agree to an ulp: the steps and the gap come from
+        # the first start in pick order, whichever tied norm rounds highest
+        ascents = []
+
+        def recording(*args):
+            ascents.append(slice_norm_ascent(*args))
+            return ascents[-1]
+
+        monkeypatch.setattr(norms, "slice_norm_ascent", recording)
+        report = split_norm(Series((Quaternion(0, 0, 0.5, 0), 1)))
+        h, before, units, _, steps = ascents[0]
+        assert np.dot(units[0], units[1]) < -1.0 + 1e-12
+        assert len(set(steps.tolist())) == 3
+        assert report.value == 1.5
+        assert report.resolution["steps"] == steps[0]
+        gap = 2.0 * (math.sqrt(h[0]) - math.sqrt(before[0]))
+        assert report.certified_tol == norms._tol_floor(1.5, gap)
+
 
 class TestScaleFree:
     @pytest.mark.parametrize("s", [1e-300, 1e-170, 1.0, 1e160, 1e300])
@@ -681,6 +701,39 @@ class TestSphereMaxSearch:
                     else:
                         lo = mid
                 assert report.R_r == hi / 2.0
+
+    def test_lazy_first_crossing_matches_the_whole_profile(self):
+        # the coarse pass and the cells its monotone bound cannot clear must find
+        # the first crossing of the profile on all of the grid's radii
+        rng = np.random.default_rng(1717)
+        series = [f for _, f in builtin_corpus()]
+        series += [random_series(rng, degree, scale, monic_shift=True)
+                   for scale in (0.2, 1.0, 3.0) for degree in range(1, 9)]
+        # at r = 0.9 mu(s) = s (1 + 37 (r - s)^7) is above r only on grid points
+        # 136-157, between two coarse points: the coarse pass first meets r at s = r
+        series.append(Series((0, 1, 0, 0, 0, 0, 0, 0, 37.0 / 8.0)))
+        for f in series:
+            derivative = slice_derivative(f)
+            for r in (0.99, 0.9, 0.6, 0.3):
+                grid = np.linspace(0.0, r, bloch._MU_GRID)
+                maxima, _, angles = _sphere_max(derivative, r - grid)
+                first = int(np.flatnonzero(grid * maxima >= r - 1e-12)[0])
+                lazy = bloch._first_crossing(derivative, r, grid, norms.DEFAULT_THETA_GRID)
+                assert lazy == (first, maxima[first], angles[first])
+
+    def test_profile_radii_per_search(self, monkeypatch):
+        radii = []
+
+        def tally(f, at, *args, **kwargs):
+            radii.append(len(at))
+            return _sphere_max(f, at, *args, **kwargs)
+
+        monkeypatch.setattr(bloch, "_sphere_max", tally)
+        for _, f in builtin_corpus():
+            radii.clear()
+            grid = np.linspace(0.0, 0.99, bloch._MU_GRID)
+            bloch._first_crossing(slice_derivative(f), 0.99, grid, norms.DEFAULT_THETA_GRID)
+            assert sum(radii) <= 256
 
     def test_identity_locator_angle(self):
         for r in (0.99, 0.9):
