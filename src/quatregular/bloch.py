@@ -400,7 +400,10 @@ def _first_crossing(derivative: Series, r: float, grid: np.ndarray,
         mu[idx] = grid[idx] * maxima[idx]
         return gap
 
-    coarse = np.union1d(np.arange(0, grid.size, _MU_STRIDE), [grid.size - 1])
+    # not np.union1d: numpy's set routines import numpy.ma, about 1 MB more RSS
+    coarse = np.arange(0, grid.size, _MU_STRIDE)
+    if coarse[-1] != grid.size - 1:
+        coarse = np.append(coarse, grid.size - 1)
     gap = profile(coarse)
     lows, highs = coarse[:-1], coarse[1:]
     bound = grid[highs] * (maxima[lows] + gap[:-1] + 1e-12 * maxima[lows])
@@ -437,7 +440,10 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
     the locator come from the evaluation at the final upper end. Since M does
     not decrease, the first crossing is found from a coarse pass over every
     32nd grid point and the points of just the cells whose bound on mu reaches
-    r (``_first_crossing``), about a tenth of the grid. The whole profile, pairs
+    r (``_first_crossing``); as long as each M is found to within its gap, it
+    is that of the whole profile. Of 1024 radii this evaluated 63 to 126 on
+    the builtin series at r = 0.99, and over 504 searches of the bl-search
+    benchmark a median of 94 and at most 684. The whole profile, pairs
     (s, mu(s)), is evaluated and reported only as the ``mu_profile`` of a
     ``NumericalSearchError``, when it never meets r or meets it at s = 0.
     Where |f'| has several maximisers on that sphere, one of them is used:

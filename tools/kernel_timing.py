@@ -1,14 +1,14 @@
 """Time the numeric kernels at fixed shapes, one BLAS thread.
 
-    PYTHONPATH=src python3 tools/kernel_timing.py [--repeats 7] [--calls 50]
+    PYTHONPATH=src python3 tools/kernel_timing.py
 
-Prints one JSON object: for each kernel and shape the best, over
-``--repeats`` repeats, of the mean milliseconds per call over ``--calls``
-calls. The inputs are seeded and the same on every run, so two source trees
-can be compared on one machine. The kernels are those under the norms and the
-Bloch-Landau search: the sphere-maximum search at 1, 15 (one bisection batch),
-33 (the coarse mu-profile pass), 63 and 1024 (a whole mu-profile) radii, the
-circle maxima of six complex rows, the sphere constants and series evaluation.
+Prints one JSON object: for each kernel and shape the best, over REPEATS
+repeats, of the mean milliseconds per call over CALLS calls. The inputs are
+seeded and the same on every run, so two source trees can be compared on one
+machine. The kernels are those under the norms and the Bloch-Landau search:
+the sphere-maximum search at 1, 15 (one bisection batch), 33 (the coarse
+mu-profile pass), 63 and 1024 (a whole mu-profile) radii, the circle maxima of
+six complex rows, the sphere constants and series evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 if hasattr(os, "sched_setaffinity"):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-import argparse
 import json
 import time
 
@@ -36,28 +35,23 @@ from quatregular.verification import random_series
 DEGREE = 6
 RADIUS = 0.9
 SPHERE_RADII = (1, 15, 33, 63, 1024)
+REPEATS = 7
+CALLS = 50
 
 
-def best_ms(call, repeats: int, calls: int) -> float:
-    """Best mean milliseconds per call of ``call()`` over ``repeats`` timed loops."""
+def best_ms(call) -> float:
+    """Best mean milliseconds per call of ``call()`` over REPEATS timed loops."""
     call()
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
-        for _ in range(calls):
+        for _ in range(CALLS):
             call()
-        best = min(best, (time.perf_counter() - start) / calls)
+        best = min(best, (time.perf_counter() - start) / CALLS)
     return round(1e3 * best, 4)
 
 
-def main(argv=None) -> dict:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--calls", type=int, default=50)
-    args = parser.parse_args(argv)
-    if args.repeats < 1 or args.calls < 1:
-        parser.error("--repeats and --calls must be at least 1")
-
+def main() -> dict:
     rng = np.random.default_rng(2024)
     # a normalised series of degree DEGREE + 1, so its derivative has degree DEGREE
     derivative = slice_derivative(random_series(rng, DEGREE + 1, monic_shift=True))
@@ -69,16 +63,16 @@ def main(argv=None) -> dict:
     for count in SPHERE_RADII:
         radii = np.linspace(RADIUS, 0.0, count, endpoint=False)
         timings[f"_sphere_max[{count} radii]"] = best_ms(
-            lambda: _sphere_max(derivative, radii), args.repeats, args.calls)
+            lambda: _sphere_max(derivative, radii))
     timings["_circle_max[6 rows, 512 angles]"] = best_ms(
-        lambda: _circle_max(rows, RADIUS, 512), args.repeats, args.calls)
+        lambda: _circle_max(rows, RADIUS, 512))
     timings["sphere_constants[1024 spheres]"] = best_ms(
         lambda: sphere_constants(derivative.rows, RADIUS * np.cos(angles),
-                                 RADIUS * np.sin(angles)), args.repeats, args.calls)
+                                 RADIUS * np.sin(angles)))
     timings["eval_rows[64 points]"] = best_ms(
-        lambda: eval_rows(derivative.rows, points), args.repeats, args.calls)
-    return {"degree": DEGREE, "radius": RADIUS, "repeats": args.repeats,
-            "calls": args.calls, "numpy": np.__version__, "ms_per_call": timings}
+        lambda: eval_rows(derivative.rows, points))
+    return {"degree": DEGREE, "radius": RADIUS, "repeats": REPEATS,
+            "calls": CALLS, "numpy": np.__version__, "ms_per_call": timings}
 
 
 if __name__ == "__main__":
