@@ -25,6 +25,9 @@ SCHEMA = "quatregular/1"
 _MU_GRID = 1024
 # every _MU_STRIDE-th radius of the mu-profile grid, and its last, make the coarse pass
 _MU_STRIDE = 32
+# Newton starts of attain, and the relative shrink of the set coverage_report samples
+_STARTS = 64
+_SHRINK = 1e-3
 _NEWTON_STEP = 1e-6
 _NEWTON_MAX_ITER = 200
 _RESIDUAL_TOL = 1e-8
@@ -39,8 +42,7 @@ class OSetParams:
     rho: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise DomainError("rho must be positive")
+        _check_rho(self.rho)
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,14 @@ class SearchReport:
 
 # -- the pinched set -----------------------------------------------------------
 
+def _check_rho(rho: float) -> None:
+    if not 0.0 < rho < math.inf:
+        raise DomainError("rho must be positive and finite")
+
+
 def in_oset(q, rho: float) -> bool:
     """Strict membership |q|^3 < rho |Re q|^2. Membership forces |q| < rho."""
-    if not rho > 0:
-        raise DomainError("rho must be positive")
+    _check_rho(rho)
     q = _coerce(q)
     return q.modulus() ** 3 < rho * q.x0 * q.x0
 
@@ -120,8 +126,7 @@ def oset_slice_curve(rho: float, n: int) -> list[tuple[float, float]]:
     in increasing polar angle, passing exactly through (rho, 0), the origin,
     and (-rho, 0) whenever the quarter turns land on the grid.
     """
-    if not rho > 0:
-        raise DomainError("rho must be positive")
+    _check_rho(rho)
     if n < 16:
         raise DomainError("need at least 16 points to outline the curve")
     points = []
@@ -139,8 +144,7 @@ def inscribed_disc_margin(rho: float, sweep: int = 4096) -> float:
     at every swept boundary point certifies the disc sits strictly inside the
     right lobe of the pinched set's slice cross-section.
     """
-    if not rho > 0:
-        raise DomainError("rho must be positive")
+    _check_rho(rho)
     disc_radius = (37.0 / 256.0) * rho * rho
     ts = np.linspace(0.0, 2.0 * math.pi, sweep, endpoint=False)
     x = rho / 2.0 + disc_radius * np.cos(ts)
@@ -163,7 +167,7 @@ def inscribed_disc_check(rho: float, sweep: int = 4096) -> bool:
 
 # -- coverage radius and fourth-root lifting ------------------------------------
 
-def rho_lemma(f: Series, **norm_options) -> float:
+def rho_lemma(f: Series) -> float:
     """Coverage radius radius*|f'(0)|^2 / (4 ||f'||) for f with f(0) = 0.
 
     Requires the derivative at the origin to be real; returns zero when it
@@ -176,7 +180,7 @@ def rho_lemma(f: Series, **norm_options) -> float:
         raise PreconditionError("requires a real slice derivative at the origin")
     if a1.modulus_sq() == 0.0:
         return 0.0
-    derivative_norm = split_norm(slice_derivative(f), **norm_options).value
+    derivative_norm = split_norm(slice_derivative(f)).value
     return f.radius * a1.modulus_sq() / (4.0 * derivative_norm)
 
 
@@ -271,8 +275,7 @@ def _ball_lattice(ball_radius: float, count: int, seed: int,
     return np.array(points[:count])
 
 
-def attain(f: Series, target, ball_radius: float, starts: int = 64,
-           seed: int = 0) -> Quaternion | None:
+def attain(f: Series, target, ball_radius: float, seed: int = 0) -> Quaternion | None:
     """Try to exhibit a preimage of ``target`` inside the open ball.
 
     Multistart damped Newton on the four real variables, with a central
@@ -287,7 +290,7 @@ def attain(f: Series, target, ball_radius: float, starts: int = 64,
     def residual(points: np.ndarray) -> np.ndarray:
         return eval_rows(f.rows, points) - goal
 
-    for q0 in _ball_lattice(ball_radius, starts, seed, hint=goal):
+    for q0 in _ball_lattice(ball_radius, _STARTS, seed, hint=goal):
         q = q0.copy()
         res = residual(q[None])[0]
         res_norm = float(np.linalg.norm(res))
@@ -324,22 +327,18 @@ def attain(f: Series, target, ball_radius: float, starts: int = 64,
     return None
 
 
-def coverage_report(f: Series, rho: float, samples: int, seed: int = 0,
-                    ball_radius: float | None = None, margin: float = 1e-3,
-                    starts: int = 64) -> CoverageReport:
+def coverage_report(f: Series, rho: float, samples: int, seed: int = 0) -> CoverageReport:
     """Sample the strict interior of the pinched set and certify attainment.
 
-    Points are rejection sampled from the set with radius rho*(1 - margin),
-    then handed to :func:`attain`. Misses are reported as data, never
-    dropped; a miss is a failed certificate, not a disproof.
+    Points are rejection sampled from the set with radius rho*(1 - 1e-3),
+    then handed to :func:`attain` on the whole ball of validity. Misses are
+    reported as data, never dropped; a miss is a failed certificate, not a
+    disproof.
     """
     if samples < 0:
         raise DomainError("the sample count cannot be negative")
-    if ball_radius is None:
-        ball_radius = f.radius
-    shrunk = rho * (1.0 - margin)
-    if not shrunk > 0:
-        raise DomainError("rho must be positive")
+    _check_rho(rho)
+    shrunk = rho * (1.0 - _SHRINK)
     rng = np.random.default_rng(seed)
     targets: list[np.ndarray] = []
     attempts = 0
@@ -361,21 +360,20 @@ def coverage_report(f: Series, rho: float, samples: int, seed: int = 0,
     misses: list[Quaternion] = []
     for t in targets:
         point = Quaternion(*t)
-        root = attain(f, point, ball_radius, starts=starts, seed=seed)
+        root = attain(f, point, f.radius, seed=seed)
         if root is None:
             misses.append(point)
             continue
         res = eval_rows(f.rows, np.array([root.components]))[0] - t
         hits += 1
         max_residual = max(max_residual, float(np.linalg.norm(res)))
-    return CoverageReport(rho, samples, hits, max_residual, misses,
-                          ball_radius, seed)
+    return CoverageReport(rho, samples, hits, max_residual, misses, f.radius, seed)
 
 
 # -- the constructive search -----------------------------------------------------
 
-def _first_crossing(derivative: Series, r: float, grid: np.ndarray,
-                    theta_grid: int) -> tuple[int, float, float]:
+def _first_crossing(derivative: Series, r: float,
+                    grid: np.ndarray) -> tuple[int, float, float]:
     """The first grid point s with mu(s) = s M(r - s) >= r, with M(r - s) and its angle.
 
     M, the maximum of |f'| on the ball of radius t, is the maximum on the
@@ -396,7 +394,7 @@ def _first_crossing(derivative: Series, r: float, grid: np.ndarray,
 
     def profile(idx: np.ndarray) -> np.ndarray:
         """Evaluate mu at the grid points ``idx`` in one batch; returns the gaps of M."""
-        maxima[idx], gap, angles[idx] = _sphere_max(derivative, r - grid[idx], theta_grid)
+        maxima[idx], gap, angles[idx] = _sphere_max(derivative, r - grid[idx])
         mu[idx] = grid[idx] * maxima[idx]
         return gap
 
@@ -422,8 +420,7 @@ def _first_crossing(derivative: Series, r: float, grid: np.ndarray,
     return first, float(maxima[first]), float(angles[first])
 
 
-def bl_search(f: Series, r: float, theta_grid: int = 512,
-              mu_grid: int = _MU_GRID, **norm_options) -> SearchReport:
+def bl_search(f: Series, r: float) -> SearchReport:
     """Constructive coverage search at working radius r in (0, 1).
 
     For f with f(0) = 0 and slice derivative 1 at the origin, the search
@@ -434,13 +431,16 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
     coverage radius of the result is reported together with its universal
     lower bound r / (32 sqrt(2)).
 
-    The root is bisected from the first crossing of mu(s) = s M(r - s) on a
-    grid of ``mu_grid`` points of [0, r] (at least two), with the 15 midpoints
-    of the next four bisection levels evaluated in one batch; the residual and
-    the locator come from the evaluation at the final upper end. Since M does
-    not decrease, the first crossing is found from a coarse pass over every
-    32nd grid point and the points of just the cells whose bound on mu reaches
-    r (``_first_crossing``); as long as each M is found to within its gap, it
+    The resolution is fixed: each M comes from ``_sphere_max`` on at least
+    512 grid angles (4N + 1 above degree 127), and ``dphi_norm`` from
+    ``split_norm`` on its 2048-unit lattice. The root is bisected from the
+    first crossing of mu(s) = s M(r - s) on a grid of ``_MU_GRID`` = 1024
+    points of [0, r], with the 15 midpoints of the next four bisection levels
+    evaluated in one batch; the residual and the locator come from the
+    evaluation at the final upper end. Since M does not decrease, the first
+    crossing is found from a coarse pass over every 32nd grid point and the
+    points of just the cells whose bound on mu reaches r
+    (``_first_crossing``); as long as each M is found to within its gap, it
     is that of the whole profile. Of 1024 radii this evaluated 63 to 126 on
     the builtin series at r = 0.99, and over 504 searches of the bl-search
     benchmark a median of 94 and at most 684. The whole profile, pairs
@@ -458,12 +458,10 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
         raise PreconditionError("requires a working radius in (0, 1)")
     if r >= f.radius:
         raise DomainError("working radius must sit inside the ball of validity")
-    if mu_grid < 2:
-        raise DomainError("mu_grid must be at least 2")
 
     derivative = slice_derivative(f)
-    grid = np.linspace(0.0, r, mu_grid)
-    first, hi_max, hi_angle = _first_crossing(derivative, r, grid, theta_grid)
+    grid = np.linspace(0.0, r, _MU_GRID)
+    first, hi_max, hi_angle = _first_crossing(derivative, r, grid)
     # hi_max is M(r - hi) and hi_angle the angle of the sphere where it is attained,
     # which locates w
     lo, hi = float(grid[first - 1]), float(grid[first])
@@ -477,7 +475,7 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
                 mids.append(mid)
                 halves += [(a, mid), (mid, b)]
             bounds = halves
-        maxima, _, angles = _sphere_max(derivative, r - np.array(mids), theta_grid)
+        maxima, _, angles = _sphere_max(derivative, r - np.array(mids))
         node = 0
         for _ in range(_BISECT_LEVELS):
             if hi - lo <= 1e-12:
@@ -521,7 +519,7 @@ def bl_search(f: Series, r: float, theta_grid: int = 512,
     phi = _from_rows(phi_rows, s_star, f.exact)
     phi_lemma = phi.with_radius(ball_radius)
 
-    dphi_norm = split_norm(slice_derivative(phi_lemma), **norm_options)
+    dphi_norm = split_norm(slice_derivative(phi_lemma))
     dphi_bound = 2.0 * math.sqrt(2.0) * r / ball_radius
     if dphi_norm.value > dphi_bound + 1e-6 * dphi_bound:
         raise NumericalSearchError(

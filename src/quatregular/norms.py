@@ -42,8 +42,10 @@ from .quaternions import I, Quaternion, UnitImaginary, _coerce, _sphere_rows
 from .series import Series, _from_rows, evaluate, slice_derivative, symmetrization
 from .slices import _frame, split_rows
 
-DEFAULT_THETA_GRID = 512
-DEFAULT_SPHERE_GRID = 2048
+# the fixed resolution: grid angles of every angle search (raised to 4N + 1),
+# and lattice units of the split_norm scan
+_THETA_GRID = 512
+_SPHERE_GRID = 2048
 
 # the angle search: local grid maxima polished per plane set, and grid rows per batch
 _PEAKS = 6
@@ -110,18 +112,15 @@ def sphere_extrema(b: Quaternion, c: Quaternion) -> tuple[float, float]:
     return float(low), float(high)
 
 
-def _angle_count(degree: int, theta_grid: int) -> int:
-    """Grid angles of the angle search: ``theta_grid``, raised to 4N + 1.
+def _angle_count(degree: int) -> int:
+    """Grid angles of the angle search at degree N: ``_THETA_GRID``, raised to 4N + 1.
 
     The squared maximum is built from trigonometric polynomials of degree N,
     and the polish is local, so every local maximum needs a grid angle of its
-    own near it; 4N + 1 angles put a grid step below pi / (4N). Every norm
-    asks this first, so a ``theta_grid`` below one is rejected before any
-    shortcut.
+    own near it; 4N + 1 angles put a grid step below pi / (4N). Above degree
+    127 they are more than 512.
     """
-    if theta_grid < 1:
-        raise DomainError("theta_grid must be at least 1")
-    return max(theta_grid, 4 * degree + 1)
+    return max(_THETA_GRID, 4 * degree + 1)
 
 
 def _angle_max(planes: np.ndarray, points: int
@@ -180,7 +179,7 @@ def _angle_max(planes: np.ndarray, points: int
     return at[pick], row, before, polished
 
 
-def _sphere_max(f: Series, radii: np.ndarray, theta_grid: int = DEFAULT_THETA_GRID,
+def _sphere_max(f: Series, radii: np.ndarray,
                 lowest: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximum of |f| on the sphere of each radius, as arrays (value, gap, angle).
 
@@ -193,7 +192,7 @@ def _sphere_max(f: Series, radii: np.ndarray, theta_grid: int = DEFAULT_THETA_GR
     the sphere minimum, and ``value`` is the minimum of |f| on the sphere of
     each radius.
     """
-    points = _angle_count(f.degree, theta_grid)
+    points = _angle_count(f.degree)
     rows, e = _scaled(f.rows)
     value = np.full(radii.shape, Quaternion(*rows[0]).modulus())
     gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
@@ -239,8 +238,7 @@ def _circle_max(rows: np.ndarray, radius: float, points: int) -> np.ndarray:
 
 # -- uniform norm on balls -----------------------------------------------------
 
-def sup_norm_ball(f: Series, s: float,
-                  theta_grid: int = DEFAULT_THETA_GRID) -> NormReport:
+def sup_norm_ball(f: Series, s: float) -> NormReport:
     """Maximum modulus on the closed ball of radius s.
 
     The maximum sits on the boundary, and the supremum over each boundary
@@ -252,16 +250,15 @@ def sup_norm_ball(f: Series, s: float,
     """
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
-    value, gap, _ = _sphere_max(f, np.array([s]), theta_grid)
+    value, gap, _ = _sphere_max(f, np.array([s]))
     value = float(value[0])
     if s == 0.0 or f.degree == 0:
         return NormReport(value, "closed-form")
-    return NormReport(value, "grid+refine", {"theta": _angle_count(f.degree, theta_grid)},
+    return NormReport(value, "grid+refine", {"theta": _angle_count(f.degree)},
                       _tol_floor(value, float(gap[0])))
 
 
-def inf_norm_ball(f: Series, s: float,
-                  theta_grid: int = DEFAULT_THETA_GRID) -> NormReport:
+def inf_norm_ball(f: Series, s: float) -> NormReport:
     """Minimum modulus on the closed ball of radius s.
 
     Two facts leave no interior search. By the minimum modulus principle
@@ -283,14 +280,14 @@ def inf_norm_ball(f: Series, s: float,
         raise DomainError("outside ball of validity")
     rows, e = _scaled(f.rows)
     g = _from_rows(rows, f.radius, f.exact)
-    (value,), (gap,), _ = _sphere_max(g, np.array([s]), theta_grid, lowest=True)
+    (value,), (gap,), _ = _sphere_max(g, np.array([s]), lowest=True)
     if s == 0.0 or f.degree == 0:
         return NormReport(float(_unscaled(value, e)), "closed-form")
     roots = np.roots(symmetrization(g).rows[::-1, 0])
     near = np.abs(roots[:, None] - roots) < _ROOT_CLUSTER
     roots = np.concatenate([roots, near @ roots / near.sum(axis=1)])
     roots = roots[np.abs(roots) <= s]
-    resolution = {"theta": _angle_count(f.degree, theta_grid), "roots": int(roots.size)}
+    resolution = {"theta": _angle_count(f.degree), "roots": int(roots.size)}
     low = sphere_min_rows(*sphere_constants(rows, roots.real, roots.imag)).min(initial=np.inf)
     if low < value:
         low = float(_unscaled(low, e))
@@ -319,25 +316,23 @@ def _grid_max(rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def slice_norm(f: Series, unit: UnitImaginary,
-               j_unit: UnitImaginary | None = None,
-               theta_grid: int = DEFAULT_THETA_GRID) -> float:
+               j_unit: UnitImaginary | None = None) -> float:
     """Slice norm at a unit: hypot of the boundary maxima of the two components.
 
     The value does not depend on which orthogonal completion ``j_unit`` is
     used; passing one explicitly exists for exactly that check.
     """
-    points = _angle_count(f.degree, theta_grid)
+    points = _angle_count(f.degree)
     rows, e = _scaled(f.rows)
     alpha, beta = split_rows(rows, *_frame(unit, j_unit))
     return float(_unscaled(_slice_norms(alpha, beta, f.radius, points)[0], e))
 
 
-def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
-               theta_grid: int = DEFAULT_THETA_GRID) -> NormReport:
+def split_norm(f: Series) -> NormReport:
     """Supremum of the slice norm over the sphere of units.
 
     Real-coefficient series short-circuit: every slice then carries the same
-    restriction. Otherwise a deterministic lattice of ``samples`` units is
+    restriction. Otherwise a deterministic lattice of ``_SPHERE_GRID`` units is
     scanned with grid maxima of |F_I| and |G_I| on each slice, no polish. The
     ``_STARTS`` best lattice units at least 0.2 rad apart, with the scan's best
     angle of each component, start a Newton ascent on S^2 x T^2
@@ -350,16 +345,16 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
     ``resolution`` holds the lattice and circle grid sizes, the number of starts
     and the Newton steps of the winning start.
     """
-    points = _angle_count(f.degree, theta_grid)
+    points = _angle_count(f.degree)
     rows, e = _scaled(f.rows)
     if f.degree == 0:
         return NormReport(float(_unscaled(Quaternion(*rows[0]).modulus(), e)), "closed-form")
     if np.all(rows[:, 1:] == 0.0):
-        value = slice_norm(f, I, theta_grid=theta_grid)
-        return NormReport(value, "grid+refine", {"sphere": 1, "theta": theta_grid},
+        value = slice_norm(f, I)
+        return NormReport(value, "grid+refine", {"sphere": 1, "theta": points},
                           _tol_floor(value, 0.0))
-    scan_table = circle_table(f.radius, f.degree + 1, max(theta_grid // 2, 64))
-    lattice = _sphere_rows(samples, seed)
+    scan_table = circle_table(f.radius, f.degree + 1, _THETA_GRID // 2)
+    lattice = _sphere_rows(_SPHERE_GRID)
     (f_top, f_col), (g_top, g_col) = (_grid_max(part, scan_table)
                                       for part in split_rows(rows, lattice))
     scan = np.hypot(f_top, g_top)
@@ -380,13 +375,13 @@ def split_norm(f: Series, samples: int = DEFAULT_SPHERE_GRID, seed: int = 0,
     # the first of those in pick order gives the steps and the gap, not the last bit
     best = int(np.flatnonzero(values >= top - _tol_floor(top, 0.0))[0])
     value = float(_unscaled(top, e))
-    resolution = {"sphere": samples, "theta": theta_grid, "starts": len(picks),
+    resolution = {"sphere": _SPHERE_GRID, "theta": points, "starts": len(picks),
                   "steps": int(steps[best])}
     gap = float(_unscaled(math.sqrt(h[best]) - math.sqrt(before[best]), e))
     return NormReport(value, "lattice+newton", resolution, _tol_floor(value, gap))
 
 
-def mean_value_margin(f: Series, q, **norm_options) -> float:
+def mean_value_margin(f: Series, q) -> float:
     """Slack of the mean value bound at q: norm of the derivative minus |f(q)|/|q|.
 
     Nonnegative (up to the certified tolerance) whenever f vanishes at the
@@ -398,5 +393,5 @@ def mean_value_margin(f: Series, q, **norm_options) -> float:
     norm_q = q.modulus()
     if norm_q == 0.0 or norm_q >= f.radius:
         raise DomainError("point must satisfy 0 < |q| < radius")
-    derivative_norm = split_norm(slice_derivative(f), **norm_options).value
+    derivative_norm = split_norm(slice_derivative(f)).value
     return derivative_norm - evaluate(f, q).modulus() / norm_q

@@ -9,7 +9,8 @@ import numpy as np
 
 from ._arrays import eval_rows, qmul_rows, sphere_constants
 from .errors import DomainError
-from .quaternions import Quaternion, UnitImaginary, _coerce, _completion_rows, _sphere_rows
+from .quaternions import ALGEBRA_TOL, Quaternion, UnitImaginary, _coerce
+from .quaternions import _completion_rows, _sphere_rows
 from .series import Series, _from_rows, evaluate, regular_conjugate
 
 _BINOMIAL_DEGREE_CAP = 60
@@ -38,9 +39,6 @@ class ComplexSeries:
         for a in reversed(self.coeffs):
             acc = acc * z + a
         return acc
-
-    def embed_value(self, z: complex) -> Quaternion:
-        return embed_complex(self(z), self.unit)
 
 
 @dataclass(frozen=True)
@@ -117,18 +115,17 @@ def split(f: Series, unit: UnitImaginary,
     )
 
 
-def split_conjugate_check(f: Series, unit: UnitImaginary,
-                          tol: float = 1e-12) -> tuple[SplitPair, SplitPair]:
+def split_conjugate_check(f: Series, unit: UnitImaginary) -> tuple[SplitPair, SplitPair]:
     """Split f and its regular conjugate with one shared completion and verify
     that the conjugate splits as (conj alpha_n, -beta_n) coefficientwise."""
     pair = split(f, unit)
     pair_c = split(regular_conjugate(f), unit, j_unit=pair.J)
     scale = max(1.0, max(abs(a) for a in pair.F.coeffs + pair.G.coeffs))
     for alpha, alpha_c in zip(pair.F.coeffs, pair_c.F.coeffs):
-        if abs(alpha_c - alpha.conjugate()) > tol * scale:
+        if abs(alpha_c - alpha.conjugate()) > ALGEBRA_TOL * scale:
             raise ArithmeticError("conjugate split relation failed on F coefficients")
     for beta, beta_c in zip(pair.G.coeffs, pair_c.G.coeffs):
-        if abs(beta_c + beta) > tol * scale:
+        if abs(beta_c + beta) > ALGEBRA_TOL * scale:
             raise ArithmeticError("conjugate split relation failed on G coefficients")
     return pair, pair_c
 

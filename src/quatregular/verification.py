@@ -19,6 +19,7 @@ import numpy as np
 
 from . import bloch, norms, slices
 from ._arrays import qmul_rows
+from .errors import DomainError
 from .quaternions import I as UNIT_I
 from .quaternions import (
     Quaternion,
@@ -346,8 +347,8 @@ def check_norm_homogeneity(rng, count) -> CheckResult:
         f = random_series(rng, int(rng.integers(1, 6)))
         scalar = float(rng.uniform(-3.0, 3.0))
         scaled = Series(tuple(a * scalar for a in f.coeffs), f.radius)
-        worst = max(worst, abs(norms.split_norm(scaled, samples=256).value
-                               - abs(scalar) * norms.split_norm(f, samples=256).value))
+        worst = max(worst, abs(norms.split_norm(scaled).value
+                               - abs(scalar) * norms.split_norm(f).value))
     return _deviation("norm-homogeneity", "norms", worst, 1e-12)
 
 
@@ -356,9 +357,9 @@ def check_norm_triangle(rng, count) -> CheckResult:
     for _ in range(count):
         f = random_series(rng, int(rng.integers(1, 6)))
         g = random_series(rng, int(rng.integers(1, 6)))
-        slack = (norms.split_norm(f, samples=256).value
-                 + norms.split_norm(g, samples=256).value
-                 - norms.split_norm(series_sum(f, g), samples=256).value)
+        slack = (norms.split_norm(f).value
+                 + norms.split_norm(g).value
+                 - norms.split_norm(series_sum(f, g)).value)
         worst = min(worst, slack)
     return _slack("norm-triangle", "norms", worst, -1e-10)
 
@@ -372,24 +373,18 @@ def check_norm_definiteness(rng, count) -> CheckResult:
         f = random_series(rng, int(rng.integers(0, 6)))
         if all(a.modulus() == 0 for a in f.coeffs):
             continue
-        smallest = min(smallest, norms.split_norm(f, samples=128).value)
+        smallest = min(smallest, norms.split_norm(f).value)
     return _slack("norm-definiteness", "norms", smallest, 1e-12,
                   "zero norm only for the zero series")
 
 
-def _norm_bundle(f: Series, ball: float, samples: int):
-    restricted = f.with_radius(ball)
-    split_report = norms.split_norm(restricted, samples=samples)
-    ball_report = norms.sup_norm_ball(f, ball)
-    return split_report, ball_report
-
-
-def check_norm_equivalence(rng, count, samples=2048) -> CheckResult:
+def check_norm_equivalence(rng, count) -> CheckResult:
     worst = math.inf
     tol = 0.0
     for _ in range(count):
         f = random_series(rng, int(rng.integers(1, 7)))
-        split_report, ball_report = _norm_bundle(f, 0.9, samples)
+        split_report = norms.split_norm(f.with_radius(0.9))
+        ball_report = norms.sup_norm_ball(f, 0.9)
         allowance = 2.0 * (split_report.certified_tol + ball_report.certified_tol)
         tol = max(tol, allowance)
         worst = min(worst,
@@ -435,8 +430,8 @@ def check_norm_conjugate_invariance(rng, count) -> CheckResult:
     tol = 0.0
     for _ in range(count):
         f = random_series(rng, int(rng.integers(1, 6)))
-        a = norms.split_norm(f, samples=512)
-        b = norms.split_norm(regular_conjugate(f), samples=512)
+        a = norms.split_norm(f)
+        b = norms.split_norm(regular_conjugate(f))
         worst = max(worst, abs(a.value - b.value))
         tol = max(tol, 2.0 * (a.certified_tol + b.certified_tol))
     return _deviation("norm-conjugate-invariance", "norms", worst, max(tol, 1e-8))
@@ -446,7 +441,7 @@ def check_mean_value(rng, count) -> CheckResult:
     worst = math.inf
     for _ in range(count):
         f = random_series(rng, int(rng.integers(1, 7)), monic_shift=True)
-        deriv_norm = norms.split_norm(slice_derivative(f), samples=512).value
+        deriv_norm = norms.split_norm(slice_derivative(f)).value
         for _ in range(25):
             q = random_ball_point(rng, 0.95)
             if q.modulus() < 1e-3:
@@ -460,7 +455,7 @@ def check_remark_bound(rng, count) -> CheckResult:
     worst = math.inf
     for _ in range(count):
         f = random_series(rng, int(rng.integers(1, 7)), monic_shift=True)
-        deriv_norm = norms.split_norm(slice_derivative(f), samples=512).value
+        deriv_norm = norms.split_norm(slice_derivative(f)).value
         for s in (0.3, 0.6, 0.9):
             worst = min(worst, s * deriv_norm - norms.sup_norm_ball(f, s).value)
     return _slack("remark-bound", "norms", worst, -1e-9,
@@ -589,7 +584,7 @@ def check_search_invariants(rng, count) -> CheckResult:
     worst = 0.0
     slack = math.inf
     for name, f in (builtin_corpus()[0], builtin_corpus()[3]):
-        report = bloch.bl_search(f, 0.99, samples=512)
+        report = bloch.bl_search(f, 0.99)
         worst = max(worst,
                     abs(report.w.modulus() + 2.0 * report.R_r - report.r),
                     abs(report.rotation.modulus() - 1.0) * 1e3,
@@ -654,6 +649,8 @@ def run_checks(suites=None, seed: int = 0, scale: float = 1.0,
 
     Each result carries the wall time of its check in ``seconds``.
     """
+    if not scale > 0:
+        raise DomainError("the sample scale must be positive")
     wanted = set(suites) if suites else set(SUITES)
     unknown = wanted - set(SUITES)
     if unknown:

@@ -149,19 +149,31 @@ class TestExitCodes:
                      "--degree", "1"]) == 2
         assert "exceeds the configured cap 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["0", "-3"])
-    def test_theta_grid_below_one(self, identity_file, capsys, grid):
-        assert main(["norm", identity_file, "--theta-grid", grid]) == 2
-        assert "theta_grid" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("grid", ["0", "-3"])
-    def test_theta_grid_below_one_on_a_ball(self, identity_file, capsys, grid):
-        assert main(["norm", identity_file, "--r", "0.5", "--theta-grid", grid]) == 2
-        assert "theta_grid" in capsys.readouterr().err
-
     def test_negative_samples(self, identity_file, capsys):
         assert main(["coverage", identity_file, "--rho", "0.25", "--samples", "-3"]) == 2
         assert "sample" in capsys.readouterr().err
+
+    def test_verify_samples_below_one(self, capsys):
+        for samples in ("0", "-50"):
+            assert main(["verify", "--suite", "series", "--samples", samples]) == 2
+        assert "sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho", ["inf", "nan"])
+    def test_non_finite_rho(self, identity_file, capsys, rho):
+        assert main(["oset", "--rho", rho, "--n", "16"]) == 2
+        assert main(["coverage", identity_file, "--rho", rho, "--samples", "5"]) == 2
+        assert "rho" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["norm", "FILE", "--theta-grid", "512"],
+                                      ["norm", "FILE", "--sphere-grid", "2048"],
+                                      ["rho", "FILE", "--seed", "3"],
+                                      ["search", "FILE", "--seed", "3"],
+                                      ["norm", "FILE", "--seed", "3"],
+                                      ["verify", "--tol", "2"]])
+    def test_removed_flags_exit_two(self, identity_file, argv):
+        with pytest.raises(SystemExit) as err:
+            main([identity_file if arg == "FILE" else arg for arg in argv])
+        assert err.value.code == 2
 
     def test_norm_beyond_the_largest_float(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -179,8 +191,7 @@ class TestDeterminism:
     def test_byte_identical_reports(self, identity_file, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out1, out2):
-            assert main(["search", identity_file, "--r", "0.9",
-                         "--seed", "3", "-o", str(out)]) == 0
+            assert main(["search", identity_file, "--r", "0.9", "-o", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_coverage_deterministic(self, identity_file, tmp_path):

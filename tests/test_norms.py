@@ -31,6 +31,7 @@ from quatregular._arrays import (
     sphere_extrema_rows,
     sphere_max_rows,
     sphere_min_rows,
+    sphere_planes,
 )
 from quatregular.norms import _circle_max, _sphere_max
 from quatregular.quaternions import I, J, _completion_rows, orthonormal_completion, sphere_sample
@@ -191,7 +192,7 @@ class TestSupNormBall:
         # q + q^2 j at radius 0.9: closed form max is 0.9 * (1 + 0.9) = 1.71,
         # attained where q j is real positive; a large boundary sample must agree
         f = Series((0, 1, J))
-        report = sup_norm_ball(f, 0.9, theta_grid=2048)
+        report = sup_norm_ball(f, 0.9)
         rng = np.random.default_rng(424242)
         pts = rng.standard_normal((1000000, 4))
         pts *= 0.9 / np.linalg.norm(pts, axis=1, keepdims=True)
@@ -204,15 +205,6 @@ class TestSupNormBall:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             sup_norm_ball(Series((0, 1)), 1.0)
-
-    @pytest.mark.parametrize("norm", [sup_norm_ball, inf_norm_ball])
-    @pytest.mark.parametrize("f", [Series((0, 1)), Series((J,))])
-    def test_theta_grid_below_one(self, norm, f):
-        # rejected before the shortcuts of a constant series and of s = 0
-        for theta_grid in (0, -3):
-            for s in (0.0, 0.5):
-                with pytest.raises(DomainError, match="theta_grid"):
-                    norm(f, s, theta_grid=theta_grid)
 
     def test_monotone(self, rng):
         f = random_series(rng, 6)
@@ -240,8 +232,8 @@ class TestSupNormBall:
         # maxima at the ends 0 and pi, where Im(b conj(c)) = 0 (real coefficients,
         # cubic-half), real quadratics whose maximum sits within the first grid
         # step off an end that is a minimum, a maximum that is flat along the
-        # sphere (quadratic-j), and grids of 1, 2 and 3 angles: never below a
-        # 200000-angle scan
+        # sphere (quadratic-j), at 512 grid angles and at the 4N + 1 floor that
+        # sets the grid above degree 127: never below a 200000-angle scan
         rng = np.random.default_rng(1414)
         corpus = dict(builtin_corpus())
         cases = [corpus["cubic-half"], slice_derivative(corpus["cubic-half"]),
@@ -257,9 +249,12 @@ class TestSupNormBall:
                 dense = max(float(sphere_max_rows(*sphere_constants(
                     coeffs, s * np.cos(part), s * np.sin(part))).max())
                     for part in np.array_split(angles, 10))
-                for theta_grid in (512, 1, 2, 3):
-                    value = sup_norm_ball(f, s, theta_grid=theta_grid).value
-                    assert value >= dense - 1e-13 * dense
+                assert sup_norm_ball(f, s).value >= dense - 1e-13 * dense
+                angle = norms._angle_max(sphere_planes(coeffs, np.array([s])),
+                                         4 * f.degree + 1)[0]
+                floor = sphere_max_rows(*sphere_constants(coeffs, s * np.cos(angle),
+                                                          s * np.sin(angle)))
+                assert floor[0] >= dense - 1e-13 * dense
 
 
 class TestSliceNorm:
@@ -345,6 +340,12 @@ class TestSplitNorm:
         assert report.resolution["sphere"] == 1
         assert abs(report.value - slice_norm(f, I)) < 1e-12
 
+    def test_reported_angles_above_degree_127(self, rng):
+        # the circle grid rises from 512 angles to 4N + 1 = 521 at degree 130
+        f = Series(tuple(float(v) for v in rng.uniform(-1, 1, size=131)))
+        assert split_norm(f).resolution["theta"] == 521
+        assert sup_norm_ball(f, 0.5).resolution["theta"] == 521
+
     def test_quadratic_j_analytic(self):
         # sup over slices of (1 + |alpha2|)^2 + |beta2|^2 for a2 = j is 4
         report = split_norm(Series((0, 1, J)))
@@ -353,14 +354,14 @@ class TestSplitNorm:
     def test_conjugate_invariance(self, rng):
         for _ in range(5):
             f = random_series(rng, int(rng.integers(1, 6)))
-            a = split_norm(f, samples=512)
-            b = split_norm(regular_conjugate(f), samples=512)
+            a = split_norm(f)
+            b = split_norm(regular_conjugate(f))
             assert abs(a.value - b.value) <= max(2 * (a.certified_tol + b.certified_tol), 1e-8)
 
     def test_equivalence_with_uniform(self, rng):
         for _ in range(8):
             f = random_series(rng, int(rng.integers(1, 7)))
-            split_report = split_norm(f.with_radius(0.9), samples=1024)
+            split_report = split_norm(f.with_radius(0.9))
             ball_report = sup_norm_ball(f, 0.9)
             allowance = 2 * (split_report.certified_tol + ball_report.certified_tol) + 1e-9
             assert ball_report.value <= split_report.value + allowance
@@ -370,14 +371,11 @@ class TestSplitNorm:
         f = random_series(rng, 4)
         g = random_series(rng, 3)
         scaled = Series(tuple(a * (-2.5) for a in f.coeffs), f.radius)
-        assert abs(split_norm(scaled, samples=256).value
-                   - 2.5 * split_norm(f, samples=256).value) < 1e-12
+        assert abs(split_norm(scaled).value - 2.5 * split_norm(f).value) < 1e-12
         n = max(len(f.coeffs), len(g.coeffs))
         pad = lambda c: list(c) + [Quaternion()] * (n - len(c))
         h = Series(tuple(a + b for a, b in zip(pad(f.coeffs), pad(g.coeffs))), 1.0)
-        assert (split_norm(h, samples=256).value
-                <= split_norm(f, samples=256).value
-                + split_norm(g, samples=256).value + 1e-10)
+        assert split_norm(h).value <= split_norm(f).value + split_norm(g).value + 1e-10
 
     def test_zero_norm_iff_zero(self):
         assert split_norm(Series((0, 0))).value == 0.0
@@ -652,7 +650,7 @@ class TestMeanValue:
 
     def test_property_sweep(self, rng):
         f = random_series(rng, 6, monic_shift=True)
-        deriv_norm = split_norm(slice_derivative(f), samples=512).value
+        deriv_norm = split_norm(slice_derivative(f)).value
         from quatregular import evaluate
 
         for _ in range(200):
@@ -664,7 +662,7 @@ class TestMeanValue:
     def test_remark_bound(self, rng):
         for _ in range(5):
             f = random_series(rng, int(rng.integers(1, 7)), monic_shift=True)
-            deriv_norm = split_norm(slice_derivative(f), samples=512).value
+            deriv_norm = split_norm(slice_derivative(f)).value
             for s in (0.25, 0.6, 0.9):
                 assert s * deriv_norm - sup_norm_ball(f, s).value >= -1e-9
 
@@ -718,7 +716,7 @@ class TestSphereMaxSearch:
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
                 maxima, _, angles = _sphere_max(derivative, r - grid)
                 first = int(np.flatnonzero(grid * maxima >= r - 1e-12)[0])
-                lazy = bloch._first_crossing(derivative, r, grid, norms.DEFAULT_THETA_GRID)
+                lazy = bloch._first_crossing(derivative, r, grid)
                 assert lazy == (first, maxima[first], angles[first])
 
     def test_profile_radii_per_search(self, monkeypatch):
@@ -732,7 +730,7 @@ class TestSphereMaxSearch:
         for _, f in builtin_corpus():
             radii.clear()
             grid = np.linspace(0.0, 0.99, bloch._MU_GRID)
-            bloch._first_crossing(slice_derivative(f), 0.99, grid, norms.DEFAULT_THETA_GRID)
+            bloch._first_crossing(slice_derivative(f), 0.99, grid)
             assert sum(radii) <= 256
 
     def test_identity_locator_angle(self):
