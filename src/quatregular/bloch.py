@@ -31,8 +31,8 @@ _SHRINK = 1e-3
 _NEWTON_STEP = 1e-6
 _NEWTON_MAX_ITER = 200
 _RESIDUAL_TOL = 1e-8
-# bisection levels evaluated per batch of sphere maxima: 2^4 - 1 = 15 midpoints
-_BISECT_LEVELS = 4
+# points of the circles that inscribed_disc_margin sweeps and parseval_mean averages over
+_CIRCLE_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def oset_slice_curve(rho: float, n: int) -> list[tuple[float, float]]:
     return points
 
 
-def inscribed_disc_margin(rho: float, sweep: int = 4096) -> float:
+def inscribed_disc_margin(rho: float) -> float:
     """Worst slack of rho x^2 - (x^2+y^2)^{3/2} on the inscribed disc boundary.
 
     The disc has centre (rho/2, 0) and radius 37/256 rho^2; a positive margin
@@ -146,14 +146,14 @@ def inscribed_disc_margin(rho: float, sweep: int = 4096) -> float:
     """
     _check_rho(rho)
     disc_radius = (37.0 / 256.0) * rho * rho
-    ts = np.linspace(0.0, 2.0 * math.pi, sweep, endpoint=False)
+    ts = np.linspace(0.0, 2.0 * math.pi, _CIRCLE_POINTS, endpoint=False)
     x = rho / 2.0 + disc_radius * np.cos(ts)
     y = disc_radius * np.sin(ts)
     margins = rho * x * x - (x * x + y * y) ** 1.5
     return float(margins.min())
 
 
-def inscribed_disc_check(rho: float, sweep: int = 4096) -> bool:
+def inscribed_disc_check(rho: float) -> bool:
     """Whether the disc of radius 37/256 rho^2 centred at (rho/2, 0) fits.
 
     Verified by sweeping the disc boundary. The symmetric disc at (-rho/2, 0)
@@ -162,7 +162,7 @@ def inscribed_disc_check(rho: float, sweep: int = 4096) -> bool:
     if rho > 1.0:
         warnings.warn("claim verified only for rho <= 1 by this artifact",
                       stacklevel=2)
-    return inscribed_disc_margin(rho, sweep) > 0.0
+    return inscribed_disc_margin(rho) > 0.0
 
 
 # -- coverage radius and fourth-root lifting ------------------------------------
@@ -231,8 +231,8 @@ def fourth_root_series(g: Series) -> Series:
     return Series(tuple(Quaternion(v) for v in p), g.radius, exact=False)
 
 
-def parseval_mean(psi: Series, r: float, unit: UnitImaginary = CANONICAL_I,
-                  n_theta: int = 4096) -> tuple[float, float]:
+def parseval_mean(psi: Series, r: float,
+                  unit: UnitImaginary = CANONICAL_I) -> tuple[float, float]:
     """Circle mean of |psi|^2 against the coefficient sum it must equal.
 
     Returns (quadrature value, sum of r^{2m} |coefficient_m|^2). The periodic
@@ -242,7 +242,7 @@ def parseval_mean(psi: Series, r: float, unit: UnitImaginary = CANONICAL_I,
     """
     if not 0.0 <= r < psi.radius:
         raise DomainError("outside ball of validity")
-    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    thetas = 2.0 * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
     z = r * np.exp(1j * thetas)
     # psi(x + y I) = b + I c with the sphere constants of x + iy
     b, c = sphere_constants(psi.rows, z.real, z.imag)
@@ -433,22 +433,23 @@ def bl_search(f: Series, r: float) -> SearchReport:
 
     The resolution is fixed: each M comes from ``_sphere_max`` on at least
     512 grid angles (4N + 1 above degree 127), and ``dphi_norm`` from
-    ``split_norm`` on its 2048-unit lattice. The root is bisected from the
-    first crossing of mu(s) = s M(r - s) on a grid of ``_MU_GRID`` = 1024
-    points of [0, r], with the 15 midpoints of the next four bisection levels
-    evaluated in one batch; the residual and the locator come from the
-    evaluation at the final upper end. Since M does not decrease, the first
+    ``split_norm`` on its 2048-unit lattice. The root starts from the first
+    grid point of ``_MU_GRID`` = 1024 in [0, r] where mu(s) = s M(r - s)
+    reaches r. Each root batch then evaluates 15 evenly spaced interior points
+    of the bracket, and their first crossing (or the upper end) closes the next
+    bracket, until it is at most 1e-12 wide; the residual and the locator come
+    from the final upper end. Since M does not decrease, the first grid
     crossing is found from a coarse pass over every 32nd grid point and the
-    points of just the cells whose bound on mu reaches r
-    (``_first_crossing``); as long as each M is found to within its gap, it
-    is that of the whole profile. Of 1024 radii this evaluated 63 to 126 on
-    the builtin series at r = 0.99, and over 504 searches of the bl-search
-    benchmark a median of 94 and at most 684. The whole profile, pairs
-    (s, mu(s)), is evaluated and reported only as the ``mu_profile`` of a
-    ``NumericalSearchError``, when it never meets r or meets it at s = 0.
-    Where |f'| has several maximisers on that sphere, one of them is used:
-    ``locator_angle``, ``w``, ``f_w``, ``rotation`` and ``phi_coeffs`` come from
-    it, and ``R_r`` does not depend on which one it is.
+    points of just the cells whose bound on mu reaches r (``_first_crossing``);
+    as long as each M is found to within its gap, it is that of the whole
+    profile. Of 1024 radii this evaluated 63 to 126 on the builtin series at
+    r = 0.99, and over 504 searches of the bl-search benchmark a median of 94
+    and at most 684. The whole profile, pairs (s, mu(s)), is evaluated and
+    reported only as the ``mu_profile`` of a ``NumericalSearchError``, when it
+    never meets r or meets it at s = 0. Where |f'| has several maximisers on
+    that sphere, one of them is used: ``locator_angle``, ``w``, ``f_w``,
+    ``rotation`` and ``phi_coeffs`` come from it, and ``R_r`` does not depend
+    on which one it is.
     """
     if f.coeffs[0].modulus_sq() != 0.0:
         raise PreconditionError("requires f(0) = 0")
@@ -466,27 +467,13 @@ def bl_search(f: Series, r: float) -> SearchReport:
     # which locates w
     lo, hi = float(grid[first - 1]), float(grid[first])
     while hi - lo > 1e-12:
-        # the midpoints of the next bisection levels in heap order, one batch
-        mids, bounds = [], [(lo, hi)]
-        for _ in range(_BISECT_LEVELS):
-            halves = []
-            for a, b in bounds:
-                mid = 0.5 * (a + b)
-                mids.append(mid)
-                halves += [(a, mid), (mid, b)]
-            bounds = halves
-        maxima, _, angles = _sphere_max(derivative, r - np.array(mids))
-        node = 0
-        for _ in range(_BISECT_LEVELS):
-            if hi - lo <= 1e-12:
-                break
-            mid = mids[node]
-            if mid * float(maxima[node]) >= r - 1e-12:
-                hi, hi_max, hi_angle = mid, float(maxima[node]), float(angles[node])
-                node = 2 * node + 1
-            else:
-                lo = mid
-                node = 2 * node + 2
+        # the first of 15 evenly spaced interior points where mu reaches r, in one batch
+        points = np.linspace(lo, hi, 17)
+        maxima, _, angles = _sphere_max(derivative, r - points[1:-1])
+        k = int(np.argmax(np.append(points[1:-1] * maxima >= r - 1e-12, True)))
+        lo, hi = float(points[k]), float(points[k + 1])
+        if k < 15:
+            hi_max, hi_angle = float(maxima[k]), float(angles[k])
     s_star = hi
     ball_radius = s_star / 2.0
     sphere_radius = r - s_star

@@ -16,7 +16,7 @@ angles, which a lattice scan starts and Newton steps finish. The minimum
 inside a ball comes from the roots of the symmetrization instead of a search.
 Every search is deterministic, local refinement from a grid, with a reported
 convergence gap; nothing here is Monte Carlo. Each runs on the coefficients
-scaled by a power of two (``_scaled``), so that no square overflows or underflows.
+and radius scaled by powers of two (``_scaled``), so nothing overflows or underflows.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _SPHERE_GRID = 2048
 # the angle search: local grid maxima polished per plane set, and grid rows per batch
 _PEAKS = 6
 _CHUNK_ROWS = 16384
-# roots of f^s this close share a centroid candidate in inf_norm_ball
+# roots of f^s this close, with the ball radius folded into (1/2, 1], share a centroid
 _ROOT_CLUSTER = 1e-2
 # separated lattice units that start the split_norm ascent
 _STARTS = 3
@@ -86,14 +86,20 @@ def _tol_floor(value: float, gap: float) -> float:
     return max(gap, 4e-15 * max(1.0, value))
 
 
-def _scaled(rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rows times 2^-e, with e the frexp exponent of their largest component, and e.
+def _scaled(rows: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray | float, int]:
+    """The rows of f(2^p q) times 2^-e, the radius times 2^-p, and e.
 
-    Scaling by a power of two is exact, so a norm of the result times 2^e is
-    the norm of the rows, while the squares the norms take neither overflow nor underflow.
+    2^-p times the radius (the largest, for an array of radii) lies in (1/2, 1],
+    and e, taken row by row, is the frexp exponent of the largest component of
+    f(2^p q). Powers of two scale exactly, so a norm of the result times 2^e is
+    that of f, while no radius power or square the norms take overflows or underflows.
     """
-    e = math.frexp(float(np.abs(rows).max()))[1]
-    return (np.ldexp(rows, -e) if e else rows), e
+    mantissa, p = math.frexp(float(np.max(radius)))
+    p -= mantissa == 0.5
+    top = np.abs(rows).max(axis=1)
+    shift = p * np.arange(len(rows))
+    e = int((np.frexp(top)[1] + shift)[top > 0.0].max()) if top.any() else 0
+    return np.ldexp(rows, (shift - e)[:, None]), np.ldexp(radius, -p), e
 
 
 def _unscaled(x, e: int):
@@ -107,7 +113,7 @@ def _unscaled(x, e: int):
 
 def sphere_extrema(b: Quaternion, c: Quaternion) -> tuple[float, float]:
     """Exact (min, max) of |b + I c| over all imaginary units I (``sphere_extrema_rows``)."""
-    rows, e = _scaled(np.array([_coerce(b).components, _coerce(c).components]))
+    rows, _, e = _scaled(np.array([_coerce(b).components, _coerce(c).components]), 1.0)
     low, high = _unscaled(np.concatenate(sphere_extrema_rows(rows[:1], rows[1:])), e)
     return float(low), float(high)
 
@@ -193,7 +199,7 @@ def _sphere_max(f: Series, radii: np.ndarray,
     each radius.
     """
     points = _angle_count(f.degree)
-    rows, e = _scaled(f.rows)
+    rows, radii, e = _scaled(f.rows, radii)
     value = np.full(radii.shape, Quaternion(*rows[0]).modulus())
     gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
     todo = np.flatnonzero(radii > 0.0)
@@ -270,7 +276,8 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     minimum over the boundary sphere, which ``_sphere_max`` finds by climbing
     -A + |U| = -min^2. A zero of f of multiplicity k is a 2k-fold root of f^s,
     which ``np.roots`` splits by about eps^(1/2k), so the centroid of each root
-    with the roots near it is tried as well. ``certified_tol`` is the value
+    with the roots near it (in the plane ``_scaled`` folds, so relative to
+    the ball radius) is tried as well. ``certified_tol`` is the value
     itself when a root sphere wins, since f vanishes on that sphere, and
     otherwise how much the last Newton step still lowered the boundary value,
     floored at rounding noise. ``resolution`` holds the number of boundary
@@ -278,15 +285,16 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     """
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
-    rows, e = _scaled(f.rows)
-    g = _from_rows(rows, f.radius, f.exact)
-    (value,), (gap,), _ = _sphere_max(g, np.array([s]), lowest=True)
+    rows, t, e = _scaled(f.rows, s)
     if s == 0.0 or f.degree == 0:
-        return NormReport(float(_unscaled(value, e)), "closed-form")
+        return NormReport(float(_unscaled(Quaternion(*rows[0]).modulus(), e)), "closed-form")
+    # f(2^p q) 2^-e is valid up to 2^-p f.radius > t, which may overflow; the next float cannot
+    g = _from_rows(rows, np.nextafter(t, np.inf), f.exact)
+    (value,), (gap,), _ = _sphere_max(g, np.array([t]), lowest=True)
     roots = np.roots(symmetrization(g).rows[::-1, 0])
     near = np.abs(roots[:, None] - roots) < _ROOT_CLUSTER
     roots = np.concatenate([roots, near @ roots / near.sum(axis=1)])
-    roots = roots[np.abs(roots) <= s]
+    roots = roots[np.abs(roots) <= t]
     resolution = {"theta": _angle_count(f.degree), "roots": int(roots.size)}
     low = sphere_min_rows(*sphere_constants(rows, roots.real, roots.imag)).min(initial=np.inf)
     if low < value:
@@ -297,13 +305,6 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
 
 
 # -- slice norm and its supremum over units ------------------------------------
-
-def _slice_norms(alpha: np.ndarray, beta: np.ndarray, radius: float,
-                 points: int) -> np.ndarray:
-    """hypot of the refined boundary maxima of F and G, one circle-max batch for both."""
-    maxima = _circle_max(np.concatenate([alpha, beta]), radius, points)
-    return np.hypot(maxima[:len(alpha)], maxima[len(alpha):])
-
 
 def _grid_max(rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest |P| on the grid of ``table`` for each complex coefficient row P, and its column.
@@ -322,10 +323,10 @@ def slice_norm(f: Series, unit: UnitImaginary,
     The value does not depend on which orthogonal completion ``j_unit`` is
     used; passing one explicitly exists for exactly that check.
     """
-    points = _angle_count(f.degree)
-    rows, e = _scaled(f.rows)
+    rows, radius, e = _scaled(f.rows, f.radius)
     alpha, beta = split_rows(rows, *_frame(unit, j_unit))
-    return float(_unscaled(_slice_norms(alpha, beta, f.radius, points)[0], e))
+    maxima = _circle_max(np.concatenate([alpha, beta]), radius, _angle_count(f.degree))
+    return float(_unscaled(np.hypot(*maxima), e))
 
 
 def split_norm(f: Series) -> NormReport:
@@ -338,22 +339,21 @@ def split_norm(f: Series) -> NormReport:
     angle of each component, start a Newton ascent on S^2 x T^2
     (``slice_norm_ascent``): the squared norm is the maximum of
     H = |F_I(z_1)|^2 + |G_I(z_2)|^2 over the unit and two angles. The value is
-    the best slice norm, from refined circle maxima, at the final units, so it
-    is attained. The winning start is the first, in pick order, whose value
-    is within rounding noise of the best. ``certified_tol`` is how much its
-    last Newton step still raised sqrt(H), floored at rounding noise;
-    ``resolution`` holds the lattice and circle grid sizes, the number of starts
-    and the Newton steps of the winning start.
+    sqrt(H) at the best final point, so it is attained, and it is the slice
+    norm at that point's unit to rounding. The winning start is the first, in
+    pick order, whose value is within rounding noise of the best.
+    ``certified_tol`` is how much its last Newton step still raised sqrt(H),
+    floored at rounding noise; ``resolution`` holds the lattice size, the scan's
+    grid angles, the number of starts and the Newton steps of the winning start.
     """
-    points = _angle_count(f.degree)
-    rows, e = _scaled(f.rows)
+    rows, radius, e = _scaled(f.rows, f.radius)
     if f.degree == 0:
         return NormReport(float(_unscaled(Quaternion(*rows[0]).modulus(), e)), "closed-form")
     if np.all(rows[:, 1:] == 0.0):
         value = slice_norm(f, I)
-        return NormReport(value, "grid+refine", {"sphere": 1, "theta": points},
-                          _tol_floor(value, 0.0))
-    scan_table = circle_table(f.radius, f.degree + 1, _THETA_GRID // 2)
+        return NormReport(value, "grid+refine",
+                          {"sphere": 1, "theta": _angle_count(f.degree)}, _tol_floor(value, 0.0))
+    scan_table = circle_table(radius, f.degree + 1, _THETA_GRID // 2)
     lattice = _sphere_rows(_SPHERE_GRID)
     (f_top, f_col), (g_top, g_col) = (_grid_max(part, scan_table)
                                       for part in split_rows(rows, lattice))
@@ -368,16 +368,16 @@ def split_norm(f: Series) -> NormReport:
             break
 
     angles = (2.0 * math.pi / scan_table.shape[1]) * np.stack([f_col, g_col], axis=1)[picks]
-    h, before, units, _, steps = slice_norm_ascent(rows, f.radius, lattice[picks], angles)
-    values = _slice_norms(*split_rows(rows, units), f.radius, points)
+    h, before, _, _, steps = slice_norm_ascent(rows, radius, lattice[picks], angles)
+    values = np.sqrt(h)
     top = float(values.max())
     # starts often end on one slice (units I and -I) whose norms agree to rounding:
     # the first of those in pick order gives the steps and the gap, not the last bit
     best = int(np.flatnonzero(values >= top - _tol_floor(top, 0.0))[0])
     value = float(_unscaled(top, e))
-    resolution = {"sphere": _SPHERE_GRID, "theta": points, "starts": len(picks),
+    resolution = {"sphere": _SPHERE_GRID, "theta": scan_table.shape[1], "starts": len(picks),
                   "steps": int(steps[best])}
-    gap = float(_unscaled(math.sqrt(h[best]) - math.sqrt(before[best]), e))
+    gap = float(_unscaled(values[best] - math.sqrt(before[best]), e))
     return NormReport(value, "lattice+newton", resolution, _tol_floor(value, gap))
 
 

@@ -68,8 +68,8 @@ class Quaternion:
         return (self.x0 * other.x0 + self.x1 * other.x1
                 + self.x2 * other.x2 + self.x3 * other.x3)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return abs(self.x1) <= tol and abs(self.x2) <= tol and abs(self.x3) <= tol
+    def is_real(self) -> bool:
+        return self.x1 == 0.0 and self.x2 == 0.0 and self.x3 == 0.0
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -194,11 +194,11 @@ class SlicePoint:
                           self.y * self.unit.x2, self.y * self.unit.x3)
 
     @classmethod
-    def from_quaternion(cls, q: Quaternion, real_unit: UnitImaginary = I) -> SlicePoint:
+    def from_quaternion(cls, q: Quaternion) -> SlicePoint:
         """Decompose q as x + y*unit; real points get the canonical unit i."""
         y = q.imag.modulus()
         if y == 0.0:
-            return cls(q.x0, 0.0, real_unit)
+            return cls(q.x0, 0.0, I)
         return cls(q.x0, y, unit_of(q))
 
 

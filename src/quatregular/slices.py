@@ -14,7 +14,7 @@ from .quaternions import _completion_rows, _sphere_rows
 from .series import Series, _from_rows, evaluate, regular_conjugate
 
 _BINOMIAL_DEGREE_CAP = 60
-# C(n, m) at row m, column n, for every degree up to the cap
+# C(n, m) at row m, column n up to the cap: exact through degree 56, then rounded
 _BINOMIALS = np.array([[math.comb(n, m) for n in range(_BINOMIAL_DEGREE_CAP + 1)]
                        for m in range(_BINOMIAL_DEGREE_CAP + 1)], dtype=float)
 
@@ -197,7 +197,7 @@ def regular_translation(f: Series, w) -> Series:
     n_deg = f.degree
     if n_deg > _BINOMIAL_DEGREE_CAP:
         raise DomainError(
-            f"degree {n_deg} exceeds the exact-binomial cap {_BINOMIAL_DEGREE_CAP}")
+            f"degree {n_deg} exceeds the recentring cap {_BINOMIAL_DEGREE_CAP}")
     powers = [np.array([1.0, 0.0, 0.0, 0.0]), np.array(w.components)]
     for _ in range(n_deg - 1):
         powers.append(qmul_rows(powers[-1], powers[1]))

@@ -92,15 +92,14 @@ def random_unit(rng) -> UnitImaginary:
     return UnitImaginary.from_vector(*v)
 
 
-def random_series(rng, degree: int, scale: float = 0.5, radius: float = 1.0,
-                  monic_shift: bool = False) -> Series:
+def random_series(rng, degree: int, scale: float = 0.5, monic_shift: bool = False) -> Series:
     """Random polynomial; ``monic_shift`` pins a_0 = 0 and a_1 = 1."""
     coeffs = [random_quaternion(rng, scale) for _ in range(degree + 1)]
     if monic_shift:
         coeffs[0] = Quaternion()
         if degree >= 1:
             coeffs[1] = Quaternion(1.0)
-    return Series(tuple(coeffs), radius)
+    return Series(tuple(coeffs))
 
 
 def random_ball_point(rng, radius: float) -> Quaternion:
@@ -556,7 +555,7 @@ def check_parseval(rng, count) -> CheckResult:
     for _ in range(count):
         coeffs = tuple(float(v) for v in rng.uniform(-1, 1, size=9))
         psi = Series(coeffs, radius=1.0)
-        integral, coeff_sum = bloch.parseval_mean(psi, 0.9, n_theta=4096)
+        integral, coeff_sum = bloch.parseval_mean(psi, 0.9)
         worst = max(worst, abs(integral - coeff_sum))
     return _deviation("parseval-gap", "bloch", worst, 1e-8)
 

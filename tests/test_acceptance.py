@@ -173,7 +173,7 @@ def test_criterion_4_norm_inequalities():
 def test_criterion_5_universal_constants():
     worst_margin = math.inf
     for rho in (RHO_FLOOR, 0.1, 0.25, 1.0):
-        worst_margin = min(worst_margin, inscribed_disc_margin(rho, sweep=4096))
+        worst_margin = min(worst_margin, inscribed_disc_margin(rho))
     searches = []
     ok = worst_margin > 0.0
     for name, f in builtin_corpus():
@@ -219,7 +219,7 @@ def test_criterion_7_fourth_root_machinery():
         worst_power = max(worst_power,
                           max((fourth.coeffs[n] - g.coeffs[n]).modulus()
                               for n in range(g.degree + 1)))
-        integral, coeff_sum = parseval_mean(psi, 0.9, n_theta=4096)
+        integral, coeff_sum = parseval_mean(psi, 0.9)
         worst_parseval = max(worst_parseval, abs(integral - coeff_sum))
         expected = -0.5 * (f.coeffs[1] * c.inverse()).x0
         worst_deriv = max(worst_deriv, abs(psi.coeffs[1].x0 - expected))

@@ -222,7 +222,7 @@ class TestParseval:
 
     def test_random_real_degree8(self, rng):
         coeffs = tuple(float(v) for v in rng.uniform(-1, 1, size=9))
-        integral, coeff_sum = parseval_mean(Series(coeffs), 0.9, n_theta=4096)
+        integral, coeff_sum = parseval_mean(Series(coeffs), 0.9)
         assert abs(integral - coeff_sum) < 1e-8
 
     def test_quaternionic_coefficients(self, rng):

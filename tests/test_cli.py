@@ -181,6 +181,20 @@ class TestExitCodes:
         assert main(["norm", str(path)]) == 2
         assert "largest float" in capsys.readouterr().err
 
+    def test_norm_on_a_large_ball(self, tmp_path, capsys):
+        # |q^60| = 1e180 on the sphere of radius 1000, although 1000^120 is no float
+        path = tmp_path / "power.json"
+        dump_series(Series(tuple([0.0] * 60 + [1.0]), radius=2000.0), path)
+        assert main(["norm", str(path), "--r", "1000"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["value"] / 1e180 - 1.0) <= 1e-12
+
+    def test_ball_norm_beyond_the_largest_float(self, tmp_path, capsys):
+        # 0.5 q^4 reaches 5e319 on the sphere of radius 1e80
+        path = tmp_path / "quartic.json"
+        dump_series(Series((0.0, 1.0, 0.0, 0.0, 0.5), radius=1e90), path)
+        assert main(["norm", str(path), "--r", "1e80"]) == 2
+        assert "largest float" in capsys.readouterr().err
+
     def test_bad_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["search", "--bogus"])

@@ -10,6 +10,7 @@ from quatregular import (
     PreconditionError,
     Quaternion,
     Series,
+    UnitImaginary,
     bl_search,
     inf_norm_ball,
     mean_value_margin,
@@ -454,6 +455,25 @@ class TestSplitNorm:
         gap = 2.0 * (math.sqrt(h[0]) - math.sqrt(before[0]))
         assert report.certified_tol == norms._tol_floor(1.5, gap)
 
+    def test_value_is_the_slice_norm_at_the_final_unit(self, monkeypatch):
+        # the value is sqrt(H) at the ascent's best point, with no second pass of
+        # circle maxima: it must match the slice norm at that point's unit
+        ascents = []
+
+        def recording(*args):
+            ascents.append(slice_norm_ascent(*args))
+            return ascents[-1]
+
+        monkeypatch.setattr(norms, "slice_norm_ascent", recording)
+        rng = np.random.default_rng(2718)
+        for scale in (0.5, 1.0, 3.0):
+            for degree in range(1, 9):
+                f = random_series(rng, degree, scale)
+                value = split_norm(f).value
+                h, _, units, _, _ = ascents[-1]
+                unit = UnitImaginary.from_vector(*units[int(np.argmax(h))])
+                assert abs(value - slice_norm(f, unit)) <= 2e-15 * value
+
 
 class TestScaleFree:
     @pytest.mark.parametrize("s", [1e-300, 1e-170, 1.0, 1e160, 1e300])
@@ -468,6 +488,20 @@ class TestScaleFree:
         scaled = norms_of(Series((Quaternion(s), Quaternion(0.0, s, 0.0, 0.0))))
         for value, reference in zip(scaled, unscaled):
             assert abs(value / s - reference) <= 1e-12 * reference
+
+    @pytest.mark.parametrize("t", [1e-100, 1e-10, 1e10, 1e100])
+    def test_norms_scale_with_the_radius(self, t):
+        # g(q) = f(q / t) on the ball of radius t: every norm of g at radius 0.5 t
+        # (or on its whole ball) is that of f at 0.5 (or on the unit ball), with
+        # no overflow or underflow in the radius powers the searches take
+        coeffs = (Quaternion(1.0), Quaternion(0.0, 1.0, 0.0, 0.0), Quaternion(0.0, 0.0, 0.5, 0.25))
+        f = Series(coeffs)
+        g = Series(tuple(a * t ** -n for n, a in enumerate(coeffs)), t)
+        for norm_of in (lambda h, s: sup_norm_ball(h, 0.5 * s).value,
+                        lambda h, s: inf_norm_ball(h, 0.5 * s).value,
+                        lambda h, s: split_norm(h).value, lambda h, s: slice_norm(h, I)):
+            reference = norm_of(f, 1.0)
+            assert abs(norm_of(g, t) - reference) <= 1e-12 * reference
 
 
     def test_norm_beyond_the_largest_float_is_a_domain_error(self):
@@ -678,9 +712,10 @@ class TestSphereMaxSearch:
                 single = s * sup_norm_ball(derivative, r - s).value
                 assert abs(mu - single) <= 1e-15 * single
 
-    def test_batched_bisection_matches_scalar_bisection(self):
-        # the root search evaluates four bisection levels per batch; a plain
-        # bisection over single sup_norm_ball calls must land on the same s*
+    def test_root_batches_match_a_scalar_first_crossing_search(self):
+        # the root search evaluates 15 points of the bracket per batch and keeps
+        # the first where mu reaches r; the same rule over single sup_norm_ball
+        # calls must land on the same s*
         rng = np.random.default_rng(4242)
         series = [f for _, f in builtin_corpus()]
         series += [random_series(rng, degree, monic_shift=True) for degree in (2, 4, 5)]
@@ -693,11 +728,10 @@ class TestSphereMaxSearch:
                 first = next(i for i, (_, mu) in enumerate(profile) if mu >= r - 1e-12)
                 lo, hi = profile[first - 1][0], profile[first][0]
                 while hi - lo > 1e-12:
-                    mid = 0.5 * (lo + hi)
-                    if mid * sup_norm_ball(derivative, r - mid).value >= r - 1e-12:
-                        hi = mid
-                    else:
-                        lo = mid
+                    points = np.linspace(lo, hi, 17)
+                    k = next((k for k in range(1, 16) if points[k] * sup_norm_ball(
+                        derivative, r - points[k]).value >= r - 1e-12), 16)
+                    lo, hi = points[k - 1], points[k]
                 assert report.R_r == hi / 2.0
 
     def test_lazy_first_crossing_matches_the_whole_profile(self):

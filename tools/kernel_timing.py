@@ -6,7 +6,7 @@ Prints one JSON object: for each kernel and shape the best, over REPEATS
 repeats, of the mean milliseconds per call over CALLS calls. The inputs are
 seeded and the same on every run, so two source trees can be compared on one
 machine. The kernels are those under the norms and the Bloch-Landau search:
-the sphere-maximum search at 1, 15 (one bisection batch), 33 (the coarse
+the sphere-maximum search at 1, 15 (one root batch), 33 (the coarse
 mu-profile pass), 63 and 1024 (a whole mu-profile) radii, the circle maxima of
 six complex rows, the sphere constants and series evaluation.
 """
