@@ -53,6 +53,33 @@ def circle_table(radius: float, n_plus_one: int, points: int) -> np.ndarray:
     return power_table(radius * np.exp(2j * np.pi * np.arange(points) / points), n_plus_one)
 
 
+def unit_monomials(units: np.ndarray) -> np.ndarray:
+    """The monomials x^2, y^2, z^2, 2xy, 2xz, 2yz, x, y, z of each unit row (x, y, z), (m, 9)."""
+    x, y, z = units.T
+    return np.stack([x * x, y * y, z * z, 2.0 * x * y, 2.0 * x * z, 2.0 * y * z, x, y, z], axis=1)
+
+
+def slice_square_forms(coeffs: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|F_I|^2 and |G_I|^2 at each column z of ``table`` as forms in the unit I, each (9, T).
+
+    With P = sum z^n Re a_n, V = sum z^n Im a_n = X + iY and R = X X^T + Y Y^T,
+    F_I = P + i<I, V> and G_I = <J, V> + i<K, V> give, for |I| = 1,
+    |F_I|^2 = I^T (|P|^2 Id + R) I - 2 <I, Re P Y - Im P X> and
+    |G_I|^2 = I^T (|V|^2 Id - R) I + 2 <I, Y x X>. A form against the
+    ``unit_monomials`` of I gives the square; G's diagonal is summed from R
+    rather than taken from |V|^2, so no coefficient cancels.
+    """
+    sums = coeffs.T @ table
+    p, x, y = sums[0], sums[1:].real, sums[1:].imag
+    r = x[:, None] * x + y[:, None] * y
+    diag, upper = r[[0, 1, 2], [0, 1, 2]], r[[0, 0, 1], [1, 2, 2]]
+    f_form = np.concatenate([diag + (p.real * p.real + p.imag * p.imag), upper,
+                             2.0 * (p.imag * x - p.real * y)])
+    g_form = np.concatenate([diag[[1, 0, 0]] + diag[[2, 2, 1]], -upper,
+                             2.0 * np.cross(y, x, axis=0)])
+    return f_form, g_form
+
+
 def sphere_constants(coeffs: np.ndarray, x: np.ndarray,
                      y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sphere constants (b, c) for each sphere x_t + y_t S, shapes (T, 4).

@@ -12,7 +12,9 @@ circle, since each sphere of the ball has a closed form. The boundary maximum
 of a complex component of a slice comes from the same search, as the sphere
 maximum of a series whose coefficients lie in one plane. The supremum of the
 slice norm is the maximum of one smooth function of the unit and two circle
-angles, which a lattice scan starts and Newton steps finish. The minimum
+angles, which a lattice scan starts and Newton steps finish; on each circle
+angle both squared components are quadratic forms in the unit, so the scan is
+one real matrix product per component. The minimum
 inside a ball comes from the roots of the symmetrization instead of a search.
 Every search is deterministic, local refinement from a grid, with a reported
 convergence gap; nothing here is Monte Carlo. Each runs on the coefficients
@@ -21,6 +23,7 @@ and radius scaled by powers of two (``_scaled``), so nothing overflows or underf
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,12 +33,14 @@ from ._arrays import (
     circle_table,
     power_table,
     slice_norm_ascent,
+    slice_square_forms,
     sphere_constants,
     sphere_extrema_rows,
     sphere_max_rows,
     sphere_max_polish,
     sphere_min_rows,
     sphere_planes,
+    unit_monomials,
 )
 from .errors import DomainError, PreconditionError
 from .quaternions import I, Quaternion, UnitImaginary, _coerce, _sphere_rows
@@ -306,14 +311,33 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
 
 # -- slice norm and its supremum over units ------------------------------------
 
-def _grid_max(rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest |P| on the grid of ``table`` for each complex coefficient row P, and its column.
+@functools.cache
+def _lattice() -> tuple[np.ndarray, np.ndarray]:
+    """The ``_SPHERE_GRID`` units of the split_norm scan and their ``unit_monomials``.
 
-    Scanning one component per call frees each (m, T) grid before the next is built.
+    Built once, on the first scan rather than at import; both are read-only.
     """
-    grid = np.abs(rows @ table)
-    col = np.argmax(grid, axis=1)
-    return grid[np.arange(len(grid)), col], col
+    units = _sphere_rows(_SPHERE_GRID)
+    monomials = unit_monomials(units)
+    units.flags.writeable = monomials.flags.writeable = False
+    return units, monomials
+
+
+def _lattice_scan(rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid maxima of |F_I| and |G_I| at each ``_lattice`` unit I, and their columns, each (2, m).
+
+    Each component's (m, T) grid of squares is one product of the lattice
+    monomials with its ``slice_square_forms`` form, freed before the next is
+    built; only the row maxima take a square root.
+    """
+    _, monomials = _lattice()
+    tops, cols = [], []
+    for form in slice_square_forms(rows, table):
+        grid = monomials @ form
+        cols.append(np.argmax(grid, axis=1))
+        tops.append(grid[np.arange(len(grid)), cols[-1]])
+        del grid
+    return np.sqrt(np.maximum(tops, 0.0)), np.array(cols)
 
 
 def slice_norm(f: Series, unit: UnitImaginary,
@@ -334,9 +358,13 @@ def split_norm(f: Series) -> NormReport:
 
     Real-coefficient series short-circuit: every slice then carries the same
     restriction. Otherwise a deterministic lattice of ``_SPHERE_GRID`` units is
-    scanned with grid maxima of |F_I| and |G_I| on each slice, no polish. The
-    ``_STARTS`` best lattice units at least 0.2 rad apart, with the scan's best
-    angle of each component, start a Newton ascent on S^2 x T^2
+    scanned with grid maxima of |F_I| and |G_I| on each slice, no polish: at
+    each grid angle both squares are quadratic forms in I
+    (``slice_square_forms``), so each component's grid is one real product of
+    the lattice monomials with nine coefficients per angle. The ``_STARTS``
+    best lattice units on distinct slices, no two within 0.2 rad of each other
+    or of each other's antipode (I and -I span one slice), with the scan's
+    best angle of each component, start a Newton ascent on S^2 x T^2
     (``slice_norm_ascent``): the squared norm is the maximum of
     H = |F_I(z_1)|^2 + |G_I(z_2)|^2 over the unit and two angles. The value is
     sqrt(H) at the best final point, so it is attained, and it is the slice
@@ -354,24 +382,24 @@ def split_norm(f: Series) -> NormReport:
         return NormReport(value, "grid+refine",
                           {"sphere": 1, "theta": _angle_count(f.degree)}, _tol_floor(value, 0.0))
     scan_table = circle_table(radius, f.degree + 1, _THETA_GRID // 2)
-    lattice = _sphere_rows(_SPHERE_GRID)
-    (f_top, f_col), (g_top, g_col) = (_grid_max(part, scan_table)
-                                      for part in split_rows(rows, lattice))
-    scan = np.hypot(f_top, g_top)
+    lattice, _ = _lattice()
+    tops, cols = _lattice_scan(rows, scan_table)
+    scan = np.hypot(*tops)
 
+    # I and -I span one slice, so a start's antipode is no new start
     picks = []
     for idx in np.argsort(-scan, kind="stable"):
-        if any(np.dot(lattice[idx], lattice[k]) > math.cos(0.2) for k in picks):
+        if any(abs(np.dot(lattice[idx], lattice[k])) > math.cos(0.2) for k in picks):
             continue
         picks.append(idx)
         if len(picks) >= _STARTS:
             break
 
-    angles = (2.0 * math.pi / scan_table.shape[1]) * np.stack([f_col, g_col], axis=1)[picks]
+    angles = (2.0 * math.pi / scan_table.shape[1]) * cols.T[picks]
     h, before, _, _, steps = slice_norm_ascent(rows, radius, lattice[picks], angles)
     values = np.sqrt(h)
     top = float(values.max())
-    # starts often end on one slice (units I and -I) whose norms agree to rounding:
+    # starts often end on one slice (at I or -I) whose norms agree to rounding:
     # the first of those in pick order gives the steps and the gap, not the last bit
     best = int(np.flatnonzero(values >= top - _tol_floor(top, 0.0))[0])
     value = float(_unscaled(top, e))

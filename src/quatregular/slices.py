@@ -92,6 +92,8 @@ def _frame(unit: UnitImaginary, j_unit: UnitImaginary | None = None
     units = np.array([unit.components[1:]])
     if j_unit is None:
         return units, _completion_rows(units)
+    if abs(float(units[0] @ j_unit.components[1:])) > ALGEBRA_TOL:
+        raise DomainError("j_unit must be orthogonal to unit")
     k_unit = UnitImaginary(*(unit * j_unit).components)
     return units, (np.array([j_unit.components[1:]]), np.array([k_unit.components[1:]]))
 

@@ -25,9 +25,11 @@ from quatregular import (
 from quatregular import bloch, norms
 from quatregular._arrays import (
     _slice_terms,
+    circle_table,
     eval_rows,
     qmul_rows,
     slice_norm_ascent,
+    slice_square_forms,
     sphere_constants,
     sphere_extrema_rows,
     sphere_max_rows,
@@ -295,6 +297,10 @@ class TestSliceNorm:
             assert abs(slice_norm(f, unit, j_unit=j_unit)
                        - slice_norm(f, unit, j_unit=rotated)) < 1e-10
 
+    def test_j_unit_must_be_orthogonal(self):
+        with pytest.raises(DomainError, match="orthogonal"):
+            slice_norm(Series((0, 1)), I, j_unit=I)
+
 
 def slice_norm_rows(coeffs, units, radius):
     """Slice norms at unit rows: a_n = alpha_n + beta_n J with J, K = I J from cross
@@ -436,7 +442,7 @@ class TestSplitNorm:
         assert report.to_dict() == split_norm(f).to_dict()
 
     def test_tied_starts_report_the_first(self, monkeypatch):
-        # f = q + j/2 peaks on the slice of j, and its starts end on the units -j, j
+        # f = q + j/2 peaks on the slice of j, and its starts end on the units -j, -j
         # and j, whose slice norms agree to an ulp: the steps and the gap come from
         # the first start in pick order, whichever tied norm rounds highest
         ascents = []
@@ -448,12 +454,53 @@ class TestSplitNorm:
         monkeypatch.setattr(norms, "slice_norm_ascent", recording)
         report = split_norm(Series((Quaternion(0, 0, 0.5, 0), 1)))
         h, before, units, _, steps = ascents[0]
-        assert np.dot(units[0], units[1]) < -1.0 + 1e-12
-        assert len(set(steps.tolist())) == 3
+        assert abs(np.dot(units[0], units[1])) > 1.0 - 1e-12
+        assert steps[0] not in steps[1:]
         assert report.value == 1.5
         assert report.resolution["steps"] == steps[0]
         gap = 2.0 * (math.sqrt(h[0]) - math.sqrt(before[0]))
         assert report.certified_tol == norms._tol_floor(1.5, gap)
+
+    def test_starts_lie_on_distinct_slices(self, monkeypatch):
+        # I and -I span one slice, so no start is within 0.2 rad of another or of its antipode
+        starts = []
+
+        def recording(coeffs, radius, units, angles):
+            starts.append(units)
+            return slice_norm_ascent(coeffs, radius, units, angles)
+
+        monkeypatch.setattr(norms, "slice_norm_ascent", recording)
+        rng = np.random.default_rng(2719)
+        for degree in range(2, 9):
+            for _ in range(3):
+                split_norm(random_series(rng, degree, 1.0))
+                units = starts[-1]
+                assert len(units) == norms._STARTS
+                dots = np.abs(units @ units.T)[np.triu_indices(len(units), 1)]
+                assert np.all(dots <= math.cos(0.2))
+
+    def test_lattice_squares_match_split_grids(self):
+        # the quadratic forms in the unit against |F_I|^2 and |G_I|^2 from split rows,
+        # at every lattice unit and scan angle; the last series has every Im a_n
+        # along k, so G_I vanishes near the units +-k
+        rng = np.random.default_rng(2720)
+        lattice, monomials = norms._lattice()
+        cases = [random_series(rng, degree, scale).rows
+                 for scale in (0.2, 1.0, 3.0) for degree in range(1, 13)]
+        along_k = rng.standard_normal((7, 4))
+        along_k[:, 1:3] = 0.0
+        cases.append(along_k)
+        for rows in cases:
+            table = circle_table(0.9, len(rows), 256)
+            sums = rows.T @ table
+            size = np.sum(sums.real ** 2 + sums.imag ** 2, axis=0)
+            old_tops = []
+            for form, part in zip(slice_square_forms(rows, table), _slice_rows(rows, lattice)):
+                old = np.abs(part @ table)
+                assert np.all(np.abs(monomials @ form - old ** 2) <= 1e-13 * size)
+                old_tops.append(old.max(axis=1))
+            order = np.argsort(-np.hypot(*norms._lattice_scan(rows, table)[0]), kind="stable")
+            assert np.array_equal(order[:50], np.argsort(-np.hypot(*old_tops), kind="stable")[:50])
 
     def test_value_is_the_slice_norm_at_the_final_unit(self, monkeypatch):
         # the value is sqrt(H) at the ascent's best point, with no second pass of

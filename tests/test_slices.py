@@ -36,6 +36,10 @@ class TestSplit:
         assert pair.F.coeffs == (0j,)
         assert pair.G.coeffs == (1 + 0j,)
 
+    def test_j_unit_must_be_orthogonal(self):
+        with pytest.raises(DomainError, match="orthogonal"):
+            split(Series((0, 1)), I, I)
+
     def test_full_basis_coefficient(self):
         pair = split(Series((Quaternion(1, 1, 1, 1),)), I)
         assert pair.F.coeffs == (1 + 1j,)

@@ -8,7 +8,9 @@ seeded and the same on every run, so two source trees can be compared on one
 machine. The kernels are those under the norms and the Bloch-Landau search:
 the sphere-maximum search at 1, 15 (one root batch), 33 (the coarse
 mu-profile pass), 63 and 1024 (a whole mu-profile) radii, the circle maxima of
-six complex rows, the sphere constants and series evaluation.
+six complex rows, the split_norm lattice scan (2048 units, 256 angles) and the
+whole split_norm on the same series, the sphere constants and series
+evaluation.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import time
 
 import numpy as np
 
-from quatregular._arrays import eval_rows, sphere_constants
-from quatregular.norms import _circle_max, _sphere_max
+from quatregular._arrays import circle_table, eval_rows, sphere_constants
+from quatregular.norms import _circle_max, _lattice_scan, _sphere_max, split_norm
 from quatregular.series import slice_derivative
 from quatregular.verification import random_series
 
@@ -66,6 +68,10 @@ def main() -> dict:
             lambda: _sphere_max(derivative, radii))
     timings["_circle_max[6 rows, 512 angles]"] = best_ms(
         lambda: _circle_max(rows, RADIUS, 512))
+    table = circle_table(RADIUS, DEGREE + 1, 256)
+    timings["_lattice_scan[2048 units, 256 angles]"] = best_ms(
+        lambda: _lattice_scan(derivative.rows, table))
+    timings["split_norm"] = best_ms(lambda: split_norm(derivative.with_radius(RADIUS)))
     timings["sphere_constants[1024 spheres]"] = best_ms(
         lambda: sphere_constants(derivative.rows, RADIUS * np.cos(angles),
                                  RADIUS * np.sin(angles)))
