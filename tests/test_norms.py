@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -760,26 +764,47 @@ class TestSphereMaxSearch:
                 assert abs(mu - single) <= 1e-15 * single
 
     def test_root_batches_match_a_scalar_first_crossing_search(self):
-        # the root search evaluates 15 points of the bracket per batch and keeps
-        # the first where mu reaches r; the same rule over single sup_norm_ball
-        # calls must land on the same s*
+        # each root batch evaluates 15 evenly spaced points of the bracket, an
+        # interpolated step and a point on either side of it, and keeps the first
+        # where mu reaches r. The same placement over single sup_norm_ball calls
+        # must land on the same s*, the 15 even points alone on s* to within the
+        # root's 1e-12, and mu must reach r at s* itself
         rng = np.random.default_rng(4242)
         series = [f for _, f in builtin_corpus()]
         series += [random_series(rng, degree, monic_shift=True) for degree in (2, 4, 5)]
         for f in series:
             derivative = slice_derivative(f)
             for r in (0.99, 0.9, 0.6):
+                threshold = r - 1e-12
                 report = bl_search(f, r)
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
+                first, _, _, mu = bloch._first_crossing(derivative, r, grid)
+                known = [(grid[i], mu[i]) for i in range(max(first - 2, 0), first + 2)
+                         if i < grid.size and mu[i] > -np.inf]
+                lo, hi = grid[first - 1], grid[first]
+                while hi - lo > 1e-12:
+                    known_s, known_mu = map(np.array, zip(*known))
+                    points = bloch._root_points(lo, hi, known_s, known_mu, threshold)
+                    values = [s * sup_norm_ball(derivative, r - s).value for s in points]
+                    k = next((k for k, v in enumerate(values) if v >= threshold), len(points))
+                    lo = points[k - 1] if k > 0 else lo
+                    hi = points[k] if k < len(points) else hi
+                    known += zip(points, values)
+                assert report.R_r == hi / 2.0
+
+                # the rule without interpolated points: 15 evenly spaced points a batch
                 profile = list(zip(grid, grid * _sphere_max(derivative, r - grid)[0]))
-                first = next(i for i, (_, mu) in enumerate(profile) if mu >= r - 1e-12)
+                first = next(i for i, (_, mu) in enumerate(profile) if mu >= threshold)
                 lo, hi = profile[first - 1][0], profile[first][0]
                 while hi - lo > 1e-12:
                     points = np.linspace(lo, hi, 17)
                     k = next((k for k in range(1, 16) if points[k] * sup_norm_ball(
-                        derivative, r - points[k]).value >= r - 1e-12), 16)
+                        derivative, r - points[k]).value >= threshold), 16)
                     lo, hi = points[k - 1], points[k]
-                assert report.R_r == hi / 2.0
+                assert abs(2.0 * report.R_r - hi) <= 1e-12
+
+                s_star = 2.0 * report.R_r
+                assert s_star * sup_norm_ball(derivative, r - s_star).value >= threshold
 
     def test_lazy_first_crossing_matches_the_whole_profile(self):
         # the coarse pass and the cells its monotone bound cannot clear must find
@@ -797,8 +822,10 @@ class TestSphereMaxSearch:
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
                 maxima, _, angles = _sphere_max(derivative, r - grid)
                 first = int(np.flatnonzero(grid * maxima >= r - 1e-12)[0])
-                lazy = bloch._first_crossing(derivative, r, grid)
-                assert lazy == (first, maxima[first], angles[first])
+                *lazy, mu = bloch._first_crossing(derivative, r, grid)
+                assert tuple(lazy) == (first, maxima[first], angles[first])
+                evaluated = mu > -np.inf
+                assert np.array_equal(mu[evaluated], (grid * maxima)[evaluated])
 
     def test_profile_radii_per_search(self, monkeypatch):
         radii = []
@@ -813,6 +840,65 @@ class TestSphereMaxSearch:
             grid = np.linspace(0.0, 0.99, bloch._MU_GRID)
             bloch._first_crossing(slice_derivative(f), 0.99, grid)
             assert sum(radii) <= 256
+
+    def counted_searches(self, monkeypatch):
+        """bl_search on the builtin series and random ones of degree 2-5 at three
+        working radii, with the radii of each _sphere_max call and the number of
+        calls _first_crossing made."""
+        calls, crossing_calls = [], []
+        first_crossing = bloch._first_crossing
+
+        def tally(f, at, *args, **kwargs):
+            calls.append(len(at))
+            return _sphere_max(f, at, *args, **kwargs)
+
+        def tally_crossing(*args):
+            result = first_crossing(*args)
+            crossing_calls.append(len(calls))
+            return result
+
+        monkeypatch.setattr(bloch, "_sphere_max", tally)
+        monkeypatch.setattr(bloch, "_first_crossing", tally_crossing)
+        rng = np.random.default_rng(2718)
+        series = [f for _, f in builtin_corpus()]
+        series += [random_series(rng, degree, monic_shift=True) for degree in range(2, 6)]
+        for f in series:
+            for r in (0.99, 0.9, 0.6):
+                calls.clear()
+                report = bl_search(f, r)
+                yield report, list(calls), crossing_calls[-1]
+
+    def test_root_takes_at_most_three_batches(self, monkeypatch):
+        # quadratic-j at r = 0.6 crosses where mu' is about 0.04, so the threshold
+        # r - 1e-12 the interpolation aims at lies 2.5e-11 below r
+        for _, calls, crossing in self.counted_searches(monkeypatch):
+            assert crossing <= 2
+            assert len(calls) - crossing <= 3
+
+    def test_mu_radii_count_the_evaluated_radii(self, monkeypatch):
+        for report, calls, crossing in self.counted_searches(monkeypatch):
+            assert report.diagnostics["mu_radii"] == [
+                calls[0], sum(calls[1:crossing]), sum(calls[crossing:])]
+
+    def test_norms_and_search_leave_numpy_ma_unimported(self):
+        # numpy's set routines import numpy.ma, which costs set-up time and RSS
+        code = """if True:
+            import sys
+            import quatregular, quatregular.cli
+            from quatregular import bl_search, inf_norm_ball, split_norm, sup_norm_ball
+            from quatregular.verification import builtin_corpus
+            for _, f in builtin_corpus():
+                for r in (0.99, 0.6):
+                    bl_search(f, r)
+                split_norm(f)
+                sup_norm_ball(f, 0.5)
+                inf_norm_ball(f, 0.5)
+            print("numpy.ma" in sys.modules)
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(bloch.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env=env, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_identity_locator_angle(self):
         for r in (0.99, 0.9):

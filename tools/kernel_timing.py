@@ -6,11 +6,12 @@ Prints one JSON object: for each kernel and shape the best, over REPEATS
 repeats, of the mean milliseconds per call over CALLS calls. The inputs are
 seeded and the same on every run, so two source trees can be compared on one
 machine. The kernels are those under the norms and the Bloch-Landau search:
-the sphere-maximum search at 1, 15 (one root batch), 33 (the coarse
-mu-profile pass), 63 and 1024 (a whole mu-profile) radii, the circle maxima of
-six complex rows, the split_norm lattice scan (2048 units, 256 angles) and the
-whole split_norm on the same series, the sphere constants and series
-evaluation.
+the sphere-maximum search at 1, 15, 18 (one root batch: 15 evenly spaced
+points and 3 interpolated ones), 33 (the coarse mu-profile pass), 63 and 1024
+(a whole mu-profile) radii, the circle maxima of six complex rows, the
+split_norm lattice scan (2048 units, 256 angles) and the whole split_norm on
+the same series, the sphere constants and series evaluation. One end-to-end
+row times the whole bl_search on the builtin mixed-units series at r = 0.99.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ import time
 import numpy as np
 
 from quatregular._arrays import circle_table, eval_rows, sphere_constants
+from quatregular.bloch import bl_search
 from quatregular.norms import _circle_max, _lattice_scan, _sphere_max, split_norm
 from quatregular.series import slice_derivative
-from quatregular.verification import random_series
+from quatregular.verification import builtin_corpus, random_series
 
 DEGREE = 6
 RADIUS = 0.9
-SPHERE_RADII = (1, 15, 33, 63, 1024)
+SPHERE_RADII = (1, 15, 18, 33, 63, 1024)
 REPEATS = 7
 CALLS = 50
 
@@ -77,6 +79,8 @@ def main() -> dict:
                                  RADIUS * np.sin(angles)))
     timings["eval_rows[64 points]"] = best_ms(
         lambda: eval_rows(derivative.rows, points))
+    mixed_units = dict(builtin_corpus())["mixed-units"]
+    timings["bl_search[mixed-units, r=0.99]"] = best_ms(lambda: bl_search(mixed_units, 0.99))
     return {"degree": DEGREE, "radius": RADIUS, "repeats": REPEATS,
             "calls": CALLS, "numpy": np.__version__, "ms_per_call": timings}
 
