@@ -8,7 +8,6 @@ universal pinched open set fits inside the image of a regular translation.
 
 from .bloch import (
     CoverageReport,
-    OSetParams,
     SearchReport,
     attain,
     bl_search,

@@ -23,6 +23,9 @@ from .slices import regular_translation, sphere_pair
 SCHEMA = "quatregular/1"
 
 _MU_GRID = 1024
+# the mu root: mu(s) counts as reaching r from r - _MU_TOL, and the root bracket
+# closes at this width
+_MU_TOL = 1e-12
 # every _MU_STRIDE-th radius of the mu-profile grid, and its last, make the coarse pass
 _MU_STRIDE = 32
 # Newton starts of attain, and the relative shrink of the set coverage_report samples
@@ -33,16 +36,6 @@ _NEWTON_MAX_ITER = 200
 _RESIDUAL_TOL = 1e-8
 # points of the circles that inscribed_disc_margin sweeps and parseval_mean averages over
 _CIRCLE_POINTS = 4096
-
-
-@dataclass(frozen=True)
-class OSetParams:
-    """Radius parameter of the pinched set {q : |q|^3 < rho |Re q|^2}."""
-
-    rho: float
-
-    def __post_init__(self):
-        _check_rho(self.rho)
 
 
 @dataclass(frozen=True)
@@ -184,6 +177,13 @@ def rho_lemma(f: Series) -> float:
     return f.radius * a1.modulus_sq() / (4.0 * derivative_norm)
 
 
+def _nonreal_rows(rows: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose imaginary part has a norm above 1e-12 of the
+    largest row norm (at least 1)."""
+    scale = max(1.0, float(np.sqrt(np.sum(rows * rows, axis=1)).max()))
+    return np.flatnonzero(np.sqrt(np.sum(rows[:, 1:] ** 2, axis=1)) > 1e-12 * scale)
+
+
 def g_series(f: Series, c) -> Series:
     """Symmetrization of 1 - f c^{-1}: a real-coefficient series with value 1 at 0.
 
@@ -199,8 +199,7 @@ def g_series(f: Series, c) -> Series:
     base = np.concatenate([[(1.0, 0.0, 0.0, 0.0)],
                            -qmul_rows(f.rows[1:], np.array(c.inverse().components))])
     sym = symmetrization(_from_rows(base, f.radius, f.exact)).rows
-    scale = max(1.0, float(np.sqrt(np.sum(sym * sym, axis=1)).max()))
-    nonreal = np.flatnonzero(np.sqrt(np.sum(sym[:, 1:] ** 2, axis=1)) > 1e-12 * scale)
+    nonreal = _nonreal_rows(sym)
     if nonreal.size:
         raise NumericalSearchError(
             f"symmetrization coefficient {nonreal[0]} has a nonreal part beyond tolerance")
@@ -214,8 +213,7 @@ def fourth_root_series(g: Series) -> Series:
     by p = g^{1/4}; the truncation matches g through its own degree, so the
     star fourth power reproduces g coefficientwise there.
     """
-    scale = max(1.0, float(np.sqrt(np.sum(g.rows * g.rows, axis=1)).max()))
-    nonreal = np.flatnonzero(np.abs(g.rows[:, 1:]).max(axis=1) > 1e-12 * scale)
+    nonreal = _nonreal_rows(g.rows)
     if nonreal.size:
         raise PreconditionError(f"requires real coefficients (coefficient {nonreal[0]} is not)")
     gs = g.rows[:, 0].tolist()
@@ -410,12 +408,12 @@ def _first_crossing(derivative: Series, r: float,
     gap = profile(coarse)
     lows, highs = coarse[:-1], coarse[1:]
     bound = grid[highs] * (maxima[lows] + gap[:-1] + 1e-12 * maxima[lows])
-    crossed = np.flatnonzero(mu[highs] >= r - 1e-12)
+    crossed = np.flatnonzero(mu[highs] >= r - _MU_TOL)
     last = crossed[0] + 1 if crossed.size else highs.size
-    cells = np.flatnonzero(bound[:last] >= r - 1e-12)
+    cells = np.flatnonzero(bound[:last] >= r - _MU_TOL)
     if cells.size:
         profile(np.concatenate([np.arange(lows[k] + 1, highs[k]) for k in cells]))
-    crossing = np.flatnonzero(mu >= r - 1e-12)
+    crossing = np.flatnonzero(mu >= r - _MU_TOL)
     if crossing.size == 0 or crossing[0] == 0:
         message = ("no s with mu(s) = r on the grid" if crossing.size == 0
                    else "degenerate working radius: the profile meets r at s = 0")
@@ -445,8 +443,8 @@ def _root_points(lo: float, hi: float, known_s: np.ndarray, known_mu: np.ndarray
     (``known_s``, ``known_mu``) nearest the bracket, the inverse quadratic
     interpolation x_q of s at mu = ``target`` and x_q -+ delta, with delta twice
     its distance from the secant x_lin through the two nearest (at least
-    2.5e-13), so that the crossing is bracketed closely. Where x_q is not finite
-    or not inside (lo, hi), x_lin takes its place.
+    ``_MU_TOL`` / 4), so that the crossing is bracketed closely. Where x_q is
+    not finite or not inside (lo, hi), x_lin takes its place.
     """
     points = np.linspace(lo, hi, 17)[1:-1]
     if known_s.size >= 3:
@@ -457,7 +455,7 @@ def _root_points(lo: float, hi: float, known_s: np.ndarray, known_mu: np.ndarray
         x_q = _inverse_quadratic(s, mu, target)
         x = x_q if lo < x_q < hi else x_lin
         if lo < x < hi:
-            delta = max(2.0 * abs(x - x_lin), 2.5e-13)
+            delta = max(2.0 * abs(x - x_lin), _MU_TOL / 4)
             extra = np.array([x - delta, x, x + delta])
             points = np.sort(np.concatenate([points, extra[(extra > lo) & (extra < hi)]]))
             # not np.unique, which imports numpy.ma
@@ -480,31 +478,26 @@ def bl_search(f: Series, r: float) -> SearchReport:
     512 grid angles (4N + 1 above degree 127), and ``dphi_norm`` from
     ``split_norm`` on its 2048-unit lattice. The root starts from the first
     grid point of ``_MU_GRID`` = 1024 in [0, r] where mu(s) = s M(r - s)
-    reaches r. Each root batch then evaluates, in one call, 15 evenly spaced
-    interior points of the bracket and three interpolated ones: the inverse
-    quadratic interpolation of s at mu = r - 1e-12, the rule's own threshold,
-    through the three evaluated points nearest the bracket (the secant where it
-    falls outside), and a point on either side of it (``_root_points``). The
-    first point where mu reaches r - 1e-12 (or the upper end) closes the next
-    bracket, until it is at most 1e-12 wide, so ``2 R_r`` is the first
-    crossing to within 1e-12. The first batch interpolates through the
-    evaluated grid points around the crossing. The even points alone shrink
-    the bracket 16 times a batch and took 8 batches; with the interpolated ones
-    the root took 1-3 on 144 searches of the bl-search benchmark. The
-    residual and the locator come from the final upper end, and
-    ``diagnostics["mu_radii"]`` counts the radii the coarse pass, the second
-    pass and the root evaluated. Since M does not decrease, the first grid
-    crossing is found from a coarse pass over every 32nd grid point and the
-    points of just the cells whose bound on mu reaches r (``_first_crossing``);
-    as long as each M is found to within its gap, it is that of the whole
-    profile. Of 1024 radii this evaluated 63 to 126 on the builtin series at
-    r = 0.99, and over 504 searches of the bl-search benchmark a median of 94
-    and at most 684. The whole profile, pairs (s, mu(s)), is evaluated and
-    reported only as the ``mu_profile`` of a ``NumericalSearchError``, when it
-    never meets r or meets it at s = 0. Where |f'| has several maximisers on
-    that sphere, one of them is used: ``locator_angle``, ``w``, ``f_w``,
-    ``rotation`` and ``phi_coeffs`` come from it, and ``R_r`` does not depend
-    on which one it is.
+    reaches r - ``_MU_TOL``. Since M does not decrease, that point is found
+    from a coarse pass over every 32nd grid point and the points of just the
+    cells whose bound on mu reaches r (``_first_crossing``); as long as each M
+    is found to within its gap, it is that of the whole profile. Each root
+    batch then evaluates, in one call, 15 evenly spaced interior points of the
+    bracket and three interpolated ones: the inverse quadratic interpolation
+    of s at mu = r - ``_MU_TOL`` through the three evaluated points nearest
+    the bracket (the secant where it falls outside), and a point on either
+    side of it (``_root_points``). The first batch interpolates through the
+    evaluated grid points around the crossing. The first point where mu
+    reaches r - ``_MU_TOL`` (or the upper end) closes the next bracket, until
+    it is at most ``_MU_TOL`` wide, so ``2 R_r`` is the first crossing to
+    within ``_MU_TOL``. The residual and the locator come from the final upper
+    end, and ``diagnostics["mu_radii"]`` counts the radii the coarse pass, the
+    second pass and the root evaluated. The whole profile, pairs (s, mu(s)),
+    is evaluated and reported only as the ``mu_profile`` of a
+    ``NumericalSearchError``, when it never meets r or meets it at s = 0.
+    Where |f'| has several maximisers on that sphere, one of them is used:
+    ``locator_angle``, ``w``, ``f_w``, ``rotation`` and ``phi_coeffs`` come
+    from it, and ``R_r`` does not depend on which one it is.
     """
     if f.coeffs[0].modulus_sq() != 0.0:
         raise PreconditionError("requires f(0) = 0")
@@ -520,14 +513,14 @@ def bl_search(f: Series, r: float) -> SearchReport:
     first, hi_max, hi_angle, mu = _first_crossing(derivative, r, grid)
     # hi_max is M(r - hi) and hi_angle the angle of the sphere where it is attained,
     # which locates w
-    target = r - 1e-12
+    target = r - _MU_TOL
     # the evaluated grid points around the crossing seed the interpolation
     near = np.arange(max(first - 2, 0), min(first + 2, grid.size))
     near = near[mu[near] > -np.inf]
     known_s, known_mu = grid[near], mu[near]
     lo, hi = float(grid[first - 1]), float(grid[first])
     root_radii = 0
-    while hi - lo > 1e-12:
+    while hi - lo > _MU_TOL:
         points = _root_points(lo, hi, known_s, known_mu, target)
         maxima, _, angles = _sphere_max(derivative, r - points)
         values = points * maxima
@@ -544,7 +537,7 @@ def bl_search(f: Series, r: float) -> SearchReport:
     sphere_radius = r - s_star
     mu_residual = abs(s_star * hi_max - r)
 
-    if sphere_radius < 1e-12:
+    if sphere_radius < _MU_TOL:
         w = Quaternion()
         locator_angle = 0.0
     else:

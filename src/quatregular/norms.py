@@ -10,7 +10,7 @@ bound needs.
 The maximum and the boundary minimum on a ball search one angle along a half
 circle, since each sphere of the ball has a closed form. The boundary maximum
 of a complex component of a slice comes from the same search, as the sphere
-maximum of a series whose coefficients lie in one plane. The supremum of the
+maximum of that component placed in the slice of i. The supremum of the
 slice norm is the maximum of one smooth function of the unit and two circle
 angles, which a lattice scan starts and Newton steps finish; on each circle
 angle both squared components are quadratic forms in the unit, so the scan is
@@ -43,7 +43,7 @@ from ._arrays import (
     unit_monomials,
 )
 from .errors import DomainError, PreconditionError
-from .quaternions import I, Quaternion, UnitImaginary, _coerce, _sphere_rows
+from .quaternions import Quaternion, UnitImaginary, _coerce, _sphere_rows
 from .series import Series, _from_rows, evaluate, slice_derivative, symmetrization
 from .slices import _frame, split_rows
 
@@ -70,7 +70,9 @@ class NormReport:
     much the last Newton step on the sphere maximum (or minimum) still moved
     the value, for a root sphere of ``inf_norm_ball`` the value itself, and for
     ``split_norm`` how much the last Newton step of the winning start still
-    raised the square root of H. A closed form reports 0.
+    raised the square root of H (on a real-coefficient series, how much the last
+    Newton step on the boundary sphere maximum still moved it). A closed form
+    reports 0.
     """
 
     value: float
@@ -143,9 +145,16 @@ def _angle_max(planes: np.ndarray, points: int
     sin table. The ``_PEAKS`` best local grid maxima of every set (ties to the
     lower angle; g is even about 0 and pi, so the ends take mirrored
     neighbours) are then polished together by ``sphere_max_polish``, from the
-    vertex of the grid parabola. Returns each set's winning angle, and for
-    each polished bracket its set, and g before and after its last step.
+    vertex of the grid parabola. The constant cosine coefficient moves no
+    maximiser, but on a sphere of radius t it is of order 1 while the rest of
+    g is of order t, so the grid and the polish run on a copy without it,
+    which still finds the angle where t is tiny. Returns each set's winning
+    angle, and for each polished bracket its set, and g (with the constant)
+    before and after its last step.
     """
+    constant = planes[:, 0, 0]
+    planes = planes.copy()
+    planes[:, 0, 0] = 0.0
     theta = np.linspace(0.0, math.pi, points)
     turns = power_table(np.exp(1j * theta), planes.shape[2])
     cos, sin = turns.real.copy(), turns.imag.copy()
@@ -187,7 +196,7 @@ def _angle_max(planes: np.ndarray, points: int
     # the first bracket of each set after sorting by value: ties keep the grid rank
     order = np.lexsort((-best, row))
     pick = order[np.searchsorted(row[order], np.arange(len(planes)))]
-    return at[pick], row, before, polished
+    return at[pick], row, before + constant[row], polished + constant[row]
 
 
 def _sphere_max(f: Series, radii: np.ndarray,
@@ -223,28 +232,6 @@ def _sphere_max(f: Series, radii: np.ndarray,
                     - np.sqrt(np.maximum(sign * before, 0.0)))
     np.maximum.at(gap, todo[row], moved)
     return _unscaled(value, e), _unscaled(gap, e), angle
-
-
-def _circle_max(rows: np.ndarray, radius: float, points: int) -> np.ndarray:
-    """Maximum of |P(radius e^{i theta})| for each complex coefficient row P (m, N+1).
-
-    A circle maximum is a sphere maximum: with c_n = radius^n p_n and
-    q_d = sum_j c_{j+d} conj(c_j), |P(z)|^2 and |P(conj z)|^2 at z = radius e^{i theta}
-    are A -+ U with A = q_0 + sum_d 2 Re q_d cos(d theta) and
-    U = sum_d 2 Im q_d sin(d theta). So g = A + |U| on one plane of U is the
-    larger of the two on the half circle, and ``_angle_max`` finds its angle.
-    The value is the larger |P| at that angle and its mirror, so it is attained.
-    """
-    n = np.arange(rows.shape[1])
-    c = rows * radius ** n
-    if n.size == 1:
-        return np.abs(c[:, 0])
-    q = np.stack([np.sum(c[:, d:] * c[:, :n.size - d].conj(), axis=1) for d in n], axis=1)
-    planes = np.zeros((len(rows), 4, n.size))
-    planes[:, 0] = np.where(n > 0, 2.0, 1.0) * q.real
-    planes[:, 1] = 2.0 * q.imag
-    turns = np.exp(1j * np.multiply.outer(_angle_max(planes, points)[0], n))
-    return np.maximum(np.abs(np.sum(c * turns, axis=1)), np.abs(np.sum(c * turns.conj(), axis=1)))
 
 
 # -- uniform norm on balls -----------------------------------------------------
@@ -344,12 +331,20 @@ def slice_norm(f: Series, unit: UnitImaginary,
                j_unit: UnitImaginary | None = None) -> float:
     """Slice norm at a unit: hypot of the boundary maxima of the two components.
 
-    The value does not depend on which orthogonal completion ``j_unit`` is
-    used; passing one explicitly exists for exactly that check.
+    Each complex component, placed in the slice of i (coefficient rows
+    Re, Im, 0, 0), is a series whose sphere maximum at the boundary radius is
+    its circle maximum, so ``_sphere_max`` finds it. The value does not depend
+    on which orthogonal completion ``j_unit`` is used; passing one explicitly
+    exists for exactly that check.
     """
     rows, radius, e = _scaled(f.rows, f.radius)
-    alpha, beta = split_rows(rows, *_frame(unit, j_unit))
-    maxima = _circle_max(np.concatenate([alpha, beta]), radius, _angle_count(f.degree))
+    # each component sits in the slice of i, on a ball just past its circle
+    plane = np.zeros(rows.shape)
+    maxima = []
+    for part in split_rows(rows, *_frame(unit, j_unit)):
+        plane[:, 0], plane[:, 1] = part[0].real, part[0].imag
+        component = _from_rows(plane, np.nextafter(radius, np.inf), f.exact)
+        maxima.append(_sphere_max(component, np.array([radius]))[0][0])
     return float(_unscaled(np.hypot(*maxima), e))
 
 
@@ -357,8 +352,11 @@ def split_norm(f: Series) -> NormReport:
     """Supremum of the slice norm over the sphere of units.
 
     Real-coefficient series short-circuit: every slice then carries the same
-    restriction. Otherwise a deterministic lattice of ``_SPHERE_GRID`` units is
-    scanned with grid maxima of |F_I| and |G_I| on each slice, no polish: at
+    restriction, and |f| is constant on each sphere, so the value is the
+    maximum of |f| on the boundary sphere (``_sphere_max``), with the gap of
+    its last Newton step in ``certified_tol``. Otherwise a deterministic
+    lattice of ``_SPHERE_GRID`` units is scanned with grid maxima of |F_I| and
+    |G_I| on each slice, no polish: at
     each grid angle both squares are quadratic forms in I
     (``slice_square_forms``), so each component's grid is one real product of
     the lattice monomials with nine coefficients per angle. The ``_STARTS``
@@ -378,9 +376,10 @@ def split_norm(f: Series) -> NormReport:
     if f.degree == 0:
         return NormReport(float(_unscaled(Quaternion(*rows[0]).modulus(), e)), "closed-form")
     if np.all(rows[:, 1:] == 0.0):
-        value = slice_norm(f, I)
-        return NormReport(value, "grid+refine",
-                          {"sphere": 1, "theta": _angle_count(f.degree)}, _tol_floor(value, 0.0))
+        (value,), (gap,), _ = _sphere_max(f, np.array([f.radius]))
+        value = float(value)
+        return NormReport(value, "grid+refine", {"sphere": 1, "theta": _angle_count(f.degree)},
+                          _tol_floor(value, float(gap)))
     scan_table = circle_table(radius, f.degree + 1, _THETA_GRID // 2)
     lattice, _ = _lattice()
     tops, cols = _lattice_scan(rows, scan_table)

@@ -40,7 +40,7 @@ from quatregular._arrays import (
     sphere_min_rows,
     sphere_planes,
 )
-from quatregular.norms import _circle_max, _sphere_max
+from quatregular.norms import _sphere_max
 from quatregular.quaternions import I, J, _completion_rows, orthonormal_completion, sphere_sample
 from quatregular.slices import split_rows as _slice_rows
 from quatregular.verification import builtin_corpus
@@ -144,6 +144,36 @@ def circle_max_at_critical_points(row, radius):
     return float(np.abs(np.polyval(row[::-1], z)).max())
 
 
+def circle_maxima(rows, radius):
+    """Oracle: maximum of |P(radius e^{i theta})| for each complex coefficient row P (m, N+1).
+
+    With c_n = radius^n p_n and q_d = sum_j c_{j+d} conj(c_j), |P(z)|^2 and
+    |P(conj z)|^2 at z = radius e^{i theta} are A -+ U with
+    A = q_0 + sum_d 2 Re q_d cos(d theta) and U = sum_d 2 Im q_d sin(d theta).
+    So g = A + |U| on one plane of U is the larger of the two on the half
+    circle, and ``norms._angle_max`` finds its angle on 512 grid angles. The
+    value is the larger |P| at that angle and its mirror, so it is attained.
+    """
+    n = np.arange(rows.shape[1])
+    c = rows * radius ** n
+    if n.size == 1:
+        return np.abs(c[:, 0])
+    q = np.stack([np.sum(c[:, d:] * c[:, :n.size - d].conj(), axis=1) for d in n], axis=1)
+    planes = np.zeros((len(rows), 4, n.size))
+    planes[:, 0] = np.where(n > 0, 2.0, 1.0) * q.real
+    planes[:, 1] = 2.0 * q.imag
+    turns = np.exp(1j * np.multiply.outer(norms._angle_max(planes, 512)[0], n))
+    return np.maximum(np.abs(np.sum(c * turns, axis=1)), np.abs(np.sum(c * turns.conj(), axis=1)))
+
+
+def circle_max_in_slice_of_i(row, radius):
+    """The maximum of |P| on the circle of ``radius``: ``_sphere_max`` of the series
+    with coefficient rows (Re p_n, Im p_n, 0, 0), valid just past that circle."""
+    coeffs = tuple(Quaternion(p.real, p.imag, 0.0, 0.0) for p in row)
+    series = Series(coeffs, np.nextafter(radius, np.inf))
+    return float(_sphere_max(series, np.array([radius]))[0][0])
+
+
 def dense_circle_max(rows, radius, angles=200000, chunk=20000):
     """Largest |P| over a dense uniform angle grid, per row."""
     k = np.arange(rows.shape[1])[:, None]
@@ -172,10 +202,9 @@ class TestCircleMaxRows:
                 rows[5, (degree + 1) // 2 + 1:] = 0.0  # several leading zeros
                 exact = np.array([circle_max_at_critical_points(r, radius) for r in rows])
                 dense = dense_circle_max(rows, radius)
-                for points in (256, 512):
-                    got = _circle_max(rows, radius, points)
-                    assert np.all(np.abs(got - exact) <= 1e-13 * exact)
-                    assert np.all(got >= dense - 1e-13 * dense)
+                got = np.array([circle_max_in_slice_of_i(r, radius) for r in rows])
+                assert np.all(np.abs(got - exact) <= 1e-13 * exact)
+                assert np.all(got >= dense - 1e-13 * dense)
                 checked += len(rows)
         assert checked >= 500
 
@@ -263,6 +292,23 @@ class TestSupNormBall:
                                                           s * np.sin(angle)))
                 assert floor[0] >= dense - 1e-13 * dense
 
+    def test_maximiser_on_tiny_spheres(self):
+        # for f = a0 + q a1, |f|^2 on the sphere of radius t at angle theta is
+        # |a0|^2 + t^2 |a1|^2 + 2t (Re c cos(theta) + |Im c| sin(theta)) at best, with
+        # c = a0 conj(a1), so the maximiser is atan2(|Im c|, Re c) on every sphere;
+        # the constant term of g is of order 1 and the rest of order t, so on tiny
+        # spheres the search must find the angle without it
+        rng = np.random.default_rng(5151)
+        radii = np.array([1e-11, 1e-9, 1e-7])
+        worst = 0.0
+        for _ in range(50):
+            a0, a1 = rng.standard_normal((2, 4))
+            c = Quaternion(*a0) * Quaternion(*a1).conjugate()
+            expected = math.atan2(c.imag.modulus(), c.x0)
+            angles = norms._angle_max(sphere_planes(np.array([a0, a1]), radii), 512)[0]
+            worst = max(worst, float(np.abs(angles - expected).max()))
+        assert worst <= 1e-12
+
 
 class TestSliceNorm:
     def test_identity(self):
@@ -308,7 +354,7 @@ class TestSliceNorm:
 
 def slice_norm_rows(coeffs, units, radius):
     """Slice norms at unit rows: a_n = alpha_n + beta_n J with J, K = I J from cross
-    products, and the boundary maxima of alpha and beta from _circle_max."""
+    products, and the boundary maxima of alpha and beta from circle_maxima."""
     axis = np.where(np.abs(units[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
     j = np.cross(units, axis)
     j /= np.linalg.norm(j, axis=1, keepdims=True)
@@ -316,7 +362,7 @@ def slice_norm_rows(coeffs, units, radius):
     imag = coeffs[:, 1:].T
     alpha = coeffs[:, 0] + 1j * (units @ imag)
     beta = j @ imag + 1j * (k @ imag)
-    return np.hypot(_circle_max(alpha, radius, 512), _circle_max(beta, radius, 512))
+    return np.hypot(circle_maxima(alpha, radius), circle_maxima(beta, radius))
 
 
 def attained_slice_norm(coeffs, radius):
@@ -350,6 +396,20 @@ class TestSplitNorm:
         report = split_norm(f)
         assert report.resolution["sphere"] == 1
         assert abs(report.value - slice_norm(f, I)) < 1e-12
+
+    def test_real_path_is_the_boundary_sphere_maximum(self):
+        # |f| is constant on each sphere of a real-coefficient series, so its split
+        # norm is the maximum on the boundary sphere: the same _sphere_max on the
+        # same rows as sup_norm_ball at that radius, to the last bit
+        rng = np.random.default_rng(3331)
+        for degree in range(1, 9):
+            for radius in (0.5, 0.9, 1.0):
+                f = Series(tuple(float(v) for v in rng.uniform(-1, 1, size=degree + 1)), radius)
+                report = split_norm(f)
+                reference = sup_norm_ball(f.with_radius(2.0 * radius), radius)
+                assert report.resolution == {"sphere": 1, "theta": 512}
+                assert (report.value, report.certified_tol) == (
+                    reference.value, reference.certified_tol)
 
     def test_reported_angles_above_degree_127(self, rng):
         # the circle grid rises from 512 angles to 4N + 1 = 521 at degree 130

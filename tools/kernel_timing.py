@@ -8,10 +8,12 @@ seeded and the same on every run, so two source trees can be compared on one
 machine. The kernels are those under the norms and the Bloch-Landau search:
 the sphere-maximum search at 1, 15, 18 (one root batch: 15 evenly spaced
 points and 3 interpolated ones), 33 (the coarse mu-profile pass), 63 and 1024
-(a whole mu-profile) radii, the circle maxima of six complex rows, the
-split_norm lattice scan (2048 units, 256 angles) and the whole split_norm on
-the same series, the sphere constants and series evaluation. One end-to-end
-row times the whole bl_search on the builtin mixed-units series at r = 0.99.
+(a whole mu-profile) radii, the slice norm at the unit i (two sphere-maximum
+searches), the split_norm lattice scan (2048 units, 256 angles), the whole
+split_norm on the same series and on the real-coefficient series of its real
+parts (the boundary sphere maximum), the sphere constants and series
+evaluation. One end-to-end row times the whole bl_search on the builtin
+mixed-units series at r = 0.99.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import numpy as np
 
 from quatregular._arrays import circle_table, eval_rows, sphere_constants
 from quatregular.bloch import bl_search
-from quatregular.norms import _circle_max, _lattice_scan, _sphere_max, split_norm
-from quatregular.series import slice_derivative
+from quatregular.norms import _lattice_scan, _sphere_max, slice_norm, split_norm
+from quatregular.quaternions import I
+from quatregular.series import Series, slice_derivative
 from quatregular.verification import builtin_corpus, random_series
 
 DEGREE = 6
@@ -59,7 +62,8 @@ def main() -> dict:
     rng = np.random.default_rng(2024)
     # a normalised series of degree DEGREE + 1, so its derivative has degree DEGREE
     derivative = slice_derivative(random_series(rng, DEGREE + 1, monic_shift=True))
-    rows = rng.standard_normal((6, DEGREE + 1)) + 1j * rng.standard_normal((6, DEGREE + 1))
+    at_radius = derivative.with_radius(RADIUS)
+    real = Series(tuple(derivative.rows[:, 0].tolist()), RADIUS)
     angles = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
     points = rng.standard_normal((64, 4)) * 0.2
 
@@ -68,12 +72,12 @@ def main() -> dict:
         radii = np.linspace(RADIUS, 0.0, count, endpoint=False)
         timings[f"_sphere_max[{count} radii]"] = best_ms(
             lambda: _sphere_max(derivative, radii))
-    timings["_circle_max[6 rows, 512 angles]"] = best_ms(
-        lambda: _circle_max(rows, RADIUS, 512))
+    timings[f"slice_norm[degree {DEGREE}]"] = best_ms(lambda: slice_norm(at_radius, I))
     table = circle_table(RADIUS, DEGREE + 1, 256)
     timings["_lattice_scan[2048 units, 256 angles]"] = best_ms(
         lambda: _lattice_scan(derivative.rows, table))
-    timings["split_norm"] = best_ms(lambda: split_norm(derivative.with_radius(RADIUS)))
+    timings["split_norm"] = best_ms(lambda: split_norm(at_radius))
+    timings[f"split_norm[real, degree {DEGREE}]"] = best_ms(lambda: split_norm(real))
     timings["sphere_constants[1024 spheres]"] = best_ms(
         lambda: sphere_constants(derivative.rows, RADIUS * np.cos(angles),
                                  RADIUS * np.sin(angles)))
