@@ -53,31 +53,40 @@ def circle_table(radius: float, n_plus_one: int, points: int) -> np.ndarray:
     return power_table(radius * np.exp(2j * np.pi * np.arange(points) / points), n_plus_one)
 
 
-def unit_monomials(units: np.ndarray) -> np.ndarray:
-    """The monomials x^2, y^2, z^2, 2xy, 2xz, 2yz, x, y, z of each unit row (x, y, z), (m, 9)."""
-    x, y, z = units.T
-    return np.stack([x * x, y * y, z * z, 2.0 * x * y, 2.0 * x * z, 2.0 * y * z, x, y, z], axis=1)
+def slice_square_forms(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re(F_I(s) conj F_I(t)) and Re(G_I(s) conj G_I(t)) as forms in the unit I, each (9, ...).
 
-
-def slice_square_forms(coeffs: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|F_I|^2 and |G_I|^2 at each column z of ``table`` as forms in the unit I, each (9, T).
-
-    With P = sum z^n Re a_n, V = sum z^n Im a_n = X + iY and R = X X^T + Y Y^T,
-    F_I = P + i<I, V> and G_I = <J, V> + i<K, V> give, for |I| = 1,
-    |F_I|^2 = I^T (|P|^2 Id + R) I - 2 <I, Re P Y - Im P X> and
-    |G_I|^2 = I^T (|V|^2 Id - R) I + 2 <I, Y x X>. A form against the
-    ``unit_monomials`` of I gives the square; G's diagonal is summed from R
-    rather than taken from |V|^2, so no coefficient cancels.
+    For coefficient sums s = (p, X + iY) and t = (q, U + iV) (4, ...), such as
+    sum z^n a_n, F_I = p + i<I, X + iY> and G_I = <J, X + iY> + i<K, X + iY>. With
+    R = (X U^T + Y V^T + U X^T + V Y^T) / 2 and |I| = 1 this bilinear map B is
+    I^T (Re(p conj q) Id + R) I + <I, Im p U + Im q X - Re p V - Re q Y> for F and
+    I^T (tr(R) Id - R) I + <I, Y x U + V x X> for G, as coefficients of x^2, y^2,
+    z^2, 2xy, 2xz, 2yz, x, y, z for I = (x, y, z). B(s, s) gives |F_I(s)|^2 and
+    |G_I(s)|^2; G's diagonal is summed from R rather than taken from the trace, so
+    no coefficient cancels.
     """
-    sums = coeffs.T @ table
-    p, x, y = sums[0], sums[1:].real, sums[1:].imag
-    r = x[:, None] * x + y[:, None] * y
+    p, x, y = s[0], s[1:].real, s[1:].imag
+    q, u, v = t[0], t[1:].real, t[1:].imag
+    r = 0.5 * ((x[:, None] * u + y[:, None] * v) + (u[:, None] * x + v[:, None] * y))
     diag, upper = r[[0, 1, 2], [0, 1, 2]], r[[0, 0, 1], [1, 2, 2]]
-    f_form = np.concatenate([diag + (p.real * p.real + p.imag * p.imag), upper,
-                             2.0 * (p.imag * x - p.real * y)])
+    f_form = np.concatenate([diag + (p.real * q.real + p.imag * q.imag), upper,
+                             (p.imag * u + q.imag * x) - (p.real * v + q.real * y)])
     g_form = np.concatenate([diag[[1, 0, 0]] + diag[[2, 2, 1]], -upper,
-                             2.0 * np.cross(y, x, axis=0)])
+                             np.cross(y, u, axis=0) + np.cross(v, x, axis=0)])
     return f_form, g_form
+
+
+# slice_square_forms on the (Re, Im) pairs of the components of a sum, a complex (..., 4)
+# array viewed as float: row a, column 8 k + b is coefficient k (F's, then G's) of B(e_a, e_b)
+_BASIS = np.eye(8).view(complex).T
+_SQUARE_FORMS = np.concatenate(slice_square_forms(_BASIS[:, :, None], _BASIS[:, None])
+                               ).transpose(1, 0, 2).reshape(8, 144)
+
+
+def square_forms(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``slice_square_forms`` of sums given as (Re, Im) rows (..., 8): F's and G's, (..., 2, 9)."""
+    return ((s @ _SQUARE_FORMS).reshape(*s.shape[:-1], 18, 8) @ t[..., None]).reshape(
+        *s.shape[:-1], 2, 9)
 
 
 def sphere_constants(coeffs: np.ndarray, x: np.ndarray,
@@ -187,51 +196,40 @@ def _slice_terms(coeffs: np.ndarray, radius: float, units: np.ndarray,
     """H = |F_I(z_1)|^2 + |G_I(z_2)|^2 with its gradient and Hessian, per unit row (m, 3).
 
     z_k = radius e^{i theta_k} for the angle rows (m, 2). The chart is
-    (a, b, theta_1, theta_2): the unit turns along a great circle by a toward J
-    and by b toward K of its completion (J, K), and the angles add. With
-    P = sum z^n Re a_n and Q = sum z^n Im a_n, F_I = P + i<I, Q> and
-    G_I = <J, Q> + i<K, Q>. Turning the frame (I, J, K) as a whole moves G_I by a
-    phase only, so |G_I|^2 is smooth in I whichever completion the frame starts
-    from. H is the sum of |Z|^2 over Z = F_I, G_I, so its derivatives are
-    2 Re(conj(Z) Z_x) and 2 Re(conj(Z_x) Z_y + conj(Z) Z_xy). Returns H (m,), the
-    gradient (m, 4) and the Hessian (m, 4, 4).
+    (a, b, theta_1, theta_2): the unit moves to I + aJ + bK, normalised, with
+    (J, K) its ``_completion_rows``, and the angles add. Every term is a
+    ``slice_square_forms`` form I^T M I + <l, I>: with s, s' and s'' the
+    coefficient sums at an angle and their theta-derivatives, H is
+    B_F(s_1, s_1) + B_G(s_2, s_2), its theta_k-derivatives on that side are
+    2 B(s, s') and 2 (B(s', s') + B(s, s'')), and the mixed one is 0. Along the
+    chart a form has the gradient (J, K)^T (2 M I + l) and the Hessian
+    2 (J, K)^T M (J, K) - <I, 2 M I + l> Id. Returns H (m,), the gradient (m, 4)
+    and the Hessian (m, 4, 4).
     """
     n = np.arange(coeffs.shape[0])
     # rows of (i n)^k radius^n a_n: sums against e^{i n theta} give the k-th theta-derivative
     weighted = (np.array([np.ones(n.size), 1j * n, -n * n]) * radius ** n)[:, :, None] * coeffs
     sums = np.exp(1j * angles[:, :, None] * n) @ weighted.transpose(1, 0, 2).reshape(n.size, 12)
-    sums = sums.reshape(-1, 2, 3, 4)
-    j_rows, k_rows = _completion_rows(units)
-    frame = np.stack([j_rows, k_rows, units], axis=2)
-    # (J, K, I) coordinates of Q and its theta-derivatives, at theta_1 (q) and theta_2 (g)
-    q, g = np.moveaxis(sums[..., 1:] @ frame[:, None], 1, 0)
-    f_side = sums[:, 0, :, 0] + 1j * q[:, :, 2]
-    g_side = g[:, :, 0] + 1j * g[:, :, 1]
-    z = np.stack([f_side[:, 0], g_side[:, 0]], axis=1)
-    zx = np.zeros((len(units), 2, 4), dtype=complex)
-    zxy = np.zeros((len(units), 2, 4, 4), dtype=complex)
-    # F_I: the turns move <I, Q> by <J, Q> and <K, Q> to first order, by -<I, Q> to second
-    zx[:, 0, :2] = 1j * q[:, 0, :2]
-    zx[:, 0, 2] = f_side[:, 1]
-    zxy[:, 0, 0, 0] = zxy[:, 0, 1, 1] = -1j * q[:, 0, 2]
-    zxy[:, 0, :2, 2] = 1j * q[:, 1, :2]
-    zxy[:, 0, 2, 2] = f_side[:, 2]
-    # G_I: with w = a + ib the turns move J + iK to J + iK - w I - w (aJ + bK) / 2,
-    # to second order
-    turn = np.array([1.0, 1j])
-    zx[:, 1, :2] = -g[:, 0, 2:] * turn
-    zx[:, 1, 3] = g_side[:, 1]
-    zxy[:, 1, 0, 0] = -g[:, 0, 0]
-    zxy[:, 1, 1, 1] = -1j * g[:, 0, 1]
-    zxy[:, 1, 0, 1] = -0.5 * (g[:, 0, 1] + 1j * g[:, 0, 0])
-    zxy[:, 1, :2, 3] = -g[:, 1, 2:] * turn
-    zxy[:, 1, 3, 3] = g_side[:, 2]
-    zxy += np.swapaxes(np.triu(zxy, 1), 2, 3)
-    h = np.sum(z.real ** 2 + z.imag ** 2, axis=1)
-    grad = 2.0 * np.sum((z.conj()[:, :, None] * zx).real, axis=1)
-    hess = 2.0 * np.sum((zx.conj()[:, :, :, None] * zx[:, :, None, :]
-                         + z.conj()[:, :, None, None] * zxy).real, axis=1)
-    return h, grad, hess
+    sums = sums.reshape(-1, 2, 3, 4).view(float)
+    # B(s, s), B(s, s'), B(s', s') and B(s, s''): F's forms at theta_1, G's at theta_2
+    pairs = square_forms(sums[:, :, [0, 0, 1, 0]], sums[:, :, [0, 1, 1, 2]])[:, [0, 1], :, [0, 1]]
+    # the forms of H, of its theta_1- and theta_2-derivatives, then of the second ones
+    forms = np.concatenate([pairs[:1, :, 0] + pairs[1:, :, 0], 2.0 * pairs[:, :, 1],
+                            2.0 * (pairs[:, :, 2] + pairs[:, :, 3])])
+    # each form's matrix M, then M I, the value I^T M I + <l, I> and the slope 2 M I + l
+    matrices = forms[..., [[0, 3, 4], [3, 1, 5], [4, 5, 2]]]
+    moved = (matrices @ units[:, :, None])[..., 0]
+    values = np.sum((moved + forms[..., 6:]) * units, axis=2)
+    slopes = 2.0 * moved[:3] + forms[:3, :, 6:]
+    frame = np.stack(_completion_rows(units), axis=2)
+    along = (slopes[:, :, None] @ frame)[:, :, 0]
+    # the lower triangle, mirrored, so the Hessian is exactly symmetric
+    hess = np.zeros((len(units), 4, 4))
+    hess[:, :2, :2] = 2.0 * (frame.transpose(0, 2, 1) @ matrices[0] @ frame)
+    hess[:, [0, 1], [0, 1]] -= np.sum(units * slopes[0], axis=1)[:, None]
+    hess[:, 2:, :2], hess[:, [2, 3], [2, 3]] = along[1:].transpose(1, 0, 2), values[3:].T
+    hess = np.tril(hess) + np.swapaxes(np.tril(hess, -1), 1, 2)
+    return values[0], np.concatenate([along[0], values[1:3].T], axis=1), hess
 
 
 def slice_norm_ascent(coeffs: np.ndarray, radius: float, units: np.ndarray, angles: np.ndarray

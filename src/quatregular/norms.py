@@ -14,11 +14,11 @@ maximum of that component placed in the slice of i. The supremum of the
 slice norm is the maximum of one smooth function of the unit and two circle
 angles, which a lattice scan starts and Newton steps finish; on each circle
 angle both squared components are quadratic forms in the unit, so the scan is
-one real matrix product per component. The minimum
-inside a ball comes from the roots of the symmetrization instead of a search.
-Every search is deterministic, local refinement from a grid, with a reported
-convergence gap; nothing here is Monte Carlo. Each runs on the coefficients
-and radius scaled by powers of two (``_scaled``), so nothing overflows or underflows.
+one real matrix product per component. The minimum inside a ball comes from
+the roots of the symmetrization instead of a search. Every search is
+deterministic, local refinement from a grid, with a reported convergence gap;
+nothing here is Monte Carlo. Each runs on the coefficients and radius scaled
+by powers of two (``_scaled``), so nothing overflows or underflows.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from ._arrays import (
     circle_table,
     power_table,
     slice_norm_ascent,
-    slice_square_forms,
     sphere_constants,
     sphere_extrema_rows,
     sphere_max_rows,
     sphere_max_polish,
     sphere_min_rows,
     sphere_planes,
-    unit_monomials,
+    square_forms,
 )
 from .errors import DomainError, PreconditionError
 from .quaternions import Quaternion, UnitImaginary, _coerce, _sphere_rows
@@ -300,12 +299,13 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
 
 @functools.cache
 def _lattice() -> tuple[np.ndarray, np.ndarray]:
-    """The ``_SPHERE_GRID`` units of the split_norm scan and their ``unit_monomials``.
+    """The ``_SPHERE_GRID`` scan units and their monomials, as ``slice_square_forms`` reads them.
 
     Built once, on the first scan rather than at import; both are read-only.
     """
     units = _sphere_rows(_SPHERE_GRID)
-    monomials = unit_monomials(units)
+    x, y, z = units.T
+    monomials = np.stack([x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z, x, y, z], axis=1)
     units.flags.writeable = monomials.flags.writeable = False
     return units, monomials
 
@@ -314,12 +314,13 @@ def _lattice_scan(rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.n
     """Grid maxima of |F_I| and |G_I| at each ``_lattice`` unit I, and their columns, each (2, m).
 
     Each component's (m, T) grid of squares is one product of the lattice
-    monomials with its ``slice_square_forms`` form, freed before the next is
-    built; only the row maxima take a square root.
+    monomials with its ``square_forms`` form at each column's coefficient sum,
+    freed before the next is built; only the row maxima take a square root.
     """
     _, monomials = _lattice()
+    sums = (table.T @ rows).view(float)
     tops, cols = [], []
-    for form in slice_square_forms(rows, table):
+    for form in np.moveaxis(square_forms(sums, sums), 0, -1):
         grid = monomials @ form
         cols.append(np.argmax(grid, axis=1))
         tops.append(grid[np.arange(len(grid)), cols[-1]])
@@ -354,23 +355,23 @@ def split_norm(f: Series) -> NormReport:
     Real-coefficient series short-circuit: every slice then carries the same
     restriction, and |f| is constant on each sphere, so the value is the
     maximum of |f| on the boundary sphere (``_sphere_max``), with the gap of
-    its last Newton step in ``certified_tol``. Otherwise a deterministic
-    lattice of ``_SPHERE_GRID`` units is scanned with grid maxima of |F_I| and
-    |G_I| on each slice, no polish: at
-    each grid angle both squares are quadratic forms in I
-    (``slice_square_forms``), so each component's grid is one real product of
-    the lattice monomials with nine coefficients per angle. The ``_STARTS``
+    its last Newton step in ``certified_tol``. Otherwise the squared norm is
+    the maximum of H = |F_I(z_1)|^2 + |G_I(z_2)|^2 over the unit I and the
+    angles of z_1, z_2 on the boundary circle; at each angle both squares are
+    quadratic forms in I (``slice_square_forms``). The ``_SPHERE_GRID`` units
+    of a lattice are scanned with grid maxima of |F_I| and |G_I|, no polish,
+    each component's grid one real product of the lattice monomials with nine
+    coefficients per angle. The ``_STARTS``
     best lattice units on distinct slices, no two within 0.2 rad of each other
     or of each other's antipode (I and -I span one slice), with the scan's
-    best angle of each component, start a Newton ascent on S^2 x T^2
-    (``slice_norm_ascent``): the squared norm is the maximum of
-    H = |F_I(z_1)|^2 + |G_I(z_2)|^2 over the unit and two angles. The value is
-    sqrt(H) at the best final point, so it is attained, and it is the slice
-    norm at that point's unit to rounding. The winning start is the first, in
-    pick order, whose value is within rounding noise of the best.
-    ``certified_tol`` is how much its last Newton step still raised sqrt(H),
-    floored at rounding noise; ``resolution`` holds the lattice size, the scan's
-    grid angles, the number of starts and the Newton steps of the winning start.
+    best angle of each component, start a Newton ascent of H
+    (``slice_norm_ascent``). The value is sqrt(H) at the best final point, so
+    it is attained, and it is the slice norm at that point's unit to rounding.
+    The winning start is the first, in pick order, whose value is within
+    rounding noise of the best. ``certified_tol`` is how much its last Newton
+    step still raised sqrt(H), floored at rounding noise; ``resolution`` holds
+    the lattice size, the scan's grid angles, the number of starts and the
+    Newton steps of the winning start.
     """
     rows, radius, e = _scaled(f.rows, f.radius)
     if f.degree == 0:

@@ -57,15 +57,16 @@ def series_from_dict(payload: dict, source: str = "<payload>") -> Series:
 def load_series(path) -> Series:
     path = Path(path)
     try:
-        text = path.read_text()
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise SeriesFormatError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        payload = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise SeriesFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
-        raise SeriesFormatError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise SeriesFormatError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
+                                f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise SeriesFormatError(f"{path}: JSON nested too deeply") from exc
     return series_from_dict(payload, source=str(path))
 
 

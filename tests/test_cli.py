@@ -131,6 +131,15 @@ class TestExitCodes:
         assert main(["rho", str(path)]) == 2
         assert "coeffs[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00bad",
+                                         b"[" * 100000 + b"]" * 100000])
+    def test_malformed_file_names_path(self, tmp_path, capsys, content):
+        # a file that is not UTF-8, and JSON nested past the recursion limit
+        path = tmp_path / "malformed.json"
+        path.write_bytes(content)
+        assert main(["norm", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_precondition_surfaced(self, tmp_path, capsys):
         path = tmp_path / "shifted.json"
         dump_series(Series((1, 1)), path)

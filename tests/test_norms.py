@@ -39,6 +39,7 @@ from quatregular._arrays import (
     sphere_max_rows,
     sphere_min_rows,
     sphere_planes,
+    square_forms,
 )
 from quatregular.norms import _sphere_max
 from quatregular.quaternions import I, J, _completion_rows, orthonormal_completion, sphere_sample
@@ -559,12 +560,48 @@ class TestSplitNorm:
             sums = rows.T @ table
             size = np.sum(sums.real ** 2 + sums.imag ** 2, axis=0)
             old_tops = []
-            for form, part in zip(slice_square_forms(rows, table), _slice_rows(rows, lattice)):
+            for form, part in zip(slice_square_forms(sums, sums), _slice_rows(rows, lattice)):
                 old = np.abs(part @ table)
                 assert np.all(np.abs(monomials @ form - old ** 2) <= 1e-13 * size)
                 old_tops.append(old.max(axis=1))
             order = np.argsort(-np.hypot(*norms._lattice_scan(rows, table)[0]), kind="stable")
             assert np.array_equal(order[:50], np.argsort(-np.hypot(*old_tops), kind="stable")[:50])
+
+    def test_bilinear_forms_match_split_products(self):
+        # B(s, t) of the sums of two series against Re(F_I(s) conj F_I(t)) and
+        # Re(G_I(s) conj G_I(t)) from split rows; B is symmetric, and the contraction
+        # with the constant map gives the same forms
+        rng = np.random.default_rng(2721)
+        lattice, monomials = norms._lattice()
+        for scale in (0.2, 1.0, 3.0):
+            for degree in range(1, 9):
+                first, second = (random_series(rng, degree, scale).rows for _ in range(2))
+                table = circle_table(0.9, degree + 1, 64)
+                s, t = first.T @ table, second.T @ table
+                size = np.sqrt(np.sum(np.abs(s) ** 2, axis=0) * np.sum(np.abs(t) ** 2, axis=0))
+                forms = slice_square_forms(s, t)
+                for form, left, right in zip(forms, _slice_rows(first, lattice),
+                                             _slice_rows(second, lattice)):
+                    product = np.real((left @ table) * np.conj(right @ table))
+                    assert np.all(np.abs(monomials @ form - product) <= 1e-13 * size)
+                for form, swapped in zip(forms, slice_square_forms(t, s)):
+                    assert np.array_equal(form, swapped)
+                contracted = square_forms(s.T.copy().view(float), t.T.copy().view(float))
+                assert np.all(np.abs(np.moveaxis(contracted, 0, -1) - forms) <= 1e-15 * size)
+
+    def test_ascent_value_is_the_scan_value_on_the_lattice(self):
+        # H of the ascent at every lattice unit and the scan's best angles of each
+        # component is the scan's grid maximum of |F_I|^2 + |G_I|^2 there
+        rng = np.random.default_rng(2722)
+        lattice, _ = norms._lattice()
+        for scale in (0.2, 1.0, 3.0):
+            for degree in range(1, 9):
+                rows = random_series(rng, degree, scale).rows
+                table = circle_table(0.9, degree + 1, 256)
+                tops, cols = norms._lattice_scan(rows, table)
+                h = _slice_terms(rows, 0.9, lattice, (2.0 * math.pi / 256) * cols.T)[0]
+                size = np.sum(np.linalg.norm(rows, axis=1) * 0.9 ** np.arange(degree + 1)) ** 2
+                assert np.all(np.abs(h - np.sum(tops ** 2, axis=0)) <= 1e-14 * size)
 
     def test_value_is_the_slice_norm_at_the_final_unit(self, monkeypatch):
         # the value is sqrt(H) at the ascent's best point, with no second pass of

@@ -9,7 +9,9 @@ machine. The kernels are those under the norms and the Bloch-Landau search:
 the sphere-maximum search at 1, 15, 18 (one root batch: 15 evenly spaced
 points and 3 interpolated ones), 33 (the coarse mu-profile pass), 63 and 1024
 (a whole mu-profile) radii, the slice norm at the unit i (two sphere-maximum
-searches), the split_norm lattice scan (2048 units, 256 angles), the whole
+searches), the split_norm lattice scan (2048 units, 256 angles), the value,
+gradient and Hessian of the split_norm ascent at its three starts
+(_slice_terms) and the whole ascent from them (slice_norm_ascent), the whole
 split_norm on the same series and on the real-coefficient series of its real
 parts (the boundary sphere maximum), the sphere constants and series
 evaluation. One end-to-end row times the whole bl_search on the builtin
@@ -32,7 +34,14 @@ import time
 
 import numpy as np
 
-from quatregular._arrays import circle_table, eval_rows, sphere_constants
+from quatregular import norms
+from quatregular._arrays import (
+    _slice_terms,
+    circle_table,
+    eval_rows,
+    slice_norm_ascent,
+    sphere_constants,
+)
 from quatregular.bloch import bl_search
 from quatregular.norms import _lattice_scan, _sphere_max, slice_norm, split_norm
 from quatregular.quaternions import I
@@ -76,6 +85,14 @@ def main() -> dict:
     table = circle_table(RADIUS, DEGREE + 1, 256)
     timings["_lattice_scan[2048 units, 256 angles]"] = best_ms(
         lambda: _lattice_scan(derivative.rows, table))
+    # the scaled rows and radius, units and angles that split_norm starts its ascent from
+    starts = []
+    norms.slice_norm_ascent = lambda *args: starts.append(args) or slice_norm_ascent(*args)
+    split_norm(at_radius)
+    norms.slice_norm_ascent = slice_norm_ascent
+    timings[f"_slice_terms[3 starts, degree {DEGREE}]"] = best_ms(lambda: _slice_terms(*starts[0]))
+    timings["slice_norm_ascent[split_norm starts]"] = best_ms(
+        lambda: slice_norm_ascent(*starts[0]))
     timings["split_norm"] = best_ms(lambda: split_norm(at_radius))
     timings[f"split_norm[real, degree {DEGREE}]"] = best_ms(lambda: split_norm(real))
     timings["sphere_constants[1024 spheres]"] = best_ms(
