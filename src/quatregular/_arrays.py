@@ -191,45 +191,73 @@ _TRUST, _TRUST_CAP = 0.1, 1.0
 _SHIFT, _RISE = 1e-6, 1e-15
 
 
-def _slice_terms(coeffs: np.ndarray, radius: float, units: np.ndarray,
-                 angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H = |F_I(z_1)|^2 + |G_I(z_2)|^2 with its gradient and Hessian, per unit row (m, 3).
+def _chart_jets(w: np.ndarray) -> np.ndarray:
+    """The jets (value, d/da, d/db, d2/da2, d2/dadb, d2/db2) at a = b = 0 of the monomials
+    x^2, y^2, z^2, 2xy, 2xz, 2yz, x, y, z of the unit I + aJ + bK, normalised, which is
+    I + aJ + bK - (a^2 + b^2) I / 2 to second order, for orthonormal frame rows
+    w = (1, I, J, K) (10, ...); quadratic in w. Returns (9, 6, ...)."""
+    one, i, j, k = w[:1], w[1:4], w[4:7], w[7:]
 
-    z_k = radius e^{i theta_k} for the angle rows (m, 2). The chart is
-    (a, b, theta_1, theta_2): the unit moves to I + aJ + bK, normalised, with
-    (J, K) its ``_completion_rows``, and the angles add. Every term is a
-    ``slice_square_forms`` form I^T M I + <l, I>: with s, s' and s'' the
-    coefficient sums at an angle and their theta-derivatives, H is
-    B_F(s_1, s_1) + B_G(s_2, s_2), its theta_k-derivatives on that side are
-    2 B(s, s') and 2 (B(s', s') + B(s, s'')), and the mixed one is 0. Along the
-    chart a form has the gradient (J, K)^T (2 M I + l) and the Hessian
-    2 (J, K)^T M (J, K) - <I, 2 M I + l> Id. Returns H (m,), the gradient (m, 4)
-    and the Hessian (m, 4, 4).
-    """
+    def square(u, v):
+        return np.concatenate([u * v, u[[0, 0, 1]] * v[[1, 2, 2]] + u[[1, 2, 2]] * v[[0, 0, 1]]])
+
+    ii = square(i, i)
+    jets = [(ii, one * i), (2.0 * square(i, j), one * j), (2.0 * square(i, k), one * k),
+            (2.0 * (square(j, j) - ii), -one * i), (2.0 * square(j, k), 0.0 * i),
+            (2.0 * (square(k, k) - ii), -one * i)]
+    return np.stack([np.concatenate(jet) for jet in jets], axis=1)
+
+
+# the forms of H and of its theta-derivatives from each side's outer product of the sums
+# s, s', s'' at its angle (24 (Re, Im) entries; row 576 side + 24 u + v for entry (u, v)): a
+# side adds B(s, s) to H, 2 B(s, s') to its first and 2 (B(s', s') + B(s, s'')) to its second
+# theta-derivative, B from _SQUARE_FORMS (F's on side 0, G's on side 1); column 9 k + c is
+# coefficient c of form k: H, its theta_1- and theta_2-derivatives, then the second ones
+_WEIGHTS = np.zeros((2, 3, 3, 5))
+_WEIGHTS[:, 0, 0, 0] = 1.0
+_WEIGHTS[[0, 0, 0, 1, 1, 1], [0, 1, 0] * 2, [1, 1, 2] * 2, [1, 3, 3, 2, 4, 4]] = 2.0
+_ANGLE_FORMS = np.einsum("sdek,ascb->sdaebkc", _WEIGHTS,
+                         _SQUARE_FORMS.reshape(8, 2, 9, 8)).reshape(1152, 45)
+# _chart_jets as w^T T w, T by polarisation on basis vectors: row 10 r + s, column 6 c + d
+_PAIRS = np.eye(10)[:, :, None] + np.array([1.0, -1.0])[:, None, None, None] * np.eye(10)[:, None]
+_CHART_JETS = (0.25 * (_chart_jets(_PAIRS[0]) - _chart_jets(_PAIRS[1]))).transpose(
+    2, 3, 0, 1).reshape(100, 54)
+# where the 30 numbers (value, d/da, d/db, d2/da2, d2/dadb, d2/db2) of each form,
+# and a zero, go in the gradient and Hessian on the chart (a, b, theta_1, theta_2)
+_GRADIENT = np.array([1, 2, 6, 12])
+_HESSIAN = np.array([[3, 4, 7, 13], [4, 5, 8, 14], [7, 8, 18, 30], [13, 14, 30, 24]])
+
+
+def _slice_table(coeffs: np.ndarray, radius: float) -> np.ndarray:
+    """Rows (i n)^k radius^n a_n, k = 0, 1, 2 (N+1, 12): e^{i n theta} sums them to d^k/dtheta^k."""
     n = np.arange(coeffs.shape[0])
-    # rows of (i n)^k radius^n a_n: sums against e^{i n theta} give the k-th theta-derivative
     weighted = (np.array([np.ones(n.size), 1j * n, -n * n]) * radius ** n)[:, :, None] * coeffs
-    sums = np.exp(1j * angles[:, :, None] * n) @ weighted.transpose(1, 0, 2).reshape(n.size, 12)
-    sums = sums.reshape(-1, 2, 3, 4).view(float)
-    # B(s, s), B(s, s'), B(s', s') and B(s, s''): F's forms at theta_1, G's at theta_2
-    pairs = square_forms(sums[:, :, [0, 0, 1, 0]], sums[:, :, [0, 1, 1, 2]])[:, [0, 1], :, [0, 1]]
-    # the forms of H, of its theta_1- and theta_2-derivatives, then of the second ones
-    forms = np.concatenate([pairs[:1, :, 0] + pairs[1:, :, 0], 2.0 * pairs[:, :, 1],
-                            2.0 * (pairs[:, :, 2] + pairs[:, :, 3])])
-    # each form's matrix M, then M I, the value I^T M I + <l, I> and the slope 2 M I + l
-    matrices = forms[..., [[0, 3, 4], [3, 1, 5], [4, 5, 2]]]
-    moved = (matrices @ units[:, :, None])[..., 0]
-    values = np.sum((moved + forms[..., 6:]) * units, axis=2)
-    slopes = 2.0 * moved[:3] + forms[:3, :, 6:]
-    frame = np.stack(_completion_rows(units), axis=2)
-    along = (slopes[:, :, None] @ frame)[:, :, 0]
-    # the lower triangle, mirrored, so the Hessian is exactly symmetric
-    hess = np.zeros((len(units), 4, 4))
-    hess[:, :2, :2] = 2.0 * (frame.transpose(0, 2, 1) @ matrices[0] @ frame)
-    hess[:, [0, 1], [0, 1]] -= np.sum(units * slopes[0], axis=1)[:, None]
-    hess[:, 2:, :2], hess[:, [2, 3], [2, 3]] = along[1:].transpose(1, 0, 2), values[3:].T
-    hess = np.tril(hess) + np.swapaxes(np.tril(hess, -1), 1, 2)
-    return values[0], np.concatenate([along[0], values[1:3].T], axis=1), hess
+    return weighted.transpose(1, 0, 2).reshape(n.size, 12)
+
+
+def _chart(units: np.ndarray) -> np.ndarray:
+    """Rows (1, I, J, K) (m, 10) for unit rows I (m, 3), with (J, K) their ``_completion_rows``."""
+    return np.concatenate([np.ones((len(units), 1)), units, *_completion_rows(units)], axis=1)
+
+
+def _slice_terms(table: np.ndarray, chart: np.ndarray,
+                 angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H = |F_I(z_1)|^2 + |G_I(z_2)|^2 with its gradient and Hessian, per ``_chart`` row (m, 10).
+
+    z_k = radius e^{i theta_k} for the angle rows (m, 2), with the series as its
+    ``_slice_table``. On the chart (a, b, theta_1, theta_2) the unit moves to
+    I + aJ + bK, normalised, and the angles add. One contraction gives every
+    term: the forms of H and of its theta-derivatives (``_ANGLE_FORMS``) times
+    the jets of the unit's monomials (``_CHART_JETS``), placed so that the
+    Hessian is exactly symmetric. Returns H (m,), the gradient (m, 4) and the
+    Hessian (m, 4, 4).
+    """
+    sums = (np.exp(1j * angles[:, :, None] * np.arange(len(table))) @ table).view(float)
+    forms = (sums[:, :, :, None] * sums[:, :, None]).reshape(-1, 1152) @ _ANGLE_FORMS
+    jets = (chart[:, :, None] * chart[:, None]).reshape(-1, 100) @ _CHART_JETS
+    terms = (forms.reshape(-1, 5, 9) @ jets.reshape(-1, 9, 6)).reshape(-1, 30)
+    terms = np.concatenate([terms, np.zeros((len(terms), 1))], axis=1)
+    return terms[:, 0], terms[:, _GRADIENT], terms[:, _HESSIAN]
 
 
 def slice_norm_ascent(coeffs: np.ndarray, radius: float, units: np.ndarray, angles: np.ndarray
@@ -244,47 +272,46 @@ def slice_norm_ascent(coeffs: np.ndarray, radius: float, units: np.ndarray, angl
     less than a quarter of its predicted rise, and doubles after a full step
     that rose by more than three quarters of it. A step predicted to rise by at
     most ``_RISE`` times H is its start's last, and all stop after
-    ``_ASCENT_STEPS`` steps. Returns H at the final points, H before the last
-    step (equal to H when that step was not kept), the final units (m, 3) and
-    angles (m, 2), and the steps each start took.
+    ``_ASCENT_STEPS`` steps, which run all starts under masks. A trial point's
+    chart is built once and kept with it. Returns H at the final points, H
+    before the last step (equal to H when that step was not kept), the final
+    units (m, 3) and angles (m, 2), and the steps each start took.
     """
-    units, angles = units.copy(), angles.copy()
-    h, grad, hess = _slice_terms(coeffs, radius, units, angles)
+    table, chart = _slice_table(coeffs, radius), _chart(units)
+    h, grad, hess = _slice_terms(table, chart, angles)
     before = h.copy()
     trust = np.full(h.shape, _TRUST)
     steps = np.zeros(h.shape, dtype=int)
     live = np.ones(h.shape, dtype=bool)
     for _ in range(_ASCENT_STEPS):
-        rows = np.flatnonzero(live)
-        if not rows.size:
+        if not live.any():
             break
-        lam, vec = np.linalg.eigh(hess[rows])
-        shift = np.maximum(lam[:, -1] + _SHIFT * h[rows], 0.0)
-        along = np.einsum("mij,mi->mj", vec, grad[rows]) / np.maximum(shift[:, None] - lam, 1e-300)
+        lam, vec = np.linalg.eigh(hess)
+        shift = np.maximum(lam[:, -1] + _SHIFT * h, 0.0)
+        along = np.einsum("mij,mi->mj", vec, grad) / np.maximum(shift[:, None] - lam, 1e-300)
         move = np.einsum("mij,mj->mi", vec, along)
         length = np.sqrt(np.sum(move * move, axis=1))
-        cut = np.minimum(1.0, trust[rows] / np.maximum(length, 1e-300))
+        cut = np.minimum(1.0, trust / np.maximum(length, 1e-300))
         move *= cut[:, None]
         length *= cut
-        rise = np.sum(move * grad[rows], axis=1) + 0.5 * np.einsum(
-            "mi,mij,mj->m", move, hess[rows], move)
-        live[rows[rise <= _RISE * h[rows]]] = False
-        j_rows, k_rows = _completion_rows(units[rows])
-        turned = units[rows] + move[:, :1] * j_rows + move[:, 1:2] * k_rows
+        rise = np.sum(move * grad, axis=1) + 0.5 * np.einsum("mi,mij,mj->m", move, hess, move)
+        turned = chart[:, 1:4] + move[:, :1] * chart[:, 4:7] + move[:, 1:2] * chart[:, 7:]
         turned /= np.sqrt(np.sum(turned * turned, axis=1, keepdims=True))
-        shifted = angles[rows] + move[:, 2:]
-        new_h, new_grad, new_hess = _slice_terms(coeffs, radius, turned, shifted)
-        steps[rows] += 1
-        ratio = (new_h - h[rows]) / np.maximum(rise, 1e-300)
-        up = new_h > h[rows]
-        keep = rows[up]
-        before[rows] = h[rows]
-        h[keep], grad[keep], hess[keep] = new_h[up], new_grad[up], new_hess[up]
-        units[keep], angles[keep] = turned[up], shifted[up]
-        trust[rows] = np.where(ratio < 0.25, 0.25 * length,
-                               np.where((ratio > 0.75) & (length > 0.99 * trust[rows]),
-                                        np.minimum(2.0 * trust[rows], _TRUST_CAP), trust[rows]))
-    return h, before, units, angles, steps
+        new_chart, shifted = _chart(turned), angles + move[:, 2:]
+        new_h, new_grad, new_hess = _slice_terms(table, new_chart, shifted)
+        steps += live
+        ratio = (new_h - h) / np.maximum(rise, 1e-300)
+        up = live & (new_h > h)
+        before = np.where(live, h, before)
+        trust = np.where(ratio < 0.25, 0.25 * length,
+                         np.where((ratio > 0.75) & (length > 0.99 * trust),
+                                  np.minimum(2.0 * trust, _TRUST_CAP), trust))
+        live &= rise > _RISE * h
+        h, grad, hess = (np.where(up, new_h, h), np.where(up[:, None], new_grad, grad),
+                         np.where(up[:, None, None], new_hess, hess))
+        chart = np.where(up[:, None], new_chart, chart)
+        angles = np.where(up[:, None], shifted, angles)
+    return h, before, chart[:, 1:4], angles, steps
 
 
 def _sphere_squares(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

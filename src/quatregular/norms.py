@@ -14,10 +14,11 @@ maximum of that component placed in the slice of i. The supremum of the
 slice norm is the maximum of one smooth function of the unit and two circle
 angles, which a lattice scan starts and Newton steps finish; on each circle
 angle both squared components are quadratic forms in the unit, so the scan is
-one real matrix product per component. The minimum inside a ball comes from
-the roots of the symmetrization instead of a search. Every search is
-deterministic, local refinement from a grid, with a reported convergence gap;
-nothing here is Monte Carlo. Each runs on the coefficients and radius scaled
+a real matrix product per component, built in blocks of lattice units that
+stay in cache. The minimum inside a ball comes from the roots of the
+symmetrization instead of a search. Every search is deterministic, local
+refinement from a grid, with a reported convergence gap; nothing here is
+Monte Carlo. Each runs on the coefficients and radius scaled
 by powers of two (``_scaled``), so nothing overflows or underflows.
 """
 
@@ -56,8 +57,9 @@ _PEAKS = 6
 _CHUNK_ROWS = 16384
 # roots of f^s this close, with the ball radius folded into (1/2, 1], share a centroid
 _ROOT_CLUSTER = 1e-2
-# separated lattice units that start the split_norm ascent
+# separated lattice units that start the split_norm ascent; scan block rows, dividing _SPHERE_GRID
 _STARTS = 3
+_SCAN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,8 @@ class NormReport:
     the value, for a root sphere of ``inf_norm_ball`` the value itself, and for
     ``split_norm`` how much the last Newton step of the winning start still
     raised the square root of H (on a real-coefficient series, how much the last
-    Newton step on the boundary sphere maximum still moved it). A closed form
-    reports 0.
+    Newton step on the boundary sphere maximum still moved it). The floor
+    scales with the series (``_tol_floor``); a closed form reports 0.
     """
 
     value: float
@@ -88,8 +90,9 @@ class NormReport:
         }
 
 
-def _tol_floor(value: float, gap: float) -> float:
-    return max(gap, 4e-15 * max(1.0, value))
+def _tol_floor(value: float, gap: float, e: int) -> float:
+    """``gap`` floored at 4e-15 times the value or the 2^e ``_scaled`` folds out, if larger."""
+    return max(gap, 4e-15 * value, math.ldexp(4e-15, e))
 
 
 def _scaled(rows: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray | float, int]:
@@ -252,7 +255,7 @@ def sup_norm_ball(f: Series, s: float) -> NormReport:
     if s == 0.0 or f.degree == 0:
         return NormReport(value, "closed-form")
     return NormReport(value, "grid+refine", {"theta": _angle_count(f.degree)},
-                      _tol_floor(value, float(gap[0])))
+                      _tol_floor(value, float(gap[0]), _scaled(f.rows, s)[2]))
 
 
 def inf_norm_ball(f: Series, s: float) -> NormReport:
@@ -290,9 +293,9 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     low = sphere_min_rows(*sphere_constants(rows, roots.real, roots.imag)).min(initial=np.inf)
     if low < value:
         low = float(_unscaled(low, e))
-        return NormReport(low, "root-sphere", resolution, _tol_floor(low, low))
-    value = float(_unscaled(value, e))
-    return NormReport(value, "grid+refine", resolution, _tol_floor(value, float(_unscaled(gap, e))))
+        return NormReport(low, "root-sphere", resolution, _tol_floor(low, low, e))
+    value, gap = float(_unscaled(value, e)), float(_unscaled(gap, e))
+    return NormReport(value, "grid+refine", resolution, _tol_floor(value, gap, e))
 
 
 # -- slice norm and its supremum over units ------------------------------------
@@ -313,19 +316,20 @@ def _lattice() -> tuple[np.ndarray, np.ndarray]:
 def _lattice_scan(rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Grid maxima of |F_I| and |G_I| at each ``_lattice`` unit I, and their columns, each (2, m).
 
-    Each component's (m, T) grid of squares is one product of the lattice
+    The (m, T) grid of squares of each component is the product of the lattice
     monomials with its ``square_forms`` form at each column's coefficient sum,
-    freed before the next is built; only the row maxima take a square root.
+    built ``_SCAN_BLOCK`` rows at a time, so that a block stays in cache while
+    its row maxima are taken; only the row maxima take a square root.
     """
     _, monomials = _lattice()
     sums = (table.T @ rows).view(float)
     tops, cols = [], []
     for form in np.moveaxis(square_forms(sums, sums), 0, -1):
-        grid = monomials @ form
-        cols.append(np.argmax(grid, axis=1))
-        tops.append(grid[np.arange(len(grid)), cols[-1]])
-        del grid
-    return np.sqrt(np.maximum(tops, 0.0)), np.array(cols)
+        for block in monomials.reshape(-1, _SCAN_BLOCK, 9):
+            grid = block @ form
+            cols.append(np.argmax(grid, axis=1))
+            tops.append(grid[np.arange(_SCAN_BLOCK), cols[-1]])
+    return np.sqrt(np.maximum(tops, 0.0)).reshape(2, -1), np.reshape(cols, (2, -1))
 
 
 def slice_norm(f: Series, unit: UnitImaginary,
@@ -360,8 +364,8 @@ def split_norm(f: Series) -> NormReport:
     angles of z_1, z_2 on the boundary circle; at each angle both squares are
     quadratic forms in I (``slice_square_forms``). The ``_SPHERE_GRID`` units
     of a lattice are scanned with grid maxima of |F_I| and |G_I|, no polish,
-    each component's grid one real product of the lattice monomials with nine
-    coefficients per angle. The ``_STARTS``
+    each component's grid the product of the lattice monomials with nine
+    coefficients per angle, ``_SCAN_BLOCK`` units at a time. The ``_STARTS``
     best lattice units on distinct slices, no two within 0.2 rad of each other
     or of each other's antipode (I and -I span one slice), with the scan's
     best angle of each component, start a Newton ascent of H
@@ -380,20 +384,19 @@ def split_norm(f: Series) -> NormReport:
         (value,), (gap,), _ = _sphere_max(f, np.array([f.radius]))
         value = float(value)
         return NormReport(value, "grid+refine", {"sphere": 1, "theta": _angle_count(f.degree)},
-                          _tol_floor(value, float(gap)))
+                          _tol_floor(value, float(gap), e))
     scan_table = circle_table(radius, f.degree + 1, _THETA_GRID // 2)
     lattice, _ = _lattice()
     tops, cols = _lattice_scan(rows, scan_table)
     scan = np.hypot(*tops)
 
-    # I and -I span one slice, so a start's antipode is no new start
-    picks = []
-    for idx in np.argsort(-scan, kind="stable"):
-        if any(abs(np.dot(lattice[idx], lattice[k])) > math.cos(0.2) for k in picks):
-            continue
-        picks.append(idx)
-        if len(picks) >= _STARTS:
-            break
+    # each pass picks the best unit left and drops those near it; I and -I span
+    # one slice, so a start's antipode is no new start
+    order = np.argsort(-scan, kind="stable")
+    ranked, free, picks = lattice[order], np.ones(len(order), dtype=bool), []
+    for _ in range(_STARTS):
+        picks.append(order[np.argmax(free)])
+        free &= np.abs(ranked @ lattice[picks[-1]]) <= math.cos(0.2)
 
     angles = (2.0 * math.pi / scan_table.shape[1]) * cols.T[picks]
     h, before, _, _, steps = slice_norm_ascent(rows, radius, lattice[picks], angles)
@@ -401,12 +404,12 @@ def split_norm(f: Series) -> NormReport:
     top = float(values.max())
     # starts often end on one slice (at I or -I) whose norms agree to rounding:
     # the first of those in pick order gives the steps and the gap, not the last bit
-    best = int(np.flatnonzero(values >= top - _tol_floor(top, 0.0))[0])
+    best = int(np.flatnonzero(values >= top - _tol_floor(top, 0.0, 0))[0])
     value = float(_unscaled(top, e))
     resolution = {"sphere": _SPHERE_GRID, "theta": scan_table.shape[1], "starts": len(picks),
                   "steps": int(steps[best])}
     gap = float(_unscaled(values[best] - math.sqrt(before[best]), e))
-    return NormReport(value, "lattice+newton", resolution, _tol_floor(value, gap))
+    return NormReport(value, "lattice+newton", resolution, _tol_floor(value, gap, e))
 
 
 def mean_value_margin(f: Series, q) -> float:

@@ -26,8 +26,10 @@ from quatregular import (
     star,
     sup_norm_ball,
 )
-from quatregular import bloch, norms
+from quatregular import _arrays, bloch, norms
 from quatregular._arrays import (
+    _chart,
+    _slice_table,
     _slice_terms,
     circle_table,
     eval_rows,
@@ -509,7 +511,8 @@ class TestSplitNorm:
     def test_tied_starts_report_the_first(self, monkeypatch):
         # f = q + j/2 peaks on the slice of j, and its starts end on the units -j, -j
         # and j, whose slice norms agree to an ulp: the steps and the gap come from
-        # the first start in pick order, whichever tied norm rounds highest
+        # the first start in pick order, whichever tied norm rounds highest; the rounding
+        # floor is at 2^1, the frexp scale of the largest coefficient
         ascents = []
 
         def recording(*args):
@@ -524,7 +527,7 @@ class TestSplitNorm:
         assert report.value == 1.5
         assert report.resolution["steps"] == steps[0]
         gap = 2.0 * (math.sqrt(h[0]) - math.sqrt(before[0]))
-        assert report.certified_tol == norms._tol_floor(1.5, gap)
+        assert report.certified_tol == norms._tol_floor(1.5, gap, 1)
 
     def test_starts_lie_on_distinct_slices(self, monkeypatch):
         # I and -I span one slice, so no start is within 0.2 rad of another or of its antipode
@@ -543,6 +546,58 @@ class TestSplitNorm:
                 assert len(units) == norms._STARTS
                 dots = np.abs(units @ units.T)[np.triu_indices(len(units), 1)]
                 assert np.all(dots <= math.cos(0.2))
+
+    def test_blocked_scan_matches_the_whole_grid(self):
+        # the scan builds its grids in blocks of rows; each row's maximum and its
+        # column (the first on ties) are those of the whole grid. The along_k series
+        # has G_I vanishing near +-k, and the real one G_I = 0, where every row ties
+        rng = np.random.default_rng(2723)
+        _, monomials = norms._lattice()
+        cases = [random_series(rng, degree, scale).rows
+                 for scale in (0.2, 1.0, 3.0) for degree in range(1, 13)]
+        along_k = rng.standard_normal((7, 4))
+        along_k[:, 1:3] = 0.0
+        real = rng.standard_normal((5, 4))
+        real[:, 1:] = 0.0
+        cases += [along_k, real]
+        for rows in cases:
+            table = circle_table(0.9, len(rows), 256)
+            sums = (table.T @ rows).view(float)
+            grids = [monomials @ form for form in np.moveaxis(square_forms(sums, sums), 0, -1)]
+            cols = np.array([np.argmax(grid, axis=1) for grid in grids])
+            tops = np.array([grid[np.arange(len(grid)), col] for grid, col in zip(grids, cols)])
+            scan_tops, scan_cols = norms._lattice_scan(rows, table)
+            assert np.array_equal(scan_cols, cols)
+            assert np.array_equal(scan_tops, np.sqrt(np.maximum(tops, 0.0)))
+        assert not scan_cols[1].any() and not scan_tops[1].any()
+
+    def test_starts_are_the_greedy_picks(self, monkeypatch):
+        # the best lattice units by scan value (stable order), each skipped when
+        # within 0.2 rad of an earlier pick or of its antipode
+        starts = []
+
+        def recording(coeffs, radius, units, angles):
+            starts.append(units)
+            return slice_norm_ascent(coeffs, radius, units, angles)
+
+        monkeypatch.setattr(norms, "slice_norm_ascent", recording)
+        rng = np.random.default_rng(2724)
+        lattice, _ = norms._lattice()
+        for degree in range(2, 9):
+            for _ in range(3):
+                f = random_series(rng, degree, 1.0)
+                split_norm(f)
+                rows, radius, _ = norms._scaled(f.rows, f.radius)
+                table = circle_table(radius, len(rows), 256)
+                picks = []
+                for idx in np.argsort(-np.hypot(*norms._lattice_scan(rows, table)[0]),
+                                      kind="stable"):
+                    if all(abs(np.dot(lattice[idx], lattice[k])) <= math.cos(0.2)
+                           for k in picks):
+                        picks.append(idx)
+                    if len(picks) == norms._STARTS:
+                        break
+                assert np.array_equal(starts[-1], lattice[picks])
 
     def test_lattice_squares_match_split_grids(self):
         # the quadratic forms in the unit against |F_I|^2 and |G_I|^2 from split rows,
@@ -599,7 +654,8 @@ class TestSplitNorm:
                 rows = random_series(rng, degree, scale).rows
                 table = circle_table(0.9, degree + 1, 256)
                 tops, cols = norms._lattice_scan(rows, table)
-                h = _slice_terms(rows, 0.9, lattice, (2.0 * math.pi / 256) * cols.T)[0]
+                h = _slice_terms(_slice_table(rows, 0.9), _chart(lattice),
+                                 (2.0 * math.pi / 256) * cols.T)[0]
                 size = np.sum(np.linalg.norm(rows, axis=1) * 0.9 ** np.arange(degree + 1)) ** 2
                 assert np.all(np.abs(h - np.sum(tops ** 2, axis=0)) <= 1e-14 * size)
 
@@ -636,6 +692,20 @@ class TestScaleFree:
         scaled = norms_of(Series((Quaternion(s), Quaternion(0.0, s, 0.0, 0.0))))
         for value, reference in zip(scaled, unscaled):
             assert abs(value / s - reference) <= 1e-12 * reference
+
+    @pytest.mark.parametrize("k", [-900, -500, 500, 900])
+    def test_tolerances_scale_with_the_series(self, k):
+        # f = 2^k (1 + i q): the searches run on the same scaled rows for every k, and
+        # the rounding floor scales with the series, so each tolerance is 2^k times
+        # that at k = 0, exactly
+        def tolerances_of(f):
+            return [sup_norm_ball(f, 0.5).certified_tol, inf_norm_ball(f, 0.5).certified_tol,
+                    split_norm(f).certified_tol]
+
+        s = math.ldexp(1.0, k)
+        unscaled = tolerances_of(Series((1.0, I)))
+        scaled = tolerances_of(Series((Quaternion(s), Quaternion(0.0, s, 0.0, 0.0))))
+        assert scaled == [s * tol for tol in unscaled]
 
     @pytest.mark.parametrize("t", [1e-100, 1e-10, 1e10, 1e100])
     def test_norms_scale_with_the_radius(self, t):
@@ -678,7 +748,7 @@ def slice_h_differences(coeffs, radius, units, angles, step):
     def h_at(delta):
         moved = units + delta[:, :1] * j_rows + delta[:, 1:2] * k_rows
         moved /= np.linalg.norm(moved, axis=1, keepdims=True)
-        return _slice_terms(coeffs, radius, moved, angles + delta[:, 2:])[0]
+        return _slice_terms(_slice_table(coeffs, radius), _chart(moved), angles + delta[:, 2:])[0]
 
     basis = [np.broadcast_to(step * e, (len(units), 4)) for e in np.eye(4)]
     grad = np.stack([(h_at(e) - h_at(-e)) / (2.0 * step) for e in basis], axis=1)
@@ -712,7 +782,7 @@ class TestSliceNormAscent:
         rng = np.random.default_rng(2207)
         for coeffs in slice_ascent_cases(rng):
             units, angles = self.starts(rng)
-            h, grad, hess = _slice_terms(coeffs, 0.9, units, angles)
+            h, grad, hess = _slice_terms(_slice_table(coeffs, 0.9), _chart(units), angles)
             # |f| on the circle of radius 0.9 is at most this, and so are |F_I| and |G_I|
             scale = np.sum(np.linalg.norm(coeffs, axis=1) * 0.9 ** np.arange(len(coeffs))) ** 2
             assert np.all(np.abs(h - slice_h(coeffs, 0.9, units, angles)) <= 1e-14 * scale)
@@ -725,18 +795,36 @@ class TestSliceNormAscent:
         rng = np.random.default_rng(2208)
         for index, coeffs in enumerate(slice_ascent_cases(rng)):
             units, angles = self.starts(rng)
-            start = _slice_terms(coeffs, 0.9, units, angles)[0]
+            start = _slice_terms(_slice_table(coeffs, 0.9), _chart(units), angles)[0]
             h, before, final_units, final_angles, steps = slice_norm_ascent(
                 coeffs, 0.9, units, angles)
             assert np.all(h >= start)
             assert np.all(before <= h)
             assert np.all(steps >= 1)
             assert np.allclose(np.linalg.norm(final_units, axis=1), 1.0, rtol=0, atol=1e-15)
-            assert np.array_equal(h, _slice_terms(coeffs, 0.9, final_units, final_angles)[0])
+            assert np.array_equal(h, _slice_terms(_slice_table(coeffs, 0.9), _chart(final_units),
+                                                   final_angles)[0])
             if index == 0:
                 # at radius 0.9 the squared slice norm of q + q^2 j is 1.4661 + 1.458 |<I, j>|,
                 # 1.71^2 at I = +-j, and |G_I| does not depend on theta_2
                 assert np.all(np.abs(np.sqrt(h) - 1.71) <= 1e-12)
+
+    def test_one_chart_per_trial_point(self, monkeypatch):
+        # the chart of a point is built once, for its terms, and kept with it when the
+        # step is: one completion at the starts and one per step of the lockstep loop
+        calls = []
+
+        def counting(units):
+            calls.append(len(units))
+            return _completion_rows(units)
+
+        monkeypatch.setattr(_arrays, "_completion_rows", counting)
+        rng = np.random.default_rng(2209)
+        for coeffs in slice_ascent_cases(rng):
+            units, angles = self.starts(rng)
+            calls.clear()
+            steps = slice_norm_ascent(coeffs, 0.9, units, angles)[4]
+            assert calls == [len(units)] * (1 + steps.max())
 
 
 class TestInfNormBall:

@@ -11,11 +11,11 @@ points and 3 interpolated ones), 33 (the coarse mu-profile pass), 63 and 1024
 (a whole mu-profile) radii, the slice norm at the unit i (two sphere-maximum
 searches), the split_norm lattice scan (2048 units, 256 angles), the value,
 gradient and Hessian of the split_norm ascent at its three starts
-(_slice_terms) and the whole ascent from them (slice_norm_ascent), the whole
-split_norm on the same series and on the real-coefficient series of its real
-parts (the boundary sphere maximum), the sphere constants and series
-evaluation. One end-to-end row times the whole bl_search on the builtin
-mixed-units series at r = 0.99.
+(_slice_terms, given the series table and the charts) and the whole ascent
+from them (slice_norm_ascent), the whole split_norm on the same series and on
+the real-coefficient series of its real parts (the boundary sphere maximum),
+the sphere constants and series evaluation. One end-to-end row times the
+whole bl_search on the builtin mixed-units series at r = 0.99.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ import numpy as np
 
 from quatregular import norms
 from quatregular._arrays import (
+    _chart,
+    _slice_table,
     _slice_terms,
     circle_table,
     eval_rows,
@@ -90,7 +92,10 @@ def main() -> dict:
     norms.slice_norm_ascent = lambda *args: starts.append(args) or slice_norm_ascent(*args)
     split_norm(at_radius)
     norms.slice_norm_ascent = slice_norm_ascent
-    timings[f"_slice_terms[3 starts, degree {DEGREE}]"] = best_ms(lambda: _slice_terms(*starts[0]))
+    scaled, radius, units, start_angles = starts[0]
+    terms_table, chart = _slice_table(scaled, radius), _chart(units)
+    timings[f"_slice_terms[3 starts, degree {DEGREE}]"] = best_ms(
+        lambda: _slice_terms(terms_table, chart, start_angles))
     timings["slice_norm_ascent[split_norm starts]"] = best_ms(
         lambda: slice_norm_ascent(*starts[0]))
     timings["split_norm"] = best_ms(lambda: split_norm(at_radius))
