@@ -14,12 +14,14 @@ maximum of that component placed in the slice of i. The supremum of the
 slice norm is the maximum of one smooth function of the unit and two circle
 angles, which a lattice scan starts and Newton steps finish; on each circle
 angle both squared components are quadratic forms in the unit, so the scan is
-a real matrix product per component, built in blocks of lattice units that
-stay in cache. The minimum inside a ball comes from the roots of the
-symmetrization instead of a search. Every search is deterministic, local
-refinement from a grid, with a reported convergence gap; nothing here is
-Monte Carlo. Each runs on the coefficients and radius scaled
-by powers of two (``_scaled``), so nothing overflows or underflows.
+a real matrix product per component, written block by block of lattice units
+into one buffer that stays in cache. The angle search reads its cos and sin
+tables from a cache, so repeated calls rebuild nothing. The minimum inside a
+ball comes from the roots of the symmetrization instead of a search. Every
+search is deterministic, local refinement from a grid, with a reported
+convergence gap; nothing here is Monte Carlo. Each runs on the coefficients
+and radius scaled by powers of two (``_scaled``), so nothing overflows or
+underflows.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ _SPHERE_GRID = 2048
 # the angle search: local grid maxima polished per plane set, and grid rows per batch
 _PEAKS = 6
 _CHUNK_ROWS = 16384
+# degrees whose angle tables on the fixed grid stay cached
+_TABLES = 16
 # roots of f^s this close, with the ball radius folded into (1/2, 1], share a centroid
 _ROOT_CLUSTER = 1e-2
 # separated lattice units that start the split_norm ascent; scan block rows, dividing _SPHERE_GRID
@@ -138,35 +142,53 @@ def _angle_count(degree: int) -> int:
     return max(_THETA_GRID, 4 * degree + 1)
 
 
+@functools.lru_cache(maxsize=_TABLES)
+def _angle_table(points: int, n_plus_one: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only grid angles of ``_angle_max``, cos(d theta), sin(d theta) and (-1)^d, d = 0..N."""
+    theta = np.linspace(0.0, math.pi, points)
+    turns = power_table(np.exp(1j * theta), n_plus_one)
+    out = theta, turns.real.copy(), turns.imag.copy(), (-1.0) ** np.arange(n_plus_one)
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
 def _angle_max(planes: np.ndarray, points: int
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The angle in [0, pi] where g = A + |U| is largest, for each plane set (m, 4, N+1).
 
     The planes are those of ``sphere_planes``. A grid of ``points`` angles is
-    two products of ``_CHUNK_ROWS`` grid rows at a time, against a cos and a
-    sin table. The ``_PEAKS`` best local grid maxima of every set (ties to the
-    lower angle; g is even about 0 and pi, so the ends take mirrored
-    neighbours) are then polished together by ``sphere_max_polish``, from the
-    vertex of the grid parabola. The constant cosine coefficient moves no
-    maximiser, but on a sphere of radius t it is of order 1 while the rest of
-    g is of order t, so the grid and the polish run on a copy without it,
-    which still finds the angle where t is tiny. Returns each set's winning
+    two products of ``_CHUNK_ROWS`` grid rows at a time, against the cached cos
+    and sin tables of ``_angle_table``, with |U| rooted and A added in place.
+    The ``_PEAKS`` best local grid maxima of every set (ties to the lower angle;
+    g is even about 0 and pi, so the ends take mirrored neighbours) are then
+    polished together by ``sphere_max_polish``, from the vertex of the grid
+    parabola. The constant cosine coefficient moves no maximiser, but on a
+    sphere of radius t it is of order 1 while the rest of g is of order t, so
+    the grid and the polish run on a copy without it, which still finds the
+    angle where t is tiny. Returns each set's winning
     angle, and for each polished bracket its set, and g (with the constant)
     before and after its last step.
     """
     constant = planes[:, 0, 0]
     planes = planes.copy()
     planes[:, 0, 0] = 0.0
-    theta = np.linspace(0.0, math.pi, points)
-    turns = power_table(np.exp(1j * theta), planes.shape[2])
-    cos, sin = turns.real.copy(), turns.imag.copy()
+    # the last _TABLES degrees on the fixed grid are kept; a larger grid (degree above
+    # 127) is built for its call, since degree 1000 takes 64 MB
+    table = _angle_table if points == _THETA_GRID else _angle_table.__wrapped__
+    theta, cos, sin, parity = table(points, planes.shape[2])
     chunk = max(1, _CHUNK_ROWS // points)
     picks = []
     for first in range(0, len(planes), chunk):
         part = planes[first:first + chunk]
         # stacked products: each set rounds the same in any batch
         u = part[:, 1:] @ sin
-        grid = (part[:, :1] @ cos)[:, 0] + np.sqrt(np.einsum("rct,rct->rt", u, u))
+        grid = np.einsum("rct,rct->rt", u, u)
+        # U is the largest temporary; freed before the next chunk's, it keeps
+        # the heap from growing past glibc's trim point and shrinking each call
+        del u
+        np.add(np.sqrt(grid, out=grid), (part[:, :1] @ cos)[:, 0], out=grid)
         mirrored = np.concatenate([grid[:, 1:2], grid, grid[:, -2:-1]], axis=1)
         # the local maxima of each set, best first, ties to the lower angle
         row, col = np.divmod(np.flatnonzero((grid >= mirrored[:, :-2])
@@ -186,7 +208,7 @@ def _angle_max(planes: np.ndarray, points: int
     # polished as its distance from pi: both ends then sit at 0, where sin(d theta) = 0
     upper = 2 * col > points - 1
     near = np.where(upper, points - 1 - col, col)
-    flips = np.where(upper[:, None], (-1.0) ** np.arange(planes.shape[2]), 1.0)
+    flips = np.where(upper[:, None], parity, 1.0)
     step = math.pi / (points - 1)
     polished, before, found = sphere_max_polish(
         planes[row] * flips[:, None, :], step * (near + np.where(upper, -offset, offset)),
@@ -285,7 +307,11 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     # f(2^p q) 2^-e is valid up to 2^-p f.radius > t, which may overflow; the next float cannot
     g = _from_rows(rows, np.nextafter(t, np.inf), f.exact)
     (value,), (gap,), _ = _sphere_max(g, np.array([t]), lowest=True)
-    roots = np.roots(symmetrization(g).rows[::-1, 0])
+    # leading coefficients of f^s below 2^-500 of the largest move no root in the
+    # folded ball beyond rounding, but their companion row would overflow
+    sym = symmetrization(g).rows[:, 0]
+    size = np.abs(sym)
+    roots = np.roots(sym[np.flatnonzero(size >= math.ldexp(size.max(), -500))[-1]::-1])
     near = np.abs(roots[:, None] - roots) < _ROOT_CLUSTER
     roots = np.concatenate([roots, near @ roots / near.sum(axis=1)])
     roots = roots[np.abs(roots) <= t]
@@ -318,17 +344,19 @@ def _lattice_scan(rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.n
 
     The (m, T) grid of squares of each component is the product of the lattice
     monomials with its ``square_forms`` form at each column's coefficient sum,
-    built ``_SCAN_BLOCK`` rows at a time, so that a block stays in cache while
-    its row maxima are taken; only the row maxima take a square root.
+    written ``_SCAN_BLOCK`` rows at a time into one buffer, so that a block stays
+    in cache while its row maxima are taken and a call allocates one grid, not
+    one per block; only the row maxima take a square root.
     """
     _, monomials = _lattice()
     sums = (table.T @ rows).view(float)
+    grid, span = np.empty((_SCAN_BLOCK, table.shape[1])), np.arange(_SCAN_BLOCK)
     tops, cols = [], []
     for form in np.moveaxis(square_forms(sums, sums), 0, -1):
         for block in monomials.reshape(-1, _SCAN_BLOCK, 9):
-            grid = block @ form
+            np.matmul(block, form, out=grid)
             cols.append(np.argmax(grid, axis=1))
-            tops.append(grid[np.arange(_SCAN_BLOCK), cols[-1]])
+            tops.append(grid[span, cols[-1]])
     return np.sqrt(np.maximum(tops, 0.0)).reshape(2, -1), np.reshape(cols, (2, -1))
 
 
@@ -390,13 +418,12 @@ def split_norm(f: Series) -> NormReport:
     tops, cols = _lattice_scan(rows, scan_table)
     scan = np.hypot(*tops)
 
-    # each pass picks the best unit left and drops those near it; I and -I span
-    # one slice, so a start's antipode is no new start
-    order = np.argsort(-scan, kind="stable")
-    ranked, free, picks = lattice[order], np.ones(len(order), dtype=bool), []
+    # each pass picks the best unit left, the first of equal values, and drops
+    # those near it; I and -I span one slice, so a start's antipode is no new start
+    picks = []
     for _ in range(_STARTS):
-        picks.append(order[np.argmax(free)])
-        free &= np.abs(ranked @ lattice[picks[-1]]) <= math.cos(0.2)
+        picks.append(int(np.argmax(scan)))
+        scan[np.abs(lattice @ lattice[picks[-1]]) > math.cos(0.2)] = -np.inf
 
     angles = (2.0 * math.pi / scan_table.shape[1]) * cols.T[picks]
     h, before, _, _, steps = slice_norm_ascent(rows, radius, lattice[picks], angles)

@@ -263,8 +263,8 @@ def _sphere_rows(n: int, seed: int = 0) -> np.ndarray:
 
 
 # cyclic component orders for the cross product I x J
-_NEXT = [1, 2, 0]
-_LAST = [2, 0, 1]
+_NEXT = np.array([1, 2, 0])
+_LAST = np.array([2, 0, 1])
 # coordinate axes, one of which seeds each completion
 _AXES = np.eye(3)
 
@@ -274,9 +274,9 @@ def _completion_rows(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     K is the cross product I x J, which is the quaternion product of orthogonal units.
     """
-    axis_rows = _AXES[np.argmin(np.abs(units), axis=1)]
-    j_rows = axis_rows - np.sum(axis_rows * units, axis=1, keepdims=True) * units
-    j_rows /= np.linalg.norm(j_rows, axis=1, keepdims=True)
+    axis = np.argmin(np.abs(units), axis=1)
+    j_rows = _AXES[axis] - units[np.arange(len(units)), axis, None] * units
+    j_rows /= np.sqrt(np.add.reduce(j_rows * j_rows, axis=1, keepdims=True))
     k_rows = units[:, _NEXT] * j_rows[:, _LAST] - units[:, _LAST] * j_rows[:, _NEXT]
     return j_rows, k_rows
 

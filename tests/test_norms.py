@@ -573,31 +573,43 @@ class TestSplitNorm:
 
     def test_starts_are_the_greedy_picks(self, monkeypatch):
         # the best lattice units by scan value (stable order), each skipped when
-        # within 0.2 rad of an earlier pick or of its antipode
+        # within 0.2 rad of an earlier pick or of its antipode; then again with the
+        # scan's tops rounded to 2 decimals, where many values tie and the lowest
+        # lattice index wins
         starts = []
 
         def recording(coeffs, radius, units, angles):
             starts.append(units)
             return slice_norm_ascent(coeffs, radius, units, angles)
 
+        def rounded(rows, table, scan=norms._lattice_scan):
+            tops, cols = scan(rows, table)
+            return np.round(tops, 2), cols
+
         monkeypatch.setattr(norms, "slice_norm_ascent", recording)
-        rng = np.random.default_rng(2724)
         lattice, _ = norms._lattice()
-        for degree in range(2, 9):
-            for _ in range(3):
-                f = random_series(rng, degree, 1.0)
-                split_norm(f)
-                rows, radius, _ = norms._scaled(f.rows, f.radius)
-                table = circle_table(radius, len(rows), 256)
-                picks = []
-                for idx in np.argsort(-np.hypot(*norms._lattice_scan(rows, table)[0]),
-                                      kind="stable"):
-                    if all(abs(np.dot(lattice[idx], lattice[k])) <= math.cos(0.2)
-                           for k in picks):
-                        picks.append(idx)
-                    if len(picks) == norms._STARTS:
-                        break
-                assert np.array_equal(starts[-1], lattice[picks])
+        for tied in (False, True):
+            if tied:
+                monkeypatch.setattr(norms, "_lattice_scan", rounded)
+            rng = np.random.default_rng(2724)
+            ties = 0
+            for degree in range(2, 9):
+                for _ in range(3):
+                    f = random_series(rng, degree, 1.0)
+                    split_norm(f)
+                    rows, radius, _ = norms._scaled(f.rows, f.radius)
+                    table = circle_table(radius, len(rows), 256)
+                    scan = np.hypot(*norms._lattice_scan(rows, table)[0])
+                    picks = []
+                    for idx in np.argsort(-scan, kind="stable"):
+                        if all(abs(np.dot(lattice[idx], lattice[k])) <= math.cos(0.2)
+                               for k in picks):
+                            picks.append(idx)
+                        if len(picks) == norms._STARTS:
+                            break
+                    assert np.array_equal(starts[-1], lattice[picks])
+                    ties += sum(np.count_nonzero(scan == scan[k]) > 1 for k in picks)
+            assert (ties > 0) == tied
 
     def test_lattice_squares_match_split_grids(self):
         # the quadratic forms in the unit against |F_I|^2 and |G_I|^2 from split rows,
@@ -828,6 +840,20 @@ class TestSliceNormAscent:
 
 
 class TestInfNormBall:
+    @pytest.mark.parametrize("tiny", [1e-154, 1e-155, 1e-160])
+    def test_subnormal_leading_coefficients_of_the_symmetrization(self, tiny):
+        # f^s of 3 + q tiny + q^2 tiny i has leading coefficients near the subnormal
+        # range, whose companion row overflows; they carry no root near the ball
+        f = Series((3, tiny, Quaternion(0, tiny, 0, 0)))
+        report = inf_norm_ball(f, 0.4)
+        assert report.value == sup_norm_ball(f, 0.4).value == 3.0
+        assert report.resolution["roots"] == 0
+
+    def test_coefficients_three_hundred_decades_apart(self):
+        f = Series((Quaternion(0, 1e160, 0, -1e160), Quaternion(-0.0, 1e-160, -5e-324, 0)), 2.0)
+        value = inf_norm_ball(f, 1.0).value
+        assert abs(value - sup_norm_ball(f, 1.0).value) <= 1e-15 * value
+
     def test_identity_min_zero(self):
         assert inf_norm_ball(Series((0, 1)), 0.8).value < 1e-12
 
@@ -938,6 +964,41 @@ class TestMeanValue:
 
 
 class TestSphereMaxSearch:
+    def test_batches_match_single_radius_calls_to_the_bit(self):
+        # 70 radii take more than one _CHUNK_ROWS chunk of grid rows; degree 130
+        # has 521 grid angles
+        rng = np.random.default_rng(2725)
+        cases = [random_series(rng, degree, scale)
+                 for scale in (0.2, 1.0, 3.0) for degree in range(1, 13)]
+        cases.append(random_series(rng, 130, 1.0))
+        for f in cases:
+            radii = np.sort(rng.uniform(0.0, 0.95, 70))
+            assert len(radii) > norms._CHUNK_ROWS // norms._angle_count(f.degree)
+            for lowest in (False, True):
+                batch = np.array(_sphere_max(f, radii, lowest))
+                single = np.array([_sphere_max(f, radii[k:k + 1], lowest)
+                                   for k in range(len(radii))])[:, :, 0].T
+                assert np.array_equal(batch, single)
+
+    def test_angle_tables_are_cached_read_only_and_bounded(self):
+        norms._angle_table.cache_clear()
+        theta, cos, sin, parity = norms._angle_table(512, 7)
+        for array in (theta, cos, sin, parity):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        turns = _arrays.power_table(np.exp(1j * theta), 7)
+        assert np.array_equal(cos, turns.real) and np.array_equal(sin, turns.imag)
+        assert np.array_equal(parity, [1, -1, 1, -1, 1, -1, 1])
+        rng = np.random.default_rng(2726)
+        for degree in range(1, 40):
+            sup_norm_ball(random_series(rng, degree, 1.0), 0.9)
+            assert norms._angle_table.cache_info().currsize <= norms._TABLES
+        # a table past the fixed grid (degree above 127) is built for its call, not kept
+        info = norms._angle_table.cache_info()
+        sup_norm_ball(random_series(rng, 140, 1.0), 0.9)
+        assert norms._angle_table.cache_info() == info
+        assert info.currsize == norms._TABLES
+
     def test_batched_mu_profile_matches_single_radius_calls(self):
         for f in (dict(builtin_corpus())["mixed-units"],
                   random_series(np.random.default_rng(31), 5, monic_shift=True)):

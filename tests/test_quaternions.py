@@ -14,7 +14,7 @@ from quatregular import (
     sphere_sample,
     unit_of,
 )
-from quatregular.quaternions import I, J, K
+from quatregular.quaternions import I, J, K, _completion_rows
 
 finite = st.floats(-1.0, 1.0, allow_nan=False)
 quaternions = st.builds(Quaternion, finite, finite, finite, finite)
@@ -114,6 +114,22 @@ class TestUnits:
             anti = unit * j_unit + j_unit * unit
             assert anti.modulus() < 1e-13
             assert (k_unit - unit * j_unit).modulus() < 1e-13
+
+    def test_completion_rows_match_the_one_hot_formula(self, rng):
+        # the axis term is indexed rather than summed from a one-hot product, and
+        # the norm is summed squares; neither moves a bit, signed zeros included
+        units = rng.standard_normal((200, 3))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        units = np.concatenate([units, [(1, 0, 0), (0, -0.0, -1), (-0.0, 0, 1), (0, 1, 0),
+                                        (-1, -0.0, -0.0), (0.6, -0.0, 0.8)]])
+        axis_rows = np.eye(3)[np.argmin(np.abs(units), axis=1)]
+        j_rows = axis_rows - np.sum(axis_rows * units, axis=1, keepdims=True) * units
+        j_rows /= np.linalg.norm(j_rows, axis=1, keepdims=True)
+        nxt, last = [1, 2, 0], [2, 0, 1]
+        k_rows = units[:, nxt] * j_rows[:, last] - units[:, last] * j_rows[:, nxt]
+        for new, old in zip(_completion_rows(units), (j_rows, k_rows)):
+            assert np.array_equal(new, old)
+            assert np.array_equal(np.signbit(new), np.signbit(old))
 
     def test_completion_diagonal_unit(self):
         unit = UnitImaginary.from_vector(1, 1, 0)
