@@ -27,6 +27,15 @@ def qmul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.add.reduce(p[..., _LEFT] * (q[..., _RIGHT] * _SIGNS), axis=-2, initial=-0.0)
 
 
+def star_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The star product of coefficient rows (M+1, 4) and (N+1, 4): the Cauchy convolution,
+    each coefficient summed from row k of the table a_k b_m in order of k, (M+N+1, 4)."""
+    out = np.zeros((len(a) + len(b) - 1, 4))
+    for k, row in enumerate(qmul_rows(a[:, None], b[None])):
+        out[k:k + len(b)] += row
+    return out
+
+
 def eval_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate the series at quaternion rows by left power accumulation."""
     points = np.atleast_2d(points)

@@ -11,13 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import eval_rows, qmul_rows, sphere_constants
+from ._arrays import _CONJUGATE, eval_rows, qmul_rows, sphere_constants, star_rows
 from .errors import DomainError, NumericalSearchError, PreconditionError
 from .norms import _sphere_max, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
 from .quaternions import ALGEBRA_TOL, I as CANONICAL_I
 from .quaternions import Quaternion, UnitImaginary, _coerce
-from .series import Series, _from_rows, slice_derivative, symmetrization
+from .series import Series, _from_rows, slice_derivative
 from .slices import regular_translation, sphere_pair
 
 SCHEMA = "quatregular/1"
@@ -166,15 +166,16 @@ def rho_lemma(f: Series) -> float:
     Requires the derivative at the origin to be real; returns zero when it
     vanishes, in which case there is nothing to certify.
     """
-    a0, a1 = f.coeffs[0], f.coeffs[1] if f.degree >= 1 else Quaternion()
-    if a0.modulus_sq() != 0.0:
+    a1 = f.rows[1].tolist() if f.degree >= 1 else [0.0] * 4
+    if f.rows[0] @ f.rows[0] != 0.0:
         raise PreconditionError("requires f(0) = 0")
-    if not a1.is_real():
+    if any(a1[1:]):
         raise PreconditionError("requires a real slice derivative at the origin")
-    if a1.modulus_sq() == 0.0:
+    square = a1[0] * a1[0]
+    if square == 0.0:
         return 0.0
     derivative_norm = split_norm(slice_derivative(f)).value
-    return f.radius * a1.modulus_sq() / (4.0 * derivative_norm)
+    return f.radius * square / (4.0 * derivative_norm)
 
 
 def _nonreal_rows(rows: np.ndarray) -> np.ndarray:
@@ -194,11 +195,11 @@ def g_series(f: Series, c) -> Series:
     c = _coerce(c)
     if c is None or c.modulus_sq() == 0.0:
         raise DomainError("excluded value must be nonzero")
-    if f.coeffs[0].modulus_sq() != 0.0:
+    if f.rows[0] @ f.rows[0] != 0.0:
         raise PreconditionError("requires f(0) = 0")
     base = np.concatenate([[(1.0, 0.0, 0.0, 0.0)],
                            -qmul_rows(f.rows[1:], np.array(c.inverse().components))])
-    sym = symmetrization(_from_rows(base, f.radius, f.exact)).rows
+    sym = star_rows(base, base * _CONJUGATE)
     nonreal = _nonreal_rows(sym)
     if nonreal.size:
         raise NumericalSearchError(
@@ -283,6 +284,8 @@ def attain(f: Series, target, ball_radius: float, seed: int = 0) -> Quaternion |
     target = _coerce(target)
     if ball_radius > f.radius:
         raise DomainError("search ball cannot exceed the ball of validity")
+    if not ball_radius > 0.0:
+        raise DomainError("search ball radius must be positive")
     goal = np.array(target.components)
 
     def residual(points: np.ndarray) -> np.ndarray:
@@ -399,7 +402,7 @@ def _first_crossing(derivative: Series, r: float,
 
     def profile(idx: np.ndarray) -> np.ndarray:
         """Evaluate mu at the grid points ``idx`` in one batch; returns the gaps of M."""
-        maxima[idx], gap, angles[idx] = _sphere_max(derivative, r - grid[idx])
+        maxima[idx], gap, angles[idx] = _sphere_max(derivative.rows, r - grid[idx])
         mu[idx] = grid[idx] * maxima[idx]
         return gap
 
@@ -499,9 +502,9 @@ def bl_search(f: Series, r: float) -> SearchReport:
     ``locator_angle``, ``w``, ``f_w``, ``rotation`` and ``phi_coeffs`` come
     from it, and ``R_r`` does not depend on which one it is.
     """
-    if f.coeffs[0].modulus_sq() != 0.0:
+    if f.rows[0] @ f.rows[0] != 0.0:
         raise PreconditionError("requires f(0) = 0")
-    if f.degree < 1 or f.coeffs[1] != Quaternion(1.0):
+    if f.degree < 1 or f.rows[1].tolist() != [1.0, 0.0, 0.0, 0.0]:
         raise PreconditionError("requires slice derivative 1 at the origin")
     if not 0.0 < r < 1.0:
         raise PreconditionError("requires a working radius in (0, 1)")
@@ -522,7 +525,7 @@ def bl_search(f: Series, r: float) -> SearchReport:
     root_radii = 0
     while hi - lo > _MU_TOL:
         points = _root_points(lo, hi, known_s, known_mu, target)
-        maxima, _, angles = _sphere_max(derivative, r - points)
+        maxima, _, angles = _sphere_max(derivative.rows, r - points)
         values = points * maxima
         root_radii += points.size
         # the first point where mu reaches r closes the next bracket, or the upper end
@@ -553,8 +556,7 @@ def bl_search(f: Series, r: float) -> SearchReport:
         w = Quaternion(x, y * unit.x1, y * unit.x2, y * unit.x3)
 
     translated = regular_translation(f, w)
-    f_at_w = translated.coeffs[0]
-    deriv_at_w = translated.coeffs[1]
+    f_at_w, deriv_at_w = (Quaternion(*row) for row in translated.rows[:2].tolist())
     deriv_scale = deriv_at_w.modulus()
     normalizer = deriv_at_w.conjugate() / deriv_scale
     rotation = deriv_at_w / deriv_scale

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._arrays import (
+    _CONJUGATE,
     circle_table,
     power_table,
     slice_norm_ascent,
@@ -43,10 +44,11 @@ from ._arrays import (
     sphere_min_rows,
     sphere_planes,
     square_forms,
+    star_rows,
 )
 from .errors import DomainError, PreconditionError
 from .quaternions import Quaternion, UnitImaginary, _coerce, _sphere_rows
-from .series import Series, _from_rows, evaluate, slice_derivative, symmetrization
+from .series import Series, evaluate, slice_derivative
 from .slices import _frame, split_rows
 
 # the fixed resolution: grid angles of every angle search (raised to 4N + 1),
@@ -126,7 +128,10 @@ def _unscaled(x, e: int):
 
 def sphere_extrema(b: Quaternion, c: Quaternion) -> tuple[float, float]:
     """Exact (min, max) of |b + I c| over all imaginary units I (``sphere_extrema_rows``)."""
-    rows, _, e = _scaled(np.array([_coerce(b).components, _coerce(c).components]), 1.0)
+    rows = np.array([_coerce(b).components, _coerce(c).components])
+    if not np.isfinite(rows).all():
+        raise DomainError("sphere constants must be finite")
+    rows, _, e = _scaled(rows, 1.0)
     low, high = _unscaled(np.concatenate(sphere_extrema_rows(rows[:1], rows[1:])), e)
     return float(low), float(high)
 
@@ -223,25 +228,27 @@ def _angle_max(planes: np.ndarray, points: int
     return at[pick], row, before + constant[row], polished + constant[row]
 
 
-def _sphere_max(f: Series, radii: np.ndarray,
+def _sphere_max(coeffs: np.ndarray, radii: np.ndarray,
                 lowest: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximum of |f| on the sphere of each radius, as arrays (value, gap, angle).
 
-    The maximum over each sphere x + y S has a closed form, g = A + |U| in
-    its square (``sphere_planes``), so only the angle along the half circle
-    is searched, by ``_angle_max`` on a grid of ``_angle_count`` angles.
+    f is given by its coefficient rows (N+1, 4), and no radius is checked
+    against a ball, so rows that ``_scaled`` folded serve as well. The maximum
+    over each sphere x + y S has a closed form, g = A + |U| in its square
+    (``sphere_planes``), so only the angle along the half circle is searched,
+    by ``_angle_max`` on a grid of ``_angle_count`` angles.
     ``value`` is the closed form on the sphere at ``angle``; ``gap`` is how
     much the last Newton step still moved it. With ``lowest`` the cosine
     plane is negated, so the search climbs -A + |U|, the negated square of
     the sphere minimum, and ``value`` is the minimum of |f| on the sphere of
     each radius.
     """
-    points = _angle_count(f.degree)
-    rows, radii, e = _scaled(f.rows, radii)
+    points = _angle_count(len(coeffs) - 1)
+    rows, radii, e = _scaled(coeffs, radii)
     value = np.full(radii.shape, Quaternion(*rows[0]).modulus())
     gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
     todo = np.flatnonzero(radii > 0.0)
-    if f.degree == 0 or not todo.size:
+    if len(rows) == 1 or not todo.size:
         return _unscaled(value, e), gap, angle
     planes = sphere_planes(rows, radii[todo])
     if lowest:
@@ -272,12 +279,13 @@ def sup_norm_ball(f: Series, s: float) -> NormReport:
     """
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
-    value, gap, _ = _sphere_max(f, np.array([s]))
-    value = float(value[0])
+    rows, t, e = _scaled(f.rows, s)
+    (value,), (gap,), _ = _sphere_max(rows, np.array([t]))
+    value = float(_unscaled(value, e))
     if s == 0.0 or f.degree == 0:
         return NormReport(value, "closed-form")
     return NormReport(value, "grid+refine", {"theta": _angle_count(f.degree)},
-                      _tol_floor(value, float(gap[0]), _scaled(f.rows, s)[2]))
+                      _tol_floor(value, float(_unscaled(gap, e)), e))
 
 
 def inf_norm_ball(f: Series, s: float) -> NormReport:
@@ -290,26 +298,26 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     x + iy (Gentili-Stoppato-Struppa, 2013). So the minimum is the smaller of
     the closed-form sphere minima at the roots of f^s in the ball and the
     minimum over the boundary sphere, which ``_sphere_max`` finds by climbing
-    -A + |U| = -min^2. A zero of f of multiplicity k is a 2k-fold root of f^s,
-    which ``np.roots`` splits by about eps^(1/2k), so the centroid of each root
-    with the roots near it (in the plane ``_scaled`` folds, so relative to
-    the ball radius) is tried as well. ``certified_tol`` is the value
-    itself when a root sphere wins, since f vanishes on that sphere, and
-    otherwise how much the last Newton step still lowered the boundary value,
-    floored at rounding noise. ``resolution`` holds the number of boundary
-    grid angles and of root candidates in the ball.
+    -A + |U| = -min^2. Both come from the rows ``_scaled`` folds, f^s as their
+    ``star_rows`` product with their conjugate rows. A zero of f of
+    multiplicity k is a 2k-fold root of f^s, which ``np.roots`` splits by
+    about eps^(1/2k), so the centroid of each root with the roots near it (in
+    the plane ``_scaled`` folds, so relative to the ball radius) is tried as
+    well. ``certified_tol`` is the value itself when a root sphere wins, since
+    f vanishes on that sphere, and otherwise how much the last Newton step
+    still lowered the boundary value, floored at rounding noise.
+    ``resolution`` holds the number of boundary grid angles and of root
+    candidates in the ball.
     """
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
     rows, t, e = _scaled(f.rows, s)
     if s == 0.0 or f.degree == 0:
         return NormReport(float(_unscaled(Quaternion(*rows[0]).modulus(), e)), "closed-form")
-    # f(2^p q) 2^-e is valid up to 2^-p f.radius > t, which may overflow; the next float cannot
-    g = _from_rows(rows, np.nextafter(t, np.inf), f.exact)
-    (value,), (gap,), _ = _sphere_max(g, np.array([t]), lowest=True)
+    (value,), (gap,), _ = _sphere_max(rows, np.array([t]), lowest=True)
     # leading coefficients of f^s below 2^-500 of the largest move no root in the
     # folded ball beyond rounding, but their companion row would overflow
-    sym = symmetrization(g).rows[:, 0]
+    sym = star_rows(rows, rows * _CONJUGATE)[:, 0]
     size = np.abs(sym)
     roots = np.roots(sym[np.flatnonzero(size >= math.ldexp(size.max(), -500))[-1]::-1])
     near = np.abs(roots[:, None] - roots) < _ROOT_CLUSTER
@@ -364,20 +372,18 @@ def slice_norm(f: Series, unit: UnitImaginary,
                j_unit: UnitImaginary | None = None) -> float:
     """Slice norm at a unit: hypot of the boundary maxima of the two components.
 
-    Each complex component, placed in the slice of i (coefficient rows
-    Re, Im, 0, 0), is a series whose sphere maximum at the boundary radius is
-    its circle maximum, so ``_sphere_max`` finds it. The value does not depend
-    on which orthogonal completion ``j_unit`` is used; passing one explicitly
-    exists for exactly that check.
+    Each complex component, placed in the slice of i as the coefficient rows
+    (Re, Im, 0, 0), has a sphere maximum at the boundary radius that is its
+    circle maximum, so ``_sphere_max`` finds it from those rows. The value
+    does not depend on which orthogonal completion ``j_unit`` is used;
+    passing one explicitly exists for exactly that check.
     """
     rows, radius, e = _scaled(f.rows, f.radius)
-    # each component sits in the slice of i, on a ball just past its circle
     plane = np.zeros(rows.shape)
     maxima = []
     for part in split_rows(rows, *_frame(unit, j_unit)):
         plane[:, 0], plane[:, 1] = part[0].real, part[0].imag
-        component = _from_rows(plane, np.nextafter(radius, np.inf), f.exact)
-        maxima.append(_sphere_max(component, np.array([radius]))[0][0])
+        maxima.append(_sphere_max(plane, np.array([radius]))[0][0])
     return float(_unscaled(np.hypot(*maxima), e))
 
 
@@ -409,7 +415,7 @@ def split_norm(f: Series) -> NormReport:
     if f.degree == 0:
         return NormReport(float(_unscaled(Quaternion(*rows[0]).modulus(), e)), "closed-form")
     if np.all(rows[:, 1:] == 0.0):
-        (value,), (gap,), _ = _sphere_max(f, np.array([f.radius]))
+        (value,), (gap,), _ = _sphere_max(f.rows, np.array([f.radius]))
         value = float(value)
         return NormReport(value, "grid+refine", {"sphere": 1, "theta": _angle_count(f.degree)},
                           _tol_floor(value, float(gap), e))
@@ -446,10 +452,10 @@ def mean_value_margin(f: Series, q) -> float:
     origin, which is a stated precondition.
     """
     q = _coerce(q)
-    if f.coeffs[0].modulus_sq() != 0.0:
+    if f.rows[0] @ f.rows[0] != 0.0:
         raise PreconditionError("requires f(0) = 0")
     norm_q = q.modulus()
-    if norm_q == 0.0 or norm_q >= f.radius:
+    if norm_q == 0.0 or not norm_q < f.radius:
         raise DomainError("point must satisfy 0 < |q| < radius")
     derivative_norm = split_norm(slice_derivative(f)).value
     return derivative_norm - evaluate(f, q).modulus() / norm_q

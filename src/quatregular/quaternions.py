@@ -157,9 +157,9 @@ class UnitImaginary(Quaternion):
     """A quaternion on the sphere of imaginary units (zero real part, modulus one)."""
 
     def __post_init__(self):
-        if abs(self.x0) > ALGEBRA_TOL:
+        if not abs(self.x0) <= ALGEBRA_TOL:
             raise DomainError("unit imaginary must have zero real part")
-        if abs(self.modulus() - 1.0) > ALGEBRA_TOL:
+        if not abs(self.modulus() - 1.0) <= ALGEBRA_TOL:
             raise DomainError("unit imaginary must have modulus one")
 
     @classmethod

@@ -6,9 +6,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .errors import SeriesFormatError
-from .quaternions import Quaternion
-from .series import Series
+from .series import Series, _from_rows
 
 
 def series_to_dict(f: Series) -> dict:
@@ -44,14 +45,13 @@ def series_from_dict(payload: dict, source: str = "<payload>") -> Series:
     rows = payload["coeffs"]
     if not isinstance(rows, list) or not rows:
         raise SeriesFormatError(f"{source}: field 'coeffs' must be a nonempty list")
-    coeffs = []
     for idx, row in enumerate(rows):
         values = [_finite(v) for v in row] if isinstance(row, list) else []
         if len(values) != 4 or None in values:
             raise SeriesFormatError(
                 f"{source}: coeffs[{idx}] must be a list of four finite numbers")
-        coeffs.append(Quaternion(*values))
-    return Series(tuple(coeffs), radius, exact)
+    # the rows are lists of four finite ints and floats, which float() and numpy convert alike
+    return _from_rows(np.array(rows, dtype=float), radius, exact)
 
 
 def load_series(path) -> Series:

@@ -4,7 +4,7 @@ Polynomials are the primary citizens: ``exact`` marks a finite series with no
 truncation error. Products never truncate, so algebraic identities between
 polynomials hold to rounding error only.
 
-Every Series-to-Series operation works on the coefficient array ``Series.rows``.
+Every Series-to-Series operation works on ``Series.rows``, the one store.
 Evaluation at one point stays a loop of ``Quaternion`` products: the reference
 the array operations are checked against, and faster at a single point.
 """
@@ -12,57 +12,82 @@ the array operations are checked against, and faster at a single point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import starmap
 
 import numpy as np
 
-from ._arrays import _CONJUGATE, qmul_rows
+from ._arrays import _CONJUGATE, star_rows
 from .errors import DomainError, ZeroFactorSignal
 from .quaternions import Quaternion, _coerce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Series:
     """Coefficients a_0..a_N of sum_n q^n a_n, valid on the open ball |q| < radius.
 
-    ``rows`` holds the same coefficients as a read-only (N+1, 4) float array.
+    ``rows`` holds them once, as a read-only (N+1, 4) float array; ``coeffs``
+    builds them as a tuple of ``Quaternion`` on each read.
     """
 
-    coeffs: tuple[Quaternion, ...]
-    radius: float = 1.0
-    exact: bool = True
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray
+    radius: float
+    exact: bool
 
-    def __post_init__(self):
-        coerced = tuple(map(_coerce, self.coeffs))
+    def __init__(self, coeffs, radius: float = 1.0, exact: bool = True):
+        coerced = tuple(map(_coerce, coeffs))
         if any(q is None for q in coerced):
             raise TypeError(f"coefficient {coerced.index(None)} is not a quaternion or real number")
-        if not coerced:
-            raise DomainError("a series needs at least one coefficient")
         rows = np.array([(q.x0, q.x1, q.x2, q.x3) for q in coerced], dtype=float)
+        self._keep(rows.reshape(-1, 4), radius, exact)
+
+    def _keep(self, rows: np.ndarray, radius: float, exact: bool) -> Series:
+        """This series, holding the checked rows (made read-only), radius and flag."""
+        if not len(rows):
+            raise DomainError("a series needs at least one coefficient")
         if not np.isfinite(rows).all():
             raise DomainError(f"coefficient {np.flatnonzero(~np.isfinite(rows))[0] // 4} is not finite")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
+        if not (radius > 0 and math.isfinite(radius)):
             raise DomainError("radius must be positive and finite")
         rows.flags.writeable = False
-        object.__setattr__(self, "coeffs", coerced)
-        object.__setattr__(self, "rows", rows)
+        self.__dict__.update(rows=rows, radius=radius, exact=exact)
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Quaternion, ...]:
+        return tuple(starmap(Quaternion, self.rows.tolist()))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
 
     def with_radius(self, radius: float) -> Series:
-        return Series(self.coeffs, radius, self.exact)
+        return _from_rows(self.rows, radius, self.exact)
 
     def __call__(self, q) -> Quaternion:
         return evaluate(self, q)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.radius == other.radius and self.exact == other.exact
+                and np.array_equal(self.rows, other.rows))
+
+    def __hash__(self):
+        return hash((tuple(map(tuple, self.rows.tolist())), self.radius, self.exact))
+
+    def __repr__(self):
+        return f"Series(coeffs={self.coeffs!r}, radius={self.radius!r}, exact={self.exact!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _from_rows, so the rows come back read-only
+        return _from_rows, (self.rows, self.radius, self.exact)
+
 
 def _from_rows(rows: np.ndarray, radius: float, exact: bool) -> Series:
-    """The series with coefficient rows (N+1, 4)."""
-    return Series(tuple(starmap(Quaternion, rows.tolist())), radius, exact)
+    """The series with coefficient rows (N+1, 4): kept if read-only, else copied."""
+    return object.__new__(Series)._keep(rows.copy() if rows.flags.writeable else rows,
+                                        radius, exact)
 
 
 def evaluate(f: Series, q) -> Quaternion:
@@ -74,11 +99,11 @@ def evaluate(f: Series, q) -> Quaternion:
     q = _coerce(q)
     if q is None:
         raise TypeError("expected a quaternion point")
-    if q.modulus() >= f.radius:
+    if not q.modulus() < f.radius:
         raise DomainError("outside ball of validity")
-    acc = f.coeffs[0]
+    acc, *terms = f.coeffs
     power = Quaternion(1.0)
-    for a in f.coeffs[1:]:
+    for a in terms:
         power = power * q
         acc = acc + power * a
     return acc
@@ -86,21 +111,13 @@ def evaluate(f: Series, q) -> Quaternion:
 
 def slice_derivative(f: Series) -> Series:
     """Coefficient shift n * a_n -> position n-1; the constant series drops to zero."""
-    if f.degree == 0:
-        return Series((Quaternion(),), f.radius, f.exact)
-    return _from_rows(np.arange(1.0, f.degree + 1.0)[:, None] * f.rows[1:], f.radius, f.exact)
+    rows = np.arange(1.0, f.degree + 1.0)[:, None] * f.rows[1:]
+    return _from_rows(rows if f.degree else np.zeros((1, 4)), f.radius, f.exact)
 
 
 def star(f: Series, g: Series) -> Series:
-    """Star product: Cauchy convolution of coefficient lists, degrees add.
-
-    Row k of the product table holds a_k b_m for every m; adding the rows in
-    order of k sums each coefficient as the convolution is written.
-    """
-    out = np.zeros((f.degree + g.degree + 1, 4))
-    for k, row in enumerate(qmul_rows(f.rows[:, None], g.rows[None])):
-        out[k:k + g.degree + 1] += row
-    return _from_rows(out, min(f.radius, g.radius), f.exact and g.exact)
+    """Star product: Cauchy convolution of coefficient lists (``star_rows``), degrees add."""
+    return _from_rows(star_rows(f.rows, g.rows), min(f.radius, g.radius), f.exact and g.exact)
 
 
 def star_transform_point(f: Series, q) -> Quaternion:

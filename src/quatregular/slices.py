@@ -33,7 +33,7 @@ class ComplexSeries:
     radius: float = 1.0
 
     def __call__(self, z: complex) -> complex:
-        if abs(z) >= self.radius:
+        if not abs(z) < self.radius:
             raise DomainError("outside ball of validity")
         acc = 0j
         for a in reversed(self.coeffs):
@@ -139,7 +139,7 @@ def representation_eval(f: Series, x: float, y: float,
     Values of f on the sphere x + y S are affine in the unit, so any slice
     determines all the others.
     """
-    if math.hypot(x, y) >= f.radius:
+    if not math.hypot(x, y) < f.radius:
         raise DomainError("outside ball of validity")
     plus = evaluate(f, Quaternion(x, y * j_unit.x1, y * j_unit.x2, y * j_unit.x3))
     minus = evaluate(f, Quaternion(x, -y * j_unit.x1, -y * j_unit.x2, -y * j_unit.x3))
@@ -158,7 +158,7 @@ def sphere_pair(f: Series, x: float, y: float) -> SpherePair:
     """
     if y < 0:
         raise DomainError("sphere parametrisation requires y >= 0")
-    if math.hypot(x, y) >= f.radius:
+    if not math.hypot(x, y) < f.radius:
         raise DomainError("outside ball of validity")
     b, c = sphere_constants(f.rows, np.array([x], dtype=float), np.array([y], dtype=float))
     return SpherePair(Quaternion(*b[0].tolist()), Quaternion(*c[0].tolist()), x, y)
@@ -194,7 +194,7 @@ def regular_translation(f: Series, w) -> Series:
     if w is None:
         raise TypeError("expected a quaternion shift")
     norm_w = w.modulus()
-    if norm_w >= f.radius:
+    if not norm_w < f.radius:
         raise DomainError("outside ball of validity")
     n_deg = f.degree
     if n_deg > _BINOMIAL_DEGREE_CAP:
@@ -236,7 +236,7 @@ def translation_continuity_probe(f: Series, w_seq: list[Quaternion],
     if None in shifts:
         raise TypeError("expected quaternion shifts")
     bound = max(q.modulus() for q in shifts)
-    if ball_radius >= f.radius - bound:
+    if not ball_radius < f.radius - bound:
         raise DomainError("probe ball must fit inside the translated domain")
     if len(shifts) == 1:
         return 0.0

@@ -534,8 +534,7 @@ def check_fourth_root(rng, count) -> CheckResult:
         g = bloch.g_series(f, c)
         psi = bloch.fourth_root_series(g)
         fourth = star(star(star(psi, psi), psi), psi)
-        worst = max(worst, max((fourth.coeffs[n] - g.coeffs[n]).modulus()
-                               for n in range(g.degree + 1)))
+        worst = max(worst, max((a - b).modulus() for a, b in zip(fourth.coeffs, g.coeffs)))
     return _deviation("fourth-root-residual", "bloch", worst, 1e-11)
 
 

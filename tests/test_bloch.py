@@ -190,8 +190,8 @@ class TestFourthRoot:
             g = g_series(f, c)
             psi = fourth_root_series(g)
             fourth = star(star(star(psi, psi), psi), psi)
-            for n in range(g.degree + 1):
-                assert (fourth.coeffs[n] - g.coeffs[n]).modulus() < 1e-11
+            for a, b in zip(fourth.coeffs, g.coeffs):
+                assert (a - b).modulus() < 1e-11
 
     def test_derivative_identity(self, rng):
         for _ in range(20):
@@ -249,6 +249,13 @@ class TestAttain:
 
     def test_unattainable(self):
         assert attain(Series((0, 1)), Quaternion(5), 1.0) is None
+
+    @pytest.mark.parametrize("ball_radius, message", [
+        (0.0, "must be positive"), (-1.0, "must be positive"), (math.nan, "must be positive"),
+        (1.5, "cannot exceed the ball of validity")])
+    def test_ball_radius_checked(self, ball_radius, message):
+        with pytest.raises(DomainError, match=message):
+            attain(Series((0, 1)), Quaternion(0.1), ball_radius)
 
     def test_ball_respected(self):
         # target only reachable outside the search ball

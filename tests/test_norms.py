@@ -71,6 +71,14 @@ class TestSphereExtrema:
         assert abs(low - c.modulus()) < 1e-14
         assert abs(high - c.modulus()) < 1e-14
 
+    @pytest.mark.parametrize("b, c", [(Quaternion(math.inf), Quaternion(1)),
+                                      (Quaternion(1), Quaternion(0, 0, -math.inf, 0)),
+                                      (Quaternion(0, math.nan, 0, 0), Quaternion(1))])
+    def test_non_finite_constants_rejected(self, b, c):
+        # pytest turns RuntimeWarning into an error, so this also checks they are quiet
+        with pytest.raises(DomainError, match="sphere constants must be finite"):
+            sphere_extrema(b, c)
+
     def test_unit_example(self):
         low, high = sphere_extrema(Quaternion(1), I)
         assert low == 0.0 and high == 2.0
@@ -170,11 +178,10 @@ def circle_maxima(rows, radius):
 
 
 def circle_max_in_slice_of_i(row, radius):
-    """The maximum of |P| on the circle of ``radius``: ``_sphere_max`` of the series
-    with coefficient rows (Re p_n, Im p_n, 0, 0), valid just past that circle."""
-    coeffs = tuple(Quaternion(p.real, p.imag, 0.0, 0.0) for p in row)
-    series = Series(coeffs, np.nextafter(radius, np.inf))
-    return float(_sphere_max(series, np.array([radius]))[0][0])
+    """The maximum of |P| on the circle of ``radius``: ``_sphere_max`` of the
+    coefficient rows (Re p_n, Im p_n, 0, 0)."""
+    rows = np.array([(p.real, p.imag, 0.0, 0.0) for p in row])
+    return float(_sphere_max(rows, np.array([radius]))[0][0])
 
 
 def dense_circle_max(rows, radius, angles=200000, chunk=20000):
@@ -975,8 +982,8 @@ class TestSphereMaxSearch:
             radii = np.sort(rng.uniform(0.0, 0.95, 70))
             assert len(radii) > norms._CHUNK_ROWS // norms._angle_count(f.degree)
             for lowest in (False, True):
-                batch = np.array(_sphere_max(f, radii, lowest))
-                single = np.array([_sphere_max(f, radii[k:k + 1], lowest)
+                batch = np.array(_sphere_max(f.rows, radii, lowest))
+                single = np.array([_sphere_max(f.rows, radii[k:k + 1], lowest)
                                    for k in range(len(radii))])[:, :, 0].T
                 assert np.array_equal(batch, single)
 
@@ -1005,7 +1012,7 @@ class TestSphereMaxSearch:
             r = 0.9
             derivative = slice_derivative(f)
             grid = np.linspace(0.0, r, bloch._MU_GRID)
-            for s, mu in zip(grid, grid * _sphere_max(derivative, r - grid)[0]):
+            for s, mu in zip(grid, grid * _sphere_max(derivative.rows, r - grid)[0]):
                 single = s * sup_norm_ball(derivative, r - s).value
                 assert abs(mu - single) <= 1e-15 * single
 
@@ -1039,7 +1046,7 @@ class TestSphereMaxSearch:
                 assert report.R_r == hi / 2.0
 
                 # the rule without interpolated points: 15 evenly spaced points a batch
-                profile = list(zip(grid, grid * _sphere_max(derivative, r - grid)[0]))
+                profile = list(zip(grid, grid * _sphere_max(derivative.rows, r - grid)[0]))
                 first = next(i for i, (_, mu) in enumerate(profile) if mu >= threshold)
                 lo, hi = profile[first - 1][0], profile[first][0]
                 while hi - lo > 1e-12:
@@ -1066,7 +1073,7 @@ class TestSphereMaxSearch:
             derivative = slice_derivative(f)
             for r in (0.99, 0.9, 0.6, 0.3):
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
-                maxima, _, angles = _sphere_max(derivative, r - grid)
+                maxima, _, angles = _sphere_max(derivative.rows, r - grid)
                 first = int(np.flatnonzero(grid * maxima >= r - 1e-12)[0])
                 *lazy, mu = bloch._first_crossing(derivative, r, grid)
                 assert tuple(lazy) == (first, maxima[first], angles[first])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,17 @@ class TestUnits:
             UnitImaginary(0.1, 1, 0, 0)
         with pytest.raises(DomainError):
             UnitImaginary(0, 0.5, 0, 0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: UnitImaginary(0, math.nan, 0, 0),
+        lambda: UnitImaginary(math.nan, 1, 0, 0),
+        lambda: UnitImaginary.from_vector(math.inf, 0, 0),
+        lambda: unit_of(Quaternion(0, math.inf, 0, 0)),
+        lambda: rotate_unit(Quaternion(math.nan), I),
+    ], ids=["nan-component", "nan-real-part", "from_vector", "unit_of", "rotate_unit"])
+    def test_non_finite_units_rejected(self, build):
+        with pytest.raises(DomainError, match="unit imaginary must have"):
+            build()
 
     def test_completion_canonical(self):
         j_unit, k_unit = orthonormal_completion(I)

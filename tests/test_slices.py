@@ -10,6 +10,7 @@ from quatregular import (
     Series,
     evaluate,
     ext_from_slice,
+    mean_value_margin,
     regular_translation,
     representation_eval,
     sphere_pair,
@@ -18,6 +19,25 @@ from quatregular import (
     translation_continuity_probe,
 )
 from quatregular.quaternions import I, J
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: evaluate(f, Quaternion(NAN)),
+    lambda f: split(f, I).F(complex(NAN, 0.0)),
+    lambda f: sphere_pair(f, NAN, 0.1),
+    lambda f: representation_eval(f, NAN, 0.1, J, I),
+    lambda f: mean_value_margin(f, Quaternion(NAN)),
+    lambda f: translation_continuity_probe(f, [Quaternion(0.1), Quaternion(0.0)], NAN),
+    lambda f: regular_translation(f, Quaternion(NAN)),
+], ids=["evaluate", "ComplexSeries", "sphere_pair", "representation_eval",
+        "mean_value_margin", "translation_continuity_probe", "regular_translation"])
+def test_nan_is_outside_every_ball_of_validity(call):
+    # each check is written as "not inside", which NaN fails
+    with pytest.raises(DomainError, match=r"outside ball of validity|0 < \|q\| < radius|must fit"):
+        call(Series((0, 1, Quaternion(0.0, 0.25, 0.0, 0.0))))
 
 
 def on_slice(x, y, unit):

@@ -14,8 +14,11 @@ gradient and Hessian of the split_norm ascent at its three starts
 (_slice_terms, given the series table and the charts) and the whole ascent
 from them (slice_norm_ascent), the whole split_norm on the same series and on
 the real-coefficient series of its real parts (the boundary sphere maximum),
-the sphere constants and series evaluation. One end-to-end row times the
-whole bl_search on the builtin mixed-units series at r = 0.99.
+the sphere constants and series evaluation. One row times the series algebra
+that builds a new series from coefficient rows: star, slice_derivative,
+regular_translation and with_radius, one call each, on a degree-2 series.
+One end-to-end row times the whole bl_search on the builtin mixed-units
+series at r = 0.99.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ from quatregular._arrays import (
 )
 from quatregular.bloch import bl_search
 from quatregular.norms import _lattice_scan, _sphere_max, slice_norm, split_norm
-from quatregular.quaternions import I
-from quatregular.series import Series, slice_derivative
+from quatregular.quaternions import I, Quaternion
+from quatregular.series import Series, slice_derivative, star
+from quatregular.slices import regular_translation
 from quatregular.verification import builtin_corpus, random_series
 
 DEGREE = 6
@@ -77,12 +81,14 @@ def main() -> dict:
     real = Series(tuple(derivative.rows[:, 0].tolist()), RADIUS)
     angles = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
     points = rng.standard_normal((64, 4)) * 0.2
+    small = random_series(rng, 2)
+    shift = Quaternion(*(rng.standard_normal(4) * 0.1))
 
     timings = {}
     for count in SPHERE_RADII:
         radii = np.linspace(RADIUS, 0.0, count, endpoint=False)
         timings[f"_sphere_max[{count} radii]"] = best_ms(
-            lambda: _sphere_max(derivative, radii))
+            lambda: _sphere_max(derivative.rows, radii))
     timings[f"slice_norm[degree {DEGREE}]"] = best_ms(lambda: slice_norm(at_radius, I))
     table = circle_table(RADIUS, DEGREE + 1, 256)
     timings["_lattice_scan[2048 units, 256 angles]"] = best_ms(
@@ -105,6 +111,9 @@ def main() -> dict:
                                  RADIUS * np.sin(angles)))
     timings["eval_rows[64 points]"] = best_ms(
         lambda: eval_rows(derivative.rows, points))
+    timings["series algebra[degree 2]"] = best_ms(
+        lambda: (star(small, small), slice_derivative(small),
+                 regular_translation(small, shift), small.with_radius(RADIUS)))
     mixed_units = dict(builtin_corpus())["mixed-units"]
     timings["bl_search[mixed-units, r=0.99]"] = best_ms(lambda: bl_search(mixed_units, 0.99))
     return {"degree": DEGREE, "radius": RADIUS, "repeats": REPEATS,
