@@ -17,10 +17,8 @@ from .norms import _sphere_max, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
 from .quaternions import ALGEBRA_TOL, I as CANONICAL_I
 from .quaternions import Quaternion, UnitImaginary, _coerce
-from .series import Series, _from_rows, slice_derivative
+from .series import Series, _from_rows, _require_zero_at_origin, slice_derivative
 from .slices import regular_translation, sphere_pair
-
-SCHEMA = "quatregular/1"
 
 _MU_GRID = 1024
 # the mu root: mu(s) counts as reaching r from r - _MU_TOL, and the root bracket
@@ -34,6 +32,9 @@ _SHRINK = 1e-3
 _NEWTON_STEP = 1e-6
 _NEWTON_MAX_ITER = 200
 _RESIDUAL_TOL = 1e-8
+# attain's probes step +- _NEWTON_STEP along each axis; -0.0 elsewhere, as q + -0.0 is q
+_PROBE_OFFSETS = np.full((8, 4), -0.0)
+_PROBE_OFFSETS[np.arange(8), np.arange(8) // 2] = np.tile([_NEWTON_STEP, -_NEWTON_STEP], 4)
 # points of the circles that inscribed_disc_margin sweeps and parseval_mean averages over
 _CIRCLE_POINTS = 4096
 
@@ -52,7 +53,6 @@ class CoverageReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": SCHEMA,
             "rho": self.rho,
             "samples": self.samples,
             "hits": self.hits,
@@ -77,7 +77,6 @@ class SearchReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": SCHEMA,
             "r": self.r,
             "R_r": self.R_r,
             "w": list(self.w.components),
@@ -163,12 +162,12 @@ def inscribed_disc_check(rho: float) -> bool:
 def rho_lemma(f: Series) -> float:
     """Coverage radius radius*|f'(0)|^2 / (4 ||f'||) for f with f(0) = 0.
 
-    Requires the derivative at the origin to be real; returns zero when it
-    vanishes, in which case there is nothing to certify.
+    Raises PreconditionError when any component of f(0) is nonzero, however
+    small, or when the derivative at the origin is not real; returns zero when
+    that derivative vanishes, in which case there is nothing to certify.
     """
+    _require_zero_at_origin(f)
     a1 = f.rows[1].tolist() if f.degree >= 1 else [0.0] * 4
-    if f.rows[0] @ f.rows[0] != 0.0:
-        raise PreconditionError("requires f(0) = 0")
     if any(a1[1:]):
         raise PreconditionError("requires a real slice derivative at the origin")
     square = a1[0] * a1[0]
@@ -190,13 +189,13 @@ def g_series(f: Series, c) -> Series:
 
     Its modulus squares to that of 1 - f c^{-1} on each sphere, which turns
     statements about the excluded value c into statements about a slice
-    preserving function.
+    preserving function. Raises PreconditionError when any component of f(0)
+    is nonzero, however small, and DomainError when c is zero.
     """
     c = _coerce(c)
-    if c is None or c.modulus_sq() == 0.0:
+    if c is None or not any(c.components):
         raise DomainError("excluded value must be nonzero")
-    if f.rows[0] @ f.rows[0] != 0.0:
-        raise PreconditionError("requires f(0) = 0")
+    _require_zero_at_origin(f)
     base = np.concatenate([[(1.0, 0.0, 0.0, 0.0)],
                            -qmul_rows(f.rows[1:], np.array(c.inverse().components))])
     sym = star_rows(base, base * _CONJUGATE)
@@ -204,7 +203,8 @@ def g_series(f: Series, c) -> Series:
     if nonreal.size:
         raise NumericalSearchError(
             f"symmetrization coefficient {nonreal[0]} has a nonreal part beyond tolerance")
-    return Series(tuple(sym[:, 0].tolist()), f.radius, f.exact)
+    # the real parts, with the +0.0 imaginary parts of a real coefficient
+    return _from_rows(np.pad(sym[:, :1], ((0, 0), (0, 3))), f.radius, f.exact)
 
 
 def fourth_root_series(g: Series) -> Series:
@@ -227,7 +227,7 @@ def fourth_root_series(g: Series) -> Series:
         lhs = sum((k + 1) * gs[k + 1] * p[n - k] for k in range(n + 1) if k + 1 <= top)
         rhs = 4.0 * sum((n + 1 - k) * gs[k] * p[n + 1 - k] for k in range(1, n + 1))
         p[n + 1] = (lhs - rhs) / (4.0 * (n + 1))
-    return Series(tuple(Quaternion(v) for v in p), g.radius, exact=False)
+    return _from_rows(np.pad(np.array(p)[:, None], ((0, 0), (0, 3))), g.radius, exact=False)
 
 
 def parseval_mean(psi: Series, r: float,
@@ -264,13 +264,10 @@ def _ball_lattice(ball_radius: float, count: int, seed: int,
         if norm > 0:
             points.append(hint * min(1.0, 0.8 * ball_radius / norm))
     shells = (0.2, 0.45, 0.7, 0.9)
-    while len(points) < count:
-        for shell in shells:
-            direction = rng.standard_normal(4)
-            direction /= np.linalg.norm(direction)
-            points.append(shell * ball_radius * direction)
-            if len(points) >= count:
-                break
+    for k in range(count - len(points)):
+        direction = rng.standard_normal(4)
+        direction /= np.linalg.norm(direction)
+        points.append(shells[k % 4] * ball_radius * direction)
     return np.array(points[:count])
 
 
@@ -280,6 +277,7 @@ def attain(f: Series, target, ball_radius: float, seed: int = 0) -> Quaternion |
     Multistart damped Newton on the four real variables, with a central
     difference Jacobian and Armijo backtracking. Success means residual below
     1e-8 at a point strictly inside the ball; returning None proves nothing.
+    A target with a non-finite component raises DomainError.
     """
     target = _coerce(target)
     if ball_radius > f.radius:
@@ -287,6 +285,8 @@ def attain(f: Series, target, ball_radius: float, seed: int = 0) -> Quaternion |
     if not ball_radius > 0.0:
         raise DomainError("search ball radius must be positive")
     goal = np.array(target.components)
+    if not np.isfinite(goal).all():
+        raise DomainError("target must be finite")
 
     def residual(points: np.ndarray) -> np.ndarray:
         return eval_rows(f.rows, points) - goal
@@ -298,30 +298,22 @@ def attain(f: Series, target, ball_radius: float, seed: int = 0) -> Quaternion |
         for _ in range(_NEWTON_MAX_ITER):
             if res_norm < 1e-10:
                 break
-            probes = np.repeat(q[None], 8, axis=0)
-            for m in range(4):
-                probes[2 * m, m] += _NEWTON_STEP
-                probes[2 * m + 1, m] -= _NEWTON_STEP
-            vals = eval_rows(f.rows, probes)
-            jac = np.empty((4, 4))
-            for m in range(4):
-                jac[:, m] = (vals[2 * m] - vals[2 * m + 1]) / (2.0 * _NEWTON_STEP)
+            vals = eval_rows(f.rows, q + _PROBE_OFFSETS)
+            jac = (vals[0::2] - vals[1::2]).T / (2.0 * _NEWTON_STEP)
             try:
                 step = np.linalg.solve(jac, -res)
             except np.linalg.LinAlgError:
                 step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
             lam = 1.0
-            accepted = False
             while lam > 1e-8:
                 trial = q + lam * step
                 trial_res = residual(trial[None])[0]
                 trial_norm = float(np.linalg.norm(trial_res))
                 if trial_norm <= (1.0 - 1e-4 * lam) * res_norm:
                     q, res, res_norm = trial, trial_res, trial_norm
-                    accepted = True
                     break
                 lam *= 0.5
-            if not accepted:
+            else:  # no step length was accepted
                 break
         if res_norm < _RESIDUAL_TOL and np.linalg.norm(q) < ball_radius:
             return Quaternion(*q)
@@ -500,10 +492,10 @@ def bl_search(f: Series, r: float) -> SearchReport:
     ``NumericalSearchError``, when it never meets r or meets it at s = 0.
     Where |f'| has several maximisers on that sphere, one of them is used:
     ``locator_angle``, ``w``, ``f_w``, ``rotation`` and ``phi_coeffs`` come
-    from it, and ``R_r`` does not depend on which one it is.
+    from it, and ``R_r`` does not depend on which one it is. A PreconditionError
+    is raised when any component of f(0) is nonzero, however small.
     """
-    if f.rows[0] @ f.rows[0] != 0.0:
-        raise PreconditionError("requires f(0) = 0")
+    _require_zero_at_origin(f)
     if f.degree < 1 or f.rows[1].tolist() != [1.0, 0.0, 0.0, 0.0]:
         raise PreconditionError("requires slice derivative 1 at the origin")
     if not 0.0 < r < 1.0:

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .serialization import load_series
 
-_SCHEMA = bloch.SCHEMA
+_SCHEMA = "quatregular/1"
 _DEGREE_CAP = 60
 
 
@@ -72,48 +72,35 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+def _report(args, payload: dict, passed: bool = True) -> int:
+    """Write a series subcommand's report, stamped with the schema, the command
+    and the input file; the exit code is 0 when ``passed``, else 1."""
+    _emit_json({**payload, "schema": _SCHEMA, "command": args.command, "input": args.input},
+               args.output)
+    return 0 if passed else 1
+
+
 def cmd_rho(args) -> int:
-    f = _load_input(args)
-    value = bloch.rho_lemma(f)
-    _emit_json({"schema": _SCHEMA, "command": "rho", "input": args.input,
-                "rho": value}, args.output)
-    return 0
+    return _report(args, {"rho": bloch.rho_lemma(_load_input(args))})
 
 
 def cmd_search(args) -> int:
-    f = _load_input(args)
-    report = bloch.bl_search(f, args.r)
-    payload = report.to_dict()
-    payload["command"] = "search"
-    payload["input"] = args.input
-    _emit_json(payload, args.output)
-    return 0 if report.diagnostics["rho_bound_ok"] else 1
+    report = bloch.bl_search(_load_input(args), args.r)
+    return _report(args, report.to_dict(), report.diagnostics["rho_bound_ok"])
 
 
 def cmd_coverage(args) -> int:
     f = _load_input(args)
     rho = args.rho if args.rho is not None else bloch.rho_lemma(f)
     report = bloch.coverage_report(f, rho, samples=args.samples, seed=args.seed)
-    payload = report.to_dict()
-    payload["command"] = "coverage"
-    payload["input"] = args.input
-    _emit_json(payload, args.output)
-    return 0 if not report.misses else 1
+    return _report(args, report.to_dict(), not report.misses)
 
 
 def cmd_norm(args) -> int:
     f = _load_input(args)
     if args.r is not None:
-        report = norms.sup_norm_ball(f, args.r)
-        kind = "ball"
-    else:
-        report = norms.split_norm(f)
-        kind = "split"
-    payload = {"schema": _SCHEMA, "command": "norm", "kind": kind,
-               "input": args.input}
-    payload.update(report.to_dict())
-    _emit_json(payload, args.output)
-    return 0
+        return _report(args, {"kind": "ball", **norms.sup_norm_ball(f, args.r).to_dict()})
+    return _report(args, {"kind": "split", **norms.split_norm(f).to_dict()})
 
 
 def cmd_oset(args) -> int:

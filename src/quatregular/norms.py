@@ -46,9 +46,9 @@ from ._arrays import (
     square_forms,
     star_rows,
 )
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .quaternions import Quaternion, UnitImaginary, _coerce, _sphere_rows
-from .series import Series, evaluate, slice_derivative
+from .series import Series, _require_zero_at_origin, evaluate, slice_derivative
 from .slices import _frame, split_rows
 
 # the fixed resolution: grid angles of every angle search (raised to 4N + 1),
@@ -449,11 +449,11 @@ def mean_value_margin(f: Series, q) -> float:
     """Slack of the mean value bound at q: norm of the derivative minus |f(q)|/|q|.
 
     Nonnegative (up to the certified tolerance) whenever f vanishes at the
-    origin, which is a stated precondition.
+    origin, which is a stated precondition: a PreconditionError is raised
+    when any component of a_0 is nonzero, however small.
     """
     q = _coerce(q)
-    if f.rows[0] @ f.rows[0] != 0.0:
-        raise PreconditionError("requires f(0) = 0")
+    _require_zero_at_origin(f)
     norm_q = q.modulus()
     if norm_q == 0.0 or not norm_q < f.radius:
         raise DomainError("point must satisfy 0 < |q| < radius")

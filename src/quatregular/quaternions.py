@@ -13,6 +13,9 @@ from .errors import DomainError
 # library-wide. Derived quantities (high-degree convolutions, norm grids)
 # state their own looser tolerances where they are checked.
 ALGEBRA_TOL = 1e-12
+# a sum of squares below this (2^53 times the smallest normal float) may have lost
+# bits to underflow; there, and where it overflows, modulus and inverse rescale
+_SQUARES_MIN = 2.0 ** -969
 
 
 def _coerce(value):
@@ -55,13 +58,23 @@ class Quaternion:
         return self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3
 
     def modulus(self) -> float:
-        return math.sqrt(self.modulus_sq())
+        m2 = self.modulus_sq()
+        return math.sqrt(m2) if _SQUARES_MIN <= m2 < math.inf else math.hypot(*self.components)
 
     def inverse(self) -> Quaternion:
-        m2 = self.modulus_sq()
-        if m2 == 0.0:
+        if not any(self.components):
             raise DomainError("zero has no inverse")
-        return Quaternion(self.x0 / m2, -self.x1 / m2, -self.x2 / m2, -self.x3 / m2)
+        m2 = self.modulus_sq()
+        if _SQUARES_MIN <= m2 < math.inf:
+            return Quaternion(self.x0 / m2, -self.x1 / m2, -self.x2 / m2, -self.x3 / m2)
+        # q^{-1} = 2^-e (2^-e q)^{-1}, with the largest component of 2^-e q in [0.5, 1)
+        e = math.frexp(max(map(abs, self.components)))[1]
+        x0, x1, x2, x3 = (math.ldexp(v, -e) for v in self.components)
+        s2 = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+        try:
+            return Quaternion(*(math.ldexp(v / s2, -e) for v in (x0, -x1, -x2, -x3)))
+        except OverflowError:
+            raise DomainError("inverse beyond the largest float") from None
 
     def dot(self, other: Quaternion) -> float:
         """Euclidean inner product of the two 4-vectors."""
@@ -165,7 +178,7 @@ class UnitImaginary(Quaternion):
     @classmethod
     def from_vector(cls, x1: float, x2: float, x3: float) -> UnitImaginary:
         """Normalise a nonzero imaginary 3-vector onto the unit sphere."""
-        norm = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+        norm = Quaternion(0.0, x1, x2, x3).modulus()
         if norm == 0.0:
             raise DomainError("cannot normalise the zero vector")
         return cls(0.0, x1 / norm, x2 / norm, x3 / norm)
@@ -235,7 +248,7 @@ def rotate_unit(c: Quaternion, unit: UnitImaginary) -> UnitImaginary:
     c = _coerce(c)
     if c is None:
         raise TypeError("expected a quaternion")
-    if c.modulus_sq() == 0.0:
+    if not any(c.components):
         raise DomainError("zero does not rotate units")
     rotated = c * unit * c.inverse()
     return UnitImaginary(*rotated.components)

@@ -18,7 +18,7 @@ from itertools import starmap
 import numpy as np
 
 from ._arrays import _CONJUGATE, star_rows
-from .errors import DomainError, ZeroFactorSignal
+from .errors import DomainError, PreconditionError, ZeroFactorSignal
 from .quaternions import Quaternion, _coerce
 
 
@@ -90,6 +90,12 @@ def _from_rows(rows: np.ndarray, radius: float, exact: bool) -> Series:
                                         radius, exact)
 
 
+def _require_zero_at_origin(f: Series) -> None:
+    """Raise PreconditionError unless every component of f(0) = a_0 is zero (-0.0 counts)."""
+    if f.rows[0].any():
+        raise PreconditionError("requires f(0) = 0")
+
+
 def evaluate(f: Series, q) -> Quaternion:
     """Evaluate by left power accumulation: running q^n times the coefficient.
 
@@ -129,7 +135,7 @@ def star_transform_point(f: Series, q) -> Quaternion:
     """
     q = _coerce(q)
     value = evaluate(f, q)
-    if value.modulus_sq() == 0.0:
+    if not any(value.components):
         raise ZeroFactorSignal("zero of f: f*g vanishes here")
     return value.inverse() * q * value
 

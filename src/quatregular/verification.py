@@ -94,12 +94,12 @@ def random_unit(rng) -> UnitImaginary:
 
 def random_series(rng, degree: int, scale: float = 0.5, monic_shift: bool = False) -> Series:
     """Random polynomial; ``monic_shift`` pins a_0 = 0 and a_1 = 1."""
-    coeffs = [random_quaternion(rng, scale) for _ in range(degree + 1)]
+    rows = rng.uniform(-scale, scale, size=(degree + 1, 4))
     if monic_shift:
-        coeffs[0] = Quaternion()
+        rows[0] = 0.0
         if degree >= 1:
-            coeffs[1] = Quaternion(1.0)
-    return Series(tuple(coeffs))
+            rows[1] = (1.0, 0.0, 0.0, 0.0)
+    return _from_rows(rows, 1.0, True)
 
 
 def random_ball_point(rng, radius: float) -> Quaternion:

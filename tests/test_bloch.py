@@ -18,6 +18,7 @@ from quatregular import (
     in_oset,
     inscribed_disc_check,
     inscribed_disc_margin,
+    mean_value_margin,
     oset_slice_curve,
     parseval_mean,
     rho_lemma,
@@ -25,9 +26,33 @@ from quatregular import (
     split_norm,
     star,
 )
+from quatregular.bloch import _ball_lattice
 from quatregular.quaternions import I, J
 
 RHO_FLOOR_SCALE = 1.0 / (32.0 * math.sqrt(2.0))
+
+# the entry points that require f(0) = 0, each with its other arguments
+ORIGIN_ENTRY_POINTS = {
+    "rho_lemma": rho_lemma,
+    "g_series": lambda f: g_series(f, Quaternion(1)),
+    "bl_search": lambda f: bl_search(f, 0.5),
+    "mean_value_margin": lambda f: mean_value_margin(f, Quaternion(0.5)),
+}
+
+
+class TestOriginPrecondition:
+    @pytest.mark.parametrize("axis", range(4))
+    @pytest.mark.parametrize("entry", ORIGIN_ENTRY_POINTS.values(), ids=ORIGIN_ENTRY_POINTS)
+    def test_tiny_constant_term_rejected(self, entry, axis):
+        # its square underflows to zero, but the constant term is not zero
+        a0 = np.zeros(4)
+        a0[axis] = 1e-170
+        with pytest.raises(PreconditionError, match=r"requires f\(0\) = 0"):
+            entry(Series((Quaternion(*a0), 1)))
+
+    @pytest.mark.parametrize("entry", ORIGIN_ENTRY_POINTS.values(), ids=ORIGIN_ENTRY_POINTS)
+    def test_negative_zero_constant_term_accepted(self, entry):
+        entry(Series((Quaternion(-0.0, -0.0, -0.0, -0.0), 1)))
 
 
 def sqrt_binomial_coeffs(n):
@@ -162,6 +187,11 @@ class TestGSeries:
         with pytest.raises(DomainError):
             g_series(Series((0, 1)), Quaternion())
 
+    def test_tiny_excluded_value(self):
+        # |c|^2 underflows to zero, but c is not zero: f c^{-1} = q
+        g = g_series(Series((0, 1e-170)), 1e-170)
+        assert np.abs(g.rows - [[1, 0, 0, 0], [-2, 0, 0, 0], [1, 0, 0, 0]]).max() < 1e-15
+
 
 class TestFourthRoot:
     def test_constant_one(self):
@@ -260,6 +290,44 @@ class TestAttain:
     def test_ball_respected(self):
         # target only reachable outside the search ball
         assert attain(Series((0, 1)), Quaternion(0.9), 0.5) is None
+
+    @pytest.mark.parametrize("target", [Quaternion(math.nan), Quaternion(0, math.inf, 0, 0),
+                                        Quaternion(0, 0, 0, -math.inf)],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(DomainError, match="target must be finite"):
+            attain(Series((0, 1, 0.1)), target, 1.0)
+
+
+def shell_loop_lattice(ball_radius, count, seed, hint=None):
+    """The starting points drawn shell by shell in a while/for/break loop:
+    the reference _ball_lattice's single loop must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    points = [np.zeros(4)]
+    if hint is not None:
+        norm = np.linalg.norm(hint)
+        if norm > 0:
+            points.append(hint * min(1.0, 0.8 * ball_radius / norm))
+    shells = (0.2, 0.45, 0.7, 0.9)
+    while len(points) < count:
+        for shell in shells:
+            direction = rng.standard_normal(4)
+            direction /= np.linalg.norm(direction)
+            points.append(shell * ball_radius * direction)
+            if len(points) >= count:
+                break
+    return np.array(points[:count])
+
+
+class TestBallLattice:
+    @pytest.mark.parametrize("hint", [None, np.zeros(4), np.array([0.3, -0.1, 0.2, 0.05])],
+                             ids=["none", "zero", "nonzero"])
+    def test_matches_the_shell_loop(self, hint):
+        for count in range(1, 71):
+            points = _ball_lattice(0.9, count, 7, hint)
+            reference = shell_loop_lattice(0.9, count, 7, hint)
+            assert points.shape == reference.shape == (count, 4)
+            assert points.tobytes() == reference.tobytes()
 
 
 class TestCoverage:

@@ -74,6 +74,22 @@ class TestCommands:
         assert ball_payload["kind"] == "ball"
         assert "certified_tol" in ball_payload
 
+    @pytest.mark.parametrize("command, options", [
+        ("rho", []), ("search", ["--r", "0.9"]), ("coverage", ["--rho", "0.25", "--samples", "5"]),
+        ("norm", []), ("norm", ["--r", "0.5"])])
+    def test_series_reports_stamped_and_written_alike(self, identity_file, tmp_path, capsys,
+                                                       command, options):
+        assert main([command, identity_file, *options]) == 0
+        stdout = capsys.readouterr().out
+        payload = json.loads(stdout)
+        assert payload["schema"] == "quatregular/1"
+        assert payload["command"] == command
+        assert payload["input"] == identity_file
+        out = tmp_path / "report.json"
+        assert main([command, identity_file, *options, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == stdout
+
     def test_oset_csv(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert main(["oset", "--rho", "0.0221", "--n", "256",

@@ -76,6 +76,25 @@ class TestArithmetic:
         assert prod.imag.modulus() < 1e-14
         assert abs(prod.real - q.modulus_sq()) < 1e-13
 
+    def test_normal_range_keeps_the_sum_of_squares(self, rng):
+        for _ in range(100):
+            q = random_quaternion(rng)
+            m2 = q.modulus_sq()
+            assert q.modulus() == math.sqrt(m2)
+            assert q.inverse() == Quaternion(q.x0 / m2, -q.x1 / m2, -q.x2 / m2, -q.x3 / m2)
+
+    @pytest.mark.parametrize("value", [1e200, 1e-170], ids=["huge", "tiny"])
+    def test_inverse_beyond_the_squares_range(self, value):
+        # the sum of squares overflows or underflows; the inverse does not
+        assert math.isclose(Quaternion(value).inverse().x0, 1.0 / value, rel_tol=1e-15)
+        q = Quaternion(value, -2 * value, 0.5 * value, 3 * value)
+        assert (q * q.inverse() - Quaternion(1)).modulus() < 1e-15
+        assert math.isclose(q.modulus(), math.sqrt(14.25) * value, rel_tol=1e-15)
+
+    def test_inverse_beyond_the_largest_float(self):
+        with pytest.raises(DomainError, match="largest float"):
+            Quaternion(1e-320).inverse()
+
     def test_inverse_roundtrip(self, rng):
         for _ in range(100):
             q = random_quaternion(rng)
@@ -112,6 +131,15 @@ class TestUnits:
     def test_non_finite_units_rejected(self, build):
         with pytest.raises(DomainError, match="unit imaginary must have"):
             build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: unit_of(Quaternion(0, 1e200, 1e200, 0)),
+        lambda: UnitImaginary.from_vector(1e200, 1e200, 0),
+        lambda: unit_of(Quaternion(0, 1e-170, 1e-170, 0)),
+    ], ids=["unit_of", "from_vector", "unit_of-tiny"])
+    def test_huge_and_tiny_vectors_normalise(self, build):
+        half = math.sqrt(0.5)
+        assert (build() - Quaternion(0, half, half, 0)).modulus() < 1e-15
 
     def test_completion_canonical(self):
         j_unit, k_unit = orthonormal_completion(I)
@@ -180,6 +208,9 @@ class TestRotateUnit:
         with pytest.raises(DomainError):
             rotate_unit(Quaternion(), I)
 
+    def test_huge_multiplier(self):
+        assert (rotate_unit(Quaternion(1e200, 1e200), J) - K).modulus() < 1e-15
+
 
 class TestSphereSample:
     def test_first_point_canonical(self):
@@ -209,6 +240,12 @@ class TestSlicePoint:
             pt = SlicePoint.from_quaternion(q)
             assert (pt.embed() - q).modulus() < 1e-14
             assert pt.y >= 0
+
+    def test_tiny_imaginary_part_kept(self):
+        q = Quaternion(1, 0, 1e-170, 0)
+        pt = SlicePoint.from_quaternion(q)
+        assert pt.unit == J and pt.y == 1e-170
+        assert pt.embed() == q
 
     def test_real_point_convention(self):
         pt = SlicePoint.from_quaternion(Quaternion(0.5))

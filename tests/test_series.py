@@ -282,6 +282,13 @@ class TestStarTransformPoint:
             assert abs(out.modulus() - q.modulus()) < 1e-12
             assert abs(out.real - q.real) < 1e-12
 
+    def test_huge_value_keeps_the_sphere(self):
+        # |f(q)|^2 overflows; the transformed point still lies on the sphere of q
+        q = Quaternion(0.1, 0.2)
+        out = star_transform_point(Series((1e160, 1)), q)
+        assert abs(out.modulus() - q.modulus()) < 1e-15
+        assert abs(out.real - q.real) < 1e-15
+
     def test_zero_signals(self):
         f = Series((0, 1))
         with pytest.raises(ZeroFactorSignal, match="vanishes"):

@@ -17,8 +17,9 @@ the real-coefficient series of its real parts (the boundary sphere maximum),
 the sphere constants and series evaluation. One row times the series algebra
 that builds a new series from coefficient rows: star, slice_derivative,
 regular_translation and with_radius, one call each, on a degree-2 series.
-One end-to-end row times the whole bl_search on the builtin mixed-units
-series at r = 0.99.
+One row times attain, the multistart Newton preimage search, on the builtin
+mixed-units series for a fixed target in the unit ball, and one end-to-end
+row the whole bl_search on the same series at r = 0.99.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from quatregular._arrays import (
     slice_norm_ascent,
     sphere_constants,
 )
-from quatregular.bloch import bl_search
+from quatregular.bloch import attain, bl_search
 from quatregular.norms import _lattice_scan, _sphere_max, slice_norm, split_norm
 from quatregular.quaternions import I, Quaternion
 from quatregular.series import Series, slice_derivative, star
@@ -115,6 +116,9 @@ def main() -> dict:
         lambda: (star(small, small), slice_derivative(small),
                  regular_translation(small, shift), small.with_radius(RADIUS)))
     mixed_units = dict(builtin_corpus())["mixed-units"]
+    target = Quaternion(0.05, 0.01, -0.01, 0.0)
+    timings["attain[mixed-units, ball radius 1]"] = best_ms(
+        lambda: attain(mixed_units, target, 1.0))
     timings["bl_search[mixed-units, r=0.99]"] = best_ms(lambda: bl_search(mixed_units, 0.99))
     return {"degree": DEGREE, "radius": RADIUS, "repeats": REPEATS,
             "calls": CALLS, "numpy": np.__version__, "ms_per_call": timings}
