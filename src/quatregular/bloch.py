@@ -16,7 +16,7 @@ from .errors import DomainError, NumericalSearchError, PreconditionError
 from .norms import _sphere_max, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
 from .quaternions import ALGEBRA_TOL, I as CANONICAL_I
-from .quaternions import Quaternion, UnitImaginary, _coerce
+from .quaternions import Quaternion, UnitImaginary, _coerce, plain_data
 from .series import Series, _from_rows, _require_zero_at_origin, slice_derivative
 from .slices import regular_translation, sphere_pair
 
@@ -52,15 +52,7 @@ class CoverageReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "samples": self.samples,
-            "hits": self.hits,
-            "max_residual": self.max_residual,
-            "misses": [list(m.components) for m in self.misses],
-            "ball_radius": self.ball_radius,
-            "seed": self.seed,
-        }
+        return plain_data(self)
 
 
 @dataclass(frozen=True)
@@ -76,15 +68,7 @@ class SearchReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "R_r": self.R_r,
-            "w": list(self.w.components),
-            "rotation": list(self.rotation.components),
-            "rho_r": self.rho_r,
-            "f_w": list(self.f_w.components),
-            "diagnostics": self.diagnostics,
-        }
+        return plain_data(self)
 
 
 # -- the pinched set -----------------------------------------------------------
@@ -94,11 +78,25 @@ def _check_rho(rho: float) -> None:
         raise DomainError("rho must be positive and finite")
 
 
+def _oset_rows(points: np.ndarray, rho: float) -> np.ndarray:
+    """Strict membership |q|^3 < rho |Re q|^2 of each row (m, 4) of ``points``.
+
+    The rows and rho are first scaled by 2^-e, e the frexp exponent of rho. The
+    scaling is exact, so the decision depends on q/rho alone, and the cube and
+    the squares stay in range while |q| is within a factor of about 1e100 of rho.
+    A point that overflows is far outside the set and is correctly left out.
+    """
+    e = math.frexp(rho)[1]
+    rho = math.ldexp(rho, -e)
+    with np.errstate(over="ignore"):
+        x = np.ldexp(points, -e)
+        return np.sqrt(np.sum(x * x, axis=1)) ** 3 < rho * x[:, 0] * x[:, 0]
+
+
 def in_oset(q, rho: float) -> bool:
     """Strict membership |q|^3 < rho |Re q|^2. Membership forces |q| < rho."""
     _check_rho(rho)
-    q = _coerce(q)
-    return q.modulus() ** 3 < rho * q.x0 * q.x0
+    return bool(_oset_rows(np.array([_coerce(q).components]), rho)[0])
 
 
 def _cos_sin_turn(k: int, n: int) -> tuple[float, float]:
@@ -129,32 +127,35 @@ def oset_slice_curve(rho: float, n: int) -> list[tuple[float, float]]:
     return points
 
 
-def inscribed_disc_margin(rho: float) -> float:
+def inscribed_disc_margin(rho: float, unit: float = 1.0) -> float:
     """Worst slack of rho x^2 - (x^2+y^2)^{3/2} on the inscribed disc boundary.
 
     The disc has centre (rho/2, 0) and radius 37/256 rho^2; a positive margin
     at every swept boundary point certifies the disc sits strictly inside the
-    right lobe of the pinched set's slice cross-section.
+    right lobe of the pinched set's slice cross-section. Lengths are measured
+    in units of ``unit``, and the slack in units of its cube.
     """
     _check_rho(rho)
-    disc_radius = (37.0 / 256.0) * rho * rho
+    lobe = rho / unit
+    disc_radius = (37.0 / 256.0) * rho * lobe
     ts = np.linspace(0.0, 2.0 * math.pi, _CIRCLE_POINTS, endpoint=False)
-    x = rho / 2.0 + disc_radius * np.cos(ts)
+    x = lobe / 2.0 + disc_radius * np.cos(ts)
     y = disc_radius * np.sin(ts)
-    margins = rho * x * x - (x * x + y * y) ** 1.5
+    margins = lobe * x * x - (x * x + y * y) ** 1.5
     return float(margins.min())
 
 
 def inscribed_disc_check(rho: float) -> bool:
     """Whether the disc of radius 37/256 rho^2 centred at (rho/2, 0) fits.
 
-    Verified by sweeping the disc boundary. The symmetric disc at (-rho/2, 0)
-    follows by the x -> -x symmetry of the cross-section.
+    Verified by sweeping the disc boundary in units of rho, where the margin,
+    about rho^3/8 in absolute terms, cannot underflow. The symmetric disc at
+    (-rho/2, 0) follows by the x -> -x symmetry of the cross-section.
     """
     if rho > 1.0:
         warnings.warn("claim verified only for rho <= 1 by this artifact",
                       stacklevel=2)
-    return inscribed_disc_margin(rho) > 0.0
+    return inscribed_disc_margin(rho, unit=rho) > 0.0
 
 
 # -- coverage radius and fourth-root lifting ------------------------------------
@@ -179,8 +180,14 @@ def rho_lemma(f: Series) -> float:
 
 def _nonreal_rows(rows: np.ndarray) -> np.ndarray:
     """Indices of the rows whose imaginary part has a norm above 1e-12 of the
-    largest row norm (at least 1)."""
-    scale = max(1.0, float(np.sqrt(np.sum(rows * rows, axis=1)).max()))
+    largest row norm (at least 1).
+
+    Rows with a component of modulus 1 or more are first folded by 2^-e, e the
+    frexp exponent of the largest: the fold is exact, and no square overflows.
+    """
+    e = max(0, math.frexp(float(np.abs(rows).max()))[1])
+    rows = np.ldexp(rows, -e)
+    scale = max(math.ldexp(1.0, -e), float(np.sqrt(np.sum(rows * rows, axis=1)).max()))
     return np.flatnonzero(np.sqrt(np.sum(rows[:, 1:] ** 2, axis=1)) > 1e-12 * scale)
 
 
@@ -196,9 +203,13 @@ def g_series(f: Series, c) -> Series:
     if c is None or not any(c.components):
         raise DomainError("excluded value must be nonzero")
     _require_zero_at_origin(f)
-    base = np.concatenate([[(1.0, 0.0, 0.0, 0.0)],
-                           -qmul_rows(f.rows[1:], np.array(c.inverse().components))])
-    sym = star_rows(base, base * _CONJUGATE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.concatenate([[(1.0, 0.0, 0.0, 0.0)],
+                               -qmul_rows(f.rows[1:], np.array(c.inverse().components))])
+        sym = star_rows(base, base * _CONJUGATE)
+    infinite = np.flatnonzero(~np.isfinite(sym).all(axis=1))
+    if infinite.size:
+        raise DomainError(f"coefficient {infinite[0]} is not finite")
     nonreal = _nonreal_rows(sym)
     if nonreal.size:
         raise NumericalSearchError(
@@ -344,8 +355,7 @@ def coverage_report(f: Series, rho: float, samples: int, seed: int = 0) -> Cover
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
         radii = shrunk * rng.random(4096) ** 0.25
         batch *= radii[:, None]
-        keep = np.linalg.norm(batch, axis=1) ** 3 < shrunk * batch[:, 0] ** 2
-        targets.extend(batch[keep])
+        targets.extend(batch[_oset_rows(batch, shrunk)])
     targets = targets[:samples]
 
     hits = 0

@@ -20,9 +20,9 @@ from .errors import (
     SeriesFormatError,
 )
 from .serialization import load_series
+from .slices import DEGREE_CAP
 
 _SCHEMA = "quatregular/1"
-_DEGREE_CAP = 60
 
 
 def _emit_text(text: str, output: str | None) -> None:
@@ -43,9 +43,8 @@ def _emit_json(payload: dict, output: str | None) -> None:
 
 def _load_input(args) -> "Series":
     f = load_series(args.input)
-    if f.degree > args.degree:
-        raise DomainError(
-            f"input degree {f.degree} exceeds the configured cap {args.degree}")
+    if f.degree > DEGREE_CAP:
+        raise DomainError(f"input degree {f.degree} exceeds the cap {DEGREE_CAP}")
     return f
 
 
@@ -120,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("input", help="series JSON file "
                        '({"radius": R, "coeffs": [[x0,x1,x2,x3], ...], "exact": bool})')
-        p.add_argument("--degree", type=int, default=_DEGREE_CAP,
-                       help=f"reject inputs above this degree (default {_DEGREE_CAP})")
         p.add_argument("-o", "--output", help="write the report here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run the property suites")
@@ -129,9 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=sorted(verification.SUITES),
                           help="restrict to one suite (repeatable)")
     p_verify.add_argument("--input", help="optional extra series file to include")
-    p_verify.add_argument("--degree", type=int, default=_DEGREE_CAP,
-                          help=f"reject an --input series above this degree "
-                               f"(default {_DEGREE_CAP})")
     p_verify.add_argument("--samples", type=int, default=100,
                           help="per-check sample counts, percent of defaults")
     p_verify.add_argument("--seed", type=int, default=0)

@@ -47,7 +47,7 @@ from ._arrays import (
     star_rows,
 )
 from .errors import DomainError
-from .quaternions import Quaternion, UnitImaginary, _coerce, _sphere_rows
+from .quaternions import Quaternion, UnitImaginary, _coerce, _sphere_rows, plain_data
 from .series import Series, _require_zero_at_origin, evaluate, slice_derivative
 from .slices import _frame, split_rows
 
@@ -88,12 +88,7 @@ class NormReport:
     certified_tol: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "resolution": dict(self.resolution),
-            "certified_tol": self.certified_tol,
-        }
+        return plain_data(self)
 
 
 def _tol_floor(value: float, gap: float, e: int) -> float:

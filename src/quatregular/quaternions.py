@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -303,3 +303,18 @@ def sphere_sample(n: int, seed: int = 0) -> list[UnitImaginary]:
     """
     return [UnitImaginary(0.0, float(p[0]), float(p[1]), float(p[2]))
             for p in _sphere_rows(n, seed)]
+
+
+def plain_data(value):
+    """A report as plain data: a ``Quaternion`` as its four components, a
+    dataclass as a dict of the fields that take part in its equality, and
+    dicts and lists item by item; anything else is returned as it is."""
+    if isinstance(value, Quaternion):
+        return list(value.components)
+    if is_dataclass(value):
+        return {f.name: plain_data(getattr(value, f.name)) for f in fields(value) if f.compare}
+    if isinstance(value, dict):
+        return {key: plain_data(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [plain_data(item) for item in value]
+    return value

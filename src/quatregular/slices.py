@@ -13,10 +13,11 @@ from .quaternions import ALGEBRA_TOL, Quaternion, UnitImaginary, _coerce
 from .quaternions import _completion_rows, _sphere_rows
 from .series import Series, _from_rows, evaluate, regular_conjugate
 
-_BINOMIAL_DEGREE_CAP = 60
+# the largest degree regular_translation recentres, and the CLI accepts
+DEGREE_CAP = 60
 # C(n, m) at row m, column n up to the cap: exact through degree 56, then rounded
-_BINOMIALS = np.array([[math.comb(n, m) for n in range(_BINOMIAL_DEGREE_CAP + 1)]
-                       for m in range(_BINOMIAL_DEGREE_CAP + 1)], dtype=float)
+_BINOMIALS = np.array([[math.comb(n, m) for n in range(DEGREE_CAP + 1)]
+                       for m in range(DEGREE_CAP + 1)], dtype=float)
 
 
 def embed_complex(z: complex, unit: UnitImaginary) -> Quaternion:
@@ -197,9 +198,9 @@ def regular_translation(f: Series, w) -> Series:
     if not norm_w < f.radius:
         raise DomainError("outside ball of validity")
     n_deg = f.degree
-    if n_deg > _BINOMIAL_DEGREE_CAP:
+    if n_deg > DEGREE_CAP:
         raise DomainError(
-            f"degree {n_deg} exceeds the recentring cap {_BINOMIAL_DEGREE_CAP}")
+            f"degree {n_deg} exceeds the recentring cap {DEGREE_CAP}")
     powers = [np.array([1.0, 0.0, 0.0, 0.0]), np.array(w.components)]
     for _ in range(n_deg - 1):
         powers.append(qmul_rows(powers[-1], powers[1]))

@@ -1,19 +1,31 @@
 """Property suites behind the ``verify`` command.
 
-Each check exercises one algebraic or analytic invariant of the library on a
-seeded corpus and reports a single figure of merit (``margin``) against its
-tolerance. Equality-style checks report the worst deviation (pass when it is
-at most the tolerance); inequality-style checks report the worst slack (pass
-when it is at least the tolerance, which may be negative); witness checks
-pass when the reported effect exceeds the tolerance.
+Each check states one algebraic or analytic property of the library as a
+function of a seeded generator that draws one sample and returns its margin.
+The ``_check`` decorator adds the property to ``_CHECKS`` with its suite,
+name, kind, tolerance, sample count and detail text, and one runner draws
+the samples in order and keeps the worst margin (see ``_KINDS``): for a
+deviation the largest, which passes when at most the tolerance; for a slack
+the smallest, which passes when at least the tolerance (it may be negative);
+for a witness the single value, which passes when it exceeds the tolerance;
+for a count the number of draws whose property fails, reported as a
+deviation. A check whose pass rule or tolerance depends on what it drew
+judges its own draws, and a check that draws nothing runs once at any
+sample scale. Each check's generator is seeded by the run's seed and the
+check's fixed key, so its draws depend on neither the other checks nor its
+name.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +38,7 @@ from .quaternions import (
     UnitImaginary,
     _sphere_rows,
     orthonormal_completion,
+    plain_data,
     sphere_sample,
 )
 from .series import (
@@ -55,30 +68,7 @@ class CheckResult:
     seconds: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "suite": self.suite,
-            "passed": self.passed,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "kind": self.kind,
-            "detail": self.detail,
-        }
-
-
-def _deviation(name, suite, margin, tol, detail=""):
-    return CheckResult(name, suite, bool(margin <= tol), float(margin), tol,
-                       "deviation", detail)
-
-
-def _slack(name, suite, margin, tol, detail=""):
-    return CheckResult(name, suite, bool(margin >= tol), float(margin), tol,
-                       "slack", detail)
-
-
-def _witness(name, suite, margin, tol, detail=""):
-    return CheckResult(name, suite, bool(margin > tol), float(margin), tol,
-                       "witness", detail)
+        return plain_data(self)
 
 
 # -- corpus helpers --------------------------------------------------------------
@@ -137,429 +127,446 @@ def builtin_corpus() -> list[tuple[str, Series]]:
     ]
 
 
+def _random_degree_series(rng, low: int, high: int, monic_shift: bool = False) -> Series:
+    """A random series of a degree drawn from [low, high)."""
+    return random_series(rng, int(rng.integers(low, high)), monic_shift=monic_shift)
+
+
+def _slice_point(x: float, y: float, unit: UnitImaginary) -> Quaternion:
+    """x + y unit, for y of either sign."""
+    return Quaternion(x, y * unit.x1, y * unit.x2, y * unit.x3)
+
+
+# -- the check table and its runner ----------------------------------------------
+
+class _Check(NamedTuple):
+    key: str  # seeds the check's draws; fixed, so a renamed check keeps them
+    suite: str
+    name: str
+    kind: str  # a key of _KINDS
+    tolerance: float | None  # None: prop(rng, count) judges its own draws
+    count: int  # draws at --samples 100; 0 for a property that draws nothing
+    detail: str
+    prop: Callable
+
+
+_CHECKS: list[_Check] = []
+
+# kind: (kind reported, fold of one draw's margin into the worst so far, its start,
+# pass rule of the worst against the tolerance)
+_KINDS = {
+    "deviation": ("deviation", max, 0.0, operator.le),
+    "slack": ("slack", min, math.inf, operator.ge),
+    "witness": ("witness", lambda _, margin: margin, math.nan, operator.gt),
+    "count": ("deviation", operator.add, 0, operator.le),
+}
+
+
+def _check(key, suite, name, kind, tolerance, count, detail=""):
+    """Add the decorated property to ``_CHECKS``."""
+    def register(prop):
+        _CHECKS.append(_Check(key, suite, name, kind, tolerance, count, detail, prop))
+        return prop
+    return register
+
+
+def _run(check: _Check, rng, count: int) -> CheckResult:
+    """Draw ``count`` samples of the check's property in order and judge the worst
+    margin; the result carries the check's wall time in ``seconds``."""
+    start = time.perf_counter()
+    kind, fold, worst, rule = _KINDS[check.kind]
+    if check.tolerance is None:
+        passed, worst, tolerance, detail = check.prop(rng, count)
+    else:
+        for _ in range(count):
+            worst = fold(worst, check.prop(rng))
+        passed, tolerance, detail = rule(worst, check.tolerance), check.tolerance, check.detail
+    return CheckResult(check.name, check.suite, bool(passed), float(worst), float(tolerance),
+                       kind, detail, time.perf_counter() - start)
+
+
+def run_checks(suites=None, seed: int = 0, scale: float = 1.0,
+               extra_series: Series | None = None) -> list[CheckResult]:
+    """Run the property suites; ``scale`` multiplies every sample count.
+
+    Each result carries the wall time of its check in ``seconds``.
+    """
+    if not scale > 0:
+        raise DomainError("the sample scale must be positive")
+    wanted = set(suites) if suites else set(SUITES)
+    unknown = wanted - set(SUITES)
+    if unknown:
+        raise ValueError(f"unknown suite(s): {sorted(unknown)}")
+    results = [_run(check, np.random.default_rng([seed, zlib.crc32(check.key.encode())]),
+                    max(1, int(check.count * scale)))
+               for check in _CHECKS if check.suite in wanted]
+    if extra_series is not None and "series" in wanted:
+        results.append(_run(_user_series_check(extra_series), None, 1))
+    return results
+
+
+def _user_series_check(f: Series) -> _Check:
+    """Light structural pass over a user-supplied series: the worst of three
+    series-suite properties of f."""
+    return _Check("", "series", "user-series-structure", "deviation", 1e-12, 1, "",
+                  lambda _: max(_involution_gap(f), _symmetrization_imag(f),
+                                _split_gap(f, UNIT_I)))
+
+
 # -- series suite ----------------------------------------------------------------
 
-def check_star_associativity(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 7)))
-        g = random_series(rng, int(rng.integers(0, 7)))
-        h = random_series(rng, int(rng.integers(0, 7)))
-        worst = max(worst, coeff_deviation(star(star(f, g), h), star(f, star(g, h))))
-    return _deviation("star-associativity", "series", worst, 1e-12)
+def _involution_gap(f: Series) -> float:
+    return coeff_deviation(regular_conjugate(regular_conjugate(f)), f)
 
 
-def check_star_unit(rng, count) -> CheckResult:
-    one = Series((1,))
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 7)))
-        worst = max(worst, coeff_deviation(star(f, one), f),
-                    coeff_deviation(star(one, f), f))
-    return _deviation("star-unit", "series", worst, 0.0)
+def _symmetrization_imag(f: Series) -> float:
+    return max(a.imag.modulus() for a in symmetrization(f).coeffs)
 
 
-def check_leibniz(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 7)))
-        g = random_series(rng, int(rng.integers(0, 7)))
-        lhs = slice_derivative(star(f, g))
-        rhs = series_sum(star(slice_derivative(f), g), star(f, slice_derivative(g)))
-        worst = max(worst, coeff_deviation(lhs, rhs))
-    return _deviation("leibniz-rule", "series", worst, 1e-13)
+@_check("check_star_associativity", "series", "star-associativity", "deviation", 1e-12, 40)
+def _star_associativity(rng):
+    f, g, h = (_random_degree_series(rng, 0, 7) for _ in range(3))
+    return coeff_deviation(star(star(f, g), h), star(f, star(g, h)))
 
 
-def check_conjugate_involution(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 7)))
-        worst = max(worst, coeff_deviation(regular_conjugate(regular_conjugate(f)), f))
-    return _deviation("conjugate-involution", "series", worst, 0.0)
+_ONE = Series((1,))
 
 
-def check_symmetrization_real(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 7)))
-        worst = max(worst, max(a.imag.modulus() for a in symmetrization(f).coeffs))
-    return _deviation("symmetrization-real", "series", worst, 1e-13)
+@_check("check_star_unit", "series", "star-unit", "deviation", 0.0, 20)
+def _star_unit(rng):
+    f = _random_degree_series(rng, 0, 7)
+    return max(coeff_deviation(star(f, _ONE), f), coeff_deviation(star(_ONE, f), f))
 
 
-def check_pointwise_star(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 5)))
-        g = random_series(rng, int(rng.integers(0, 5)))
-        tried = 0
-        while tried < 100:
-            q = random_ball_point(rng, 0.7)
-            tried += 1
-            value = evaluate(f, q)
-            if value.modulus() < 1e-2:
-                continue
-            transformed = star_transform_point(f, q)
-            lhs = evaluate(star(f, g), q)
-            rhs = value * evaluate(g, transformed)
-            worst = max(worst, (lhs - rhs).modulus())
-            break
-    return _deviation("pointwise-star", "series", worst, 1e-10)
+@_check("check_leibniz", "series", "leibniz-rule", "deviation", 1e-13, 40)
+def _leibniz(rng):
+    f, g = _random_degree_series(rng, 0, 7), _random_degree_series(rng, 0, 7)
+    rhs = series_sum(star(slice_derivative(f), g), star(f, slice_derivative(g)))
+    return coeff_deviation(slice_derivative(star(f, g)), rhs)
 
 
-def check_real_zero_persistence(rng, count) -> CheckResult:
+@_check("check_conjugate_involution", "series", "conjugate-involution", "deviation", 0.0, 40)
+def _conjugate_involution(rng):
+    return _involution_gap(_random_degree_series(rng, 0, 7))
+
+
+@_check("check_symmetrization_real", "series", "symmetrization-real", "deviation", 1e-13, 40)
+def _symmetrization_real(rng):
+    return _symmetrization_imag(_random_degree_series(rng, 0, 7))
+
+
+@_check("check_pointwise_star", "series", "pointwise-star", "deviation", 1e-10, 40)
+def _pointwise_star(rng):
+    f, g = _random_degree_series(rng, 0, 5), _random_degree_series(rng, 0, 5)
+    for _ in range(100):
+        q = random_ball_point(rng, 0.7)
+        value = evaluate(f, q)
+        if value.modulus() >= 1e-2:
+            rhs = value * evaluate(g, star_transform_point(f, q))
+            return (evaluate(star(f, g), q) - rhs).modulus()
+    return 0.0
+
+
+@_check("check_real_zero_persistence", "series", "real-zero-persistence", "deviation", 0.0, 40)
+def _real_zero_persistence(rng):
     # dyadic data keeps every convolution and evaluation step exact in floats
-    worst = 0.0
-    for _ in range(count):
-        root = float(rng.integers(-2, 3)) / 4.0
-        g = star(Series((-root, 1), radius=4.0),
-                 Series(tuple(float(rng.integers(-4, 5)) / 4.0 for _ in range(3)), radius=4.0))
-        f = Series(tuple(float(rng.integers(-4, 5)) / 4.0 for _ in range(4)), radius=4.0)
-        assert evaluate(g, root).modulus() == 0.0
-        worst = max(worst, evaluate(star(f, g), root).modulus())
-    return _deviation("real-zero-persistence", "series", worst, 0.0)
+    root = float(rng.integers(-2, 3)) / 4.0
+    g = star(Series((-root, 1), radius=4.0),
+             Series(tuple(float(rng.integers(-4, 5)) / 4.0 for _ in range(3)), radius=4.0))
+    f = Series(tuple(float(rng.integers(-4, 5)) / 4.0 for _ in range(4)), radius=4.0)
+    assert evaluate(g, root).modulus() == 0.0
+    return evaluate(star(f, g), root).modulus()
 
 
-def check_symmetrization_slice_preserving(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 7)))
-        sym = symmetrization(f)
-        unit = random_unit(rng)
-        x, y = rng.uniform(-0.6, 0.6), rng.uniform(0.0, 0.6)
-        z = Quaternion(x, y * unit.x1, y * unit.x2, y * unit.x3)
-        value = evaluate(sym, z)
-        off_plane = value - Quaternion(value.x0) - value.dot(unit) * unit
-        worst = max(worst, off_plane.modulus())
-    return _deviation("symmetrization-slice-preserving", "series", worst, 1e-12)
+@_check("check_symmetrization_slice_preserving", "series", "symmetrization-slice-preserving",
+        "deviation", 1e-12, 40)
+def _symmetrization_slice_preserving(rng):
+    sym = symmetrization(_random_degree_series(rng, 0, 7))
+    unit = random_unit(rng)
+    x, y = rng.uniform(-0.6, 0.6), rng.uniform(0.0, 0.6)
+    value = evaluate(sym, _slice_point(x, y, unit))
+    return (value - Quaternion(value.x0) - value.dot(unit) * unit).modulus()
 
 
 # -- slices suite ----------------------------------------------------------------
 
-def check_split_roundtrip(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 8)))
-        unit = random_unit(rng)
-        pair = slices.split(f, unit)
-        back = slices.ext_from_slice(pair.F, pair.G, pair.I, pair.J, exact=f.exact)
-        worst = max(worst, coeff_deviation(back, f))
-    return _deviation("split-roundtrip", "slices", worst, 1e-13)
+def _split_gap(f: Series, unit: UnitImaginary) -> float:
+    pair = slices.split(f, unit)
+    back = slices.ext_from_slice(pair.F, pair.G, pair.I, pair.J, exact=f.exact)
+    return coeff_deviation(back, f)
 
 
-def check_split_conjugate(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 8)))
-        unit = random_unit(rng)
-        pair, pair_c = slices.split_conjugate_check(f, unit)
-        for alpha, alpha_c in zip(pair.F.coeffs, pair_c.F.coeffs):
-            worst = max(worst, abs(alpha_c - alpha.conjugate()))
-        for beta, beta_c in zip(pair.G.coeffs, pair_c.G.coeffs):
-            worst = max(worst, abs(beta_c + beta))
-    return _deviation("split-conjugate-relation", "slices", worst, 1e-13)
+@_check("check_split_roundtrip", "slices", "split-roundtrip", "deviation", 1e-13, 30)
+def _split_roundtrip(rng):
+    return _split_gap(_random_degree_series(rng, 0, 8), random_unit(rng))
 
 
-def check_representation_formula(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 8)))
-        i_unit, j_unit = random_unit(rng), random_unit(rng)
-        x, y = rng.uniform(-0.6, 0.6), rng.uniform(0.0, 0.6)
-        via_formula = slices.representation_eval(f, x, y, j_unit, i_unit)
-        direct = evaluate(f, Quaternion(x, y * i_unit.x1, y * i_unit.x2, y * i_unit.x3))
-        worst = max(worst, (via_formula - direct).modulus())
-    return _deviation("representation-formula", "slices", worst, 1e-11)
+@_check("check_split_conjugate", "slices", "split-conjugate-relation", "deviation", 1e-13, 30)
+def _split_conjugate(rng):
+    pair, pair_c = slices.split_conjugate_check(_random_degree_series(rng, 0, 8),
+                                                random_unit(rng))
+    return max(chain((abs(ac - a.conjugate()) for a, ac in zip(pair.F.coeffs, pair_c.F.coeffs)),
+                     (abs(bc + b) for b, bc in zip(pair.G.coeffs, pair_c.G.coeffs))))
 
 
-def check_sphere_pair_reconstruction(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 8)))
-        x, y = rng.uniform(-0.6, 0.6), rng.uniform(0.0, 0.6)
-        pair = slices.sphere_pair(f, x, y)
-        for unit in sphere_sample(20, seed=int(rng.integers(0, 10000))):
-            direct = evaluate(f, Quaternion(x, y * unit.x1, y * unit.x2, y * unit.x3))
-            worst = max(worst, (pair.evaluate(unit) - direct).modulus())
-    return _deviation("sphere-pair-reconstruction", "slices", worst, 1e-11)
+@_check("check_representation_formula", "slices", "representation-formula", "deviation",
+        1e-11, 50)
+def _representation_formula(rng):
+    f = _random_degree_series(rng, 0, 8)
+    i_unit, j_unit = random_unit(rng), random_unit(rng)
+    x, y = rng.uniform(-0.6, 0.6), rng.uniform(0.0, 0.6)
+    via_formula = slices.representation_eval(f, x, y, j_unit, i_unit)
+    return (via_formula - evaluate(f, _slice_point(x, y, i_unit))).modulus()
 
 
-def check_translation_slice_agreement(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 8)))
-        unit = random_unit(rng)
-        w = Quaternion(0.2, 0.3 * unit.x1, 0.3 * unit.x2, 0.3 * unit.x3)
-        shifted = slices.regular_translation(f, w)
-        for _ in range(10):
-            a, b = rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)
-            q = Quaternion(a, b * unit.x1, b * unit.x2, b * unit.x3)
-            worst = max(worst, (evaluate(shifted, q) - evaluate(f, q + w)).modulus())
-    return _deviation("translation-slice-agreement", "slices", worst, 1e-11)
+@_check("check_sphere_pair_reconstruction", "slices", "sphere-pair-reconstruction",
+        "deviation", 1e-11, 10)
+def _sphere_pair_reconstruction(rng):
+    f = _random_degree_series(rng, 0, 8)
+    x, y = rng.uniform(-0.6, 0.6), rng.uniform(0.0, 0.6)
+    pair = slices.sphere_pair(f, x, y)
+    return max((pair.evaluate(unit) - evaluate(f, _slice_point(x, y, unit))).modulus()
+               for unit in sphere_sample(20, seed=int(rng.integers(0, 10000))))
 
 
-def check_translation_offslice_witness(rng, count) -> CheckResult:
+@_check("check_translation_slice_agreement", "slices", "translation-slice-agreement",
+        "deviation", 1e-11, 20)
+def _translation_slice_agreement(rng):
+    f = _random_degree_series(rng, 0, 8)
+    unit = random_unit(rng)
+    w = _slice_point(0.2, 0.3, unit)
+    shifted = slices.regular_translation(f, w)
+    points = (_slice_point(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), unit)
+              for _ in range(10))
+    return max((evaluate(shifted, q) - evaluate(f, q + w)).modulus() for q in points)
+
+
+@_check("check_translation_offslice_witness", "slices", "translation-offslice-witness",
+        "witness", 1e-6, 0, "regular translation differs from naive composition off the slice")
+def _translation_offslice_witness(rng):
     # regular translation must not be pointwise composition off the slice
     f = Series((0, 0, 1))
     w = Quaternion(0.0, 0.0, 0.3, 0.0)
     q = Quaternion(0.0, 0.2, 0.0, 0.0)
-    shifted = slices.regular_translation(f, w)
-    observed = (evaluate(shifted, q) - evaluate(f, q + w)).modulus()
-    return _witness("translation-offslice-witness", "slices", observed, 1e-6,
-                    "regular translation differs from naive composition off the slice")
+    return (evaluate(slices.regular_translation(f, w), q) - evaluate(f, q + w)).modulus()
 
 
-def check_translation_continuity(rng, count) -> CheckResult:
+@_check("check_translation_continuity", "slices", "translation-continuity", "slack", None, 1)
+def _translation_continuity(rng, count):
     f = random_series(rng, 4)
     limit = Quaternion(0.1, 0.2, 0.0, 0.0)
-    probes = []
-    for n in (2, 8, 64):
-        seq = [limit + Quaternion(0.3 / m, 0.2 / m, 0.1 / m, 0.0) for m in range(1, n + 1)]
-        seq.append(limit)
-        probes.append(slices.translation_continuity_probe(f, seq, 0.4))
+    probes = [slices.translation_continuity_probe(
+        f, [limit + Quaternion(0.3 / m, 0.2 / m, 0.1 / m, 0.0) for m in range(1, n + 1)]
+        + [limit], 0.4) for n in (2, 8, 64)]
     decreasing = probes[2] < probes[1] < probes[0]
     # the discrepancy scales like the 1/n perturbation, so 2/64 with headroom
     final_small = probes[2] < 0.06 * probes[0] + 1e-12
-    return CheckResult("translation-continuity", "slices",
-                       decreasing and final_small, probes[2], probes[0],
-                       "slack", f"probe values {probes}")
+    return decreasing and final_small, probes[2], probes[0], f"probe values {probes}"
 
 
 # -- norms suite -----------------------------------------------------------------
 
-def check_sphere_extrema_oracle(rng, count) -> CheckResult:
+@functools.cache
+def _oracle_sphere() -> np.ndarray:
+    """Rows (0, u) of the 1e5 imaginary units u the sphere-extrema oracle samples."""
     iq = np.zeros((100000, 4))
     iq[:, 1:] = _sphere_rows(100000, seed=7)
-    worst = 0.0
-    for _ in range(count):
-        b, c = random_quaternion(rng), random_quaternion(rng)
-        low, high = norms.sphere_extrema(b, c)
-        prod = qmul_rows(iq, np.broadcast_to(np.array(c.components), iq.shape))
-        values = np.linalg.norm(np.array(b.components) + prod, axis=1)
-        worst = max(worst, abs(high - values.max()), abs(values.min() - low))
-    return _deviation("sphere-extrema-oracle", "norms", worst, 1e-3,
-                      "closed form against a 1e5-point sampled sphere")
+    iq.flags.writeable = False
+    return iq
 
 
-def check_norm_homogeneity(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(1, 6)))
-        scalar = float(rng.uniform(-3.0, 3.0))
-        scaled = Series(tuple(a * scalar for a in f.coeffs), f.radius)
-        worst = max(worst, abs(norms.split_norm(scaled).value
-                               - abs(scalar) * norms.split_norm(f).value))
-    return _deviation("norm-homogeneity", "norms", worst, 1e-12)
+@_check("check_sphere_extrema_oracle", "norms", "sphere-extrema-oracle", "deviation", 1e-3, 5,
+        "closed form against a 1e5-point sampled sphere")
+def _sphere_extrema_oracle(rng):
+    b, c = random_quaternion(rng), random_quaternion(rng)
+    low, high = norms.sphere_extrema(b, c)
+    iq = _oracle_sphere()
+    prod = qmul_rows(iq, np.broadcast_to(np.array(c.components), iq.shape))
+    values = np.linalg.norm(np.array(b.components) + prod, axis=1)
+    return max(abs(high - values.max()), abs(values.min() - low))
 
 
-def check_norm_triangle(rng, count) -> CheckResult:
-    worst = math.inf
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(1, 6)))
-        g = random_series(rng, int(rng.integers(1, 6)))
-        slack = (norms.split_norm(f).value
-                 + norms.split_norm(g).value
-                 - norms.split_norm(series_sum(f, g)).value)
-        worst = min(worst, slack)
-    return _slack("norm-triangle", "norms", worst, -1e-10)
+@_check("check_norm_homogeneity", "norms", "norm-homogeneity", "deviation", 1e-12, 4)
+def _norm_homogeneity(rng):
+    f = _random_degree_series(rng, 1, 6)
+    scalar = float(rng.uniform(-3.0, 3.0))
+    scaled = Series(tuple(a * scalar for a in f.coeffs), f.radius)
+    return abs(norms.split_norm(scaled).value - abs(scalar) * norms.split_norm(f).value)
 
 
-def check_norm_definiteness(rng, count) -> CheckResult:
-    zero = Series((0,))
-    if norms.split_norm(zero).value != 0.0:
-        return _deviation("norm-definiteness", "norms", math.inf, 0.0)
+@_check("check_norm_triangle", "norms", "norm-triangle", "slack", -1e-10, 4)
+def _norm_triangle(rng):
+    f, g = _random_degree_series(rng, 1, 6), _random_degree_series(rng, 1, 6)
+    return (norms.split_norm(f).value + norms.split_norm(g).value
+            - norms.split_norm(series_sum(f, g)).value)
+
+
+@_check("check_norm_definiteness", "norms", "norm-definiteness", "slack", None, 4)
+def _norm_definiteness(rng, count):
+    zero_norm = norms.split_norm(Series((0,))).value
     smallest = math.inf
     for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 6)))
-        if all(a.modulus() == 0 for a in f.coeffs):
-            continue
-        smallest = min(smallest, norms.split_norm(f).value)
-    return _slack("norm-definiteness", "norms", smallest, 1e-12,
-                  "zero norm only for the zero series")
+        f = _random_degree_series(rng, 0, 6)
+        if f.rows.any():
+            smallest = min(smallest, norms.split_norm(f).value)
+    return (zero_norm == 0.0 and smallest >= 1e-12, smallest, 1e-12,
+            "zero norm only for the zero series")
 
 
-def check_norm_equivalence(rng, count) -> CheckResult:
-    worst = math.inf
-    tol = 0.0
+@_check("check_norm_equivalence", "norms", "norm-equivalence", "slack", None, 6)
+def _norm_equivalence(rng, count):
+    worst, tol = math.inf, 0.0
     for _ in range(count):
-        f = random_series(rng, int(rng.integers(1, 7)))
+        f = _random_degree_series(rng, 1, 7)
         split_report = norms.split_norm(f.with_radius(0.9))
         ball_report = norms.sup_norm_ball(f, 0.9)
-        allowance = 2.0 * (split_report.certified_tol + ball_report.certified_tol)
-        tol = max(tol, allowance)
-        worst = min(worst,
-                    ball_report.value - math.sqrt(0.5) * split_report.value,
+        tol = max(tol, 2.0 * (split_report.certified_tol + ball_report.certified_tol))
+        worst = min(worst, ball_report.value - math.sqrt(0.5) * split_report.value,
                     split_report.value - ball_report.value)
-    return _slack("norm-equivalence", "norms", worst, -max(tol, 1e-9),
-                  "sqrt(2)/2 ||f|| <= ||f||_ball <= ||f||")
+    tol = -max(tol, 1e-9)
+    return worst >= tol, worst, tol, "sqrt(2)/2 ||f|| <= ||f||_ball <= ||f||"
 
 
-def check_conjugate_sphere_extrema(rng, count) -> CheckResult:
+@_check("check_conjugate_sphere_extrema", "norms", "conjugate-sphere-extrema", "deviation",
+        1e-11, 10)
+def _conjugate_sphere_extrema(rng):
+    f = _random_degree_series(rng, 0, 7)
+    fc = regular_conjugate(f)
     worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 7)))
-        fc = regular_conjugate(f)
-        for _ in range(20):
-            x, y = rng.uniform(-0.6, 0.6), rng.uniform(0.0, 0.6)
-            p = slices.sphere_pair(f, x, y)
-            pc = slices.sphere_pair(fc, x, y)
-            lo, hi = norms.sphere_extrema(p.b, p.c)
-            lo_c, hi_c = norms.sphere_extrema(pc.b, pc.c)
-            worst = max(worst, abs(hi - hi_c), abs(lo - lo_c))
-    return _deviation("conjugate-sphere-extrema", "norms", worst, 1e-11)
+    for _ in range(20):
+        x, y = rng.uniform(-0.6, 0.6), rng.uniform(0.0, 0.6)
+        (lo, hi), (lo_c, hi_c) = (norms.sphere_extrema(p.b, p.c) for p in
+                                  (slices.sphere_pair(f, x, y), slices.sphere_pair(fc, x, y)))
+        worst = max(worst, abs(hi - hi_c), abs(lo - lo_c))
+    return worst
 
 
-def check_conjugate_ball_extrema(rng, count) -> CheckResult:
-    worst = 0.0
-    tol = 0.0
+@_check("check_conjugate_ball_extrema", "norms", "conjugate-ball-extrema", "deviation", None, 3)
+def _conjugate_ball_extrema(rng, count):
+    worst, tol = 0.0, 0.0
     for _ in range(count):
-        f = random_series(rng, int(rng.integers(1, 7)))
+        f = _random_degree_series(rng, 1, 7)
         fc = regular_conjugate(f)
-        sup_f = norms.sup_norm_ball(f, 0.9)
-        sup_c = norms.sup_norm_ball(fc, 0.9)
-        inf_f = norms.inf_norm_ball(f, 0.9)
-        inf_c = norms.inf_norm_ball(fc, 0.9)
+        sup_f, sup_c = norms.sup_norm_ball(f, 0.9), norms.sup_norm_ball(fc, 0.9)
+        inf_f, inf_c = norms.inf_norm_ball(f, 0.9), norms.inf_norm_ball(fc, 0.9)
         worst = max(worst, abs(sup_f.value - sup_c.value), abs(inf_f.value - inf_c.value))
         tol = max(tol, 2.0 * max(sup_f.certified_tol + sup_c.certified_tol,
                                  inf_f.certified_tol + inf_c.certified_tol))
-    return _deviation("conjugate-ball-extrema", "norms", worst, max(tol, 1e-9))
+    tol = max(tol, 1e-9)
+    return worst <= tol, worst, tol, ""
 
 
-def check_norm_conjugate_invariance(rng, count) -> CheckResult:
-    worst = 0.0
-    tol = 0.0
+@_check("check_norm_conjugate_invariance", "norms", "norm-conjugate-invariance", "deviation",
+        None, 3)
+def _norm_conjugate_invariance(rng, count):
+    worst, tol = 0.0, 0.0
     for _ in range(count):
-        f = random_series(rng, int(rng.integers(1, 6)))
-        a = norms.split_norm(f)
-        b = norms.split_norm(regular_conjugate(f))
+        f = _random_degree_series(rng, 1, 6)
+        a, b = norms.split_norm(f), norms.split_norm(regular_conjugate(f))
         worst = max(worst, abs(a.value - b.value))
         tol = max(tol, 2.0 * (a.certified_tol + b.certified_tol))
-    return _deviation("norm-conjugate-invariance", "norms", worst, max(tol, 1e-8))
+    tol = max(tol, 1e-8)
+    return worst <= tol, worst, tol, ""
 
 
-def check_mean_value(rng, count) -> CheckResult:
-    worst = math.inf
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(1, 7)), monic_shift=True)
-        deriv_norm = norms.split_norm(slice_derivative(f)).value
-        for _ in range(25):
-            q = random_ball_point(rng, 0.95)
-            if q.modulus() < 1e-3:
-                continue
-            worst = min(worst, deriv_norm - evaluate(f, q).modulus() / q.modulus())
-    return _slack("mean-value", "norms", worst, -1e-9,
-                  "|q^{-1} f(q)| <= ||f'|| for f(0) = 0")
+@_check("check_mean_value", "norms", "mean-value", "slack", -1e-9, 4,
+        "|q^{-1} f(q)| <= ||f'|| for f(0) = 0")
+def _mean_value(rng):
+    f = _random_degree_series(rng, 1, 7, monic_shift=True)
+    deriv_norm = norms.split_norm(slice_derivative(f)).value
+    points = (random_ball_point(rng, 0.95) for _ in range(25))
+    return min((deriv_norm - evaluate(f, q).modulus() / q.modulus()
+                for q in points if q.modulus() >= 1e-3), default=math.inf)
 
 
-def check_remark_bound(rng, count) -> CheckResult:
-    worst = math.inf
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(1, 7)), monic_shift=True)
-        deriv_norm = norms.split_norm(slice_derivative(f)).value
-        for s in (0.3, 0.6, 0.9):
-            worst = min(worst, s * deriv_norm - norms.sup_norm_ball(f, s).value)
-    return _slack("remark-bound", "norms", worst, -1e-9,
-                  "sup over the ball of radius s is at most s ||f'||")
+@_check("check_remark_bound", "norms", "remark-bound", "slack", -1e-9, 4,
+        "sup over the ball of radius s is at most s ||f'||")
+def _remark_bound(rng):
+    f = _random_degree_series(rng, 1, 7, monic_shift=True)
+    deriv_norm = norms.split_norm(slice_derivative(f)).value
+    return min(s * deriv_norm - norms.sup_norm_ball(f, s).value for s in (0.3, 0.6, 0.9))
 
 
-def check_j_independence(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(0, 7)))
-        unit = random_unit(rng)
-        j_unit, k_unit = orthonormal_completion(unit)
-        angle = rng.uniform(0.3, 2.8)
-        rotated = UnitImaginary.from_vector(
-            *(math.cos(angle) * np.array((j_unit.x1, j_unit.x2, j_unit.x3))
-              + math.sin(angle) * np.array((k_unit.x1, k_unit.x2, k_unit.x3))))
-        worst = max(worst, abs(norms.slice_norm(f, unit, j_unit=j_unit)
-                               - norms.slice_norm(f, unit, j_unit=rotated)))
-    return _deviation("slice-norm-j-independence", "norms", worst, 1e-10)
+@_check("check_j_independence", "norms", "slice-norm-j-independence", "deviation", 1e-10, 10)
+def _j_independence(rng):
+    f = _random_degree_series(rng, 0, 7)
+    unit = random_unit(rng)
+    j_unit, k_unit = orthonormal_completion(unit)
+    angle = rng.uniform(0.3, 2.8)
+    rotated = UnitImaginary.from_vector(*(math.cos(angle) * np.array(j_unit.components[1:])
+                                          + math.sin(angle) * np.array(k_unit.components[1:])))
+    return abs(norms.slice_norm(f, unit, j_unit=j_unit)
+               - norms.slice_norm(f, unit, j_unit=rotated))
 
 
-def check_m_monotone(rng, count) -> CheckResult:
+@_check("check_m_monotone", "norms", "max-modulus-profile", "slack", None, 1)
+def _max_modulus_profile(rng, count):
     f = random_series(rng, 6)
-    coarse = [norms.sup_norm_ball(f, s).value for s in np.linspace(0.0, 0.95, 64)]
-    fine = [norms.sup_norm_ball(f, s).value for s in np.linspace(0.0, 0.95, 256)]
-    monotone = min(b - a for a, b in zip(coarse, coarse[1:]))
-    monotone = min(monotone, min(b - a for a, b in zip(fine, fine[1:])))
-    jump_coarse = max(b - a for a, b in zip(coarse, coarse[1:]))
-    jump_fine = max(b - a for a, b in zip(fine, fine[1:]))
-    ok = bool(monotone >= -1e-12 and jump_fine <= 0.5 * jump_coarse + 1e-9)
-    return CheckResult("max-modulus-profile", "norms", ok, float(jump_fine),
-                       float(jump_coarse), "slack",
-                       "nondecreasing, with jumps shrinking under refinement")
+    coarse, fine = (np.diff([norms.sup_norm_ball(f, s).value for s in np.linspace(0.0, 0.95, n)])
+                    for n in (64, 256))
+    ok = min(coarse.min(), fine.min()) >= -1e-12 and fine.max() <= 0.5 * coarse.max() + 1e-9
+    return ok, fine.max(), coarse.max(), "nondecreasing, with jumps shrinking under refinement"
 
 
 # -- bloch suite -----------------------------------------------------------------
 
-def check_oset_scaling(rng, count) -> CheckResult:
-    mismatches = 0
-    for _ in range(count):
-        rho = float(rng.uniform(0.05, 2.0))
-        q = random_quaternion(rng, rho)
-        if bloch.in_oset(q, rho) != bloch.in_oset(q / rho, 1.0):
-            mismatches += 1
-    return _deviation("oset-scaling", "bloch", mismatches, 0.0)
+@_check("check_oset_scaling", "bloch", "oset-scaling", "count", 0.0, 10000)
+def _oset_scaling(rng):
+    rho = float(rng.uniform(0.05, 2.0))
+    q = random_quaternion(rng, rho)
+    return bloch.in_oset(q, rho) != bloch.in_oset(q / rho, 1.0)
 
 
-def check_oset_membership_radius(rng, count) -> CheckResult:
-    violations = 0
-    members = 0
+@_check("check_oset_membership_radius", "bloch", "oset-membership-radius", "deviation", None,
+        10000)
+def _oset_membership_radius(rng, count):
+    violations = members = 0
     for _ in range(count):
         rho = float(rng.uniform(0.05, 1.5))
         q = random_quaternion(rng, rho)
         if bloch.in_oset(q, rho):
             members += 1
-            if q.modulus() >= rho:
-                violations += 1
-    return _deviation("oset-membership-radius", "bloch", violations, 0.0,
-                      f"{members} members observed")
+            violations += q.modulus() >= rho
+    return violations <= 0.0, violations, 0.0, f"{members} members observed"
 
 
-def check_inscribed_disc(rng, count) -> CheckResult:
-    worst = math.inf
-    for rho in (1.0 / (32.0 * math.sqrt(2.0)), 0.1, 0.25, 1.0):
-        worst = min(worst, bloch.inscribed_disc_margin(rho))
-    return _slack("inscribed-disc", "bloch", worst, 0.0,
-                  "boundary sweep of the disc of radius 37/256 rho^2")
+@_check("check_inscribed_disc", "bloch", "inscribed-disc", "slack", 0.0, 0,
+        "boundary sweep of the disc of radius 37/256 rho^2")
+def _inscribed_disc(rng):
+    return min(bloch.inscribed_disc_margin(rho)
+               for rho in (1.0 / (32.0 * math.sqrt(2.0)), 0.1, 0.25, 1.0))
 
 
-def check_fourth_root(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(1, 6)), monic_shift=True)
-        c = random_quaternion(rng)
-        if c.modulus() < 0.5:
-            c = c + Quaternion(1.0)
-        g = bloch.g_series(f, c)
-        psi = bloch.fourth_root_series(g)
-        fourth = star(star(star(psi, psi), psi), psi)
-        worst = max(worst, max((a - b).modulus() for a, b in zip(fourth.coeffs, g.coeffs)))
-    return _deviation("fourth-root-residual", "bloch", worst, 1e-11)
+@_check("check_fourth_root", "bloch", "fourth-root-residual", "deviation", 1e-11, 10)
+def _fourth_root(rng):
+    f = _random_degree_series(rng, 1, 6, monic_shift=True)
+    c = random_quaternion(rng)
+    if c.modulus() < 0.5:
+        c = c + Quaternion(1.0)
+    g = bloch.g_series(f, c)
+    psi = bloch.fourth_root_series(g)
+    fourth = star(star(star(psi, psi), psi), psi)
+    return max((a - b).modulus() for a, b in zip(fourth.coeffs, g.coeffs))
 
 
-def check_psi_derivative(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        f = random_series(rng, int(rng.integers(1, 6)), monic_shift=True)
-        c = random_quaternion(rng) + Quaternion(1.5)
-        psi = bloch.fourth_root_series(bloch.g_series(f, c))
-        expected = -0.5 * (f.coeffs[1] * c.inverse()).x0
-        worst = max(worst, abs(psi.coeffs[1].x0 - expected))
-    return _deviation("fourth-root-derivative", "bloch", worst, 1e-12)
+@_check("check_psi_derivative", "bloch", "fourth-root-derivative", "deviation", 1e-12, 10)
+def _psi_derivative(rng):
+    f = _random_degree_series(rng, 1, 6, monic_shift=True)
+    c = random_quaternion(rng) + Quaternion(1.5)
+    psi = bloch.fourth_root_series(bloch.g_series(f, c))
+    expected = -0.5 * (f.coeffs[1] * c.inverse()).x0
+    return abs(psi.coeffs[1].x0 - expected)
 
 
-def check_parseval(rng, count) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        coeffs = tuple(float(v) for v in rng.uniform(-1, 1, size=9))
-        psi = Series(coeffs, radius=1.0)
-        integral, coeff_sum = bloch.parseval_mean(psi, 0.9)
-        worst = max(worst, abs(integral - coeff_sum))
-    return _deviation("parseval-gap", "bloch", worst, 1e-8)
+@_check("check_parseval", "bloch", "parseval-gap", "deviation", 1e-8, 5)
+def _parseval(rng):
+    psi = Series(tuple(float(v) for v in rng.uniform(-1, 1, size=9)), radius=1.0)
+    integral, coeff_sum = bloch.parseval_mean(psi, 0.9)
+    return abs(integral - coeff_sum)
 
 
-def check_lemma_chain(rng, count) -> CheckResult:
+@_check("check_lemma_chain", "bloch", "lemma-chain", "slack", -1e-9, 0)
+def _lemma_chain(rng):
     """Excluded-value chain: the explicit bound dominates the circle mean,
     which dominates its first two coefficient terms."""
     f = Series((0, 1, 0.1))
@@ -575,108 +582,25 @@ def check_lemma_chain(rng, count) -> CheckResult:
             worst = min(worst, bound - integral, integral - first_terms + 1e-8,
                         bound - (1.0 + r * r * f.coeffs[1].modulus_sq()
                                  * c.x0 * c.x0 / (4.0 * c.modulus() ** 4)))
-    return _slack("lemma-chain", "bloch", worst, -1e-9)
+    return worst
 
 
-def check_search_invariants(rng, count) -> CheckResult:
+@_check("check_search_invariants", "bloch", "search-invariants", "deviation", None, 1)
+def _search_invariants(rng, count):
     worst = 0.0
     slack = math.inf
-    for name, f in (builtin_corpus()[0], builtin_corpus()[3]):
+    for _, f in (builtin_corpus()[0], builtin_corpus()[3]):
         report = bloch.bl_search(f, 0.99)
         worst = max(worst,
                     abs(report.w.modulus() + 2.0 * report.R_r - report.r),
                     abs(report.rotation.modulus() - 1.0) * 1e3,
                     abs(report.diagnostics["dphi0"] - report.r / (2.0 * report.R_r)))
         slack = min(slack, report.rho_r - report.diagnostics["rho_lower_bound"])
-    ok = worst <= 1e-9 and slack >= -1e-6
-    return CheckResult("search-invariants", "bloch", ok, worst, 1e-9, "deviation",
-                       f"coverage slack {slack:.6f}")
+    return worst <= 1e-9 and slack >= -1e-6, worst, 1e-9, f"coverage slack {slack:.6f}"
 
 
-def check_coverage_identity(rng, count) -> CheckResult:
+@_check("check_coverage_identity", "bloch", "coverage-identity", "deviation", None, 100)
+def _coverage_identity(rng, count):
     report = bloch.coverage_report(Series((0, 1)), 0.25, samples=count, seed=11)
-    return _deviation("coverage-identity", "bloch", len(report.misses), 0.0,
-                      f"{report.hits} hits, max residual {report.max_residual:.2e}")
-
-
-# -- runner ------------------------------------------------------------------------
-
-_CHECKS = [
-    ("series", check_star_associativity, 40),
-    ("series", check_star_unit, 20),
-    ("series", check_leibniz, 40),
-    ("series", check_conjugate_involution, 40),
-    ("series", check_symmetrization_real, 40),
-    ("series", check_pointwise_star, 40),
-    ("series", check_real_zero_persistence, 40),
-    ("series", check_symmetrization_slice_preserving, 40),
-    ("slices", check_split_roundtrip, 30),
-    ("slices", check_split_conjugate, 30),
-    ("slices", check_representation_formula, 50),
-    ("slices", check_sphere_pair_reconstruction, 10),
-    ("slices", check_translation_slice_agreement, 20),
-    ("slices", check_translation_offslice_witness, 1),
-    ("slices", check_translation_continuity, 1),
-    ("norms", check_sphere_extrema_oracle, 5),
-    ("norms", check_norm_homogeneity, 4),
-    ("norms", check_norm_triangle, 4),
-    ("norms", check_norm_definiteness, 4),
-    ("norms", check_norm_equivalence, 6),
-    ("norms", check_conjugate_sphere_extrema, 10),
-    ("norms", check_conjugate_ball_extrema, 3),
-    ("norms", check_norm_conjugate_invariance, 3),
-    ("norms", check_mean_value, 4),
-    ("norms", check_remark_bound, 4),
-    ("norms", check_j_independence, 10),
-    ("norms", check_m_monotone, 1),
-    ("bloch", check_oset_scaling, 10000),
-    ("bloch", check_oset_membership_radius, 10000),
-    ("bloch", check_inscribed_disc, 1),
-    ("bloch", check_fourth_root, 10),
-    ("bloch", check_psi_derivative, 10),
-    ("bloch", check_parseval, 5),
-    ("bloch", check_lemma_chain, 1),
-    ("bloch", check_search_invariants, 1),
-    ("bloch", check_coverage_identity, 100),
-]
-
-
-def run_checks(suites=None, seed: int = 0, scale: float = 1.0,
-               extra_series: Series | None = None) -> list[CheckResult]:
-    """Run the property suites; ``scale`` multiplies every sample count.
-
-    Each result carries the wall time of its check in ``seconds``.
-    """
-    if not scale > 0:
-        raise DomainError("the sample scale must be positive")
-    wanted = set(suites) if suites else set(SUITES)
-    unknown = wanted - set(SUITES)
-    if unknown:
-        raise ValueError(f"unknown suite(s): {sorted(unknown)}")
-    results = []
-    for suite, fn, count in _CHECKS:
-        if suite not in wanted:
-            continue
-        rng = np.random.default_rng([seed, zlib.crc32(fn.__name__.encode())])
-        results.append(_timed(fn, rng, max(1, int(count * scale))))
-    if extra_series is not None and "series" in wanted:
-        results.append(_timed(_user_series_checks, extra_series))
-    return results
-
-
-def _timed(check, *args) -> CheckResult:
-    start = time.perf_counter()
-    result = check(*args)
-    return replace(result, seconds=time.perf_counter() - start)
-
-
-def _user_series_checks(f: Series) -> CheckResult:
-    """Light structural pass over a user-supplied series file."""
-    worst = 0.0
-    worst = max(worst, coeff_deviation(regular_conjugate(regular_conjugate(f)), f))
-    sym = symmetrization(f)
-    worst = max(worst, max(a.imag.modulus() for a in sym.coeffs))
-    pair = slices.split(f, UNIT_I)
-    back = slices.ext_from_slice(pair.F, pair.G, pair.I, pair.J, exact=f.exact)
-    worst = max(worst, coeff_deviation(back, f))
-    return _deviation("user-series-structure", "series", worst, 1e-12)
+    return (not report.misses, len(report.misses), 0.0,
+            f"{report.hits} hits, max residual {report.max_residual:.2e}")

@@ -1,14 +1,18 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_quaternion, random_series
 from quatregular import (
+    CoverageReport,
     DomainError,
     NumericalSearchError,
     PreconditionError,
     Quaternion,
+    SearchReport,
     Series,
     attain,
     bl_search,
@@ -90,6 +94,21 @@ class TestOSet:
         with pytest.raises(DomainError):
             in_oset(Quaternion(1), 0.0)
 
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_scale_free(self, rng, k):
+        # the ranges of the verify checks, scaled by 2^k far past where |q|^3 is a float
+        for _ in range(2000):
+            rho = float(rng.uniform(0.05, 2.0))
+            q = random_quaternion(rng, rho)
+            scaled = Quaternion(*(math.ldexp(v, k) for v in q.components))
+            assert in_oset(scaled, math.ldexp(rho, k)) == in_oset(q, rho)
+
+    def test_extreme_scales(self):
+        # |q|^3 = 1e600 and 1e-600 are no floats, yet both points lie in the set
+        assert in_oset(Quaternion(1e200), 1e201)
+        assert in_oset(Quaternion(1e-200), 1e-199)
+        assert not in_oset(Quaternion(1e300), 1e-300)
+
 
 class TestCurve:
     def test_axis_point(self):
@@ -131,6 +150,11 @@ class TestInscribedDisc:
     def test_discs_fit(self, rho):
         assert inscribed_disc_check(rho)
         assert inscribed_disc_margin(rho) > 0.0
+
+    @pytest.mark.parametrize("rho", [1e-110, 1e-200])
+    def test_tiny_discs_fit(self, rho):
+        # the absolute margin, about rho^3 / 8, underflows to zero here
+        assert inscribed_disc_check(rho)
 
     def test_warns_above_one(self):
         with pytest.warns(UserWarning, match="rho <= 1"):
@@ -187,6 +211,13 @@ class TestGSeries:
         with pytest.raises(DomainError):
             g_series(Series((0, 1)), Quaternion())
 
+    def test_overflowing_coefficient(self):
+        # a_2 = c^-2 = 1e340: a DomainError, with no numpy overflow warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="coefficient 2 is not finite"):
+                g_series(Series((0, 1)), 1e-170)
+
     def test_tiny_excluded_value(self):
         # |c|^2 underflows to zero, but c is not zero: f c^{-1} = q
         g = g_series(Series((0, 1e-170)), 1e-170)
@@ -230,6 +261,13 @@ class TestFourthRoot:
             psi = fourth_root_series(g_series(f, c))
             expected = -0.5 * (f.coeffs[1] * c.inverse()).x0
             assert abs(psi.coeffs[1].x0 - expected) < 1e-12
+
+    def test_huge_coefficient(self):
+        # the square of 1e160 overflows; the real-coefficient test must not take it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            psi = fourth_root_series(Series((1, 1e160)))
+        assert psi.rows.tolist() == [[1.0, 0.0, 0.0, 0.0], [2.5e159, 0.0, 0.0, 0.0]]
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError, match="real"):
@@ -347,6 +385,19 @@ class TestCoverage:
         assert report.hits == 200
         assert not report.misses
 
+    def test_tiny_rho(self):
+        # every |q|^3 of the pinched set of radius 1e-120 underflows to zero
+        start = time.perf_counter()
+        report = coverage_report(Series((0, 1)), 1e-120, 3)
+        assert time.perf_counter() - start < 5.0
+        assert (report.samples, report.hits, report.misses) == (3, 3, [])
+
+    def test_to_dict(self):
+        report = CoverageReport(0.25, 2, 1, 1e-9, [Quaternion(0.1, 0.2, 0.0, -0.3)], 1.0, 3)
+        assert report.to_dict() == {"rho": 0.25, "samples": 2, "hits": 1, "max_residual": 1e-9,
+                                    "misses": [[0.1, 0.2, 0.0, -0.3]], "ball_radius": 1.0,
+                                    "seed": 3}
+
     def test_samples_in_shrunken_set(self, rng):
         f = Series((0, 1))
         report = coverage_report(f, 0.25, samples=50, seed=9)
@@ -354,6 +405,15 @@ class TestCoverage:
 
 
 class TestSearch:
+    def test_to_dict(self):
+        report = SearchReport(0.99, 0.4, Quaternion(0.1, 0.0, 0.2, 0.0), Quaternion(1.0),
+                              0.05, Quaternion(0.0, 0.0, 0.0, 0.5),
+                              {"dphi0": 1.0, "dphi_norm": {"value": 2.0}, "rho_bound_ok": True})
+        assert report.to_dict() == {
+            "r": 0.99, "R_r": 0.4, "w": [0.1, 0.0, 0.2, 0.0], "rotation": [1.0, 0.0, 0.0, 0.0],
+            "rho_r": 0.05, "f_w": [0.0, 0.0, 0.0, 0.5],
+            "diagnostics": {"dphi0": 1.0, "dphi_norm": {"value": 2.0}, "rho_bound_ok": True}}
+
     def test_profile_only_on_failure(self):
         # the 1024-radius profile stays out of a report and is carried by the error
         assert "mu_profile" not in bl_search(Series((0, 1)), 0.9).diagnostics

@@ -165,14 +165,13 @@ class TestExitCodes:
     def test_degree_cap(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         dump_series(Series(tuple([0.0] * 70 + [1.0]), radius=2.0), path)
-        assert main(["rho", str(path), "--degree", "60"]) == 2
+        assert main(["rho", str(path)]) == 2
 
     def test_verify_input_degree_cap(self, tmp_path, capsys):
-        path = tmp_path / "quadratic.json"
-        dump_series(Series((0, 1, 0.5)), path)
-        assert main(["verify", "--suite", "series", "--input", str(path),
-                     "--degree", "1"]) == 2
-        assert "exceeds the configured cap 1" in capsys.readouterr().err
+        path = tmp_path / "deep.json"
+        dump_series(Series(tuple([0.0] * 61 + [1.0]), radius=2.0), path)
+        assert main(["verify", "--suite", "series", "--input", str(path)]) == 2
+        assert "cap 60" in capsys.readouterr().err
 
     def test_negative_samples(self, identity_file, capsys):
         assert main(["coverage", identity_file, "--rho", "0.25", "--samples", "-3"]) == 2
@@ -194,7 +193,9 @@ class TestExitCodes:
                                       ["rho", "FILE", "--seed", "3"],
                                       ["search", "FILE", "--seed", "3"],
                                       ["norm", "FILE", "--seed", "3"],
-                                      ["verify", "--tol", "2"]])
+                                      ["verify", "--tol", "2"],
+                                      ["rho", "FILE", "--degree", "60"],
+                                      ["verify", "--degree", "60"]])
     def test_removed_flags_exit_two(self, identity_file, argv):
         with pytest.raises(SystemExit) as err:
             main([identity_file if arg == "FILE" else arg for arg in argv])

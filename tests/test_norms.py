@@ -43,7 +43,7 @@ from quatregular._arrays import (
     sphere_planes,
     square_forms,
 )
-from quatregular.norms import _sphere_max
+from quatregular.norms import NormReport, _sphere_max
 from quatregular.quaternions import I, J, _completion_rows, orthonormal_completion, sphere_sample
 from quatregular.slices import split_rows as _slice_rows
 from quatregular.verification import builtin_corpus
@@ -514,6 +514,11 @@ class TestSplitNorm:
         assert report.resolution["starts"] == 3
         assert report.resolution["steps"] >= 1
         assert report.to_dict() == split_norm(f).to_dict()
+
+    def test_to_dict(self):
+        report = NormReport(1.5, "grid+refine", {"theta": 512}, 4e-15)
+        assert report.to_dict() == {"value": 1.5, "method": "grid+refine",
+                                    "resolution": {"theta": 512}, "certified_tol": 4e-15}
 
     def test_tied_starts_report_the_first(self, monkeypatch):
         # f = q + j/2 peaks on the slice of j, and its starts end on the units -j, -j
