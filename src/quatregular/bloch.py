@@ -17,7 +17,8 @@ from .norms import _sphere_max, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
 from .quaternions import ALGEBRA_TOL, I as CANONICAL_I
 from .quaternions import Quaternion, UnitImaginary, _coerce, plain_data
-from .series import Series, _from_rows, _require_zero_at_origin, slice_derivative
+from .series import Series, _from_rows, _require_degree_cap, _require_zero_at_origin
+from .series import slice_derivative
 from .slices import regular_translation, sphere_pair
 
 _MU_GRID = 1024
@@ -167,6 +168,7 @@ def rho_lemma(f: Series) -> float:
     small, or when the derivative at the origin is not real; returns zero when
     that derivative vanishes, in which case there is nothing to certify.
     """
+    _require_degree_cap(f)
     _require_zero_at_origin(f)
     a1 = f.rows[1].tolist() if f.degree >= 1 else [0.0] * 4
     if any(a1[1:]):
@@ -369,7 +371,8 @@ def coverage_report(f: Series, rho: float, samples: int, seed: int = 0) -> Cover
             continue
         res = eval_rows(f.rows, np.array([root.components]))[0] - t
         hits += 1
-        max_residual = max(max_residual, float(np.linalg.norm(res)))
+        e = math.frexp(float(np.abs(res).max()))[1]  # no square of 2^-e res underflows
+        max_residual = max(max_residual, math.ldexp(float(np.linalg.norm(np.ldexp(res, -e))), e))
     return CoverageReport(rho, samples, hits, max_residual, misses, f.radius, seed)
 
 
@@ -479,9 +482,9 @@ def bl_search(f: Series, r: float) -> SearchReport:
     coverage radius of the result is reported together with its universal
     lower bound r / (32 sqrt(2)).
 
-    The resolution is fixed: each M comes from ``_sphere_max`` on at least
-    512 grid angles (4N + 1 above degree 127), and ``dphi_norm`` from
-    ``split_norm`` on its 2048-unit lattice. The root starts from the first
+    The resolution is fixed: each M comes from ``_sphere_max`` on its 512
+    grid angles, and ``dphi_norm`` from ``split_norm`` on its 2048-unit
+    lattice. The root starts from the first
     grid point of ``_MU_GRID`` = 1024 in [0, r] where mu(s) = s M(r - s)
     reaches r - ``_MU_TOL``. Since M does not decrease, that point is found
     from a coarse pass over every 32nd grid point and the points of just the
@@ -503,8 +506,10 @@ def bl_search(f: Series, r: float) -> SearchReport:
     Where |f'| has several maximisers on that sphere, one of them is used:
     ``locator_angle``, ``w``, ``f_w``, ``rotation`` and ``phi_coeffs`` come
     from it, and ``R_r`` does not depend on which one it is. A PreconditionError
-    is raised when any component of f(0) is nonzero, however small.
+    is raised when any component of f(0) is nonzero, however small, and a
+    DomainError when the degree of f exceeds ``DEGREE_CAP``.
     """
+    _require_degree_cap(f)
     _require_zero_at_origin(f)
     if f.degree < 1 or f.rows[1].tolist() != [1.0, 0.0, 0.0, 0.0]:
         raise PreconditionError("requires slice derivative 1 at the origin")
@@ -551,10 +556,8 @@ def bl_search(f: Series, r: float) -> SearchReport:
         y = sphere_radius * math.sin(locator_angle)
         constants = sphere_pair(derivative, x, y)
         direction = (constants.b * constants.c.conjugate()).imag
-        if direction.modulus() > 1e-14:
-            unit = UnitImaginary(*(direction / direction.modulus()).components)
-        else:
-            unit = CANONICAL_I
+        unit = (UnitImaginary.from_vector(*direction.components[1:])
+                if direction.modulus() > 1e-14 else CANONICAL_I)
         w = Quaternion(x, y * unit.x1, y * unit.x2, y * unit.x3)
 
     translated = regular_translation(f, w)

@@ -20,7 +20,7 @@ from .errors import (
     SeriesFormatError,
 )
 from .serialization import load_series
-from .slices import DEGREE_CAP
+from .series import _require_degree_cap
 
 _SCHEMA = "quatregular/1"
 
@@ -43,8 +43,7 @@ def _emit_json(payload: dict, output: str | None) -> None:
 
 def _load_input(args) -> "Series":
     f = load_series(args.input)
-    if f.degree > DEGREE_CAP:
-        raise DomainError(f"input degree {f.degree} exceeds the cap {DEGREE_CAP}")
+    _require_degree_cap(f)
     return f
 
 

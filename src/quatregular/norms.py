@@ -15,8 +15,9 @@ slice norm is the maximum of one smooth function of the unit and two circle
 angles, which a lattice scan starts and Newton steps finish; on each circle
 angle both squared components are quadratic forms in the unit, so the scan is
 a real matrix product per component, written block by block of lattice units
-into one buffer that stays in cache. The angle search reads its cos and sin
-tables from a cache, so repeated calls rebuild nothing. The minimum inside a
+into one buffer that stays in cache. Every norm takes degree ``DEGREE_CAP``
+at most, so one angle grid serves every search, and its cos and sin tables
+come from a cache, so repeated calls rebuild nothing. The minimum inside a
 ball comes from the roots of the symmetrization instead of a search. Every
 search is deterministic, local refinement from a grid, with a reported
 convergence gap; nothing here is Monte Carlo. Each runs on the coefficients
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,18 +49,18 @@ from ._arrays import (
 )
 from .errors import DomainError
 from .quaternions import Quaternion, UnitImaginary, _coerce, _sphere_rows, plain_data
-from .series import Series, _require_zero_at_origin, evaluate, slice_derivative
+from .series import Series, _require_degree_cap, _require_zero_at_origin, evaluate, slice_derivative
 from .slices import _frame, split_rows
 
-# the fixed resolution: grid angles of every angle search (raised to 4N + 1),
-# and lattice units of the split_norm scan
+# the fixed resolution: grid angles of every angle search (its local polish needs
+# 4N + 1 at degree N, 241 at DEGREE_CAP), and lattice units of the split_norm scan
 _THETA_GRID = 512
 _SPHERE_GRID = 2048
 
 # the angle search: local grid maxima polished per plane set, and grid rows per batch
 _PEAKS = 6
 _CHUNK_ROWS = 16384
-# degrees whose angle tables on the fixed grid stay cached
+# degrees whose angle tables stay cached
 _TABLES = 16
 # roots of f^s this close, with the ball radius folded into (1/2, 1], share a centroid
 _ROOT_CLUSTER = 1e-2
@@ -131,22 +132,10 @@ def sphere_extrema(b: Quaternion, c: Quaternion) -> tuple[float, float]:
     return float(low), float(high)
 
 
-def _angle_count(degree: int) -> int:
-    """Grid angles of the angle search at degree N: ``_THETA_GRID``, raised to 4N + 1.
-
-    The squared maximum is built from trigonometric polynomials of degree N,
-    and the polish is local, so every local maximum needs a grid angle of its
-    own near it; 4N + 1 angles put a grid step below pi / (4N). Above degree
-    127 they are more than 512.
-    """
-    return max(_THETA_GRID, 4 * degree + 1)
-
-
 @functools.lru_cache(maxsize=_TABLES)
-def _angle_table(points: int, n_plus_one: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _angle_table(n_plus_one: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only grid angles of ``_angle_max``, cos(d theta), sin(d theta) and (-1)^d, d = 0..N."""
-    theta = np.linspace(0.0, math.pi, points)
+    theta = np.linspace(0.0, math.pi, _THETA_GRID)
     turns = power_table(np.exp(1j * theta), n_plus_one)
     out = theta, turns.real.copy(), turns.imag.copy(), (-1.0) ** np.arange(n_plus_one)
     for array in out:
@@ -154,11 +143,10 @@ def _angle_table(points: int, n_plus_one: int
     return out
 
 
-def _angle_max(planes: np.ndarray, points: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _angle_max(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The angle in [0, pi] where g = A + |U| is largest, for each plane set (m, 4, N+1).
 
-    The planes are those of ``sphere_planes``. A grid of ``points`` angles is
+    The planes are those of ``sphere_planes``. A grid of ``_THETA_GRID`` angles is
     two products of ``_CHUNK_ROWS`` grid rows at a time, against the cached cos
     and sin tables of ``_angle_table``, with |U| rooted and A added in place.
     The ``_PEAKS`` best local grid maxima of every set (ties to the lower angle;
@@ -174,11 +162,8 @@ def _angle_max(planes: np.ndarray, points: int
     constant = planes[:, 0, 0]
     planes = planes.copy()
     planes[:, 0, 0] = 0.0
-    # the last _TABLES degrees on the fixed grid are kept; a larger grid (degree above
-    # 127) is built for its call, since degree 1000 takes 64 MB
-    table = _angle_table if points == _THETA_GRID else _angle_table.__wrapped__
-    theta, cos, sin, parity = table(points, planes.shape[2])
-    chunk = max(1, _CHUNK_ROWS // points)
+    theta, cos, sin, parity = _angle_table(planes.shape[2])
+    chunk = _CHUNK_ROWS // _THETA_GRID
     picks = []
     for first in range(0, len(planes), chunk):
         part = planes[first:first + chunk]
@@ -192,7 +177,7 @@ def _angle_max(planes: np.ndarray, points: int
         mirrored = np.concatenate([grid[:, 1:2], grid, grid[:, -2:-1]], axis=1)
         # the local maxima of each set, best first, ties to the lower angle
         row, col = np.divmod(np.flatnonzero((grid >= mirrored[:, :-2])
-                                            & (grid >= mirrored[:, 2:])), points)
+                                            & (grid >= mirrored[:, 2:])), _THETA_GRID)
         order = np.lexsort((-grid[row, col], row))
         row, col = row[order], col[order]
         keep = np.arange(row.size) - np.searchsorted(row, row) < _PEAKS
@@ -206,10 +191,10 @@ def _angle_max(planes: np.ndarray, points: int
     offset = 0.5 * (left - right) / bend
     # g(pi - theta) has the planes times (-1)^d, so an angle of the upper half is
     # polished as its distance from pi: both ends then sit at 0, where sin(d theta) = 0
-    upper = 2 * col > points - 1
-    near = np.where(upper, points - 1 - col, col)
+    upper = 2 * col > _THETA_GRID - 1
+    near = np.where(upper, _THETA_GRID - 1 - col, col)
     flips = np.where(upper[:, None], parity, 1.0)
-    step = math.pi / (points - 1)
+    step = math.pi / (_THETA_GRID - 1)
     polished, before, found = sphere_max_polish(
         planes[row] * flips[:, None, :], step * (near + np.where(upper, -offset, offset)),
         step * (near - 1.0), step * (near + 1.0), step)
@@ -231,14 +216,14 @@ def _sphere_max(coeffs: np.ndarray, radii: np.ndarray,
     against a ball, so rows that ``_scaled`` folded serve as well. The maximum
     over each sphere x + y S has a closed form, g = A + |U| in its square
     (``sphere_planes``), so only the angle along the half circle is searched,
-    by ``_angle_max`` on a grid of ``_angle_count`` angles.
+    by ``_angle_max`` on its grid of ``_THETA_GRID`` angles, at least 4N + 1
+    up to degree ``DEGREE_CAP``.
     ``value`` is the closed form on the sphere at ``angle``; ``gap`` is how
     much the last Newton step still moved it. With ``lowest`` the cosine
     plane is negated, so the search climbs -A + |U|, the negated square of
     the sphere minimum, and ``value`` is the minimum of |f| on the sphere of
     each radius.
     """
-    points = _angle_count(len(coeffs) - 1)
     rows, radii, e = _scaled(coeffs, radii)
     value = np.full(radii.shape, Quaternion(*rows[0]).modulus())
     gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
@@ -248,7 +233,7 @@ def _sphere_max(coeffs: np.ndarray, radii: np.ndarray,
     planes = sphere_planes(rows, radii[todo])
     if lowest:
         planes[:, 0] *= -1.0
-    angle[todo], row, before, polished = _angle_max(planes, points)
+    angle[todo], row, before, polished = _angle_max(planes)
     # the closed form at the winning angle: the value is attained on that sphere
     kernel, sign = (sphere_min_rows, -1.0) if lowest else (sphere_max_rows, 1.0)
     value[todo] = kernel(*sphere_constants(rows, radii[todo] * np.cos(angle[todo]),
@@ -258,6 +243,21 @@ def _sphere_max(coeffs: np.ndarray, radii: np.ndarray,
                     - np.sqrt(np.maximum(sign * before, 0.0)))
     np.maximum.at(gap, todo[row], moved)
     return _unscaled(value, e), _unscaled(gap, e), angle
+
+
+def _sphere_report(f: Series, s: float, lowest: bool = False, **resolution) -> NormReport:
+    """Maximum of |f| on the sphere of radius s (with ``lowest`` the minimum), as a NormReport.
+
+    ``_sphere_max`` on the rows ``_scaled`` folds, its gap floored (``_tol_floor``); the
+    grid angles follow the given ``resolution`` entries. At s = 0 or degree 0, |a_0|.
+    """
+    rows, t, e = _scaled(f.rows, s)
+    (value,), (gap,), _ = _sphere_max(rows, np.array([t]), lowest)
+    value = float(_unscaled(value, e))
+    if s == 0.0 or f.degree == 0:
+        return NormReport(value, "closed-form")
+    return NormReport(value, "grid+refine", {**resolution, "theta": _THETA_GRID},
+                      _tol_floor(value, float(_unscaled(gap, e)), e))
 
 
 # -- uniform norm on balls -----------------------------------------------------
@@ -272,15 +272,10 @@ def sup_norm_ball(f: Series, s: float) -> NormReport:
     raised the value, floored at rounding noise; ``resolution`` holds the
     number of grid angles used.
     """
+    _require_degree_cap(f)
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
-    rows, t, e = _scaled(f.rows, s)
-    (value,), (gap,), _ = _sphere_max(rows, np.array([t]))
-    value = float(_unscaled(value, e))
-    if s == 0.0 or f.degree == 0:
-        return NormReport(value, "closed-form")
-    return NormReport(value, "grid+refine", {"theta": _angle_count(f.degree)},
-                      _tol_floor(value, float(_unscaled(gap, e)), e))
+    return _sphere_report(f, s)
 
 
 def inf_norm_ball(f: Series, s: float) -> NormReport:
@@ -292,8 +287,8 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     symmetrization f^s = f * f^c, which has real coefficients, vanishes at
     x + iy (Gentili-Stoppato-Struppa, 2013). So the minimum is the smaller of
     the closed-form sphere minima at the roots of f^s in the ball and the
-    minimum over the boundary sphere, which ``_sphere_max`` finds by climbing
-    -A + |U| = -min^2. Both come from the rows ``_scaled`` folds, f^s as their
+    minimum over the boundary sphere (``_sphere_report``, whose search climbs
+    -A + |U| = -min^2). Both come from the rows ``_scaled`` folds, f^s as their
     ``star_rows`` product with their conjugate rows. A zero of f of
     multiplicity k is a 2k-fold root of f^s, which ``np.roots`` splits by
     about eps^(1/2k), so the centroid of each root with the roots near it (in
@@ -304,12 +299,13 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     ``resolution`` holds the number of boundary grid angles and of root
     candidates in the ball.
     """
+    _require_degree_cap(f)
     if not 0.0 <= s < f.radius:
         raise DomainError("outside ball of validity")
+    boundary = _sphere_report(f, s, lowest=True)
+    if boundary.method == "closed-form":
+        return boundary
     rows, t, e = _scaled(f.rows, s)
-    if s == 0.0 or f.degree == 0:
-        return NormReport(float(_unscaled(Quaternion(*rows[0]).modulus(), e)), "closed-form")
-    (value,), (gap,), _ = _sphere_max(rows, np.array([t]), lowest=True)
     # leading coefficients of f^s below 2^-500 of the largest move no root in the
     # folded ball beyond rounding, but their companion row would overflow
     sym = star_rows(rows, rows * _CONJUGATE)[:, 0]
@@ -318,13 +314,12 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     near = np.abs(roots[:, None] - roots) < _ROOT_CLUSTER
     roots = np.concatenate([roots, near @ roots / near.sum(axis=1)])
     roots = roots[np.abs(roots) <= t]
-    resolution = {"theta": _angle_count(f.degree), "roots": int(roots.size)}
+    resolution = {**boundary.resolution, "roots": int(roots.size)}
     low = sphere_min_rows(*sphere_constants(rows, roots.real, roots.imag)).min(initial=np.inf)
-    if low < value:
+    if low < math.ldexp(boundary.value, -e):  # compared folded: a losing low is never unfolded
         low = float(_unscaled(low, e))
         return NormReport(low, "root-sphere", resolution, _tol_floor(low, low, e))
-    value, gap = float(_unscaled(value, e)), float(_unscaled(gap, e))
-    return NormReport(value, "grid+refine", resolution, _tol_floor(value, gap, e))
+    return replace(boundary, resolution=resolution)
 
 
 # -- slice norm and its supremum over units ------------------------------------
@@ -373,6 +368,7 @@ def slice_norm(f: Series, unit: UnitImaginary,
     does not depend on which orthogonal completion ``j_unit`` is used;
     passing one explicitly exists for exactly that check.
     """
+    _require_degree_cap(f)
     rows, radius, e = _scaled(f.rows, f.radius)
     plane = np.zeros(rows.shape)
     maxima = []
@@ -387,8 +383,8 @@ def split_norm(f: Series) -> NormReport:
 
     Real-coefficient series short-circuit: every slice then carries the same
     restriction, and |f| is constant on each sphere, so the value is the
-    maximum of |f| on the boundary sphere (``_sphere_max``), with the gap of
-    its last Newton step in ``certified_tol``. Otherwise the squared norm is
+    maximum of |f| on the boundary sphere (``_sphere_report``), with the gap
+    of its last Newton step in ``certified_tol``. Otherwise the squared norm is
     the maximum of H = |F_I(z_1)|^2 + |G_I(z_2)|^2 over the unit I and the
     angles of z_1, z_2 on the boundary circle; at each angle both squares are
     quadratic forms in I (``slice_square_forms``). The ``_SPHERE_GRID`` units
@@ -406,14 +402,10 @@ def split_norm(f: Series) -> NormReport:
     the lattice size, the scan's grid angles, the number of starts and the
     Newton steps of the winning start.
     """
+    _require_degree_cap(f)
     rows, radius, e = _scaled(f.rows, f.radius)
-    if f.degree == 0:
-        return NormReport(float(_unscaled(Quaternion(*rows[0]).modulus(), e)), "closed-form")
-    if np.all(rows[:, 1:] == 0.0):
-        (value,), (gap,), _ = _sphere_max(f.rows, np.array([f.radius]))
-        value = float(value)
-        return NormReport(value, "grid+refine", {"sphere": 1, "theta": _angle_count(f.degree)},
-                          _tol_floor(value, float(gap), e))
+    if f.degree == 0 or np.all(rows[:, 1:] == 0.0):
+        return _sphere_report(f, f.radius, sphere=1)
     scan_table = circle_table(radius, f.degree + 1, _THETA_GRID // 2)
     lattice, _ = _lattice()
     tops, cols = _lattice_scan(rows, scan_table)
@@ -448,6 +440,7 @@ def mean_value_margin(f: Series, q) -> float:
     when any component of a_0 is nonzero, however small.
     """
     q = _coerce(q)
+    _require_degree_cap(f)
     _require_zero_at_origin(f)
     norm_q = q.modulus()
     if norm_q == 0.0 or not norm_q < f.radius:

@@ -21,6 +21,9 @@ from ._arrays import _CONJUGATE, star_rows
 from .errors import DomainError, PreconditionError, ZeroFactorSignal
 from .quaternions import Quaternion, _coerce
 
+# the largest degree of the norms, the coverage radius, the search and recentring
+DEGREE_CAP = 60
+
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class Series:
@@ -94,6 +97,12 @@ def _require_zero_at_origin(f: Series) -> None:
     """Raise PreconditionError unless every component of f(0) = a_0 is zero (-0.0 counts)."""
     if f.rows[0].any():
         raise PreconditionError("requires f(0) = 0")
+
+
+def _require_degree_cap(f: Series) -> None:
+    """Raise DomainError when the degree of f exceeds ``DEGREE_CAP``."""
+    if f.degree > DEGREE_CAP:
+        raise DomainError(f"degree {f.degree} exceeds the cap {DEGREE_CAP}")
 
 
 def evaluate(f: Series, q) -> Quaternion:

@@ -11,10 +11,8 @@ from ._arrays import eval_rows, qmul_rows, sphere_constants
 from .errors import DomainError
 from .quaternions import ALGEBRA_TOL, Quaternion, UnitImaginary, _coerce
 from .quaternions import _completion_rows, _sphere_rows
-from .series import Series, _from_rows, evaluate, regular_conjugate
+from .series import DEGREE_CAP, Series, _from_rows, _require_degree_cap, evaluate, regular_conjugate
 
-# the largest degree regular_translation recentres, and the CLI accepts
-DEGREE_CAP = 60
 # C(n, m) at row m, column n up to the cap: exact through degree 56, then rounded
 _BINOMIALS = np.array([[math.comb(n, m) for n in range(DEGREE_CAP + 1)]
                        for m in range(DEGREE_CAP + 1)], dtype=float)
@@ -197,18 +195,15 @@ def regular_translation(f: Series, w) -> Series:
     norm_w = w.modulus()
     if not norm_w < f.radius:
         raise DomainError("outside ball of validity")
-    n_deg = f.degree
-    if n_deg > DEGREE_CAP:
-        raise DomainError(
-            f"degree {n_deg} exceeds the recentring cap {DEGREE_CAP}")
+    _require_degree_cap(f)
     powers = [np.array([1.0, 0.0, 0.0, 0.0]), np.array(w.components)]
-    for _ in range(n_deg - 1):
+    for _ in range(f.degree - 1):
         powers.append(qmul_rows(powers[-1], powers[1]))
     # row k, column n: w^k a_n
-    table = qmul_rows(np.array(powers[:n_deg + 1])[:, None], f.rows[None])
-    coeffs = np.zeros((n_deg + 1, 4))
+    table = qmul_rows(np.array(powers[:f.degree + 1])[:, None], f.rows[None])
+    coeffs = np.zeros((f.degree + 1, 4))
     # column n adds C(n, m) w^(n-m) a_n to every b_m with m <= n, in order of n
-    for n in range(n_deg + 1):
+    for n in range(f.degree + 1):
         coeffs[:n + 1] += _BINOMIALS[:n + 1, n, None] * table[n::-1, n]
     return _from_rows(coeffs, f.radius - norm_w, f.exact)
 

@@ -30,6 +30,8 @@ from quatregular import (
     split_norm,
     star,
 )
+from quatregular import bloch
+from quatregular._arrays import eval_rows
 from quatregular.bloch import _ball_lattice
 from quatregular.quaternions import I, J
 
@@ -282,6 +284,10 @@ class TestParseval:
         assert abs(integral - 1.0) < 1e-14
         assert coeff_sum == 1.0
 
+    def test_outside_ball(self):
+        with pytest.raises(DomainError, match="outside ball"):
+            parseval_mean(Series((1, 1), radius=0.5), 0.5)
+
     def test_one_plus_q(self):
         # direct integral of |1 + 0.5 e^{i t}|^2 over the circle is 1 + 0.25
         integral, coeff_sum = parseval_mean(Series((1, 1)), 0.5)
@@ -398,6 +404,31 @@ class TestCoverage:
                                     "misses": [[0.1, 0.2, 0.0, -0.3]], "ball_radius": 1.0,
                                     "seed": 3}
 
+    def test_misses_are_reported(self):
+        # the pinched set of radius 1.5 reaches past the unit ball that f = q maps onto
+        report = coverage_report(Series((0, 1)), 1.5, samples=20, seed=0)
+        assert (report.hits, len(report.misses)) == (12, 8)
+        assert all(miss.modulus() >= 1.0 for miss in report.misses)
+
+    def test_residual_whose_squares_underflow(self, monkeypatch):
+        # rho = 1.25e-201 for f = q + 1e200 q^2: every residual is near 1e-201, so
+        # its squares are below the smallest float
+        f = Series((0, 1, 1e200))
+        found = []
+
+        def recorded(f, target, ball_radius, seed=0):
+            found.append((target, attain(f, target, ball_radius, seed)))
+            return found[-1][1]
+
+        monkeypatch.setattr(bloch, "attain", recorded)
+        report = coverage_report(f, rho_lemma(f), 5)
+        assert report.hits == 5
+        rows = [eval_rows(f.rows, np.array([root.components]))[0] - target.components
+                for target, root in found]
+        largest = max(math.hypot(*row) for row in rows)
+        assert report.max_residual > 0.0
+        assert abs(report.max_residual - largest) <= 1e-15 * largest
+
     def test_samples_in_shrunken_set(self, rng):
         f = Series((0, 1))
         report = coverage_report(f, 0.25, samples=50, seed=9)
@@ -488,6 +519,10 @@ class TestSearch:
         cov = coverage_report(phi, report.rho_r, samples=100, seed=17)
         assert cov.hits == 100
         assert not cov.misses
+
+    def test_working_radius_outside_the_ball(self):
+        with pytest.raises(DomainError, match="inside the ball of validity"):
+            bl_search(Series((0, 1), radius=0.5), 0.6)
 
     def test_normalization_guards(self):
         with pytest.raises(PreconditionError):

@@ -15,16 +15,24 @@ from quatregular import (
     Quaternion,
     Series,
     UnitImaginary,
+    attain,
     bl_search,
+    coverage_report,
+    fourth_root_series,
+    g_series,
     inf_norm_ball,
     mean_value_margin,
+    parseval_mean,
     regular_conjugate,
+    regular_translation,
+    rho_lemma,
     slice_derivative,
     slice_norm,
     sphere_extrema,
     split_norm,
     star,
     sup_norm_ball,
+    symmetrization,
 )
 from quatregular import _arrays, bloch, norms
 from quatregular._arrays import (
@@ -45,6 +53,7 @@ from quatregular._arrays import (
 )
 from quatregular.norms import NormReport, _sphere_max
 from quatregular.quaternions import I, J, _completion_rows, orthonormal_completion, sphere_sample
+from quatregular.series import DEGREE_CAP
 from quatregular.slices import split_rows as _slice_rows
 from quatregular.verification import builtin_corpus
 
@@ -173,7 +182,7 @@ def circle_maxima(rows, radius):
     planes = np.zeros((len(rows), 4, n.size))
     planes[:, 0] = np.where(n > 0, 2.0, 1.0) * q.real
     planes[:, 1] = 2.0 * q.imag
-    turns = np.exp(1j * np.multiply.outer(norms._angle_max(planes, 512)[0], n))
+    turns = np.exp(1j * np.multiply.outer(norms._angle_max(planes)[0], n))
     return np.maximum(np.abs(np.sum(c * turns, axis=1)), np.abs(np.sum(c * turns.conj(), axis=1)))
 
 
@@ -278,8 +287,10 @@ class TestSupNormBall:
         # maxima at the ends 0 and pi, where Im(b conj(c)) = 0 (real coefficients,
         # cubic-half), real quadratics whose maximum sits within the first grid
         # step off an end that is a minimum, a maximum that is flat along the
-        # sphere (quadratic-j), at 512 grid angles and at the 4N + 1 floor that
-        # sets the grid above degree 127: never below a 200000-angle scan
+        # sphere (quadratic-j), and at degree DEGREE_CAP, where the 512 grid angles
+        # are fewest per oscillation (4N + 1 = 241 would do), series f(q / t) whose
+        # terms are all of one size on the sphere of radius t: never below a
+        # 200000-angle scan
         rng = np.random.default_rng(1414)
         corpus = dict(builtin_corpus())
         cases = [corpus["cubic-half"], slice_derivative(corpus["cubic-half"]),
@@ -288,6 +299,11 @@ class TestSupNormBall:
         for degree in range(1, 9):
             f = random_series(rng, degree, scale=1.0)
             cases += [f, Series(tuple(Quaternion(a.x0) for a in f.coeffs))]
+        for t in (0.3, 0.6, 0.9):
+            rows = random_series(rng, DEGREE_CAP, scale=1.0).rows
+            rows = rows * t ** -np.arange(DEGREE_CAP + 1.0)[:, None]
+            cases += [Series(tuple(Quaternion(*row) for row in rows.tolist())),
+                      Series(tuple(rows[:, 0].tolist()))]
         angles = np.linspace(0.0, math.pi, 200000)
         for f in cases:
             coeffs = f.rows
@@ -296,11 +312,6 @@ class TestSupNormBall:
                     coeffs, s * np.cos(part), s * np.sin(part))).max())
                     for part in np.array_split(angles, 10))
                 assert sup_norm_ball(f, s).value >= dense - 1e-13 * dense
-                angle = norms._angle_max(sphere_planes(coeffs, np.array([s])),
-                                         4 * f.degree + 1)[0]
-                floor = sphere_max_rows(*sphere_constants(coeffs, s * np.cos(angle),
-                                                          s * np.sin(angle)))
-                assert floor[0] >= dense - 1e-13 * dense
 
     def test_maximiser_on_tiny_spheres(self):
         # for f = a0 + q a1, |f|^2 on the sphere of radius t at angle theta is
@@ -315,7 +326,7 @@ class TestSupNormBall:
             a0, a1 = rng.standard_normal((2, 4))
             c = Quaternion(*a0) * Quaternion(*a1).conjugate()
             expected = math.atan2(c.imag.modulus(), c.x0)
-            angles = norms._angle_max(sphere_planes(np.array([a0, a1]), radii), 512)[0]
+            angles = norms._angle_max(sphere_planes(np.array([a0, a1]), radii))[0]
             worst = max(worst, float(np.abs(angles - expected).max()))
         assert worst <= 1e-12
 
@@ -421,11 +432,11 @@ class TestSplitNorm:
                 assert (report.value, report.certified_tol) == (
                     reference.value, reference.certified_tol)
 
-    def test_reported_angles_above_degree_127(self, rng):
-        # the circle grid rises from 512 angles to 4N + 1 = 521 at degree 130
-        f = Series(tuple(float(v) for v in rng.uniform(-1, 1, size=131)))
-        assert split_norm(f).resolution["theta"] == 521
-        assert sup_norm_ball(f, 0.5).resolution["theta"] == 521
+    def test_reported_angles_at_the_cap(self, rng):
+        # one grid of 512 angles serves every degree up to DEGREE_CAP
+        f = Series(tuple(float(v) for v in rng.uniform(-1, 1, size=DEGREE_CAP + 1)))
+        assert split_norm(f).resolution["theta"] == 512
+        assert sup_norm_ball(f, 0.5).resolution["theta"] == 512
 
     def test_quadratic_j_analytic(self):
         # sup over slices of (1 + |alpha2|)^2 + |beta2|^2 for a2 = j is 4
@@ -874,6 +885,14 @@ class TestInfNormBall:
         report = inf_norm_ball(Series((2, 1)), 0.5)
         assert abs(report.value - 1.5) < 1e-9
 
+    def test_closed_form_at_the_centre_and_on_a_constant(self):
+        assert inf_norm_ball(Series((2, 1)), 0.0) == NormReport(2.0, "closed-form")
+        assert inf_norm_ball(Series((J,)), 0.5) == NormReport(1.0, "closed-form")
+
+    def test_outside_ball(self):
+        with pytest.raises(DomainError, match="outside ball"):
+            inf_norm_ball(Series((2, 1)), 1.0)
+
     def test_conjugate_invariance(self, rng):
         for _ in range(5):
             f = random_series(rng, int(rng.integers(1, 6)))
@@ -977,15 +996,13 @@ class TestMeanValue:
 
 class TestSphereMaxSearch:
     def test_batches_match_single_radius_calls_to_the_bit(self):
-        # 70 radii take more than one _CHUNK_ROWS chunk of grid rows; degree 130
-        # has 521 grid angles
+        # 70 radii take three _CHUNK_ROWS chunks of grid rows
         rng = np.random.default_rng(2725)
         cases = [random_series(rng, degree, scale)
                  for scale in (0.2, 1.0, 3.0) for degree in range(1, 13)]
-        cases.append(random_series(rng, 130, 1.0))
         for f in cases:
             radii = np.sort(rng.uniform(0.0, 0.95, 70))
-            assert len(radii) > norms._CHUNK_ROWS // norms._angle_count(f.degree)
+            assert len(radii) > 2 * (norms._CHUNK_ROWS // norms._THETA_GRID)
             for lowest in (False, True):
                 batch = np.array(_sphere_max(f.rows, radii, lowest))
                 single = np.array([_sphere_max(f.rows, radii[k:k + 1], lowest)
@@ -994,7 +1011,7 @@ class TestSphereMaxSearch:
 
     def test_angle_tables_are_cached_read_only_and_bounded(self):
         norms._angle_table.cache_clear()
-        theta, cos, sin, parity = norms._angle_table(512, 7)
+        theta, cos, sin, parity = norms._angle_table(7)
         for array in (theta, cos, sin, parity):
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -1005,9 +1022,10 @@ class TestSphereMaxSearch:
         for degree in range(1, 40):
             sup_norm_ball(random_series(rng, degree, 1.0), 0.9)
             assert norms._angle_table.cache_info().currsize <= norms._TABLES
-        # a table past the fixed grid (degree above 127) is built for its call, not kept
+        # degree 61 is past the cap: no table is built for it
         info = norms._angle_table.cache_info()
-        sup_norm_ball(random_series(rng, 140, 1.0), 0.9)
+        with pytest.raises(DomainError, match="cap 60"):
+            sup_norm_ball(random_series(rng, 61, 1.0), 0.9)
         assert norms._angle_table.cache_info() == info
         assert info.currsize == norms._TABLES
 
@@ -1163,3 +1181,50 @@ class TestSphereMaxSearch:
             report = bl_search(Series((0, 1)), r)
             assert report.diagnostics["locator_angle"] == 0.0
             assert report.w == Quaternion()
+
+
+# every analytic entry point, called on a series with f(0) = 0 and f'(0) = 1
+CAPPED = {
+    "sup_norm_ball": lambda f: sup_norm_ball(f, 0.5),
+    "inf_norm_ball": lambda f: inf_norm_ball(f, 0.5),
+    "slice_norm": lambda f: slice_norm(f, I),
+    "split_norm": split_norm,
+    "rho_lemma": rho_lemma,
+    "mean_value_margin": lambda f: mean_value_margin(f, Quaternion(0.3)),
+    "bl_search": lambda f: bl_search(f, 0.6),
+    "regular_translation": lambda f: regular_translation(f, Quaternion(0.1)),
+}
+
+
+def capped_series(degree):
+    """q + q^degree (0.01 i + 0.01 j): f(0) = 0, f'(0) = 1, and nonreal."""
+    return Series((0, 1) + (0,) * (degree - 2) + (Quaternion(0, 0.01, 0.01, 0),))
+
+
+class TestDegreeCap:
+    @pytest.mark.parametrize("entry", CAPPED)
+    def test_degree_above_the_cap_is_rejected_before_any_search(self, entry, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a search ran")
+
+        for module, name in ((norms, "_sphere_max"), (bloch, "_sphere_max"),
+                             (norms, "_lattice_scan")):
+            monkeypatch.setattr(module, name, no_search)
+        with pytest.raises(DomainError, match="degree 61 exceeds the cap 60"):
+            CAPPED[entry](capped_series(DEGREE_CAP + 1))
+
+    @pytest.mark.parametrize("entry", CAPPED)
+    def test_degree_at_the_cap_is_accepted(self, entry):
+        CAPPED[entry](capped_series(DEGREE_CAP))
+
+    def test_the_algebra_and_the_linear_time_checks_stay_uncapped(self):
+        f = capped_series(DEGREE_CAP + 1)
+        assert star(f, f).degree == symmetrization(f).degree == 2 * DEGREE_CAP + 2
+        assert g_series(f, 2.0).degree == fourth_root_series(g_series(f, 2.0)).degree
+        assert attain(f, Quaternion(0.05), 1.0) is not None
+        assert coverage_report(f, 0.01, samples=2).hits == 2
+        integral, coeff_sum = parseval_mean(f, 0.5)
+        assert abs(integral - coeff_sum) <= 1e-12 * coeff_sum
+
+    def test_the_grid_has_4n_plus_1_angles_at_the_cap(self):
+        assert 4 * DEGREE_CAP + 1 <= norms._THETA_GRID

@@ -14,7 +14,10 @@ gradient and Hessian of the split_norm ascent at its three starts
 (_slice_terms, given the series table and the charts) and the whole ascent
 from them (slice_norm_ascent), the whole split_norm on the same series and on
 the real-coefficient series of its real parts (the boundary sphere maximum),
-the sphere constants and series evaluation. One row times the series algebra
+the sphere constants and series evaluation. Three rows time sup_norm_ball,
+inf_norm_ball (both at RADIUS) and split_norm (on the ball of radius RADIUS)
+on a series of degree DEGREE_CAP with |a_n| about 1/(n+1)^2, the largest
+degree that every norm takes. One row times the series algebra
 that builds a new series from coefficient rows: star, slice_derivative,
 regular_translation and with_radius, one call each, on a degree-2 series.
 One row times attain, the multistart Newton preimage search, on the builtin
@@ -49,9 +52,10 @@ from quatregular._arrays import (
     sphere_constants,
 )
 from quatregular.bloch import attain, bl_search
-from quatregular.norms import _lattice_scan, _sphere_max, slice_norm, split_norm
+from quatregular.norms import _lattice_scan, _sphere_max, inf_norm_ball, slice_norm, split_norm
+from quatregular.norms import sup_norm_ball
 from quatregular.quaternions import I, Quaternion
-from quatregular.series import Series, slice_derivative, star
+from quatregular.series import DEGREE_CAP, Series, _from_rows, slice_derivative, star
 from quatregular.slices import regular_translation
 from quatregular.verification import builtin_corpus, random_series
 
@@ -84,6 +88,8 @@ def main() -> dict:
     points = rng.standard_normal((64, 4)) * 0.2
     small = random_series(rng, 2)
     shift = Quaternion(*(rng.standard_normal(4) * 0.1))
+    capped = _from_rows(rng.uniform(-1.0, 1.0, (DEGREE_CAP + 1, 4))
+                        / np.arange(1.0, DEGREE_CAP + 2.0)[:, None] ** 2, 1.0, True)
 
     timings = {}
     for count in SPHERE_RADII:
@@ -107,6 +113,10 @@ def main() -> dict:
         lambda: slice_norm_ascent(*starts[0]))
     timings["split_norm"] = best_ms(lambda: split_norm(at_radius))
     timings[f"split_norm[real, degree {DEGREE}]"] = best_ms(lambda: split_norm(real))
+    for name, norm in (("sup_norm_ball", lambda: sup_norm_ball(capped, RADIUS)),
+                       ("inf_norm_ball", lambda: inf_norm_ball(capped, RADIUS)),
+                       ("split_norm", lambda: split_norm(capped.with_radius(RADIUS)))):
+        timings[f"{name}[degree {DEGREE_CAP}]"] = best_ms(norm)
     timings["sphere_constants[1024 spheres]"] = best_ms(
         lambda: sphere_constants(derivative.rows, RADIUS * np.cos(angles),
                                  RADIUS * np.sin(angles)))
