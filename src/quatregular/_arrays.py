@@ -323,8 +323,18 @@ def slice_norm_ascent(coeffs: np.ndarray, radius: float, units: np.ndarray, angl
     return h, before, chart[:, 1:4], angles, steps
 
 
-def _sphere_squares(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|b|^2, |c|^2 and the squared maximum of |b + I c| over the unit sphere, per row."""
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row (..., k) from the squares of the row times 2^-e, e the frexp
+    exponent of its largest component: none overflows or underflows; past the floats it is inf."""
+    e = np.frexp(np.abs(rows).max(axis=-1))[1]
+    folded = np.ldexp(rows, -e[..., None])
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(np.add.reduce(folded * folded, axis=-1)), e)
+
+
+def _sphere_squares(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """|b|^2, |c|^2, the squared maximum of |b + I c| over the unit sphere, and the
+    three components of Im(b conj(c)), the unit along which it is attained, per row."""
     b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     c0, c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
     bb = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3
@@ -332,7 +342,7 @@ def _sphere_squares(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarra
     v1 = -b0 * c1 + b1 * c0 - b2 * c3 + b3 * c2
     v2 = -b0 * c2 + b1 * c3 + b2 * c0 - b3 * c1
     v3 = -b0 * c3 - b1 * c2 + b2 * c1 + b3 * c0
-    return bb, cc, (bb + cc) + 2.0 * np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    return bb, cc, (bb + cc) + 2.0 * np.sqrt(v1 * v1 + v2 * v2 + v3 * v3), v1, v2, v3
 
 
 def sphere_max_rows(b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -342,7 +352,7 @@ def sphere_max_rows(b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def sphere_min_rows(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The minimum of ``sphere_extrema_rows``, per row."""
-    bb, cc, top = _sphere_squares(b, c)
+    bb, cc, top, *_ = _sphere_squares(b, c)
     dot = np.einsum("...i,...i->...", b, c)
     product = np.hypot(bb - cc, 2.0 * dot)
     # the maximum is zero only where b = c = 0, and then so is the minimum

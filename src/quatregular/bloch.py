@@ -11,15 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import _CONJUGATE, eval_rows, qmul_rows, sphere_constants, star_rows
+from ._arrays import _CONJUGATE, _sphere_squares, eval_rows, qmul_rows, row_norms
+from ._arrays import sphere_constants, star_rows
 from .errors import DomainError, NumericalSearchError, PreconditionError
 from .norms import _sphere_max, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
 from .quaternions import ALGEBRA_TOL, I as CANONICAL_I
-from .quaternions import Quaternion, UnitImaginary, _coerce, plain_data
-from .series import Series, _from_rows, _require_degree_cap, _require_zero_at_origin
-from .series import slice_derivative
-from .slices import regular_translation, sphere_pair
+from .quaternions import Quaternion, UnitImaginary, _coerce, _slice_point, plain_data
+from .series import Series, _from_rows, _require_degree_cap, _require_inside
+from .series import _require_zero_at_origin, slice_derivative
+from .slices import regular_translation
 
 _MU_GRID = 1024
 # the mu root: mu(s) counts as reaching r from r - _MU_TOL, and the root bracket
@@ -181,16 +182,10 @@ def rho_lemma(f: Series) -> float:
 
 
 def _nonreal_rows(rows: np.ndarray) -> np.ndarray:
-    """Indices of the rows whose imaginary part has a norm above 1e-12 of the
-    largest row norm (at least 1).
-
-    Rows with a component of modulus 1 or more are first folded by 2^-e, e the
-    frexp exponent of the largest: the fold is exact, and no square overflows.
-    """
-    e = max(0, math.frexp(float(np.abs(rows).max()))[1])
-    rows = np.ldexp(rows, -e)
-    scale = max(math.ldexp(1.0, -e), float(np.sqrt(np.sum(rows * rows, axis=1)).max()))
-    return np.flatnonzero(np.sqrt(np.sum(rows[:, 1:] ** 2, axis=1)) > 1e-12 * scale)
+    """Indices of the rows whose imaginary part has a norm above 1e-12 of the largest row
+    norm (at least 1), both ``row_norms``; 1e-12 scales the rows, so the bound stays finite."""
+    threshold = max(1e-12, float(row_norms(1e-12 * rows).max()))
+    return np.flatnonzero(row_norms(rows[:, 1:]) > threshold)
 
 
 def g_series(f: Series, c) -> Series:
@@ -209,9 +204,7 @@ def g_series(f: Series, c) -> Series:
         base = np.concatenate([[(1.0, 0.0, 0.0, 0.0)],
                                -qmul_rows(f.rows[1:], np.array(c.inverse().components))])
         sym = star_rows(base, base * _CONJUGATE)
-    infinite = np.flatnonzero(~np.isfinite(sym).all(axis=1))
-    if infinite.size:
-        raise DomainError(f"coefficient {infinite[0]} is not finite")
+    sym = _from_rows(sym, f.radius, f.exact).rows  # a Series checks every coefficient is finite
     nonreal = _nonreal_rows(sym)
     if nonreal.size:
         raise NumericalSearchError(
@@ -252,8 +245,7 @@ def parseval_mean(psi: Series, r: float,
     arbitrary quaternion coefficients because the circle average kills every
     cross term regardless of the constant factors on either side.
     """
-    if not 0.0 <= r < psi.radius:
-        raise DomainError("outside ball of validity")
+    _require_inside(r, psi.radius)
     thetas = 2.0 * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
     z = r * np.exp(1j * thetas)
     # psi(x + y I) = b + I c with the sphere constants of x + iy
@@ -369,10 +361,9 @@ def coverage_report(f: Series, rho: float, samples: int, seed: int = 0) -> Cover
         if root is None:
             misses.append(point)
             continue
-        res = eval_rows(f.rows, np.array([root.components]))[0] - t
         hits += 1
-        e = math.frexp(float(np.abs(res).max()))[1]  # no square of 2^-e res underflows
-        max_residual = max(max_residual, math.ldexp(float(np.linalg.norm(np.ldexp(res, -e))), e))
+        residual = row_norms(eval_rows(f.rows, np.array([root.components])) - t)
+        max_residual = max(max_residual, float(residual[0]))
     return CoverageReport(rho, samples, hits, max_residual, misses, f.radius, seed)
 
 
@@ -554,11 +545,12 @@ def bl_search(f: Series, r: float) -> SearchReport:
         locator_angle = hi_angle
         x = sphere_radius * math.cos(locator_angle)
         y = sphere_radius * math.sin(locator_angle)
-        constants = sphere_pair(derivative, x, y)
-        direction = (constants.b * constants.c.conjugate()).imag
-        unit = (UnitImaginary.from_vector(*direction.components[1:])
-                if direction.modulus() > 1e-14 else CANONICAL_I)
-        w = Quaternion(x, y * unit.x1, y * unit.x2, y * unit.x3)
+        # |f'| peaks on that sphere at the unit along Im(b conj(c)), (b, c) its constants
+        axis = np.concatenate(_sphere_squares(*sphere_constants(
+            derivative.rows, np.array([x]), np.array([y])))[3:]).tolist()
+        unit = (UnitImaginary.from_vector(*axis)
+                if Quaternion(0.0, *axis).modulus() > 1e-14 else CANONICAL_I)
+        w = _slice_point(x, y, unit)
 
     translated = regular_translation(f, w)
     f_at_w, deriv_at_w = (Quaternion(*row) for row in translated.rows[:2].tolist())

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import bloch, norms, verification
@@ -19,7 +18,7 @@ from .errors import (
     PreconditionError,
     SeriesFormatError,
 )
-from .serialization import load_series
+from .serialization import _json_text, load_series
 from .series import _require_degree_cap
 
 _SCHEMA = "quatregular/1"
@@ -35,10 +34,10 @@ def _emit_text(text: str, output: str | None) -> None:
 
 def _emit_json(payload: dict, output: str | None) -> None:
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = _json_text(payload)
     except ValueError as exc:
         raise NumericalSearchError(f"report holds a non-finite number: {exc}") from exc
-    _emit_text(text + "\n", output)
+    _emit_text(text, output)
 
 
 def _load_input(args) -> "Series":

@@ -49,7 +49,8 @@ from ._arrays import (
 )
 from .errors import DomainError
 from .quaternions import Quaternion, UnitImaginary, _coerce, _sphere_rows, plain_data
-from .series import Series, _require_degree_cap, _require_zero_at_origin, evaluate, slice_derivative
+from .series import Series, _require_degree_cap, _require_inside, _require_zero_at_origin, evaluate
+from .series import slice_derivative
 from .slices import _frame, split_rows
 
 # the fixed resolution: grid angles of every angle search (its local polish needs
@@ -273,8 +274,7 @@ def sup_norm_ball(f: Series, s: float) -> NormReport:
     number of grid angles used.
     """
     _require_degree_cap(f)
-    if not 0.0 <= s < f.radius:
-        raise DomainError("outside ball of validity")
+    _require_inside(s, f.radius)
     return _sphere_report(f, s)
 
 
@@ -300,8 +300,7 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     candidates in the ball.
     """
     _require_degree_cap(f)
-    if not 0.0 <= s < f.radius:
-        raise DomainError("outside ball of validity")
+    _require_inside(s, f.radius)
     boundary = _sphere_report(f, s, lowest=True)
     if boundary.method == "closed-form":
         return boundary

@@ -203,16 +203,17 @@ class SlicePoint:
             raise DomainError("slice point requires y >= 0")
 
     def embed(self) -> Quaternion:
-        return Quaternion(self.x, self.y * self.unit.x1,
-                          self.y * self.unit.x2, self.y * self.unit.x3)
+        return _slice_point(self.x, self.y, self.unit)
 
     @classmethod
     def from_quaternion(cls, q: Quaternion) -> SlicePoint:
         """Decompose q as x + y*unit; real points get the canonical unit i."""
-        y = q.imag.modulus()
-        if y == 0.0:
-            return cls(q.x0, 0.0, I)
-        return cls(q.x0, y, unit_of(q))
+        return cls(q.x0, 0.0, I) if q.is_real() else cls(q.x0, q.imag.modulus(), unit_of(q))
+
+
+def _slice_point(x: float, y: float, unit: Quaternion) -> Quaternion:
+    """The point x + y unit of the slice plane of ``unit``, for y of either sign."""
+    return Quaternion(x, y * unit.x1, y * unit.x2, y * unit.x3)
 
 
 def unit_of(q: Quaternion) -> UnitImaginary:
@@ -220,11 +221,9 @@ def unit_of(q: Quaternion) -> UnitImaginary:
     q = _coerce(q)
     if q is None:
         raise TypeError("expected a quaternion")
-    im = q.imag
-    norm = im.modulus()
-    if norm == 0.0:
+    if q.is_real():
         raise DomainError("real point lies in every slice; choose a unit explicitly")
-    return UnitImaginary(0.0, q.x1 / norm, q.x2 / norm, q.x3 / norm)
+    return UnitImaginary.from_vector(q.x1, q.x2, q.x3)
 
 
 def orthonormal_completion(unit: UnitImaginary) -> tuple[UnitImaginary, UnitImaginary]:

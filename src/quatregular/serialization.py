@@ -70,6 +70,10 @@ def load_series(path) -> Series:
     return series_from_dict(payload, source=str(path))
 
 
+def _json_text(payload) -> str:
+    """Series files and reports as indented, sorted JSON; a ValueError on a non-finite number."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def dump_series(f: Series, path) -> None:
-    Path(path).write_text(
-        json.dumps(series_to_dict(f), indent=2, sort_keys=True, allow_nan=False) + "\n")
+    Path(path).write_text(_json_text(series_to_dict(f)))

@@ -99,6 +99,12 @@ def _require_zero_at_origin(f: Series) -> None:
         raise PreconditionError("requires f(0) = 0")
 
 
+def _require_inside(t: float, radius: float) -> None:
+    """Raise DomainError unless 0 <= t < radius, inside the open ball of validity (NaN is not)."""
+    if not 0.0 <= t < radius:
+        raise DomainError("outside ball of validity")
+
+
 def _require_degree_cap(f: Series) -> None:
     """Raise DomainError when the degree of f exceeds ``DEGREE_CAP``."""
     if f.degree > DEGREE_CAP:
@@ -114,8 +120,7 @@ def evaluate(f: Series, q) -> Quaternion:
     q = _coerce(q)
     if q is None:
         raise TypeError("expected a quaternion point")
-    if not q.modulus() < f.radius:
-        raise DomainError("outside ball of validity")
+    _require_inside(q.modulus(), f.radius)
     acc, *terms = f.coeffs
     power = Quaternion(1.0)
     for a in terms:

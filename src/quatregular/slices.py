@@ -7,11 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import eval_rows, qmul_rows, sphere_constants
+from ._arrays import eval_rows, qmul_rows, row_norms, sphere_constants
 from .errors import DomainError
 from .quaternions import ALGEBRA_TOL, Quaternion, UnitImaginary, _coerce
-from .quaternions import _completion_rows, _sphere_rows
-from .series import DEGREE_CAP, Series, _from_rows, _require_degree_cap, evaluate, regular_conjugate
+from .quaternions import _completion_rows, _slice_point, _sphere_rows
+from .series import DEGREE_CAP, Series, _from_rows, _require_degree_cap, _require_inside, evaluate
+from .series import regular_conjugate
 
 # C(n, m) at row m, column n up to the cap: exact through degree 56, then rounded
 _BINOMIALS = np.array([[math.comb(n, m) for n in range(DEGREE_CAP + 1)]
@@ -20,7 +21,7 @@ _BINOMIALS = np.array([[math.comb(n, m) for n in range(DEGREE_CAP + 1)]
 
 def embed_complex(z: complex, unit: UnitImaginary) -> Quaternion:
     """Map a complex number onto the slice plane spanned by 1 and ``unit``."""
-    return Quaternion(z.real, z.imag * unit.x1, z.imag * unit.x2, z.imag * unit.x3)
+    return _slice_point(z.real, z.imag, unit)
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,7 @@ class ComplexSeries:
     radius: float = 1.0
 
     def __call__(self, z: complex) -> complex:
-        if not abs(z) < self.radius:
-            raise DomainError("outside ball of validity")
+        _require_inside(abs(z), self.radius)
         acc = 0j
         for a in reversed(self.coeffs):
             acc = acc * z + a
@@ -50,9 +50,7 @@ class SplitPair:
     J: UnitImaginary
 
     def evaluate(self, z: complex) -> Quaternion:
-        f_part = embed_complex(self.F(z), self.I)
-        g_part = embed_complex(self.G(z), self.I)
-        return f_part + g_part * self.J
+        return embed_complex(self.F(z), self.I) + embed_complex(self.G(z), self.I) * self.J
 
 
 @dataclass(frozen=True)
@@ -116,18 +114,22 @@ def split(f: Series, unit: UnitImaginary,
     )
 
 
+def _split_conjugate_gap(f: Series, unit: UnitImaginary) -> tuple[SplitPair, SplitPair, float]:
+    """Splits of f and of its regular conjugate with one shared completion, and how far the
+    conjugate's is from (conj alpha_n, -beta_n): the largest coefficient gap."""
+    pair = split(f, unit)
+    pair_c = split(regular_conjugate(f), unit, j_unit=pair.J)
+    gaps = ([abs(ac - a.conjugate()) for a, ac in zip(pair.F.coeffs, pair_c.F.coeffs)]
+            + [abs(bc + b) for b, bc in zip(pair.G.coeffs, pair_c.G.coeffs)])
+    return pair, pair_c, max(gaps)
+
+
 def split_conjugate_check(f: Series, unit: UnitImaginary) -> tuple[SplitPair, SplitPair]:
     """Split f and its regular conjugate with one shared completion and verify
     that the conjugate splits as (conj alpha_n, -beta_n) coefficientwise."""
-    pair = split(f, unit)
-    pair_c = split(regular_conjugate(f), unit, j_unit=pair.J)
-    scale = max(1.0, max(abs(a) for a in pair.F.coeffs + pair.G.coeffs))
-    for alpha, alpha_c in zip(pair.F.coeffs, pair_c.F.coeffs):
-        if abs(alpha_c - alpha.conjugate()) > ALGEBRA_TOL * scale:
-            raise ArithmeticError("conjugate split relation failed on F coefficients")
-    for beta, beta_c in zip(pair.G.coeffs, pair_c.G.coeffs):
-        if abs(beta_c + beta) > ALGEBRA_TOL * scale:
-            raise ArithmeticError("conjugate split relation failed on G coefficients")
+    pair, pair_c, gap = _split_conjugate_gap(f, unit)
+    if gap > ALGEBRA_TOL * max(1.0, max(abs(a) for a in pair.F.coeffs + pair.G.coeffs)):
+        raise ArithmeticError("conjugate split relation failed")
     return pair, pair_c
 
 
@@ -138,10 +140,8 @@ def representation_eval(f: Series, x: float, y: float,
     Values of f on the sphere x + y S are affine in the unit, so any slice
     determines all the others.
     """
-    if not math.hypot(x, y) < f.radius:
-        raise DomainError("outside ball of validity")
-    plus = evaluate(f, Quaternion(x, y * j_unit.x1, y * j_unit.x2, y * j_unit.x3))
-    minus = evaluate(f, Quaternion(x, -y * j_unit.x1, -y * j_unit.x2, -y * j_unit.x3))
+    _require_inside(math.hypot(x, y), f.radius)
+    plus, minus = evaluate(f, _slice_point(x, y, j_unit)), evaluate(f, _slice_point(x, -y, j_unit))
     even = (plus + minus) / 2.0
     odd = j_unit * (minus - plus) / 2.0
     return even + i_unit * odd
@@ -157,8 +157,7 @@ def sphere_pair(f: Series, x: float, y: float) -> SpherePair:
     """
     if y < 0:
         raise DomainError("sphere parametrisation requires y >= 0")
-    if not math.hypot(x, y) < f.radius:
-        raise DomainError("outside ball of validity")
+    _require_inside(math.hypot(x, y), f.radius)
     b, c = sphere_constants(f.rows, np.array([x], dtype=float), np.array([y], dtype=float))
     return SpherePair(Quaternion(*b[0].tolist()), Quaternion(*c[0].tolist()), x, y)
 
@@ -193,8 +192,7 @@ def regular_translation(f: Series, w) -> Series:
     if w is None:
         raise TypeError("expected a quaternion shift")
     norm_w = w.modulus()
-    if not norm_w < f.radius:
-        raise DomainError("outside ball of validity")
+    _require_inside(norm_w, f.radius)
     _require_degree_cap(f)
     powers = [np.array([1.0, 0.0, 0.0, 0.0]), np.array(w.components)]
     for _ in range(f.degree - 1):
@@ -232,11 +230,10 @@ def translation_continuity_probe(f: Series, w_seq: list[Quaternion],
     if None in shifts:
         raise TypeError("expected quaternion shifts")
     bound = max(q.modulus() for q in shifts)
-    if not ball_radius < f.radius - bound:
-        raise DomainError("probe ball must fit inside the translated domain")
+    _require_inside(ball_radius, f.radius - bound)  # inside the ball of every translation
     if len(shifts) == 1:
         return 0.0
     grid = _probe_grid(ball_radius)
     delta = (eval_rows(regular_translation(f, shifts[-2]).rows, grid)
              - eval_rows(regular_translation(f, shifts[-1]).rows, grid))
-    return float(np.sqrt(np.sum(delta * delta, axis=1)).max())
+    return float(row_norms(delta).max())

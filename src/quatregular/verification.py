@@ -24,18 +24,18 @@ import operator
 import time
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bloch, norms, slices
-from ._arrays import qmul_rows
+from ._arrays import qmul_rows, row_norms
 from .errors import DomainError
 from .quaternions import I as UNIT_I
 from .quaternions import (
     Quaternion,
     UnitImaginary,
+    _slice_point,
     _sphere_rows,
     orthonormal_completion,
     plain_data,
@@ -111,7 +111,7 @@ def series_sum(f: Series, g: Series) -> Series:
 
 def coeff_deviation(f: Series, g: Series) -> float:
     a, b = _padded_rows(f, g)
-    return float(np.sqrt(np.sum((a - b) ** 2, axis=1)).max())
+    return float(row_norms(a - b).max())
 
 
 def builtin_corpus() -> list[tuple[str, Series]]:
@@ -130,11 +130,6 @@ def builtin_corpus() -> list[tuple[str, Series]]:
 def _random_degree_series(rng, low: int, high: int, monic_shift: bool = False) -> Series:
     """A random series of a degree drawn from [low, high)."""
     return random_series(rng, int(rng.integers(low, high)), monic_shift=monic_shift)
-
-
-def _slice_point(x: float, y: float, unit: UnitImaginary) -> Quaternion:
-    """x + y unit, for y of either sign."""
-    return Quaternion(x, y * unit.x1, y * unit.x2, y * unit.x3)
 
 
 # -- the check table and its runner ----------------------------------------------
@@ -206,8 +201,9 @@ def run_checks(suites=None, seed: int = 0, scale: float = 1.0,
 
 
 def _user_series_check(f: Series) -> _Check:
-    """Light structural pass over a user-supplied series: the worst of three
-    series-suite properties of f."""
+    """Light structural pass over a user-supplied series: the worst of three series-suite
+    properties, homogeneous in f, so taken of f times 2^-e (``norms._scaled`` at radius 1)."""
+    f = _from_rows(norms._scaled(f.rows, 1.0)[0], f.radius, f.exact)
     return _Check("", "series", "user-series-structure", "deviation", 1e-12, 1, "",
                   lambda _: max(_involution_gap(f), _symmetrization_imag(f),
                                 _split_gap(f, UNIT_I)))
@@ -220,7 +216,7 @@ def _involution_gap(f: Series) -> float:
 
 
 def _symmetrization_imag(f: Series) -> float:
-    return max(a.imag.modulus() for a in symmetrization(f).coeffs)
+    return float(row_norms(symmetrization(f).rows[:, 1:]).max())
 
 
 @_check("check_star_associativity", "series", "star-associativity", "deviation", 1e-12, 40)
@@ -303,10 +299,7 @@ def _split_roundtrip(rng):
 
 @_check("check_split_conjugate", "slices", "split-conjugate-relation", "deviation", 1e-13, 30)
 def _split_conjugate(rng):
-    pair, pair_c = slices.split_conjugate_check(_random_degree_series(rng, 0, 8),
-                                                random_unit(rng))
-    return max(chain((abs(ac - a.conjugate()) for a, ac in zip(pair.F.coeffs, pair_c.F.coeffs)),
-                     (abs(bc + b) for b, bc in zip(pair.G.coeffs, pair_c.G.coeffs))))
+    return slices._split_conjugate_gap(_random_degree_series(rng, 0, 8), random_unit(rng))[2]
 
 
 @_check("check_representation_formula", "slices", "representation-formula", "deviation",

@@ -271,6 +271,13 @@ class TestFourthRoot:
             psi = fourth_root_series(Series((1, 1e160)))
         assert psi.rows.tolist() == [[1.0, 0.0, 0.0, 0.0], [2.5e159, 0.0, 0.0, 0.0]]
 
+    def test_nonreal_coefficient_longer_than_the_largest_float(self):
+        # |a_1| = 2.1e308 is no float, but its imaginary part 1.5e308 is far above 1e-12 of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PreconditionError, match="coefficient 1 is not"):
+                fourth_root_series(Series((1, Quaternion(1.5e308, 1.5e308, 0.0, 0.0))))
+
     def test_preconditions(self):
         with pytest.raises(PreconditionError, match="real"):
             fourth_root_series(Series((1, I)))

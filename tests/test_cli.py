@@ -1,9 +1,11 @@
 import json
+import math
 import re
+import warnings
 
 import pytest
 
-from quatregular import DomainError, Quaternion, Series, SeriesFormatError
+from quatregular import DomainError, Quaternion, Series, SeriesFormatError, bloch
 from quatregular.cli import main
 from quatregular.serialization import dump_series, load_series, series_from_dict
 
@@ -220,6 +222,28 @@ class TestExitCodes:
         dump_series(Series((0.0, 1.0, 0.0, 0.0, 0.5), radius=1e90), path)
         assert main(["norm", str(path), "--r", "1e80"]) == 2
         assert "largest float" in capsys.readouterr().err
+
+    def test_degenerate_working_radius_exits_one(self, identity_file, capsys):
+        # mu(0) = 0 already reaches r - 1e-12 < 0: a failed search, not a bad input
+        assert main(["search", identity_file, "--r", "1e-13"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "degenerate working radius" in captured.err
+
+    def test_non_finite_report_exits_one(self, identity_file, capsys, monkeypatch):
+        monkeypatch.setattr(bloch, "rho_lemma", lambda f: math.nan)
+        assert main(["rho", identity_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
+
+    def test_verify_input_far_from_unit_scale(self, tmp_path, capsys):
+        # the symmetrization of the unfolded series overflows at coefficient 4
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"radius": 1.0,
+                                    "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0], [1e300] * 4]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", "--input", str(path), "--suite", "series"]) in (0, 1)
+        assert "PASS series/user-series-structure" in capsys.readouterr().err
 
     def test_bad_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:

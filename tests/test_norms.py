@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -91,6 +92,14 @@ class TestSphereExtrema:
     def test_unit_example(self):
         low, high = sphere_extrema(Quaternion(1), I)
         assert low == 0.0 and high == 2.0
+
+    def test_axis_is_im_b_conj_c_to_the_bit(self, rng):
+        # the unit where |b + I c| peaks, as the search's locator reads it
+        b, c = rng.standard_normal((2, 50, 4))
+        axis = np.stack(_arrays._sphere_squares(b, c)[3:], axis=1)
+        for b_row, c_row, got in zip(b, c, axis):
+            product = Quaternion(*b_row) * Quaternion(*c_row).conjugate()
+            assert got.tolist() == list(product.components[1:])
 
     def test_beyond_the_squares_range(self):
         # |b|^2 overflows for b = 1e200 and underflows for b = 3e-170; the
@@ -755,6 +764,19 @@ class TestScaleFree:
                         lambda h, s: split_norm(h).value, lambda h, s: slice_norm(h, I)):
             reference = norm_of(f, 1.0)
             assert abs(norm_of(g, t) - reference) <= 1e-12 * reference
+
+    def test_row_norms_at_every_scale(self, rng):
+        # each row is folded by its own power of two: exact, quiet, and inf past the floats
+        rows = np.array([[math.ldexp(3.0, k), 0.0, math.ldexp(-4.0, k), 0.0]
+                         for k in (990, 0, -1060)] + [[0.0] * 4, [1e308] * 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lengths = _arrays.row_norms(rows)
+        assert lengths.tolist() == [math.ldexp(5.0, 990), 5.0, math.ldexp(5.0, -1060), 0.0,
+                                    math.inf]
+        unit_scale = rng.standard_normal((100, 4))
+        assert np.array_equal(_arrays.row_norms(unit_scale),
+                              np.sqrt(np.add.reduce(unit_scale * unit_scale, axis=1)))
 
 
     def test_norm_beyond_the_largest_float_is_a_domain_error(self):

@@ -16,7 +16,7 @@ from quatregular import (
     sphere_sample,
     unit_of,
 )
-from quatregular.quaternions import I, J, K, _completion_rows
+from quatregular.quaternions import I, J, K, _completion_rows, _slice_point
 
 finite = st.floats(-1.0, 1.0, allow_nan=False)
 quaternions = st.builds(Quaternion, finite, finite, finite, finite)
@@ -251,3 +251,7 @@ class TestSlicePoint:
         pt = SlicePoint.from_quaternion(Quaternion(0.5))
         assert pt.unit == I and pt.y == 0.0
         assert pt.embed() == Quaternion(0.5)
+
+    def test_slice_point_takes_either_sign(self):
+        assert _slice_point(0.5, -2.0, J) == Quaternion(0.5, 0.0, -2.0, 0.0)
+        assert _slice_point(0.5, 2.0, J) == SlicePoint(0.5, 2.0, J).embed()

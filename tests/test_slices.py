@@ -10,12 +10,15 @@ from quatregular import (
     Series,
     evaluate,
     ext_from_slice,
+    inf_norm_ball,
     mean_value_margin,
+    parseval_mean,
     regular_translation,
     representation_eval,
     sphere_pair,
     split,
     split_conjugate_check,
+    sup_norm_ball,
     translation_continuity_probe,
 )
 from quatregular.quaternions import I, J
@@ -25,19 +28,26 @@ NAN = math.nan
 
 
 @pytest.mark.parametrize("call", [
-    lambda f: evaluate(f, Quaternion(NAN)),
-    lambda f: split(f, I).F(complex(NAN, 0.0)),
-    lambda f: sphere_pair(f, NAN, 0.1),
-    lambda f: representation_eval(f, NAN, 0.1, J, I),
-    lambda f: mean_value_margin(f, Quaternion(NAN)),
-    lambda f: translation_continuity_probe(f, [Quaternion(0.1), Quaternion(0.0)], NAN),
-    lambda f: regular_translation(f, Quaternion(NAN)),
+    lambda f, t: evaluate(f, Quaternion(t)),
+    lambda f, t: split(f, I).F(complex(t, 0.0)),
+    lambda f, t: sphere_pair(f, t, 0.0),
+    lambda f, t: representation_eval(f, t, 0.0, J, I),
+    lambda f, t: mean_value_margin(f, Quaternion(t)),
+    lambda f, t: translation_continuity_probe(f, [Quaternion(0.0), Quaternion(0.0)], t),
+    lambda f, t: regular_translation(f, Quaternion(t)),
+    lambda f, t: sup_norm_ball(f, t),
+    lambda f, t: inf_norm_ball(f, t),
+    lambda f, t: parseval_mean(f, t),
 ], ids=["evaluate", "ComplexSeries", "sphere_pair", "representation_eval",
-        "mean_value_margin", "translation_continuity_probe", "regular_translation"])
+        "mean_value_margin", "translation_continuity_probe", "regular_translation",
+        "sup_norm_ball", "inf_norm_ball", "parseval_mean"])
 def test_nan_is_outside_every_ball_of_validity(call):
-    # each check is written as "not inside", which NaN fails
-    with pytest.raises(DomainError, match=r"outside ball of validity|0 < \|q\| < radius|must fit"):
-        call(Series((0, 1, Quaternion(0.0, 0.25, 0.0, 0.0))))
+    # each check is written as "not inside", which NaN fails; the ball is open, so
+    # its radius is outside as well
+    f = Series((0, 1, Quaternion(0.0, 0.25, 0.0, 0.0)))
+    for t in (NAN, f.radius):
+        with pytest.raises(DomainError, match=r"outside ball of validity|0 < \|q\| < radius"):
+            call(f, t)
 
 
 def on_slice(x, y, unit):

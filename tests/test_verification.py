@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 
 from quatregular import ext_from_slice, regular_conjugate, split, symmetrization
-from quatregular import verification
+from quatregular import slices, verification
 from quatregular.quaternions import I
+from quatregular.series import _from_rows
 from quatregular.verification import (
     _CHECKS,
     _KINDS,
@@ -47,16 +50,28 @@ class TestCheckTable:
 
 class TestUserSeriesCheck:
     def test_worst_of_three_properties(self):
-        f = random_series(np.random.default_rng(5), 6)
+        # the properties are those of f folded by the power of two of its largest component
+        g = random_series(np.random.default_rng(5), 6)
+        f = _from_rows(np.ldexp(g.rows, -math.frexp(np.abs(g.rows).max())[1]), g.radius, g.exact)
         pair = split(f, I)
         expected = max(coeff_deviation(regular_conjugate(regular_conjugate(f)), f),
                        max(a.imag.modulus() for a in symmetrization(f).coeffs),
                        coeff_deviation(ext_from_slice(pair.F, pair.G, pair.I, pair.J), f))
-        result = run_checks(["series"], seed=3, scale=0.01, extra_series=f)[-1]
+        result = run_checks(["series"], seed=3, scale=0.01, extra_series=g)[-1]
         assert (result.name, result.suite, result.kind) == (
             "user-series-structure", "series", "deviation")
         assert result.margin == expected
         assert result.passed == (expected <= 1e-12)
+
+
+class TestSplitConjugateRelation:
+    def test_violation_is_a_failed_check(self, monkeypatch):
+        # with the conjugate replaced by f itself the relation fails on every nonreal
+        # coefficient; split_conjugate_check would raise ArithmeticError here
+        monkeypatch.setattr(slices, "regular_conjugate", lambda f: f)
+        (check,) = [c for c in _CHECKS if c.name == "split-conjugate-relation"]
+        result = verification._run(check, np.random.default_rng(0), 5)
+        assert not result.passed and result.margin > 1e-3
 
 
 class TestCheckResult:
