@@ -48,7 +48,7 @@ from ._arrays import (
     star_rows,
 )
 from .errors import DomainError
-from .quaternions import Quaternion, UnitImaginary, _coerce, _sphere_rows, plain_data
+from .quaternions import Quaternion, UnitImaginary, _require_quaternion, _sphere_rows, plain_data
 from .series import Series, _require_degree_cap, _require_inside, _require_zero_at_origin, evaluate
 from .series import slice_derivative
 from .slices import _frame, split_rows
@@ -125,7 +125,7 @@ def _unscaled(x, e: int):
 
 def sphere_extrema(b: Quaternion, c: Quaternion) -> tuple[float, float]:
     """Exact (min, max) of |b + I c| over all imaginary units I (``sphere_extrema_rows``)."""
-    rows = np.array([_coerce(b).components, _coerce(c).components])
+    rows = np.array([_require_quaternion(b).components, _require_quaternion(c).components])
     if not np.isfinite(rows).all():
         raise DomainError("sphere constants must be finite")
     rows, _, e = _scaled(rows, 1.0)
@@ -438,7 +438,7 @@ def mean_value_margin(f: Series, q) -> float:
     origin, which is a stated precondition: a PreconditionError is raised
     when any component of a_0 is nonzero, however small.
     """
-    q = _coerce(q)
+    q = _require_quaternion(q)
     _require_degree_cap(f)
     _require_zero_at_origin(f)
     norm_q = q.modulus()

@@ -26,6 +26,14 @@ def _coerce(value):
     return None
 
 
+def _require_quaternion(value) -> Quaternion:
+    """``value`` as a Quaternion, an int or a float as a real one; TypeError for anything else."""
+    q = _coerce(value)
+    if q is None:
+        raise TypeError(f"expected a quaternion, got {type(value).__name__}")
+    return q
+
+
 @dataclass(frozen=True, eq=False)
 class Quaternion:
     """Element x0 + x1*i + x2*j + x3*k of the real quaternion algebra.
@@ -218,9 +226,7 @@ def _slice_point(x: float, y: float, unit: Quaternion) -> Quaternion:
 
 def unit_of(q: Quaternion) -> UnitImaginary:
     """The imaginary direction of a non-real quaternion, Im(q)/|Im(q)|."""
-    q = _coerce(q)
-    if q is None:
-        raise TypeError("expected a quaternion")
+    q = _require_quaternion(q)
     if q.is_real():
         raise DomainError("real point lies in every slice; choose a unit explicitly")
     return UnitImaginary.from_vector(q.x1, q.x2, q.x3)
@@ -244,9 +250,7 @@ def rotate_unit(c: Quaternion, unit: UnitImaginary) -> UnitImaginary:
     Computed by conjugation, L = c * unit * c^{-1}, which solves the defining
     linear system exactly.
     """
-    c = _coerce(c)
-    if c is None:
-        raise TypeError("expected a quaternion")
+    c = _require_quaternion(c)
     if not any(c.components):
         raise DomainError("zero does not rotate units")
     rotated = c * unit * c.inverse()

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._arrays import _CONJUGATE, star_rows
 from .errors import DomainError, PreconditionError, ZeroFactorSignal
-from .quaternions import Quaternion, _coerce
+from .quaternions import Quaternion, _coerce, _require_quaternion
 
 # the largest degree of the norms, the coverage radius, the search and recentring
 DEGREE_CAP = 60
@@ -117,9 +117,7 @@ def evaluate(f: Series, q) -> Quaternion:
     Horner reordering is invalid here because the coefficients sit on the
     right of noncommuting powers.
     """
-    q = _coerce(q)
-    if q is None:
-        raise TypeError("expected a quaternion point")
+    q = _require_quaternion(q)
     _require_inside(q.modulus(), f.radius)
     acc, *terms = f.coeffs
     power = Quaternion(1.0)
@@ -147,7 +145,7 @@ def star_transform_point(f: Series, q) -> Quaternion:
     Raises ZeroFactorSignal where f(q) = 0, since the star product simply
     vanishes there.
     """
-    q = _coerce(q)
+    q = _require_quaternion(q)
     value = evaluate(f, q)
     if not any(value.components):
         raise ZeroFactorSignal("zero of f: f*g vanishes here")

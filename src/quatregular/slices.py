@@ -9,7 +9,7 @@ import numpy as np
 
 from ._arrays import eval_rows, qmul_rows, row_norms, sphere_constants
 from .errors import DomainError
-from .quaternions import ALGEBRA_TOL, Quaternion, UnitImaginary, _coerce
+from .quaternions import ALGEBRA_TOL, Quaternion, UnitImaginary, _require_quaternion
 from .quaternions import _completion_rows, _slice_point, _sphere_rows
 from .series import DEGREE_CAP, Series, _from_rows, _require_degree_cap, _require_inside, evaluate
 from .series import regular_conjugate
@@ -188,9 +188,7 @@ def regular_translation(f: Series, w) -> Series:
     Off that slice the result deliberately differs from pointwise composition,
     which would not be regular. Valid on the ball of radius radius - |w|.
     """
-    w = _coerce(w)
-    if w is None:
-        raise TypeError("expected a quaternion shift")
+    w = _require_quaternion(w)
     norm_w = w.modulus()
     _require_inside(norm_w, f.radius)
     _require_degree_cap(f)
@@ -226,9 +224,7 @@ def translation_continuity_probe(f: Series, w_seq: list[Quaternion],
     """
     if not w_seq:
         raise DomainError("need at least one translation point")
-    shifts = [_coerce(w) for w in w_seq]
-    if None in shifts:
-        raise TypeError("expected quaternion shifts")
+    shifts = [_require_quaternion(w) for w in w_seq]
     bound = max(q.modulus() for q in shifts)
     _require_inside(ball_radius, f.radius - bound)  # inside the ball of every translation
     if len(shifts) == 1:

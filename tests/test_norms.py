@@ -1104,9 +1104,82 @@ class TestSphereMaxSearch:
                 s_star = 2.0 * report.R_r
                 assert s_star * sup_norm_ball(derivative, r - s_star).value >= threshold
 
+    def profile_series(self):
+        """The builtin series and seeded normalised ones of degree 1-12 at three scales."""
+        rng = np.random.default_rng(1729)
+        return [f for _, f in builtin_corpus()] + [
+            random_series(rng, degree, scale, monic_shift=True)
+            for scale in (0.2, 1.0, 3.0) for degree in range(1, 13)]
+
+    def test_log_max_is_convex_in_log_radius(self):
+        # Hadamard's three-circles theorem on each slice, then the maximum over the
+        # slices: on the dense profile no point rises above the chord of its neighbours
+        t = np.linspace(0.0, 0.99, bloch._MU_GRID)[1:]
+        x = np.log(t)
+        for f in self.profile_series():
+            y = np.log(_sphere_max(slice_derivative(f).rows, t)[0])
+            chord = ((x[2:] - x[1:-1]) * y[:-2] + (x[1:-1] - x[:-2]) * y[2:]) / (x[2:] - x[:-2])
+            assert (y[1:-1] - chord).max() <= 4.0 * np.finfo(float).eps * np.abs(y).max()
+
+    def test_coefficient_bound_is_above_the_sphere_maxima(self):
+        # the rule's own 1e-12 covers the ulp by which a computed M can pass B
+        t = np.linspace(0.0, 0.99, bloch._MU_GRID)
+        for f in self.profile_series():
+            derivative = slice_derivative(f)
+            bound = bloch._coefficient_bound(derivative.rows, t)
+            assert np.all(bound * (1.0 + 1e-12) >= _sphere_max(derivative.rows, t)[0])
+
+    def test_chord_supremum_matches_a_fine_sampling(self):
+        # s M_b ((r - s) / t_b)^beta on the cell [0.3, 0.33] at r = 0.9 peaks inside it
+        # (beta = 1.85), at either end (0.3 and 5), or at s_b for beta <= 0, where the
+        # clip of r / (1 + beta) would pick s_a for beta < -1
+        r, s_a, s_b, upper_b = 0.9, 0.3, 0.33, 2.0
+        t_a, t_b = r - s_a, r - s_b
+        s = np.linspace(s_a, s_b, 2 ** 20 + 1)
+        for beta in (1.85, 0.3, 5.0, 0.0, -0.5, -1.0, -3.0):
+            upper_a = upper_b * (t_a / t_b) ** beta
+            sup, = bloch._chord_sup(r, np.array([s_a]), np.array([s_b]),
+                                    np.array([upper_a]), np.array([upper_b]))
+            slope = np.log(upper_a / upper_b) / np.log(t_a / t_b)
+            sampled = (s * upper_b * ((r - s) / t_b) ** slope).max()
+            assert abs(sup - sampled) <= 4.0 * np.finfo(float).eps * sup
+        # the last cell touches t = 0 and has no chord
+        assert bloch._chord_sup(r, np.array([0.87]), np.array([r]),
+                                np.array([1.5]), np.array([1.0])).tolist() == [np.inf]
+
+    def test_second_pass_is_within_the_monotone_rule(self):
+        # the cells the monotone bound alone leaves, from all the coarse values
+        rng = np.random.default_rng(2718)
+        series = [f for _, f in builtin_corpus()]
+        series += [random_series(rng, degree, monic_shift=True) for degree in range(2, 6)]
+        for f in series:
+            derivative = slice_derivative(f)
+            for r in (0.99, 0.9, 0.6):
+                threshold = r - bloch._MU_TOL
+                grid = np.linspace(0.0, r, bloch._MU_GRID)
+                coarse = bloch._coarse_points(grid.size)
+                maxima, gap, _ = _sphere_max(derivative.rows, r - grid[coarse])
+                bound = grid[coarse[1:]] * (maxima[:-1] + gap[:-1] + 1e-12 * maxima[:-1])
+                crossed = np.flatnonzero(grid[coarse[1:]] * maxima[1:] >= threshold)
+                cells = np.flatnonzero(bound[:crossed[0] + 1] >= threshold)
+                monotone = int(np.sum(np.diff(coarse)[cells] - 1))
+                assert bl_search(f, r).diagnostics["mu_radii"][1] <= monotone
+
+    def test_huge_rows_only_stop_the_coefficient_bound(self):
+        # |b_1| = 2.4e308 is past the floats, so B is inf and clears no cell, with no
+        # numpy warning; M stays finite on the ball of radius 0.3
+        derivative = slice_derivative(Series((0, 1, Quaternion(0.85e308, 0.85e308, 0, 0))))
+        assert bloch._coefficient_bound(derivative.rows, np.array([0.3])).tolist() == [np.inf]
+        grid = np.linspace(0.0, 0.3, bloch._MU_GRID)
+        maxima, _, angles = _sphere_max(derivative.rows, 0.3 - grid)
+        first = int(np.flatnonzero(grid * maxima >= 0.3 - bloch._MU_TOL)[0])
+        assert bloch._first_crossing(derivative, 0.3, grid)[:3] == (
+            first, maxima[first], angles[first])
+
     def test_lazy_first_crossing_matches_the_whole_profile(self):
-        # the coarse pass and the cells its monotone bound cannot clear must find
-        # the first crossing of the profile on all of the grid's radii
+        # the coarse pass and the cells that none of the coefficient, monotone and
+        # chord bounds clears must find the first crossing of the profile on all of
+        # the grid's radii
         rng = np.random.default_rng(1717)
         series = [f for _, f in builtin_corpus()]
         series += [random_series(rng, degree, scale, monic_shift=True)

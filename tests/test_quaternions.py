@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_quaternion, random_unit, rotation_by_linear_system, table_mul
+import quatregular
 from quatregular import (
     DomainError,
     Quaternion,
@@ -255,3 +256,31 @@ class TestSlicePoint:
     def test_slice_point_takes_either_sign(self):
         assert _slice_point(0.5, -2.0, J) == Quaternion(0.5, 0.0, -2.0, 0.0)
         assert _slice_point(0.5, 2.0, J) == SlicePoint(0.5, 2.0, J).embed()
+
+
+_F = quatregular.Series((0, 1, 0.25))
+# every entry point that takes a point, shift, target or excluded value, called
+# with ``p`` in that place
+_POINT_CALLS = {
+    "evaluate": lambda p: quatregular.evaluate(_F, p),
+    "star_transform_point": lambda p: quatregular.star_transform_point(_F, p),
+    "unit_of": lambda p: unit_of(p),
+    "rotate_unit": lambda p: rotate_unit(p, I),
+    "regular_translation": lambda p: quatregular.regular_translation(_F, p),
+    "translation_continuity_probe": lambda p: quatregular.translation_continuity_probe(
+        _F, [Quaternion(0.1), p], 0.2),
+    "mean_value_margin": lambda p: quatregular.mean_value_margin(_F, p),
+    "sphere_extrema": lambda p: quatregular.sphere_extrema(p, I),
+    "sphere_extrema[c]": lambda p: quatregular.sphere_extrema(I, p),
+    "attain": lambda p: quatregular.attain(_F, p, 0.5),
+    "in_oset": lambda p: quatregular.in_oset(p, 0.5),
+    "g_series": lambda p: quatregular.g_series(_F, p),
+}
+
+
+class TestPointArguments:
+    @pytest.mark.parametrize("name", sorted(_POINT_CALLS))
+    def test_a_non_quaternion_point_is_a_type_error(self, name):
+        for bad in ("x", None, [0.1, 0.0, 0.0, 0.0]):
+            with pytest.raises(TypeError, match=f"expected a quaternion, got {type(bad).__name__}"):
+                _POINT_CALLS[name](bad)

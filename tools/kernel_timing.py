@@ -7,9 +7,10 @@ repeats, of the mean milliseconds per call over CALLS calls. The inputs are
 seeded and the same on every run, so two source trees can be compared on one
 machine. The kernels are those under the norms and the Bloch-Landau search:
 the sphere-maximum search at 1, 15, 18 (one root batch: 15 evenly spaced
-points and 3 interpolated ones), 33 (the coarse mu-profile pass), 63 and 1024
-(a whole mu-profile) radii, the slice norm at the unit i (two sphere-maximum
-searches), the split_norm lattice scan (2048 units, 256 angles), the value,
+points and 3 interpolated ones), 33 (the coarse mu-profile pass when no cell
+is dropped), 63 and 1024 (a whole mu-profile) radii, the slice norm at the
+unit i (two sphere-maximum searches), the split_norm lattice scan (2048
+units, 256 angles), the value,
 gradient and Hessian of the split_norm ascent at its three starts
 (_slice_terms, given the series table and the charts) and the whole ascent
 from them (slice_norm_ascent), the whole split_norm on the same series and on
@@ -21,8 +22,11 @@ degree that every norm takes. One row times the series algebra
 that builds a new series from coefficient rows: star, slice_derivative,
 regular_translation and with_radius, one call each, on a degree-2 series.
 One row times attain, the multistart Newton preimage search, on the builtin
-mixed-units series for a fixed target in the unit ball, and one end-to-end
-row the whole bl_search on the same series at r = 0.99.
+mixed-units series for a fixed target in the unit ball, and two end-to-end
+rows the whole bl_search at r = 0.99: on the same series, and on the seeded
+degree-4 series LONG_PASS_SEED draws, where the monotone bound alone left 558
+radii to the second pass of the mu-profile (the three bounds of
+bloch._first_crossing leave 31).
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ RADIUS = 0.9
 SPHERE_RADII = (1, 15, 18, 33, 63, 1024)
 REPEATS = 7
 CALLS = 50
+# random_series(default_rng(LONG_PASS_SEED), 4, monic_shift=True): mu_radii [26, 31, 36]
+LONG_PASS_SEED = 10
 
 
 def best_ms(call) -> float:
@@ -130,6 +136,8 @@ def main() -> dict:
     timings["attain[mixed-units, ball radius 1]"] = best_ms(
         lambda: attain(mixed_units, target, 1.0))
     timings["bl_search[mixed-units, r=0.99]"] = best_ms(lambda: bl_search(mixed_units, 0.99))
+    long_pass = random_series(np.random.default_rng(LONG_PASS_SEED), 4, monic_shift=True)
+    timings["bl_search[long second pass]"] = best_ms(lambda: bl_search(long_pass, 0.99))
     return {"degree": DEGREE, "radius": RADIUS, "repeats": REPEATS,
             "calls": CALLS, "numpy": np.__version__, "ms_per_call": timings}
 
