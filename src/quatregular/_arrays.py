@@ -6,6 +6,8 @@ components, and complex arrays hold points of a fixed slice plane.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .quaternions import _completion_rows
@@ -110,6 +112,21 @@ def sphere_constants(coeffs: np.ndarray, x: np.ndarray,
     return both[0::2], both[1::2]
 
 
+# degrees whose per-degree tables stay cached
+_TABLES = 16
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _pair_table(n_plus_one: int) -> tuple[np.ndarray, ...]:
+    """The pairs n >= j of ``sphere_planes`` at degree N: n, j, n + j, n - j, the weight
+    of each pair (2 where n > j, else 1) and the exponents 0..2N, all read-only."""
+    n, j = np.nonzero(np.tri(n_plus_one, dtype=bool))
+    out = n, j, n + j, n - j, np.where(n > j, 2.0, 1.0)[:, None], np.arange(2 * n_plus_one - 1)
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
 def sphere_planes(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Fourier coefficients of the squared sphere maximum along the half circle, (m, 4, N+1).
 
@@ -118,17 +135,17 @@ def sphere_planes(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     because Z Z* = |Z|^2 - 2i Im(b conj(c)) for Z = b + ic = sum_n t^n e^{in theta} a_n
     is sum_d e^{id theta} q_d + conj, q_d = sum_j t^{2j+d} a_{j+d} conj(a_j). Plane 0
     holds alpha (alpha_0 = q_0, alpha_d = 2 Re q_d) and planes 1-3 hold u = 2 Im q_d.
+    The pair indices come from a per-degree cache (``_pair_table``).
     """
     top = coeffs.shape[0] - 1
+    n, j, power, turn, weight, exponents = _pair_table(top + 1)
     # a_n conj(a_j) for every pair n >= j, doubled where n > j
     left = (coeffs @ _PRODUCTS).reshape(-1, 4, 4)
-    n, j = np.nonzero(np.tri(top + 1, dtype=bool))
-    pairs = np.einsum("nyl,ny->nl", left[n], coeffs[j] * _CONJUGATE)
-    pairs[n > j] *= 2.0
+    pairs = np.einsum("nyl,ny->nl", left[n], coeffs[j] * _CONJUGATE) * weight
     # row k of the table collects the pair terms carrying t^k
     table = np.zeros((2 * top + 1, 4, top + 1))
-    table[n + j, :, n - j] = pairs
-    powers = radii[:, None] ** np.arange(2 * top + 1)
+    table[power, :, turn] = pairs
+    powers = radii[:, None] ** exponents
     # einsum rather than a matrix product: each row then rounds the same in any batch
     planes = np.einsum("rk,kx->rx", powers, table.reshape(2 * top + 1, -1))
     return planes.reshape(-1, 4, top + 1)
@@ -140,6 +157,21 @@ _PRODUCTS = qmul_rows(np.eye(4)[:, None], np.eye(4)[None]).reshape(4, 16)
 
 
 _NEWTON_STEPS = 8
+# the planes (A, then U's three) that each row of ``_polish_weights`` weights
+_POLISH_PLANES = np.array([0, 0, 1, 2, 3, 0, 1, 2, 3, 1, 2, 3])
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _polish_weights(n_plus_one: int) -> tuple[np.ndarray, np.ndarray]:
+    """The turns d = 0..N and the weights (12, N+1) of ``sphere_max_polish``, read-only:
+    rows 1, -d^2, d, d, d of A, U, U, U (against cos(d theta): A, A'' and U') and rows
+    -d, 1, 1, 1, -d^2, -d^2, -d^2 of A, U, U, U, U, U, U (against sin(d theta): A', U, U'')."""
+    turns = np.arange(n_plus_one)
+    one, square = np.ones(n_plus_one), -turns ** 2
+    weights = np.stack([one, square, turns, turns, turns,
+                        -turns, one, one, one, square, square, square]).astype(float)
+    turns.flags.writeable = weights.flags.writeable = False
+    return turns, weights
 
 
 def sphere_max_polish(planes: np.ndarray, theta: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -153,12 +185,11 @@ def sphere_max_polish(planes: np.ndarray, theta: np.ndarray, lo: np.ndarray, hi:
     stop after ``_NEWTON_STEPS`` steps. Returns g at the final angles, g before
     the last step of each angle, and the final angles.
     """
-    turns = np.arange(planes.shape[2])
-    alpha, u = planes[:, :1], planes[:, 1:]
+    turns, weights = _polish_weights(planes.shape[2])
     # against cos(d theta) these rows give A, A'' and U', against sin(d theta) A', U and U'';
     # every sum runs along the last axis, so it rounds the same in any batch
-    with_cos = np.concatenate([alpha, -turns ** 2 * alpha, turns * u], axis=1)
-    with_sin = np.concatenate([-turns * alpha, u, -turns ** 2 * u], axis=1)
+    weighted = planes[:, _POLISH_PLANES] * weights
+    with_cos, with_sin = weighted[:, :5], weighted[:, 5:]
     live = np.ones(theta.shape, dtype=bool)
     for count in range(_NEWTON_STEPS + 1):
         phase = np.multiply.outer(theta, turns)[:, None, :]
@@ -330,6 +361,17 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     folded = np.ldexp(rows, -e[..., None])
     with np.errstate(over="ignore"):
         return np.ldexp(np.sqrt(np.add.reduce(folded * folded, axis=-1)), e)
+
+
+def coefficient_bound(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """B(t) = sum |b_k| t^k at each radius t, for the coefficient rows b_k of a series.
+
+    |q^k b_k| = |q|^k |b_k|, so by the triangle inequality B(t) bounds |f| on
+    the ball of radius t without an evaluation. Past the floats B is inf, or
+    nan where an inf row norm meets a power that underflowed.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (t[:, None] ** np.arange(len(rows))) @ row_norms(rows)
 
 
 def _sphere_squares(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import _CONJUGATE, _sphere_squares, eval_rows, qmul_rows, row_norms
-from ._arrays import sphere_constants, star_rows
+from ._arrays import _CONJUGATE, _sphere_squares, coefficient_bound, eval_rows, qmul_rows
+from ._arrays import row_norms, sphere_constants, star_rows
 from .errors import DomainError, NumericalSearchError, PreconditionError
 from .norms import _sphere_max, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
@@ -25,8 +25,9 @@ from .slices import regular_translation
 
 _MU_GRID = 1024
 # the mu root: mu(s) counts as reaching r from r - _MU_TOL, and the root bracket
-# closes at this width
+# closes at this width, or at _MU_REL times its upper end where that is smaller
 _MU_TOL = 1e-12
+_MU_REL = 1e-10
 # every _MU_STRIDE-th radius of the mu-profile grid, and its last, make the coarse pass
 _MU_STRIDE = 32
 # Newton starts of attain, and the relative shrink of the set coverage_report samples
@@ -376,17 +377,6 @@ def _coarse_points(size: int) -> np.ndarray:
     return coarse if coarse[-1] == size - 1 else np.append(coarse, size - 1)
 
 
-def _coefficient_bound(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """B(t) = sum |b_k| t^k at each radius t, for the coefficient rows b_k of a series.
-
-    |q^k b_k| = |q|^k |b_k|, so by the triangle inequality B(t) bounds |f| on
-    the ball of radius t without an evaluation. Past the floats B is inf, or
-    nan where an inf row norm meets a power that underflowed.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (t[:, None] ** np.arange(len(rows))) @ row_norms(rows)
-
-
 def _chord_sup(r: float, s_a: np.ndarray, s_b: np.ndarray,
                upper_a: np.ndarray, upper_b: np.ndarray) -> np.ndarray:
     """The supremum of mu(s) = s M(r - s) on each cell [s_a, s_b] that the chord of log M
@@ -416,7 +406,7 @@ def _first_crossing(derivative: Series, r: float,
     show which cells cannot hold the first crossing:
 
     - the coefficient bound s_b B(t_a), with B(t) = sum |b_k| t^k over the
-      coefficients b_k of f' (triangle inequality, ``_coefficient_bound``),
+      coefficients b_k of f' (triangle inequality, ``coefficient_bound``),
       times 1 + 1e-12 for rounding. It needs no evaluation;
     - the monotone bound s_b M(t_a): by the maximum modulus principle
       (Gentili-Stoppato) M is the maximum on the sphere of radius t, so it
@@ -456,7 +446,7 @@ def _first_crossing(derivative: Series, r: float,
     # not np.union1d: numpy's set routines import numpy.ma, about 1 MB more RSS
     coarse = _coarse_points(grid.size)
     # s_b B(t_a) (1 + 1e-12) on each cell; s_b (1 + 1e-12) < 1, so only an inf B makes it inf
-    b_a = _coefficient_bound(derivative.rows, r - grid[coarse[:-1]])
+    b_a = coefficient_bound(derivative.rows, r - grid[coarse[:-1]])
     reach = grid[coarse[1:]] * (1.0 + 1e-12) * b_a
     # the first cell the coefficient bound leaves; nan leaves it too
     start = int(np.argmin(reach < r - _MU_TOL))
@@ -494,16 +484,17 @@ def _inverse_quadratic(s, mu, target: float) -> float:
 
 
 def _root_points(lo: float, hi: float, known_s: np.ndarray, known_mu: np.ndarray,
-                 target: float) -> np.ndarray:
+                 target: float, width: float) -> np.ndarray:
     """The sorted points inside (lo, hi) that one root batch evaluates.
 
     They are the 15 interior points of ``np.linspace(lo, hi, 17)``, which alone
     shrink the bracket 16 times, and, from the three evaluated points
     (``known_s``, ``known_mu``) nearest the bracket, the inverse quadratic
     interpolation x_q of s at mu = ``target`` and x_q -+ delta, with delta twice
-    its distance from the secant x_lin through the two nearest (at least
-    ``_MU_TOL`` / 4), so that the crossing is bracketed closely. Where x_q is
-    not finite or not inside (lo, hi), x_lin takes its place.
+    its distance from the secant x_lin through the two nearest (at least a
+    quarter of the ``width`` at which the bracket closes), so that the crossing
+    is bracketed closely. Where x_q is not finite or not inside (lo, hi), x_lin
+    takes its place.
     """
     points = np.linspace(lo, hi, 17)[1:-1]
     if known_s.size >= 3:
@@ -514,7 +505,7 @@ def _root_points(lo: float, hi: float, known_s: np.ndarray, known_mu: np.ndarray
         x_q = _inverse_quadratic(s, mu, target)
         x = x_q if lo < x_q < hi else x_lin
         if lo < x < hi:
-            delta = max(2.0 * abs(x - x_lin), _MU_TOL / 4)
+            delta = max(2.0 * abs(x - x_lin), width / 4)
             extra = np.array([x - delta, x, x + delta])
             points = np.sort(np.concatenate([points, extra[(extra > lo) & (extra < hi)]]))
             # not np.unique, which imports numpy.ma
@@ -555,8 +546,11 @@ def bl_search(f: Series, r: float) -> SearchReport:
     side of it (``_root_points``). The first batch interpolates through the
     evaluated grid points around the crossing. The first point where mu
     reaches r - ``_MU_TOL`` (or the upper end) closes the next bracket, until
-    it is at most ``_MU_TOL`` wide, so ``2 R_r`` is the first crossing to
-    within ``_MU_TOL``. The residual and the locator come from the final upper
+    it is at most ``_MU_TOL`` wide, or ``_MU_REL`` times its upper end where
+    that is smaller (a crossing below 0.01, where mu rises by about r / s per
+    unit of s), so ``2 R_r`` is the first crossing to within that width and
+    ``mu_root_residual`` stays about 1e-10 r or below however steep f is.
+    The residual and the locator come from the final upper
     end, and ``diagnostics["mu_radii"]`` counts the radii the coarse pass, the
     second pass and the root evaluated: on average 9.6, 31 and 25 over the
     first 72 bl-search benchmark records of seeds 1, 3, 7 and 11, where the
@@ -590,8 +584,9 @@ def bl_search(f: Series, r: float) -> SearchReport:
     known_s, known_mu = grid[near], mu[near]
     lo, hi = float(grid[first - 1]), float(grid[first])
     root_radii = 0
-    while hi - lo > _MU_TOL:
-        points = _root_points(lo, hi, known_s, known_mu, target)
+    # an absolute width alone would leave a root near 0 unresolved, where mu' ~ r / s is steep
+    while hi - lo > (width := min(_MU_TOL, _MU_REL * hi)):
+        points = _root_points(lo, hi, known_s, known_mu, target, width)
         maxima, _, angles = _sphere_max(derivative.rows, r - points)
         values = points * maxima
         root_radii += points.size

@@ -21,8 +21,8 @@ come from a cache, so repeated calls rebuild nothing. The minimum inside a
 ball comes from the roots of the symmetrization instead of a search. Every
 search is deterministic, local refinement from a grid, with a reported
 convergence gap; nothing here is Monte Carlo. Each runs on the coefficients
-and radius scaled by powers of two (``_scaled``), so nothing overflows or
-underflows.
+and radius scaled by powers of two (``_scaled``), once per call, so nothing
+overflows or underflows.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ import numpy as np
 
 from ._arrays import (
     _CONJUGATE,
+    _TABLES,
     circle_table,
+    coefficient_bound,
     power_table,
     slice_norm_ascent,
     sphere_constants,
@@ -61,10 +63,11 @@ _SPHERE_GRID = 2048
 # the angle search: local grid maxima polished per plane set, and grid rows per batch
 _PEAKS = 6
 _CHUNK_ROWS = 16384
-# degrees whose angle tables stay cached
-_TABLES = 16
 # roots of f^s this close, with the ball radius folded into (1/2, 1], share a centroid
 _ROOT_CLUSTER = 1e-2
+# the rounding allowance of _boundary_floor, relative to B(t)^2 and to B(t): its grid
+# products are good to about 1e-13 of B(t)^2 at degree DEGREE_CAP
+_FLOOR_SLACK = 1e-10
 # separated lattice units that start the split_norm ascent; scan block rows, dividing _SPHERE_GRID
 _STARTS = 3
 _SCAN_BLOCK = 256
@@ -209,28 +212,27 @@ def _angle_max(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return at[pick], row, before + constant[row], polished + constant[row]
 
 
-def _sphere_max(coeffs: np.ndarray, radii: np.ndarray,
-                lowest: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _folded_sphere_max(rows: np.ndarray, radii: np.ndarray,
+                       lowest: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximum of |f| on the sphere of each radius, as arrays (value, gap, angle).
 
-    f is given by its coefficient rows (N+1, 4), and no radius is checked
-    against a ball, so rows that ``_scaled`` folded serve as well. The maximum
-    over each sphere x + y S has a closed form, g = A + |U| in its square
-    (``sphere_planes``), so only the angle along the half circle is searched,
-    by ``_angle_max`` on its grid of ``_THETA_GRID`` angles, at least 4N + 1
-    up to degree ``DEGREE_CAP``.
+    f is given by its coefficient rows (N+1, 4) as ``_scaled`` folds them, with
+    the radii folded alike, and value and gap come out folded; no radius is
+    checked against a ball. The maximum over each sphere x + y S has a closed
+    form, g = A + |U| in its square (``sphere_planes``), so only the angle
+    along the half circle is searched, by ``_angle_max`` on its grid of
+    ``_THETA_GRID`` angles, at least 4N + 1 up to degree ``DEGREE_CAP``.
     ``value`` is the closed form on the sphere at ``angle``; ``gap`` is how
     much the last Newton step still moved it. With ``lowest`` the cosine
     plane is negated, so the search climbs -A + |U|, the negated square of
     the sphere minimum, and ``value`` is the minimum of |f| on the sphere of
     each radius.
     """
-    rows, radii, e = _scaled(coeffs, radii)
     value = np.full(radii.shape, Quaternion(*rows[0]).modulus())
     gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
     todo = np.flatnonzero(radii > 0.0)
     if len(rows) == 1 or not todo.size:
-        return _unscaled(value, e), gap, angle
+        return value, gap, angle
     planes = sphere_planes(rows, radii[todo])
     if lowest:
         planes[:, 0] *= -1.0
@@ -243,22 +245,62 @@ def _sphere_max(coeffs: np.ndarray, radii: np.ndarray,
     moved = sign * (np.sqrt(np.maximum(sign * polished, 0.0))
                     - np.sqrt(np.maximum(sign * before, 0.0)))
     np.maximum.at(gap, todo[row], moved)
+    return value, gap, angle
+
+
+def _sphere_max(coeffs: np.ndarray, radii: np.ndarray,
+                lowest: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_folded_sphere_max`` of the coefficient rows (N+1, 4) at the radii, folded
+    here by ``_scaled`` and unfolded after, as arrays (value, gap, angle)."""
+    rows, radii, e = _scaled(coeffs, radii)
+    value, gap, angle = _folded_sphere_max(rows, radii, lowest)
     return _unscaled(value, e), _unscaled(gap, e), angle
 
 
-def _sphere_report(f: Series, s: float, lowest: bool = False, **resolution) -> NormReport:
-    """Maximum of |f| on the sphere of radius s (with ``lowest`` the minimum), as a NormReport.
+def _sphere_report(rows: np.ndarray, t: float, e: int, lowest: bool = False,
+                   **resolution) -> NormReport:
+    """Maximum of |f| on the sphere of radius t (with ``lowest`` the minimum), as a NormReport.
 
-    ``_sphere_max`` on the rows ``_scaled`` folds, its gap floored (``_tol_floor``); the
-    grid angles follow the given ``resolution`` entries. At s = 0 or degree 0, |a_0|.
+    The rows and t are those ``_scaled`` folded by 2^e, so they are folded
+    once: ``_folded_sphere_max`` runs on them as they are, and its value and
+    gap are unfolded, the gap floored (``_tol_floor``); the grid angles follow
+    the given ``resolution`` entries. At t = 0 or degree 0, |a_0|.
     """
-    rows, t, e = _scaled(f.rows, s)
-    (value,), (gap,), _ = _sphere_max(rows, np.array([t]), lowest)
+    (value,), (gap,), _ = _folded_sphere_max(rows, np.array([t]), lowest)
     value = float(_unscaled(value, e))
-    if s == 0.0 or f.degree == 0:
+    if t == 0.0 or len(rows) == 1:
         return NormReport(value, "closed-form")
     return NormReport(value, "grid+refine", {**resolution, "theta": _THETA_GRID},
                       _tol_floor(value, float(_unscaled(gap, e)), e))
+
+
+def _boundary_floor(rows: np.ndarray, t: float, sym: np.ndarray) -> float:
+    """A lower bound of the minimum of |f| on the sphere of radius t > 0.
+
+    The rows and t are those ``_scaled`` folded, and ``sym`` holds the
+    coefficients c_n of the symmetrization f^s of those rows. On each sphere
+    x + y S the minimum and the maximum of |f| multiply to
+    P = |f^s(x + iy)| = hypot(|b|^2 - |c|^2, 2<b, c>) (``sphere_min_rows``), and
+    the maximum is at most B(t) = sum |a_n| t^n (triangle inequality,
+    ``coefficient_bound``). The spheres at x + iy = t e^{i theta}, theta in
+    [0, pi], make up the boundary, and every such angle is within half a
+    grid step pi / (2 (_THETA_GRID - 1)) of an ``_angle_table`` angle, where
+    P is evaluated. P moves at most D = sum n |c_n| t^n per radian, which
+    bounds the angle derivative of f^s(t e^{i theta}). So the minimum is at
+    least (min P - step D / 2) / B(t), taken here with ``_FLOOR_SLACK`` off
+    for rounding.
+    """
+    _, cos, sin, _ = _angle_table(len(rows))
+    weighted = rows * (t ** np.arange(len(rows)))[:, None]
+    # b = sum t^n cos(n theta) a_n and c = sum t^n sin(n theta) a_n at each grid angle
+    b, c = cos.T @ weighted, sin.T @ weighted
+    product = np.hypot(np.einsum("ti,ti->t", b, b) - np.einsum("ti,ti->t", c, c),
+                       2.0 * np.einsum("ti,ti->t", b, c))
+    n = np.arange(len(sym))
+    swing = 0.5 * math.pi / (_THETA_GRID - 1) * float((n * np.abs(sym)) @ t ** n)
+    bound = float(coefficient_bound(rows, np.array([t]))[0])
+    return ((float(product.min()) - swing - _FLOOR_SLACK * bound * bound)
+            / (bound * (1.0 + _FLOOR_SLACK)))
 
 
 # -- uniform norm on balls -----------------------------------------------------
@@ -268,14 +310,14 @@ def sup_norm_ball(f: Series, s: float) -> NormReport:
 
     The maximum sits on the boundary, and the supremum over each boundary
     sphere x + y S has a closed form, so only the angle along a half circle is
-    searched, by ``_sphere_max`` (a grid, then Newton steps from its best
-    local maxima). ``certified_tol`` is how much the last Newton step still
-    raised the value, floored at rounding noise; ``resolution`` holds the
-    number of grid angles used.
+    searched, by ``_folded_sphere_max`` on the rows ``_scaled`` folds (a grid,
+    then Newton steps from its best local maxima). ``certified_tol`` is how
+    much the last Newton step still raised the value, floored at rounding
+    noise; ``resolution`` holds the number of grid angles used.
     """
     _require_degree_cap(f)
     _require_inside(s, f.radius)
-    return _sphere_report(f, s)
+    return _sphere_report(*_scaled(f.rows, s))
 
 
 def inf_norm_ball(f: Series, s: float) -> NormReport:
@@ -287,24 +329,33 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     symmetrization f^s = f * f^c, which has real coefficients, vanishes at
     x + iy (Gentili-Stoppato-Struppa, 2013). So the minimum is the smaller of
     the closed-form sphere minima at the roots of f^s in the ball and the
-    minimum over the boundary sphere (``_sphere_report``, whose search climbs
-    -A + |U| = -min^2). Both come from the rows ``_scaled`` folds, f^s as their
-    ``star_rows`` product with their conjugate rows. A zero of f of
-    multiplicity k is a 2k-fold root of f^s, which ``np.roots`` splits by
-    about eps^(1/2k), so the centroid of each root with the roots near it (in
-    the plane ``_scaled`` folds, so relative to the ball radius) is tried as
-    well. ``certified_tol`` is the value itself when a root sphere wins, since
-    f vanishes on that sphere, and otherwise how much the last Newton step
-    still lowered the boundary value, floored at rounding noise.
-    ``resolution`` holds the number of boundary grid angles and of root
-    candidates in the ball.
+    minimum over the boundary sphere. The rows are folded once, by
+    ``_scaled``, and f^s is their ``star_rows`` product with their conjugate
+    rows. A zero of f of multiplicity k is a 2k-fold root of f^s, which
+    ``np.roots`` splits by about eps^(1/2k), so the centroid of each root with
+    the roots near it (in the plane ``_scaled`` folds, so relative to the ball
+    radius) is tried as well. The roots come first: when their smallest sphere
+    minimum is below the proved lower bound L of the boundary minimum
+    (``_boundary_floor``), the root sphere wins with no boundary search. On
+    each boundary sphere the minimum and maximum of |f| multiply to |f^s| at
+    its point of the circle |z| = s, and the maximum is at most
+    B(s) = sum |a_n| s^n, so with D = sum n |c_n| s^n over the coefficients
+    c_n of f^s and h = pi/511 the step of the 512 grid angles,
+    L = (min over the grid of |f^s| - h D / 2) / B(s), less a rounding
+    allowance. L is below the boundary minimum the search would find, so the
+    root sphere is the one that search would also have lost to. Otherwise
+    the boundary search (``_sphere_report``, whose search climbs
+    -A + |U| = -min^2) runs, and the smaller value wins. ``certified_tol`` is
+    the value itself when a root sphere wins, since f vanishes on that
+    sphere, and otherwise how much the last Newton step still lowered the
+    boundary value, floored at rounding noise. ``resolution`` holds the
+    number of boundary grid angles and of root candidates in the ball.
     """
     _require_degree_cap(f)
     _require_inside(s, f.radius)
-    boundary = _sphere_report(f, s, lowest=True)
-    if boundary.method == "closed-form":
-        return boundary
     rows, t, e = _scaled(f.rows, s)
+    if t == 0.0 or len(rows) == 1:
+        return _sphere_report(rows, t, e, lowest=True)
     # leading coefficients of f^s below 2^-500 of the largest move no root in the
     # folded ball beyond rounding, but their companion row would overflow
     sym = star_rows(rows, rows * _CONJUGATE)[:, 0]
@@ -313,12 +364,16 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     near = np.abs(roots[:, None] - roots) < _ROOT_CLUSTER
     roots = np.concatenate([roots, near @ roots / near.sum(axis=1)])
     roots = roots[np.abs(roots) <= t]
-    resolution = {**boundary.resolution, "roots": int(roots.size)}
+    resolution = {"theta": _THETA_GRID, "roots": int(roots.size)}
     low = sphere_min_rows(*sphere_constants(rows, roots.real, roots.imag)).min(initial=np.inf)
-    if low < math.ldexp(boundary.value, -e):  # compared folded: a losing low is never unfolded
-        low = float(_unscaled(low, e))
-        return NormReport(low, "root-sphere", resolution, _tol_floor(low, low, e))
-    return replace(boundary, resolution=resolution)
+    # with no root in the ball no root sphere can win, and f^s may vanish identically
+    if not (roots.size and low < _boundary_floor(rows, t, sym)):
+        boundary = _sphere_report(rows, t, e, lowest=True)
+        # compared folded: a losing low is never unfolded
+        if not low < math.ldexp(boundary.value, -e):
+            return replace(boundary, resolution=resolution)
+    low = float(_unscaled(low, e))
+    return NormReport(low, "root-sphere", resolution, _tol_floor(low, low, e))
 
 
 # -- slice norm and its supremum over units ------------------------------------
@@ -349,7 +404,8 @@ def _lattice_scan(rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.n
     sums = (table.T @ rows).view(float)
     grid, span = np.empty((_SCAN_BLOCK, table.shape[1])), np.arange(_SCAN_BLOCK)
     tops, cols = [], []
-    for form in np.moveaxis(square_forms(sums, sums), 0, -1):
+    # each (9, T) form contiguous, so that every block product takes the fast path
+    for form in np.ascontiguousarray(np.moveaxis(square_forms(sums, sums), 0, -1)):
         for block in monomials.reshape(-1, _SCAN_BLOCK, 9):
             np.matmul(block, form, out=grid)
             cols.append(np.argmax(grid, axis=1))
@@ -363,9 +419,13 @@ def slice_norm(f: Series, unit: UnitImaginary,
 
     Each complex component, placed in the slice of i as the coefficient rows
     (Re, Im, 0, 0), has a sphere maximum at the boundary radius that is its
-    circle maximum, so ``_sphere_max`` finds it from those rows. The value
-    does not depend on which orthogonal completion ``j_unit`` is used;
-    passing one explicitly exists for exactly that check.
+    circle maximum, so ``_folded_sphere_max`` finds it from those rows, split
+    from the rows ``_scaled`` folded once. A component is not folded again:
+    the larger circle maximum is at least 2^-N / (2 sqrt 2) of the folded
+    scale (a Cauchy estimate), so a component small enough to underflow is
+    below rounding in the hypot. The value does not depend on which
+    orthogonal completion ``j_unit`` is used; passing one explicitly exists
+    for exactly that check.
     """
     _require_degree_cap(f)
     rows, radius, e = _scaled(f.rows, f.radius)
@@ -373,7 +433,7 @@ def slice_norm(f: Series, unit: UnitImaginary,
     maxima = []
     for part in split_rows(rows, *_frame(unit, j_unit)):
         plane[:, 0], plane[:, 1] = part[0].real, part[0].imag
-        maxima.append(_sphere_max(plane, np.array([radius]))[0][0])
+        maxima.append(_folded_sphere_max(plane, np.array([radius]))[0][0])
     return float(_unscaled(np.hypot(*maxima), e))
 
 
@@ -404,7 +464,7 @@ def split_norm(f: Series) -> NormReport:
     _require_degree_cap(f)
     rows, radius, e = _scaled(f.rows, f.radius)
     if f.degree == 0 or np.all(rows[:, 1:] == 0.0):
-        return _sphere_report(f, f.radius, sphere=1)
+        return _sphere_report(rows, radius, e, sphere=1)
     scan_table = circle_table(radius, f.degree + 1, _THETA_GRID // 2)
     lattice, _ = _lattice()
     tops, cols = _lattice_scan(rows, scan_table)

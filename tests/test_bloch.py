@@ -527,6 +527,19 @@ class TestSearch:
         assert cov.hits == 100
         assert not cov.misses
 
+    @pytest.mark.parametrize("c", [1e9, 1e10, 1e11, 1e12, 1e13])
+    def test_steep_quadratic_resolves_the_mu_root(self, c):
+        # f = q + c q^2 has M(t) = 1 + 2 c t, so mu(s) = s (1 + 2 c (r - s)) = r at
+        # s = 2 r / (a + sqrt(a^2 - 8 c r)), a = 1 + 2 c r: about 1 / (2 c), far below
+        # the absolute root width 1e-12 for the larger c
+        r = 0.9
+        report = bl_search(Series((0, 1, c)), r)
+        a = 1.0 + 2.0 * c * r
+        root = 2.0 * r / (a + math.sqrt(a * a - 8.0 * c * r))
+        assert abs(2.0 * report.R_r - root) <= 1e-9 * root
+        assert report.diagnostics["mu_root_residual"] <= 1e-9 * r
+        assert report.diagnostics["rho_bound_ok"]
+
     def test_working_radius_outside_the_ball(self):
         with pytest.raises(DomainError, match="inside the ball of validity"):
             bl_search(Series((0, 1), radius=0.5), 0.6)

@@ -381,6 +381,14 @@ class TestSliceNorm:
         with pytest.raises(DomainError, match="orthogonal"):
             slice_norm(Series((0, 1)), I, j_unit=I)
 
+    @pytest.mark.parametrize("tiny", [1e-100, 1e-200, 1e-300])
+    def test_a_component_far_below_the_other(self, tiny):
+        # the components are not folded again: one whose squares underflow is far
+        # below rounding in the hypot with the other
+        assert (slice_norm(Series((0, 1, Quaternion(0, 0, tiny, 0))), I)
+                == slice_norm(Series((0, 1)), I) == 1.0)
+        assert slice_norm(Series((0, tiny, J)), I) == slice_norm(Series((0, 0, J)), I) == 1.0
+
 
 def slice_norm_rows(coeffs, units, radius):
     """Slice norms at unit rows: a_n = alpha_n + beta_n J with J, K = I J from cross
@@ -984,6 +992,79 @@ class TestInfNormBall:
         assert report.value <= scan
 
 
+def inf_norm_cases(rng):
+    """(f, s) pairs: seeded series of degree 1-8 at three scales, the builtins, zeros on
+    or near the boundary sphere (q - s, q^2 + s^2, q - 0.9 s) and a sharp boundary
+    minimum beside a root of f^s just outside the ball, each at ball radii 0.45 and 0.9."""
+    sharp = Series(tuple(Quaternion(*row) for row in (
+        (0.7908799660595067, -0.8999490057336899, -0.9160255185853716, -0.7918442877852898),
+        (-0.1353612901699326, -0.4284040274708809, 0.48279278730928654, -0.91327963901696),
+        (0.8747529629903654, 0.8894380811177607, 0.619930497797115, 0.6123171912557732),
+    )))
+    cases = []
+    for s in (0.45, 0.9):
+        cases += [(random_series(rng, degree, scale), s)
+                  for scale in (0.3, 1.0, 5.0) for degree in range(1, 9)]
+        cases += [(f, s) for _, f in builtin_corpus()]
+        cases += [(Series((-s, 1)), s), (Series((s * s, 0, 1)), s), (Series((-0.9 * s, 1)), s),
+                  (sharp, s)]
+    return cases
+
+
+class TestInfNormRootsFirst:
+    def test_boundary_floor_is_below_the_boundary_minimum(self, rng):
+        theta = np.linspace(0.0, math.pi, 20001)
+        cases = inf_norm_cases(rng)
+        positive = 0
+        for f, s in cases:
+            rows, t, e = norms._scaled(f.rows, s)
+            sym = symmetrization(Series(tuple(Quaternion(*row) for row in rows))).rows[:, 0]
+            floor = norms._boundary_floor(rows, t, sym)
+            boundary = norms._sphere_report(rows, t, e, lowest=True).value
+            scan = sphere_min_rows(*sphere_constants(rows, t * np.cos(theta), t * np.sin(theta)))
+            assert floor <= min(math.ldexp(boundary, -e), float(scan.min()))
+            positive += floor > 0.0
+        # the bound is not vacuous: most of these boundaries stay away from 0
+        assert positive > len(cases) // 2
+
+    def test_reports_match_with_the_shortcut_off(self, rng, monkeypatch):
+        cases = inf_norm_cases(rng) + [
+            (Series((-3e299, 1e300)), 0.9), (Series((-3e-301, 1e-300)), 0.9),
+            (Series((-3e100, 1), 1e101), 9e100), (Series((-3e-101, 1), 1e-100), 9e-101)]
+        searches = []
+
+        def tally(*args, **kwargs):
+            searches.append(args)
+            return report(*args, **kwargs)
+
+        report = norms._sphere_report
+        monkeypatch.setattr(norms, "_sphere_report", tally)
+        shortcut = [inf_norm_ball(f, s) for f, s in cases]
+        # the root sphere wins without a boundary search in a quarter of the cases at least
+        assert len(cases) - len(searches) >= len(cases) // 4
+        assert all(r.method == "root-sphere" for r in shortcut[-4:])
+        monkeypatch.setattr(norms, "_boundary_floor", lambda *args: -math.inf)
+        assert [inf_norm_ball(f, s) for f, s in cases] == shortcut
+
+    @pytest.mark.parametrize("f, s, expected", [
+        (Series((0, 0, 0)), 0.5, NormReport(0.0, "grid+refine", {"theta": 512, "roots": 0}, 4e-15)),
+        (Series((0, 0, 0), 1e300), 1e200,
+         NormReport(0.0, "grid+refine", {"theta": 512, "roots": 0}, 4e-15)),
+        (Series((0, 0), 1e-300), 1e-310,
+         NormReport(0.0, "grid+refine", {"theta": 512, "roots": 0}, 4e-15)),
+        (Series((0, 0, 0)), 0.0, NormReport(0.0, "closed-form")),
+        (Series((0,)), 0.5, NormReport(0.0, "closed-form")),
+    ])
+    def test_the_zero_series_keeps_its_report(self, f, s, expected):
+        # f = 0 has no root of f^s, so no lower bound is taken (it would be 0 / 0)
+        assert inf_norm_ball(f, s) == expected
+
+    def test_a_root_minimum_beside_a_boundary_past_the_floats(self):
+        # 1e300 (q - 1) is about 1e310 on the sphere of radius 1e10, but 0 at q = 1
+        report = inf_norm_ball(Series((-1e300, 1e300), 1e20), 1e10)
+        assert (report.value, report.method) == (0.0, "root-sphere")
+
+
 class TestMeanValue:
     def test_identity_equality_case(self):
         margin = mean_value_margin(Series((0, 1)), Quaternion(0.3, 0.1, 0, 0))
@@ -1051,6 +1132,23 @@ class TestSphereMaxSearch:
         assert norms._angle_table.cache_info() == info
         assert info.currsize == norms._TABLES
 
+    def test_plane_and_polish_tables_are_cached_read_only_and_bounded(self):
+        caches = (_arrays._pair_table, _arrays._polish_weights)
+        for cache in caches:
+            cache.cache_clear()
+        rng = np.random.default_rng(2727)
+        for degree in range(1, 40):
+            sup_norm_ball(random_series(rng, degree, 1.0), 0.9)
+        for cache in caches:
+            assert cache.cache_info().currsize == norms._TABLES
+            for array in cache(7):
+                with pytest.raises(ValueError):
+                    array[0] = 1
+        n, j, power, turn, weight, exponents = _arrays._pair_table(7)
+        assert np.array_equal(power, n + j) and np.array_equal(turn, n - j)
+        assert np.array_equal(weight[:, 0], np.where(n > j, 2.0, 1.0))
+        assert np.array_equal(exponents, np.arange(13))
+
     def test_batched_mu_profile_matches_single_radius_calls(self):
         for f in (dict(builtin_corpus())["mixed-units"],
                   random_series(np.random.default_rng(31), 5, monic_shift=True)):
@@ -1082,7 +1180,7 @@ class TestSphereMaxSearch:
                 lo, hi = grid[first - 1], grid[first]
                 while hi - lo > 1e-12:
                     known_s, known_mu = map(np.array, zip(*known))
-                    points = bloch._root_points(lo, hi, known_s, known_mu, threshold)
+                    points = bloch._root_points(lo, hi, known_s, known_mu, threshold, 1e-12)
                     values = [s * sup_norm_ball(derivative, r - s).value for s in points]
                     k = next((k for k, v in enumerate(values) if v >= threshold), len(points))
                     lo = points[k - 1] if k > 0 else lo
@@ -1126,7 +1224,7 @@ class TestSphereMaxSearch:
         t = np.linspace(0.0, 0.99, bloch._MU_GRID)
         for f in self.profile_series():
             derivative = slice_derivative(f)
-            bound = bloch._coefficient_bound(derivative.rows, t)
+            bound = _arrays.coefficient_bound(derivative.rows, t)
             assert np.all(bound * (1.0 + 1e-12) >= _sphere_max(derivative.rows, t)[0])
 
     def test_chord_supremum_matches_a_fine_sampling(self):
@@ -1169,7 +1267,7 @@ class TestSphereMaxSearch:
         # |b_1| = 2.4e308 is past the floats, so B is inf and clears no cell, with no
         # numpy warning; M stays finite on the ball of radius 0.3
         derivative = slice_derivative(Series((0, 1, Quaternion(0.85e308, 0.85e308, 0, 0))))
-        assert bloch._coefficient_bound(derivative.rows, np.array([0.3])).tolist() == [np.inf]
+        assert _arrays.coefficient_bound(derivative.rows, np.array([0.3])).tolist() == [np.inf]
         grid = np.linspace(0.0, 0.3, bloch._MU_GRID)
         maxima, _, angles = _sphere_max(derivative.rows, 0.3 - grid)
         first = int(np.flatnonzero(grid * maxima >= 0.3 - bloch._MU_TOL)[0])
@@ -1302,8 +1400,8 @@ class TestDegreeCap:
         def no_search(*args):
             raise AssertionError("a search ran")
 
-        for module, name in ((norms, "_sphere_max"), (bloch, "_sphere_max"),
-                             (norms, "_lattice_scan")):
+        for module, name in ((norms, "_sphere_max"), (norms, "_folded_sphere_max"),
+                             (bloch, "_sphere_max"), (norms, "_lattice_scan")):
             monkeypatch.setattr(module, name, no_search)
         with pytest.raises(DomainError, match="degree 61 exceeds the cap 60"):
             CAPPED[entry](capped_series(DEGREE_CAP + 1))

@@ -15,10 +15,12 @@ gradient and Hessian of the split_norm ascent at its three starts
 (_slice_terms, given the series table and the charts) and the whole ascent
 from them (slice_norm_ascent), the whole split_norm on the same series and on
 the real-coefficient series of its real parts (the boundary sphere maximum),
-the sphere constants and series evaluation. Three rows time sup_norm_ball,
-inf_norm_ball (both at RADIUS) and split_norm (on the ball of radius RADIUS)
-on a series of degree DEGREE_CAP with |a_n| about 1/(n+1)^2, the largest
-degree that every norm takes. One row times the series algebra
+the sphere constants and series evaluation, and inf_norm_ball at RADIUS on
+q times the derivative's first DEGREE coefficients, a degree-DEGREE series
+with a zero at the origin whose root sphere wins without a boundary search.
+Three rows time sup_norm_ball, inf_norm_ball (both at RADIUS) and split_norm
+(on the ball of radius RADIUS) on a series of degree DEGREE_CAP with |a_n|
+about 1/(n+1)^2, the largest degree that every norm takes. One row times the series algebra
 that builds a new series from coefficient rows: star, slice_derivative,
 regular_translation and with_radius, one call each, on a degree-2 series.
 One row times attain, the multistart Newton preimage search, on the builtin
@@ -119,6 +121,8 @@ def main() -> dict:
         lambda: slice_norm_ascent(*starts[0]))
     timings["split_norm"] = best_ms(lambda: split_norm(at_radius))
     timings[f"split_norm[real, degree {DEGREE}]"] = best_ms(lambda: split_norm(real))
+    rooted = _from_rows(np.concatenate([np.zeros((1, 4)), derivative.rows[:-1]]), 1.0, True)
+    timings[f"inf_norm_ball[degree {DEGREE}]"] = best_ms(lambda: inf_norm_ball(rooted, RADIUS))
     for name, norm in (("sup_norm_ball", lambda: sup_norm_ball(capped, RADIUS)),
                        ("inf_norm_ball", lambda: inf_norm_ball(capped, RADIUS)),
                        ("split_norm", lambda: split_norm(capped.with_radius(RADIUS)))):
