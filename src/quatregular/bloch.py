@@ -206,13 +206,13 @@ def g_series(f: Series, c) -> Series:
         base = np.concatenate([[(1.0, 0.0, 0.0, 0.0)],
                                -qmul_rows(f.rows[1:], np.array(c.inverse().components))])
         sym = star_rows(base, base * _CONJUGATE)
-    sym = _from_rows(sym, f.radius, f.exact).rows  # a Series checks every coefficient is finite
+    sym = _from_rows(sym, f.radius).rows  # a Series checks every coefficient is finite
     nonreal = _nonreal_rows(sym)
     if nonreal.size:
         raise NumericalSearchError(
             f"symmetrization coefficient {nonreal[0]} has a nonreal part beyond tolerance")
     # the real parts, with the +0.0 imaginary parts of a real coefficient
-    return _from_rows(np.pad(sym[:, :1], ((0, 0), (0, 3))), f.radius, f.exact)
+    return _from_rows(np.pad(sym[:, :1], ((0, 0), (0, 3))), f.radius)
 
 
 def fourth_root_series(g: Series) -> Series:
@@ -235,7 +235,7 @@ def fourth_root_series(g: Series) -> Series:
         lhs = sum((k + 1) * gs[k + 1] * p[n - k] for k in range(n + 1) if k + 1 <= top)
         rhs = 4.0 * sum((n + 1 - k) * gs[k] * p[n + 1 - k] for k in range(1, n + 1))
         p[n + 1] = (lhs - rhs) / (4.0 * (n + 1))
-    return _from_rows(np.pad(np.array(p)[:, None], ((0, 0), (0, 3))), g.radius, exact=False)
+    return _from_rows(np.pad(np.array(p)[:, None], ((0, 0), (0, 3))), g.radius)
 
 
 def parseval_mean(psi: Series, r: float,
@@ -624,7 +624,7 @@ def bl_search(f: Series, r: float) -> SearchReport:
 
     phi_rows = np.concatenate([[(0.0, 0.0, 0.0, 0.0), (deriv_scale, 0.0, 0.0, 0.0)],
                                qmul_rows(translated.rows[2:], np.array(normalizer.components))])
-    phi = _from_rows(phi_rows, s_star, f.exact)
+    phi = _from_rows(phi_rows, s_star)
     phi_lemma = phi.with_radius(ball_radius)
 
     dphi_norm = split_norm(slice_derivative(phi_lemma))

@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("input", help="series JSON file "
-                       '({"radius": R, "coeffs": [[x0,x1,x2,x3], ...], "exact": bool})')
+                       '({"radius": R, "coeffs": [[x0,x1,x2,x3], ...]})')
         p.add_argument("-o", "--output", help="write the report here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run the property suites")

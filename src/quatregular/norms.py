@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -344,8 +344,9 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     L = (min over the grid of |f^s| - h D / 2) / B(s), less a rounding
     allowance. L is below the boundary minimum the search would find, so the
     root sphere is the one that search would also have lost to. Otherwise
-    the boundary search (``_sphere_report``, whose search climbs
-    -A + |U| = -min^2) runs, and the smaller value wins. ``certified_tol`` is
+    the boundary search (``_folded_sphere_max``, climbing -A + |U| = -min^2)
+    runs, and the smaller value wins, compared folded: a DomainError means
+    the minimum reported is beyond the largest float. ``certified_tol`` is
     the value itself when a root sphere wins, since f vanishes on that
     sphere, and otherwise how much the last Newton step still lowered the
     boundary value, floored at rounding noise. ``resolution`` holds the
@@ -366,14 +367,15 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     roots = roots[np.abs(roots) <= t]
     resolution = {"theta": _THETA_GRID, "roots": int(roots.size)}
     low = sphere_min_rows(*sphere_constants(rows, roots.real, roots.imag)).min(initial=np.inf)
+    gap, method = low, "root-sphere"
     # with no root in the ball no root sphere can win, and f^s may vanish identically
     if not (roots.size and low < _boundary_floor(rows, t, sym)):
-        boundary = _sphere_report(rows, t, e, lowest=True)
-        # compared folded: a losing low is never unfolded
-        if not low < math.ldexp(boundary.value, -e):
-            return replace(boundary, resolution=resolution)
+        (value,), (moved,), _ = _folded_sphere_max(rows, np.array([t]), lowest=True)
+        # compared folded: only the minimum reported is unfolded
+        if not low < value:
+            low, gap, method = value, moved, "grid+refine"
     low = float(_unscaled(low, e))
-    return NormReport(low, "root-sphere", resolution, _tol_floor(low, low, e))
+    return NormReport(low, method, resolution, _tol_floor(low, float(_unscaled(gap, e)), e))
 
 
 # -- slice norm and its supremum over units ------------------------------------

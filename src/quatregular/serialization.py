@@ -1,4 +1,4 @@
-"""Series files: JSON with a radius, rows of four coefficients, and an exact flag."""
+"""Series files: JSON with a radius and coefficient rows; an old boolean "exact" is ignored."""
 
 from __future__ import annotations
 
@@ -13,11 +13,7 @@ from .series import Series, _from_rows
 
 
 def series_to_dict(f: Series) -> dict:
-    return {
-        "radius": f.radius,
-        "coeffs": f.rows.tolist(),
-        "exact": f.exact,
-    }
+    return {"radius": f.radius, "coeffs": f.rows.tolist()}
 
 
 def _finite(value) -> float | None:
@@ -39,8 +35,7 @@ def series_from_dict(payload: dict, source: str = "<payload>") -> Series:
     radius = _finite(payload["radius"])
     if radius is None or radius <= 0:
         raise SeriesFormatError(f"{source}: field 'radius' must be a positive finite number")
-    exact = payload.get("exact", True)
-    if not isinstance(exact, bool):
+    if not isinstance(payload.get("exact", True), bool):
         raise SeriesFormatError(f"{source}: field 'exact' must be a boolean")
     rows = payload["coeffs"]
     if not isinstance(rows, list) or not rows:
@@ -51,7 +46,7 @@ def series_from_dict(payload: dict, source: str = "<payload>") -> Series:
             raise SeriesFormatError(
                 f"{source}: coeffs[{idx}] must be a list of four finite numbers")
     # the rows are lists of four finite ints and floats, which float() and numpy convert alike
-    return _from_rows(np.array(rows, dtype=float), radius, exact)
+    return _from_rows(np.array(rows, dtype=float), radius)
 
 
 def load_series(path) -> Series:

@@ -1,8 +1,7 @@
 """Truncated power series q^n a_n with quaternion coefficients on the right.
 
-Polynomials are the primary citizens: ``exact`` marks a finite series with no
-truncation error. Products never truncate, so algebraic identities between
-polynomials hold to rounding error only.
+Polynomials are the primary citizens. Products never truncate, so algebraic
+identities between polynomials hold to rounding error only.
 
 Every Series-to-Series operation works on ``Series.rows``, the one store.
 Evaluation at one point stays a loop of ``Quaternion`` products: the reference
@@ -35,17 +34,16 @@ class Series:
 
     rows: np.ndarray
     radius: float
-    exact: bool
 
-    def __init__(self, coeffs, radius: float = 1.0, exact: bool = True):
+    def __init__(self, coeffs, radius: float = 1.0):
         coerced = tuple(map(_coerce, coeffs))
         if any(q is None for q in coerced):
             raise TypeError(f"coefficient {coerced.index(None)} is not a quaternion or real number")
         rows = np.array([(q.x0, q.x1, q.x2, q.x3) for q in coerced], dtype=float)
-        self._keep(rows.reshape(-1, 4), radius, exact)
+        self._keep(rows.reshape(-1, 4), radius)
 
-    def _keep(self, rows: np.ndarray, radius: float, exact: bool) -> Series:
-        """This series, holding the checked rows (made read-only), radius and flag."""
+    def _keep(self, rows: np.ndarray, radius: float) -> Series:
+        """This series, holding the checked rows (made read-only) and radius."""
         if not len(rows):
             raise DomainError("a series needs at least one coefficient")
         if not np.isfinite(rows).all():
@@ -53,7 +51,7 @@ class Series:
         if not (radius > 0 and math.isfinite(radius)):
             raise DomainError("radius must be positive and finite")
         rows.flags.writeable = False
-        self.__dict__.update(rows=rows, radius=radius, exact=exact)
+        self.__dict__.update(rows=rows, radius=radius)
         return self
 
     @property
@@ -65,7 +63,7 @@ class Series:
         return len(self.rows) - 1
 
     def with_radius(self, radius: float) -> Series:
-        return _from_rows(self.rows, radius, self.exact)
+        return _from_rows(self.rows, radius)
 
     def __call__(self, q) -> Quaternion:
         return evaluate(self, q)
@@ -73,24 +71,22 @@ class Series:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.radius == other.radius and self.exact == other.exact
-                and np.array_equal(self.rows, other.rows))
+        return self.radius == other.radius and np.array_equal(self.rows, other.rows)
 
     def __hash__(self):
-        return hash((tuple(map(tuple, self.rows.tolist())), self.radius, self.exact))
+        return hash((tuple(map(tuple, self.rows.tolist())), self.radius))
 
     def __repr__(self):
-        return f"Series(coeffs={self.coeffs!r}, radius={self.radius!r}, exact={self.exact!r})"
+        return f"Series(coeffs={self.coeffs!r}, radius={self.radius!r})"
 
     def __reduce__(self):
         # pickle and copy rebuild through _from_rows, so the rows come back read-only
-        return _from_rows, (self.rows, self.radius, self.exact)
+        return _from_rows, (self.rows, self.radius)
 
 
-def _from_rows(rows: np.ndarray, radius: float, exact: bool) -> Series:
+def _from_rows(rows: np.ndarray, radius: float) -> Series:
     """The series with coefficient rows (N+1, 4): kept if read-only, else copied."""
-    return object.__new__(Series)._keep(rows.copy() if rows.flags.writeable else rows,
-                                        radius, exact)
+    return object.__new__(Series)._keep(rows.copy() if rows.flags.writeable else rows, radius)
 
 
 def _require_zero_at_origin(f: Series) -> None:
@@ -130,12 +126,12 @@ def evaluate(f: Series, q) -> Quaternion:
 def slice_derivative(f: Series) -> Series:
     """Coefficient shift n * a_n -> position n-1; the constant series drops to zero."""
     rows = np.arange(1.0, f.degree + 1.0)[:, None] * f.rows[1:]
-    return _from_rows(rows if f.degree else np.zeros((1, 4)), f.radius, f.exact)
+    return _from_rows(rows if f.degree else np.zeros((1, 4)), f.radius)
 
 
 def star(f: Series, g: Series) -> Series:
     """Star product: Cauchy convolution of coefficient lists (``star_rows``), degrees add."""
-    return _from_rows(star_rows(f.rows, g.rows), min(f.radius, g.radius), f.exact and g.exact)
+    return _from_rows(star_rows(f.rows, g.rows), min(f.radius, g.radius))
 
 
 def star_transform_point(f: Series, q) -> Quaternion:
@@ -154,7 +150,7 @@ def star_transform_point(f: Series, q) -> Quaternion:
 
 def regular_conjugate(f: Series) -> Series:
     """Series with componentwise conjugated coefficients."""
-    return _from_rows(f.rows * _CONJUGATE, f.radius, f.exact)
+    return _from_rows(f.rows * _CONJUGATE, f.radius)
 
 
 def symmetrization(f: Series) -> Series:

@@ -163,8 +163,7 @@ def sphere_pair(f: Series, x: float, y: float) -> SpherePair:
 
 
 def ext_from_slice(F: ComplexSeries, G: ComplexSeries,
-                   i_unit: UnitImaginary, j_unit: UnitImaginary,
-                   exact: bool = True) -> Series:
+                   i_unit: UnitImaginary, j_unit: UnitImaginary) -> Series:
     """Reassemble the quaternionic series a_n = alpha_n + beta_n J from a splitting.
 
     Inverse of :func:`split`: the unique regular extension of F + G J off the
@@ -177,7 +176,7 @@ def ext_from_slice(F: ComplexSeries, G: ComplexSeries,
     units, (j_rows, k_rows) = _frame(i_unit, j_unit)
     basis = np.eye(4)
     basis[1:, 1:] = np.concatenate([units, j_rows, k_rows])
-    return _from_rows(parts @ basis, F.radius, exact)
+    return _from_rows(parts @ basis, F.radius)
 
 
 def regular_translation(f: Series, w) -> Series:
@@ -201,7 +200,7 @@ def regular_translation(f: Series, w) -> Series:
     # column n adds C(n, m) w^(n-m) a_n to every b_m with m <= n, in order of n
     for n in range(f.degree + 1):
         coeffs[:n + 1] += _BINOMIALS[:n + 1, n, None] * table[n::-1, n]
-    return _from_rows(coeffs, f.radius - norm_w, f.exact)
+    return _from_rows(coeffs, f.radius - norm_w)
 
 
 def _probe_grid(ball_radius: float) -> np.ndarray:

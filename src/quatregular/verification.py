@@ -89,7 +89,7 @@ def random_series(rng, degree: int, scale: float = 0.5, monic_shift: bool = Fals
         rows[0] = 0.0
         if degree >= 1:
             rows[1] = (1.0, 0.0, 0.0, 0.0)
-    return _from_rows(rows, 1.0, True)
+    return _from_rows(rows, 1.0)
 
 
 def random_ball_point(rng, radius: float) -> Quaternion:
@@ -106,7 +106,7 @@ def _padded_rows(f: Series, g: Series) -> tuple[np.ndarray, np.ndarray]:
 
 def series_sum(f: Series, g: Series) -> Series:
     a, b = _padded_rows(f, g)
-    return _from_rows(a + b, min(f.radius, g.radius), f.exact and g.exact)
+    return _from_rows(a + b, min(f.radius, g.radius))
 
 
 def coeff_deviation(f: Series, g: Series) -> float:
@@ -203,7 +203,7 @@ def run_checks(suites=None, seed: int = 0, scale: float = 1.0,
 def _user_series_check(f: Series) -> _Check:
     """Light structural pass over a user-supplied series: the worst of three series-suite
     properties, homogeneous in f, so taken of f times 2^-e (``norms._scaled`` at radius 1)."""
-    f = _from_rows(norms._scaled(f.rows, 1.0)[0], f.radius, f.exact)
+    f = _from_rows(norms._scaled(f.rows, 1.0)[0], f.radius)
     return _Check("", "series", "user-series-structure", "deviation", 1e-12, 1, "",
                   lambda _: max(_involution_gap(f), _symmetrization_imag(f),
                                 _split_gap(f, UNIT_I)))
@@ -288,7 +288,7 @@ def _symmetrization_slice_preserving(rng):
 
 def _split_gap(f: Series, unit: UnitImaginary) -> float:
     pair = slices.split(f, unit)
-    back = slices.ext_from_slice(pair.F, pair.G, pair.I, pair.J, exact=f.exact)
+    back = slices.ext_from_slice(pair.F, pair.G, pair.I, pair.J)
     return coeff_deviation(back, f)
 
 

@@ -28,12 +28,14 @@ def test_its_own_tree_shows_no_diff():
     for workload, tasks in (("slice-norms", 16), ("bl-search", 24)):
         (seed,) = report[workload].values()
         assert seed["tasks"] == tasks and seed["diffs"] == []
+        assert seed["moved"] == 0 and seed["max_rel_move"] == 0.0
         assert seed["this_s"] > 0.0 and seed["other_s"] > 0.0
         assert 0 <= seed["faster"] <= tasks
 
 
 def test_a_changed_tree_shows_its_diffs(tmp_path):
-    # a rounding floor of 5e-15 in place of 4e-15 moves a certified_tol of every workload
+    # a rounding floor of 5e-15 in place of 4e-15 moves a certified_tol of every workload,
+    # and only those held at the floor, each by at most 5/4 - 1
     shutil.copytree(ROOT / "src" / "quatregular", tmp_path / "src" / "quatregular",
                     ignore=shutil.ignore_patterns("__pycache__"))
     norms = tmp_path / "src" / "quatregular" / "norms.py"
@@ -44,3 +46,23 @@ def test_a_changed_tree_shows_its_diffs(tmp_path):
     for workload in ("slice-norms", "bl-search"):
         (seed,) = report[workload].values()
         assert seed["diffs"] and all(d["this"] != d["other"] for d in seed["diffs"])
+        assert seed["moved"] == len(seed["diffs"])
+        assert 0.0 < seed["max_rel_move"] <= 0.25 * (1 + 1e-9)
+
+
+def test_rel_move_of_leaves_and_shapes():
+    # in a child process, as the tool pins the process that imports it to one CPU
+    code = """if True:
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        from ab import _rel_move
+        print(json.dumps([_rel_move([1, {"a": 4.0, "m": "x"}], [1, {"a": 5.0, "m": "x"}]),
+                          _rel_move({"a": 0.0}, {"a": 1e-300}), _rel_move([1.0], [1.0, 2.0]),
+                          _rel_move({"a": 1}, {"b": 1}), _rel_move("x", "y"),
+                          _rel_move([0, None], [0, {"v": 1}]), _rel_move(True, False),
+                          _rel_move([0.0, 2.0], [-0.0, 2.0])]))
+    """
+    result = subprocess.run([sys.executable, "-c", code, str(ROOT / "tools")],
+                            capture_output=True, text=True, check=True)
+    inf = float("inf")
+    assert json.loads(result.stdout) == [0.25, inf, inf, inf, inf, inf, inf, 0.0]

@@ -87,7 +87,7 @@ def test_criterion_2_splitting_representation():
         i_unit, j_unit = random_unit(rng), random_unit(rng)
         x, y = rng.uniform(-0.6, 0.6), rng.uniform(0.0, 0.6)
         pair = split(f, i_unit)
-        back = ext_from_slice(pair.F, pair.G, pair.I, pair.J, exact=f.exact)
+        back = ext_from_slice(pair.F, pair.G, pair.I, pair.J)
         worst_round = max(worst_round, coeff_deviation(back, f))
         direct = evaluate(f, Quaternion(x, y * i_unit.x1, y * i_unit.x2, y * i_unit.x3))
         worst_repr = max(worst_repr,

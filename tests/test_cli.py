@@ -19,9 +19,10 @@ def identity_file(tmp_path):
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        f = Series((Quaternion(0, 1, 2, 3), Quaternion(1)), radius=1.5, exact=False)
+        f = Series((Quaternion(0, 1, 2, 3), Quaternion(1)), radius=1.5)
         path = tmp_path / "f.json"
         dump_series(f, path)
+        assert sorted(json.loads(path.read_text())) == ["coeffs", "radius"]
         assert load_series(path) == f
 
     def test_missing_field(self):
@@ -42,6 +43,22 @@ class TestSerialization:
     def test_nonpositive_radius(self):
         with pytest.raises(SeriesFormatError, match="radius"):
             series_from_dict({"radius": 0.0, "coeffs": [[0, 0, 0, 0]]})
+
+    def test_legacy_exact_field_is_ignored(self):
+        payload = {"radius": 0.75, "coeffs": [[0, 0, 0, 0], [1, 2, 3, 4]]}
+        loaded = [series_from_dict({**payload, **extra})
+                  for extra in ({}, {"exact": True}, {"exact": False})]
+        assert loaded[0] == loaded[1] == loaded[2] == Series((0, Quaternion(1, 2, 3, 4)), 0.75)
+
+    @pytest.mark.parametrize("exact", ["yes", 1, None])
+    def test_non_boolean_exact_field(self, tmp_path, capsys, exact):
+        payload = {"radius": 1.0, "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]], "exact": exact}
+        with pytest.raises(SeriesFormatError, match="field 'exact' must be a boolean"):
+            series_from_dict(payload)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload))
+        assert main(["norm", str(path)]) == 2
+        assert "field 'exact' must be a boolean" in capsys.readouterr().err
 
 
 class TestCommands:

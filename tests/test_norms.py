@@ -1037,8 +1037,8 @@ class TestInfNormRootsFirst:
             searches.append(args)
             return report(*args, **kwargs)
 
-        report = norms._sphere_report
-        monkeypatch.setattr(norms, "_sphere_report", tally)
+        report = norms._folded_sphere_max
+        monkeypatch.setattr(norms, "_folded_sphere_max", tally)
         shortcut = [inf_norm_ball(f, s) for f, s in cases]
         # the root sphere wins without a boundary search in a quarter of the cases at least
         assert len(cases) - len(searches) >= len(cases) // 4
@@ -1063,6 +1063,17 @@ class TestInfNormRootsFirst:
         # 1e300 (q - 1) is about 1e310 on the sphere of radius 1e10, but 0 at q = 1
         report = inf_norm_ball(Series((-1e300, 1e300), 1e20), 1e10)
         assert (report.value, report.method) == (0.0, "root-sphere")
+
+    def test_a_zero_wins_over_a_searched_boundary_past_the_floats(self):
+        # -9e299 q + 1e290 q^2 vanishes at 0 and 9e9, and L does not clear the root,
+        # so the boundary is searched: about 1e310 there, compared before it is unfolded
+        report = inf_norm_ball(Series((0, -9e299, 1e290), 1e20), 1e10)
+        assert (report.value, report.method) == (0.0, "root-sphere")
+
+    def test_a_minimum_past_the_floats_is_a_domain_error(self):
+        # |a_0| = 2.1e308 with no zero in the ball: the minimum itself is past the floats
+        with pytest.raises(DomainError, match="beyond the largest float"):
+            inf_norm_ball(Series((Quaternion(1.5e308, 1.5e308, 0, 0), 1.0)), 0.5)
 
 
 class TestMeanValue:

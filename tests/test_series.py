@@ -110,13 +110,12 @@ class TestStar:
         assert prod.coeffs == expected
         assert prod.coeffs == (-J, Quaternion(0, 2, 0, 0), J)
 
-    def test_degrees_add_and_flags(self, rng):
+    def test_degrees_add(self, rng):
         f = random_series(rng, 3)
         g = random_series(rng, 4)
         prod = star(f, g)
         assert prod.degree == 7
         assert prod.radius == 1.0
-        assert prod.exact
 
     def test_associativity(self, rng):
         for _ in range(100):
@@ -190,29 +189,28 @@ class TestOneStore:
     def test_constructor_and_from_rows_agree(self, rng):
         for degree in range(5):
             f = Series(random_series(rng, degree).coeffs, 0.75)
-            g = _from_rows(np.array([a.components for a in f.coeffs]), 0.75, True)
+            g = _from_rows(np.array([a.components for a in f.coeffs]), 0.75)
             assert f == g and g == f and hash(f) == hash(g)
             assert g.coeffs == f.coeffs and g.degree == f.degree
 
     def test_signed_zeros_compare_and_hash_equal(self):
         f = Series((0.0, Quaternion(1.0, 0.0, 0.0, 0.0)))
-        g = _from_rows(np.array([[-0.0, -0.0, 0.0, -0.0], [1.0, -0.0, -0.0, 0.0]]), 1.0, True)
+        g = _from_rows(np.array([[-0.0, -0.0, 0.0, -0.0], [1.0, -0.0, -0.0, 0.0]]), 1.0)
         assert np.signbit(g.rows).any() and not np.signbit(f.rows).any()
         assert f == g and hash(f) == hash(g)
 
-    def test_degree_radius_and_flag_tell_series_apart(self):
+    def test_degree_and_radius_tell_series_apart(self):
         f = Series((0, 1), radius=0.5)
         for other in (Series((0, 1, 0), radius=0.5), Series((0,), radius=0.5),
-                      Series((0, 1), radius=0.75), Series((0, 1), radius=0.5, exact=False),
-                      Series((0, I), radius=0.5)):
+                      Series((0, 1), radius=0.75), Series((0, I), radius=0.5)):
             assert f != other and not f == other
         for other in (f.coeffs, (Quaternion(), Quaternion(1)), None, 0.5, "Series"):
             assert f != other and not f == other
 
     def test_attributes_are_frozen(self):
         f = Series((0, 1))
-        for name, value in (("rows", np.zeros((2, 4))), ("radius", 2.0), ("exact", False),
-                            ("coeffs", ()), ("other", 1)):
+        for name, value in (("rows", np.zeros((2, 4))), ("radius", 2.0), ("coeffs", ()),
+                            ("other", 1)):
             with pytest.raises(AttributeError):
                 setattr(f, name, value)
         assert f == Series((0, 1))
@@ -220,40 +218,39 @@ class TestOneStore:
     def test_copies_and_pickles_stay_read_only(self, rng):
         f = random_series(rng, 3)
         for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
-            assert g == f and hash(g) == hash(f) and g.exact == f.exact
+            assert g == f and hash(g) == hash(f)
             with pytest.raises(ValueError):
                 g.rows[0, 0] = 2.0
 
     def test_with_radius_shares_rows(self, rng):
         f = random_series(rng, 4)
         g = f.with_radius(0.5)
-        assert g.rows is f.rows and g.radius == 0.5 and g.exact == f.exact
+        assert g.rows is f.rows and g.radius == 0.5
 
     def test_from_rows_copies_a_writable_array(self):
         rows = np.array([[0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
-        f = _from_rows(rows, 1.0, True)
+        f = _from_rows(rows, 1.0)
         rows[:] = 7.0
         assert f.rows.tolist() == [[0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]
         assert rows.flags.writeable and not f.rows.flags.writeable
 
     def test_from_rows_checks_its_array(self):
         with pytest.raises(DomainError, match="coefficient 1 is not finite"):
-            _from_rows(np.array([[0.0] * 4, [0.0, math.nan, 0.0, 0.0]]), 1.0, True)
+            _from_rows(np.array([[0.0] * 4, [0.0, math.nan, 0.0, 0.0]]), 1.0)
         with pytest.raises(DomainError, match="at least one coefficient"):
-            _from_rows(np.zeros((0, 4)), 1.0, True)
+            _from_rows(np.zeros((0, 4)), 1.0)
         with pytest.raises(DomainError, match="radius must be positive"):
-            _from_rows(np.zeros((1, 4)), math.nan, True)
+            _from_rows(np.zeros((1, 4)), math.nan)
 
     def test_repr_text(self):
         assert repr(Series((0, 1), radius=0.5)) == (
             "Series(coeffs=(Quaternion(x0=0.0, x1=0.0, x2=0.0, x3=0.0), "
-            "Quaternion(x0=1.0, x1=0.0, x2=0.0, x3=0.0)), radius=0.5, exact=True)")
-        assert repr(Series((Quaternion(0.5, -0.25, 1.5, 0.0),), exact=False)) == (
-            "Series(coeffs=(Quaternion(x0=0.5, x1=-0.25, x2=1.5, x3=0.0),), "
-            "radius=1.0, exact=False)")
+            "Quaternion(x0=1.0, x1=0.0, x2=0.0, x3=0.0)), radius=0.5)")
+        assert repr(Series((Quaternion(0.5, -0.25, 1.5, 0.0),))) == (
+            "Series(coeffs=(Quaternion(x0=0.5, x1=-0.25, x2=1.5, x3=0.0),), radius=1.0)")
         assert repr(Series((-0.0, Quaternion(1.0, 0.0, 0.0, 2.0)), radius=2)) == (
             "Series(coeffs=(Quaternion(x0=-0.0, x1=0.0, x2=0.0, x3=0.0), "
-            "Quaternion(x0=1.0, x1=0.0, x2=0.0, x3=2.0)), radius=2, exact=True)")
+            "Quaternion(x0=1.0, x1=0.0, x2=0.0, x3=2.0)), radius=2)")
 
 
 class TestStarTransformPoint:

@@ -106,7 +106,7 @@ class TestSplit:
             f = random_series(rng, int(rng.integers(0, 8)))
             unit = random_unit(rng)
             pair = split(f, unit)
-            back = ext_from_slice(pair.F, pair.G, pair.I, pair.J, exact=f.exact)
+            back = ext_from_slice(pair.F, pair.G, pair.I, pair.J)
             assert coeff_deviation(back, f) < 1e-13
             assert back.radius == f.radius
 

@@ -52,7 +52,7 @@ class TestUserSeriesCheck:
     def test_worst_of_three_properties(self):
         # the properties are those of f folded by the power of two of its largest component
         g = random_series(np.random.default_rng(5), 6)
-        f = _from_rows(np.ldexp(g.rows, -math.frexp(np.abs(g.rows).max())[1]), g.radius, g.exact)
+        f = _from_rows(np.ldexp(g.rows, -math.frexp(np.abs(g.rows).max())[1]), g.radius)
         pair = split(f, I)
         expected = max(coeff_deviation(regular_conjugate(regular_conjugate(f)), f),
                        max(a.imag.modulus() for a in symmetrization(f).coeffs),

@@ -24,8 +24,11 @@ round. BLAS is pinned to one thread and the process to one CPU, as in
 ``perfbench/run.py``. Prints one JSON object: for each workload and seed, the
 sum over tasks of each tree's per-task minimum seconds, their ratio (this
 tree over the other), the number of tasks where this tree's minimum is the
-smaller, and every task whose output differs between the trees, with both
-outputs.
+smaller, ``moved``, the number of tasks whose output differs between the
+trees, ``max_rel_move``, the largest relative change |a - b| / min(|a|, |b|)
+over the numeric leaves of those outputs (bl-search reports parsed as JSON; a
+difference in shape or in a leaf that is not a number counts as inf), and
+every task whose output differs, with both outputs.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import importlib
 import importlib.util
 import itertools
 import json
+import math
 import sys
 import tempfile
 import time
@@ -104,6 +108,21 @@ def _bl_search(pkg, work: Path, tag: str):
     return prepare
 
 
+def _rel_move(this, other) -> float:
+    """The largest |a - b| / min(|a|, |b|) over the numeric leaves of two outputs, 0 if
+    they are equal; a difference in shape or in a leaf that is not a number is inf."""
+    if this == other:
+        return 0.0
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (this, other)):
+        floor = min(abs(this), abs(other))
+        return abs(this - other) / floor if floor else math.inf
+    if isinstance(this, dict) and isinstance(other, dict) and this.keys() == other.keys():
+        return max(_rel_move(this[key], other[key]) for key in this)
+    if isinstance(this, list) and isinstance(other, list) and len(this) == len(other):
+        return max(map(_rel_move, this, other))
+    return math.inf
+
+
 def compare(workload: str, seed: int, corpus, trees: dict, work: Path) -> dict:
     """Time and diff the first RECORDS[workload] records of ``seed`` in both trees."""
     records = list(itertools.islice(corpus.generate(workload, seed), RECORDS[workload]))
@@ -129,10 +148,15 @@ def compare(workload: str, seed: int, corpus, trees: dict, work: Path) -> dict:
     diffs = [{"task": task, "this": this, "other": other}
              for task, (this, other) in enumerate(zip(outputs["this"], outputs["other"]))
              if this != other]
+    # a bl-search output is [exit code, report text or None]
+    parse = ((lambda out: out) if workload == "slice-norms"
+             else (lambda out: [out[0], out[1] and json.loads(out[1])]))
+    moves = [_rel_move(parse(d["this"]), parse(d["other"])) for d in diffs]
     this_s, other_s = float(best["this"].sum()), float(best["other"].sum())
     return {"tasks": len(records), "this_s": round(this_s, 4), "other_s": round(other_s, 4),
             "ratio": round(this_s / other_s, 4),
-            "faster": int(np.count_nonzero(best["this"] < best["other"])), "diffs": diffs}
+            "faster": int(np.count_nonzero(best["this"] < best["other"])),
+            "moved": len(diffs), "max_rel_move": max(moves, default=0.0), "diffs": diffs}
 
 
 def main(other_tree) -> dict:

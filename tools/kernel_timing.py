@@ -97,7 +97,7 @@ def main() -> dict:
     small = random_series(rng, 2)
     shift = Quaternion(*(rng.standard_normal(4) * 0.1))
     capped = _from_rows(rng.uniform(-1.0, 1.0, (DEGREE_CAP + 1, 4))
-                        / np.arange(1.0, DEGREE_CAP + 2.0)[:, None] ** 2, 1.0, True)
+                        / np.arange(1.0, DEGREE_CAP + 2.0)[:, None] ** 2, 1.0)
 
     timings = {}
     for count in SPHERE_RADII:
@@ -121,7 +121,7 @@ def main() -> dict:
         lambda: slice_norm_ascent(*starts[0]))
     timings["split_norm"] = best_ms(lambda: split_norm(at_radius))
     timings[f"split_norm[real, degree {DEGREE}]"] = best_ms(lambda: split_norm(real))
-    rooted = _from_rows(np.concatenate([np.zeros((1, 4)), derivative.rows[:-1]]), 1.0, True)
+    rooted = _from_rows(np.concatenate([np.zeros((1, 4)), derivative.rows[:-1]]), 1.0)
     timings[f"inf_norm_ball[degree {DEGREE}]"] = best_ms(lambda: inf_norm_ball(rooted, RADIUS))
     for name, norm in (("sup_norm_ball", lambda: sup_norm_ball(capped, RADIUS)),
                        ("inf_norm_ball", lambda: inf_norm_ball(capped, RADIUS)),
