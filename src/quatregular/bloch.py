@@ -526,7 +526,9 @@ def bl_search(f: Series, r: float) -> SearchReport:
 
     The resolution is fixed: each M comes from ``_sphere_max`` on its 512
     grid angles, and ``dphi_norm`` from ``split_norm`` on its 2048-unit
-    lattice. The root starts from the first
+    lattice; for a quadratic f both f' and phi' are linear, and then each M
+    is the closed form |b_0| + t |b_1| and ``dphi_norm`` the closed form
+    |b_0| + R |b_1|, with no grid or lattice. The root starts from the first
     grid point of ``_MU_GRID`` = 1024 in [0, r] where mu(s) = s M(r - s)
     reaches r - ``_MU_TOL``. That point is found from a coarse pass over every
     32nd grid point and the points of just the cells whose least upper bound

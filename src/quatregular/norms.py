@@ -17,12 +17,14 @@ angle both squared components are quadratic forms in the unit, so the scan is
 a real matrix product per component, written block by block of lattice units
 into one buffer that stays in cache. Every norm takes degree ``DEGREE_CAP``
 at most, so one angle grid serves every search, and its cos and sin tables
-come from a cache, so repeated calls rebuild nothing. The minimum inside a
-ball comes from the roots of the symmetrization instead of a search. Every
-search is deterministic, local refinement from a grid, with a reported
-convergence gap; nothing here is Monte Carlo. Each runs on the coefficients
-and radius scaled by powers of two (``_scaled``), once per call, so nothing
-overflows or underflows.
+come from a cache, so repeated calls rebuild nothing. A series of effective
+degree at most 1 needs no grid and no lattice: its sphere angle and its
+supremum of slice norms are closed forms. The minimum inside a ball comes
+from the roots of the symmetrization instead of a search. Every search is
+deterministic, local refinement from a grid, with a reported convergence
+gap; nothing here is Monte Carlo. Each runs on the coefficients and radius
+scaled by powers of two (``_scaled``), once per call, so nothing overflows
+or underflows.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from ._arrays import (
     circle_table,
     coefficient_bound,
     power_table,
+    row_norms,
     slice_norm_ascent,
     sphere_constants,
     sphere_extrema_rows,
@@ -84,7 +87,10 @@ class NormReport:
     ``split_norm`` how much the last Newton step of the winning start still
     raised the square root of H (on a real-coefficient series, how much the last
     Newton step on the boundary sphere maximum still moved it). The floor
-    scales with the series (``_tol_floor``); a closed form reports 0.
+    scales with the series (``_tol_floor``). A "closed-form" report (radius 0,
+    or a series of effective degree at most 1, whose every row past the
+    second is zero) ran no grid, lattice or Newton step: it has no
+    ``resolution`` and ``certified_tol`` 0.
     """
 
     value: float
@@ -97,8 +103,9 @@ class NormReport:
 
 
 def _tol_floor(value: float, gap: float, e: int) -> float:
-    """``gap`` floored at 4e-15 times the value or the 2^e ``_scaled`` folds out, if larger."""
-    return max(gap, 4e-15 * value, math.ldexp(4e-15, e))
+    """``gap`` floored at 4e-15 times the value or the 2^e ``_scaled`` folds out, if larger,
+    and at +0.0: a gap of -0.0 whose floors underflow reads 0.0, not -0.0."""
+    return max(0.0, gap, 4e-15 * value, math.ldexp(4e-15, e))
 
 
 def _scaled(rows: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray | float, int]:
@@ -122,6 +129,12 @@ def _unscaled(x, e: int):
     if e > 0 and np.max(x, initial=0.0) >= math.ldexp(1.0, 1024 - e):
         raise DomainError("the norm is beyond the largest float")
     return np.ldexp(x, e)
+
+
+def _linear(rows: np.ndarray) -> bool:
+    """Effective degree at most 1: every coefficient row past the second is zero, so
+    the norms have closed forms (trailing zero rows change no value)."""
+    return not rows[2:].any()
 
 
 # -- closed form on spheres --------------------------------------------------
@@ -150,7 +163,12 @@ def _angle_table(n_plus_one: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 def _angle_max(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The angle in [0, pi] where g = A + |U| is largest, for each plane set (m, 4, N+1).
 
-    The planes are those of ``sphere_planes``. A grid of ``_THETA_GRID`` angles is
+    Planes with no turn past the first (N = 1, a series of effective degree
+    at most 1) have g = alpha_0 + alpha_1 cos(theta) + |u_1| sin(theta) on
+    [0, pi], largest at theta* = atan2(|u_1|, alpha_1) with
+    g* = alpha_0 + hypot(alpha_1, |u_1|): that angle is returned, with one
+    bracket per set whose g before and after are both g*, and no grid or
+    polish runs. Otherwise a grid of ``_THETA_GRID`` angles is
     two products of ``_CHUNK_ROWS`` grid rows at a time, against the cached cos
     and sin tables of ``_angle_table``, with |U| rooted and A added in place.
     The ``_PEAKS`` best local grid maxima of every set (ties to the lower angle;
@@ -164,6 +182,10 @@ def _angle_max(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     before and after its last step.
     """
     constant = planes[:, 0, 0]
+    if planes.shape[2] == 2:
+        alpha, swing = planes[:, 0, 1], row_norms(planes[:, 1:, 1])
+        top = constant + np.hypot(alpha, swing)
+        return np.arctan2(swing, alpha), np.arange(len(planes)), top, top
     planes = planes.copy()
     planes[:, 0, 0] = 0.0
     theta, cos, sin, parity = _angle_table(planes.shape[2])
@@ -221,18 +243,24 @@ def _folded_sphere_max(rows: np.ndarray, radii: np.ndarray,
     checked against a ball. The maximum over each sphere x + y S has a closed
     form, g = A + |U| in its square (``sphere_planes``), so only the angle
     along the half circle is searched, by ``_angle_max`` on its grid of
-    ``_THETA_GRID`` angles, at least 4N + 1 up to degree ``DEGREE_CAP``.
+    ``_THETA_GRID`` angles, at least 4N + 1 up to degree ``DEGREE_CAP``. At
+    effective degree at most 1 (every row past the second zero) the rows are
+    cut to two, so that ``_angle_max`` takes its closed form with no grid,
+    and the maximum of |f| on the sphere of radius t is |a_0| + t |a_1|.
     ``value`` is the closed form on the sphere at ``angle``; ``gap`` is how
-    much the last Newton step still moved it. With ``lowest`` the cosine
-    plane is negated, so the search climbs -A + |U|, the negated square of
-    the sphere minimum, and ``value`` is the minimum of |f| on the sphere of
-    each radius.
+    much the last Newton step still moved it, and 0 with no grid. With
+    ``lowest`` the cosine plane is negated, so the search climbs -A + |U|, the
+    negated square of the sphere minimum, and ``value`` is the minimum of |f|
+    on the sphere of each radius (at effective degree at most 1,
+    ||a_0| - t |a_1||).
     """
     value = np.full(radii.shape, Quaternion(*rows[0]).modulus())
     gap, angle = np.zeros(radii.shape), np.zeros(radii.shape)
     todo = np.flatnonzero(radii > 0.0)
     if len(rows) == 1 or not todo.size:
         return value, gap, angle
+    if _linear(rows):
+        rows = rows[:2]
     planes = sphere_planes(rows, radii[todo])
     if lowest:
         planes[:, 0] *= -1.0
@@ -264,11 +292,13 @@ def _sphere_report(rows: np.ndarray, t: float, e: int, lowest: bool = False,
     The rows and t are those ``_scaled`` folded by 2^e, so they are folded
     once: ``_folded_sphere_max`` runs on them as they are, and its value and
     gap are unfolded, the gap floored (``_tol_floor``); the grid angles follow
-    the given ``resolution`` entries. At t = 0 or degree 0, |a_0|.
+    the given ``resolution`` entries. At t = 0 or effective degree at most 1
+    no grid runs, and the report is a "closed-form" one, with no resolution
+    and ``certified_tol`` 0.
     """
     (value,), (gap,), _ = _folded_sphere_max(rows, np.array([t]), lowest)
     value = float(_unscaled(value, e))
-    if t == 0.0 or len(rows) == 1:
+    if t == 0.0 or _linear(rows):
         return NormReport(value, "closed-form")
     return NormReport(value, "grid+refine", {**resolution, "theta": _THETA_GRID},
                       _tol_floor(value, float(_unscaled(gap, e)), e))
@@ -313,7 +343,9 @@ def sup_norm_ball(f: Series, s: float) -> NormReport:
     searched, by ``_folded_sphere_max`` on the rows ``_scaled`` folds (a grid,
     then Newton steps from its best local maxima). ``certified_tol`` is how
     much the last Newton step still raised the value, floored at rounding
-    noise; ``resolution`` holds the number of grid angles used.
+    noise; ``resolution`` holds the number of grid angles used. At effective
+    degree at most 1 the value is |a_0| + s |a_1|, from the closed-form
+    angle, in a "closed-form" report.
     """
     _require_degree_cap(f)
     _require_inside(s, f.radius)
@@ -350,7 +382,10 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     the value itself when a root sphere wins, since f vanishes on that
     sphere, and otherwise how much the last Newton step still lowered the
     boundary value, floored at rounding noise. ``resolution`` holds the
-    number of boundary grid angles and of root candidates in the ball.
+    number of boundary grid angles and of root candidates in the ball. At
+    effective degree at most 1 the boundary minimum ||a_0| - s |a_1|| comes
+    from the closed-form angle, and where it wins the report is a
+    "closed-form" one.
     """
     _require_degree_cap(f)
     _require_inside(s, f.radius)
@@ -373,6 +408,8 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
         (value,), (moved,), _ = _folded_sphere_max(rows, np.array([t]), lowest=True)
         # compared folded: only the minimum reported is unfolded
         if not low < value:
+            if _linear(rows):
+                return NormReport(float(_unscaled(value, e)), "closed-form")
             low, gap, method = value, moved, "grid+refine"
     low = float(_unscaled(low, e))
     return NormReport(low, method, resolution, _tol_floor(low, float(_unscaled(gap, e)), e))
@@ -442,16 +479,33 @@ def slice_norm(f: Series, unit: UnitImaginary,
 def split_norm(f: Series) -> NormReport:
     """Supremum of the slice norm over the sphere of units.
 
-    Real-coefficient series short-circuit: every slice then carries the same
-    restriction, and |f| is constant on each sphere, so the value is the
-    maximum of |f| on the boundary sphere (``_sphere_report``), with the gap
-    of its last Newton step in ``certified_tol``. Otherwise the squared norm is
-    the maximum of H = |F_I(z_1)|^2 + |G_I(z_2)|^2 over the unit I and the
-    angles of z_1, z_2 on the boundary circle; at each angle both squares are
-    quadratic forms in I (``slice_square_forms``). The ``_SPHERE_GRID`` units
-    of a lattice are scanned with grid maxima of |F_I| and |G_I|, no polish,
-    each component's grid the product of the lattice monomials with nine
-    coefficients per angle, ``_SCAN_BLOCK`` units at a time. The ``_STARTS``
+    At effective degree at most 1 (every row past the second zero) the value
+    is B(R) = |a_0| + R |a_1| (``coefficient_bound``), a "closed-form" report
+    with no resolution and ``certified_tol`` 0. Proof: on the slice of I write
+    a_k = alpha_k + beta_k J, so |a_k|^2 = |alpha_k|^2 + |beta_k|^2 and the
+    circle maxima of the two components are |alpha_0| + R |alpha_1| and
+    |beta_0| + R |beta_1|. Their hypot is the length of
+    (|alpha_0|, |beta_0|) + R (|alpha_1|, |beta_1|), at most |a_0| + R |a_1| by
+    Minkowski's inequality, with equality where the two vectors are parallel.
+    The difference |alpha_0|^2 / |a_0|^2 - |alpha_1|^2 / |a_1|^2 is at least 0
+    at I along Im a_0 (where |alpha_0| = |a_0|) and at most 0 at I along
+    Im a_1. The sphere of units is connected, so the difference vanishes at
+    some unit, and there the supremum is attained. A real a_k has
+    |alpha_k| = |a_k| at every unit, so any unit serves as its I; a zero a_k
+    leaves the vectors parallel at every unit.
+
+    Real-coefficient series of higher degree short-circuit too: every slice
+    then carries the same restriction, and |f| is constant on each sphere, so
+    the value is the maximum of |f| on the boundary sphere (``_sphere_report``),
+    with the gap of its last Newton step in ``certified_tol``.
+
+    Otherwise the squared norm is the maximum of H = |F_I(z_1)|^2 + |G_I(z_2)|^2
+    over the unit I and the angles of z_1, z_2 on the boundary circle; at each
+    angle both squares are quadratic forms in I (``slice_square_forms``). The
+    ``_SPHERE_GRID`` units of a lattice are scanned with grid maxima of |F_I|
+    and |G_I|, no polish, each component's grid the product of the lattice
+    monomials with nine coefficients per angle, ``_SCAN_BLOCK`` units at a
+    time. The ``_STARTS``
     best lattice units on distinct slices, no two within 0.2 rad of each other
     or of each other's antipode (I and -I span one slice), with the scan's
     best angle of each component, start a Newton ascent of H
@@ -465,7 +519,10 @@ def split_norm(f: Series) -> NormReport:
     """
     _require_degree_cap(f)
     rows, radius, e = _scaled(f.rows, f.radius)
-    if f.degree == 0 or np.all(rows[:, 1:] == 0.0):
+    if _linear(rows):
+        return NormReport(float(_unscaled(coefficient_bound(rows[:2], np.array([radius]))[0], e)),
+                          "closed-form")
+    if not rows[:, 1:].any():
         return _sphere_report(rows, radius, e, sphere=1)
     scan_table = circle_table(radius, f.degree + 1, _THETA_GRID // 2)
     lattice, _ = _lattice()

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -423,6 +424,44 @@ def attained_slice_norm(coeffs, radius):
     return float(slice_norm_rows(coeffs, best[None, :], radius)[0])
 
 
+def coefficient_bound(f):
+    """|a_0| + R |a_1| + ... on the ball of f, as ``_arrays.coefficient_bound`` sums it."""
+    return float(_arrays.coefficient_bound(f.rows, np.array([f.radius]))[0])
+
+
+def witness_unit(f, steps=60):
+    """A unit whose slice norm of the effective-degree-1 series f is |a_0| + R |a_1|.
+
+    Along the arc from I along Im a_0 to I along Im a_1, h = |alpha_0| |beta_1| -
+    |beta_0| |alpha_1| goes from at least 0 to at most 0 (a_k = alpha_k + beta_k J),
+    and where it vanishes (alpha_0, beta_0) and (alpha_1, beta_1) have parallel
+    moduli, so their Minkowski sum attains the bound; it is bisected there, on the
+    rows over their largest component, since h keeps its sign under scaling. A real
+    or zero a_0 or a_1 leaves every unit on that arc a witness.
+    """
+    rows = f.rows[:2] / np.abs(f.rows[:2]).max()
+    ends = [row[1:] / np.linalg.norm(row[1:]) if row[1:].any() else None for row in rows]
+    start, end = (ends[0] if ends[0] is not None else ends[1]), ends[1]
+    if start is None:
+        return I
+    if end is None:
+        end = start
+
+    def unit_at(tau):
+        unit = (1.0 - tau) * start + tau * end
+        return unit / np.linalg.norm(unit)
+
+    def h(tau):
+        alpha, beta = _slice_rows(rows, unit_at(tau)[None])
+        return abs(alpha[0, 0]) * abs(beta[0, 1]) - abs(beta[0, 0]) * abs(alpha[0, 1])
+
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if h(mid) >= 0.0 else (lo, mid)
+    return UnitImaginary.from_vector(*unit_at(lo))
+
+
 class TestSplitNorm:
     def test_identity(self):
         report = split_norm(Series((0, 1)))
@@ -438,13 +477,19 @@ class TestSplitNorm:
     def test_real_path_is_the_boundary_sphere_maximum(self):
         # |f| is constant on each sphere of a real-coefficient series, so its split
         # norm is the maximum on the boundary sphere: the same _sphere_max on the
-        # same rows as sup_norm_ball at that radius, to the last bit
+        # same rows as sup_norm_ball at that radius, to the last bit; at degree 1
+        # both are the closed form |a_0| + R |a_1|, to rounding
         rng = np.random.default_rng(3331)
         for degree in range(1, 9):
             for radius in (0.5, 0.9, 1.0):
                 f = Series(tuple(float(v) for v in rng.uniform(-1, 1, size=degree + 1)), radius)
                 report = split_norm(f)
                 reference = sup_norm_ball(f.with_radius(2.0 * radius), radius)
+                if degree == 1:
+                    assert report == NormReport(coefficient_bound(f), "closed-form")
+                    assert reference.method == "closed-form"
+                    assert abs(report.value - reference.value) <= 4.4e-16 * report.value
+                    continue
                 assert report.resolution == {"sphere": 1, "theta": 512}
                 assert (report.value, report.certified_tol) == (
                     reference.value, reference.certified_tol)
@@ -549,10 +594,10 @@ class TestSplitNorm:
                                     "resolution": {"theta": 512}, "certified_tol": 4e-15}
 
     def test_tied_starts_report_the_first(self, monkeypatch):
-        # f = q + j/2 peaks on the slice of j, and its starts end on the units -j, -j
-        # and j, whose slice norms agree to an ulp: the steps and the gap come from
-        # the first start in pick order, whichever tied norm rounds highest; the rounding
-        # floor is at 2^1, the frexp scale of the largest coefficient
+        # f = q + j/2 - (j/4) q^2 peaks on the slice of j, and its starts end on the
+        # units -j, -j and j, whose slice norms agree to an ulp: the steps and the gap
+        # come from the first start in pick order, whichever tied norm rounds highest;
+        # the rounding floor is at 2^1, the frexp scale of the largest coefficient
         ascents = []
 
         def recording(*args):
@@ -560,14 +605,14 @@ class TestSplitNorm:
             return ascents[-1]
 
         monkeypatch.setattr(norms, "slice_norm_ascent", recording)
-        report = split_norm(Series((Quaternion(0, 0, 0.5, 0), 1)))
+        report = split_norm(Series((J / 2, 1, -J / 4)))
         h, before, units, _, steps = ascents[0]
         assert abs(np.dot(units[0], units[1])) > 1.0 - 1e-12
         assert steps[0] not in steps[1:]
-        assert report.value == 1.5
+        assert report.value == 1.75
         assert report.resolution["steps"] == steps[0]
         gap = 2.0 * (math.sqrt(h[0]) - math.sqrt(before[0]))
-        assert report.certified_tol == norms._tol_floor(1.5, gap, 1)
+        assert report.certified_tol == norms._tol_floor(1.75, gap, 1)
 
     def test_starts_lie_on_distinct_slices(self, monkeypatch):
         # I and -I span one slice, so no start is within 0.2 rad of another or of its antipode
@@ -713,7 +758,8 @@ class TestSplitNorm:
 
     def test_value_is_the_slice_norm_at_the_final_unit(self, monkeypatch):
         # the value is sqrt(H) at the ascent's best point, with no second pass of
-        # circle maxima: it must match the slice norm at that point's unit
+        # circle maxima: it must match the slice norm at that point's unit; at
+        # degree 1 no ascent runs, and the closed form is the slice norm at a witness
         ascents = []
 
         def recording(*args):
@@ -725,10 +771,86 @@ class TestSplitNorm:
         for scale in (0.5, 1.0, 3.0):
             for degree in range(1, 9):
                 f = random_series(rng, degree, scale)
+                count = len(ascents)
                 value = split_norm(f).value
+                if degree == 1:
+                    assert len(ascents) == count and value == coefficient_bound(f)
+                    assert abs(value - slice_norm(f, witness_unit(f))) <= 1e-14 * value
+                    continue
                 h, _, units, _, _ = ascents[-1]
                 unit = UnitImaginary.from_vector(*units[int(np.argmax(h))])
                 assert abs(value - slice_norm(f, unit)) <= 2e-15 * value
+
+
+class TestDegreeOneClosedForms:
+    """Effective degree at most 1: M(t) = |a_0| + t |a_1|, and the split norm is B(R)."""
+
+    def test_ball_norms_match_the_closed_forms(self):
+        rng = np.random.default_rng(4401)
+        for _ in range(2000):
+            rows = rng.standard_normal((2, 4)) * np.exp(rng.uniform(-3.0, 3.0, (2, 1)))
+            s = float(rng.uniform(0.05, 0.99))
+            f = Series(tuple(Quaternion(*row) for row in rows))
+            n0, n1 = (math.hypot(*row) for row in rows)
+            top, bottom = sup_norm_ball(f, s), inf_norm_ball(f, s)
+            assert top.method == "closed-form"
+            assert abs(top.value - (n0 + s * n1)) <= 4.4e-16 * (n0 + s * n1)
+            assert abs(bottom.value - max(0.0, n0 - s * n1)) <= 4.4e-16 * (n0 + s * n1)
+            if bottom.method != "root-sphere":
+                assert bottom == NormReport(bottom.value, "closed-form")
+
+    @pytest.mark.parametrize("f", [
+        *(Series((Quaternion(0.3 * k, -0.2 * k, 0.9 * k, 0.1 * k),
+                  Quaternion(-0.5 * k, 0.4 * k, 0.2 * k, -0.7 * k)), 0.8)
+          for k in (1e-200, 1e-100, 1.0, 1e100, 1e200)),
+        Series((0.4, -1.3), 0.9),
+        Series((0, Quaternion(0.2, 0.5, -0.1, 0.3)), 0.7),
+        Series((Quaternion(0.2, 0.5, -0.1, 0.3), 0), 0.7),
+        Series((Quaternion(0.2, 0.5, -0.1, 0.3), 1.5), 0.7),
+        Series((Quaternion(0.2, 0.5, -0.1, 0.3), Quaternion(0, 1, 2, 0), 0, 0), 0.95),
+    ])
+    def test_split_norm_is_the_coefficient_bound(self, f):
+        report = split_norm(f)
+        assert report == NormReport(coefficient_bound(f), "closed-form")
+        assert abs(report.value - slice_norm(f, witness_unit(f))) <= 1e-14 * report.value
+
+    def test_split_norm_of_a_near_real_series(self):
+        # the lattice ascent read 1880.0453640703606 here, 6.0e-14 below the bound
+        a0 = Quaternion(490.1910031322352, -209.5793596507148, 1730.871375444107,
+                        -504.4167860010569)
+        a1 = Quaternion(5.02920671892555e-05, 0.00024022065726992726, -0.001954774190842331,
+                        0.0005209826601498965)
+        assert split_norm(Series((a0, a1), 1.022006128519611)).value == 1880.045364070474
+
+    @pytest.mark.parametrize("lowest", [False, True])
+    def test_angle_max_on_one_turn_planes(self, lowest):
+        # g = alpha_0 + alpha_1 cos + |u_1| sin on [0, pi]: the closed form is at the
+        # top of a 10^5-angle scan, refined by another over the two cells around its
+        # best angle, and the scan never rises above it beyond rounding
+        rng = np.random.default_rng(4402)
+        for _ in range(50):
+            planes = sphere_planes(rng.standard_normal((2, 4)), rng.uniform(0.01, 1.0, 8))
+            if lowest:
+                planes[:, 0] *= -1.0
+            angle, row, before, polished = norms._angle_max(planes)
+            assert np.array_equal(row, np.arange(len(planes)))
+            assert np.array_equal(before, polished)
+            swing = np.linalg.norm(planes[:, 1:, 1], axis=1)
+
+            def g(theta):
+                return (planes[:, 0, :1] + planes[:, 0, 1:] * np.cos(theta)
+                        + swing[:, None] * np.sin(theta))
+
+            coarse = np.linspace(0.0, math.pi, 100000)
+            best = coarse[np.argmax(g(coarse[None]), axis=1)][:, None]
+            step = coarse[1]
+            fine = np.clip(best + np.linspace(-step, step, 100000), 0.0, math.pi)
+            scan = g(fine).max(axis=1)
+            at = g(angle[:, None])[:, 0]
+            scale = np.abs(planes).sum(axis=(1, 2))
+            assert np.all(np.abs(polished - scan) <= 1e-14 * scale)
+            assert np.all(polished >= scan - 4e-16 * scale)
+            assert np.all(np.abs(at - polished) <= 4e-16 * scale)
 
 
 class TestScaleFree:
@@ -747,17 +869,28 @@ class TestScaleFree:
 
     @pytest.mark.parametrize("k", [-900, -500, 500, 900])
     def test_tolerances_scale_with_the_series(self, k):
-        # f = 2^k (1 + i q): the searches run on the same scaled rows for every k, and
-        # the rounding floor scales with the series, so each tolerance is 2^k times
-        # that at k = 0, exactly
+        # f = 2^k (1 + i q + (j/2) q^2): the searches run on the same scaled rows for
+        # every k, and the rounding floor scales with the series, so each tolerance is
+        # 2^k times that at k = 0, exactly (degree 2, as degree 1 is a closed form)
         def tolerances_of(f):
             return [sup_norm_ball(f, 0.5).certified_tol, inf_norm_ball(f, 0.5).certified_tol,
                     split_norm(f).certified_tol]
 
         s = math.ldexp(1.0, k)
-        unscaled = tolerances_of(Series((1.0, I)))
-        scaled = tolerances_of(Series((Quaternion(s), Quaternion(0.0, s, 0.0, 0.0))))
+        unscaled = tolerances_of(Series((1.0, I, J / 2)))
+        assert all(tol > 0.0 for tol in unscaled)
+        scaled = tolerances_of(Series((Quaternion(s), Quaternion(0.0, s, 0.0, 0.0),
+                                       Quaternion(0.0, 0.0, s / 2, 0.0))))
         assert scaled == [s * tol for tol in unscaled]
+
+    def test_a_tolerance_of_zero_is_positive(self):
+        # the gap of the boundary minimum is -0.0 here and both rounding floors
+        # underflow, so the floor is +0.0, which the report writes as 0.0
+        report = inf_norm_ball(Series((1e-310, 0, 1e-320)), 0.5)
+        assert report.method == "grid+refine"
+        assert math.copysign(1.0, report.certified_tol) == 1.0
+        assert '"certified_tol": 0.0' in json.dumps(report.to_dict())
+        assert math.copysign(1.0, norms._tol_floor(0.0, -0.0, -2000)) == 1.0
 
     @pytest.mark.parametrize("t", [1e-100, 1e-10, 1e10, 1e100])
     def test_norms_scale_with_the_radius(self, t):
@@ -1047,16 +1180,15 @@ class TestInfNormRootsFirst:
         assert [inf_norm_ball(f, s) for f, s in cases] == shortcut
 
     @pytest.mark.parametrize("f, s, expected", [
-        (Series((0, 0, 0)), 0.5, NormReport(0.0, "grid+refine", {"theta": 512, "roots": 0}, 4e-15)),
-        (Series((0, 0, 0), 1e300), 1e200,
-         NormReport(0.0, "grid+refine", {"theta": 512, "roots": 0}, 4e-15)),
-        (Series((0, 0), 1e-300), 1e-310,
-         NormReport(0.0, "grid+refine", {"theta": 512, "roots": 0}, 4e-15)),
+        (Series((0, 0, 0)), 0.5, NormReport(0.0, "closed-form")),
+        (Series((0, 0, 0), 1e300), 1e200, NormReport(0.0, "closed-form")),
+        (Series((0, 0), 1e-300), 1e-310, NormReport(0.0, "closed-form")),
         (Series((0, 0, 0)), 0.0, NormReport(0.0, "closed-form")),
         (Series((0,)), 0.5, NormReport(0.0, "closed-form")),
     ])
     def test_the_zero_series_keeps_its_report(self, f, s, expected):
-        # f = 0 has no root of f^s, so no lower bound is taken (it would be 0 / 0)
+        # f = 0 has no root of f^s, so no lower bound is taken (it would be 0 / 0);
+        # its effective degree is 0, so the boundary is a closed form at every radius
         assert inf_norm_ball(f, s) == expected
 
     def test_a_root_minimum_beside_a_boundary_past_the_floats(self):

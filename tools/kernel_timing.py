@@ -8,27 +8,31 @@ seeded and the same on every run, so two source trees can be compared on one
 machine. The kernels are those under the norms and the Bloch-Landau search:
 the sphere-maximum search at 1, 15, 18 (one root batch: 15 evenly spaced
 points and 3 interpolated ones), 33 (the coarse mu-profile pass when no cell
-is dropped), 63 and 1024 (a whole mu-profile) radii, the slice norm at the
-unit i (two sphere-maximum searches), the split_norm lattice scan (2048
-units, 256 angles), the value,
+is dropped), 63 and 1024 (a whole mu-profile) radii, and at 33 radii on the
+first two coefficient rows of the same series (degree 1: the closed-form
+angle, no grid or polish); the slice norm at the unit i (two sphere-maximum
+searches), the split_norm lattice scan (2048 units, 256 angles), the value,
 gradient and Hessian of the split_norm ascent at its three starts
 (_slice_terms, given the series table and the charts) and the whole ascent
-from them (slice_norm_ascent), the whole split_norm on the same series and on
-the real-coefficient series of its real parts (the boundary sphere maximum),
-the sphere constants and series evaluation, and inf_norm_ball at RADIUS on
-q times the derivative's first DEGREE coefficients, a degree-DEGREE series
-with a zero at the origin whose root sphere wins without a boundary search.
-Three rows time sup_norm_ball, inf_norm_ball (both at RADIUS) and split_norm
-(on the ball of radius RADIUS) on a series of degree DEGREE_CAP with |a_n|
-about 1/(n+1)^2, the largest degree that every norm takes. One row times the series algebra
-that builds a new series from coefficient rows: star, slice_derivative,
+from them (slice_norm_ascent); the whole split_norm on the same series, on
+the real-coefficient series of its real parts (the boundary sphere maximum)
+and on the degree-1 series of its first two rows (the closed form
+|a_0| + R |a_1|); the sphere constants and series evaluation, and
+inf_norm_ball at RADIUS on q times the derivative's first DEGREE
+coefficients, a degree-DEGREE series with a zero at the origin whose root
+sphere wins without a boundary search. Three rows time sup_norm_ball,
+inf_norm_ball (both at RADIUS) and split_norm (on the ball of radius RADIUS)
+on a series of degree DEGREE_CAP with |a_n| about 1/(n+1)^2, the largest
+degree that every norm takes. One row times the series algebra that builds a
+new series from coefficient rows: star, slice_derivative,
 regular_translation and with_radius, one call each, on a degree-2 series.
 One row times attain, the multistart Newton preimage search, on the builtin
-mixed-units series for a fixed target in the unit ball, and two end-to-end
-rows the whole bl_search at r = 0.99: on the same series, and on the seeded
-degree-4 series LONG_PASS_SEED draws, where the monotone bound alone left 558
-radii to the second pass of the mu-profile (the three bounds of
-bloch._first_crossing leave 31).
+mixed-units series for a fixed target in the unit ball, and three end-to-end
+rows the whole bl_search at r = 0.99: on the same series, on the builtin
+quadratic-j series (its derivative is linear, so every M and the norm of
+phi' are closed forms), and on the seeded degree-4 series LONG_PASS_SEED
+draws, where the monotone bound alone left 558 radii to the second pass of
+the mu-profile (the three bounds of bloch._first_crossing leave 31).
 """
 
 from __future__ import annotations
@@ -104,6 +108,9 @@ def main() -> dict:
         radii = np.linspace(RADIUS, 0.0, count, endpoint=False)
         timings[f"_sphere_max[{count} radii]"] = best_ms(
             lambda: _sphere_max(derivative.rows, radii))
+    radii = np.linspace(RADIUS, 0.0, 33, endpoint=False)
+    timings["_sphere_max[degree 1, 33 radii]"] = best_ms(
+        lambda: _sphere_max(derivative.rows[:2], radii))
     timings[f"slice_norm[degree {DEGREE}]"] = best_ms(lambda: slice_norm(at_radius, I))
     table = circle_table(RADIUS, DEGREE + 1, 256)
     timings["_lattice_scan[2048 units, 256 angles]"] = best_ms(
@@ -121,6 +128,8 @@ def main() -> dict:
         lambda: slice_norm_ascent(*starts[0]))
     timings["split_norm"] = best_ms(lambda: split_norm(at_radius))
     timings[f"split_norm[real, degree {DEGREE}]"] = best_ms(lambda: split_norm(real))
+    linear = _from_rows(derivative.rows[:2], RADIUS)
+    timings["split_norm[degree 1]"] = best_ms(lambda: split_norm(linear))
     rooted = _from_rows(np.concatenate([np.zeros((1, 4)), derivative.rows[:-1]]), 1.0)
     timings[f"inf_norm_ball[degree {DEGREE}]"] = best_ms(lambda: inf_norm_ball(rooted, RADIUS))
     for name, norm in (("sup_norm_ball", lambda: sup_norm_ball(capped, RADIUS)),
@@ -140,6 +149,8 @@ def main() -> dict:
     timings["attain[mixed-units, ball radius 1]"] = best_ms(
         lambda: attain(mixed_units, target, 1.0))
     timings["bl_search[mixed-units, r=0.99]"] = best_ms(lambda: bl_search(mixed_units, 0.99))
+    quadratic_j = dict(builtin_corpus())["quadratic-j"]
+    timings["bl_search[quadratic-j, r=0.99]"] = best_ms(lambda: bl_search(quadratic_j, 0.99))
     long_pass = random_series(np.random.default_rng(LONG_PASS_SEED), 4, monic_shift=True)
     timings["bl_search[long second pass]"] = best_ms(lambda: bl_search(long_pass, 0.99))
     return {"degree": DEGREE, "radius": RADIUS, "repeats": REPEATS,
