@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._arrays import (
+    _ASCENT_STEPS,
     _CONJUGATE,
     _TABLES,
     circle_table,
@@ -513,7 +514,11 @@ def split_norm(f: Series) -> NormReport:
     it is attained, and it is the slice norm at that point's unit to rounding.
     The winning start is the first, in pick order, whose value is within
     rounding noise of the best. ``certified_tol`` is how much its last Newton
-    step still raised sqrt(H), floored at rounding noise; ``resolution`` holds
+    step still raised sqrt(H), floored at rounding noise. If that start spent all
+    ``_ASCENT_STEPS`` steps it may have stopped short, so ``certified_tol`` is
+    then at least B(R) - value: at every degree the circle maxima are at most
+    sum |alpha_k| R^k and sum |beta_k| R^k, and Minkowski's inequality bounds
+    their hypot by B(R) = sum |a_k| R^k. ``resolution`` holds
     the lattice size, the scan's grid angles, the number of starts and the
     Newton steps of the winning start.
     """
@@ -546,7 +551,11 @@ def split_norm(f: Series) -> NormReport:
     value = float(_unscaled(top, e))
     resolution = {"sphere": _SPHERE_GRID, "theta": scan_table.shape[1], "starts": len(picks),
                   "steps": int(steps[best])}
-    gap = float(_unscaled(values[best] - math.sqrt(before[best]), e))
+    gap = values[best] - math.sqrt(before[best])
+    if steps[best] == _ASCENT_STEPS:
+        # an ascent cut by its budget may stop short: its miss is at most B(R) - value
+        gap = max(gap, coefficient_bound(rows, np.array([radius]))[0] - top)
+    gap = float(_unscaled(gap, e))
     return NormReport(value, "lattice+newton", resolution, _tol_floor(value, gap, e))
 
 

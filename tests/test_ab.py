@@ -8,13 +8,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_ab(other: Path) -> dict:
-    """tools/ab.py against ``other`` on one block of each workload, seed 1, one round,
-    in a child process: the tool pins its process to one CPU."""
+    """tools/ab.py against ``other`` on one block of each workload, seed 1, and every kernel
+    row once, one round, in a child process: the tool pins its process to one CPU."""
     code = """if True:
         import json, sys
         sys.path.insert(0, sys.argv[1])
         import ab
-        ab.SEEDS, ab.ROUNDS = (1,), 1
+        ab.SEEDS, ab.ROUNDS, ab.CALLS = (1,), 1, 1
         ab.RECORDS = {"slice-norms": 16, "bl-search": 24}
         print(json.dumps(ab.main(sys.argv[2])))
     """
@@ -28,26 +28,38 @@ def test_its_own_tree_shows_no_diff():
     for workload, tasks in (("slice-norms", 16), ("bl-search", 24)):
         (seed,) = report[workload].values()
         assert seed["tasks"] == tasks and seed["diffs"] == []
-        assert seed["moved"] == 0 and seed["max_rel_move"] == 0.0
+        assert seed["moved"] == 0 and seed["max_rel_move"] == 0.0 and seed["moves"] == {}
         assert seed["this_s"] > 0.0 and seed["other_s"] > 0.0
         assert 0 <= seed["faster"] <= tasks
+    # every kernel row runs in both trees
+    assert len(report["kernels"]) == 25
+    assert all(type(ms) is float and ms > 0.0 for row in report["kernels"].values()
+               for ms in row.values())
 
 
 def test_a_changed_tree_shows_its_diffs(tmp_path):
     # a rounding floor of 5e-15 in place of 4e-15 moves a certified_tol of every workload,
-    # and only those held at the floor, each by at most 5/4 - 1
+    # and only those held at the floor, each by at most 5/4 - 1; renaming the private
+    # _lattice_scan leaves every value alone but nulls its kernel row in the copy
     shutil.copytree(ROOT / "src" / "quatregular", tmp_path / "src" / "quatregular",
                     ignore=shutil.ignore_patterns("__pycache__"))
     norms = tmp_path / "src" / "quatregular" / "norms.py"
     text = norms.read_text()
     assert text.count("4e-15 * value") == 1
-    norms.write_text(text.replace("4e-15 * value", "5e-15 * value"))
+    norms.write_text(text.replace("4e-15 * value", "5e-15 * value")
+                     .replace("_lattice_scan", "_lattice_sweep"))
     report = run_ab(tmp_path)
-    for workload in ("slice-norms", "bl-search"):
+    for workload, path in (("slice-norms", "*.certified_tol"),
+                           ("bl-search", "diagnostics.dphi_norm.certified_tol")):
         (seed,) = report[workload].values()
         assert seed["diffs"] and all(d["this"] != d["other"] for d in seed["diffs"])
         assert seed["moved"] == len(seed["diffs"])
         assert 0.0 < seed["max_rel_move"] <= 0.25 * (1 + 1e-9)
+        assert seed["moves"] == {path: seed["max_rel_move"]}
+    renamed = report["kernels"].pop("_lattice_scan[2048 units, 256 angles]")
+    assert renamed["this_ms"] > 0.0 and renamed["other_ms"] is renamed["ratio"] is None
+    assert len(report["kernels"]) == 24
+    assert all(ms > 0.0 for row in report["kernels"].values() for ms in row.values())
 
 
 def test_rel_move_of_leaves_and_shapes():

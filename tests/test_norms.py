@@ -580,6 +580,16 @@ class TestSplitNorm:
             report = split_norm(f)
             assert report.value >= attained - report.certified_tol
 
+    def test_budget_spent_states_room_below_the_ceiling(self):
+        # just past degree 1 the winning start spends all 30 ascent steps and stops
+        # 1.1e-10 short of B_1(R) - |a_2| R^2, a proved floor; certified_tol must cover that
+        a0 = Quaternion(490.1910031322352, -209.5793596507148, 1730.871375444107,
+                        -504.4167860010569)
+        a1 = Quaternion(5.02920671892555e-05, 0.00024022065726992726, -0.001954774190842331,
+                        0.0005209826601498965)
+        report = split_norm(Series((a0, a1, Quaternion(1e-12)), 1.022006128519611))
+        assert report.value + report.certified_tol >= 1880.045364070473
+
     def test_report_says_what_produced_it(self):
         f = Series((0, 1, Quaternion(0.2, 0.5, -0.3, 0.1), Quaternion(0, 0.4, 0, -0.6)), 0.9)
         report = split_norm(f)
