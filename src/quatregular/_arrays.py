@@ -6,11 +6,20 @@ components, and complex arrays hold points of a fixed slice plane.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .quaternions import _completion_rows
+
+# the largest degree of the norms, the coverage radius, the search and recentring
+DEGREE_CAP = 60
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only, as every call shares them."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
 
 # term t of component l of p q, in the order of Quaternion.__mul__, is
 # p_t q_(t xor l) with the sign _SIGNS[t, l]
@@ -112,19 +121,11 @@ def sphere_constants(coeffs: np.ndarray, x: np.ndarray,
     return both[0::2], both[1::2]
 
 
-# degrees whose per-degree tables stay cached
-_TABLES = 16
-
-
-@functools.lru_cache(maxsize=_TABLES)
-def _pair_table(n_plus_one: int) -> tuple[np.ndarray, ...]:
-    """The pairs n >= j of ``sphere_planes`` at degree N: n, j, n + j, n - j, the weight
-    of each pair (2 where n > j, else 1) and the exponents 0..2N, all read-only."""
-    n, j = np.nonzero(np.tri(n_plus_one, dtype=bool))
-    out = n, j, n + j, n - j, np.where(n > j, 2.0, 1.0)[:, None], np.arange(2 * n_plus_one - 1)
-    for array in out:
-        array.flags.writeable = False
-    return out
+# the pairs n >= j of ``sphere_planes`` at degree DEGREE_CAP, in order of n, so that degree N
+# reads the first (N+1)(N+2)/2: n, j, n + j, n - j and the weight (2 where n > j, else 1)
+_n, _j = np.nonzero(np.tri(DEGREE_CAP + 1, dtype=bool))
+_PAIR_TABLE = _read_only(_n, _j, _n + _j, _n - _j, np.where(_n > _j, 2.0, 1.0)[:, None])
+del _n, _j
 
 
 def sphere_planes(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -135,17 +136,18 @@ def sphere_planes(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     because Z Z* = |Z|^2 - 2i Im(b conj(c)) for Z = b + ic = sum_n t^n e^{in theta} a_n
     is sum_d e^{id theta} q_d + conj, q_d = sum_j t^{2j+d} a_{j+d} conj(a_j). Plane 0
     holds alpha (alpha_0 = q_0, alpha_d = 2 Re q_d) and planes 1-3 hold u = 2 Im q_d.
-    The pair indices come from a per-degree cache (``_pair_table``).
+    The pair indices are the leading rows of ``_PAIR_TABLE``, so N is at most
+    ``DEGREE_CAP``.
     """
     top = coeffs.shape[0] - 1
-    n, j, power, turn, weight, exponents = _pair_table(top + 1)
+    n, j, power, turn, weight = (array[:(top + 1) * (top + 2) // 2] for array in _PAIR_TABLE)
     # a_n conj(a_j) for every pair n >= j, doubled where n > j
     left = (coeffs @ _PRODUCTS).reshape(-1, 4, 4)
     pairs = np.einsum("nyl,ny->nl", left[n], coeffs[j] * _CONJUGATE) * weight
     # row k of the table collects the pair terms carrying t^k
     table = np.zeros((2 * top + 1, 4, top + 1))
     table[power, :, turn] = pairs
-    powers = radii[:, None] ** exponents
+    powers = radii[:, None] ** np.arange(2 * top + 1)
     # einsum rather than a matrix product: each row then rounds the same in any batch
     planes = np.einsum("rk,kx->rx", powers, table.reshape(2 * top + 1, -1))
     return planes.reshape(-1, 4, top + 1)
@@ -157,21 +159,16 @@ _PRODUCTS = qmul_rows(np.eye(4)[:, None], np.eye(4)[None]).reshape(4, 16)
 
 
 _NEWTON_STEPS = 8
-# the planes (A, then U's three) that each row of ``_polish_weights`` weights
+# the planes (A, then U's three) that each row of ``_POLISH_WEIGHTS`` weights
 _POLISH_PLANES = np.array([0, 0, 1, 2, 3, 0, 1, 2, 3, 1, 2, 3])
-
-
-@functools.lru_cache(maxsize=_TABLES)
-def _polish_weights(n_plus_one: int) -> tuple[np.ndarray, np.ndarray]:
-    """The turns d = 0..N and the weights (12, N+1) of ``sphere_max_polish``, read-only:
-    rows 1, -d^2, d, d, d of A, U, U, U (against cos(d theta): A, A'' and U') and rows
-    -d, 1, 1, 1, -d^2, -d^2, -d^2 of A, U, U, U, U, U, U (against sin(d theta): A', U, U'')."""
-    turns = np.arange(n_plus_one)
-    one, square = np.ones(n_plus_one), -turns ** 2
-    weights = np.stack([one, square, turns, turns, turns,
-                        -turns, one, one, one, square, square, square]).astype(float)
-    turns.flags.writeable = weights.flags.writeable = False
-    return turns, weights
+# the turns d = 0..DEGREE_CAP and the weights (12, DEGREE_CAP + 1) of ``sphere_max_polish``, of
+# which degree N reads the first N+1 columns: rows 1, -d^2, d, d, d of A, U, U, U (against
+# cos(d theta): A, A'' and U') and rows -d, 1, 1, 1, -d^2, -d^2, -d^2 of A, U, U, U, U, U, U
+# (against sin(d theta): A', U, U'')
+_TURNS = np.arange(DEGREE_CAP + 1)
+_POLISH_WEIGHTS = np.stack([_TURNS ** 0, -_TURNS ** 2, _TURNS, -_TURNS])[
+    [0, 1, 2, 2, 2, 3, 0, 0, 0, 1, 1, 1]].astype(float)
+_read_only(_TURNS, _POLISH_WEIGHTS)
 
 
 def sphere_max_polish(planes: np.ndarray, theta: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -185,7 +182,7 @@ def sphere_max_polish(planes: np.ndarray, theta: np.ndarray, lo: np.ndarray, hi:
     stop after ``_NEWTON_STEPS`` steps. Returns g at the final angles, g before
     the last step of each angle, and the final angles.
     """
-    turns, weights = _polish_weights(planes.shape[2])
+    turns, weights = _TURNS[:planes.shape[2]], _POLISH_WEIGHTS[:, :planes.shape[2]]
     # against cos(d theta) these rows give A, A'' and U', against sin(d theta) A', U and U'';
     # every sum runs along the last axis, so it rounds the same in any batch
     weighted = planes[:, _POLISH_PLANES] * weights

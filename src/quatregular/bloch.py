@@ -17,8 +17,8 @@ from .errors import DomainError, NumericalSearchError, PreconditionError
 from .norms import _sphere_max, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
 from .quaternions import ALGEBRA_TOL, I as CANONICAL_I
-from .quaternions import Quaternion, UnitImaginary, _require_quaternion, _slice_point
-from .quaternions import plain_data
+from .quaternions import Quaternion, UnitImaginary, _require_quaternion, _require_unit
+from .quaternions import _slice_point, plain_data
 from .series import Series, _from_rows, _require_degree_cap, _require_inside
 from .series import _require_zero_at_origin, slice_derivative
 from .slices import regular_translation
@@ -140,6 +140,8 @@ def inscribed_disc_margin(rho: float, unit: float = 1.0) -> float:
     in units of ``unit``, and the slack in units of its cube.
     """
     _check_rho(rho)
+    if not 0.0 < unit < math.inf:
+        raise DomainError("unit must be positive and finite")
     lobe = rho / unit
     disc_radius = (37.0 / 256.0) * rho * lobe
     ts = np.linspace(0.0, 2.0 * math.pi, _CIRCLE_POINTS, endpoint=False)
@@ -247,6 +249,7 @@ def parseval_mean(psi: Series, r: float,
     arbitrary quaternion coefficients because the circle average kills every
     cross term regardless of the constant factors on either side.
     """
+    unit = _require_unit(unit)
     _require_inside(r, psi.radius)
     thetas = 2.0 * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
     z = r * np.exp(1j * thetas)
@@ -401,16 +404,13 @@ def _first_crossing(derivative: Series, r: float,
                     grid: np.ndarray) -> tuple[int, float, float, np.ndarray]:
     """The first grid point s with mu(s) = s M(r - s) >= r, with M(r - s), its angle and mu.
 
-    M(t) is the maximum of |f'| on the ball of radius t. Three upper bounds
+    M(t) is the maximum of |f'| on the ball of radius t. Two upper bounds
     of mu on a cell (s_a, s_b] of the grid, t_a = r - s_a and t_b = r - s_b,
     show which cells cannot hold the first crossing:
 
     - the coefficient bound s_b B(t_a), with B(t) = sum |b_k| t^k over the
       coefficients b_k of f' (triangle inequality, ``coefficient_bound``),
       times 1 + 1e-12 for rounding. It needs no evaluation;
-    - the monotone bound s_b M(t_a): by the maximum modulus principle
-      (Gentili-Stoppato) M is the maximum on the sphere of radius t, so it
-      does not decrease with t;
     - the chord bound (``_chord_sup``): on each slice f'_I = F + G J with F
       and G holomorphic, so log|f'_I| is subharmonic and, by Hadamard's
       three-circles theorem (Ransford, Potential Theory in the Complex Plane,
@@ -419,9 +419,15 @@ def _first_crossing(derivative: Series, r: float,
       and below its chord on the cell. The last cell, where t_b = 0, has no
       chord.
 
-    The evaluated bounds use M + gap + 1e-12 M in place of M, the gap being
-    what ``_sphere_max`` left. The leading cells whose coefficient bound falls
-    short of r - ``_MU_TOL`` are dropped, and a coarse pass evaluates every
+    The evaluated bounds use U = M + gap + 1e-12 M in place of M, the gap
+    being what ``_sphere_max`` left. The chord bound covers the monotone bound
+    s_b U_a (by the maximum modulus principle, Gentili-Stoppato, M does not
+    decrease with t): where U_a >= U_b the chord's slope beta is at least 0,
+    and on the cell s U_b ((r - s) / t_b)^beta <= s_b U_b (t_a / t_b)^beta =
+    s_b U_a. U_a < U_b only where M is flat across the cell to within its gap,
+    and leaving out a valid bound can only open a cell, never move the first
+    crossing. The leading cells whose coefficient bound falls short of
+    r - ``_MU_TOL`` are dropped, and a coarse pass evaluates every
     ``_MU_STRIDE``-th grid point and the last from the first cell left: the
     last cell is always left, as mu(r) = r. A second pass evaluates the points
     of the cells up to the first coarse crossing whose least bound reaches
@@ -456,7 +462,7 @@ def _first_crossing(derivative: Series, r: float,
     lows, highs = coarse[:-1], coarse[1:]
     chord = _chord_sup(r, grid[lows], grid[highs], upper[:-1], upper[1:])
     # np.fmin skips a nan bound
-    bound = np.fmin(np.fmin(grid[highs] * upper[:-1], chord), reach[start:])
+    bound = np.fmin(chord, reach[start:])
     crossed = np.flatnonzero(mu[highs] >= r - _MU_TOL)
     last = crossed[0] + 1 if crossed.size else highs.size
     cells = np.flatnonzero(bound[:last] >= r - _MU_TOL)
@@ -532,15 +538,16 @@ def bl_search(f: Series, r: float) -> SearchReport:
     grid point of ``_MU_GRID`` = 1024 in [0, r] where mu(s) = s M(r - s)
     reaches r - ``_MU_TOL``. That point is found from a coarse pass over every
     32nd grid point and the points of just the cells whose least upper bound
-    on mu reaches r (``_first_crossing``). The bounds are three: the
+    on mu reaches r (``_first_crossing``). The bounds are two: the
     coefficient bound s_b B(t_a), with B(t) = sum |b_k| t^k over the
     coefficients of f' (triangle inequality), which drops leading cells
-    before any evaluation; the monotone bound s_b M(t_a), as M does not
-    decrease (maximum modulus principle); and the chord of log M, which is
-    convex in log t because log|f'_I| is subharmonic on each slice
-    (Hadamard's three-circles theorem) and M is the maximum over the slices.
-    As long as each M is found to within its gap, the first grid crossing is
-    that of the whole profile. Each root
+    before any evaluation, and the chord of log M, which is convex in log t
+    because log|f'_I| is subharmonic on each slice (Hadamard's three-circles
+    theorem) and M is the maximum over the slices. Where M rises across a
+    cell the chord is at most the monotone bound s_b M(t_a) (M does not
+    decrease, by the maximum modulus principle), so that bound prunes
+    nothing more. As long as each M is found to within its gap, the first
+    grid crossing is that of the whole profile. Each root
     batch then evaluates, in one call, 15 evenly spaced interior points of the
     bracket and three interpolated ones: the inverse quadratic interpolation
     of s at mu = r - ``_MU_TOL`` through the three evaluated points nearest

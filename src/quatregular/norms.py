@@ -38,7 +38,7 @@ import numpy as np
 from ._arrays import (
     _ASCENT_STEPS,
     _CONJUGATE,
-    _TABLES,
+    _read_only,
     circle_table,
     coefficient_bound,
     power_table,
@@ -59,6 +59,8 @@ from .series import Series, _require_degree_cap, _require_inside, _require_zero_
 from .series import slice_derivative
 from .slices import _frame, split_rows
 
+# degrees whose cos and sin tables of the angle grid stay cached
+_TABLES = 16
 # the fixed resolution: grid angles of every angle search (its local polish needs
 # 4N + 1 at degree N, 241 at DEGREE_CAP), and lattice units of the split_norm scan
 _THETA_GRID = 512
@@ -109,6 +111,15 @@ def _tol_floor(value: float, gap: float, e: int) -> float:
     return max(0.0, gap, 4e-15 * value, math.ldexp(4e-15, e))
 
 
+def _report(method: str, value, gap, e: int, resolution: dict | None = None) -> NormReport:
+    """The report of a ``_scaled`` value and gap: both unfolded by 2^e, the gap floored
+    (``_tol_floor``); a "closed-form" report has no resolution and ``certified_tol`` 0."""
+    value = float(_unscaled(value, e))
+    if method == "closed-form":
+        return NormReport(value, method)
+    return NormReport(value, method, resolution, _tol_floor(value, float(_unscaled(gap, e)), e))
+
+
 def _scaled(rows: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray | float, int]:
     """The rows of f(2^p q) times 2^-e, the radius times 2^-p, and e.
 
@@ -155,10 +166,7 @@ def _angle_table(n_plus_one: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     """Read-only grid angles of ``_angle_max``, cos(d theta), sin(d theta) and (-1)^d, d = 0..N."""
     theta = np.linspace(0.0, math.pi, _THETA_GRID)
     turns = power_table(np.exp(1j * theta), n_plus_one)
-    out = theta, turns.real.copy(), turns.imag.copy(), (-1.0) ** np.arange(n_plus_one)
-    for array in out:
-        array.flags.writeable = False
-    return out
+    return _read_only(theta, turns.real.copy(), turns.imag.copy(), (-1.0) ** np.arange(n_plus_one))
 
 
 def _angle_max(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -292,17 +300,13 @@ def _sphere_report(rows: np.ndarray, t: float, e: int, lowest: bool = False,
 
     The rows and t are those ``_scaled`` folded by 2^e, so they are folded
     once: ``_folded_sphere_max`` runs on them as they are, and its value and
-    gap are unfolded, the gap floored (``_tol_floor``); the grid angles follow
-    the given ``resolution`` entries. At t = 0 or effective degree at most 1
-    no grid runs, and the report is a "closed-form" one, with no resolution
-    and ``certified_tol`` 0.
+    gap are unfolded by ``_report``; the grid angles follow the given
+    ``resolution`` entries. At t = 0 or effective degree at most 1 no grid
+    runs, and the report is a "closed-form" one.
     """
     (value,), (gap,), _ = _folded_sphere_max(rows, np.array([t]), lowest)
-    value = float(_unscaled(value, e))
-    if t == 0.0 or _linear(rows):
-        return NormReport(value, "closed-form")
-    return NormReport(value, "grid+refine", {**resolution, "theta": _THETA_GRID},
-                      _tol_floor(value, float(_unscaled(gap, e)), e))
+    method = "closed-form" if t == 0.0 or _linear(rows) else "grid+refine"
+    return _report(method, value, gap, e, {**resolution, "theta": _THETA_GRID})
 
 
 def _boundary_floor(rows: np.ndarray, t: float, sym: np.ndarray) -> float:
@@ -409,11 +413,8 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
         (value,), (moved,), _ = _folded_sphere_max(rows, np.array([t]), lowest=True)
         # compared folded: only the minimum reported is unfolded
         if not low < value:
-            if _linear(rows):
-                return NormReport(float(_unscaled(value, e)), "closed-form")
-            low, gap, method = value, moved, "grid+refine"
-    low = float(_unscaled(low, e))
-    return NormReport(low, method, resolution, _tol_floor(low, float(_unscaled(gap, e)), e))
+            low, gap, method = value, moved, "closed-form" if _linear(rows) else "grid+refine"
+    return _report(method, low, gap, e, resolution)
 
 
 # -- slice norm and its supremum over units ------------------------------------
@@ -427,8 +428,7 @@ def _lattice() -> tuple[np.ndarray, np.ndarray]:
     units = _sphere_rows(_SPHERE_GRID)
     x, y, z = units.T
     monomials = np.stack([x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z, x, y, z], axis=1)
-    units.flags.writeable = monomials.flags.writeable = False
-    return units, monomials
+    return _read_only(units, monomials)
 
 
 def _lattice_scan(rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -525,8 +525,7 @@ def split_norm(f: Series) -> NormReport:
     _require_degree_cap(f)
     rows, radius, e = _scaled(f.rows, f.radius)
     if _linear(rows):
-        return NormReport(float(_unscaled(coefficient_bound(rows[:2], np.array([radius]))[0], e)),
-                          "closed-form")
+        return _report("closed-form", coefficient_bound(rows[:2], np.array([radius]))[0], 0.0, e)
     if not rows[:, 1:].any():
         return _sphere_report(rows, radius, e, sphere=1)
     scan_table = circle_table(radius, f.degree + 1, _THETA_GRID // 2)
@@ -548,15 +547,13 @@ def split_norm(f: Series) -> NormReport:
     # starts often end on one slice (at I or -I) whose norms agree to rounding:
     # the first of those in pick order gives the steps and the gap, not the last bit
     best = int(np.flatnonzero(values >= top - _tol_floor(top, 0.0, 0))[0])
-    value = float(_unscaled(top, e))
     resolution = {"sphere": _SPHERE_GRID, "theta": scan_table.shape[1], "starts": len(picks),
                   "steps": int(steps[best])}
     gap = values[best] - math.sqrt(before[best])
     if steps[best] == _ASCENT_STEPS:
         # an ascent cut by its budget may stop short: its miss is at most B(R) - value
         gap = max(gap, coefficient_bound(rows, np.array([radius]))[0] - top)
-    gap = float(_unscaled(gap, e))
-    return NormReport(value, "lattice+newton", resolution, _tol_floor(value, gap, e))
+    return _report("lattice+newton", top, gap, e, resolution)
 
 
 def mean_value_margin(f: Series, q) -> float:

@@ -34,6 +34,14 @@ def _require_quaternion(value) -> Quaternion:
     return q
 
 
+def _require_unit(value) -> UnitImaginary:
+    """``value`` as a UnitImaginary: one as it is, any other quaternion through the checks of
+    ``UnitImaginary`` (DomainError); TypeError for anything that is not a quaternion."""
+    if isinstance(value, UnitImaginary):
+        return value
+    return UnitImaginary(*_require_quaternion(value).components)
+
+
 @dataclass(frozen=True, eq=False)
 class Quaternion:
     """Element x0 + x1*i + x2*j + x3*k of the real quaternion algebra.
@@ -240,6 +248,7 @@ def orthonormal_completion(unit: UnitImaginary) -> tuple[UnitImaginary, UnitImag
     aligned with ``unit`` (first of i, j, k on ties), Gram-Schmidt it against
     ``unit``, and set K to the quaternion product.
     """
+    unit = _require_unit(unit)
     j_rows, k_rows = _completion_rows(np.array([[unit.x1, unit.x2, unit.x3]]))
     return UnitImaginary(0.0, *j_rows[0].tolist()), UnitImaginary(0.0, *k_rows[0].tolist())
 

@@ -16,12 +16,9 @@ from itertools import starmap
 
 import numpy as np
 
-from ._arrays import _CONJUGATE, star_rows
+from ._arrays import _CONJUGATE, DEGREE_CAP, star_rows
 from .errors import DomainError, PreconditionError, ZeroFactorSignal
 from .quaternions import Quaternion, _coerce, _require_quaternion
-
-# the largest degree of the norms, the coverage radius, the search and recentring
-DEGREE_CAP = 60
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)

@@ -10,7 +10,7 @@ import numpy as np
 from ._arrays import eval_rows, qmul_rows, row_norms, sphere_constants
 from .errors import DomainError
 from .quaternions import ALGEBRA_TOL, Quaternion, UnitImaginary, _require_quaternion
-from .quaternions import _completion_rows, _slice_point, _sphere_rows
+from .quaternions import _completion_rows, _require_unit, _slice_point, _sphere_rows
 from .series import DEGREE_CAP, Series, _from_rows, _require_degree_cap, _require_inside, evaluate
 from .series import regular_conjugate
 
@@ -21,7 +21,7 @@ _BINOMIALS = np.array([[math.comb(n, m) for n in range(DEGREE_CAP + 1)]
 
 def embed_complex(z: complex, unit: UnitImaginary) -> Quaternion:
     """Map a complex number onto the slice plane spanned by 1 and ``unit``."""
-    return _slice_point(z.real, z.imag, unit)
+    return _slice_point(z.real, z.imag, _require_unit(unit))
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class SpherePair:
     y: float
 
     def evaluate(self, unit: UnitImaginary) -> Quaternion:
-        return self.b + unit * self.c
+        return self.b + _require_unit(unit) * self.c
 
 
 def split_rows(coeffs: np.ndarray, units: np.ndarray,
@@ -83,12 +83,15 @@ def _frame(unit: UnitImaginary, j_unit: UnitImaginary | None = None
            ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Rows I and (J, K = I J) of one slice frame, each (1, 3).
 
-    J defaults to the deterministic completion. A given J must be orthogonal
-    to I, since only then is I J a unit imaginary.
+    Both must be imaginary units (``_require_unit``). J defaults to the
+    deterministic completion. A given J must be orthogonal to I, since only
+    then is I J a unit imaginary.
     """
+    unit = _require_unit(unit)
     units = np.array([unit.components[1:]])
     if j_unit is None:
         return units, _completion_rows(units)
+    j_unit = _require_unit(j_unit)
     if abs(float(units[0] @ j_unit.components[1:])) > ALGEBRA_TOL:
         raise DomainError("j_unit must be orthogonal to unit")
     k_unit = UnitImaginary(*(unit * j_unit).components)
@@ -140,6 +143,7 @@ def representation_eval(f: Series, x: float, y: float,
     Values of f on the sphere x + y S are affine in the unit, so any slice
     determines all the others.
     """
+    j_unit, i_unit = _require_unit(j_unit), _require_unit(i_unit)
     _require_inside(math.hypot(x, y), f.radius)
     plus, minus = evaluate(f, _slice_point(x, y, j_unit)), evaluate(f, _slice_point(x, -y, j_unit))
     even = (plus + minus) / 2.0

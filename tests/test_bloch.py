@@ -166,6 +166,11 @@ class TestInscribedDisc:
         with pytest.raises(DomainError):
             inscribed_disc_check(-0.5)
 
+    @pytest.mark.parametrize("unit", [0.0, -1.0, math.nan, math.inf])
+    def test_margin_rejects_a_unit_that_is_not_positive_and_finite(self, unit):
+        with pytest.raises(DomainError, match="unit must be positive and finite"):
+            inscribed_disc_margin(0.5, unit)
+
 
 class TestRhoLemma:
     def test_identity(self):

@@ -1285,22 +1285,27 @@ class TestSphereMaxSearch:
         assert norms._angle_table.cache_info() == info
         assert info.currsize == norms._TABLES
 
-    def test_plane_and_polish_tables_are_cached_read_only_and_bounded(self):
-        caches = (_arrays._pair_table, _arrays._polish_weights)
-        for cache in caches:
-            cache.cache_clear()
-        rng = np.random.default_rng(2727)
-        for degree in range(1, 40):
-            sup_norm_ball(random_series(rng, degree, 1.0), 0.9)
-        for cache in caches:
-            assert cache.cache_info().currsize == norms._TABLES
-            for array in cache(7):
+    def test_plane_and_polish_tables_hold_every_degree_read_only(self):
+        # degree N reads the first (N+1)(N+2)/2 pairs and the first N+1 polish
+        # columns of the tables built at the cap: those are its own tables, bit for bit
+        tables = (*_arrays._PAIR_TABLE, _arrays._TURNS, _arrays._POLISH_WEIGHTS)
+        for degree in range(DEGREE_CAP + 1):
+            n, j = np.nonzero(np.tri(degree + 1, dtype=bool))
+            turns = np.arange(degree + 1)
+            one, square = np.ones(degree + 1), -turns ** 2
+            weights = np.stack([one, square, turns, turns, turns,
+                                -turns, one, one, one, square, square, square]).astype(float)
+            direct = (n, j, n + j, n - j, np.where(n > j, 2.0, 1.0)[:, None], turns, weights)
+            read = [table[:n.size] for table in _arrays._PAIR_TABLE]
+            read += [_arrays._TURNS[:degree + 1], _arrays._POLISH_WEIGHTS[:, :degree + 1]]
+            for got, want in zip(read, direct):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
                 with pytest.raises(ValueError):
-                    array[0] = 1
-        n, j, power, turn, weight, exponents = _arrays._pair_table(7)
-        assert np.array_equal(power, n + j) and np.array_equal(turn, n - j)
-        assert np.array_equal(weight[:, 0], np.where(n > j, 2.0, 1.0))
-        assert np.array_equal(exponents, np.arange(13))
+                    got[0] = 1
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 1
 
     def test_batched_mu_profile_matches_single_radius_calls(self):
         for f in (dict(builtin_corpus())["mixed-units"],
@@ -1398,6 +1403,23 @@ class TestSphereMaxSearch:
         assert bloch._chord_sup(r, np.array([0.87]), np.array([r]),
                                 np.array([1.5]), np.array([1.0])).tolist() == [np.inf]
 
+    def test_chord_supremum_is_within_the_monotone_bound(self):
+        # with U_a >= U_b the chord's slope is at least 0, and its supremum on the cell
+        # is at most s_b U_a, the monotone bound, to rounding; U_a = U_b gives beta = 0
+        rng = np.random.default_rng(2719)
+        r = rng.uniform(0.05, 0.999, 20000)
+        low = rng.integers(0, bloch._MU_GRID - 2, r.size)
+        high = np.minimum(low + rng.integers(1, 2 * bloch._MU_STRIDE, r.size),
+                          bloch._MU_GRID - 2)
+        s_a, s_b = r * low / (bloch._MU_GRID - 1), r * high / (bloch._MU_GRID - 1)
+        upper_b = rng.uniform(1.0, 100.0, r.size)
+        upper_a = upper_b * np.where(rng.random(r.size) < 0.2, 1.0,
+                                     np.exp(rng.uniform(0.0, 5.0, r.size)))
+        sup = bloch._chord_sup(r, s_a, s_b, upper_a, upper_b)
+        assert np.all(sup <= s_b * upper_a * (1.0 + 4.0 * np.finfo(float).eps))
+        flat = upper_a == upper_b
+        assert flat.sum() > 1000 and np.array_equal(sup[flat], s_b[flat] * upper_b[flat])
+
     def test_second_pass_is_within_the_monotone_rule(self):
         # the cells the monotone bound alone leaves, from all the coarse values
         rng = np.random.default_rng(2718)
@@ -1428,9 +1450,9 @@ class TestSphereMaxSearch:
             first, maxima[first], angles[first])
 
     def test_lazy_first_crossing_matches_the_whole_profile(self):
-        # the coarse pass and the cells that none of the coefficient, monotone and
-        # chord bounds clears must find the first crossing of the profile on all of
-        # the grid's radii
+        # the coarse pass and the cells that neither the coefficient nor the chord
+        # bound clears must find the first crossing of the profile on all of the
+        # grid's radii
         rng = np.random.default_rng(1717)
         series = [f for _, f in builtin_corpus()]
         series += [random_series(rng, degree, scale, monic_shift=True)

@@ -8,13 +8,16 @@ from quatregular import (
     DomainError,
     Quaternion,
     Series,
+    embed_complex,
     evaluate,
     ext_from_slice,
     inf_norm_ball,
     mean_value_margin,
+    orthonormal_completion,
     parseval_mean,
     regular_translation,
     representation_eval,
+    slice_norm,
     sphere_pair,
     split,
     split_conjugate_check,
@@ -48,6 +51,48 @@ def test_nan_is_outside_every_ball_of_validity(call):
     for t in (NAN, f.radius):
         with pytest.raises(DomainError, match=r"outside ball of validity|0 < \|q\| < radius"):
             call(f, t)
+
+
+UNIT_F = Series((0, 1, Quaternion(0, 0.5, 0.3, 0)))
+UNIT_PAIR = split(UNIT_F, I)
+# each entry point that takes an imaginary unit, by the slot tried: the valid unit
+# of that slot and the call with the slot's argument
+UNIT_SLOTS = {
+    "split": (I, lambda u: split(UNIT_F, u)),
+    "split j_unit": (J, lambda u: split(UNIT_F, I, u)),
+    "ext_from_slice": (I, lambda u: ext_from_slice(UNIT_PAIR.F, UNIT_PAIR.G, u, J)),
+    "ext_from_slice j_unit": (J, lambda u: ext_from_slice(UNIT_PAIR.F, UNIT_PAIR.G, I, u)),
+    "split_conjugate_check": (I, lambda u: split_conjugate_check(UNIT_F, u)),
+    "slice_norm": (I, lambda u: slice_norm(UNIT_F, u)),
+    "slice_norm j_unit": (J, lambda u: slice_norm(UNIT_F, I, u)),
+    "embed_complex": (I, lambda u: embed_complex(1 + 2j, u)),
+    "representation_eval j_unit": (J, lambda u: representation_eval(UNIT_F, 0.1, 0.2, u, I)),
+    "representation_eval i_unit": (I, lambda u: representation_eval(UNIT_F, 0.1, 0.2, J, u)),
+    "SpherePair.evaluate": (I, lambda u: sphere_pair(UNIT_F, 0.1, 0.2).evaluate(u)),
+    "parseval_mean": (I, lambda u: parseval_mean(UNIT_F, 0.5, u)),
+    "orthonormal_completion": (I, lambda u: orthonormal_completion(u)),
+}
+
+
+@pytest.mark.parametrize("slot", UNIT_SLOTS)
+@pytest.mark.parametrize("bad, error, rule", [
+    (Quaternion(0, 2, 0, 0), DomainError, "modulus one"),
+    (Quaternion(0.7, 1, 0, 0), DomainError, "zero real part"),
+    ("i", TypeError, "expected a quaternion"),
+], ids=["2i", "0.7+i", "str"])
+def test_unit_arguments_are_checked(slot, bad, error, rule):
+    # a unit that is not one is named by the rule it breaks, before any value is formed
+    unit, call = UNIT_SLOTS[slot]
+    with pytest.raises(error, match=rule):
+        call(bad)
+    # a plain quaternion on the sphere of units is taken as that unit, to the bit
+    assert call(Quaternion(*unit.components)) == call(unit)
+
+
+def test_ext_from_slice_rejects_units_whose_product_is_a_unit():
+    # (2i)(0.5j) = k is a unit, so no check of the frame's K alone catches these
+    with pytest.raises(DomainError, match="modulus one"):
+        ext_from_slice(UNIT_PAIR.F, UNIT_PAIR.G, Quaternion(0, 2, 0, 0), Quaternion(0, 0, 0.5, 0))
 
 
 def on_slice(x, y, unit):

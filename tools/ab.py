@@ -47,7 +47,7 @@ builtin mixed-units series for a fixed target in the unit ball; and the whole
 bl_search at r = 0.99 on the same series, on the builtin quadratic-j series
 (its derivative is linear, so every M and the norm of phi' are closed forms)
 and on the seeded degree-4 series LONG_PASS_SEED draws, where the monotone
-bound alone left 558 radii to the second pass of the mu-profile (the three
+bound alone left 558 radii to the second pass of the mu-profile (the two
 bounds of bloch._first_crossing leave 31). A row that a tree cannot build or
 run (a private kernel renamed or re-signed) reads null for that tree, and
 stderr says why.
