@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._arrays import _CONJUGATE, _sphere_squares, coefficient_bound, eval_rows, qmul_rows
-from ._arrays import row_norms, sphere_constants, star_rows
+from ._arrays import row_norms, sphere_constants, sphere_max_rows, star_rows
 from .errors import DomainError, NumericalSearchError, PreconditionError
 from .norms import _sphere_max, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
@@ -28,6 +28,9 @@ _MU_GRID = 1024
 # closes at this width, or at _MU_REL times its upper end where that is smaller
 _MU_TOL = 1e-12
 _MU_REL = 1e-10
+# the unit roundoff u: n roundings move a sum of positive terms by at most
+# gamma_n = n u / (1 - n u) relative (Higham, Accuracy and Stability of Numerical Algorithms, 2002)
+_ROUNDOFF = 2.0 ** -53
 # every _MU_STRIDE-th radius of the mu-profile grid, and its last, make the coarse pass
 _MU_STRIDE = 32
 # Newton starts of attain, and the relative shrink of the set coverage_report samples
@@ -178,11 +181,14 @@ def rho_lemma(f: Series) -> float:
     a1 = f.rows[1].tolist() if f.degree >= 1 else [0.0] * 4
     if any(a1[1:]):
         raise PreconditionError("requires a real slice derivative at the origin")
-    square = a1[0] * a1[0]
-    if square == 0.0:
+    if a1[0] == 0.0:
         return 0.0
     derivative_norm = split_norm(slice_derivative(f)).value
-    return f.radius * square / (4.0 * derivative_norm)
+    # R a^2 / (4 ||f'||) on the frexp mantissas, times the power of two they leave out:
+    # the square cannot underflow or overflow, and a result in the normal range keeps its bits
+    (radius, p), (a, e), (norm, g) = map(math.frexp, (f.radius, a1[0], derivative_norm))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(radius * (a * a) / (4.0 * norm), p + 2 * e - g))
 
 
 def _nonreal_rows(rows: np.ndarray) -> np.ndarray:
@@ -400,6 +406,20 @@ def _chord_sup(r: float, s_a: np.ndarray, s_b: np.ndarray,
     return np.where(t_b > 0.0, chord, np.inf)
 
 
+def _settled(derivative: Series, r: float, grid: np.ndarray) -> bool:
+    """Whether the coefficient bound settles the mu-profile: each grid point s before the
+    last has its own bound s B(r - s) (1 + 1e-12) below r - ``_MU_TOL``, so that the
+    first grid crossing is the last point, s = r, where mu = r |b_0|.
+
+    This is the rule and the slack of the leading-cell prune of ``_first_crossing``,
+    from one ``coefficient_bound`` call on the radii of those points. A bound that is
+    not a number (an inf B at s = 0) settles nothing.
+    """
+    with np.errstate(invalid="ignore"):
+        own = grid[:-1] * (1.0 + 1e-12) * coefficient_bound(derivative.rows, r - grid[:-1])
+    return bool(np.all(own < r - _MU_TOL))
+
+
 def _first_crossing(derivative: Series, r: float,
                     grid: np.ndarray) -> tuple[int, float, float, np.ndarray]:
     """The first grid point s with mu(s) = s M(r - s) >= r, with M(r - s), its angle and mu.
@@ -419,7 +439,9 @@ def _first_crossing(derivative: Series, r: float,
       and below its chord on the cell. The last cell, where t_b = 0, has no
       chord.
 
-    The evaluated bounds use U = M + gap + 1e-12 M in place of M, the gap
+    A search the coefficient bound settles (``_settled``) evaluates nothing:
+    its first crossing is the last grid point, where M(0) = |b_0| at angle 0.
+    Otherwise the evaluated bounds use U = M + gap + 1e-12 M in place of M, the gap
     being what ``_sphere_max`` left. The chord bound covers the monotone bound
     s_b U_a (by the maximum modulus principle, Gentili-Stoppato, M does not
     decrease with t): where U_a >= U_b the chord's slope beta is at least 0,
@@ -439,9 +461,11 @@ def _first_crossing(derivative: Series, r: float,
     ``NumericalSearchError`` raised when it never meets r or meets it at
     s = 0, whose ``mu_profile`` diagnostics hold the pairs (s, mu(s)).
     """
-    maxima, angles = np.zeros(grid.size), np.zeros(grid.size)
     # mu on the grid points evaluated so far, -inf elsewhere
     mu = np.full(grid.size, -np.inf)
+    if _settled(derivative, r, grid):
+        return grid.size - 1, float(row_norms(derivative.rows[:1])[0]), 0.0, mu
+    maxima, angles = np.zeros(grid.size), np.zeros(grid.size)
 
     def profile(idx: np.ndarray) -> np.ndarray:
         """Evaluate mu at the grid points ``idx`` in one batch; returns the gaps of M."""
@@ -519,6 +543,83 @@ def _root_points(lo: float, hi: float, known_s: np.ndarray, known_mu: np.ndarray
     return points
 
 
+def _mu_bounds(norms: list[float], r: float, s: float) -> tuple[float, float]:
+    """A lower and an upper bound of mu(s) = s M(r - s) at s in [r/2, r], from the norms
+    |b_k| of the coefficients of f', where b_0 = 1.
+
+    With t = r - s (exact, as s is within a factor 2 of r), the triangle
+    inequality gives M(t) <= B(t) = sum |b_k| t^k, and at the witness
+    q_t = t conj(b_1) / |b_1|, where q_t b_1 = t |b_1| is real,
+    M(t) >= |f'(q_t)| >= 1 + |b_1| t - sum_{k>=2} |b_k| t^k. Evaluated by Horner's
+    rule, a term of either bound meets at most 2N + 5 roundings, N the degree of
+    f' (three of them in its norm), so each computed bound is within
+    gamma_{2N+5} s B(t) of its value: gamma_{2N+10} s B(t) is taken off the lower
+    and put on the upper, which also covers the roundings of that allowance and
+    any term that underflows (a settled search has r > ``_MU_TOL``).
+    """
+    t = r - s
+    tail = 0.0
+    for norm in reversed(norms[2:]):
+        tail = tail * t + norm
+    tail *= t * t
+    head = norms[0] + norms[1] * t
+    n = 2 * len(norms) + 8
+    slack = n * _ROUNDOFF / (1.0 - n * _ROUNDOFF) * s * (head + tail)
+    return s * (head - tail) - slack, s * (head + tail) + slack
+
+
+def _bound_bracket(norms: list[float], r: float, lo: float, hi: float,
+                   target: float) -> tuple[float, float]:
+    """The bracket (lo, hi] of the mu-root inside the last grid cell of a settled search
+    (``_settled``) that the bounds of ``_mu_bounds`` close, with no sphere search.
+
+    Without its terms of degree 2 and up, mu(r - t) = (r - t)(1 + |b_1| t) meets
+    ``target`` at one t > 0, where it rises in s at the slope
+    sqrt(d^2 + 4 |b_1| c), d = r |b_1| - 1 and c = r - ``target``. The two
+    points that stand off r - t by twice the spread of the bounds there over
+    that slope, or by 0.45 of the root's width where that is less, become the
+    ends where the upper bound is below ``target`` at the lower and the lower
+    bound reaches it at the upper. The bounds differ by their rounding
+    allowances and 2 s sum_{k>=2} |b_k| t^k, about 1e-24 at t near 1e-12. An
+    end that fails stays as it is.
+    """
+    b = norms[1]
+    c = r - target  # mu(r) - target, exact
+    d = r * b - 1.0
+    slope = math.sqrt(d * d + 4.0 * b * c)
+    # the positive root of c + d t - b t^2, with no cancellation
+    t = (d + slope) / (2.0 * b) if d > 0.0 else 2.0 * c / (slope - d)
+    lower, upper = _mu_bounds(norms, r, r - t)
+    half = min(2.0 * (upper - lower) / slope, 0.45 * min(_MU_TOL, _MU_REL * (r - t)))
+    low, high = r - t - half, r - t + half
+    if lo < low and _mu_bounds(norms, r, low)[1] < target:
+        lo = low
+    if high < hi and _mu_bounds(norms, r, high)[0] >= target:
+        hi = high
+    return lo, hi
+
+
+def _witness_locator(rows: np.ndarray, norms: list[float], tau: float) -> tuple[float, float, int]:
+    """M(tau) and the angle of its sphere of radius tau for a settled search, from the
+    witness of ``_mu_bounds`` where it is a maximiser to rounding, and the number of
+    radii ``_sphere_max`` evaluated for them (0 or 1).
+
+    The witness q_tau = tau conj(b_1) / |b_1| lies at the angle
+    atan2(|Im b_1|, Re b_1) of its slice, and |f'(q_tau)| is within
+    2 sum_{k>=2} |b_k| tau^k of B(tau) >= M(tau). Where that is below the
+    rounding of |b_0| = 1, M is the sphere closed form at that angle
+    (``sphere_max_rows``, as ``_folded_sphere_max`` reads its value); elsewhere
+    one ``_sphere_max`` call on the radius tau gives both.
+    """
+    if 2.0 * sum(norm * tau ** k for k, norm in enumerate(norms[2:], 2)) < _ROUNDOFF:
+        b_1 = rows[1] if len(rows) > 1 else np.zeros(4)
+        angle = math.atan2(float(row_norms(b_1[1:])), float(b_1[0]))
+        x, y = np.array([tau * math.cos(angle)]), np.array([tau * math.sin(angle)])
+        return float(sphere_max_rows(*sphere_constants(rows, x, y))[0]), angle, 0
+    (value,), _, (angle,) = _sphere_max(rows, np.array([tau]))
+    return float(value), float(angle), 1
+
+
 def bl_search(f: Series, r: float) -> SearchReport:
     """Constructive coverage search at working radius r in (0, 1).
 
@@ -536,7 +637,10 @@ def bl_search(f: Series, r: float) -> SearchReport:
     is the closed form |b_0| + t |b_1| and ``dphi_norm`` the closed form
     |b_0| + R |b_1|, with no grid or lattice. The root starts from the first
     grid point of ``_MU_GRID`` = 1024 in [0, r] where mu(s) = s M(r - s)
-    reaches r - ``_MU_TOL``. That point is found from a coarse pass over every
+    reaches r - ``_MU_TOL``. Where each grid point before s = r has its own
+    coefficient bound s B(r - s) below that (``_settled``), the search is
+    settled: that point is s = r, where mu = r, with no evaluation. Otherwise
+    it is found from a coarse pass over every
     32nd grid point and the points of just the cells whose least upper bound
     on mu reaches r (``_first_crossing``). The bounds are two: the
     coefficient bound s_b B(t_a), with B(t) = sum |b_k| t^k over the
@@ -547,8 +651,18 @@ def bl_search(f: Series, r: float) -> SearchReport:
     cell the chord is at most the monotone bound s_b M(t_a) (M does not
     decrease, by the maximum modulus principle), so that bound prunes
     nothing more. As long as each M is found to within its gap, the first
-    grid crossing is that of the whole profile. Each root
-    batch then evaluates, in one call, 15 evenly spaced interior points of the
+    grid crossing is that of the whole profile.
+
+    In a settled search the root inside the last cell closes with no sphere
+    search, from two bounds of mu at t = r - s: s B(t) above, and below
+    s (1 + |b_1| t - sum_{k>=2} |b_k| t^k), which is at most s |f'| at the
+    witness q_t = t conj(b_1) / |b_1| (``_mu_bounds``). They differ by
+    2 s sum_{k>=2} |b_k| t^k, about 1e-24 at t near 1e-12, so with rounding
+    allowances of Higham's gamma_n (n = 2N + 10) the bracket closes at the
+    root's width (``_bound_bracket``), and the witness at t = r - s* locates
+    w (``_witness_locator``). Where the bounds leave the bracket open, the
+    root batches run from the bracket they give. Each root
+    batch evaluates, in one call, 15 evenly spaced interior points of the
     bracket and three interpolated ones: the inverse quadratic interpolation
     of s at mu = r - ``_MU_TOL`` through the three evaluated points nearest
     the bracket (the secant where it falls outside), and a point on either
@@ -561,9 +675,10 @@ def bl_search(f: Series, r: float) -> SearchReport:
     ``mu_root_residual`` stays about 1e-10 r or below however steep f is.
     The residual and the locator come from the final upper
     end, and ``diagnostics["mu_radii"]`` counts the radii the coarse pass, the
-    second pass and the root evaluated: on average 9.6, 31 and 25 over the
-    first 72 bl-search benchmark records of seeds 1, 3, 7 and 11, where the
-    monotone bound alone left 33, 90 and 25. The whole profile, pairs (s, mu(s)),
+    second pass and the root evaluated: on average 7.3, 11.1 and 12.6 over the
+    first 72 bl-search benchmark records of seeds 1, 3, 7 and 11, where 65 % of
+    the searches are settled and evaluate none, and the others 20.9, 31.8 and
+    35.9. The whole profile, pairs (s, mu(s)),
     is evaluated and reported only as the ``mu_profile`` of a
     ``NumericalSearchError``, when it never meets r or meets it at s = 0.
     Where |f'| has several maximisers on that sphere, one of them is used:
@@ -592,6 +707,12 @@ def bl_search(f: Series, r: float) -> SearchReport:
     near = near[mu[near] > -np.inf]
     known_s, known_mu = grid[near], mu[near]
     lo, hi = float(grid[first - 1]), float(grid[first])
+    # a search the coefficient bound settles has evaluated no grid point
+    settled = mu[first] == -np.inf
+    if settled:
+        # |b_0|, |b_1|, ..., with |b_1| = 0 for a constant f'
+        norms = row_norms(derivative.rows).tolist() + [0.0]
+        lo, hi = _bound_bracket(norms, r, lo, hi, target)
     root_radii = 0
     # an absolute width alone would leave a root near 0 unresolved, where mu' ~ r / s is steep
     while hi - lo > (width := min(_MU_TOL, _MU_REL * hi)):
@@ -607,6 +728,9 @@ def bl_search(f: Series, r: float) -> SearchReport:
             hi_max, hi_angle = float(maxima[k]), float(angles[k])
         known_s, known_mu = np.append(known_s, points), np.append(known_mu, values)
     s_star = hi
+    if settled:
+        hi_max, hi_angle, radii = _witness_locator(derivative.rows, norms, r - s_star)
+        root_radii += radii
     ball_radius = s_star / 2.0
     sphere_radius = r - s_star
     mu_residual = abs(s_star * hi_max - r)

@@ -208,7 +208,8 @@ K = UnitImaginary(0.0, 0.0, 0.0, 1.0)
 
 @dataclass(frozen=True)
 class SlicePoint:
-    """Point x + y*unit on the slice plane spanned by 1 and ``unit`` (y >= 0)."""
+    """Point x + y*unit on the slice plane spanned by 1 and ``unit`` (y >= 0); the unit
+    is checked (``_require_unit``)."""
 
     x: float
     y: float
@@ -217,6 +218,7 @@ class SlicePoint:
     def __post_init__(self):
         if self.y < 0:
             raise DomainError("slice point requires y >= 0")
+        object.__setattr__(self, "unit", _require_unit(self.unit))
 
     def embed(self) -> Quaternion:
         return _slice_point(self.x, self.y, self.unit)

@@ -42,12 +42,17 @@ class ComplexSeries:
 
 @dataclass(frozen=True)
 class SplitPair:
-    """Holomorphic components (F, G) of a restriction to a slice: f_I = F + G J."""
+    """Holomorphic components (F, G) of a restriction to a slice: f_I = F + G J, with
+    I and J checked as a frame (``_require_frame``)."""
 
     F: ComplexSeries
     G: ComplexSeries
     I: UnitImaginary
     J: UnitImaginary
+
+    def __post_init__(self):
+        for name, unit in zip("IJ", _require_frame(self.I, self.J)):
+            object.__setattr__(self, name, unit)
 
     def evaluate(self, z: complex) -> Quaternion:
         return embed_complex(self.F(z), self.I) + embed_complex(self.G(z), self.I) * self.J
@@ -79,21 +84,27 @@ def split_rows(coeffs: np.ndarray, units: np.ndarray,
     return coeffs[:, 0] + 1j * (units @ imag), j_rows @ imag + 1j * (k_rows @ imag)
 
 
+def _require_frame(unit, j_unit) -> tuple[UnitImaginary, UnitImaginary]:
+    """I and J as units (``_require_unit``), J orthogonal to I (DomainError), since only
+    then is I J a unit imaginary and {1, I, J, I J} a basis."""
+    unit, j_unit = _require_unit(unit), _require_unit(j_unit)
+    if abs(float(np.dot(unit.components[1:], j_unit.components[1:]))) > ALGEBRA_TOL:
+        raise DomainError("j_unit must be orthogonal to unit")
+    return unit, j_unit
+
+
 def _frame(unit: UnitImaginary, j_unit: UnitImaginary | None = None
            ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Rows I and (J, K = I J) of one slice frame, each (1, 3).
 
-    Both must be imaginary units (``_require_unit``). J defaults to the
-    deterministic completion. A given J must be orthogonal to I, since only
-    then is I J a unit imaginary.
+    J defaults to the deterministic completion of I; a given J makes a frame
+    with I (``_require_frame``).
     """
     unit = _require_unit(unit)
     units = np.array([unit.components[1:]])
     if j_unit is None:
         return units, _completion_rows(units)
-    j_unit = _require_unit(j_unit)
-    if abs(float(units[0] @ j_unit.components[1:])) > ALGEBRA_TOL:
-        raise DomainError("j_unit must be orthogonal to unit")
+    unit, j_unit = _require_frame(unit, j_unit)
     k_unit = UnitImaginary(*(unit * j_unit).components)
     return units, (np.array([j_unit.components[1:]]), np.array([k_unit.components[1:]]))
 

@@ -176,6 +176,11 @@ class TestRhoLemma:
     def test_identity(self):
         assert rho_lemma(Series((0, 1))) == 0.25
 
+    def test_tiny_derivative_does_not_underflow(self):
+        # R a^2 / (4 ||f'||) = 1e-200 / 4 for f = 1e-200 q: the square 1e-400 underflows
+        # alone, and the result is a normal float
+        assert rho_lemma(Series((0, 1e-200))) == 2.5e-201
+
     def test_vanishing_derivative(self):
         assert rho_lemma(Series((0, 0, 1))) == 0.0
 

@@ -20,6 +20,7 @@ from quatregular import (
     attain,
     bl_search,
     coverage_report,
+    evaluate,
     fourth_root_series,
     g_series,
     inf_norm_ball,
@@ -1322,7 +1323,8 @@ class TestSphereMaxSearch:
         # interpolated step and a point on either side of it, and keeps the first
         # where mu reaches r. The same placement over single sup_norm_ball calls
         # must land on the same s*, the 15 even points alone on s* to within the
-        # root's 1e-12, and mu must reach r at s* itself
+        # root's 1e-12, and mu must reach r at s* itself. A search the coefficient
+        # bound settles closes its bracket from the two bounds of mu instead
         rng = np.random.default_rng(4242)
         series = [f for _, f in builtin_corpus()]
         series += [random_series(rng, degree, monic_shift=True) for degree in (2, 4, 5)]
@@ -1333,18 +1335,24 @@ class TestSphereMaxSearch:
                 report = bl_search(f, r)
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
                 first, _, _, mu = bloch._first_crossing(derivative, r, grid)
-                known = [(grid[i], mu[i]) for i in range(max(first - 2, 0), first + 2)
-                         if i < grid.size and mu[i] > -np.inf]
-                lo, hi = grid[first - 1], grid[first]
-                while hi - lo > 1e-12:
-                    known_s, known_mu = map(np.array, zip(*known))
-                    points = bloch._root_points(lo, hi, known_s, known_mu, threshold, 1e-12)
-                    values = [s * sup_norm_ball(derivative, r - s).value for s in points]
-                    k = next((k for k, v in enumerate(values) if v >= threshold), len(points))
-                    lo = points[k - 1] if k > 0 else lo
-                    hi = points[k] if k < len(points) else hi
-                    known += zip(points, values)
-                assert report.R_r == hi / 2.0
+                if bloch._settled(derivative, r, grid):
+                    norms = _arrays.row_norms(derivative.rows).tolist() + [0.0]
+                    lo, hi = bloch._bound_bracket(norms, r, grid[-2], grid[-1], threshold)
+                    assert hi - lo <= 1e-12 and report.R_r == hi / 2.0
+                    assert report.diagnostics["mu_radii"][:2] == [0, 0]
+                else:
+                    known = [(grid[i], mu[i]) for i in range(max(first - 2, 0), first + 2)
+                             if i < grid.size and mu[i] > -np.inf]
+                    lo, hi = grid[first - 1], grid[first]
+                    while hi - lo > 1e-12:
+                        known_s, known_mu = map(np.array, zip(*known))
+                        points = bloch._root_points(lo, hi, known_s, known_mu, threshold, 1e-12)
+                        values = [s * sup_norm_ball(derivative, r - s).value for s in points]
+                        k = next((k for k, v in enumerate(values) if v >= threshold), len(points))
+                        lo = points[k - 1] if k > 0 else lo
+                        hi = points[k] if k < len(points) else hi
+                        known += zip(points, values)
+                    assert report.R_r == hi / 2.0
 
                 # the rule without interpolated points: 15 evenly spaced points a batch
                 profile = list(zip(grid, grid * _sphere_max(derivative.rows, r - grid)[0]))
@@ -1471,6 +1479,41 @@ class TestSphereMaxSearch:
                 evaluated = mu > -np.inf
                 assert np.array_equal(mu[evaluated], (grid * maxima)[evaluated])
 
+    def test_settled_searches_close_the_root_from_the_bounds(self):
+        # the coefficient bound settles a search only where the whole profile first meets
+        # r at s = r. Its root then closes at the root's own width with no sphere search:
+        # mu reaches r at s* while the upper bound B and mu itself are below it at the
+        # lower end, and w is a maximiser of |f'| on its sphere, to rounding
+        rng = np.random.default_rng(1719)
+        series = [f for _, f in builtin_corpus()]
+        series += [random_series(rng, degree, monic_shift=True)
+                   for degree in range(1, 9) for _ in range(2)]
+        settled = 0
+        for f in series:
+            derivative = slice_derivative(f)
+            norms = _arrays.row_norms(derivative.rows).tolist() + [0.0]
+            for r in (0.99, 0.9, 0.6, 0.3):
+                threshold = r - 1e-12
+                grid = np.linspace(0.0, r, bloch._MU_GRID)
+                if not bloch._settled(derivative, r, grid):
+                    continue
+                settled += 1
+                profile = grid * _sphere_max(derivative.rows, r - grid)[0]
+                assert np.flatnonzero(profile >= threshold)[0] == grid.size - 1
+                report = bl_search(f, r)
+                s_star = 2.0 * report.R_r
+                lo, hi = bloch._bound_bracket(norms, r, grid[-2], grid[-1], threshold)
+                assert hi == s_star and hi - lo <= min(1e-12, 1e-10 * hi)
+                assert report.diagnostics["mu_radii"] == [0, 0, 0]
+                assert s_star * sup_norm_ball(derivative, r - s_star).value >= threshold
+                bound = lo * _arrays.coefficient_bound(derivative.rows, np.array([r - lo]))[0]
+                assert bound < threshold
+                assert lo * sup_norm_ball(derivative, r - lo).value < threshold
+                w = report.w
+                top = sup_norm_ball(derivative, w.modulus()).value
+                assert abs(evaluate(derivative, w).modulus() - top) <= 4e-16 * top
+        assert settled >= 40
+
     def test_profile_radii_per_search(self, monkeypatch):
         radii = []
 
@@ -1520,9 +1563,11 @@ class TestSphereMaxSearch:
             assert len(calls) - crossing <= 3
 
     def test_mu_radii_count_the_evaluated_radii(self, monkeypatch):
+        # a search the coefficient bound settles makes no profile call, and may make none
         for report, calls, crossing in self.counted_searches(monkeypatch):
+            profile, root = calls[:crossing], calls[crossing:]
             assert report.diagnostics["mu_radii"] == [
-                calls[0], sum(calls[1:crossing]), sum(calls[crossing:])]
+                sum(profile[:1]), sum(profile[1:]), sum(root)]
 
     def test_norms_and_search_leave_numpy_ma_unimported(self):
         # numpy's set routines import numpy.ma, which costs set-up time and RSS

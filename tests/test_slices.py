@@ -8,6 +8,9 @@ from quatregular import (
     DomainError,
     Quaternion,
     Series,
+    SlicePoint,
+    SplitPair,
+    UnitImaginary,
     embed_complex,
     evaluate,
     ext_from_slice,
@@ -71,6 +74,9 @@ UNIT_SLOTS = {
     "SpherePair.evaluate": (I, lambda u: sphere_pair(UNIT_F, 0.1, 0.2).evaluate(u)),
     "parseval_mean": (I, lambda u: parseval_mean(UNIT_F, 0.5, u)),
     "orthonormal_completion": (I, lambda u: orthonormal_completion(u)),
+    "SlicePoint": (I, lambda u: SlicePoint(0.1, 0.2, u).embed()),
+    "SplitPair I": (I, lambda u: SplitPair(UNIT_PAIR.F, UNIT_PAIR.G, u, J).evaluate(0.3 + 0.2j)),
+    "SplitPair J": (J, lambda u: SplitPair(UNIT_PAIR.F, UNIT_PAIR.G, I, u).evaluate(0.3 + 0.2j)),
 }
 
 
@@ -93,6 +99,17 @@ def test_ext_from_slice_rejects_units_whose_product_is_a_unit():
     # (2i)(0.5j) = k is a unit, so no check of the frame's K alone catches these
     with pytest.raises(DomainError, match="modulus one"):
         ext_from_slice(UNIT_PAIR.F, UNIT_PAIR.G, Quaternion(0, 2, 0, 0), Quaternion(0, 0, 0.5, 0))
+
+
+def test_split_pair_takes_a_frame_only():
+    # with J = 2j the pair read f(0.3 + 0.2i) as 0.24+0.225i+0.03j+0.072k, against f's
+    # 0.24+0.225i+0.015j+0.036k; a J that is a unit but not orthogonal to I is no frame either
+    point = Quaternion(0.3, 0.2, 0.0, 0.0)
+    assert (UNIT_PAIR.evaluate(0.3 + 0.2j) - evaluate(UNIT_F, point)).modulus() < 1e-15
+    with pytest.raises(DomainError, match="modulus one"):
+        SplitPair(UNIT_PAIR.F, UNIT_PAIR.G, I, Quaternion(0, 0, 2, 0))
+    with pytest.raises(DomainError, match="orthogonal"):
+        SplitPair(UNIT_PAIR.F, UNIT_PAIR.G, I, UnitImaginary.from_vector(1.0, 1.0, 0.0))
 
 
 def on_slice(x, y, unit):

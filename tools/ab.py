@@ -48,9 +48,11 @@ bl_search at r = 0.99 on the same series, on the builtin quadratic-j series
 (its derivative is linear, so every M and the norm of phi' are closed forms)
 and on the seeded degree-4 series LONG_PASS_SEED draws, where the monotone
 bound alone left 558 radii to the second pass of the mu-profile (the two
-bounds of bloch._first_crossing leave 31). A row that a tree cannot build or
-run (a private kernel renamed or re-signed) reads null for that tree, and
-stderr says why.
+bounds of bloch._first_crossing leave 31), and at r = 0.6 on mixed-units, a
+search the coefficient bound settles: its root closes from two polynomial
+bounds of mu and its locator comes from their witness, with no sphere-maximum
+search. A row that a tree cannot build or run (a private
+kernel renamed or re-signed) reads null for that tree, and stderr says why.
 
 Over ROUNDS rounds every task runs once in each tree, the two back to back,
 with the tree that goes first alternating from task to task and round to
@@ -222,6 +224,7 @@ def _kernel_rows(pkg) -> dict:
         "attain[mixed-units, ball radius 1]": lambda: pkg.attain(corpus["mixed-units"],
                                                                  target, 1.0),
         "bl_search[mixed-units, r=0.99]": lambda: pkg.bl_search(corpus["mixed-units"], 0.99),
+        "bl_search[mixed-units, r=0.6]": lambda: pkg.bl_search(corpus["mixed-units"], 0.6),
         "bl_search[quadratic-j, r=0.99]": lambda: pkg.bl_search(corpus["quadratic-j"], 0.99),
         "bl_search[long second pass]": lambda: pkg.bl_search(long_pass, 0.99),
     })
