@@ -222,9 +222,9 @@ def sphere_max_polish(planes: np.ndarray, theta: np.ndarray, lo: np.ndarray, hi:
 
 
 _ASCENT_STEPS = 30
-# the slice ascent's first trust radius and its cap, in radians of the chart; the
-# Hessian shift and the smallest predicted rise worth a step, relative to H
-_TRUST, _TRUST_CAP = 0.1, 1.0
+# the slice ascent's trust radius cap, its first radius too, in radians of the chart;
+# the Hessian shift and the smallest predicted rise worth a step, relative to H
+_TRUST_CAP = 1.0
 _SHIFT, _RISE = 1e-6, 1e-15
 
 
@@ -255,14 +255,26 @@ _WEIGHTS[:, 0, 0, 0] = 1.0
 _WEIGHTS[[0, 0, 0, 1, 1, 1], [0, 1, 0] * 2, [1, 1, 2] * 2, [1, 3, 3, 2, 4, 4]] = 2.0
 _ANGLE_FORMS = np.einsum("sdek,ascb->sdaebkc", _WEIGHTS,
                          _SQUARE_FORMS.reshape(8, 2, 9, 8)).reshape(1152, 45)
+# only its 248 nonzero rows are kept, with the entries u and v of the 48 (Re, Im) sums of
+# both sides whose product each weights: a zero row adds nothing to a sum, so dropping it
+# moves no bit of a product of two rows or more (one row takes numpy's matrix-vector
+# product, which rounds either table its own way)
+_ROWS = np.flatnonzero(_ANGLE_FORMS.any(axis=1))
+_LEFT_SUMS, _RIGHT_SUMS, _ANGLE_ROWS = _read_only(24 * (_ROWS // 576) + _ROWS % 576 // 24,
+                                                  24 * (_ROWS // 576) + _ROWS % 24,
+                                                  _ANGLE_FORMS[_ROWS])
+del _ROWS, _ANGLE_FORMS
 # _chart_jets as w^T T w, T by polarisation on basis vectors: row 10 r + s, column 6 c + d
 _PAIRS = np.eye(10)[:, :, None] + np.array([1.0, -1.0])[:, None, None, None] * np.eye(10)[:, None]
 _CHART_JETS = (0.25 * (_chart_jets(_PAIRS[0]) - _chart_jets(_PAIRS[1]))).transpose(
     2, 3, 0, 1).reshape(100, 54)
-# where the 30 numbers (value, d/da, d/db, d2/da2, d2/dadb, d2/db2) of each form,
-# and a zero, go in the gradient and Hessian on the chart (a, b, theta_1, theta_2)
+# an ascent state row holds the 30 numbers (value, d/da, d/db, d2/da2, d2/dadb, d2/db2) of
+# each form, a zero, the chart row (1, I, J, K) and the two angles; where the terms and the
+# zero go in the gradient and Hessian on the chart (a, b, theta_1, theta_2), and both at once
 _GRADIENT = np.array([1, 2, 6, 12])
 _HESSIAN = np.array([[3, 4, 7, 13], [4, 5, 8, 14], [7, 8, 18, 30], [13, 14, 30, 24]])
+_DERIVATIVES = np.concatenate([_GRADIENT, _HESSIAN.ravel()])
+_CHART_COLUMNS, _ANGLE_COLUMNS = slice(31, 41), slice(41, 43)
 
 
 def _slice_table(coeffs: np.ndarray, radius: float) -> np.ndarray:
@@ -277,6 +289,18 @@ def _chart(units: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones((len(units), 1)), units, *_completion_rows(units)], axis=1)
 
 
+def _slice_state(table: np.ndarray, chart: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The ascent state rows (m, 43) of ``_chart`` rows (m, 10) and angle rows (m, 2): the
+    terms of H with its gradient and Hessian (``_slice_terms``), a zero, the chart and the
+    angles, so that one selection keeps or drops a whole trial point."""
+    sums = (np.exp(1j * angles[:, :, None] * np.arange(len(table))) @ table).view(float)
+    sums = sums.reshape(-1, 48)
+    forms = (sums[:, _LEFT_SUMS] * sums[:, _RIGHT_SUMS]) @ _ANGLE_ROWS
+    jets = (chart[:, :, None] * chart[:, None]).reshape(-1, 100) @ _CHART_JETS
+    terms = (forms.reshape(-1, 5, 9) @ jets.reshape(-1, 9, 6)).reshape(-1, 30)
+    return np.concatenate([terms, np.zeros((len(terms), 1)), chart, angles], axis=1)
+
+
 def _slice_terms(table: np.ndarray, chart: np.ndarray,
                  angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """H = |F_I(z_1)|^2 + |G_I(z_2)|^2 with its gradient and Hessian, per ``_chart`` row (m, 10).
@@ -284,17 +308,15 @@ def _slice_terms(table: np.ndarray, chart: np.ndarray,
     z_k = radius e^{i theta_k} for the angle rows (m, 2), with the series as its
     ``_slice_table``. On the chart (a, b, theta_1, theta_2) the unit moves to
     I + aJ + bK, normalised, and the angles add. One contraction gives every
-    term: the forms of H and of its theta-derivatives (``_ANGLE_FORMS``) times
-    the jets of the unit's monomials (``_CHART_JETS``), placed so that the
+    term: the forms of H and of its theta-derivatives (``_ANGLE_ROWS``, the
+    nonzero rows of a map of the outer products of the sums, times just the
+    products they weight) times the jets of the unit's monomials
+    (``_CHART_JETS``), placed so that the
     Hessian is exactly symmetric. Returns H (m,), the gradient (m, 4) and the
-    Hessian (m, 4, 4).
+    Hessian (m, 4, 4), read from the rows of ``_slice_state``.
     """
-    sums = (np.exp(1j * angles[:, :, None] * np.arange(len(table))) @ table).view(float)
-    forms = (sums[:, :, :, None] * sums[:, :, None]).reshape(-1, 1152) @ _ANGLE_FORMS
-    jets = (chart[:, :, None] * chart[:, None]).reshape(-1, 100) @ _CHART_JETS
-    terms = (forms.reshape(-1, 5, 9) @ jets.reshape(-1, 9, 6)).reshape(-1, 30)
-    terms = np.concatenate([terms, np.zeros((len(terms), 1))], axis=1)
-    return terms[:, 0], terms[:, _GRADIENT], terms[:, _HESSIAN]
+    state = _slice_state(table, chart, angles)
+    return state[:, 0], state[:, _GRADIENT], state[:, _HESSIAN]
 
 
 def slice_norm_ascent(coeffs: np.ndarray, radius: float, units: np.ndarray, angles: np.ndarray
@@ -304,25 +326,29 @@ def slice_norm_ascent(coeffs: np.ndarray, radius: float, units: np.ndarray, angl
     The squared slice norm at a unit I is the maximum of H over the two angles,
     so the squared supremum over units is the maximum of H on S^2 x T^2. A step
     solves with the Hessian, shifted where needed until it is negative
-    definite by ``_SHIFT`` times H, and is cut to a trust radius. It is kept
-    only if H rises. The radius shrinks to a quarter of a step that rose by
-    less than a quarter of its predicted rise, and doubles after a full step
-    that rose by more than three quarters of it. A step predicted to rise by at
-    most ``_RISE`` times H is its start's last, and all stop after
-    ``_ASCENT_STEPS`` steps, which run all starts under masks. A trial point's
-    chart is built once and kept with it. Returns H at the final points, H
+    definite by ``_SHIFT`` times H, and is cut to a trust radius, which starts
+    at its cap ``_TRUST_CAP``, so that no first Newton step is cut short. It is
+    kept only if H rises. The radius shrinks to a quarter of a step that rose by
+    less than a quarter of its predicted rise, and doubles, up to its cap, after
+    a full step that rose by more than three quarters of it. A step predicted to
+    rise by at most ``_RISE`` times H is its start's last, and all stop after
+    ``_ASCENT_STEPS`` steps, which run all starts under masks. Each point is one
+    ``_slice_state`` row, its chart built once and kept with it, so a step keeps
+    or drops its trial points in one selection. Returns H at the final points, H
     before the last step (equal to H when that step was not kept), the final
     units (m, 3) and angles (m, 2), and the steps each start took.
     """
-    table, chart = _slice_table(coeffs, radius), _chart(units)
-    h, grad, hess = _slice_terms(table, chart, angles)
-    before = h.copy()
-    trust = np.full(h.shape, _TRUST)
-    steps = np.zeros(h.shape, dtype=int)
-    live = np.ones(h.shape, dtype=bool)
+    table = _slice_table(coeffs, radius)
+    state = _slice_state(table, _chart(units), angles)
+    before = state[:, 0].copy()
+    trust = np.full(len(state), _TRUST_CAP)
+    steps = np.zeros(len(state), dtype=int)
+    live = np.ones(len(state), dtype=bool)
     for _ in range(_ASCENT_STEPS):
         if not live.any():
             break
+        h, derivatives = state[:, 0], state[:, _DERIVATIVES]
+        grad, hess = derivatives[:, :4], derivatives[:, 4:].reshape(-1, 4, 4)
         lam, vec = np.linalg.eigh(hess)
         shift = np.maximum(lam[:, -1] + _SHIFT * h, 0.0)
         along = np.einsum("mij,mi->mj", vec, grad) / np.maximum(shift[:, None] - lam, 1e-300)
@@ -332,23 +358,21 @@ def slice_norm_ascent(coeffs: np.ndarray, radius: float, units: np.ndarray, angl
         move *= cut[:, None]
         length *= cut
         rise = np.sum(move * grad, axis=1) + 0.5 * np.einsum("mi,mij,mj->m", move, hess, move)
+        chart = state[:, _CHART_COLUMNS]
         turned = chart[:, 1:4] + move[:, :1] * chart[:, 4:7] + move[:, 1:2] * chart[:, 7:]
         turned /= np.sqrt(np.sum(turned * turned, axis=1, keepdims=True))
-        new_chart, shifted = _chart(turned), angles + move[:, 2:]
-        new_h, new_grad, new_hess = _slice_terms(table, new_chart, shifted)
+        trial = _slice_state(table, _chart(turned), state[:, _ANGLE_COLUMNS] + move[:, 2:])
         steps += live
-        ratio = (new_h - h) / np.maximum(rise, 1e-300)
-        up = live & (new_h > h)
+        ratio = (trial[:, 0] - h) / np.maximum(rise, 1e-300)
+        up = live & (trial[:, 0] > h)
         before = np.where(live, h, before)
         trust = np.where(ratio < 0.25, 0.25 * length,
                          np.where((ratio > 0.75) & (length > 0.99 * trust),
                                   np.minimum(2.0 * trust, _TRUST_CAP), trust))
         live &= rise > _RISE * h
-        h, grad, hess = (np.where(up, new_h, h), np.where(up[:, None], new_grad, grad),
-                         np.where(up[:, None, None], new_hess, hess))
-        chart = np.where(up[:, None], new_chart, chart)
-        angles = np.where(up[:, None], shifted, angles)
-    return h, before, chart[:, 1:4], angles, steps
+        state = np.where(up[:, None], trial, state)
+    return (state[:, 0], before, state[:, _CHART_COLUMNS][:, 1:4], state[:, _ANGLE_COLUMNS],
+            steps)
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:

@@ -412,11 +412,15 @@ def _settled(derivative: Series, r: float, grid: np.ndarray) -> bool:
     first grid crossing is the last point, s = r, where mu = r |b_0|.
 
     This is the rule and the slack of the leading-cell prune of ``_first_crossing``,
-    from one ``coefficient_bound`` call on the radii of those points. A bound that is
+    with B(t) = sum |b_k| t^k (``coefficient_bound``) by Horner's rule on the radii of
+    those points, whose rounding (about 2N ulps) the slack covers. A bound that is
     not a number (an inf B at s = 0) settles nothing.
     """
-    with np.errstate(invalid="ignore"):
-        own = grid[:-1] * (1.0 + 1e-12) * coefficient_bound(derivative.rows, r - grid[:-1])
+    t, bound = r - grid[:-1], 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for norm in row_norms(derivative.rows)[::-1]:
+            bound = bound * t + norm
+        own = grid[:-1] * (1.0 + 1e-12) * bound
     return bool(np.all(own < r - _MU_TOL))
 
 
@@ -742,11 +746,13 @@ def bl_search(f: Series, r: float) -> SearchReport:
         locator_angle = hi_angle
         x = sphere_radius * math.cos(locator_angle)
         y = sphere_radius * math.sin(locator_angle)
-        # |f'| peaks on that sphere at the unit along Im(b conj(c)), (b, c) its constants
-        axis = np.concatenate(_sphere_squares(*sphere_constants(
-            derivative.rows, np.array([x]), np.array([y])))[3:]).tolist()
-        unit = (UnitImaginary.from_vector(*axis)
-                if Quaternion(0.0, *axis).modulus() > 1e-14 else CANONICAL_I)
+        # |f'| peaks on that sphere at the unit along Im(b conj(c)), (b, c) its constants.
+        # That vector is good to 8 u |b| |c|, below which every unit is a maximiser to
+        # rounding; the test is relative, as near the origin |c| is of order the radius
+        bb, cc, _, *axis = (float(v[0]) for v in _sphere_squares(*sphere_constants(
+            derivative.rows, np.array([x]), np.array([y]))))
+        unit = (UnitImaginary.from_vector(*axis) if Quaternion(0.0, *axis).modulus()
+                > 8.0 * _ROUNDOFF * math.sqrt(bb) * math.sqrt(cc) else CANONICAL_I)
         w = _slice_point(x, y, unit)
 
     translated = regular_translation(f, w)

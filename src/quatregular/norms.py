@@ -15,7 +15,11 @@ slice norm is the maximum of one smooth function of the unit and two circle
 angles, which a lattice scan starts and Newton steps finish; on each circle
 angle both squared components are quadratic forms in the unit, so the scan is
 a real matrix product per component, written block by block of lattice units
-into one buffer that stays in cache. Every norm takes degree ``DEGREE_CAP``
+into one buffer that stays in cache. The starts need only the units that can
+be picked: a pass on a sub-grid of the angles bounds every unit's grid maxima
+(the Ehlich-Zeller bound on a trigonometric polynomial between grid nodes),
+and the whole grid rows are computed for the units whose upper bound reaches
+the best lower bound. Every norm takes degree ``DEGREE_CAP``
 at most, so one angle grid serves every search, and its cos and sin tables
 come from a cache, so repeated calls rebuild nothing. A series of effective
 degree at most 1 needs no grid and no lattice: its sphere angle and its
@@ -71,12 +75,17 @@ _PEAKS = 6
 _CHUNK_ROWS = 16384
 # roots of f^s this close, with the ball radius folded into (1/2, 1], share a centroid
 _ROOT_CLUSTER = 1e-2
-# the rounding allowance of _boundary_floor, relative to B(t)^2 and to B(t): its grid
-# products are good to about 1e-13 of B(t)^2 at degree DEGREE_CAP
+# the rounding allowance of the bounds from grid products, _boundary_floor's and the split_norm
+# pick phase's, relative to B(t)^2 (and to B(t)): the products are good to about 1e-13 of
+# B(t)^2 at degree DEGREE_CAP
 _FLOOR_SLACK = 1e-10
 # separated lattice units that start the split_norm ascent; scan block rows, dividing _SPHERE_GRID
 _STARTS = 3
 _SCAN_BLOCK = 256
+# the sub-grid steps of the split_norm pick phase, largest first, and the least cos(N pi s / T)
+# a step s may have on T scan angles at degree N
+_SUB_STEPS = (8, 4, 2)
+_SUB_COS = 0.9
 
 
 @dataclass(frozen=True)
@@ -431,26 +440,115 @@ def _lattice() -> tuple[np.ndarray, np.ndarray]:
     return _read_only(units, monomials)
 
 
+def _scan_forms(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The ``square_forms`` of |F_I|^2 and |G_I|^2 at each column's coefficient sum, (2, 9, T),
+    each (9, T) form contiguous, so that every block product takes the fast path."""
+    sums = (table.T @ rows).view(float)
+    return np.ascontiguousarray(np.moveaxis(square_forms(sums, sums), 0, -1))
+
+
+def _scan_rows(monomials: np.ndarray, forms: np.ndarray,
+               grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid maxima of each form (2, 9, T) at each monomial row (m, 9), and their columns, (2, m).
+
+    The (m, T) grid of a form is the product of the monomials with it, written
+    into ``grid`` (``_SCAN_BLOCK`` rows of ``_THETA_GRID // 2`` cells) in blocks of
+    nearly equal rows that fill at most all of it, so that a block stays in cache
+    while its row maxima are taken (the first column of a tie) and a call
+    allocates no grid of its own. A block of two rows or more rounds each row as
+    any other block does; one row alone would take numpy's matrix-vector product,
+    which rounds differently, so it runs as two.
+    """
+    count, points = len(monomials), forms.shape[2]
+    if count == 1:
+        monomials = np.repeat(monomials, 2, axis=0)
+    rows = len(monomials)
+    blocks = -(-rows * points // grid.size)
+    edges = [rows * k // blocks for k in range(blocks + 1)]
+    span = np.arange(-(-rows // blocks))
+    tops, cols = np.empty((2, rows)), np.empty((2, rows), dtype=np.intp)
+    for top, col, form in zip(tops, cols, forms):
+        for first, last in zip(edges, edges[1:]):
+            block = grid[:(last - first) * points].reshape(last - first, points)
+            np.matmul(monomials[first:last], form, out=block)
+            np.argmax(block, axis=1, out=col[first:last])
+            top[first:last] = block[span[:last - first], col[first:last]]
+    return tops[:, :count], cols[:, :count]
+
+
+def _grid_tops(squares: np.ndarray) -> np.ndarray:
+    """The maxima of |F_I| and |G_I| from their squares on the grid, a rounded negative as 0."""
+    return np.sqrt(np.maximum(squares, 0.0))
+
+
 def _lattice_scan(rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Grid maxima of |F_I| and |G_I| at each ``_lattice`` unit I, and their columns, each (2, m).
 
     The (m, T) grid of squares of each component is the product of the lattice
-    monomials with its ``square_forms`` form at each column's coefficient sum,
-    written ``_SCAN_BLOCK`` rows at a time into one buffer, so that a block stays
-    in cache while its row maxima are taken and a call allocates one grid, not
-    one per block; only the row maxima take a square root.
+    monomials with its ``square_forms`` form at each column's coefficient sum
+    (``_scan_forms``), written ``_SCAN_BLOCK`` rows at a time for T = 256 into one
+    buffer (``_scan_rows``); only the row maxima take a square root.
     """
     _, monomials = _lattice()
-    sums = (table.T @ rows).view(float)
-    grid, span = np.empty((_SCAN_BLOCK, table.shape[1])), np.arange(_SCAN_BLOCK)
-    tops, cols = [], []
-    # each (9, T) form contiguous, so that every block product takes the fast path
-    for form in np.ascontiguousarray(np.moveaxis(square_forms(sums, sums), 0, -1)):
-        for block in monomials.reshape(-1, _SCAN_BLOCK, 9):
-            np.matmul(block, form, out=grid)
-            cols.append(np.argmax(grid, axis=1))
-            tops.append(grid[span, cols[-1]])
-    return np.sqrt(np.maximum(tops, 0.0)).reshape(2, -1), np.reshape(cols, (2, -1))
+    squares, cols = _scan_rows(monomials, _scan_forms(rows, table),
+                               np.empty(_SCAN_BLOCK * (_THETA_GRID // 2)))
+    return _grid_tops(squares), cols
+
+
+def _scan_picks(rows: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_STARTS`` greedy picks of the lattice scan and the columns of their grid maxima of
+    |F_I| and |G_I|, (``_STARTS``,) and (2, ``_STARTS``), without the whole scan.
+
+    The scan is ``_lattice_scan`` on the T = ``_THETA_GRID // 2`` angles of the
+    circle of ``radius``, and a unit's value is the hypot of its two grid
+    maxima. Each pick is the first unit of the largest value among the units
+    left, and drops the units within 0.2 rad of it or of its antipode (I and -I
+    span one slice). |F_I|^2 and |G_I|^2 are nonnegative trigonometric
+    polynomials of degree at most N in the angle, so each one's maximum is at
+    most its maximum on every s-th angle over c = cos(N pi s / T) (the
+    Ehlich-Zeller (1964) / Riesz bound between grid nodes), and at least that.
+    A pass on every s-th angle, s the largest of ``_SUB_STEPS`` with
+    c >= ``_SUB_COS``, so gives each unit a floor and a ceiling of its value;
+    past the degrees a sub-grid serves (N > 18), s = c = 1 and the pass is the
+    whole scan. For rounding, ``_FLOOR_SLACK`` B^2 comes off the floors and
+    goes on the ceilings, B the coefficient bound: the largest sum of a unit's
+    two squares on the pass is at least the mean of |f|^2 over the spheres at
+    those angles, sum |a_n|^2 R^(2n) >= B^2 / (N + 1) (Parseval, then
+    Cauchy-Schwarz). Each pick then computes the T-angle rows of the units left
+    whose ceiling reaches the best floor among them, by the kernel of the whole
+    scan (``_scan_rows``, so each value is the scan's to the bit), and a value
+    replaces its unit's bounds. A unit left uncomputed is below the best floor,
+    itself a computed value, so the pick is the scan's. The bounds pass through
+    ``_grid_tops`` and the hypot as the values do, so they hold for the values
+    as computed.
+    """
+    lattice, monomials = _lattice()
+    table = circle_table(radius, len(rows), _THETA_GRID // 2)
+    forms = _scan_forms(rows, table)
+    degree, points = len(rows) - 1, table.shape[1]
+    # the sub-grid step s and c, at most the ratio of its maxima to the grid's (1 at s = 1)
+    step, cosine = next(((s, c) for s in _SUB_STEPS
+                         if (c := math.cos(degree * math.pi * s / points)) >= _SUB_COS), (1, 1.0))
+    grid = np.empty(_SCAN_BLOCK * points)
+    squares, cols = _scan_rows(monomials, np.ascontiguousarray(forms[:, :, ::step]), grid)
+    slack = _FLOOR_SLACK * (degree + 1) * float(squares.sum(axis=0).max())
+    # a unit's value once computed, else -inf; its floor, the value once computed; and its
+    # ceiling, -inf once its value is computed, so that no value is computed twice
+    values = np.full(len(lattice), -np.inf)
+    floors = np.hypot(*_grid_tops(squares - slack))
+    ceilings = np.hypot(*_grid_tops(squares / cosine + slack))
+    left = np.ones(len(lattice), dtype=bool)
+    picks = []
+    for _ in range(_STARTS):
+        todo = np.flatnonzero(left & (ceilings >= np.max(floors, where=left, initial=-np.inf)))
+        if todo.size:
+            fine, cols[:, todo] = _scan_rows(monomials[todo], forms, grid)
+            values[todo] = floors[todo] = np.hypot(*_grid_tops(fine))
+            ceilings[todo] = -np.inf
+        # a unit left whose value is not computed is below the best floor, which is a value
+        picks.append(int(np.argmax(np.where(left, values, -np.inf))))
+        left &= np.abs(lattice @ lattice[picks[-1]]) <= math.cos(0.2)
+    return np.array(picks), cols[:, picks]
 
 
 def slice_norm(f: Series, unit: UnitImaginary,
@@ -504,13 +602,16 @@ def split_norm(f: Series) -> NormReport:
     over the unit I and the angles of z_1, z_2 on the boundary circle; at each
     angle both squares are quadratic forms in I (``slice_square_forms``). The
     ``_SPHERE_GRID`` units of a lattice are scanned with grid maxima of |F_I|
-    and |G_I|, no polish, each component's grid the product of the lattice
-    monomials with nine coefficients per angle, ``_SCAN_BLOCK`` units at a
-    time. The ``_STARTS``
+    and |G_I| on 256 angles, no polish, each component's grid the product of
+    the lattice monomials with nine coefficients per angle. The ``_STARTS``
     best lattice units on distinct slices, no two within 0.2 rad of each other
     or of each other's antipode (I and -I span one slice), with the scan's
     best angle of each component, start a Newton ascent of H
-    (``slice_norm_ascent``). The value is sqrt(H) at the best final point, so
+    (``slice_norm_ascent``). They come from ``_scan_picks``, which computes
+    the 256-angle rows of just the units that can be picked: a pass on every
+    s-th angle bounds each unit's grid maxima above and below (Ehlich-Zeller),
+    so the picks and their angles are the whole scan's, from far fewer rows.
+    The value is sqrt(H) at the best final point, so
     it is attained, and it is the slice norm at that point's unit to rounding.
     The winning start is the first, in pick order, whose value is within
     rounding noise of the best. ``certified_tol`` is how much its last Newton
@@ -528,26 +629,17 @@ def split_norm(f: Series) -> NormReport:
         return _report("closed-form", coefficient_bound(rows[:2], np.array([radius]))[0], 0.0, e)
     if not rows[:, 1:].any():
         return _sphere_report(rows, radius, e, sphere=1)
-    scan_table = circle_table(radius, f.degree + 1, _THETA_GRID // 2)
     lattice, _ = _lattice()
-    tops, cols = _lattice_scan(rows, scan_table)
-    scan = np.hypot(*tops)
-
-    # each pass picks the best unit left, the first of equal values, and drops
-    # those near it; I and -I span one slice, so a start's antipode is no new start
-    picks = []
-    for _ in range(_STARTS):
-        picks.append(int(np.argmax(scan)))
-        scan[np.abs(lattice @ lattice[picks[-1]]) > math.cos(0.2)] = -np.inf
-
-    angles = (2.0 * math.pi / scan_table.shape[1]) * cols.T[picks]
-    h, before, _, _, steps = slice_norm_ascent(rows, radius, lattice[picks], angles)
+    picks, cols = _scan_picks(rows, radius)
+    points = _THETA_GRID // 2
+    h, before, _, _, steps = slice_norm_ascent(rows, radius, lattice[picks],
+                                               (2.0 * math.pi / points) * cols.T)
     values = np.sqrt(h)
     top = float(values.max())
     # starts often end on one slice (at I or -I) whose norms agree to rounding:
     # the first of those in pick order gives the steps and the gap, not the last bit
     best = int(np.flatnonzero(values >= top - _tol_floor(top, 0.0, 0))[0])
-    resolution = {"sphere": _SPHERE_GRID, "theta": scan_table.shape[1], "starts": len(picks),
+    resolution = {"sphere": _SPHERE_GRID, "theta": points, "starts": len(picks),
                   "steps": int(steps[best])}
     gap = values[best] - math.sqrt(before[best])
     if steps[best] == _ASCENT_STEPS:

@@ -17,6 +17,7 @@ from quatregular import (
     attain,
     bl_search,
     coverage_report,
+    evaluate,
     fourth_root_series,
     g_series,
     in_oset,
@@ -29,6 +30,7 @@ from quatregular import (
     slice_derivative,
     split_norm,
     star,
+    sup_norm_ball,
 )
 from quatregular import bloch
 from quatregular._arrays import eval_rows
@@ -499,6 +501,17 @@ class TestSearch:
         assert abs(report.w.modulus() + 2 * report.R_r - report.r) < 1e-9
         assert abs(report.diagnostics["dphi0"] - report.r / (2 * report.R_r)) < 1e-9
         assert report.rho_r >= report.diagnostics["rho_lower_bound"] - 1e-6
+
+    def test_unit_of_w_near_the_origin(self):
+        # f' = 1 + 2q(0.3 + 0.01i) peaks on the sphere of radius |w| ~ 2.4e-12 at the
+        # unit -i, along Im(b conj(c)) of size ~1e-15: an absolute threshold of 1e-14
+        # took i, the other side of the slice, and |f'(w)| fell 3.3e-15 short
+        f = Series((0, 1, Quaternion(0.3, 0.01, 0, 0)))
+        report = bl_search(f, 0.99)
+        derivative = slice_derivative(f)
+        assert report.w.components[1] < 0.0
+        top = sup_norm_ball(derivative, report.w.modulus()).value
+        assert abs(evaluate(derivative, report.w).modulus() - top) <= 4e-16 * top
 
     def test_translation_image_contains_rotated_set(self):
         # spot check of the coverage statement: f(w) + t * rotation attained

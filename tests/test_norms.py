@@ -605,7 +605,7 @@ class TestSplitNorm:
                                     "resolution": {"theta": 512}, "certified_tol": 4e-15}
 
     def test_tied_starts_report_the_first(self, monkeypatch):
-        # f = q + j/2 - (j/4) q^2 peaks on the slice of j, and its starts end on the
+        # f = q + j/8 + (3j/8) q^2 peaks on the slice of j, and its starts end on the
         # units -j, -j and j, whose slice norms agree to an ulp: the steps and the gap
         # come from the first start in pick order, whichever tied norm rounds highest;
         # the rounding floor is at 2^1, the frexp scale of the largest coefficient
@@ -616,14 +616,14 @@ class TestSplitNorm:
             return ascents[-1]
 
         monkeypatch.setattr(norms, "slice_norm_ascent", recording)
-        report = split_norm(Series((J / 2, 1, -J / 4)))
+        report = split_norm(Series((J / 8, 1, J * 0.375)))
         h, before, units, _, steps = ascents[0]
         assert abs(np.dot(units[0], units[1])) > 1.0 - 1e-12
         assert steps[0] not in steps[1:]
-        assert report.value == 1.75
+        assert report.value == 1.25
         assert report.resolution["steps"] == steps[0]
         gap = 2.0 * (math.sqrt(h[0]) - math.sqrt(before[0]))
-        assert report.certified_tol == norms._tol_floor(1.75, gap, 1)
+        assert report.certified_tol == norms._tol_floor(1.25, gap, 1)
 
     def test_starts_lie_on_distinct_slices(self, monkeypatch):
         # I and -I span one slice, so no start is within 0.2 rad of another or of its antipode
@@ -670,23 +670,23 @@ class TestSplitNorm:
     def test_starts_are_the_greedy_picks(self, monkeypatch):
         # the best lattice units by scan value (stable order), each skipped when
         # within 0.2 rad of an earlier pick or of its antipode; then again with the
-        # scan's tops rounded to 2 decimals, where many values tie and the lowest
-        # lattice index wins
+        # grid maxima rounded to 2 decimals where the pick phase's fine values, its
+        # bounds and the whole scan take them (_grid_tops), where many values tie and
+        # the lowest lattice index wins
         starts = []
 
         def recording(coeffs, radius, units, angles):
             starts.append(units)
             return slice_norm_ascent(coeffs, radius, units, angles)
 
-        def rounded(rows, table, scan=norms._lattice_scan):
-            tops, cols = scan(rows, table)
-            return np.round(tops, 2), cols
+        def rounded(squares, tops=norms._grid_tops):
+            return np.round(tops(squares), 2)
 
         monkeypatch.setattr(norms, "slice_norm_ascent", recording)
         lattice, _ = norms._lattice()
         for tied in (False, True):
             if tied:
-                monkeypatch.setattr(norms, "_lattice_scan", rounded)
+                monkeypatch.setattr(norms, "_grid_tops", rounded)
             rng = np.random.default_rng(2724)
             ties = 0
             for degree in range(2, 9):
@@ -706,6 +706,77 @@ class TestSplitNorm:
                     assert np.array_equal(starts[-1], lattice[picks])
                     ties += sum(np.count_nonzero(scan == scan[k]) > 1 for k in picks)
             assert (ties > 0) == tied
+
+    def test_pick_phase_is_the_greedy_picks_of_the_whole_scan(self, monkeypatch):
+        # the pick phase computes the 256-angle rows of just the units that can be picked:
+        # its units and start columns are those of the greedy picks on the whole scan,
+        # on sub-grids of steps 8, 4 and 2 (degrees 1-4, 5-9, 10-12), at degree 19, where
+        # no sub-grid serves, and on the along_k and real rows of the blocked scan test;
+        # the real rows, and every case again with the grid maxima rounded to 2 decimals,
+        # tie many units, where the lowest lattice index wins
+        rng = np.random.default_rng(2725)
+        lattice, _ = norms._lattice()
+        cases = [random_series(rng, degree, scale).rows
+                 for scale in (0.2, 1.0, 3.0) for degree in range(1, 13)]
+        along_k = rng.standard_normal((7, 4))
+        along_k[:, 1:3] = 0.0
+        real = rng.standard_normal((5, 4))
+        real[:, 1:] = 0.0
+        cases += [along_k, real, random_series(rng, 19, 1.0).rows]
+
+        def rounded(squares, tops=norms._grid_tops):
+            return np.round(tops(squares), 2)
+
+        for tied in (False, True):
+            if tied:
+                monkeypatch.setattr(norms, "_grid_tops", rounded)
+            ties = 0
+            for rows in cases:
+                tops, cols = norms._lattice_scan(rows, circle_table(0.9, len(rows), 256))
+                scan = np.hypot(*tops)
+                picks = []
+                for idx in np.argsort(-scan, kind="stable"):
+                    if all(abs(np.dot(lattice[idx], lattice[k])) <= math.cos(0.2) for k in picks):
+                        picks.append(idx)
+                    if len(picks) == norms._STARTS:
+                        break
+                units, columns = norms._scan_picks(rows, 0.9)
+                assert units.tolist() == picks
+                assert np.array_equal(columns, cols[:, picks])
+                ties += sum(np.count_nonzero(scan == scan[k]) > 1 for k in picks)
+            assert ties > 0
+
+    def test_rows_of_some_units_are_the_whole_scan_rows(self):
+        # the pick phase's rows of a few units, one alone included (numpy's matrix-vector
+        # product rounds differently, so it runs as two) and more than a block, are the
+        # whole scan's to the bit
+        rng = np.random.default_rng(2727)
+        _, monomials = norms._lattice()
+        grid = np.empty(norms._SCAN_BLOCK * 256)
+        for degree in (2, 6, 12):
+            rows = random_series(rng, degree, 1.0).rows
+            forms = norms._scan_forms(rows, circle_table(0.9, degree + 1, 256))
+            whole = norms._scan_rows(monomials, forms, grid)
+            for count in (1, 2, 3, 255, 257, 600):
+                units = np.sort(rng.choice(len(monomials), count, replace=False))
+                part = norms._scan_rows(monomials[units], forms, grid)
+                assert all(np.array_equal(p, w[:, units]) for p, w in zip(part, whole))
+
+    def test_sub_grid_ceiling_holds(self):
+        # |F_I|^2 and |G_I|^2 are nonnegative trigonometric polynomials of degree N, so
+        # each one's maximum on the 256 angles is at most its maximum on every s-th angle
+        # over cos(N pi s / 256), for the step s the pick phase takes at degree N
+        rng = np.random.default_rng(2726)
+        for degree in range(1, 19):
+            step = next(s for s in norms._SUB_STEPS
+                        if math.cos(degree * math.pi * s / 256) >= norms._SUB_COS)
+            cosine = math.cos(degree * math.pi * step / 256)
+            for scale in (0.2, 1.0, 3.0):
+                rows = random_series(rng, degree, scale).rows
+                table = circle_table(0.9, degree + 1, 256)
+                tops = np.hypot(*norms._lattice_scan(rows, table)[0])
+                sub = norms._lattice_scan(rows, table[:, ::step])[0]
+                assert np.all(tops <= np.hypot(*sub) / math.sqrt(cosine) * (1.0 + 1e-14))
 
     def test_lattice_squares_match_split_grids(self):
         # the quadratic forms in the unit against |F_I|^2 and |G_I|^2 from split rows,

@@ -28,10 +28,12 @@ points and 3 interpolated ones), 33 (the coarse mu-profile pass when no cell
 is dropped), 63 and 1024 (a whole mu-profile) radii, and at 33 radii on the
 first two coefficient rows (degree 1: the closed-form angle, no grid or
 polish); the slice norm at the unit i (two sphere-maximum searches), the
-split_norm lattice scan (2048 units, 256 angles), the value, gradient and
-Hessian of the split_norm ascent at its three starts (_slice_terms, given the
-series table and the charts) and the whole ascent from them
-(slice_norm_ascent); the whole split_norm on the series, on the
+split_norm lattice scan (2048 units, 256 angles) and its pick phase (the
+three starts of the scan's greedy picks, from a pass on every fourth angle at
+this degree and the 256-angle rows of just the units that can be picked), the
+value, gradient and Hessian of the split_norm ascent at its three starts
+(_slice_terms, given the series table and the charts) and the whole ascent
+from them (slice_norm_ascent); the whole split_norm on the series, on the
 real-coefficient series of its real parts (the boundary sphere maximum) and on
 the degree-1 series of its first two rows (the closed form |a_0| + R |a_1|);
 inf_norm_ball at RADIUS on q times the series' first DEGREE coefficients, a
@@ -206,6 +208,7 @@ def _kernel_rows(pkg) -> dict:
             RADIUS, 0.0, 33, endpoint=False): norms._sphere_max(rows[:2], radii),
         f"slice_norm[degree {DEGREE}]": lambda: pkg.slice_norm(at_radius, pkg.I),
         "_lattice_scan[2048 units, 256 angles]": lambda: norms._lattice_scan(rows, table),
+        "_scan_picks[2048 units, 256 angles]": lambda: norms._scan_picks(rows, RADIUS),
         f"_slice_terms[3 starts, degree {DEGREE}]": lambda: arrays._slice_terms(*terms),
         "slice_norm_ascent[split_norm starts]": lambda: arrays.slice_norm_ascent(*start),
         "split_norm": lambda: pkg.split_norm(at_radius),
