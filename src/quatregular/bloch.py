@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._arrays import _CONJUGATE, _sphere_squares, coefficient_bound, eval_rows, qmul_rows
-from ._arrays import row_norms, sphere_constants, sphere_max_rows, star_rows
+from ._arrays import row_norms, sphere_constants, star_rows
 from .errors import DomainError, NumericalSearchError, PreconditionError
 from .norms import _sphere_max, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
@@ -169,12 +169,28 @@ def inscribed_disc_check(rho: float) -> bool:
 
 # -- coverage radius and fourth-root lifting ------------------------------------
 
+def _lemma_radius(radius: float, a: float, norm: float) -> float:
+    """The coverage lemma's radius R a^2 / (4 ||f'||), from the ball radius R, the real slice
+    derivative a at the origin and the norm ||f'||.
+
+    The product (R a) a and the quotient are taken on the frexp mantissas and
+    scaled by the power of two they leave out: no step underflows or
+    overflows, and a result in the normal range has the bits of
+    (R a) a / (4 ||f'||) taken directly.
+    """
+    (radius, p), (a, e), (norm, g) = map(math.frexp, (radius, a, norm))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(radius * a * a / (4.0 * norm), p + 2 * e - g))
+
+
 def rho_lemma(f: Series) -> float:
     """Coverage radius radius*|f'(0)|^2 / (4 ||f'||) for f with f(0) = 0.
 
-    Raises PreconditionError when any component of f(0) is nonzero, however
-    small, or when the derivative at the origin is not real; returns zero when
-    that derivative vanishes, in which case there is nothing to certify.
+    The formula is ``_lemma_radius``, which ``bl_search`` takes for its
+    ``rho_r`` too. Raises PreconditionError when any component of f(0) is
+    nonzero, however small, or when the derivative at the origin is not real;
+    returns zero when that derivative vanishes, in which case there is nothing
+    to certify.
     """
     _require_degree_cap(f)
     _require_zero_at_origin(f)
@@ -183,12 +199,7 @@ def rho_lemma(f: Series) -> float:
         raise PreconditionError("requires a real slice derivative at the origin")
     if a1[0] == 0.0:
         return 0.0
-    derivative_norm = split_norm(slice_derivative(f)).value
-    # R a^2 / (4 ||f'||) on the frexp mantissas, times the power of two they leave out:
-    # the square cannot underflow or overflow, and a result in the normal range keeps its bits
-    (radius, p), (a, e), (norm, g) = map(math.frexp, (f.radius, a1[0], derivative_norm))
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(radius * (a * a) / (4.0 * norm), p + 2 * e - g))
+    return _lemma_radius(f.radius, a1[0], split_norm(slice_derivative(f)).value)
 
 
 def _nonreal_rows(rows: np.ndarray) -> np.ndarray:
@@ -276,7 +287,7 @@ def _ball_lattice(ball_radius: float, count: int, seed: int,
     rng = np.random.default_rng(seed)
     points = [np.zeros(4)]
     if hint is not None:
-        norm = np.linalg.norm(hint)
+        norm = float(row_norms(hint))
         if norm > 0:
             points.append(hint * min(1.0, 0.8 * ball_radius / norm))
     shells = (0.2, 0.45, 0.7, 0.9)
@@ -287,22 +298,36 @@ def _ball_lattice(ball_radius: float, count: int, seed: int,
     return np.array(points[:count])
 
 
+def _require_seed(seed: int) -> None:
+    """A DomainError for a negative seed, which numpy's generators refuse."""
+    if seed < 0:
+        raise DomainError("the seed cannot be negative")
+
+
 def attain(f: Series, target, ball_radius: float, seed: int = 0) -> Quaternion | None:
     """Try to exhibit a preimage of ``target`` inside the open ball.
 
     Multistart damped Newton on the four real variables, with a central
     difference Jacobian and Armijo backtracking. Success means residual below
     1e-8 at a point strictly inside the ball; returning None proves nothing.
-    A target with a non-finite component raises DomainError.
+    In the ball |f(q)| <= B(|q|) <= B(ball_radius), B(t) = sum |a_k| t^k
+    (``coefficient_bound``), so a target farther from 0 than that bound, with
+    1e-12 of it for rounding and the residual tolerance, is out of reach and
+    gets None before any Newton step. A target with a non-finite component, or
+    a negative seed, raises DomainError.
     """
     target = _require_quaternion(target)
     if ball_radius > f.radius:
         raise DomainError("search ball cannot exceed the ball of validity")
     if not ball_radius > 0.0:
         raise DomainError("search ball radius must be positive")
+    _require_seed(seed)
     goal = np.array(target.components)
     if not np.isfinite(goal).all():
         raise DomainError("target must be finite")
+    reach = float(coefficient_bound(f.rows, np.array([ball_radius]))[0])
+    if math.hypot(*goal) > reach * (1.0 + 1e-12) + _RESIDUAL_TOL:
+        return None
 
     def residual(points: np.ndarray) -> np.ndarray:
         return eval_rows(f.rows, points) - goal
@@ -342,10 +367,11 @@ def coverage_report(f: Series, rho: float, samples: int, seed: int = 0) -> Cover
     Points are rejection sampled from the set with radius rho*(1 - 1e-3),
     then handed to :func:`attain` on the whole ball of validity. Misses are
     reported as data, never dropped; a miss is a failed certificate, not a
-    disproof.
+    disproof. A negative seed raises DomainError.
     """
     if samples < 0:
         raise DomainError("the sample count cannot be negative")
+    _require_seed(seed)
     _check_rho(rho)
     shrunk = rho * (1.0 - _SHRINK)
     rng = np.random.default_rng(seed)
@@ -406,27 +432,10 @@ def _chord_sup(r: float, s_a: np.ndarray, s_b: np.ndarray,
     return np.where(t_b > 0.0, chord, np.inf)
 
 
-def _settled(derivative: Series, r: float, grid: np.ndarray) -> bool:
-    """Whether the coefficient bound settles the mu-profile: each grid point s before the
-    last has its own bound s B(r - s) (1 + 1e-12) below r - ``_MU_TOL``, so that the
-    first grid crossing is the last point, s = r, where mu = r |b_0|.
-
-    This is the rule and the slack of the leading-cell prune of ``_first_crossing``,
-    with B(t) = sum |b_k| t^k (``coefficient_bound``) by Horner's rule on the radii of
-    those points, whose rounding (about 2N ulps) the slack covers. A bound that is
-    not a number (an inf B at s = 0) settles nothing.
-    """
-    t, bound = r - grid[:-1], 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for norm in row_norms(derivative.rows)[::-1]:
-            bound = bound * t + norm
-        own = grid[:-1] * (1.0 + 1e-12) * bound
-    return bool(np.all(own < r - _MU_TOL))
-
-
 def _first_crossing(derivative: Series, r: float,
-                    grid: np.ndarray) -> tuple[int, float, float, np.ndarray]:
-    """The first grid point s with mu(s) = s M(r - s) >= r, with M(r - s), its angle and mu.
+                    grid: np.ndarray) -> tuple[int, float, np.ndarray]:
+    """The first grid point s with mu(s) = s M(r - s) >= r, the angle of the sphere of
+    radius r - s where M(r - s) is attained, and mu.
 
     M(t) is the maximum of |f'| on the ball of radius t. Two upper bounds
     of mu on a cell (s_a, s_b] of the grid, t_a = r - s_a and t_b = r - s_b,
@@ -443,8 +452,11 @@ def _first_crossing(derivative: Series, r: float,
       and below its chord on the cell. The last cell, where t_b = 0, has no
       chord.
 
-    A search the coefficient bound settles (``_settled``) evaluates nothing:
-    its first crossing is the last grid point, where M(0) = |b_0| at angle 0.
+    B is taken once, on every grid radius. Where each grid point s before the
+    last has its own bound s B(r - s) (1 + 1e-12) below r - ``_MU_TOL``, the
+    search is settled: its first crossing is the last grid point, s = r, at
+    angle 0, and nothing is evaluated. A bound that is not a number (an inf B
+    at s = 0) settles nothing.
     Otherwise the evaluated bounds use U = M + gap + 1e-12 M in place of M, the gap
     being what ``_sphere_max`` left. The chord bound covers the monotone bound
     s_b U_a (by the maximum modulus principle, Gentili-Stoppato, M does not
@@ -461,39 +473,42 @@ def _first_crossing(derivative: Series, r: float,
     crossing is then that of the whole profile, from the same evaluations. A
     bound that is not a number (from an M or B past the floats) prunes
     nothing. The returned mu holds mu at the grid points evaluated and -inf
-    elsewhere. The whole profile is evaluated only for the
+    elsewhere, so a settled search returns it all -inf. The whole profile is
+    evaluated only for the
     ``NumericalSearchError`` raised when it never meets r or meets it at
     s = 0, whose ``mu_profile`` diagnostics hold the pairs (s, mu(s)).
     """
     # mu on the grid points evaluated so far, -inf elsewhere
     mu = np.full(grid.size, -np.inf)
-    if _settled(derivative, r, grid):
-        return grid.size - 1, float(row_norms(derivative.rows[:1])[0]), 0.0, mu
-    maxima, angles = np.zeros(grid.size), np.zeros(grid.size)
+    # B(r - s) at every grid point; s (1 + 1e-12) < 1, so only an inf B makes a bound inf
+    bound = coefficient_bound(derivative.rows, r - grid)
+    with np.errstate(invalid="ignore"):  # 0 inf at s = 0 is nan, and settles nothing
+        if np.all(grid[:-1] * (1.0 + 1e-12) * bound[:-1] < r - _MU_TOL):
+            return grid.size - 1, 0.0, mu
+    angles = np.zeros(grid.size)
 
-    def profile(idx: np.ndarray) -> np.ndarray:
-        """Evaluate mu at the grid points ``idx`` in one batch; returns the gaps of M."""
-        maxima[idx], gap, angles[idx] = _sphere_max(derivative.rows, r - grid[idx])
-        mu[idx] = grid[idx] * maxima[idx]
-        return gap
+    def profile(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluate mu at the grid points ``idx`` in one batch; returns M and its gaps."""
+        maxima, gap, angles[idx] = _sphere_max(derivative.rows, r - grid[idx])
+        mu[idx] = grid[idx] * maxima
+        return maxima, gap
 
     # not np.union1d: numpy's set routines import numpy.ma, about 1 MB more RSS
     coarse = _coarse_points(grid.size)
-    # s_b B(t_a) (1 + 1e-12) on each cell; s_b (1 + 1e-12) < 1, so only an inf B makes it inf
-    b_a = coefficient_bound(derivative.rows, r - grid[coarse[:-1]])
-    reach = grid[coarse[1:]] * (1.0 + 1e-12) * b_a
+    # s_b B(t_a) (1 + 1e-12) on each cell
+    reach = grid[coarse[1:]] * (1.0 + 1e-12) * bound[coarse[:-1]]
     # the first cell the coefficient bound leaves; nan leaves it too
     start = int(np.argmin(reach < r - _MU_TOL))
     coarse = coarse[start:]
-    gap = profile(coarse)
-    upper = maxima[coarse] + gap + 1e-12 * maxima[coarse]
+    maxima, gap = profile(coarse)
+    upper = maxima + gap + 1e-12 * maxima
     lows, highs = coarse[:-1], coarse[1:]
     chord = _chord_sup(r, grid[lows], grid[highs], upper[:-1], upper[1:])
     # np.fmin skips a nan bound
-    bound = np.fmin(chord, reach[start:])
+    least = np.fmin(chord, reach[start:])
     crossed = np.flatnonzero(mu[highs] >= r - _MU_TOL)
     last = crossed[0] + 1 if crossed.size else highs.size
-    cells = np.flatnonzero(bound[:last] >= r - _MU_TOL)
+    cells = np.flatnonzero(least[:last] >= r - _MU_TOL)
     if cells.size:
         profile(np.concatenate([np.arange(lows[k] + 1, highs[k]) for k in cells]))
     crossing = np.flatnonzero(mu >= r - _MU_TOL)
@@ -503,7 +518,7 @@ def _first_crossing(derivative: Series, r: float,
         profile(np.arange(grid.size))
         raise NumericalSearchError(message, {"mu_profile": np.stack([grid, mu], axis=1).tolist()})
     first = int(crossing[0])
-    return first, float(maxima[first]), float(angles[first]), mu
+    return first, float(angles[first]), mu
 
 
 def _inverse_quadratic(s, mu, target: float) -> float:
@@ -575,7 +590,7 @@ def _mu_bounds(norms: list[float], r: float, s: float) -> tuple[float, float]:
 def _bound_bracket(norms: list[float], r: float, lo: float, hi: float,
                    target: float) -> tuple[float, float]:
     """The bracket (lo, hi] of the mu-root inside the last grid cell of a settled search
-    (``_settled``) that the bounds of ``_mu_bounds`` close, with no sphere search.
+    (``_first_crossing``) that the bounds of ``_mu_bounds`` close, with no sphere search.
 
     Without its terms of degree 2 and up, mu(r - t) = (r - t)(1 + |b_1| t) meets
     ``target`` at one t > 0, where it rises in s at the slope
@@ -603,25 +618,23 @@ def _bound_bracket(norms: list[float], r: float, lo: float, hi: float,
     return lo, hi
 
 
-def _witness_locator(rows: np.ndarray, norms: list[float], tau: float) -> tuple[float, float, int]:
-    """M(tau) and the angle of its sphere of radius tau for a settled search, from the
-    witness of ``_mu_bounds`` where it is a maximiser to rounding, and the number of
-    radii ``_sphere_max`` evaluated for them (0 or 1).
+def _witness_locator(rows: np.ndarray, norms: list[float], tau: float) -> tuple[float, int]:
+    """The angle of the sphere of radius tau where M(tau) is attained, for a settled search,
+    from the witness of ``_mu_bounds`` where it is a maximiser to rounding, and the number
+    of radii ``_sphere_max`` evaluated for it (0 or 1).
 
     The witness q_tau = tau conj(b_1) / |b_1| lies at the angle
     atan2(|Im b_1|, Re b_1) of its slice, and |f'(q_tau)| is within
     2 sum_{k>=2} |b_k| tau^k of B(tau) >= M(tau). Where that is below the
-    rounding of |b_0| = 1, M is the sphere closed form at that angle
-    (``sphere_max_rows``, as ``_folded_sphere_max`` reads its value); elsewhere
-    one ``_sphere_max`` call on the radius tau gives both.
+    rounding of |b_0| = 1, M is the sphere closed form at that angle, which
+    ``bl_search`` reads there; elsewhere one ``_sphere_max`` call on the
+    radius tau gives the angle.
     """
     if 2.0 * sum(norm * tau ** k for k, norm in enumerate(norms[2:], 2)) < _ROUNDOFF:
         b_1 = rows[1] if len(rows) > 1 else np.zeros(4)
-        angle = math.atan2(float(row_norms(b_1[1:])), float(b_1[0]))
-        x, y = np.array([tau * math.cos(angle)]), np.array([tau * math.sin(angle)])
-        return float(sphere_max_rows(*sphere_constants(rows, x, y))[0]), angle, 0
-    (value,), _, (angle,) = _sphere_max(rows, np.array([tau]))
-    return float(value), float(angle), 1
+        return math.atan2(float(row_norms(b_1[1:])), float(b_1[0])), 0
+    _, _, (angle,) = _sphere_max(rows, np.array([tau]))
+    return float(angle), 1
 
 
 def bl_search(f: Series, r: float) -> SearchReport:
@@ -641,14 +654,16 @@ def bl_search(f: Series, r: float) -> SearchReport:
     is the closed form |b_0| + t |b_1| and ``dphi_norm`` the closed form
     |b_0| + R |b_1|, with no grid or lattice. The root starts from the first
     grid point of ``_MU_GRID`` = 1024 in [0, r] where mu(s) = s M(r - s)
-    reaches r - ``_MU_TOL``. Where each grid point before s = r has its own
-    coefficient bound s B(r - s) below that (``_settled``), the search is
-    settled: that point is s = r, where mu = r, with no evaluation. Otherwise
+    reaches r - ``_MU_TOL``. B(t) = sum |b_k| t^k over the coefficients of f'
+    is taken once, on every grid radius (``coefficient_bound``). Where each
+    grid point before s = r has its own bound s B(r - s) below r - ``_MU_TOL``,
+    the search is settled: that point is s = r, where mu = r, with no
+    evaluation. Otherwise
     it is found from a coarse pass over every
     32nd grid point and the points of just the cells whose least upper bound
     on mu reaches r (``_first_crossing``). The bounds are two: the
-    coefficient bound s_b B(t_a), with B(t) = sum |b_k| t^k over the
-    coefficients of f' (triangle inequality), which drops leading cells
+    coefficient bound s_b B(t_a) (triangle inequality), read from the same
+    array of B, which drops leading cells
     before any evaluation, and the chord of log M, which is convex in log t
     because log|f'_I| is subharmonic on each slice (Hadamard's three-circles
     theorem) and M is the maximum over the slices. Where M rises across a
@@ -677,8 +692,14 @@ def bl_search(f: Series, r: float) -> SearchReport:
     that is smaller (a crossing below 0.01, where mu rises by about r / s per
     unit of s), so ``2 R_r`` is the first crossing to within that width and
     ``mu_root_residual`` stays about 1e-10 r or below however steep f is.
-    The residual and the locator come from the final upper
-    end, and ``diagnostics["mu_radii"]`` counts the radii the coarse pass, the
+    Each route to s* hands on only the angle of the sphere of radius r - s*
+    where M is attained, the locator; the sphere is read there once, in
+    closed form (``_sphere_squares``), for M(r - s*), which gives
+    ``mu_root_residual`` = |s* M - r|, and for the unit of w, which is 0
+    where r - s* is below ``_MU_TOL``. ``rho_r`` is the coverage lemma of
+    phi on the ball of radius R_r, from the one formula ``rho_lemma`` also
+    takes (``_lemma_radius``), so the two agree to the bit.
+    ``diagnostics["mu_radii"]`` counts the radii the coarse pass, the
     second pass and the root evaluated: on average 7.3, 11.1 and 12.6 over the
     first 72 bl-search benchmark records of seeds 1, 3, 7 and 11, where 65 % of
     the searches are settled and evaluate none, and the others 20.9, 31.8 and
@@ -702,9 +723,8 @@ def bl_search(f: Series, r: float) -> SearchReport:
 
     derivative = slice_derivative(f)
     grid = np.linspace(0.0, r, _MU_GRID)
-    first, hi_max, hi_angle, mu = _first_crossing(derivative, r, grid)
-    # hi_max is M(r - hi) and hi_angle the angle of the sphere where it is attained,
-    # which locates w
+    first, hi_angle, mu = _first_crossing(derivative, r, grid)
+    # hi_angle is the angle of the sphere of radius r - hi where M(r - hi) is attained
     target = r - _MU_TOL
     # the evaluated grid points around the crossing seed the interpolation
     near = np.arange(max(first - 2, 0), min(first + 2, grid.size))
@@ -729,28 +749,29 @@ def bl_search(f: Series, r: float) -> SearchReport:
         ends = np.concatenate([[lo], points, [hi]])
         lo, hi = float(ends[k]), float(ends[k + 1])
         if k < points.size:
-            hi_max, hi_angle = float(maxima[k]), float(angles[k])
+            hi_angle = float(angles[k])
         known_s, known_mu = np.append(known_s, points), np.append(known_mu, values)
     s_star = hi
     if settled:
-        hi_max, hi_angle, radii = _witness_locator(derivative.rows, norms, r - s_star)
+        hi_angle, radii = _witness_locator(derivative.rows, norms, r - s_star)
         root_radii += radii
     ball_radius = s_star / 2.0
     sphere_radius = r - s_star
-    mu_residual = abs(s_star * hi_max - r)
+    # the one read of the sphere at the locator: M(r - s*), squared, and the unit along
+    # Im(b conj(c)), (b, c) its constants, where |f'| peaks on it
+    x = sphere_radius * math.cos(hi_angle)
+    y = sphere_radius * math.sin(hi_angle)
+    bb, cc, top, *axis = (float(v[0]) for v in _sphere_squares(*sphere_constants(
+        derivative.rows, np.array([x]), np.array([y]))))
+    mu_residual = abs(s_star * math.sqrt(top) - r)
 
     if sphere_radius < _MU_TOL:
         w = Quaternion()
         locator_angle = 0.0
     else:
         locator_angle = hi_angle
-        x = sphere_radius * math.cos(locator_angle)
-        y = sphere_radius * math.sin(locator_angle)
-        # |f'| peaks on that sphere at the unit along Im(b conj(c)), (b, c) its constants.
-        # That vector is good to 8 u |b| |c|, below which every unit is a maximiser to
+        # that unit is good to 8 u |b| |c|, below which every unit is a maximiser to
         # rounding; the test is relative, as near the origin |c| is of order the radius
-        bb, cc, _, *axis = (float(v[0]) for v in _sphere_squares(*sphere_constants(
-            derivative.rows, np.array([x]), np.array([y]))))
         unit = (UnitImaginary.from_vector(*axis) if Quaternion(0.0, *axis).modulus()
                 > 8.0 * _ROUNDOFF * math.sqrt(bb) * math.sqrt(cc) else CANONICAL_I)
         w = _slice_point(x, y, unit)
@@ -773,7 +794,7 @@ def bl_search(f: Series, r: float) -> SearchReport:
             "derivative norm exceeds its guaranteed bound; numerics are inconsistent",
             {"dphi_norm": dphi_norm.to_dict(), "bound": dphi_bound})
 
-    rho_r = ball_radius * deriv_scale * deriv_scale / (4.0 * dphi_norm.value)
+    rho_r = _lemma_radius(ball_radius, deriv_scale, dphi_norm.value)
     rho_floor = r / (32.0 * math.sqrt(2.0))
 
     coarse = int(np.count_nonzero(mu[_coarse_points(grid.size)] > -np.inf))

@@ -216,7 +216,7 @@ class SlicePoint:
     unit: UnitImaginary
 
     def __post_init__(self):
-        if self.y < 0:
+        if not self.y >= 0:  # so that nan is refused too
             raise DomainError("slice point requires y >= 0")
         object.__setattr__(self, "unit", _require_unit(self.unit))
 

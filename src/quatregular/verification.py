@@ -184,10 +184,12 @@ def run_checks(suites=None, seed: int = 0, scale: float = 1.0,
                extra_series: Series | None = None) -> list[CheckResult]:
     """Run the property suites; ``scale`` multiplies every sample count.
 
-    Each result carries the wall time of its check in ``seconds``.
+    Each result carries the wall time of its check in ``seconds``. A negative
+    seed raises DomainError.
     """
     if not scale > 0:
         raise DomainError("the sample scale must be positive")
+    bloch._require_seed(seed)
     wanted = set(suites) if suites else set(SUITES)
     unknown = wanted - set(SUITES)
     if unknown:

@@ -7,18 +7,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_ab(other: Path) -> dict:
-    """tools/ab.py against ``other`` on one block of each workload, seed 1, and every kernel
-    row once, one round, in a child process: the tool pins its process to one CPU."""
+def run_ab(other: Path, records: str = '{"slice-norms": 16, "bl-search": 24}') -> dict:
+    """tools/ab.py against ``other`` on ``records`` of the workloads (by default one block of
+    the slice-norms and bl-search ones), seed 1, and every kernel row once, one round, in a
+    child process: the tool pins its process to one CPU."""
     code = """if True:
         import json, sys
         sys.path.insert(0, sys.argv[1])
         import ab
         ab.SEEDS, ab.ROUNDS, ab.CALLS = (1,), 1, 1
-        ab.RECORDS = {"slice-norms": 16, "bl-search": 24}
+        ab.RECORDS = json.loads(sys.argv[3])
         print(json.dumps(ab.main(sys.argv[2])))
     """
-    result = subprocess.run([sys.executable, "-c", code, str(ROOT / "tools"), str(other)],
+    result = subprocess.run([sys.executable, "-c", code, str(ROOT / "tools"), str(other), records],
                             capture_output=True, text=True, check=True)
     return json.loads(result.stdout)
 
@@ -60,6 +61,25 @@ def test_a_changed_tree_shows_its_diffs(tmp_path):
     assert renamed["this_ms"] > 0.0 and renamed["other_ms"] is renamed["ratio"] is None
     assert len(report["kernels"]) == 26
     assert all(ms > 0.0 for row in report["kernels"].values() for ms in row.values())
+
+
+def test_coverage_section_diffs_the_preimages(tmp_path):
+    # attain on one block of the coverage stream: no diff against its own tree, and
+    # Newton probes twice as far apart move some preimages, in their components alone
+    report = run_ab(ROOT, '{"coverage": 18}')
+    (seed,) = report["coverage"].values()
+    assert seed["tasks"] == 18 and seed["moved"] == 0 and seed["diffs"] == []
+    assert seed["this_s"] > 0.0 and seed["other_s"] > 0.0
+    shutil.copytree(ROOT / "src" / "quatregular", tmp_path / "src" / "quatregular",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    bloch = tmp_path / "src" / "quatregular" / "bloch.py"
+    text = bloch.read_text()
+    assert text.count("_NEWTON_STEP = 1e-6") == 1
+    bloch.write_text(text.replace("_NEWTON_STEP = 1e-6", "_NEWTON_STEP = 2e-6"))
+    (seed,) = run_ab(tmp_path, '{"coverage": 18}')["coverage"].values()
+    assert seed["moved"] == len(seed["diffs"]) > 0
+    assert all(d["this"] != d["other"] for d in seed["diffs"])
+    assert 0.0 < seed["max_rel_move"] and set(seed["moves"]) == {"*"}
 
 
 def test_rel_move_of_leaves_and_shapes():

@@ -35,7 +35,9 @@ from quatregular import (
 from quatregular import bloch
 from quatregular._arrays import eval_rows
 from quatregular.bloch import _ball_lattice
+from quatregular.norms import _sphere_max
 from quatregular.quaternions import I, J
+from quatregular.verification import builtin_corpus
 
 RHO_FLOOR_SCALE = 1.0 / (32.0 * math.sqrt(2.0))
 
@@ -354,6 +356,31 @@ class TestAttain:
         # target only reachable outside the search ball
         assert attain(Series((0, 1)), Quaternion(0.9), 0.5) is None
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed cannot be negative"):
+            attain(Series((0, 1)), Quaternion(0.1), 1.0, seed=-1)
+        with pytest.raises(DomainError, match="seed cannot be negative"):
+            coverage_report(Series((0, 1)), 0.25, samples=3, seed=-1)
+
+    @pytest.mark.parametrize("target", [Quaternion(1e200), Quaternion(0, 0, -3e307, 3e307),
+                                        Quaternion(2.0)], ids=["1e200", "huge", "past-bound"])
+    def test_target_out_of_reach_returns_none_quietly(self, target, monkeypatch):
+        # |f(q)| <= B(|q|) <= B(1), 1.5 and 1 here, in the unit ball, so no Newton step
+        # is taken, and nothing overflows on the way
+        def no_newton(*args):
+            raise AssertionError("a Newton step ran")
+
+        monkeypatch.setattr(bloch, "eval_rows", no_newton)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert attain(Series((0, 1, 0.5)), target, 1.0) is None
+            assert attain(Series((0, 1)), target, 1.0) is None
+
+    def test_target_just_within_the_bound_is_searched(self):
+        # f = q on the ball of radius 0.5: B(0.5) = 0.5, and 0.5 - 1e-9 is attained
+        root = attain(Series((0, 1)), Quaternion(0.5 - 1e-9), 0.5)
+        assert root is not None and root.modulus() < 0.5
+
     @pytest.mark.parametrize("target", [Quaternion(math.nan), Quaternion(0, math.inf, 0, 0),
                                         Quaternion(0, 0, 0, -math.inf)],
                              ids=["nan", "inf", "-inf"])
@@ -562,6 +589,38 @@ class TestSearch:
         assert abs(2.0 * report.R_r - root) <= 1e-9 * root
         assert report.diagnostics["mu_root_residual"] <= 1e-9 * r
         assert report.diagnostics["rho_bound_ok"]
+
+    def searches(self):
+        """bl_search on the builtin series and seeded normalised ones of degree 1-8 at
+        r in {0.99, 0.9, 0.6}, with each series."""
+        rng = np.random.default_rng(3301)
+        series = [f for _, f in builtin_corpus()]
+        series += [random_series(rng, degree, monic_shift=True)
+                   for degree in range(1, 9) for _ in range(2)]
+        for f in series:
+            for r in (0.99, 0.9, 0.6):
+                yield f, bl_search(f, r)
+
+    def test_rho_r_is_the_coverage_lemma_of_phi(self):
+        # rho_r and rho_lemma take the lemma from one formula, so they agree to the bit
+        for _, report in self.searches():
+            diagnostics = report.diagnostics
+            phi_lemma = Series(tuple(Quaternion(*row) for row in diagnostics["phi_coeffs"]),
+                               radius=diagnostics["phi_lemma_radius"])
+            assert report.rho_r == rho_lemma(phi_lemma)
+
+    def test_mu_root_residual_is_read_at_the_locator(self):
+        # the residual |s* M(r - s*) - r| takes M from the one sphere read at the locator,
+        # which is the maximum of |f'| on its sphere, settled search or not
+        radii = []
+        for f, report in self.searches():
+            s_star = 2.0 * report.R_r
+            (top,), _, _ = _sphere_max(slice_derivative(f).rows, np.array([report.r - s_star]))
+            expected = abs(s_star * top - report.r)
+            assert abs(report.diagnostics["mu_root_residual"] - expected) <= 1e-15 * report.r
+            radii.append(report.diagnostics["mu_radii"][0])
+        # both settled searches (no profile radius) and unsettled ones are checked
+        assert radii.count(0) >= 10 and len(radii) - radii.count(0) >= 10
 
     def test_working_radius_outside_the_ball(self):
         with pytest.raises(DomainError, match="inside the ball of validity"):

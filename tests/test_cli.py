@@ -196,6 +196,23 @@ class TestExitCodes:
         assert main(["coverage", identity_file, "--rho", "0.25", "--samples", "-3"]) == 2
         assert "sample" in capsys.readouterr().err
 
+    def test_negative_seed(self, identity_file, capsys):
+        assert main(["coverage", identity_file, "--rho", "0.25", "--samples", "3",
+                     "--seed", "-1"]) == 2
+        assert main(["verify", "--suite", "series", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: the seed cannot be negative") == 2
+
+    def test_coverage_out_of_reach_is_quiet(self, identity_file, capsys):
+        # every target of the pinched set of radius 1e300 lies far past f(B) = B: three
+        # misses, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["coverage", identity_file, "--rho", "1e300", "--samples", "3"]) == 1
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert (payload["hits"], len(payload["misses"])) == (0, 3) and err == ""
+
     def test_verify_samples_below_one(self, capsys):
         for samples in ("0", "-50"):
             assert main(["verify", "--suite", "series", "--samples", samples]) == 2

@@ -1405,8 +1405,9 @@ class TestSphereMaxSearch:
                 threshold = r - 1e-12
                 report = bl_search(f, r)
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
-                first, _, _, mu = bloch._first_crossing(derivative, r, grid)
-                if bloch._settled(derivative, r, grid):
+                first, _, mu = bloch._first_crossing(derivative, r, grid)
+                # a settled search evaluates no grid point
+                if not (mu > -np.inf).any():
                     norms = _arrays.row_norms(derivative.rows).tolist() + [0.0]
                     lo, hi = bloch._bound_bracket(norms, r, grid[-2], grid[-1], threshold)
                     assert hi - lo <= 1e-12 and report.R_r == hi / 2.0
@@ -1525,8 +1526,9 @@ class TestSphereMaxSearch:
         grid = np.linspace(0.0, 0.3, bloch._MU_GRID)
         maxima, _, angles = _sphere_max(derivative.rows, 0.3 - grid)
         first = int(np.flatnonzero(grid * maxima >= 0.3 - bloch._MU_TOL)[0])
-        assert bloch._first_crossing(derivative, 0.3, grid)[:3] == (
-            first, maxima[first], angles[first])
+        found, angle, mu = bloch._first_crossing(derivative, 0.3, grid)
+        assert (found, angle) == (first, angles[first])
+        assert mu[first] == grid[first] * maxima[first]
 
     def test_lazy_first_crossing_matches_the_whole_profile(self):
         # the coarse pass and the cells that neither the coefficient nor the chord
@@ -1546,9 +1548,11 @@ class TestSphereMaxSearch:
                 maxima, _, angles = _sphere_max(derivative.rows, r - grid)
                 first = int(np.flatnonzero(grid * maxima >= r - 1e-12)[0])
                 *lazy, mu = bloch._first_crossing(derivative, r, grid)
-                assert tuple(lazy) == (first, maxima[first], angles[first])
+                assert tuple(lazy) == (first, angles[first])
                 evaluated = mu > -np.inf
                 assert np.array_equal(mu[evaluated], (grid * maxima)[evaluated])
+                # a settled search evaluates nothing; any other evaluates its first crossing
+                assert evaluated[first] or not evaluated.any()
 
     def test_settled_searches_close_the_root_from_the_bounds(self):
         # the coefficient bound settles a search only where the whole profile first meets
@@ -1566,7 +1570,8 @@ class TestSphereMaxSearch:
             for r in (0.99, 0.9, 0.6, 0.3):
                 threshold = r - 1e-12
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
-                if not bloch._settled(derivative, r, grid):
+                # a settled search evaluates no grid point
+                if (bloch._first_crossing(derivative, r, grid)[2] > -np.inf).any():
                     continue
                 settled += 1
                 profile = grid * _sphere_max(derivative.rows, r - grid)[0]

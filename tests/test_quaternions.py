@@ -257,6 +257,11 @@ class TestSlicePoint:
         assert _slice_point(0.5, -2.0, J) == Quaternion(0.5, 0.0, -2.0, 0.0)
         assert _slice_point(0.5, 2.0, J) == SlicePoint(0.5, 2.0, J).embed()
 
+    @pytest.mark.parametrize("y", [-1e-300, -1.0, math.nan], ids=["tiny", "negative", "nan"])
+    def test_y_below_zero_or_nan_rejected(self, y):
+        with pytest.raises(DomainError, match="requires y >= 0"):
+            SlicePoint(0.1, y, I)
+
 
 _F = quatregular.Series((0, 1, 0.25))
 # every entry point that takes a point, shift, target or excluded value, called

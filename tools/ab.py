@@ -5,9 +5,9 @@
 This tree's ``quatregular`` is imported from its ``src``, and OTHER_TREE's
 (``OTHER_TREE/src/quatregular``) is loaded beside it as the package
 ``qr_other`` with ``importlib.util.spec_from_file_location``, which works
-because the package imports itself only relatively. There are three sections.
+because the package imports itself only relatively. There are four sections.
 
-The two workloads read the first RECORDS of each workload's corpus stream for
+The three workloads read the first RECORDS of each workload's corpus stream for
 every seed in SEEDS, from this tree's ``perfbench/corpus.py`` (which imports
 numpy alone); nothing under ``perfbench/`` is edited. Each task is the
 workload's call:
@@ -18,7 +18,9 @@ workload's call:
   ``certified_tol``);
 - bl-search: ``quatregular search FILE --r R -o OUT`` through ``cli.main``,
   its output the exit code and the report (both trees read the same input
-  path).
+  path);
+- coverage: ``attain(f, target, f.radius)``, the multistart Newton preimage
+  search, its output the components of the preimage found, or None.
 
 The kernels are built from each tree's own modules on seeded inputs that are
 the same on every run: a series of degree DEGREE (the derivative of a
@@ -100,7 +102,7 @@ import numpy as np  # noqa: E402
 import quatregular  # noqa: E402
 
 SEEDS = (1, 7, 11)
-RECORDS = {"slice-norms": 96, "bl-search": 72}
+RECORDS = {"slice-norms": 96, "bl-search": 72, "coverage": 72}
 ROUNDS = 5
 CALLS = 20
 DEGREE = 6
@@ -152,6 +154,16 @@ def _bl_search(pkg, work: Path, tag: str):
             out.unlink(missing_ok=True)
             return [code, report]
         return (lambda: cli.main(argv)), output
+    return prepare
+
+
+def _coverage(pkg):
+    """Prepare a coverage record for ``pkg``: the attain call and the preimage it finds."""
+    def prepare(record, _):
+        f = _series(pkg, record["coeffs"], record["radius"])
+        target = pkg.Quaternion(*map(float, record["target"]))
+        return (lambda: pkg.attain(f, target, f.radius),
+                lambda root: None if root is None else list(root.components))
     return prepare
 
 
@@ -288,15 +300,16 @@ def compare(workload: str, seed: int, corpus, trees: dict, work: Path) -> dict:
     """Time and diff the first RECORDS[workload] records of ``seed`` in both trees."""
     records = list(itertools.islice(corpus.generate(workload, seed), RECORDS[workload]))
     preparers = {tag: (_slice_norms(corpus, pkg) if workload == "slice-norms"
-                       else _bl_search(pkg, work, tag)) for tag, pkg in trees.items()}
+                       else _bl_search(pkg, work, tag) if workload == "bl-search"
+                       else _coverage(pkg)) for tag, pkg in trees.items()}
     best, outputs = _alternate({tag: [prepare(record, task) for task, record in enumerate(records)]
                                 for tag, prepare in preparers.items()})
     diffs = [{"task": task, "this": this, "other": other}
              for task, (this, other) in enumerate(zip(outputs["this"], outputs["other"]))
              if this != other]
     # a bl-search output is [exit code, report text or None]
-    parse = ((lambda out: out) if workload == "slice-norms"
-             else (lambda out: {"exit": out[0], **json.loads(out[1] or "{}")}))
+    parse = ((lambda out: {"exit": out[0], **json.loads(out[1] or "{}")})
+             if workload == "bl-search" else (lambda out: out))
     moves = {}
     max_move = max((_rel_move(parse(d["this"]), parse(d["other"]), moves) for d in diffs),
                    default=0.0)
