@@ -14,7 +14,7 @@ import numpy as np
 from ._arrays import _CONJUGATE, _sphere_squares, coefficient_bound, eval_rows, qmul_rows
 from ._arrays import row_norms, sphere_constants, star_rows
 from .errors import DomainError, NumericalSearchError, PreconditionError
-from .norms import _sphere_max, split_norm
+from .norms import _scaled, _sphere_max, _sphere_roots, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
 from .quaternions import ALGEBRA_TOL, I as CANONICAL_I
 from .quaternions import Quaternion, UnitImaginary, _require_quaternion, _require_unit
@@ -33,8 +33,7 @@ _MU_REL = 1e-10
 _ROUNDOFF = 2.0 ** -53
 # every _MU_STRIDE-th radius of the mu-profile grid, and its last, make the coarse pass
 _MU_STRIDE = 32
-# Newton starts of attain, and the relative shrink of the set coverage_report samples
-_STARTS = 64
+# the relative shrink of the set coverage_report samples
 _SHRINK = 1e-3
 _NEWTON_STEP = 1e-6
 _NEWTON_MAX_ITER = 200
@@ -281,61 +280,59 @@ def parseval_mean(psi: Series, r: float,
 
 # -- numerical attainment certificates ------------------------------------------
 
-def _ball_lattice(ball_radius: float, count: int, seed: int,
-                  hint: np.ndarray | None = None) -> np.ndarray:
-    """Deterministic Newton starting points: origin, a hint, then seeded shells."""
-    rng = np.random.default_rng(seed)
-    points = [np.zeros(4)]
-    if hint is not None:
-        norm = float(row_norms(hint))
-        if norm > 0:
-            points.append(hint * min(1.0, 0.8 * ball_radius / norm))
-    shells = (0.2, 0.45, 0.7, 0.9)
-    for k in range(count - len(points)):
-        direction = rng.standard_normal(4)
-        direction /= np.linalg.norm(direction)
-        points.append(shells[k % 4] * ball_radius * direction)
-    return np.array(points[:count])
-
-
 def _require_seed(seed: int) -> None:
     """A DomainError for a negative seed, which numpy's generators refuse."""
     if seed < 0:
         raise DomainError("the seed cannot be negative")
 
 
-def attain(f: Series, target, ball_radius: float, seed: int = 0) -> Quaternion | None:
+def attain(f: Series, target, ball_radius: float) -> Quaternion | None:
     """Try to exhibit a preimage of ``target`` inside the open ball.
 
-    Multistart damped Newton on the four real variables, with a central
-    difference Jacobian and Armijo backtracking. Success means residual below
-    1e-8 at a point strictly inside the ball; returning None proves nothing.
-    In the ball |f(q)| <= B(|q|) <= B(ball_radius), B(t) = sum |a_k| t^k
-    (``coefficient_bound``), so a target farther from 0 than that bound, with
-    1e-12 of it for rounding and the residual tolerance, is out of reach and
-    gets None before any Newton step. A target with a non-finite component, or
-    a negative seed, raises DomainError.
+    The zeros of f - target lie on the spheres x + |y| S where the real
+    coefficient polynomial (f - target)^s vanishes at x + iy
+    (Gentili-Stoppato-Struppa, 2013), and ``norms._sphere_roots`` finds those
+    roots in the ball, on the rows ``_scaled`` folds. On each such sphere
+    f - target = b + I c, with (b, c) its sphere constants, is smallest at the
+    unit I along -Im(b conj(c)) (``_sphere_squares``), or at ``CANONICAL_I``
+    where that vector is 0 (a spherical zero, where f - target vanishes on the
+    whole sphere). Those points are the starts, tried in order of their
+    residual |f(q) - target| (a stable sort); where f - target vanishes
+    identically the origin is the one start. Damped Newton on the four real
+    variables, with a central difference Jacobian and Armijo backtracking,
+    polishes each start in turn. Success means residual below 1e-8 at a point
+    strictly inside the ball; returning None proves nothing. A target beyond
+    the reach of f on the ball has no root sphere there, so it gets None with
+    no evaluation. A target with a non-finite component, or a series above
+    ``DEGREE_CAP``, raises DomainError.
     """
+    _require_degree_cap(f)
     target = _require_quaternion(target)
     if ball_radius > f.radius:
         raise DomainError("search ball cannot exceed the ball of validity")
     if not ball_radius > 0.0:
         raise DomainError("search ball radius must be positive")
-    _require_seed(seed)
     goal = np.array(target.components)
     if not np.isfinite(goal).all():
         raise DomainError("target must be finite")
-    reach = float(coefficient_bound(f.rows, np.array([ball_radius]))[0])
-    if math.hypot(*goal) > reach * (1.0 + 1e-12) + _RESIDUAL_TOL:
+    rows, t, _ = _scaled(np.concatenate([f.rows[:1] - goal, f.rows[1:]]), ball_radius)
+    _, roots = _sphere_roots(rows, t)
+    x, y = roots.real, np.abs(roots.imag)
+    axis = -np.stack(_sphere_squares(*sphere_constants(rows, x, y))[3:], axis=1)
+    axis[row_norms(axis) == 0.0] = CANONICAL_I.components[1:]
+    starts = np.column_stack([x, y[:, None] * axis / row_norms(axis)[:, None]]) * (ball_radius / t)
+    if not rows.any():  # f is the target everywhere
+        starts = np.zeros((1, 4))
+    if not len(starts):
         return None
 
     def residual(points: np.ndarray) -> np.ndarray:
         return eval_rows(f.rows, points) - goal
 
-    for q0 in _ball_lattice(ball_radius, _STARTS, seed, hint=goal):
-        q = q0.copy()
-        res = residual(q[None])[0]
-        res_norm = float(np.linalg.norm(res))
+    first = residual(starts)
+    first_norms = row_norms(first)
+    order = np.argsort(first_norms, kind="stable")
+    for q, res, res_norm in zip(starts[order], first[order], first_norms[order].tolist()):
         for _ in range(_NEWTON_MAX_ITER):
             if res_norm < 1e-10:
                 break
@@ -357,7 +354,7 @@ def attain(f: Series, target, ball_radius: float, seed: int = 0) -> Quaternion |
             else:  # no step length was accepted
                 break
         if res_norm < _RESIDUAL_TOL and np.linalg.norm(q) < ball_radius:
-            return Quaternion(*q)
+            return Quaternion(*q.tolist())
     return None
 
 
@@ -365,10 +362,13 @@ def coverage_report(f: Series, rho: float, samples: int, seed: int = 0) -> Cover
     """Sample the strict interior of the pinched set and certify attainment.
 
     Points are rejection sampled from the set with radius rho*(1 - 1e-3),
-    then handed to :func:`attain` on the whole ball of validity. Misses are
-    reported as data, never dropped; a miss is a failed certificate, not a
-    disproof. A negative seed raises DomainError.
+    drawn from ``seed``, then handed to :func:`attain` on the whole ball of
+    validity, which starts its Newton polish at the zeros of f - target.
+    Misses are reported as data, never dropped; a miss is a failed
+    certificate, not a disproof. A negative seed, or a series above
+    ``DEGREE_CAP``, raises DomainError.
     """
+    _require_degree_cap(f)
     if samples < 0:
         raise DomainError("the sample count cannot be negative")
     _require_seed(seed)
@@ -393,8 +393,8 @@ def coverage_report(f: Series, rho: float, samples: int, seed: int = 0) -> Cover
     max_residual = 0.0
     misses: list[Quaternion] = []
     for t in targets:
-        point = Quaternion(*t)
-        root = attain(f, point, f.radius, seed=seed)
+        point = Quaternion(*t.tolist())
+        root = attain(f, point, f.radius)
         if root is None:
             misses.append(point)
             continue

@@ -366,6 +366,27 @@ def sup_norm_ball(f: Series, s: float) -> NormReport:
     return _sphere_report(*_scaled(f.rows, s))
 
 
+def _sphere_roots(rows: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The real coefficients of f^s = f * f^c, constant first, and its roots z = x + iy
+    with |z| <= t, for the ``_scaled`` rows of f and their radius t.
+
+    f vanishes on the sphere x + |y| S exactly when f^s vanishes at x + iy
+    (Gentili-Stoppato-Struppa, 2013). A zero of f of multiplicity k is a
+    2k-fold root of f^s, which the companion-matrix eigenvalues split by about
+    eps^(1/2k), so the centroid of each root with the roots within
+    ``_ROOT_CLUSTER`` of it (in the folded plane, so relative to the radius)
+    is a root here as well. Where f^s vanishes identically there is no root.
+    """
+    # leading coefficients of f^s below 2^-500 of the largest move no root in the
+    # folded ball beyond rounding, but their companion row would overflow
+    sym = star_rows(rows, rows * _CONJUGATE)[:, 0]
+    size = np.abs(sym)
+    roots = np.roots(sym[np.flatnonzero(size >= math.ldexp(size.max(), -500))[-1]::-1])
+    near = np.abs(roots[:, None] - roots) < _ROOT_CLUSTER
+    roots = np.concatenate([roots, near @ roots / near.sum(axis=1)])
+    return sym, roots[np.abs(roots) <= t]
+
+
 def inf_norm_ball(f: Series, s: float) -> NormReport:
     """Minimum modulus on the closed ball of radius s.
 
@@ -376,11 +397,9 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     x + iy (Gentili-Stoppato-Struppa, 2013). So the minimum is the smaller of
     the closed-form sphere minima at the roots of f^s in the ball and the
     minimum over the boundary sphere. The rows are folded once, by
-    ``_scaled``, and f^s is their ``star_rows`` product with their conjugate
-    rows. A zero of f of multiplicity k is a 2k-fold root of f^s, which
-    ``np.roots`` splits by about eps^(1/2k), so the centroid of each root with
-    the roots near it (in the plane ``_scaled`` folds, so relative to the ball
-    radius) is tried as well. The roots come first: when their smallest sphere
+    ``_scaled``, and ``_sphere_roots`` gives f^s, their ``star_rows`` product
+    with their conjugate rows, and its roots in the ball, each cluster's
+    centroid among them. The roots come first: when their smallest sphere
     minimum is below the proved lower bound L of the boundary minimum
     (``_boundary_floor``), the root sphere wins with no boundary search. On
     each boundary sphere the minimum and maximum of |f| multiply to |f^s| at
@@ -406,14 +425,7 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     rows, t, e = _scaled(f.rows, s)
     if t == 0.0 or len(rows) == 1:
         return _sphere_report(rows, t, e, lowest=True)
-    # leading coefficients of f^s below 2^-500 of the largest move no root in the
-    # folded ball beyond rounding, but their companion row would overflow
-    sym = star_rows(rows, rows * _CONJUGATE)[:, 0]
-    size = np.abs(sym)
-    roots = np.roots(sym[np.flatnonzero(size >= math.ldexp(size.max(), -500))[-1]::-1])
-    near = np.abs(roots[:, None] - roots) < _ROOT_CLUSTER
-    roots = np.concatenate([roots, near @ roots / near.sum(axis=1)])
-    roots = roots[np.abs(roots) <= t]
+    sym, roots = _sphere_roots(rows, t)
     resolution = {"theta": _THETA_GRID, "roots": int(roots.size)}
     low = sphere_min_rows(*sphere_constants(rows, roots.real, roots.imag)).min(initial=np.inf)
     gap, method = low, "root-sphere"

@@ -74,7 +74,7 @@ class CheckResult:
 # -- corpus helpers --------------------------------------------------------------
 
 def random_quaternion(rng, scale: float = 1.0) -> Quaternion:
-    return Quaternion(*(rng.uniform(-scale, scale, size=4)))
+    return Quaternion(*rng.uniform(-scale, scale, size=4).tolist())
 
 
 def random_unit(rng) -> UnitImaginary:
@@ -95,7 +95,7 @@ def random_series(rng, degree: int, scale: float = 0.5, monic_shift: bool = Fals
 def random_ball_point(rng, radius: float) -> Quaternion:
     v = rng.standard_normal(4)
     v *= radius * rng.random() ** 0.25 / np.linalg.norm(v)
-    return Quaternion(*v)
+    return Quaternion(*v.tolist())
 
 
 def _padded_rows(f: Series, g: Series) -> tuple[np.ndarray, np.ndarray]:

@@ -65,7 +65,7 @@ def test_a_changed_tree_shows_its_diffs(tmp_path):
 
 def test_coverage_section_diffs_the_preimages(tmp_path):
     # attain on one block of the coverage stream: no diff against its own tree, and
-    # Newton probes twice as far apart move some preimages, in their components alone
+    # starts unfolded 1e-15 too far out move some preimages, in their components alone
     report = run_ab(ROOT, '{"coverage": 18}')
     (seed,) = report["coverage"].values()
     assert seed["tasks"] == 18 and seed["moved"] == 0 and seed["diffs"] == []
@@ -74,12 +74,13 @@ def test_coverage_section_diffs_the_preimages(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     bloch = tmp_path / "src" / "quatregular" / "bloch.py"
     text = bloch.read_text()
-    assert text.count("_NEWTON_STEP = 1e-6") == 1
-    bloch.write_text(text.replace("_NEWTON_STEP = 1e-6", "_NEWTON_STEP = 2e-6"))
+    assert text.count("* (ball_radius / t)") == 1
+    bloch.write_text(text.replace("* (ball_radius / t)", "* (ball_radius / t + 1e-15)"))
     (seed,) = run_ab(tmp_path, '{"coverage": 18}')["coverage"].values()
     assert seed["moved"] == len(seed["diffs"]) > 0
     assert all(d["this"] != d["other"] for d in seed["diffs"])
     assert 0.0 < seed["max_rel_move"] and set(seed["moves"]) == {"*"}
+    assert 0.0 < seed["max_abs_move"] < 1e-13
 
 
 def test_rel_move_of_leaves_and_shapes():
@@ -98,3 +99,21 @@ def test_rel_move_of_leaves_and_shapes():
                             capture_output=True, text=True, check=True)
     inf = float("inf")
     assert json.loads(result.stdout) == [0.25, inf, inf, inf, inf, inf, inf, 0.0]
+
+
+def test_abs_move_of_leaves_and_shapes():
+    # the absolute move of a leaf near 0, which the relative one reads as inf or huge
+    code = """if True:
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        from ab import _abs_move
+        print(json.dumps([_abs_move([1, {"a": 4.0, "m": "x"}], [1, {"a": 5.5, "m": "x"}]),
+                          _abs_move({"a": 0.0}, {"a": 1e-300}), _abs_move([1e-11], [-1e-11]),
+                          _abs_move([1.0], [1.0, 2.0]), _abs_move({"a": 1}, {"b": 1}),
+                          _abs_move("x", "y"), _abs_move([0, None], [0, {"v": 1}]),
+                          _abs_move(True, False), _abs_move([0.0, 2.0], [-0.0, 2.0])]))
+    """
+    result = subprocess.run([sys.executable, "-c", code, str(ROOT / "tools")],
+                            capture_output=True, text=True, check=True)
+    inf = float("inf")
+    assert json.loads(result.stdout) == [1.5, 1e-300, 2e-11, inf, inf, inf, inf, inf, 0.0]

@@ -1,11 +1,12 @@
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_quaternion, random_series
+from conftest import random_ball_point, random_quaternion, random_series
 from quatregular import (
     CoverageReport,
     DomainError,
@@ -34,7 +35,6 @@ from quatregular import (
 )
 from quatregular import bloch
 from quatregular._arrays import eval_rows
-from quatregular.bloch import _ball_lattice
 from quatregular.norms import _sphere_max
 from quatregular.quaternions import I, J
 from quatregular.verification import builtin_corpus
@@ -358,8 +358,6 @@ class TestAttain:
 
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed cannot be negative"):
-            attain(Series((0, 1)), Quaternion(0.1), 1.0, seed=-1)
-        with pytest.raises(DomainError, match="seed cannot be negative"):
             coverage_report(Series((0, 1)), 0.25, samples=3, seed=-1)
 
     @pytest.mark.parametrize("target", [Quaternion(1e200), Quaternion(0, 0, -3e307, 3e307),
@@ -389,35 +387,49 @@ class TestAttain:
             attain(Series((0, 1, 0.1)), target, 1.0)
 
 
-def shell_loop_lattice(ball_radius, count, seed, hint=None):
-    """The starting points drawn shell by shell in a while/for/break loop:
-    the reference _ball_lattice's single loop must reproduce bit for bit."""
-    rng = np.random.default_rng(seed)
-    points = [np.zeros(4)]
-    if hint is not None:
-        norm = np.linalg.norm(hint)
-        if norm > 0:
-            points.append(hint * min(1.0, 0.8 * ball_radius / norm))
-    shells = (0.2, 0.45, 0.7, 0.9)
-    while len(points) < count:
-        for shell in shells:
-            direction = rng.standard_normal(4)
-            direction /= np.linalg.norm(direction)
-            points.append(shell * ball_radius * direction)
-            if len(points) >= count:
-                break
-    return np.array(points[:count])
+    def test_attains_seeded_images(self):
+        # t = f(q) at q in the unit ball, degrees 1-8, real and non-real coefficients,
+        # and every fifth q within 1e-8 of the real axis. There the two roots x +- iy of
+        # (f - t)^s nearly meet, so the root start is good only to about 1e-11, and the
+        # Newton loop stops once the residual is below 1e-10; off the axis the root
+        # start is exact to rounding
+        rng = np.random.default_rng(35)
+        for k in range(160):
+            f = random_series(rng, 1 + k % 8, scale=1.0)
+            if k % 3 == 0:
+                f = Series(tuple(f.rows[:, 0].tolist()))
+            q = random_ball_point(rng, 0.98).components
+            near_real = k % 5 == 0
+            if near_real:
+                q = (q[0], *(1e-8 * rng.random() * np.array(q[1:]) / math.hypot(*q[1:])))
+            t = eval_rows(f.rows, np.array([q]))[0]
+            root = attain(f, Quaternion(*t.tolist()), 1.0)
+            assert root is not None, (k, q)
+            residual = math.hypot(*(eval_rows(f.rows, np.array([root.components]))[0] - t))
+            bound = 1e-10 if near_real else 1e-12
+            assert residual <= bound * max(1.0, math.hypot(*t)), (k, residual)
 
+    @pytest.mark.parametrize("f", [Series((0.5,)), Series((0.5, 0, 0))], ids=["constant", "padded"])
+    def test_series_equal_to_the_target_attains_it(self, f):
+        # f - target vanishes identically, so there is no root sphere: the origin is the start
+        assert attain(f, Quaternion(0.5), 1.0) == Quaternion(0)
 
-class TestBallLattice:
-    @pytest.mark.parametrize("hint", [None, np.zeros(4), np.array([0.3, -0.1, 0.2, 0.05])],
-                             ids=["none", "zero", "nonzero"])
-    def test_matches_the_shell_loop(self, hint):
-        for count in range(1, 71):
-            points = _ball_lattice(0.9, count, 7, hint)
-            reference = shell_loop_lattice(0.9, count, 7, hint)
-            assert points.shape == reference.shape == (count, 4)
-            assert points.tobytes() == reference.tobytes()
+    def test_tiny_target_gets_a_true_preimage(self):
+        # the origin's residual, |target|, is below the Newton exit at 1e-10 and would pass
+        # as a hit; the root sphere gives a preimage exact to rounding
+        f = Series((0, 1, 0.1))
+        target = Quaternion(4e-12, -1e-12, 2e-12, 0)
+        root = attain(f, target, 1.0)
+        assert (evaluate(f, root) - target).modulus() <= 1e-14 * target.modulus()
+
+    def test_one_root_finder(self):
+        # attain takes its starts from the same roots of a symmetrization as inf_norm_ball
+        source = Path(bloch.__file__).parent
+        assert sum(path.read_text().count("np.roots") for path in source.glob("*.py")) == 1
+
+    def test_preimage_components_are_floats(self):
+        root = attain(Series((0, 1, 0.1)), Quaternion(0.1, 0.02, 0, 0), 1.0)
+        assert all(type(v) is float for v in root.components)
 
 
 class TestCoverage:
@@ -462,8 +474,8 @@ class TestCoverage:
         f = Series((0, 1, 1e200))
         found = []
 
-        def recorded(f, target, ball_radius, seed=0):
-            found.append((target, attain(f, target, ball_radius, seed)))
+        def recorded(f, target, ball_radius):
+            found.append((target, attain(f, target, ball_radius)))
             return found[-1][1]
 
         monkeypatch.setattr(bloch, "attain", recorded)
@@ -474,6 +486,16 @@ class TestCoverage:
         largest = max(math.hypot(*row) for row in rows)
         assert report.max_residual > 0.0
         assert abs(report.max_residual - largest) <= 1e-15 * largest
+
+    def test_targets_and_misses_hold_floats(self):
+        report = coverage_report(Series((0, 1)), 3.0, 3, seed=1)
+        assert report.misses and all(type(v) is float for miss in report.misses
+                                     for v in miss.components)
+        # a numpy scalar component would overflow in modulus_sq here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            misses = coverage_report(Series((0, 1)), 1e300, 3).misses
+            assert len(misses) == 3 and all(math.isfinite(m.modulus()) for m in misses)
 
     def test_samples_in_shrunken_set(self, rng):
         f = Series((0, 1))
@@ -559,7 +581,7 @@ class TestSearch:
             if not in_oset(t, report.rho_r * 0.999):
                 continue
             target = report.f_w + t * report.rotation
-            root = attain(shifted, target, report.R_r, seed=1)
+            root = attain(shifted, target, report.R_r)
             assert root is not None, f"unattained target {target}"
             hits += 1
         assert hits == 20

@@ -19,8 +19,9 @@ workload's call:
 - bl-search: ``quatregular search FILE --r R -o OUT`` through ``cli.main``,
   its output the exit code and the report (both trees read the same input
   path);
-- coverage: ``attain(f, target, f.radius)``, the multistart Newton preimage
-  search, its output the components of the preimage found, or None.
+- coverage: ``attain(f, target, f.radius)``, the preimage search that
+  polishes the zeros of f - target by Newton steps, its output the
+  components of the preimage found, or None.
 
 The kernels are built from each tree's own modules on seeded inputs that are
 the same on every run: a series of degree DEGREE (the derivative of a
@@ -46,17 +47,18 @@ with |a_n| about 1/(n+1)^2, the largest degree that every norm takes; the
 sphere constants at 1024 spheres and series evaluation at 64 points; the
 series algebra that builds a new series from coefficient rows (star,
 slice_derivative, regular_translation and with_radius, one call each, on a
-degree-2 series); attain, the multistart Newton preimage search, on the
-builtin mixed-units series for a fixed target in the unit ball; and the whole
-bl_search at r = 0.99 on the same series, on the builtin quadratic-j series
-(its derivative is linear, so every M and the norm of phi' are closed forms)
-and on the seeded degree-4 series LONG_PASS_SEED draws, where the monotone
-bound alone left 558 radii to the second pass of the mu-profile (the two
-bounds of bloch._first_crossing leave 31), and at r = 0.6 on mixed-units, a
-search the coefficient bound settles: its root closes from two polynomial
-bounds of mu and its locator comes from their witness, with no sphere-maximum
-search. A row that a tree cannot build or run (a private
-kernel renamed or re-signed) reads null for that tree, and stderr says why.
+degree-2 series); attain, the preimage search from the zeros of f - target,
+on the builtin mixed-units series for a fixed target in the unit ball; and
+the whole bl_search at r = 0.99 on the same series, on the builtin
+quadratic-j series (its derivative is linear, so every M and the norm of
+phi' are closed forms) and on the seeded degree-4 series LONG_PASS_SEED
+draws, where the monotone bound alone left 558 radii to the second pass of
+the mu-profile (the two bounds of bloch._first_crossing leave 31), and at
+r = 0.6 on mixed-units, a search the coefficient bound settles: its root
+closes from two polynomial bounds of mu and its locator comes from their
+witness, with no sphere-maximum search. A row that a tree cannot build or
+run (a private kernel renamed or re-signed) reads null for that tree, and
+stderr says why.
 
 Over ROUNDS rounds every task runs once in each tree, the two back to back,
 with the tree that goes first alternating from task to task and round to
@@ -68,7 +70,9 @@ the number of tasks where this tree's minimum is the smaller, ``moved``, the
 number of tasks whose output differs between the trees, ``max_rel_move``, the
 largest relative change |a - b| / min(|a|, |b|) over the numeric leaves of
 those outputs (a difference in shape or in a leaf that is not a number counts
-as inf), ``moves``, the largest such change at each leaf path that moved (keys
+as inf), ``max_abs_move``, the largest absolute change |a - b| over the same
+leaves (it reads a change near 0 that the relative figure inflates),
+``moves``, the largest such change at each leaf path that moved (keys
 joined by ".", list indices written "*"), and every task whose output
 differs, with both outputs. For each kernel row: each tree's minimum
 milliseconds per call and their ratio.
@@ -276,24 +280,37 @@ def _alternate(tasks: dict) -> tuple[dict, dict]:
     return best, outputs
 
 
-def _rel_move(this, other, moves: dict | None = None, path: str = "") -> float:
-    """The largest |a - b| / min(|a|, |b|) over the numeric leaves of two outputs, 0 if
-    they are equal; a difference in shape or in a leaf that is not a number is inf.
-    Each leaf path that moved (its keys joined by ".", list indices written "*") keeps
-    its largest move in ``moves``, if given."""
+def _move(this, other, leaf, moves: dict | None, path: str) -> float:
+    """The largest ``leaf(a, b)`` over the numeric leaves a, b of two outputs, 0 if they
+    are equal; a difference in shape or in a leaf that is not a number is inf. Each
+    leaf path that moved (its keys joined by ".", list indices written "*") keeps its
+    largest move in ``moves``, if given."""
     if this == other:
         return 0.0
     if isinstance(this, dict) and isinstance(other, dict) and this.keys() == other.keys():
-        return max(_rel_move(this[key], other[key], moves, f"{path}.{key}") for key in this)
+        return max(_move(this[key], other[key], leaf, moves, f"{path}.{key}") for key in this)
     if isinstance(this, list) and isinstance(other, list) and len(this) == len(other):
-        return max(_rel_move(a, b, moves, f"{path}.*") for a, b in zip(this, other))
+        return max(_move(a, b, leaf, moves, f"{path}.*") for a, b in zip(this, other))
     move = math.inf
     if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (this, other)):
-        floor = min(abs(this), abs(other))
-        move = abs(this - other) / floor if floor else math.inf
+        move = leaf(this, other)
     if moves is not None:
         moves[path[1:]] = max(moves.get(path[1:], 0.0), move)
     return move
+
+
+def _rel_move(this, other, moves: dict | None = None, path: str = "") -> float:
+    """The largest |a - b| / min(|a|, |b|) over the numeric leaves of two outputs
+    (``_move``), inf where the smaller is 0."""
+    def relative(a, b):
+        floor = min(abs(a), abs(b))
+        return abs(a - b) / floor if floor else math.inf
+    return _move(this, other, relative, moves, path)
+
+
+def _abs_move(this, other) -> float:
+    """The largest |a - b| over the numeric leaves of two outputs (``_move``)."""
+    return _move(this, other, lambda a, b: abs(a - b), None, "")
 
 
 def compare(workload: str, seed: int, corpus, trees: dict, work: Path) -> dict:
@@ -311,13 +328,15 @@ def compare(workload: str, seed: int, corpus, trees: dict, work: Path) -> dict:
     parse = ((lambda out: {"exit": out[0], **json.loads(out[1] or "{}")})
              if workload == "bl-search" else (lambda out: out))
     moves = {}
-    max_move = max((_rel_move(parse(d["this"]), parse(d["other"]), moves) for d in diffs),
-                   default=0.0)
+    pairs = [(parse(d["this"]), parse(d["other"])) for d in diffs]
+    max_move = max((_rel_move(this, other, moves) for this, other in pairs), default=0.0)
+    max_abs = max((_abs_move(this, other) for this, other in pairs), default=0.0)
     this_s, other_s = float(best["this"].sum()), float(best["other"].sum())
     return {"tasks": len(records), "this_s": round(this_s, 4), "other_s": round(other_s, 4),
             "ratio": round(this_s / other_s, 4),
             "faster": int(np.count_nonzero(best["this"] < best["other"])),
-            "moved": len(diffs), "max_rel_move": max_move, "moves": moves, "diffs": diffs}
+            "moved": len(diffs), "max_rel_move": max_move, "max_abs_move": max_abs,
+            "moves": moves, "diffs": diffs}
 
 
 def kernels(trees: dict) -> dict:
