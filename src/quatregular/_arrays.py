@@ -314,6 +314,10 @@ def _slice_terms(table: np.ndarray, chart: np.ndarray,
     (``_CHART_JETS``), placed so that the
     Hessian is exactly symmetric. Returns H (m,), the gradient (m, 4) and the
     Hessian (m, 4, 4), read from the rows of ``_slice_state``.
+
+    The package no longer calls it: ``slice_norm_ascent`` reads
+    ``_slice_state`` directly. It stays as the readable form of those rows
+    that the tests and ``tools/ab.py`` check and time.
     """
     state = _slice_state(table, chart, angles)
     return state[:, 0], state[:, _GRADIENT], state[:, _HESSIAN]

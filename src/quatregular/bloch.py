@@ -315,7 +315,9 @@ def attain(f: Series, target, ball_radius: float) -> Quaternion | None:
     goal = np.array(target.components)
     if not np.isfinite(goal).all():
         raise DomainError("target must be finite")
-    rows, t, _ = _scaled(np.concatenate([f.rows[:1] - goal, f.rows[1:]]), ball_radius)
+    # halved, so a_0 - target cannot overflow; _scaled folds the rows by a power of two again
+    rows, t, _ = _scaled(np.concatenate([0.5 * f.rows[:1] - 0.5 * goal, 0.5 * f.rows[1:]]),
+                         ball_radius)
     _, roots = _sphere_roots(rows, t)
     x, y = roots.real, np.abs(roots.imag)
     axis = -np.stack(_sphere_squares(*sphere_constants(rows, x, y))[3:], axis=1)
@@ -452,11 +454,15 @@ def _first_crossing(derivative: Series, r: float,
       and below its chord on the cell. The last cell, where t_b = 0, has no
       chord.
 
-    B is taken once, on every grid radius. Where each grid point s before the
-    last has its own bound s B(r - s) (1 + 1e-12) below r - ``_MU_TOL``, the
-    search is settled: its first crossing is the last grid point, s = r, at
-    angle 0, and nothing is evaluated. A bound that is not a number (an inf B
-    at s = 0) settles nothing.
+    B is taken once, on every grid radius. Take the first grid point s_j whose
+    own bound s_j B(r - s_j) (1 + 1e-12) reaches r - ``_MU_TOL``: mu is below
+    that at every point before it. Where j > 0 and the lower bound of
+    ``_mu_bounds`` at s_j reaches it too, the two bounds decide the first
+    crossing, and the search is settled: its first crossing is s_j, at angle
+    0, and nothing is evaluated. That holds at the last point, s = r, whenever
+    every point before it falls short, and at an earlier one for a binomial
+    f' = 1 + b_k q^k, whose bounds meet. A bound that is not a number (an inf B
+    at s = 0) reaches r there, and so settles nothing.
     Otherwise the evaluated bounds use U = M + gap + 1e-12 M in place of M, the gap
     being what ``_sphere_max`` left. The chord bound covers the monotone bound
     s_b U_a (by the maximum modulus principle, Gentili-Stoppato, M does not
@@ -480,11 +486,16 @@ def _first_crossing(derivative: Series, r: float,
     """
     # mu on the grid points evaluated so far, -inf elsewhere
     mu = np.full(grid.size, -np.inf)
+    target = r - _MU_TOL
     # B(r - s) at every grid point; s (1 + 1e-12) < 1, so only an inf B makes a bound inf
     bound = coefficient_bound(derivative.rows, r - grid)
-    with np.errstate(invalid="ignore"):  # 0 inf at s = 0 is nan, and settles nothing
-        if np.all(grid[:-1] * (1.0 + 1e-12) * bound[:-1] < r - _MU_TOL):
-            return grid.size - 1, 0.0, mu
+    with np.errstate(invalid="ignore"):  # 0 inf at s = 0 is nan, and reaches target there
+        # the first grid point whose upper bound s B(r - s) (1 + 1e-12) reaches target
+        first = int(np.argmin(grid * (1.0 + 1e-12) * bound < target))
+    # |b_0|, |b_1|, ..., with |b_1| = 0 for a constant f'
+    norms = row_norms(derivative.rows).tolist() + [0.0]
+    if first > 0 and _mu_bounds(norms, r, float(grid[first]))[0] >= target:
+        return first, 0.0, mu
     angles = np.zeros(grid.size)
 
     def profile(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -498,7 +509,7 @@ def _first_crossing(derivative: Series, r: float,
     # s_b B(t_a) (1 + 1e-12) on each cell
     reach = grid[coarse[1:]] * (1.0 + 1e-12) * bound[coarse[:-1]]
     # the first cell the coefficient bound leaves; nan leaves it too
-    start = int(np.argmin(reach < r - _MU_TOL))
+    start = int(np.argmin(reach < target))
     coarse = coarse[start:]
     maxima, gap = profile(coarse)
     upper = maxima + gap + 1e-12 * maxima
@@ -506,12 +517,12 @@ def _first_crossing(derivative: Series, r: float,
     chord = _chord_sup(r, grid[lows], grid[highs], upper[:-1], upper[1:])
     # np.fmin skips a nan bound
     least = np.fmin(chord, reach[start:])
-    crossed = np.flatnonzero(mu[highs] >= r - _MU_TOL)
+    crossed = np.flatnonzero(mu[highs] >= target)
     last = crossed[0] + 1 if crossed.size else highs.size
-    cells = np.flatnonzero(least[:last] >= r - _MU_TOL)
+    cells = np.flatnonzero(least[:last] >= target)
     if cells.size:
         profile(np.concatenate([np.arange(lows[k] + 1, highs[k]) for k in cells]))
-    crossing = np.flatnonzero(mu >= r - _MU_TOL)
+    crossing = np.flatnonzero(mu >= target)
     if crossing.size == 0 or crossing[0] == 0:
         message = ("no s with mu(s) = r on the grid" if crossing.size == 0
                    else "degenerate working radius: the profile meets r at s = 0")
@@ -562,52 +573,83 @@ def _root_points(lo: float, hi: float, known_s: np.ndarray, known_mu: np.ndarray
     return points
 
 
-def _mu_bounds(norms: list[float], r: float, s: float) -> tuple[float, float]:
-    """A lower and an upper bound of mu(s) = s M(r - s) at s in [r/2, r], from the norms
-    |b_k| of the coefficients of f', where b_0 = 1.
+def _leading(norms: list[float]) -> int:
+    """The index k >= 1 of the leading term b_k of f', the first with |b_k| > 0 (1 if none)."""
+    return next((k for k, norm in enumerate(norms[1:], 1) if norm > 0.0), 1)
 
-    With t = r - s (exact, as s is within a factor 2 of r), the triangle
-    inequality gives M(t) <= B(t) = sum |b_k| t^k, and at the witness
-    q_t = t conj(b_1) / |b_1|, where q_t b_1 = t |b_1| is real,
-    M(t) >= |f'(q_t)| >= 1 + |b_1| t - sum_{k>=2} |b_k| t^k. Evaluated by Horner's
-    rule, a term of either bound meets at most 2N + 5 roundings, N the degree of
-    f' (three of them in its norm), so each computed bound is within
-    gamma_{2N+5} s B(t) of its value: gamma_{2N+10} s B(t) is taken off the lower
-    and put on the upper, which also covers the roundings of that allowance and
-    any term that underflows (a settled search has r > ``_MU_TOL``).
+
+def _mu_bounds(norms: list[float], r: float, s: float) -> tuple[float, float]:
+    """A lower and an upper bound of mu(s) = s M(r - s) at s in [0, r], from the norms
+    |b_i| of the coefficients of f', where b_0 = 1.
+
+    With b_k the leading term (``_leading``) and t = r - s, the triangle
+    inequality gives M(t) <= B(t) = sum |b_i| t^i, and at the witness
+    q_t = t u, u^k b_k = |b_k|, where q_t^k b_k = t^k |b_k| is real,
+    M(t) >= |f'(q_t)| >= 1 + |b_k| t^k - sum_{i>k} |b_i| t^i. Evaluated by
+    Horner's rule after t^k, a term of either bound meets at most 2N + 5
+    roundings, N the degree of f' (three of them in its norm), so each computed
+    bound is within gamma_{2N+5} s B(t) of its value: gamma_{2N+10} s B(t) is
+    taken off the lower and put on the upper, which also covers the roundings
+    of that allowance and any term that underflows (a settled search has
+    r > ``_MU_TOL``). For s in [r/2, r], t is exact; below r/2 the lower bound
+    takes t one float down and the upper one float up, which covers the
+    rounding of t, as M does not decrease in t.
     """
-    t = r - s
-    tail = 0.0
-    for norm in reversed(norms[2:]):
-        tail = tail * t + norm
-    tail *= t * t
-    head = norms[0] + norms[1] * t
+    k = _leading(norms)
     n = 2 * len(norms) + 8
-    slack = n * _ROUNDOFF / (1.0 - n * _ROUNDOFF) * s * (head + tail)
-    return s * (head - tail) - slack, s * (head + tail) + slack
+
+    def bounds(t: float) -> tuple[float, float]:
+        power = t
+        for _ in range(k - 1):
+            power *= t
+        tail = 0.0
+        for norm in reversed(norms[k + 1:]):
+            tail = tail * t + norm
+        tail *= power * t
+        head = norms[0] + norms[k] * power
+        slack = n * _ROUNDOFF / (1.0 - n * _ROUNDOFF) * s * (head + tail)
+        return s * (head - tail) - slack, s * (head + tail) + slack
+
+    t = r - s
+    if r <= 2.0 * s:
+        return bounds(t)
+    return bounds(math.nextafter(t, 0.0))[0], bounds(math.nextafter(t, math.inf))[1]
 
 
 def _bound_bracket(norms: list[float], r: float, lo: float, hi: float,
                    target: float) -> tuple[float, float]:
-    """The bracket (lo, hi] of the mu-root inside the last grid cell of a settled search
-    (``_first_crossing``) that the bounds of ``_mu_bounds`` close, with no sphere search.
+    """The bracket (lo, hi] of the mu-root inside the grid cell of its first crossing in a
+    settled search (``_first_crossing``) that the bounds of ``_mu_bounds`` close, with no
+    sphere search.
 
-    Without its terms of degree 2 and up, mu(r - t) = (r - t)(1 + |b_1| t) meets
-    ``target`` at one t > 0, where it rises in s at the slope
-    sqrt(d^2 + 4 |b_1| c), d = r |b_1| - 1 and c = r - ``target``. The two
-    points that stand off r - t by twice the spread of the bounds there over
-    that slope, or by 0.45 of the root's width where that is less, become the
-    ends where the upper bound is below ``target`` at the lower and the lower
-    bound reaches it at the upper. The bounds differ by their rounding
-    allowances and 2 s sum_{k>=2} |b_k| t^k, about 1e-24 at t near 1e-12. An
-    end that fails stays as it is.
+    Without its terms past the leading one b_k, mu(r - t) = (r - t)(1 + |b_k| t^k)
+    meets ``target`` in the cell. For k = 1 that is at one t > 0, where it rises
+    in s at the slope sqrt(d^2 + 4 |b_1| c), d = r |b_1| - 1 and c = r - ``target``;
+    for k >= 2, bisection in s on the cell finds it, and the slope is the
+    model's derivative there. The two points that stand off r - t by twice the
+    spread of the bounds there over that slope, or by 0.45 of the root's width
+    where that is less, become the ends where the upper bound is below
+    ``target`` at the lower and the lower bound reaches it at the upper. The
+    bounds differ by their rounding allowances and 2 s sum_{i>k} |b_i| t^i,
+    which is 0 for a binomial f'. An end that fails stays as it is.
     """
-    b = norms[1]
-    c = r - target  # mu(r) - target, exact
-    d = r * b - 1.0
-    slope = math.sqrt(d * d + 4.0 * b * c)
-    # the positive root of c + d t - b t^2, with no cancellation
-    t = (d + slope) / (2.0 * b) if d > 0.0 else 2.0 * c / (slope - d)
+    k = _leading(norms)
+    b = norms[k]
+    if k == 1:
+        c = r - target  # mu(r) - target, exact
+        d = r * b - 1.0
+        slope = math.sqrt(d * d + 4.0 * b * c)
+        # the positive root of c + d t - b t^2, with no cancellation
+        t = (d + slope) / (2.0 * b) if d > 0.0 else 2.0 * c / (slope - d)
+    else:
+        below, above = lo, hi
+        while below < (mid := 0.5 * (below + above)) < above:
+            if mid * (1.0 + b * (r - mid) ** k) < target:
+                below = mid
+            else:
+                above = mid
+        t = r - above
+        slope = 1.0 + b * t ** k - k * b * above * t ** (k - 1)
     lower, upper = _mu_bounds(norms, r, r - t)
     half = min(2.0 * (upper - lower) / slope, 0.45 * min(_MU_TOL, _MU_REL * (r - t)))
     low, high = r - t - half, r - t + half
@@ -623,16 +665,19 @@ def _witness_locator(rows: np.ndarray, norms: list[float], tau: float) -> tuple[
     from the witness of ``_mu_bounds`` where it is a maximiser to rounding, and the number
     of radii ``_sphere_max`` evaluated for it (0 or 1).
 
-    The witness q_tau = tau conj(b_1) / |b_1| lies at the angle
-    atan2(|Im b_1|, Re b_1) of its slice, and |f'(q_tau)| is within
-    2 sum_{k>=2} |b_k| tau^k of B(tau) >= M(tau). Where that is below the
+    The witness q_tau = tau u, u^k b_k = |b_k| for the leading term b_k, taken as the
+    principal k-th root, lies at the angle atan2(|Im b_k|, Re b_k) / k of its
+    slice: the lowest of the k angles where q^k b_k is real and positive, and
+    the one the tie rule of ``_sphere_max`` keeps. |f'(q_tau)| is within
+    2 sum_{i>k} |b_i| tau^i of B(tau) >= M(tau). Where that is below the
     rounding of |b_0| = 1, M is the sphere closed form at that angle, which
     ``bl_search`` reads there; elsewhere one ``_sphere_max`` call on the
     radius tau gives the angle.
     """
-    if 2.0 * sum(norm * tau ** k for k, norm in enumerate(norms[2:], 2)) < _ROUNDOFF:
-        b_1 = rows[1] if len(rows) > 1 else np.zeros(4)
-        return math.atan2(float(row_norms(b_1[1:])), float(b_1[0])), 0
+    k = _leading(norms)
+    if 2.0 * sum(norm * tau ** i for i, norm in enumerate(norms[k + 1:], k + 1)) < _ROUNDOFF:
+        b_k = rows[k] if len(rows) > k else np.zeros(4)
+        return math.atan2(float(row_norms(b_k[1:])), float(b_k[0])) / k, 0
     _, _, (angle,) = _sphere_max(rows, np.array([tau]))
     return float(angle), 1
 
@@ -655,10 +700,13 @@ def bl_search(f: Series, r: float) -> SearchReport:
     |b_0| + R |b_1|, with no grid or lattice. The root starts from the first
     grid point of ``_MU_GRID`` = 1024 in [0, r] where mu(s) = s M(r - s)
     reaches r - ``_MU_TOL``. B(t) = sum |b_k| t^k over the coefficients of f'
-    is taken once, on every grid radius (``coefficient_bound``). Where each
-    grid point before s = r has its own bound s B(r - s) below r - ``_MU_TOL``,
-    the search is settled: that point is s = r, where mu = r, with no
-    evaluation. Otherwise
+    is taken once, on every grid radius (``coefficient_bound``). At the first
+    grid point s_j whose own bound s_j B(r - s_j) reaches r - ``_MU_TOL``, where
+    j > 0, the lower bound of mu given below may reach it too: the two bounds then
+    decide the first crossing, and the search is settled at s_j with no
+    evaluation. That is s = r wherever every grid point before it falls
+    short, and any s_j for a binomial f' = 1 + b_k q^k, where the two bounds
+    meet. Otherwise
     it is found from a coarse pass over every
     32nd grid point and the points of just the cells whose least upper bound
     on mu reaches r (``_first_crossing``). The bounds are two: the
@@ -672,14 +720,15 @@ def bl_search(f: Series, r: float) -> SearchReport:
     nothing more. As long as each M is found to within its gap, the first
     grid crossing is that of the whole profile.
 
-    In a settled search the root inside the last cell closes with no sphere
-    search, from two bounds of mu at t = r - s: s B(t) above, and below
-    s (1 + |b_1| t - sum_{k>=2} |b_k| t^k), which is at most s |f'| at the
-    witness q_t = t conj(b_1) / |b_1| (``_mu_bounds``). They differ by
-    2 s sum_{k>=2} |b_k| t^k, about 1e-24 at t near 1e-12, so with rounding
-    allowances of Higham's gamma_n (n = 2N + 10) the bracket closes at the
-    root's width (``_bound_bracket``), and the witness at t = r - s* locates
-    w (``_witness_locator``). Where the bounds leave the bracket open, the
+    In a settled search the root inside the cell (s_{j-1}, s_j] closes with no
+    sphere search, from two bounds of mu at t = r - s: s B(t) above, and below
+    s (1 + |b_k| t^k - sum_{i>k} |b_i| t^i), b_k the first nonzero coefficient
+    past b_0, which is at most s |f'| at the witness q_t = t u, u^k b_k = |b_k|
+    (``_mu_bounds``). They differ by 2 s sum_{i>k} |b_i| t^i: 0 for a binomial
+    f', and about 1e-24 at t near 1e-12. With rounding allowances of Higham's
+    gamma_n (n = 2N + 10) the bracket then closes at the root's width
+    (``_bound_bracket``), and the witness at t = r - s* locates w
+    (``_witness_locator``). Where the bounds leave the bracket open, the
     root batches run from the bracket they give. Each root
     batch evaluates, in one call, 15 evenly spaced interior points of the
     bracket and three interpolated ones: the inverse quadratic interpolation
@@ -700,10 +749,10 @@ def bl_search(f: Series, r: float) -> SearchReport:
     phi on the ball of radius R_r, from the one formula ``rho_lemma`` also
     takes (``_lemma_radius``), so the two agree to the bit.
     ``diagnostics["mu_radii"]`` counts the radii the coarse pass, the
-    second pass and the root evaluated: on average 7.3, 11.1 and 12.6 over the
-    first 72 bl-search benchmark records of seeds 1, 3, 7 and 11, where 65 % of
-    the searches are settled and evaluate none, and the others 20.9, 31.8 and
-    35.9. The whole profile, pairs (s, mu(s)),
+    second pass and the root evaluated: on average 5.1, 7.0 and 7.6 over the
+    first 72 bl-search benchmark records of seeds 1, 3, 7 and 11, where 78 % of
+    the searches are settled and evaluate none, and the others 23.4, 32.2 and
+    35.0. The whole profile, pairs (s, mu(s)),
     is evaluated and reported only as the ``mu_profile`` of a
     ``NumericalSearchError``, when it never meets r or meets it at s = 0.
     Where |f'| has several maximisers on that sphere, one of them is used:

@@ -500,6 +500,10 @@ def _lattice_scan(rows: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.n
     monomials with its ``square_forms`` form at each column's coefficient sum
     (``_scan_forms``), written ``_SCAN_BLOCK`` rows at a time for T = 256 into one
     buffer (``_scan_rows``); only the row maxima take a square root.
+
+    The package no longer calls it: ``_scan_picks`` computes just the rows it
+    can pick. It stays as the whole scan that the tests and ``tools/ab.py``
+    hold ``_scan_picks`` to.
     """
     _, monomials = _lattice()
     squares, cols = _scan_rows(monomials, _scan_forms(rows, table),

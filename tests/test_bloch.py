@@ -374,6 +374,14 @@ class TestAttain:
             assert attain(Series((0, 1, 0.5)), target, 1.0) is None
             assert attain(Series((0, 1)), target, 1.0) is None
 
+    def test_constant_term_and_target_near_the_largest_float(self):
+        # a_0 - target is 3.4e308 here, past the floats: the rows are halved before the
+        # subtraction, so nothing overflows, and f - target has no zero in the ball
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert attain(Series((1.7e308, 1)), Quaternion(-1.7e308), 1.0) is None
+            assert attain(Series((1.7e308, 1)), Quaternion(1.7e308), 1.0) == Quaternion()
+
     def test_target_just_within_the_bound_is_searched(self):
         # f = q on the ball of radius 0.5: B(0.5) = 0.5, and 0.5 - 1e-9 is attained
         root = attain(Series((0, 1)), Quaternion(0.5 - 1e-9), 0.5)

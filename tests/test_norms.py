@@ -1322,6 +1322,32 @@ class TestMeanValue:
                 assert s * deriv_norm - sup_norm_ball(f, s).value >= -1e-9
 
 
+# c of the binomial derivatives f' = 1 + c q^k: real of either sign, and nonreal
+BINOMIAL_C = (Quaternion(0.8), Quaternion(-6.0), Quaternion(0.3, -3.2, 1.5, 0.0),
+              Quaternion(0.0, 0.0, 0.0, 20.0))
+
+
+def binomial(k, c):
+    """f = q + c q^(k+1) / (k+1), whose derivative is 1 + c q^k to rounding."""
+    return Series((0, 1) + (0,) * (k - 1) + (c * (1.0 / (k + 1)),))
+
+
+def evaluated_root(derivative, r):
+    """The first grid crossing of the whole evaluated mu-profile at r, and the root in its
+    cell to 1e-12 from 15 evenly spaced points a batch, each batch one _sphere_max call."""
+    threshold = r - 1e-12
+    grid = np.linspace(0.0, r, bloch._MU_GRID)
+    first = int(np.flatnonzero(grid * _sphere_max(derivative.rows, r - grid)[0]
+                               >= threshold)[0])
+    lo, hi = grid[first - 1], grid[first]
+    while hi - lo > 1e-12:
+        points = np.linspace(lo, hi, 17)
+        values = points[1:-1] * _sphere_max(derivative.rows, r - points[1:-1])[0]
+        k = next((k for k, value in enumerate(values.tolist(), 1) if value >= threshold), 16)
+        lo, hi = points[k - 1], points[k]
+    return first, hi
+
+
 class TestSphereMaxSearch:
     def test_batches_match_single_radius_calls_to_the_bit(self):
         # 70 radii take three _CHUNK_ROWS chunks of grid rows
@@ -1409,7 +1435,8 @@ class TestSphereMaxSearch:
                 # a settled search evaluates no grid point
                 if not (mu > -np.inf).any():
                     norms = _arrays.row_norms(derivative.rows).tolist() + [0.0]
-                    lo, hi = bloch._bound_bracket(norms, r, grid[-2], grid[-1], threshold)
+                    lo, hi = bloch._bound_bracket(norms, r, grid[first - 1], grid[first],
+                                                  threshold)
                     assert hi - lo <= 1e-12 and report.R_r == hi / 2.0
                     assert report.diagnostics["mu_radii"][:2] == [0, 0]
                 else:
@@ -1547,16 +1574,17 @@ class TestSphereMaxSearch:
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
                 maxima, _, angles = _sphere_max(derivative.rows, r - grid)
                 first = int(np.flatnonzero(grid * maxima >= r - 1e-12)[0])
-                *lazy, mu = bloch._first_crossing(derivative, r, grid)
-                assert tuple(lazy) == (first, angles[first])
+                found, angle, mu = bloch._first_crossing(derivative, r, grid)
                 evaluated = mu > -np.inf
+                # a settled search evaluates no grid point and returns the angle 0
+                assert found == first and angle == (angles[first] if evaluated.any() else 0.0)
                 assert np.array_equal(mu[evaluated], (grid * maxima)[evaluated])
                 # a settled search evaluates nothing; any other evaluates its first crossing
                 assert evaluated[first] or not evaluated.any()
 
     def test_settled_searches_close_the_root_from_the_bounds(self):
-        # the coefficient bound settles a search only where the whole profile first meets
-        # r at s = r. Its root then closes at the root's own width with no sphere search:
+        # the two bounds of mu settle a search only where they decide the whole profile's
+        # first crossing. Its root then closes at the root's own width with no sphere search:
         # mu reaches r at s* while the upper bound B and mu itself are below it at the
         # lower end, and w is a maximiser of |f'| on its sphere, to rounding
         rng = np.random.default_rng(1719)
@@ -1571,14 +1599,15 @@ class TestSphereMaxSearch:
                 threshold = r - 1e-12
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
                 # a settled search evaluates no grid point
-                if (bloch._first_crossing(derivative, r, grid)[2] > -np.inf).any():
+                first, _, mu = bloch._first_crossing(derivative, r, grid)
+                if (mu > -np.inf).any():
                     continue
                 settled += 1
                 profile = grid * _sphere_max(derivative.rows, r - grid)[0]
-                assert np.flatnonzero(profile >= threshold)[0] == grid.size - 1
+                assert np.flatnonzero(profile >= threshold)[0] == first
                 report = bl_search(f, r)
                 s_star = 2.0 * report.R_r
-                lo, hi = bloch._bound_bracket(norms, r, grid[-2], grid[-1], threshold)
+                lo, hi = bloch._bound_bracket(norms, r, grid[first - 1], grid[first], threshold)
                 assert hi == s_star and hi - lo <= min(1e-12, 1e-10 * hi)
                 assert report.diagnostics["mu_radii"] == [0, 0, 0]
                 assert s_star * sup_norm_ball(derivative, r - s_star).value >= threshold
@@ -1589,6 +1618,75 @@ class TestSphereMaxSearch:
                 top = sup_norm_ball(derivative, w.modulus()).value
                 assert abs(evaluate(derivative, w).modulus() - top) <= 4e-16 * top
         assert settled >= 40
+
+    def test_binomial_searches_settle_with_no_sphere_search(self, monkeypatch):
+        # f' = 1 + c q^k has M(t) = 1 + |c| t^k, reached at the witness, so the two
+        # bounds of mu meet: each search settles wherever its first crossing lies, with
+        # no sphere search, and closes on the root of the evaluated profile
+        searches = [(binomial(k, c), r) for k in range(1, 5) for c in BINOMIAL_C
+                    for r in (0.99, 0.9, 0.6)]
+        roots = [evaluated_root(slice_derivative(f), r) for f, r in searches]
+
+        def no_search(*args):
+            raise AssertionError("a sphere search ran")
+
+        monkeypatch.setattr(bloch, "_sphere_max", no_search)
+        for (f, r), (_, root) in zip(searches, roots):
+            report = bl_search(f, r)
+            assert report.diagnostics["mu_radii"] == [0, 0, 0]
+            assert abs(2.0 * report.R_r - root) <= 1e-12
+            assert report.diagnostics["mu_root_residual"] <= 1e-12
+        # crossings before the last grid point, and below r / 2, are among them
+        assert sum(first < bloch._MU_GRID - 1 for first, _ in roots) >= 15
+        assert sum(root < 0.5 * r for (_, r), (_, root) in zip(searches, roots)) >= 15
+
+    def test_mu_bounds_contain_mu_for_binomials(self):
+        # for f' = 1 + c q^k, mu(s) = s (1 + |c| (r - s)^k) exactly; at 60 digits it lies
+        # within the float bounds at s below r / 2, where t = r - s is rounded, and above
+        rng = np.random.default_rng(1723)
+        with mpmath.workdps(60):
+            for k in range(1, 5):
+                for c in BINOMIAL_C:
+                    derivative = slice_derivative(binomial(k, c))
+                    sizes = _arrays.row_norms(derivative.rows).tolist() + [0.0]
+                    size = mpmath.sqrt(sum(mpmath.mpf(x) ** 2 for x in derivative.rows[k].tolist()))
+                    for r in (0.99, 0.9, 0.6):
+                        for s in np.concatenate([rng.uniform(0.0, 0.5 * r, 25),
+                                                 rng.uniform(0.5 * r, r, 25)]).tolist():
+                            mu = s * (1 + size * (mpmath.mpf(r) - mpmath.mpf(s)) ** k)
+                            lower, upper = bloch._mu_bounds(sizes, r, s)
+                            assert lower <= mu <= upper
+                            assert upper - lower <= 1e-14 * upper
+
+    def test_settled_first_crossing_matches_the_whole_profile(self):
+        # series with b_1 = 0 (leading term b_k, k >= 2) and binomials with a tail of
+        # about 1e-14: wherever the two bounds settle a search, its first crossing is
+        # that of the whole evaluated profile
+        rng = np.random.default_rng(1731)
+        series = []
+        for k in range(2, 5):
+            for extra in range(3):
+                rows = rng.uniform(-1.0, 1.0, (k + 2 + extra, 4))
+                rows[0], rows[1], rows[2:k + 1] = 0.0, (1.0, 0.0, 0.0, 0.0), 0.0
+                series.append(Series(tuple(Quaternion(*row) for row in rows.tolist())))
+        for k in range(1, 5):
+            for c in BINOMIAL_C:
+                rows = np.pad(binomial(k, c).rows, ((0, 2), (0, 0)))
+                rows[-1 - rng.integers(2)] = 1e-14 * rng.uniform(-1.0, 1.0, 4)
+                series.append(Series(tuple(Quaternion(*row) for row in rows.tolist())))
+        settled = inner = 0
+        for f in series:
+            derivative = slice_derivative(f)
+            for r in (0.99, 0.9, 0.6, 0.3):
+                grid = np.linspace(0.0, r, bloch._MU_GRID)
+                first, angle, mu = bloch._first_crossing(derivative, r, grid)
+                if (mu > -np.inf).any():
+                    continue
+                profile = grid * _sphere_max(derivative.rows, r - grid)[0]
+                assert first == np.flatnonzero(profile >= r - 1e-12)[0] and angle == 0.0
+                settled += 1
+                inner += first < grid.size - 1
+        assert settled >= 60 and inner >= 15
 
     def test_profile_radii_per_search(self, monkeypatch):
         radii = []

@@ -51,12 +51,14 @@ degree-2 series); attain, the preimage search from the zeros of f - target,
 on the builtin mixed-units series for a fixed target in the unit ball; and
 the whole bl_search at r = 0.99 on the same series, on the builtin
 quadratic-j series (its derivative is linear, so every M and the norm of
-phi' are closed forms) and on the seeded degree-4 series LONG_PASS_SEED
-draws, where the monotone bound alone left 558 radii to the second pass of
-the mu-profile (the two bounds of bloch._first_crossing leave 31), and at
-r = 0.6 on mixed-units, a search the coefficient bound settles: its root
-closes from two polynomial bounds of mu and its locator comes from their
-witness, with no sphere-maximum search. A row that a tree cannot build or
+phi' are closed forms), on the builtin steep-cubic series (f' = 1 + 5 q^2,
+whose first crossing, near s = 0.283, is below r/2) and on the seeded
+degree-4 series LONG_PASS_SEED draws, where the monotone bound alone left
+558 radii to the second pass of the mu-profile (the two bounds of
+bloch._first_crossing leave 31), and at r = 0.6 on mixed-units. The
+quadratic-j, steep-cubic and r = 0.6 searches are settled: two polynomial
+bounds of mu decide the first crossing, the root closes from them and the
+locator comes from their witness, with no sphere-maximum search. A row that a tree cannot build or
 run (a private kernel renamed or re-signed) reads null for that tree, and
 stderr says why.
 
@@ -245,6 +247,7 @@ def _kernel_rows(pkg) -> dict:
         "bl_search[mixed-units, r=0.99]": lambda: pkg.bl_search(corpus["mixed-units"], 0.99),
         "bl_search[mixed-units, r=0.6]": lambda: pkg.bl_search(corpus["mixed-units"], 0.6),
         "bl_search[quadratic-j, r=0.99]": lambda: pkg.bl_search(corpus["quadratic-j"], 0.99),
+        "bl_search[steep-cubic, r=0.99]": lambda: pkg.bl_search(corpus["steep-cubic"], 0.99),
         "bl_search[long second pass]": lambda: pkg.bl_search(long_pass, 0.99),
     })
     return {name: _attempt(f"{pkg.__name__} {name}", lambda call=call: (call(), call)[1])
