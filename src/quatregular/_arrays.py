@@ -12,6 +12,14 @@ from .quaternions import _completion_rows
 
 # the largest degree of the norms, the coverage radius, the search and recentring
 DEGREE_CAP = 60
+# the unit roundoff u of a double
+_ROUNDOFF = 2.0 ** -53
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u): n roundings move a sum of positive terms by at most this,
+    relative (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Lemma 3.1)."""
+    return n * _ROUNDOFF / (1.0 - n * _ROUNDOFF)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

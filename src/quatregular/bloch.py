@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import _CONJUGATE, _sphere_squares, coefficient_bound, eval_rows, qmul_rows
-from ._arrays import row_norms, sphere_constants, star_rows
+from ._arrays import _CONJUGATE, _ROUNDOFF, _gamma, _sphere_squares, coefficient_bound
+from ._arrays import eval_rows, qmul_rows, row_norms, sphere_constants, star_rows
 from .errors import DomainError, NumericalSearchError, PreconditionError
 from .norms import _scaled, _sphere_max, _sphere_roots, split_norm
 from .norms import sup_norm_ball  # noqa: F401  (kept bound: callers read bloch.sup_norm_ball)
@@ -28,9 +28,6 @@ _MU_GRID = 1024
 # closes at this width, or at _MU_REL times its upper end where that is smaller
 _MU_TOL = 1e-12
 _MU_REL = 1e-10
-# the unit roundoff u: n roundings move a sum of positive terms by at most
-# gamma_n = n u / (1 - n u) relative (Higham, Accuracy and Stability of Numerical Algorithms, 2002)
-_ROUNDOFF = 2.0 ** -53
 # every _MU_STRIDE-th radius of the mu-profile grid, and its last, make the coarse pass
 _MU_STRIDE = 32
 # the relative shrink of the set coverage_report samples
@@ -434,10 +431,10 @@ def _chord_sup(r: float, s_a: np.ndarray, s_b: np.ndarray,
     return np.where(t_b > 0.0, chord, np.inf)
 
 
-def _first_crossing(derivative: Series, r: float,
-                    grid: np.ndarray) -> tuple[int, float, np.ndarray]:
+def _first_crossing(derivative: Series, r: float, grid: np.ndarray,
+                    norms: list[float]) -> tuple[int, float, np.ndarray]:
     """The first grid point s with mu(s) = s M(r - s) >= r, the angle of the sphere of
-    radius r - s where M(r - s) is attained, and mu.
+    radius r - s where M(r - s) is attained, and mu; ``norms`` are the ``_term_norms`` of f'.
 
     M(t) is the maximum of |f'| on the ball of radius t. Two upper bounds
     of mu on a cell (s_a, s_b] of the grid, t_a = r - s_a and t_b = r - s_b,
@@ -492,8 +489,6 @@ def _first_crossing(derivative: Series, r: float,
     with np.errstate(invalid="ignore"):  # 0 inf at s = 0 is nan, and reaches target there
         # the first grid point whose upper bound s B(r - s) (1 + 1e-12) reaches target
         first = int(np.argmin(grid * (1.0 + 1e-12) * bound < target))
-    # |b_0|, |b_1|, ..., with |b_1| = 0 for a constant f'
-    norms = row_norms(derivative.rows).tolist() + [0.0]
     if first > 0 and _mu_bounds(norms, r, float(grid[first]))[0] >= target:
         return first, 0.0, mu
     angles = np.zeros(grid.size)
@@ -573,6 +568,11 @@ def _root_points(lo: float, hi: float, known_s: np.ndarray, known_mu: np.ndarray
     return points
 
 
+def _term_norms(rows: np.ndarray) -> list[float]:
+    """|b_0|, |b_1|, ... of the coefficient rows of f', with |b_1| = 0 for a constant f'."""
+    return row_norms(rows).tolist() + [0.0]
+
+
 def _leading(norms: list[float]) -> int:
     """The index k >= 1 of the leading term b_k of f', the first with |b_k| > 0 (1 if none)."""
     return next((k for k, norm in enumerate(norms[1:], 1) if norm > 0.0), 1)
@@ -588,12 +588,12 @@ def _mu_bounds(norms: list[float], r: float, s: float) -> tuple[float, float]:
     M(t) >= |f'(q_t)| >= 1 + |b_k| t^k - sum_{i>k} |b_i| t^i. Evaluated by
     Horner's rule after t^k, a term of either bound meets at most 2N + 5
     roundings, N the degree of f' (three of them in its norm), so each computed
-    bound is within gamma_{2N+5} s B(t) of its value: gamma_{2N+10} s B(t) is
-    taken off the lower and put on the upper, which also covers the roundings
-    of that allowance and any term that underflows (a settled search has
-    r > ``_MU_TOL``). For s in [r/2, r], t is exact; below r/2 the lower bound
-    takes t one float down and the upper one float up, which covers the
-    rounding of t, as M does not decrease in t.
+    bound is within gamma_{2N+5} s B(t) of its value: gamma_{2N+10} s B(t)
+    (``_gamma``) is taken off the lower and put on the upper, which also
+    covers the roundings of that allowance and any term that underflows (a
+    settled search has r > ``_MU_TOL``). For s in [r/2, r], t is exact; below
+    r/2 the lower bound takes t one float down and the upper one float up,
+    which covers the rounding of t, as M does not decrease in t.
     """
     k = _leading(norms)
     n = 2 * len(norms) + 8
@@ -607,7 +607,7 @@ def _mu_bounds(norms: list[float], r: float, s: float) -> tuple[float, float]:
             tail = tail * t + norm
         tail *= power * t
         head = norms[0] + norms[k] * power
-        slack = n * _ROUNDOFF / (1.0 - n * _ROUNDOFF) * s * (head + tail)
+        slack = _gamma(n) * s * (head + tail)
         return s * (head - tail) - slack, s * (head + tail) + slack
 
     t = r - s
@@ -697,8 +697,11 @@ def bl_search(f: Series, r: float) -> SearchReport:
     grid angles, and ``dphi_norm`` from ``split_norm`` on its 2048-unit
     lattice; for a quadratic f both f' and phi' are linear, and then each M
     is the closed form |b_0| + t |b_1| and ``dphi_norm`` the closed form
-    |b_0| + R |b_1|, with no grid or lattice. The root starts from the first
-    grid point of ``_MU_GRID`` = 1024 in [0, r] where mu(s) = s M(r - s)
+    |b_0| + R |b_1|, with no grid or lattice. ``dphi_norm`` is the closed form
+    B(R) = sum |b_k| R^k wherever some point of the boundary sphere attains it
+    (``norms._attained_bound``), as for the real phi' of cubic-half and
+    steep-cubic, whose terms all point one way at R. The root starts from the
+    first grid point of ``_MU_GRID`` = 1024 in [0, r] where mu(s) = s M(r - s)
     reaches r - ``_MU_TOL``. B(t) = sum |b_k| t^k over the coefficients of f'
     is taken once, on every grid radius (``coefficient_bound``). At the first
     grid point s_j whose own bound s_j B(r - s_j) reaches r - ``_MU_TOL``, where
@@ -772,7 +775,8 @@ def bl_search(f: Series, r: float) -> SearchReport:
 
     derivative = slice_derivative(f)
     grid = np.linspace(0.0, r, _MU_GRID)
-    first, hi_angle, mu = _first_crossing(derivative, r, grid)
+    norms = _term_norms(derivative.rows)
+    first, hi_angle, mu = _first_crossing(derivative, r, grid, norms)
     # hi_angle is the angle of the sphere of radius r - hi where M(r - hi) is attained
     target = r - _MU_TOL
     # the evaluated grid points around the crossing seed the interpolation
@@ -783,8 +787,6 @@ def bl_search(f: Series, r: float) -> SearchReport:
     # a search the coefficient bound settles has evaluated no grid point
     settled = mu[first] == -np.inf
     if settled:
-        # |b_0|, |b_1|, ..., with |b_1| = 0 for a constant f'
-        norms = row_norms(derivative.rows).tolist() + [0.0]
         lo, hi = _bound_bracket(norms, r, lo, hi, target)
     root_radii = 0
     # an absolute width alone would leave a root near 0 unresolved, where mu' ~ r / s is steep

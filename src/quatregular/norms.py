@@ -23,7 +23,9 @@ the best lower bound. Every norm takes degree ``DEGREE_CAP``
 at most, so one angle grid serves every search, and its cos and sin tables
 come from a cache, so repeated calls rebuild nothing. A series of effective
 degree at most 1 needs no grid and no lattice: its sphere angle and its
-supremum of slice norms are closed forms. The minimum inside a ball comes
+supremum of slice norms are closed forms. So is the maximum on a sphere, and
+the supremum of slice norms of a real series, wherever a point of the sphere
+attains the coefficient bound sum |a_n| t^n. The minimum inside a ball comes
 from the roots of the symmetrization instead of a search. Every search is
 deterministic, local refinement from a grid, with a reported convergence
 gap; nothing here is Monte Carlo. Each runs on the coefficients and radius
@@ -42,6 +44,7 @@ import numpy as np
 from ._arrays import (
     _ASCENT_STEPS,
     _CONJUGATE,
+    _gamma,
     _read_only,
     circle_table,
     coefficient_bound,
@@ -100,9 +103,11 @@ class NormReport:
     raised the square root of H (on a real-coefficient series, how much the last
     Newton step on the boundary sphere maximum still moved it). The floor
     scales with the series (``_tol_floor``). A "closed-form" report (radius 0,
-    or a series of effective degree at most 1, whose every row past the
-    second is zero) ran no grid, lattice or Newton step: it has no
-    ``resolution`` and ``certified_tol`` 0.
+    a series of effective degree at most 1, whose every row past the second
+    is zero, or a maximum that equals the coefficient bound B = sum |a_n| t^n
+    because a point of the sphere attains it, ``_attained_bound``) ran no
+    grid, lattice or Newton step: it has no ``resolution`` and
+    ``certified_tol`` 0.
     """
 
     value: float
@@ -156,6 +161,46 @@ def _linear(rows: np.ndarray) -> bool:
     """Effective degree at most 1: every coefficient row past the second is zero, so
     the norms have closed forms (trailing zero rows change no value)."""
     return not rows[2:].any()
+
+
+def _attained_bound(rows: np.ndarray, t: float) -> float | None:
+    """B(t) = sum |a_n| t^n (``coefficient_bound``) where a witness on the sphere of radius
+    t attains it, so that B(t) is the maximum of |f| there to rounding; else None.
+
+    The rows and t are those ``_scaled`` folded. At effective degree at most 1
+    B(t) is attained at q = t a_0 conj(a_1) / (|a_0| |a_1|) (any q of modulus t
+    where a factor is zero), with no evaluation. Real rows with one nonzero
+    term, which is then past a_0 = 0, attain it at every point. On other real
+    rows f(t e^{I theta}) = sum a_n t^n e^{I n theta} has modulus B(t) only
+    where every term points the same way, so where the first two nonzero
+    terms a_j z^j and a_k z^k do: (k - j) theta is a multiple of 2 pi where
+    a_j / a_k > 0, and an odd multiple of pi where it is negative. Those are at
+    most floor((k - j) / 2) + 1 angles in [0, pi], where one ``sphere_constants``
+    call gives f, and B(t) counts as attained where the largest |f| is at
+    least B(t) (1 - gamma_n) (``_gamma``). Computed B meets 2N roundings (the
+    row norms of real rows are exact). At an aligned angle computed |f| meets
+    at most 7N + 4 relative to B(t): 3 in each coordinate of z = t e^{i theta},
+    so 3n in |z|^n, 3 more in each complex product of the power table, N + 1
+    in the sums b and c, and 3 in the modulus; a phase error there lowers |f|
+    only to second order. So n = 10 (N + 1) never misses an exact maximum.
+    Quaternion rows of degree 2 or more rarely align, and are not tried.
+    """
+    if _linear(rows):
+        return float(coefficient_bound(rows, np.array([t]))[0])
+    if rows[:, 1:].any():
+        return None
+    a = rows[:, 0]
+    nonzero = np.flatnonzero(a)
+    bound = float(coefficient_bound(rows, np.array([t]))[0])
+    if nonzero.size < 2:
+        return bound
+    j, k = nonzero[:2].tolist()
+    # where a_j / a_k < 0 the angles are the odd multiples of pi / (k - j)
+    odd = int((a[j] > 0.0) != (a[k] > 0.0))
+    angles = math.pi / (k - j) * np.arange(odd, k - j + 1, 2)
+    # real rows give f(z) = b + i c with b and c real, the first column of the sphere constants
+    b, c = sphere_constants(rows[:, :1], t * np.cos(angles), t * np.sin(angles))
+    return bound if np.hypot(b, c).max() >= bound * (1.0 - _gamma(10 * len(rows))) else None
 
 
 # -- closed form on spheres --------------------------------------------------
@@ -308,11 +353,15 @@ def _sphere_report(rows: np.ndarray, t: float, e: int, lowest: bool = False,
     """Maximum of |f| on the sphere of radius t (with ``lowest`` the minimum), as a NormReport.
 
     The rows and t are those ``_scaled`` folded by 2^e, so they are folded
-    once: ``_folded_sphere_max`` runs on them as they are, and its value and
-    gap are unfolded by ``_report``; the grid angles follow the given
-    ``resolution`` entries. At t = 0 or effective degree at most 1 no grid
-    runs, and the report is a "closed-form" one.
+    once. A maximum on a sphere where a witness attains the coefficient bound
+    is that bound (``_attained_bound``); otherwise ``_folded_sphere_max`` runs
+    on the rows as they are, and its value and gap are unfolded by
+    ``_report``; the grid angles follow the given ``resolution`` entries. At
+    t = 0, at effective degree at most 1, or where the bound is attained, no
+    grid runs, and the report is a "closed-form" one.
     """
+    if not lowest and t > 0.0 and (bound := _attained_bound(rows, t)) is not None:
+        return _report("closed-form", bound, 0.0, e)
     (value,), (gap,), _ = _folded_sphere_max(rows, np.array([t]), lowest)
     method = "closed-form" if t == 0.0 or _linear(rows) else "grid+refine"
     return _report(method, value, gap, e, {**resolution, "theta": _THETA_GRID})
@@ -357,9 +406,11 @@ def sup_norm_ball(f: Series, s: float) -> NormReport:
     searched, by ``_folded_sphere_max`` on the rows ``_scaled`` folds (a grid,
     then Newton steps from its best local maxima). ``certified_tol`` is how
     much the last Newton step still raised the value, floored at rounding
-    noise; ``resolution`` holds the number of grid angles used. At effective
-    degree at most 1 the value is |a_0| + s |a_1|, from the closed-form
-    angle, in a "closed-form" report.
+    noise; ``resolution`` holds the number of grid angles used. Where a point
+    of the sphere attains the coefficient bound B(s) = sum |a_n| s^n
+    (``_attained_bound``: at effective degree at most 1, where B(s) =
+    |a_0| + s |a_1|, and on real series whose terms all point one way at some
+    angle) the value is B(s), in a "closed-form" report.
     """
     _require_degree_cap(f)
     _require_inside(s, f.radius)
@@ -594,25 +645,22 @@ def slice_norm(f: Series, unit: UnitImaginary,
 def split_norm(f: Series) -> NormReport:
     """Supremum of the slice norm over the sphere of units.
 
-    At effective degree at most 1 (every row past the second zero) the value
-    is B(R) = |a_0| + R |a_1| (``coefficient_bound``), a "closed-form" report
-    with no resolution and ``certified_tol`` 0. Proof: on the slice of I write
-    a_k = alpha_k + beta_k J, so |a_k|^2 = |alpha_k|^2 + |beta_k|^2 and the
-    circle maxima of the two components are |alpha_0| + R |alpha_1| and
-    |beta_0| + R |beta_1|. Their hypot is the length of
-    (|alpha_0|, |beta_0|) + R (|alpha_1|, |beta_1|), at most |a_0| + R |a_1| by
-    Minkowski's inequality, with equality where the two vectors are parallel.
-    The difference |alpha_0|^2 / |a_0|^2 - |alpha_1|^2 / |a_1|^2 is at least 0
-    at I along Im a_0 (where |alpha_0| = |a_0|) and at most 0 at I along
-    Im a_1. The sphere of units is connected, so the difference vanishes at
-    some unit, and there the supremum is attained. A real a_k has
-    |alpha_k| = |a_k| at every unit, so any unit serves as its I; a zero a_k
-    leaves the vectors parallel at every unit.
-
-    Real-coefficient series of higher degree short-circuit too: every slice
-    then carries the same restriction, and |f| is constant on each sphere, so
-    the value is the maximum of |f| on the boundary sphere (``_sphere_report``),
-    with the gap of its last Newton step in ``certified_tol``.
+    The norm lies between the maximum of |f| on the boundary sphere (the
+    slice norm at the unit of a point there is at least |f| at that point)
+    and B(R) = sum |a_k| R^k (``coefficient_bound``): on the slice of I write
+    a_k = alpha_k + beta_k J, so |a_k|^2 = |alpha_k|^2 + |beta_k|^2; the
+    circle maxima of the two components are at most sum |alpha_k| R^k and
+    sum |beta_k| R^k, and Minkowski's inequality bounds their hypot by B(R).
+    Two kinds of series take the sphere maximum (``_sphere_report``). At
+    effective degree at most 1 (every row past the second zero) B(R) =
+    |a_0| + R |a_1| is attained at q = R a_0 conj(a_1) / (|a_0| |a_1|), where
+    q a_1 points along a_0 (at any q of modulus R where a_0 or a_1 is zero),
+    so the value is B(R), a "closed-form" report with no resolution and
+    ``certified_tol`` 0. A real-coefficient series restricts to every slice
+    as one holomorphic function, so every slice norm is the sphere maximum:
+    B(R) in a "closed-form" report where the terms all point one way at some
+    angle (``_attained_bound``), and otherwise from the grid, with the gap of
+    its last Newton step in ``certified_tol``.
 
     Otherwise the squared norm is the maximum of H = |F_I(z_1)|^2 + |G_I(z_2)|^2
     over the unit I and the angles of z_1, z_2 on the boundary circle; at each
@@ -633,17 +681,13 @@ def split_norm(f: Series) -> NormReport:
     rounding noise of the best. ``certified_tol`` is how much its last Newton
     step still raised sqrt(H), floored at rounding noise. If that start spent all
     ``_ASCENT_STEPS`` steps it may have stopped short, so ``certified_tol`` is
-    then at least B(R) - value: at every degree the circle maxima are at most
-    sum |alpha_k| R^k and sum |beta_k| R^k, and Minkowski's inequality bounds
-    their hypot by B(R) = sum |a_k| R^k. ``resolution`` holds
+    then at least B(R) - value, by the bound above. ``resolution`` holds
     the lattice size, the scan's grid angles, the number of starts and the
     Newton steps of the winning start.
     """
     _require_degree_cap(f)
     rows, radius, e = _scaled(f.rows, f.radius)
-    if _linear(rows):
-        return _report("closed-form", coefficient_bound(rows[:2], np.array([radius]))[0], 0.0, e)
-    if not rows[:, 1:].any():
+    if _linear(rows) or not rows[:, 1:].any():
         return _sphere_report(rows, radius, e, sphere=1)
     lattice, _ = _lattice()
     picks, cols = _scan_picks(rows, radius)

@@ -33,7 +33,7 @@ def test_its_own_tree_shows_no_diff():
         assert seed["this_s"] > 0.0 and seed["other_s"] > 0.0
         assert 0 <= seed["faster"] <= tasks
     # every kernel row runs in both trees
-    assert len(report["kernels"]) == 28
+    assert len(report["kernels"]) == 30
     assert all(type(ms) is float and ms > 0.0 for row in report["kernels"].values()
                for ms in row.values())
 
@@ -59,7 +59,7 @@ def test_a_changed_tree_shows_its_diffs(tmp_path):
         assert seed["moves"] == {path: seed["max_rel_move"]}
     renamed = report["kernels"].pop("_lattice_scan[2048 units, 256 angles]")
     assert renamed["this_ms"] > 0.0 and renamed["other_ms"] is renamed["ratio"] is None
-    assert len(report["kernels"]) == 27
+    assert len(report["kernels"]) == 29
     assert all(ms > 0.0 for row in report["kernels"].values() for ms in row.values())
 
 

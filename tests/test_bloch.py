@@ -652,6 +652,14 @@ class TestSearch:
         # both settled searches (no profile radius) and unsettled ones are checked
         assert radii.count(0) >= 10 and len(radii) - radii.count(0) >= 10
 
+    def test_steep_cubic_dphi_norm_is_a_closed_form(self):
+        # phi' of the settled steep-cubic search has real positive coefficients, so its
+        # split norm is the coefficient bound, attained at the real point R_r; the
+        # boundary grid search gave rho_r = 0.09416192444923153
+        report = bl_search(dict(builtin_corpus())["steep-cubic"], 0.99)
+        assert report.diagnostics["dphi_norm"]["method"] == "closed-form"
+        assert abs(report.rho_r - 0.09416192444923153) <= 1e-15 * report.rho_r
+
     def test_working_radius_outside_the_ball(self):
         with pytest.raises(DomainError, match="inside the ball of validity"):
             bl_search(Series((0, 1), radius=0.5), 0.6)

@@ -19,6 +19,6 @@ def test_kernel_timing_runs_every_row():
                             text=True, check=True)
     assert result.stderr == ""
     rows = json.loads(result.stdout)
-    assert len(rows) == 28
+    assert len(rows) == 30
     assert all(type(ms) is float and ms > 0.0 for row in rows.values()
                for ms in (row["this_ms"], row["other_ms"]))

@@ -430,6 +430,18 @@ def coefficient_bound(f):
     return float(_arrays.coefficient_bound(f.rows, np.array([f.radius]))[0])
 
 
+def attains_bound(f, radius):
+    """Whether |f| reaches B(radius) (``coefficient_bound``) to 1e-12 at an angle pi p / q,
+    q <= N and 0 <= p <= q, of the circle of that radius, for real coefficients of degree N:
+    where every term of f points one way, so do the first two, at such an angle."""
+    coeffs = f.rows[:, 0]
+    degree = len(coeffs) - 1
+    angles = np.array([math.pi * p / q for q in range(1, degree + 1) for p in range(q + 1)])
+    top = np.abs(np.polyval(coeffs[::-1], radius * np.exp(1j * angles))).max(initial=0.0)
+    bound = float(_arrays.coefficient_bound(f.rows, np.array([radius]))[0])
+    return top >= bound * (1.0 - 1e-12)
+
+
 def witness_unit(f, steps=60):
     """A unit whose slice norm of the effective-degree-1 series f is |a_0| + R |a_1|.
 
@@ -472,28 +484,34 @@ class TestSplitNorm:
         coeffs = tuple(float(v) for v in rng.uniform(-1, 1, size=5))
         f = Series(coeffs)
         report = split_norm(f)
-        assert report.resolution["sphere"] == 1
+        if attains_bound(f, f.radius):
+            assert report == NormReport(coefficient_bound(f), "closed-form")
+        else:
+            assert report.resolution["sphere"] == 1
         assert abs(report.value - slice_norm(f, I)) < 1e-12
 
     def test_real_path_is_the_boundary_sphere_maximum(self):
         # |f| is constant on each sphere of a real-coefficient series, so its split
-        # norm is the maximum on the boundary sphere: the same _sphere_max on the
-        # same rows as sup_norm_ball at that radius, to the last bit; at degree 1
-        # both are the closed form |a_0| + R |a_1|, to rounding
+        # norm is the maximum on the boundary sphere: the same report on the same
+        # rows as sup_norm_ball at that radius, to the last bit. Where the terms of f
+        # align at a point of that sphere (always at degree 1) both are the closed
+        # form B(R) = |a_0| + R |a_1| + ...
         rng = np.random.default_rng(3331)
+        aligned = 0
         for degree in range(1, 9):
             for radius in (0.5, 0.9, 1.0):
                 f = Series(tuple(float(v) for v in rng.uniform(-1, 1, size=degree + 1)), radius)
                 report = split_norm(f)
                 reference = sup_norm_ball(f.with_radius(2.0 * radius), radius)
-                if degree == 1:
-                    assert report == NormReport(coefficient_bound(f), "closed-form")
-                    assert reference.method == "closed-form"
-                    assert abs(report.value - reference.value) <= 4.4e-16 * report.value
+                if attains_bound(f, radius):
+                    assert report == reference == NormReport(coefficient_bound(f), "closed-form")
+                    aligned += degree > 1
                     continue
+                assert degree > 1
                 assert report.resolution == {"sphere": 1, "theta": 512}
                 assert (report.value, report.certified_tol) == (
                     reference.value, reference.certified_tol)
+        assert aligned >= 3
 
     def test_reported_angles_at_the_cap(self, rng):
         # one grid of 512 angles serves every degree up to DEGREE_CAP
@@ -933,6 +951,80 @@ class TestDegreeOneClosedForms:
             assert np.all(np.abs(polished - scan) <= 1e-14 * scale)
             assert np.all(polished >= scan - 4e-16 * scale)
             assert np.all(np.abs(at - polished) <= 4e-16 * scale)
+
+
+class TestAttainedBound:
+    """Where every term of a real series points one way at a point of the sphere, the
+    maximum of |f| there is the coefficient bound B, a closed form with no grid."""
+
+    def aligned_series(self):
+        """Seeded real series of degree 2-12 that align: all terms positive (at R),
+        alternating (at -R), and q - c q^3 (at +-iR)."""
+        rng = np.random.default_rng(5501)
+        for degree in range(2, 13):
+            sizes = rng.uniform(0.05, 1.0, degree + 1)
+            yield sizes
+            yield sizes * (-1.0) ** np.arange(degree + 1)
+        for c in rng.uniform(0.1, 2.0, 4):
+            yield np.array([0.0, 1.0, 0.0, -c])
+
+    def test_aligned_series_against_mpmath(self):
+        # the closed form is, to 1e-15 at every scale, the 40-digit maximum over the
+        # 20001 angles k pi / 20000, which hold 0, pi / 2 and pi (taken at their five
+        # best in floats), and split_norm, the boundary sphere maximum of a real
+        # series, has its bits
+        steps = 20000
+        angles = np.linspace(0.0, math.pi, steps + 1)
+        with mpmath.workdps(40):
+            for coeffs in self.aligned_series():
+                terms = [mpmath.mpf(float(a)) for a in coeffs[::-1]]
+                for radius in (0.3, 0.9, 1.0):
+                    dense = np.abs(np.polyval(coeffs[::-1], radius * np.exp(1j * angles)))
+                    top = max(abs(mpmath.polyval(terms, radius * mpmath.expjpi(k / steps)))
+                              for k in map(mpmath.mpf, np.argsort(dense)[-5:].tolist()))
+                    for scale in (2.0 ** -500, 1.0, 2.0 ** 500):
+                        f = Series(tuple((scale * coeffs).tolist()), radius)
+                        report = split_norm(f)
+                        assert report.method == "closed-form"
+                        assert report == sup_norm_ball(f.with_radius(2.0 * radius), radius)
+                        exact = top * scale
+                        assert abs(report.value - exact) <= 1e-15 * exact
+
+    def test_closed_forms_are_dense_maxima(self):
+        # 1000 seeded real series of degree 2-12: signs at random, alternating, all
+        # positive, sparse, or aligned but for one term of the opposite sign and relative
+        # size 1e-17 to 1e-9. A closed-form maximum is reached to 1e-13 on 27721 angles
+        # k pi / 27720, which hold every pi p / q with q <= 12, so every angle where the
+        # terms can align; every other report is the grid search's, to the bit
+        rng = np.random.default_rng(5503)
+        angles = np.linspace(0.0, math.pi, 27721)
+        closed = 0
+        for draw in range(1000):
+            degree = int(rng.integers(2, 13))
+            coeffs = rng.uniform(0.05, 1.0, degree + 1)
+            kind = draw % 5
+            if kind in (0, 3):
+                coeffs *= rng.choice([-1.0, 1.0], degree + 1)
+            if kind == 1:
+                coeffs *= (-1.0) ** np.arange(degree + 1)
+            if kind == 3:
+                coeffs[rng.random(degree + 1) < 0.6] = 0.0
+            if kind == 4:
+                coeffs[rng.integers(degree + 1)] *= -10.0 ** rng.uniform(-17.0, -9.0)
+            if not coeffs[2:].any():
+                coeffs[degree] = 0.5
+            s = float(rng.uniform(0.2, 0.99))
+            f = Series(tuple(coeffs.tolist()))
+            report = sup_norm_ball(f, s)
+            if report.method == "closed-form":
+                closed += 1
+                dense = np.abs(np.polyval(coeffs[::-1], s * np.exp(1j * angles))).max()
+                assert dense >= report.value * (1.0 - 1e-13)
+                continue
+            (value,), _, _ = _sphere_max(f.rows, np.array([s]))
+            assert (report.value, report.method, report.resolution) == (
+                value, "grid+refine", {"theta": 512})
+        assert 300 <= closed <= 900
 
 
 class TestScaleFree:
@@ -1427,14 +1519,14 @@ class TestSphereMaxSearch:
         series += [random_series(rng, degree, monic_shift=True) for degree in (2, 4, 5)]
         for f in series:
             derivative = slice_derivative(f)
+            norms = bloch._term_norms(derivative.rows)
             for r in (0.99, 0.9, 0.6):
                 threshold = r - 1e-12
                 report = bl_search(f, r)
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
-                first, _, mu = bloch._first_crossing(derivative, r, grid)
+                first, _, mu = bloch._first_crossing(derivative, r, grid, norms)
                 # a settled search evaluates no grid point
                 if not (mu > -np.inf).any():
-                    norms = _arrays.row_norms(derivative.rows).tolist() + [0.0]
                     lo, hi = bloch._bound_bracket(norms, r, grid[first - 1], grid[first],
                                                   threshold)
                     assert hi - lo <= 1e-12 and report.R_r == hi / 2.0
@@ -1553,7 +1645,8 @@ class TestSphereMaxSearch:
         grid = np.linspace(0.0, 0.3, bloch._MU_GRID)
         maxima, _, angles = _sphere_max(derivative.rows, 0.3 - grid)
         first = int(np.flatnonzero(grid * maxima >= 0.3 - bloch._MU_TOL)[0])
-        found, angle, mu = bloch._first_crossing(derivative, 0.3, grid)
+        found, angle, mu = bloch._first_crossing(derivative, 0.3, grid,
+                                                 bloch._term_norms(derivative.rows))
         assert (found, angle) == (first, angles[first])
         assert mu[first] == grid[first] * maxima[first]
 
@@ -1570,11 +1663,12 @@ class TestSphereMaxSearch:
         series.append(Series((0, 1, 0, 0, 0, 0, 0, 0, 37.0 / 8.0)))
         for f in series:
             derivative = slice_derivative(f)
+            norms = bloch._term_norms(derivative.rows)
             for r in (0.99, 0.9, 0.6, 0.3):
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
                 maxima, _, angles = _sphere_max(derivative.rows, r - grid)
                 first = int(np.flatnonzero(grid * maxima >= r - 1e-12)[0])
-                found, angle, mu = bloch._first_crossing(derivative, r, grid)
+                found, angle, mu = bloch._first_crossing(derivative, r, grid, norms)
                 evaluated = mu > -np.inf
                 # a settled search evaluates no grid point and returns the angle 0
                 assert found == first and angle == (angles[first] if evaluated.any() else 0.0)
@@ -1594,12 +1688,12 @@ class TestSphereMaxSearch:
         settled = 0
         for f in series:
             derivative = slice_derivative(f)
-            norms = _arrays.row_norms(derivative.rows).tolist() + [0.0]
+            norms = bloch._term_norms(derivative.rows)
             for r in (0.99, 0.9, 0.6, 0.3):
                 threshold = r - 1e-12
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
                 # a settled search evaluates no grid point
-                first, _, mu = bloch._first_crossing(derivative, r, grid)
+                first, _, mu = bloch._first_crossing(derivative, r, grid, norms)
                 if (mu > -np.inf).any():
                     continue
                 settled += 1
@@ -1648,7 +1742,7 @@ class TestSphereMaxSearch:
             for k in range(1, 5):
                 for c in BINOMIAL_C:
                     derivative = slice_derivative(binomial(k, c))
-                    sizes = _arrays.row_norms(derivative.rows).tolist() + [0.0]
+                    sizes = bloch._term_norms(derivative.rows)
                     size = mpmath.sqrt(sum(mpmath.mpf(x) ** 2 for x in derivative.rows[k].tolist()))
                     for r in (0.99, 0.9, 0.6):
                         for s in np.concatenate([rng.uniform(0.0, 0.5 * r, 25),
@@ -1677,9 +1771,10 @@ class TestSphereMaxSearch:
         settled = inner = 0
         for f in series:
             derivative = slice_derivative(f)
+            norms = bloch._term_norms(derivative.rows)
             for r in (0.99, 0.9, 0.6, 0.3):
                 grid = np.linspace(0.0, r, bloch._MU_GRID)
-                first, angle, mu = bloch._first_crossing(derivative, r, grid)
+                first, angle, mu = bloch._first_crossing(derivative, r, grid, norms)
                 if (mu > -np.inf).any():
                     continue
                 profile = grid * _sphere_max(derivative.rows, r - grid)[0]
@@ -1699,7 +1794,8 @@ class TestSphereMaxSearch:
         for _, f in builtin_corpus():
             radii.clear()
             grid = np.linspace(0.0, 0.99, bloch._MU_GRID)
-            bloch._first_crossing(slice_derivative(f), 0.99, grid)
+            derivative = slice_derivative(f)
+            bloch._first_crossing(derivative, 0.99, grid, bloch._term_norms(derivative.rows))
             assert sum(radii) <= 256
 
     def counted_searches(self, monkeypatch):

@@ -37,8 +37,11 @@ this degree and the 256-angle rows of just the units that can be picked), the
 value, gradient and Hessian of the split_norm ascent at its three starts
 (_slice_terms, given the series table and the charts) and the whole ascent
 from them (slice_norm_ascent); the whole split_norm on the series, on the
-real-coefficient series of its real parts (the boundary sphere maximum) and on
-the degree-1 series of its first two rows (the closed form |a_0| + R |a_1|);
+real-coefficient series of its real parts (the boundary sphere maximum), on
+the degree-1 series of its first two rows (the closed form |a_0| + R |a_1|) and
+on phi' of the settled steep-cubic search below, whose real positive terms align
+at R (the closed form B(R) = sum |a_k| R^k); sup_norm_ball at RADIUS on the series
+of the moduli of those real parts, which align at RADIUS (the same closed form);
 inf_norm_ball at RADIUS on q times the series' first DEGREE coefficients, a
 degree-DEGREE series with a zero at the origin whose root sphere wins without
 a boundary search; sup_norm_ball, inf_norm_ball (both at RADIUS) and
@@ -203,11 +206,15 @@ def _kernel_rows(pkg) -> dict:
     capped = _series(pkg, rng.uniform(-1.0, 1.0, (cap + 1, 4))
                      / np.arange(1.0, cap + 2.0)[:, None] ** 2, 1.0)
     real = pkg.Series(tuple(rows[:, 0].tolist()), RADIUS)
+    aligned = pkg.Series(tuple(np.abs(rows[:, 0]).tolist()), 1.0)
     linear = _series(pkg, rows[:2], RADIUS)
     rooted = _series(pkg, np.concatenate([np.zeros((1, 4)), rows[:-1]]), 1.0)
     corpus = dict(verification.builtin_corpus())
     long_pass = verification.random_series(np.random.default_rng(LONG_PASS_SEED), 4,
                                            monic_shift=True)
+    # phi' of the settled steep-cubic search: real, positive coefficients
+    steep = pkg.bl_search(corpus["steep-cubic"], 0.99).diagnostics
+    dphi = pkg.slice_derivative(_series(pkg, steep["phi_coeffs"], steep["phi_lemma_radius"]))
     target = pkg.Quaternion(0.05, 0.01, -0.01, 0.0)
     table = arrays.circle_table(RADIUS, DEGREE + 1, 256)
     # the scaled rows and radius, units and angles that split_norm starts its ascent from
@@ -232,6 +239,9 @@ def _kernel_rows(pkg) -> dict:
         "split_norm": lambda: pkg.split_norm(at_radius),
         f"split_norm[real, degree {DEGREE}]": lambda: pkg.split_norm(real),
         "split_norm[degree 1]": lambda: pkg.split_norm(linear),
+        "split_norm[aligned real, degree 2]": lambda: pkg.split_norm(dphi),
+        f"sup_norm_ball[aligned real, degree {DEGREE}]": lambda: pkg.sup_norm_ball(aligned,
+                                                                                  RADIUS),
         f"inf_norm_ball[degree {DEGREE}]": lambda: pkg.inf_norm_ball(rooted, RADIUS),
         f"sup_norm_ball[degree {cap}]": lambda: pkg.sup_norm_ball(capped, RADIUS),
         f"inf_norm_ball[degree {cap}]": lambda: pkg.inf_norm_ball(capped, RADIUS),
