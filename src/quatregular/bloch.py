@@ -30,6 +30,9 @@ _MU_TOL = 1e-12
 _MU_REL = 1e-10
 # every _MU_STRIDE-th radius of the mu-profile grid, and its last, make the coarse pass
 _MU_STRIDE = 32
+# a root batch interpolates through this many evaluated points nearest its bracket, and
+# the first batch takes them from the grid points within this many of the first crossing
+_ROOT_NODES = 10
 # the relative shrink of the set coverage_report samples
 _SHRINK = 1e-3
 _NEWTON_STEP = 1e-6
@@ -527,15 +530,19 @@ def _first_crossing(derivative: Series, r: float, grid: np.ndarray,
     return first, float(angles[first]), mu
 
 
-def _inverse_quadratic(s, mu, target: float) -> float:
-    """The s where the parabola in mu through the three points (s_i, mu_i) meets
-    ``target``; nan where two mu agree."""
-    (s0, s1, s2), (m0, m1, m2) = s, mu
-    if m0 == m1 or m0 == m2 or m1 == m2:
-        return math.nan
-    return (s0 * (target - m1) * (target - m2) / ((m0 - m1) * (m0 - m2))
-            + s1 * (target - m0) * (target - m2) / ((m1 - m0) * (m1 - m2))
-            + s2 * (target - m0) * (target - m1) / ((m2 - m0) * (m2 - m1)))
+def _neville(s: list[float], mu: list[float], target: float) -> list[float]:
+    """x_1, x_2, ...: x_n is the s at mu = ``target`` of the polynomial in mu of degree
+    below n through the first n pairs (mu_i, s_i), all from one Neville tableau; nan
+    from the first n at which two of those mu agree."""
+    column = list(s)
+    estimates = column[:1]
+    for order in range(1, len(column)):
+        for i in range(len(column) - order):
+            m_i, m_j = mu[i], mu[i + order]
+            column[i] = (((target - m_j) * column[i] + (m_i - target) * column[i + 1])
+                         / (m_i - m_j) if m_i != m_j else math.nan)
+        estimates.append(column[0])
+    return estimates
 
 
 def _root_points(lo: float, hi: float, known_s: np.ndarray, known_mu: np.ndarray,
@@ -543,28 +550,28 @@ def _root_points(lo: float, hi: float, known_s: np.ndarray, known_mu: np.ndarray
     """The sorted points inside (lo, hi) that one root batch evaluates.
 
     They are the 15 interior points of ``np.linspace(lo, hi, 17)``, which alone
-    shrink the bracket 16 times, and, from the three evaluated points
-    (``known_s``, ``known_mu``) nearest the bracket, the inverse quadratic
-    interpolation x_q of s at mu = ``target`` and x_q -+ delta, with delta twice
-    its distance from the secant x_lin through the two nearest (at least a
-    quarter of the ``width`` at which the bracket closes), so that the crossing
-    is bracketed closely. Where x_q is not finite or not inside (lo, hi), x_lin
-    takes its place.
+    shrink the bracket 16 times, and up to three interpolated ones. The
+    ``_ROOT_NODES`` evaluated points (``known_s``, ``known_mu``) nearest the
+    bracket, nearest first, give by inverse interpolation the estimates x_n of
+    s at mu = ``target`` (``_neville``): x_n through the n nearest. At the
+    highest n at which x_n and x_{n-1} both fall inside (lo, hi), the batch
+    adds x_n and x_n -+ delta, delta = max(2 |x_n - x_{n-1}|, ``width`` / 4),
+    ``width`` being the one at which the bracket closes, so that the crossing
+    is bracketed closely; where no order qualifies, the even points alone
+    make the batch.
     """
     points = np.linspace(lo, hi, 17)[1:-1]
-    if known_s.size >= 3:
-        near = np.argsort(np.maximum(lo - known_s, known_s - hi), kind="stable")[:3]
-        s, mu = known_s[near].tolist(), known_mu[near].tolist()
-        x_lin = (s[0] + (s[1] - s[0]) * (target - mu[0]) / (mu[1] - mu[0])
-                 if mu[1] != mu[0] else math.nan)
-        x_q = _inverse_quadratic(s, mu, target)
-        x = x_q if lo < x_q < hi else x_lin
-        if lo < x < hi:
-            delta = max(2.0 * abs(x - x_lin), width / 4)
-            extra = np.array([x - delta, x, x + delta])
-            points = np.sort(np.concatenate([points, extra[(extra > lo) & (extra < hi)]]))
-            # not np.unique, which imports numpy.ma
-            points = points[np.append(True, np.diff(points) > 0.0)]
+    near = np.argsort(np.maximum(lo - known_s, known_s - hi), kind="stable")[:_ROOT_NODES]
+    estimates = _neville(known_s[near].tolist(), known_mu[near].tolist(), target)
+    inside = [lo < x < hi for x in estimates]
+    n = next((n for n in range(len(estimates) - 1, 0, -1) if inside[n] and inside[n - 1]), 0)
+    if n:
+        x = estimates[n]
+        delta = max(2.0 * abs(x - estimates[n - 1]), width / 4)
+        extra = np.array([x - delta, x, x + delta])
+        points = np.sort(np.concatenate([points, extra[(extra > lo) & (extra < hi)]]))
+        # not np.unique, which imports numpy.ma
+        points = points[np.append(True, np.diff(points) > 0.0)]
     return points
 
 
@@ -618,20 +625,26 @@ def _mu_bounds(norms: list[float], r: float, s: float) -> tuple[float, float]:
 
 def _bound_bracket(norms: list[float], r: float, lo: float, hi: float,
                    target: float) -> tuple[float, float]:
-    """The bracket (lo, hi] of the mu-root inside the grid cell of its first crossing in a
-    settled search (``_first_crossing``) that the bounds of ``_mu_bounds`` close, with no
-    sphere search.
+    """The sub-bracket of (lo, hi], the grid cell of the first crossing
+    (``_first_crossing``), that the bounds of ``_mu_bounds`` close around the mu-root,
+    with no sphere search.
 
     Without its terms past the leading one b_k, mu(r - t) = (r - t)(1 + |b_k| t^k)
-    meets ``target`` in the cell. For k = 1 that is at one t > 0, where it rises
-    in s at the slope sqrt(d^2 + 4 |b_1| c), d = r |b_1| - 1 and c = r - ``target``;
-    for k >= 2, bisection in s on the cell finds it, and the slope is the
-    model's derivative there. The two points that stand off r - t by twice the
-    spread of the bounds there over that slope, or by 0.45 of the root's width
-    where that is less, become the ends where the upper bound is below
-    ``target`` at the lower and the lower bound reaches it at the upper. The
-    bounds differ by their rounding allowances and 2 s sum_{i>k} |b_i| t^i,
-    which is 0 for a binomial f'. An end that fails stays as it is.
+    is the model of mu. For k = 1 it meets ``target`` at one t > 0, where it
+    rises in s at the slope sqrt(d^2 + 4 |b_1| c), d = r |b_1| - 1 and
+    c = r - ``target``; for k >= 2, bisection in s on the cell finds where it
+    meets ``target`` there (an end of the cell where it does not), and the
+    slope is the model's derivative. The two points that stand off r - t by
+    twice the spread of the bounds there over that slope, or by 0.45 of the
+    root's width where that is less, become the ends where they lie strictly
+    inside (lo, hi), the upper bound is below ``target`` at the lower one and
+    the lower bound reaches it at the upper one. An end that fails stays as it
+    is. The bounds differ by their rounding allowances and
+    2 s sum_{i>k} |b_i| t^i, which is 0 for a binomial f'. In a settled search
+    the model root lies in the cell and the bracket closes. In an unsettled one
+    it can lie far outside (0.98999 for a cell at 0.304 in one benchmark search),
+    and the bracket closes only where the tail is negligible, as in the last
+    cell, where t is about 1e-11.
     """
     k = _leading(norms)
     b = norms[k]
@@ -653,17 +666,17 @@ def _bound_bracket(norms: list[float], r: float, lo: float, hi: float,
     lower, upper = _mu_bounds(norms, r, r - t)
     half = min(2.0 * (upper - lower) / slope, 0.45 * min(_MU_TOL, _MU_REL * (r - t)))
     low, high = r - t - half, r - t + half
-    if lo < low and _mu_bounds(norms, r, low)[1] < target:
+    if lo < low < hi and _mu_bounds(norms, r, low)[1] < target:
         lo = low
-    if high < hi and _mu_bounds(norms, r, high)[0] >= target:
+    if lo < high < hi and _mu_bounds(norms, r, high)[0] >= target:
         hi = high
     return lo, hi
 
 
 def _witness_locator(rows: np.ndarray, norms: list[float], tau: float) -> tuple[float, int]:
-    """The angle of the sphere of radius tau where M(tau) is attained, for a settled search,
-    from the witness of ``_mu_bounds`` where it is a maximiser to rounding, and the number
-    of radii ``_sphere_max`` evaluated for it (0 or 1).
+    """The angle of the sphere of radius tau where M(tau) is attained, for a search whose
+    root s* = r - tau was not evaluated, from the witness of ``_mu_bounds`` where it is a
+    maximiser to rounding, and the number of radii ``_sphere_max`` evaluated for it (0 or 1).
 
     The witness q_tau = tau u, u^k b_k = |b_k| for the leading term b_k, taken as the
     principal k-th root, lies at the angle atan2(|Im b_k|, Re b_k) / k of its
@@ -723,22 +736,25 @@ def bl_search(f: Series, r: float) -> SearchReport:
     nothing more. As long as each M is found to within its gap, the first
     grid crossing is that of the whole profile.
 
-    In a settled search the root inside the cell (s_{j-1}, s_j] closes with no
-    sphere search, from two bounds of mu at t = r - s: s B(t) above, and below
-    s (1 + |b_k| t^k - sum_{i>k} |b_i| t^i), b_k the first nonzero coefficient
-    past b_0, which is at most s |f'| at the witness q_t = t u, u^k b_k = |b_k|
-    (``_mu_bounds``). They differ by 2 s sum_{i>k} |b_i| t^i: 0 for a binomial
-    f', and about 1e-24 at t near 1e-12. With rounding allowances of Higham's
-    gamma_n (n = 2N + 10) the bracket then closes at the root's width
-    (``_bound_bracket``), and the witness at t = r - s* locates w
-    (``_witness_locator``). Where the bounds leave the bracket open, the
-    root batches run from the bracket they give. Each root
-    batch evaluates, in one call, 15 evenly spaced interior points of the
-    bracket and three interpolated ones: the inverse quadratic interpolation
-    of s at mu = r - ``_MU_TOL`` through the three evaluated points nearest
-    the bracket (the secant where it falls outside), and a point on either
-    side of it (``_root_points``). The first batch interpolates through the
-    evaluated grid points around the crossing. The first point where mu
+    Every search first narrows the cell (s_{j-1}, s_j] of its first crossing
+    with no sphere search, from two bounds of mu at t = r - s: s B(t) above,
+    and below s (1 + |b_k| t^k - sum_{i>k} |b_i| t^i), b_k the first nonzero
+    coefficient past b_0, which is at most s |f'| at the witness q_t = t u,
+    u^k b_k = |b_k| (``_mu_bounds``). They differ by 2 s sum_{i>k} |b_i| t^i:
+    0 for a binomial f', and about 1e-22 at t near 1e-11. With rounding
+    allowances of Higham's gamma_n (n = 2N + 10) the bracket then closes at the
+    root's width (``_bound_bracket``) in a settled search, and in an unsettled
+    one whose first crossing lies in the last cell. Wherever the upper end of
+    the bracket was not evaluated, the witness at t = r - s* locates w
+    (``_witness_locator``). Where the bounds leave the bracket open, the root
+    batches run from the bracket they give. Each root batch evaluates, in one
+    call, 15 evenly spaced interior points of the bracket and up to three
+    interpolated ones: from the ``_ROOT_NODES`` = 10 evaluated points nearest
+    the bracket, the inverse interpolations x_n of s at mu = r - ``_MU_TOL``
+    through the n nearest (one Neville tableau), at the highest order where x_n
+    and x_{n-1} both fall inside the bracket, and a point on either side of it
+    (``_root_points``). The first batch interpolates through the evaluated grid
+    points within 10 of the crossing. The first point where mu
     reaches r - ``_MU_TOL`` (or the upper end) closes the next bracket, until
     it is at most ``_MU_TOL`` wide, or ``_MU_REL`` times its upper end where
     that is smaller (a crossing below 0.01, where mu rises by about r / s per
@@ -752,10 +768,10 @@ def bl_search(f: Series, r: float) -> SearchReport:
     phi on the ball of radius R_r, from the one formula ``rho_lemma`` also
     takes (``_lemma_radius``), so the two agree to the bit.
     ``diagnostics["mu_radii"]`` counts the radii the coarse pass, the
-    second pass and the root evaluated: on average 5.1, 7.0 and 7.6 over the
+    second pass and the root evaluated: on average 5.1, 7.0 and 3.4 over the
     first 72 bl-search benchmark records of seeds 1, 3, 7 and 11, where 78 % of
     the searches are settled and evaluate none, and the others 23.4, 32.2 and
-    35.0. The whole profile, pairs (s, mu(s)),
+    15.4. The whole profile, pairs (s, mu(s)),
     is evaluated and reported only as the ``mu_profile`` of a
     ``NumericalSearchError``, when it never meets r or meets it at s = 0.
     Where |f'| has several maximisers on that sphere, one of them is used:
@@ -780,14 +796,12 @@ def bl_search(f: Series, r: float) -> SearchReport:
     # hi_angle is the angle of the sphere of radius r - hi where M(r - hi) is attained
     target = r - _MU_TOL
     # the evaluated grid points around the crossing seed the interpolation
-    near = np.arange(max(first - 2, 0), min(first + 2, grid.size))
+    near = np.arange(max(first - _ROOT_NODES, 0), min(first + _ROOT_NODES, grid.size))
     near = near[mu[near] > -np.inf]
     known_s, known_mu = grid[near], mu[near]
-    lo, hi = float(grid[first - 1]), float(grid[first])
-    # a search the coefficient bound settles has evaluated no grid point
-    settled = mu[first] == -np.inf
-    if settled:
-        lo, hi = _bound_bracket(norms, r, lo, hi, target)
+    lo, hi = _bound_bracket(norms, r, float(grid[first - 1]), float(grid[first]), target)
+    # hi_angle locates hi only where hi was evaluated: a settled search evaluated no grid point
+    located = hi == grid[first] and mu[first] > -np.inf
     root_radii = 0
     # an absolute width alone would leave a root near 0 unresolved, where mu' ~ r / s is steep
     while hi - lo > (width := min(_MU_TOL, _MU_REL * hi)):
@@ -800,10 +814,10 @@ def bl_search(f: Series, r: float) -> SearchReport:
         ends = np.concatenate([[lo], points, [hi]])
         lo, hi = float(ends[k]), float(ends[k + 1])
         if k < points.size:
-            hi_angle = float(angles[k])
+            hi_angle, located = float(angles[k]), True
         known_s, known_mu = np.append(known_s, points), np.append(known_mu, values)
     s_star = hi
-    if settled:
+    if not located:
         hi_angle, radii = _witness_locator(derivative.rows, norms, r - s_star)
         root_radii += radii
     ball_radius = s_star / 2.0

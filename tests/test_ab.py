@@ -32,6 +32,11 @@ def test_its_own_tree_shows_no_diff():
         assert seed["moved"] == 0 and seed["max_rel_move"] == 0.0 and seed["moves"] == {}
         assert seed["this_s"] > 0.0 and seed["other_s"] > 0.0
         assert 0 <= seed["faster"] <= tasks
+    # the summed radii of the coarse pass, second pass and root are counts: the same in
+    # both runs of one tree
+    radii = report["bl-search"]["1"]["mu_radii"]
+    assert radii["this"] == radii["other"] and radii["diff"] == [0, 0, 0]
+    assert radii["this"][0] > 0 and "mu_radii" not in report["slice-norms"]["1"]
     # every kernel row runs in both trees
     assert len(report["kernels"]) == 30
     assert all(type(ms) is float and ms > 0.0 for row in report["kernels"].values()
@@ -61,6 +66,22 @@ def test_a_changed_tree_shows_its_diffs(tmp_path):
     assert renamed["this_ms"] > 0.0 and renamed["other_ms"] is renamed["ratio"] is None
     assert len(report["kernels"]) == 29
     assert all(ms > 0.0 for row in report["kernels"].values() for ms in row.values())
+
+
+def test_bl_search_section_sums_the_mu_radii(tmp_path):
+    # root batches that interpolate through two evaluated points never place an
+    # interpolated point, so they take more radii at the root, and no more elsewhere
+    shutil.copytree(ROOT / "src" / "quatregular", tmp_path / "src" / "quatregular",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    bloch = tmp_path / "src" / "quatregular" / "bloch.py"
+    text = bloch.read_text()
+    assert text.count("_ROOT_NODES = 10") == 1
+    bloch.write_text(text.replace("_ROOT_NODES = 10", "_ROOT_NODES = 2"))
+    (seed,) = run_ab(tmp_path, '{"bl-search": 24}')["bl-search"].values()
+    radii = seed["mu_radii"]
+    assert radii["this"][:2] == radii["other"][:2] and radii["this"][2] < radii["other"][2]
+    assert radii["diff"] == [a - b for a, b in zip(radii["this"], radii["other"])]
+    assert seed["moved"] > 0 and set(seed["moves"]) >= {"diagnostics.mu_radii.*"}
 
 
 def test_coverage_section_diffs_the_preimages(tmp_path):

@@ -1508,12 +1508,14 @@ class TestSphereMaxSearch:
                 assert abs(mu - single) <= 1e-15 * single
 
     def test_root_batches_match_a_scalar_first_crossing_search(self):
-        # each root batch evaluates 15 evenly spaced points of the bracket, an
-        # interpolated step and a point on either side of it, and keeps the first
-        # where mu reaches r. The same placement over single sup_norm_ball calls
-        # must land on the same s*, the 15 even points alone on s* to within the
-        # root's 1e-12, and mu must reach r at s* itself. A search the coefficient
-        # bound settles closes its bracket from the two bounds of mu instead
+        # the two bounds of mu first narrow the grid cell of the crossing; then each
+        # root batch evaluates 15 evenly spaced points of the bracket, an interpolated
+        # step and a point on either side of it, and keeps the first where mu reaches
+        # r. The same placement over single sup_norm_ball calls, interpolating first
+        # through the evaluated grid points within 10 of the crossing, must land on the
+        # same s*, the 15 even points alone on s* to within the root's 1e-12, and mu
+        # must reach r at s* itself. A search the coefficient bound settles closes its
+        # bracket from the two bounds of mu alone
         rng = np.random.default_rng(4242)
         series = [f for _, f in builtin_corpus()]
         series += [random_series(rng, degree, monic_shift=True) for degree in (2, 4, 5)]
@@ -1532,9 +1534,10 @@ class TestSphereMaxSearch:
                     assert hi - lo <= 1e-12 and report.R_r == hi / 2.0
                     assert report.diagnostics["mu_radii"][:2] == [0, 0]
                 else:
-                    known = [(grid[i], mu[i]) for i in range(max(first - 2, 0), first + 2)
+                    known = [(grid[i], mu[i]) for i in range(max(first - 10, 0), first + 10)
                              if i < grid.size and mu[i] > -np.inf]
-                    lo, hi = grid[first - 1], grid[first]
+                    lo, hi = bloch._bound_bracket(norms, r, grid[first - 1], grid[first],
+                                                  threshold)
                     while hi - lo > 1e-12:
                         known_s, known_mu = map(np.array, zip(*known))
                         points = bloch._root_points(lo, hi, known_s, known_mu, threshold, 1e-12)
@@ -1558,6 +1561,99 @@ class TestSphereMaxSearch:
 
                 s_star = 2.0 * report.R_r
                 assert s_star * sup_norm_ball(derivative, r - s_star).value >= threshold
+
+    def test_neville_reproduces_polynomials(self):
+        # x_n interpolates through n pairs, so it is exact to rounding for s = p(mu) of
+        # degree below n, at every n past the degree
+        rng = np.random.default_rng(3301)
+        for degree in range(10):
+            for _ in range(20):
+                coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+                mu = rng.permutation(np.linspace(0.5, 1.5, 10) + rng.uniform(-0.03, 0.03, 10))
+                s = np.polynomial.polynomial.polyval(mu, coeffs)
+                target = rng.uniform(0.6, 1.4)
+                want = np.polynomial.polynomial.polyval(target, coeffs)
+                estimates = bloch._neville(s.tolist(), mu.tolist(), target)
+                assert len(estimates) == 10
+                for x in estimates[degree:]:
+                    assert abs(x - want) <= 1e-11 * np.abs(coeffs).sum()
+
+    def test_neville_is_nan_where_two_mu_agree(self):
+        # x_n is nan from the first n whose pairs hold two equal mu
+        s, mu = [0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 2.0, 3.0, 2.0, 5.0]
+        estimates = bloch._neville(s, mu, 2.5)
+        assert all(math.isfinite(x) for x in estimates[:3])
+        assert all(math.isnan(x) for x in estimates[3:])
+        assert math.isnan(bloch._neville([0.1, 0.2], [1.0, 1.0], 0.5)[1])
+        assert bloch._neville([], [], 0.5) == []
+
+    def test_neville_matches_the_three_point_formula(self):
+        # x_3 is the inverse quadratic interpolation through three pairs, the Lagrange form
+        def inverse_quadratic(s, mu, target):
+            (s0, s1, s2), (m0, m1, m2) = s, mu
+            return (s0 * (target - m1) * (target - m2) / ((m0 - m1) * (m0 - m2))
+                    + s1 * (target - m0) * (target - m2) / ((m1 - m0) * (m1 - m2))
+                    + s2 * (target - m0) * (target - m1) / ((m2 - m0) * (m2 - m1)))
+
+        # on three neighbouring grid points of a rising profile, in the order of their
+        # distance from the bracket, as the first root batch sees them
+        rng = np.random.default_rng(3303)
+        for _ in range(2000):
+            r = rng.uniform(0.3, 0.99)
+            j = rng.integers(100, bloch._MU_GRID - 1)
+            s = rng.permutation(np.array([j - 1, j, j + 1]) * (r / (bloch._MU_GRID - 1)))
+            mu = s * (1.0 + rng.uniform(0.1, 3.0) * (r - s) ** rng.integers(1, 4))
+            target = rng.uniform(mu.min(), mu.max())
+            s, mu = s.tolist(), mu.tolist()
+            want = inverse_quadratic(s, mu, target)
+            got = bloch._neville(s, mu, target)[2]
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_bound_bracket_keeps_a_sub_bracket(self):
+        # _bound_bracket moves an end only to a point strictly inside the bracket it is
+        # given, where the bounds of mu decide that side. On the grid cell of the first
+        # crossing of seed-1 bl-search record 65 (r = 0.99), the k = 1 model root lies at
+        # 0.98999, far outside the cell, and no end may move there
+        f = Series(tuple(Quaternion(*row) for row in (
+            (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0),
+            (-0.07773941363817571, 0.24350771967239337, 0.31397771038348066,
+             -0.09405016526776011),
+            (-0.04103208305960693, 0.4948483689729577, 0.07327072581083915,
+             0.18273752833431534),
+            (-0.4559689298616294, 0.12602495163269956, 0.1028290609800061,
+             0.17661006147208236),
+            (-0.04721171073303876, -0.33809717699124775, -0.44237656944469317,
+             0.33047884038481745))))
+        r = 0.99
+        derivative = slice_derivative(f)
+        norms = bloch._term_norms(derivative.rows)
+        grid = np.linspace(0.0, r, bloch._MU_GRID)
+        first, _, _ = bloch._first_crossing(derivative, r, grid, norms)
+        lo, hi = grid[first - 1], grid[first]
+        assert abs(lo - 0.30387) < 1e-5 and abs(hi - 0.30484) < 1e-5
+        assert bloch._bound_bracket(norms, r, lo, hi, r - 1e-12) == (lo, hi)
+        assert bl_search(f, r).diagnostics["mu_root_residual"] <= 1e-12
+
+        rng = np.random.default_rng(3307)
+        series = [random_series(rng, degree, scale, monic_shift=True)
+                  for scale in (0.5, 3.0) for degree in range(2, 8)]
+        series += [binomial(k, c) for k in range(1, 4) for c in BINOMIAL_C]
+        moved = 0
+        for f in series:
+            norms = bloch._term_norms(slice_derivative(f).rows)
+            for r in (0.99, 0.9, 0.6, 0.3):
+                target = r - 1e-12
+                grid = np.linspace(0.0, r, bloch._MU_GRID)
+                for j in np.concatenate([rng.integers(1, grid.size, 8), [grid.size - 1]]):
+                    low, high = grid[j - 1], grid[j]
+                    lo, hi = bloch._bound_bracket(norms, r, low, high, target)
+                    assert low <= lo < hi <= high
+                    if lo > low:
+                        assert bloch._mu_bounds(norms, r, lo)[1] < target
+                    if hi < high:
+                        assert bloch._mu_bounds(norms, r, hi)[0] >= target
+                    moved += (lo, hi) != (low, high)
+        assert moved >= 20
 
     def profile_series(self):
         """The builtin series and seeded normalised ones of degree 1-12 at three scales."""
@@ -1825,12 +1921,55 @@ class TestSphereMaxSearch:
                 report = bl_search(f, r)
                 yield report, list(calls), crossing_calls[-1]
 
-    def test_root_takes_at_most_three_batches(self, monkeypatch):
+    def test_root_takes_at_most_two_batches(self, monkeypatch):
         # quadratic-j at r = 0.6 crosses where mu' is about 0.04, so the threshold
         # r - 1e-12 the interpolation aims at lies 2.5e-11 below r
         for _, calls, crossing in self.counted_searches(monkeypatch):
             assert crossing <= 2
-            assert len(calls) - crossing <= 3
+            assert len(calls) - crossing <= 2
+
+    def test_a_last_cell_crossing_makes_no_root_batch(self, monkeypatch):
+        # where an evaluated profile first meets r in its last grid cell, its root lies at
+        # t = r - s of about 1e-11 and the two bounds of mu close the bracket alone: no sphere
+        # search runs after the profile's, and mu reaches r at s* to the root's 1e-12
+        rng = np.random.default_rng(2718)
+        cases = []
+        for degree in range(3, 7):
+            for _ in range(12):
+                f = random_series(rng, degree, monic_shift=True)
+                derivative = slice_derivative(f)
+                norms = bloch._term_norms(derivative.rows)
+                for r in (0.99, 0.9):
+                    grid = np.linspace(0.0, r, bloch._MU_GRID)
+                    first, _, mu = bloch._first_crossing(derivative, r, grid, norms)
+                    if first == grid.size - 1 and (mu > -np.inf).any():
+                        cases.append((f, r))
+        assert len(cases) >= 10
+        calls, crossing_calls = [], []
+        first_crossing = bloch._first_crossing
+
+        def tally(f, at, *args, **kwargs):
+            calls.append(len(at))
+            return _sphere_max(f, at, *args, **kwargs)
+
+        def tally_crossing(*args):
+            result = first_crossing(*args)
+            crossing_calls.append(len(calls))
+            return result
+
+        monkeypatch.setattr(bloch, "_sphere_max", tally)
+        monkeypatch.setattr(bloch, "_first_crossing", tally_crossing)
+        for f, r in cases:
+            calls.clear()
+            report = bl_search(f, r)
+            assert len(calls) == crossing_calls[-1]
+            assert report.diagnostics["mu_radii"][2] == 0
+            assert report.diagnostics["mu_root_residual"] <= 1e-12
+            s_star = 2.0 * report.R_r
+            derivative = slice_derivative(f)
+            assert s_star * sup_norm_ball(derivative, r - s_star).value >= r - 1e-12
+            s_low = s_star - 1e-12
+            assert s_low * sup_norm_ball(derivative, r - s_low).value < r - 1e-12
 
     def test_mu_radii_count_the_evaluated_radii(self, monkeypatch):
         # a search the coefficient bound settles makes no profile call, and may make none

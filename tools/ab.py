@@ -70,7 +70,10 @@ with the tree that goes first alternating from task to task and round to
 round; a kernel row's task is CALLS back-to-back calls. BLAS is pinned to one
 thread and the process to one CPU, as in ``perfbench/run.py``. Prints one
 JSON object. For each workload and seed: the sum over tasks of each tree's
-per-task minimum seconds, their ratio (this tree over the other), ``faster``,
+per-task minimum seconds, their ratio (this tree over the other), for
+bl-search ``mu_radii``, each tree's summed ``diagnostics["mu_radii"]`` (the radii
+of the coarse pass, the second pass and the root) and this tree's less the
+other's (a count, the same on every run, where a time is not), ``faster``,
 the number of tasks where this tree's minimum is the smaller, ``moved``, the
 number of tasks whose output differs between the trees, ``max_rel_move``, the
 largest relative change |a - b| / min(|a|, |b|) over the numeric leaves of
@@ -117,7 +120,7 @@ CALLS = 20
 DEGREE = 6
 RADIUS = 0.9
 SPHERE_RADII = (1, 15, 18, 33, 63, 1024)
-# random_series(default_rng(LONG_PASS_SEED), 4, monic_shift=True): mu_radii [26, 31, 36]
+# random_series(default_rng(LONG_PASS_SEED), 4, monic_shift=True): mu_radii [26, 31, 18]
 LONG_PASS_SEED = 10
 
 
@@ -345,11 +348,22 @@ def compare(workload: str, seed: int, corpus, trees: dict, work: Path) -> dict:
     max_move = max((_rel_move(this, other, moves) for this, other in pairs), default=0.0)
     max_abs = max((_abs_move(this, other) for this, other in pairs), default=0.0)
     this_s, other_s = float(best["this"].sum()), float(best["other"].sum())
-    return {"tasks": len(records), "this_s": round(this_s, 4), "other_s": round(other_s, 4),
-            "ratio": round(this_s / other_s, 4),
-            "faster": int(np.count_nonzero(best["this"] < best["other"])),
+    result = {"tasks": len(records), "this_s": round(this_s, 4), "other_s": round(other_s, 4),
+              "ratio": round(this_s / other_s, 4)}
+    if workload == "bl-search":
+        result["mu_radii"] = _mu_radii(outputs)
+    return {**result, "faster": int(np.count_nonzero(best["this"] < best["other"])),
             "moved": len(diffs), "max_rel_move": max_move, "max_abs_move": max_abs,
             "moves": moves, "diffs": diffs}
+
+
+def _mu_radii(outputs: dict) -> dict:
+    """Each tree's ``mu_radii`` (coarse pass, second pass, root) summed over the bl-search
+    reports it wrote, and this tree's sums less the other's."""
+    sums = {tag: np.array([json.loads(report)["diagnostics"]["mu_radii"]
+                           for _, report in outputs[tag] if report], dtype=int)
+            .reshape(-1, 3).sum(axis=0).tolist() for tag in outputs}
+    return {**sums, "diff": [a - b for a, b in zip(sums["this"], sums["other"])]}
 
 
 def kernels(trees: dict) -> dict:
