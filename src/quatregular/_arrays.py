@@ -396,20 +396,43 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
         return np.ldexp(np.sqrt(np.add.reduce(folded * folded, axis=-1)), e)
 
 
-def coefficient_bound(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """B(t) = sum |b_k| t^k at each radius t, for the coefficient rows b_k of a series.
+def coefficient_bound(rows: np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
+    """B(t) = sum |b_k| t^k at each radius t, a float or an array, for the coefficient rows b_k
+    of a series.
 
     |q^k b_k| = |q|^k |b_k|, so by the triangle inequality B(t) bounds |f| on
     the ball of radius t without an evaluation. B is taken by Horner's rule,
-    from the top row down, at finite radii t, so each value meets about 2N
-    roundings. Past the floats B is inf, and nan only where an inf row norm
-    above the first meets t = 0.
+    from the top row down, on the row norms as floats, so a float t runs on
+    floats and an array t on arrays, each rounding the same: each value meets
+    2N + 3 roundings, 3 in each row norm and 2N in Horner's rule. Past the
+    floats B is inf, and nan only where an inf row norm above the first meets
+    t = 0.
     """
-    bound = np.zeros(t.shape)
+    bound = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for norm in row_norms(rows)[::-1]:
+        for norm in reversed(row_norms(rows).tolist()):
             bound = bound * t + norm
     return bound
+
+
+def outward_bound(rows: np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
+    """``coefficient_bound`` taken from above: B(t) (1 + gamma_n), n = 10N + 21 (``_gamma``).
+
+    It is at least B at t, and at t rounded from a difference r - s, and at
+    least every maximum of |f| on the sphere of radius t computed from
+    ``sphere_constants`` (``sphere_max_rows``), so no computed maximum passes
+    it. Computed B meets 2N + 3 roundings (``coefficient_bound``), so B(t) is
+    at most computed B times 1 + gamma_{2N+4}, and B at r - s is at most B at
+    its rounding t times 1 + gamma_N. A computed maximum meets at most 8N + 14
+    relative to B(t): 3 in the modulus of the point x + iy (cos or sin to an
+    ulp, then the product with t) and 3 in each complex product of its power
+    table, so 6k in its k-th power; N + 1 in the sums b and c, counted twice,
+    as |b| + |c| is at most sqrt(2) times the maximum; and 12 in
+    ``sphere_max_rows``. n covers the larger of the two sums, 3N + 4 and
+    10N + 18, and 3 for the product with 1 + gamma_n.
+    """
+    with np.errstate(over="ignore"):
+        return coefficient_bound(rows, t) * (1.0 + _gamma(10 * len(rows) + 11))
 
 
 def _sphere_squares(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -430,11 +453,17 @@ def sphere_max_rows(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.sqrt(_sphere_squares(b, c)[2])
 
 
+def sphere_product_rows(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The product of the minimum and the maximum of ``sphere_extrema_rows``,
+    hypot(|b|^2 - |c|^2, 2 <b, c>), and the squared maximum, per row. For the sphere
+    constants of x + iy the product is |f^s(x + iy)|, f^s the symmetrization of f."""
+    bb, cc, top, *_ = _sphere_squares(b, c)
+    return np.hypot(bb - cc, 2.0 * np.einsum("...i,...i->...", b, c)), top
+
+
 def sphere_min_rows(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The minimum of ``sphere_extrema_rows``, per row."""
-    bb, cc, top, *_ = _sphere_squares(b, c)
-    dot = np.einsum("...i,...i->...", b, c)
-    product = np.hypot(bb - cc, 2.0 * dot)
+    product, top = sphere_product_rows(b, c)
     # the maximum is zero only where b = c = 0, and then so is the minimum
     return np.sqrt(product * (product / np.where(top > 0.0, top, 1.0)))
 

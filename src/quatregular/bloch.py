@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import _CONJUGATE, _ROUNDOFF, _gamma, _sphere_squares, coefficient_bound
+from ._arrays import _CONJUGATE, _gamma, _sphere_squares, outward_bound
 from ._arrays import eval_rows, qmul_rows, row_norms, sphere_constants, star_rows
 from .errors import DomainError, NumericalSearchError, PreconditionError
 from .norms import _scaled, _sphere_max, _sphere_roots, split_norm
@@ -444,8 +444,10 @@ def _first_crossing(derivative: Series, r: float, grid: np.ndarray,
     show which cells cannot hold the first crossing:
 
     - the coefficient bound s_b B(t_a), with B(t) = sum |b_k| t^k over the
-      coefficients b_k of f' (triangle inequality, ``coefficient_bound``),
-      times 1 + 1e-12 for rounding. It needs no evaluation;
+      coefficients b_k of f' (triangle inequality), taken from above as
+      B (1 + gamma_n), n = 10N + 21 (``outward_bound``): Horner's 2N
+      roundings and the 3 of each row norm, the rounding of t = r - s, and the
+      roundings by which a computed M can pass B. It needs no evaluation;
     - the chord bound (``_chord_sup``): on each slice f'_I = F + G J with F
       and G holomorphic, so log|f'_I| is subharmonic and, by Hadamard's
       three-circles theorem (Ransford, Potential Theory in the Complex Plane,
@@ -454,9 +456,11 @@ def _first_crossing(derivative: Series, r: float, grid: np.ndarray,
       and below its chord on the cell. The last cell, where t_b = 0, has no
       chord.
 
-    B is taken once, on every grid radius. Take the first grid point s_j whose
-    own bound s_j B(r - s_j) (1 + 1e-12) reaches r - ``_MU_TOL``: mu is below
-    that at every point before it. Where j > 0 and the lower bound of
+    B is taken once, from above, on every grid radius, and both the settled
+    test and the coarse prune read that one array. Take the first grid point s_j
+    whose own bound s_j B(r - s_j) reaches r - ``_MU_TOL``: mu is below that at
+    every point before it, and so is every computed s M, as a computed M does
+    not pass B and rounding is monotone. Where j > 0 and the lower bound of
     ``_mu_bounds`` at s_j reaches it too, the two bounds decide the first
     crossing, and the search is settled: its first crossing is s_j, at angle
     0, and nothing is evaluated. That holds at the last point, s = r, whenever
@@ -464,7 +468,10 @@ def _first_crossing(derivative: Series, r: float, grid: np.ndarray,
     f' = 1 + b_k q^k, whose bounds meet. A bound that is not a number (an inf B
     at s = 0) reaches r there, and so settles nothing.
     Otherwise the evaluated bounds use U = M + gap + 1e-12 M in place of M, the gap
-    being what ``_sphere_max`` left. The chord bound covers the monotone bound
+    being what ``_sphere_max`` left. That gap is how far the last Newton step
+    moved M, not a proved bound of how far the search fell short of it, so
+    its 1e-12 M is an allowance, not an operation count: it stays until a
+    proved ceiling of M replaces U. The chord bound covers the monotone bound
     s_b U_a (by the maximum modulus principle, Gentili-Stoppato, M does not
     decrease with t): where U_a >= U_b the chord's slope beta is at least 0,
     and on the cell s U_b ((r - s) / t_b)^beta <= s_b U_b (t_a / t_b)^beta =
@@ -487,11 +494,11 @@ def _first_crossing(derivative: Series, r: float, grid: np.ndarray,
     # mu on the grid points evaluated so far, -inf elsewhere
     mu = np.full(grid.size, -np.inf)
     target = r - _MU_TOL
-    # B(r - s) at every grid point; s (1 + 1e-12) < 1, so only an inf B makes a bound inf
-    bound = coefficient_bound(derivative.rows, r - grid)
+    # B(r - s) from above at every grid point; s < 1, so only an inf B makes a bound inf
+    bound = outward_bound(derivative.rows, r - grid)
     with np.errstate(invalid="ignore"):  # 0 inf at s = 0 is nan, and reaches target there
-        # the first grid point whose upper bound s B(r - s) (1 + 1e-12) reaches target
-        first = int(np.argmin(grid * (1.0 + 1e-12) * bound < target))
+        # the first grid point whose upper bound s B(r - s) reaches target
+        first = int(np.argmin(grid * bound < target))
     if first > 0 and _mu_bounds(norms, r, float(grid[first]))[0] >= target:
         return first, 0.0, mu
     angles = np.zeros(grid.size)
@@ -504,8 +511,8 @@ def _first_crossing(derivative: Series, r: float, grid: np.ndarray,
 
     # not np.union1d: numpy's set routines import numpy.ma, about 1 MB more RSS
     coarse = _coarse_points(grid.size)
-    # s_b B(t_a) (1 + 1e-12) on each cell
-    reach = grid[coarse[1:]] * (1.0 + 1e-12) * bound[coarse[:-1]]
+    # s_b B(t_a) on each cell
+    reach = grid[coarse[1:]] * bound[coarse[:-1]]
     # the first cell the coefficient bound leaves; nan leaves it too
     start = int(np.argmin(reach < target))
     coarse = coarse[start:]
@@ -682,13 +689,13 @@ def _witness_locator(rows: np.ndarray, norms: list[float], tau: float) -> tuple[
     principal k-th root, lies at the angle atan2(|Im b_k|, Re b_k) / k of its
     slice: the lowest of the k angles where q^k b_k is real and positive, and
     the one the tie rule of ``_sphere_max`` keeps. |f'(q_tau)| is within
-    2 sum_{i>k} |b_i| tau^i of B(tau) >= M(tau). Where that is below the
-    rounding of |b_0| = 1, M is the sphere closed form at that angle, which
-    ``bl_search`` reads there; elsewhere one ``_sphere_max`` call on the
-    radius tau gives the angle.
+    2 sum_{i>k} |b_i| tau^i of B(tau) >= M(tau). Where that is below
+    gamma_1 (``_gamma``, n = 1: one rounding of |b_0| = 1), M is the sphere
+    closed form at that angle to rounding, which ``bl_search`` reads there;
+    elsewhere one ``_sphere_max`` call on the radius tau gives the angle.
     """
     k = _leading(norms)
-    if 2.0 * sum(norm * tau ** i for i, norm in enumerate(norms[k + 1:], k + 1)) < _ROUNDOFF:
+    if 2.0 * sum(norm * tau ** i for i, norm in enumerate(norms[k + 1:], k + 1)) < _gamma(1):
         b_k = rows[k] if len(rows) > k else np.zeros(4)
         return math.atan2(float(row_norms(b_k[1:])), float(b_k[0])) / k, 0
     _, _, (angle,) = _sphere_max(rows, np.array([tau]))
@@ -716,7 +723,12 @@ def bl_search(f: Series, r: float) -> SearchReport:
     steep-cubic, whose terms all point one way at R. The root starts from the
     first grid point of ``_MU_GRID`` = 1024 in [0, r] where mu(s) = s M(r - s)
     reaches r - ``_MU_TOL``. B(t) = sum |b_k| t^k over the coefficients of f'
-    is taken once, on every grid radius (``coefficient_bound``). At the first
+    is taken once, on every grid radius, from above: B (1 + gamma_n), Higham's
+    gamma_n with n = 10N + 21, which covers the roundings of B and of the grid
+    radius and those by which a computed M can pass B (``outward_bound``). Every
+    rounding allowance of the search is such a gamma_n of an operation count,
+    except the chord bound's allowance for the gap of M (``_first_crossing``).
+    At the first
     grid point s_j whose own bound s_j B(r - s_j) reaches r - ``_MU_TOL``, where
     j > 0, the lower bound of mu given below may reach it too: the two bounds then
     decide the first crossing, and the search is settled at s_j with no
@@ -764,9 +776,13 @@ def bl_search(f: Series, r: float) -> SearchReport:
     where M is attained, the locator; the sphere is read there once, in
     closed form (``_sphere_squares``), for M(r - s*), which gives
     ``mu_root_residual`` = |s* M - r|, and for the unit of w, which is 0
-    where r - s* is below ``_MU_TOL``. ``rho_r`` is the coverage lemma of
-    phi on the ball of radius R_r, from the one formula ``rho_lemma`` also
-    takes (``_lemma_radius``), so the two agree to the bit.
+    where r - s* is below ``_MU_TOL``. That unit is the axis of Im(b conj(c))
+    where its modulus exceeds gamma_8 |b| |c| (n = 8: each component sums four
+    products, at most |b| |c| in all, and the modulus adds 4), and
+    ``CANONICAL_I`` below it, where every unit is a maximiser to rounding.
+    ``rho_r`` is the coverage lemma of phi on the ball of radius R_r, from the
+    one formula ``rho_lemma`` also takes (``_lemma_radius``), so the two agree
+    to the bit.
     ``diagnostics["mu_radii"]`` counts the radii the coarse pass, the
     second pass and the root evaluated: on average 5.1, 7.0 and 3.4 over the
     first 72 bl-search benchmark records of seeds 1, 3, 7 and 11, where 78 % of
@@ -835,10 +851,10 @@ def bl_search(f: Series, r: float) -> SearchReport:
         locator_angle = 0.0
     else:
         locator_angle = hi_angle
-        # that unit is good to 8 u |b| |c|, below which every unit is a maximiser to
+        # that unit is good to gamma_8 |b| |c|, below which every unit is a maximiser to
         # rounding; the test is relative, as near the origin |c| is of order the radius
         unit = (UnitImaginary.from_vector(*axis) if Quaternion(0.0, *axis).modulus()
-                > 8.0 * _ROUNDOFF * math.sqrt(bb) * math.sqrt(cc) else CANONICAL_I)
+                > _gamma(8) * math.sqrt(bb) * math.sqrt(cc) else CANONICAL_I)
         w = _slice_point(x, y, unit)
 
     translated = regular_translation(f, w)

@@ -48,6 +48,7 @@ from ._arrays import (
     _read_only,
     circle_table,
     coefficient_bound,
+    outward_bound,
     power_table,
     row_norms,
     slice_norm_ascent,
@@ -57,6 +58,7 @@ from ._arrays import (
     sphere_max_polish,
     sphere_min_rows,
     sphere_planes,
+    sphere_product_rows,
     square_forms,
     star_rows,
 )
@@ -78,10 +80,6 @@ _PEAKS = 6
 _CHUNK_ROWS = 16384
 # roots of f^s this close, with the ball radius folded into (1/2, 1], share a centroid
 _ROOT_CLUSTER = 1e-2
-# the rounding allowance of the bounds from grid products, _boundary_floor's and the split_norm
-# pick phase's, relative to B(t)^2 (and to B(t)): the products are good to about 1e-13 of
-# B(t)^2 at degree DEGREE_CAP
-_FLOOR_SLACK = 1e-10
 # separated lattice units that start the split_norm ascent; scan block rows, dividing _SPHERE_GRID
 _STARTS = 3
 _SCAN_BLOCK = 256
@@ -185,14 +183,12 @@ def _attained_bound(rows: np.ndarray, t: float) -> float | None:
     only to second order. So n = 10 (N + 1) never misses an exact maximum.
     Quaternion rows of degree 2 or more rarely align, and are not tried.
     """
-    if _linear(rows):
-        return float(coefficient_bound(rows, np.array([t]))[0])
-    if rows[:, 1:].any():
+    if rows[:, 1:].any() and not _linear(rows):
         return None
+    bound = float(coefficient_bound(rows, t))
     a = rows[:, 0]
     nonzero = np.flatnonzero(a)
-    bound = float(coefficient_bound(rows, np.array([t]))[0])
-    if nonzero.size < 2:
+    if _linear(rows) or nonzero.size < 2:
         return bound
     j, k = nonzero[:2].tolist()
     # where a_j / a_k < 0 the angles are the odd multiples of pi / (k - j)
@@ -373,27 +369,30 @@ def _boundary_floor(rows: np.ndarray, t: float, sym: np.ndarray) -> float:
     The rows and t are those ``_scaled`` folded, and ``sym`` holds the
     coefficients c_n of the symmetrization f^s of those rows. On each sphere
     x + y S the minimum and the maximum of |f| multiply to
-    P = |f^s(x + iy)| = hypot(|b|^2 - |c|^2, 2<b, c>) (``sphere_min_rows``), and
-    the maximum is at most B(t) = sum |a_n| t^n (triangle inequality,
-    ``coefficient_bound``). The spheres at x + iy = t e^{i theta}, theta in
-    [0, pi], make up the boundary, and every such angle is within half a
-    grid step pi / (2 (_THETA_GRID - 1)) of an ``_angle_table`` angle, where
-    P is evaluated. P moves at most D = sum n |c_n| t^n per radian, which
-    bounds the angle derivative of f^s(t e^{i theta}). So the minimum is at
-    least (min P - step D / 2) / B(t), taken here with ``_FLOOR_SLACK`` off
-    for rounding.
+    P = |f^s(x + iy)| = hypot(|b|^2 - |c|^2, 2<b, c>) (``sphere_product_rows``),
+    and the maximum is at most B(t) = sum |a_n| t^n (triangle inequality),
+    taken from above (``outward_bound``). The spheres at x + iy = t e^{i theta},
+    theta in [0, pi], make up the boundary, and every such angle is within half
+    a grid step pi / (2 (_THETA_GRID - 1)) of an ``_angle_table`` angle, where
+    ``sphere_constants`` gives b and c and so P. P moves at most
+    D = sum n |c_n| t^n <= N B(t)^2 per radian, which bounds the angle
+    derivative of f^s(t e^{i theta}). So the minimum is at least
+    (min P - step D / 2 - gamma_n B^2) / B (``_gamma``), n = 24 (N + 1). In
+    units of B^2, a computed P meets 12 roundings in its formula, and
+    2 (6N + 2) from the rounding of b and c, since P is |sum (b_l + i c_l)^2|
+    over the components: 3 in each complex product of the power table and
+    N + 1 in the sums, times sqrt(2) for b and c together. The computed point
+    x + iy lies within 3 u t of the circle and a grid angle within 7 u of its
+    place, which move P by 10 N u; D's rounding costs at most N + 2 of the
+    half step, and the last subtraction and the division 3. These sum to
+    23N + 21.
     """
     _, cos, sin, _ = _angle_table(len(rows))
-    weighted = rows * (t ** np.arange(len(rows)))[:, None]
-    # b = sum t^n cos(n theta) a_n and c = sum t^n sin(n theta) a_n at each grid angle
-    b, c = cos.T @ weighted, sin.T @ weighted
-    product = np.hypot(np.einsum("ti,ti->t", b, b) - np.einsum("ti,ti->t", c, c),
-                       2.0 * np.einsum("ti,ti->t", b, c))
+    product, _ = sphere_product_rows(*sphere_constants(rows, t * cos[1], t * sin[1]))
     n = np.arange(len(sym))
     swing = 0.5 * math.pi / (_THETA_GRID - 1) * float((n * np.abs(sym)) @ t ** n)
-    bound = float(coefficient_bound(rows, np.array([t]))[0])
-    return ((float(product.min()) - swing - _FLOOR_SLACK * bound * bound)
-            / (bound * (1.0 + _FLOOR_SLACK)))
+    bound = float(outward_bound(rows, t))
+    return (float(product.min()) - swing - _gamma(24 * len(rows)) * bound * bound) / bound
 
 
 # -- uniform norm on balls -----------------------------------------------------
@@ -457,9 +456,11 @@ def inf_norm_ball(f: Series, s: float) -> NormReport:
     its point of the circle |z| = s, and the maximum is at most
     B(s) = sum |a_n| s^n, so with D = sum n |c_n| s^n over the coefficients
     c_n of f^s and h = pi/511 the step of the 512 grid angles,
-    L = (min over the grid of |f^s| - h D / 2) / B(s), less a rounding
-    allowance. L is below the boundary minimum the search would find, so the
-    root sphere is the one that search would also have lost to. Otherwise
+    L = (min over the grid of |f^s| - h D / 2) / B(s), with B(s) taken from
+    above and Higham's gamma_n B(s)^2 taken off for rounding (n an operation
+    count, ``_boundary_floor``). L is below the boundary minimum the search
+    would find, so the root sphere is the one that search would also have
+    lost to. Otherwise
     the boundary search (``_folded_sphere_max``, climbing -A + |U| = -min^2)
     runs, and the smaller value wins, compared folded: a DomainError means
     the minimum reported is beyond the largest float. ``certified_tol`` is
@@ -577,12 +578,22 @@ def _scan_picks(rows: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray
     A pass on every s-th angle, s the largest of ``_SUB_STEPS`` with
     c >= ``_SUB_COS``, so gives each unit a floor and a ceiling of its value;
     past the degrees a sub-grid serves (N > 18), s = c = 1 and the pass is the
-    whole scan. For rounding, ``_FLOOR_SLACK`` B^2 comes off the floors and
-    goes on the ceilings, B the coefficient bound: the largest sum of a unit's
-    two squares on the pass is at least the mean of |f|^2 over the spheres at
-    those angles, sum |a_n|^2 R^(2n) >= B^2 / (N + 1) (Parseval, then
-    Cauchy-Schwarz). Each pick then computes the T-angle rows of the units left
-    whose ceiling reaches the best floor among them, by the kernel of the whole
+    whole scan. For rounding, gamma_n B^2 (``_gamma``), n = 64 (N + 4), comes
+    off the floors and goes on the ceilings, B the coefficient bound, taken as
+    gamma_n (N + 1) times the largest sum of a unit's two squares on the pass:
+    that sum is at least the mean of |f|^2 over the spheres at those angles,
+    sum |a_n|^2 R^(2n) >= B^2 / (N + 1) (Parseval, then Cauchy-Schwarz). A
+    computed square is within gamma_{16N+92} B^2 of the exact one at its unit
+    and grid point: a sum of the scan forms meets 6k roundings in the k-th
+    power of the circle table and N + 1 in the sum, 8N + 2 relative to B, and
+    a square twice that, as F_I and G_I are linear maps of norm at most 1 of
+    the sums; the forms meet 64 more, their product with the monomials 18, and
+    the monomials and the unit's norm 6. The grid angles lie within 13 u of
+    their places, which moves a square by at most 26 N u B^2. A ceiling needs
+    that error on the whole grid, and on the pass, over c >= 0.9, with the
+    node error: 63N + 196 in all. A floor needs 36, for a grid cell that two
+    products round each its own way. Each pick then computes the T-angle rows
+    of the units left whose ceiling reaches the best floor among them, by the kernel of the whole
     scan (``_scan_rows``, so each value is the scan's to the bit), and a value
     replaces its unit's bounds. A unit left uncomputed is below the best floor,
     itself a computed value, so the pick is the scan's. The bounds pass through
@@ -598,7 +609,7 @@ def _scan_picks(rows: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray
                          if (c := math.cos(degree * math.pi * s / points)) >= _SUB_COS), (1, 1.0))
     grid = np.empty(_SCAN_BLOCK * points)
     squares, cols = _scan_rows(monomials, np.ascontiguousarray(forms[:, :, ::step]), grid)
-    slack = _FLOOR_SLACK * (degree + 1) * float(squares.sum(axis=0).max())
+    slack = _gamma(64 * (degree + 4)) * (degree + 1) * float(squares.sum(axis=0).max())
     # a unit's value once computed, else -inf; its floor, the value once computed; and its
     # ceiling, -inf once its value is computed, so that no value is computed twice
     values = np.full(len(lattice), -np.inf)
@@ -681,7 +692,8 @@ def split_norm(f: Series) -> NormReport:
     rounding noise of the best. ``certified_tol`` is how much its last Newton
     step still raised sqrt(H), floored at rounding noise. If that start spent all
     ``_ASCENT_STEPS`` steps it may have stopped short, so ``certified_tol`` is
-    then at least B(R) - value, by the bound above. ``resolution`` holds
+    then at least B(R) - value, by the bound above, with B(R) taken from
+    above (``outward_bound``, n = 10N + 21). ``resolution`` holds
     the lattice size, the scan's grid angles, the number of starts and the
     Newton steps of the winning start.
     """
@@ -704,7 +716,7 @@ def split_norm(f: Series) -> NormReport:
     gap = values[best] - math.sqrt(before[best])
     if steps[best] == _ASCENT_STEPS:
         # an ascent cut by its budget may stop short: its miss is at most B(R) - value
-        gap = max(gap, coefficient_bound(rows, np.array([radius]))[0] - top)
+        gap = max(gap, outward_bound(rows, radius) - top)
     return _report("lattice+newton", top, gap, e, resolution)
 
 

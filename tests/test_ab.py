@@ -37,6 +37,10 @@ def test_its_own_tree_shows_no_diff():
     radii = report["bl-search"]["1"]["mu_radii"]
     assert radii["this"] == radii["other"] and radii["diff"] == [0, 0, 0]
     assert radii["this"][0] > 0 and "mu_radii" not in report["slice-norms"]["1"]
+    # so are the rows the split_norm pick phase computes on the whole angle grid
+    fine = report["slice-norms"]["1"]["fine_rows"]
+    assert fine["this"] == fine["other"] > 0 and fine["diff"] == 0
+    assert "fine_rows" not in report["bl-search"]["1"]
     # every kernel row runs in both trees
     assert len(report["kernels"]) == 30
     assert all(type(ms) is float and ms > 0.0 for row in report["kernels"].values()

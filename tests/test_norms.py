@@ -1673,12 +1673,13 @@ class TestSphereMaxSearch:
             assert (y[1:-1] - chord).max() <= 4.0 * np.finfo(float).eps * np.abs(y).max()
 
     def test_coefficient_bound_is_above_the_sphere_maxima(self):
-        # the rule's own 1e-12 covers the ulp by which a computed M can pass B
+        # B from above, B (1 + gamma_n) with n = 10N + 21, covers the roundings by which a
+        # computed M can pass B
         t = np.linspace(0.0, 0.99, bloch._MU_GRID)
         for f in self.profile_series():
             derivative = slice_derivative(f)
-            bound = _arrays.coefficient_bound(derivative.rows, t)
-            assert np.all(bound * (1.0 + 1e-12) >= _sphere_max(derivative.rows, t)[0])
+            bound = _arrays.outward_bound(derivative.rows, t)
+            assert np.all(bound >= _sphere_max(derivative.rows, t)[0])
 
     def test_chord_supremum_matches_a_fine_sampling(self):
         # s M_b ((r - s) / t_b)^beta on the cell [0.3, 0.33] at r = 0.9 peaks inside it
@@ -2050,3 +2051,137 @@ class TestDegreeCap:
 
     def test_the_grid_has_4n_plus_1_angles_at_the_cap(self):
         assert 4 * DEGREE_CAP + 1 <= norms._THETA_GRID
+
+
+def mp_sphere_extrema(rows, t, theta):
+    """The minimum and the maximum of |f| on the sphere x + y S, x + iy = t e^{i theta}, from
+    the float rows at the working precision of mpmath (the closed form of
+    ``sphere_extrema_rows``, the minimum as the product over the maximum)."""
+    w, power = t * mpmath.expj(theta), mpmath.mpc(1)
+    b, c = [mpmath.mpf(0)] * 4, [mpmath.mpf(0)] * 4
+    for row in rows.tolist():
+        b = [x + power.real * a for x, a in zip(b, row)]
+        c = [x + power.imag * a for x, a in zip(c, row)]
+        power *= w
+    (b0, b1, b2, b3), (c0, c1, c2, c3) = b, c
+    bb, cc = sum(x * x for x in b), sum(x * x for x in c)
+    v = (-b0 * c1 + b1 * c0 - b2 * c3 + b3 * c2, -b0 * c2 + b1 * c3 + b2 * c0 - b3 * c1,
+         -b0 * c3 - b1 * c2 + b2 * c1 + b3 * c0)
+    top = mpmath.sqrt(bb + cc + 2 * mpmath.sqrt(sum(x * x for x in v)))
+    product = mpmath.hypot(bb - cc, 2 * sum(x * y for x, y in zip(b, c)))
+    return (product / top if top else top), top
+
+
+def mp_sphere_extremum(rows, t, theta, lowest):
+    """The largest (with ``lowest`` the smallest) |f| over the spheres of radius t at the
+    angles within a grid step of theta, by golden-section search on the angle at the
+    working precision (to about 1e-18 in the angle), the best value it evaluated."""
+    sign = 1 if lowest else -1
+
+    def value(angle):
+        return sign * mp_sphere_extrema(rows, t, angle)[0 if lowest else 1]
+
+    ratio = (mpmath.sqrt(5) - 1) / 2
+    step = mpmath.pi / (norms._THETA_GRID - 1)
+    lo, hi = theta - step, theta + step
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f1, f2 = value(x1), value(x2)
+    best = min(f1, f2, value(mpmath.mpf(theta)))
+    for _ in range(85):
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = value(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = value(x2)
+        best = min(best, f1, f2)
+    return sign * best
+
+
+class TestRoundingRule:
+    """Each bound that decides an output lies on its proved side: B from above and the
+    boundary floor of 40-digit mpmath values, the pick phase's floors and ceilings of the
+    whole scan's values. The series are seeded, of degree 2-12 and DEGREE_CAP, quaternion
+    and real positive (whose terms align at the angle 0, so that B is the maximum), at the
+    scales 2^-500 and 2^500."""
+
+    def cases(self):
+        rng = np.random.default_rng(3907)
+        for degree in list(range(2, 13)) + [DEGREE_CAP]:
+            quaternion = rng.uniform(-1.0, 1.0, (degree + 1, 4)) / np.arange(
+                1.0, degree + 2.0)[:, None] ** 2
+            aligned = np.zeros((degree + 1, 4))
+            aligned[:, 0] = rng.uniform(0.05, 1.0, degree + 1) / np.arange(1.0, degree + 2.0) ** 2
+            # t rounded from r - s below r / 2, as on the mu grid
+            s = float(rng.uniform(0.0, 0.495))
+            for rows in (quaternion, aligned):
+                yield rows, s
+
+    def test_outward_bound_is_above_every_maximum(self):
+        # B (1 + gamma_n) at t = fl(0.99 - s) is at least the maximum of |f| on the sphere
+        # of radius 0.99 - s at 40 digits, and at least the M that _sphere_max computes at t
+        with mpmath.workdps(40):
+            for rows, s in self.cases():
+                t = 0.99 - s
+                _, _, (theta,) = _sphere_max(rows, np.array([t]))
+                exact = mp_sphere_extremum(rows, mpmath.mpf(0.99) - mpmath.mpf(s),
+                                           mpmath.mpf(float(theta)), lowest=False)
+                for e in (-500, 500):
+                    scaled = np.ldexp(rows, e)
+                    bound = _arrays.outward_bound(scaled, t)
+                    assert bound >= mpmath.ldexp(exact, e)
+                    assert bound >= _sphere_max(scaled, np.array([t]))[0][0]
+
+    def test_boundary_floor_is_below_the_boundary_minimum(self):
+        # the floor of the folded rows is at most the 40-digit minimum of |f| on the
+        # boundary, refined from the two lowest local minima of a 4001-angle scan
+        theta = np.linspace(0.0, math.pi, 4001)
+        positive = 0
+        with mpmath.workdps(40):
+            for rows, s in self.cases():
+                for e in (-500, 500):
+                    folded, t, _ = norms._scaled(np.ldexp(rows, e), 0.99 - s)
+                    floor = norms._boundary_floor(folded, t, norms._sphere_roots(folded, t)[0])
+                    if e < 0:
+                        first = floor
+                        low = sphere_min_rows(*sphere_constants(folded, t * np.cos(theta),
+                                                                t * np.sin(theta)))
+                        mirrored = np.concatenate([low[1:2], low, low[-2:-1]])
+                        local = np.flatnonzero((low <= mirrored[:-2]) & (low <= mirrored[2:]))
+                        exact = min(mp_sphere_extremum(folded, mpmath.mpf(float(t)),
+                                                       mpmath.mpf(float(theta[k])), lowest=True)
+                                    for k in local[np.argsort(low[local])][:2])
+                    assert floor == first and floor <= exact
+                    positive += floor > 0.0
+        # the floor is not vacuous
+        assert positive > 20
+
+    def test_scan_bounds_hold_the_whole_scan(self, monkeypatch):
+        # every floor of the pick phase's pass is at most the whole scan's value of its
+        # unit, and every ceiling at least it
+        tops = []
+
+        def recorded(squares, grid_tops=norms._grid_tops):
+            tops.append(grid_tops(squares))
+            return tops[-1]
+
+        monkeypatch.setattr(norms, "_grid_tops", recorded)
+        for rows, _ in self.cases():
+            for e in (-500, 500):
+                folded, radius, _ = norms._scaled(np.ldexp(rows, e), 0.9)
+                tops.clear()
+                norms._scan_picks(folded, radius)
+                floors, ceilings = np.hypot(*tops[0]), np.hypot(*tops[1])
+                values, _ = norms._lattice_scan(folded, circle_table(radius, len(rows), 256))
+                whole = np.hypot(*values)
+                assert np.all(floors <= whole) and np.all(whole <= ceilings)
+
+    def test_coefficient_bound_of_a_float_is_that_of_an_array(self):
+        grid = np.linspace(0.0, 0.99, bloch._MU_GRID)
+        for rows, _ in self.cases():
+            bound = _arrays.coefficient_bound(rows, grid)
+            assert bound.tolist() == [_arrays.coefficient_bound(rows, t) for t in grid.tolist()]
+            assert _arrays.outward_bound(rows, grid).tolist() == [
+                _arrays.outward_bound(rows, t) for t in grid.tolist()]

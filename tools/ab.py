@@ -73,7 +73,11 @@ JSON object. For each workload and seed: the sum over tasks of each tree's
 per-task minimum seconds, their ratio (this tree over the other), for
 bl-search ``mu_radii``, each tree's summed ``diagnostics["mu_radii"]`` (the radii
 of the coarse pass, the second pass and the root) and this tree's less the
-other's (a count, the same on every run, where a time is not), ``faster``,
+other's (a count, the same on every run, where a time is not), for
+slice-norms ``fine_rows``, each tree's summed rows that the split_norm pick
+phase (``norms._scan_picks``) computes on the whole angle grid, counted by
+wrapping that tree's ``norms._scan_rows``, and this tree's less the other's
+(a count too), ``faster``,
 the number of tasks where this tree's minimum is the smaller, ``moved``, the
 number of tasks whose output differs between the trees, ``max_rel_move``, the
 largest relative change |a - b| / min(|a|, |b|) over the numeric leaves of
@@ -95,6 +99,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 if hasattr(os, "sched_setaffinity"):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
+import contextlib
 import gc
 import importlib
 import importlib.util
@@ -329,14 +334,36 @@ def _abs_move(this, other) -> float:
     return _move(this, other, lambda a, b: abs(a - b), None, "")
 
 
+@contextlib.contextmanager
+def _fine_rows(trees: dict):
+    """Count, per tree, the rows of the ``norms._scan_rows`` calls made inside the block
+    on fewer units than the whole lattice: the rows ``_scan_picks`` computes on the whole
+    angle grid for the units it may pick, after its pass over every lattice unit."""
+    counts = dict.fromkeys(trees, 0)
+    modules = {tag: importlib.import_module(pkg.__name__ + ".norms") for tag, pkg in trees.items()}
+    originals = {tag: norms._scan_rows for tag, norms in modules.items()}
+    for tag, norms in modules.items():
+        def counted(monomials, *args, tag=tag, whole=norms._lattice()[1], scan=originals[tag]):
+            counts[tag] += 0 if monomials is whole else len(monomials)
+            return scan(monomials, *args)
+        norms._scan_rows = counted
+    try:
+        yield counts
+    finally:
+        for tag, norms in modules.items():
+            norms._scan_rows = originals[tag]
+
+
 def compare(workload: str, seed: int, corpus, trees: dict, work: Path) -> dict:
     """Time and diff the first RECORDS[workload] records of ``seed`` in both trees."""
     records = list(itertools.islice(corpus.generate(workload, seed), RECORDS[workload]))
     preparers = {tag: (_slice_norms(corpus, pkg) if workload == "slice-norms"
                        else _bl_search(pkg, work, tag) if workload == "bl-search"
                        else _coverage(pkg)) for tag, pkg in trees.items()}
-    best, outputs = _alternate({tag: [prepare(record, task) for task, record in enumerate(records)]
-                                for tag, prepare in preparers.items()})
+    with _fine_rows(trees) as fine:
+        best, outputs = _alternate({tag: [prepare(record, task)
+                                          for task, record in enumerate(records)]
+                                    for tag, prepare in preparers.items()})
     diffs = [{"task": task, "this": this, "other": other}
              for task, (this, other) in enumerate(zip(outputs["this"], outputs["other"]))
              if this != other]
@@ -352,6 +379,10 @@ def compare(workload: str, seed: int, corpus, trees: dict, work: Path) -> dict:
               "ratio": round(this_s / other_s, 4)}
     if workload == "bl-search":
         result["mu_radii"] = _mu_radii(outputs)
+    if workload == "slice-norms":
+        # every task ran once a round in each tree
+        rows = {tag: count // ROUNDS for tag, count in fine.items()}
+        result["fine_rows"] = {**rows, "diff": rows["this"] - rows["other"]}
     return {**result, "faster": int(np.count_nonzero(best["this"] < best["other"])),
             "moved": len(diffs), "max_rel_move": max_move, "max_abs_move": max_abs,
             "moves": moves, "diffs": diffs}
